@@ -17,7 +17,7 @@ import io
 import json
 import logging
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from .constrainer import CONSTRAINT_LEVELS
@@ -27,6 +27,7 @@ from .metrics import heatmap_matrix, render_heatmap_svg
 from .pipeline import STAGES, PipelineError, RunContext, StageFailure, run
 from .prompts import PromptError, load_template_set
 from .runstore import ManifestMismatch, RunManifest, RunStore, StoreError
+from .scorer import BASELINE_LEVEL
 
 log = logging.getLogger(__name__)
 
@@ -77,36 +78,21 @@ class RunConfig:
     seed: int | None
 
     def experiment_config(self) -> dict:
-        return _experiment_dict(
-            corpus=self.corpus,
-            generators=self.generators,
-            scorer=self.scorer,
-            embedder=self.embedder,
-            template_id=self.template_id,
-            levels=self.levels,
-            temperature=self.temperature,
-            max_tokens=self.max_tokens,
-            sample=self.sample,
-            seed=self.seed,
-        )
+        return {
+            "corpus": dict(sorted(self.corpus.items())),
+            "generators": [asdict(e) for e in self.generators],
+            "scorer": asdict(self.scorer),
+            "embedder": asdict(self.embedder),
+            "template_id": self.template_id,
+            "levels": list(self.levels),
+            "temperature": self.temperature,
+            "max_tokens": self.max_tokens,
+            "sample": self.sample,
+            "seed": self.seed,
+        }
 
     def manifest(self) -> RunManifest:
         return RunManifest.new(self.run_id, self.experiment_config())
-
-
-def _experiment_dict(**parts) -> dict:
-    return {
-        "corpus": dict(sorted(parts["corpus"].items())),
-        "generators": [asdict(e) for e in parts["generators"]],
-        "scorer": asdict(parts["scorer"]),
-        "embedder": asdict(parts["embedder"]),
-        "template_id": parts["template_id"],
-        "levels": list(parts["levels"]),
-        "temperature": parts["temperature"],
-        "max_tokens": parts["max_tokens"],
-        "sample": parts["sample"],
-        "seed": parts["seed"],
-    }
 
 
 def _parse_endpoint(spec, where: str) -> ModelEndpoint:
@@ -228,18 +214,7 @@ def load_config(
         run_id is None or (isinstance(run_id, str) and bool(run_id)),
         "run_id must be a non-empty string or null",
     )
-    if run_id is None:
-        identity_source = _experiment_dict(
-            corpus=corpus, generators=generators, scorer=scorer, embedder=embedder,
-            template_id=template_id, levels=levels, temperature=float(temperature),
-            max_tokens=max_tokens, sample=sample, seed=seed,
-        )
-        blob = json.dumps(
-            identity_source, sort_keys=True, ensure_ascii=False, separators=(",", ":")
-        )
-        run_id = "run-" + hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
-
-    return RunConfig(
+    config = RunConfig(
         store_dir=store_dir,
         corpus=dict(corpus),
         generators=generators,
@@ -247,7 +222,7 @@ def load_config(
         embedder=embedder,
         template_id=template_id,
         levels=tuple(sorted(levels)),
-        run_id=run_id,
+        run_id=run_id or "",
         cache_dir=cache_dir,
         temperature=float(temperature),
         max_tokens=max_tokens,
@@ -255,6 +230,13 @@ def load_config(
         sample=sample,
         seed=seed,
     )
+    if run_id is None:
+        blob = json.dumps(
+            config.experiment_config(), sort_keys=True, ensure_ascii=False, separators=(",", ":")
+        )
+        digest = hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        config = replace(config, run_id=f"run-{digest[:12]}")
+    return config
 
 
 def load_corpora(config: RunConfig) -> dict[str, Corpus]:
@@ -377,7 +359,7 @@ def write_curves(store: RunStore, out_dir: Path) -> list[Path]:
         for c in cells:
             if c.language != language:
                 continue
-            if c.level == "noexp":
+            if c.level == BASELINE_LEVEL:
                 nominal, realized = "", ""
             elif c.level == 0:
                 nominal, realized = "0.0000", "0.0000"

@@ -27,8 +27,7 @@ ALL_LEVELS = (0,) + CONSTRAINT_LEVELS
 # regenerations after the first attempt, before hard truncation
 BUDGET_RETRIES = 3
 
-LENGTH_STATUSES = ("within_budget", "truncated", "over_budget_accepted")
-MASKING_STATES = ("raw", "masked")
+LENGTH_STATUSES = ("within_budget", "truncated")
 
 
 class ExplanationError(ValueError):
@@ -43,12 +42,9 @@ class EmptyRegeneration(ExplanationError):
     """Constrained regeneration produced no usable text after all retries."""
 
 
-def count_words(text: str, language: str | None = None) -> int:
-    """Number of maximal non-whitespace runs after NFC normalization.
-
-    The rule is script-agnostic; `language` is accepted for interface
-    symmetry and ignored.
-    """
+def count_words(text: str) -> int:
+    """Number of maximal non-whitespace runs after NFC normalization; the
+    rule is script-agnostic."""
     return len(unicodedata.normalize("NFC", text).split())
 
 
@@ -66,15 +62,12 @@ class Explanation:
     level: int
     text: str
     word_count: int
-    masking: str = "raw"
     length_status: str = "within_budget"
     run_id: str = ""
 
     def __post_init__(self) -> None:
         if self.level not in ALL_LEVELS:
             raise ExplanationError(f"level {self.level!r} not in {ALL_LEVELS}")
-        if self.masking not in MASKING_STATES:
-            raise ExplanationError(f"unknown masking state {self.masking!r}")
         if self.length_status not in LENGTH_STATUSES:
             raise ExplanationError(f"unknown length status {self.length_status!r}")
         if self.level == 0 and self.length_status != "within_budget":
@@ -93,7 +86,6 @@ def make_explanation(
     level: int,
     text: str,
     *,
-    masking: str = "raw",
     length_status: str = "within_budget",
 ) -> Explanation:
     """Build an Explanation with NFC-normalized text and derived word count."""
@@ -105,7 +97,6 @@ def make_explanation(
         level=level,
         text=text,
         word_count=count_words(text),
-        masking=masking,
         length_status=length_status,
     )
 
@@ -249,10 +240,3 @@ def constrain_explanation(
         length_status="truncated",
     )
 
-
-def realized_reduction(base: Explanation, constrained: Explanation) -> float:
-    """Achieved shrinkage 1 - wc(constrained)/wc(base), recorded for audit;
-    the enforced level is what analysis keys on."""
-    if base.word_count < 1:
-        raise ExplanationError("base explanation must contain at least one word")
-    return 1.0 - constrained.word_count / base.word_count

@@ -322,13 +322,11 @@ class Gateway:
         self,
         cache_dir: str | Path | None = None,
         *,
-        force_refresh: bool = False,
         clock=time.monotonic,
         sleep=time.sleep,
         session: requests.Session | None = None,
     ):
         self._cache = ResponseCache(cache_dir) if cache_dir is not None else None
-        self._force_refresh = force_refresh
         self._clock = clock
         self._sleep = sleep
         self._session = session or requests.Session()
@@ -366,7 +364,7 @@ class Gateway:
             return limiter
 
     def _cached(self, key: str) -> bytes | None:
-        if self._cache is None or self._force_refresh:
+        if self._cache is None:
             return None
         return self._cache.get(key)
 

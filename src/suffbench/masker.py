@@ -22,9 +22,9 @@ resolve longest-first, then leftmost. Input text is expected to be NFC
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .constrainer import ALL_LEVELS, Explanation, count_words
+from .constrainer import ALL_LEVELS, Explanation
 from .corpus import LABELS, QuestionItem
 
 MASK_TOKEN = "[MASK]"
@@ -41,7 +41,7 @@ _LABEL_PATTERNS = (
 
 
 class MaskingError(ValueError):
-    """Masking applied to the wrong item or in the wrong state."""
+    """Masking applied to the wrong item, or a malformed report."""
 
 
 @dataclass(frozen=True)
@@ -99,15 +99,13 @@ def _splice(text: str, spans: list[tuple[int, int]]) -> str:
     return "".join(out)
 
 
-def mask_explanation(explanation: Explanation, item: QuestionItem) -> tuple[Explanation, MaskReport]:
-    """Mask one raw explanation against its own item's labels and options.
+def mask_explanation(explanation: Explanation, item: QuestionItem) -> MaskReport:
+    """Mask one explanation against its own item's labels and options.
 
-    Returns the masked explanation (word count recomputed) and a report
-    with one count per replacement kind; label_hits + text_hits equals
-    the number of mask tokens introduced.
+    The report carries the masked text and one count per replacement
+    kind; label_hits + text_hits equals the number of mask tokens
+    introduced.
     """
-    if explanation.masking != "raw":
-        raise MaskingError(f"{explanation.item_id}: explanation is already masked")
     if explanation.item_id != item.id:
         raise MaskingError(
             f"explanation {explanation.item_id!r} does not belong to item {item.id!r}"
@@ -115,23 +113,15 @@ def mask_explanation(explanation: Explanation, item: QuestionItem) -> tuple[Expl
     text_spans = _option_spans(explanation.text, item)
     partially = _splice(explanation.text, text_spans)
     label_spans = _label_spans(partially)
-    masked_text = _splice(partially, label_spans)
-    masked = replace(
-        explanation,
-        text=masked_text,
-        word_count=count_words(masked_text),
-        masking="masked",
-    )
-    report = MaskReport(
+    return MaskReport(
         item_id=item.id,
         language=explanation.language,
         generator_model=explanation.generator_model,
         level=explanation.level,
         label_hits=len(label_spans),
         text_hits=len(text_spans),
-        masked_text=masked_text,
+        masked_text=_splice(partially, label_spans),
     )
-    return masked, report
 
 
 def verify_masked(text: str, item: QuestionItem) -> bool:

@@ -1,4 +1,4 @@
-"""Derived metrics: semantic similarity, conciseness, and aggregation.
+"""Derived metrics: semantic similarity and aggregation.
 
 Aggregation folds per-item score and similarity records into one cell
 per (generator model, language, level) plus one no-explanation baseline
@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .constrainer import ALL_LEVELS, CONSTRAINT_LEVELS
+from .constrainer import CONSTRAINT_LEVELS
 from .corpus import LANGUAGES
 from .scorer import BASELINE_LEVEL, BASELINE_MODEL, ScoreResult
 
@@ -34,13 +34,6 @@ def cosine(u: Sequence[float], v: Sequence[float]) -> float:
     if norm_u == 0.0 or norm_v == 0.0:
         raise MetricsError("cosine undefined for zero-norm vectors")
     return max(-1.0, min(1.0, dot / (norm_u * norm_v)))
-
-
-def conciseness(level: int) -> float:
-    """Enforced reduction as a fraction, v/100."""
-    if level not in ALL_LEVELS:
-        raise MetricsError(f"level {level!r} not in {ALL_LEVELS}")
-    return level / 100
 
 
 def accuracy(results: Sequence[ScoreResult]) -> float:

@@ -37,20 +37,9 @@ from .masker import mask_explanation
 from .metrics import SimilarityRecord, aggregate, cosine
 from .prompts import PromptTemplateSet, render_generation
 from .runstore import EXPLANATIONS, MASKS, SCORES, SIMILARITY, AuditRecord, RunStore
-from .scorer import score_item
+from .scorer import BASELINE_LEVEL, BASELINE_MODEL, score_item
 
 log = logging.getLogger(__name__)
-
-STAGES = ("generate", "constrain", "mask", "score", "similarity", "aggregate")
-
-STAGE_DEPS: dict[str, tuple[str, ...]] = {
-    "generate": (),
-    "constrain": ("generate",),
-    "mask": ("constrain",),
-    "score": ("mask",),
-    "similarity": ("constrain",),
-    "aggregate": ("score", "similarity"),
-}
 
 # audit events that exclude an item from every cell of its model x language
 EXCLUSION_EVENTS = ("unparseable", "empty_regeneration")
@@ -124,11 +113,11 @@ def expand_stages(requested: Iterable[str]) -> tuple[str, ...]:
     want: set[str] = set()
 
     def add(name: str) -> None:
-        if name not in STAGE_DEPS:
+        if name not in _STAGE_TABLE:
             raise PipelineError(f"unknown stage {name!r}; expected one of {STAGES}")
         if name in want:
             return
-        for dep in STAGE_DEPS[name]:
+        for dep in _STAGE_TABLE[name][2]:
             add(dep)
         want.add(name)
 
@@ -259,8 +248,7 @@ def run_mask(ctx: RunContext, units: Sequence[tuple]) -> StageReport:
     def job(unit):
         key, explanation = unit
         item = ctx.item(explanation.language, explanation.item_id)
-        _, mask_report = mask_explanation(explanation, item)
-        return mask_report
+        return mask_explanation(explanation, item)
 
     report = StageReport("mask", planned=len(units))
     for (key, _), mask_report, error in _map_ordered(ctx, units, job):
@@ -279,37 +267,24 @@ def plan_score(ctx: RunContext) -> list[tuple]:
     units = []
     for language in sorted(ctx.corpora):
         for item in sorted(ctx.corpora[language], key=lambda i: i.id):
-            key = (item.id, language, "baseline", "noexp")
+            key = (item.id, language, BASELINE_MODEL, BASELINE_LEVEL)
             if key not in done:
                 units.append((key, None))
     masks = ctx.store.load_masks()
     order = sorted(masks, key=lambda m: (m.language, m.generator_model, m.item_id, m.level))
-    status_index = {
-        (e.item_id, e.language, e.generator_model, e.level): e.length_status
-        for e in ctx.store.load_explanations()
-    }
     for m in order:
         key = (m.item_id, m.language, m.generator_model, m.level)
         if key not in done:
-            units.append((key, (m, status_index[key])))
+            units.append((key, m))
     return units
 
 
 def run_score(ctx: RunContext, units: Sequence[tuple]) -> StageReport:
     def job(unit):
-        key, payload = unit
+        key, mask = unit
         item_id, language, _, _ = key
         item = ctx.item(language, item_id)
-        if payload is None:
-            explanation = None
-        else:
-            mask_row, length_status = payload
-            explanation = make_explanation(
-                mask_row.item_id, mask_row.language, mask_row.generator_model,
-                mask_row.level, mask_row.masked_text,
-                masking="masked", length_status=length_status,
-            )
-        return score_item(ctx.gateway, ctx.scorer, item, explanation, ctx.templates[language])
+        return score_item(ctx.gateway, ctx.scorer, item, mask, ctx.templates[language])
 
     report = StageReport("score", planned=len(units))
     for (key, _), result, error in _map_ordered(ctx, units, job):
@@ -405,32 +380,27 @@ def run_aggregate(ctx: RunContext, units: Sequence[tuple]) -> StageReport:
     return StageReport("aggregate", planned=1, completed=len(cells))
 
 
-_PLANNERS: dict[str, Callable[[RunContext], list]] = {
-    "generate": plan_generate,
-    "constrain": plan_constrain,
-    "mask": plan_mask,
-    "score": plan_score,
-    "similarity": plan_similarity,
-    "aggregate": plan_aggregate,
+# name -> (planner, runner, dependencies), in canonical execution order
+_STAGE_TABLE: dict[str, tuple[Callable, Callable, tuple[str, ...]]] = {
+    "generate": (plan_generate, run_generate, ()),
+    "constrain": (plan_constrain, run_constrain, ("generate",)),
+    "mask": (plan_mask, run_mask, ("constrain",)),
+    "score": (plan_score, run_score, ("mask",)),
+    "similarity": (plan_similarity, run_similarity, ("constrain",)),
+    "aggregate": (plan_aggregate, run_aggregate, ("score", "similarity")),
 }
 
-_RUNNERS: dict[str, Callable[[RunContext, Sequence], StageReport]] = {
-    "generate": run_generate,
-    "constrain": run_constrain,
-    "mask": run_mask,
-    "score": run_score,
-    "similarity": run_similarity,
-    "aggregate": run_aggregate,
-}
+STAGES = tuple(_STAGE_TABLE)
 
 
 def run_stage(ctx: RunContext, name: str, *, dry_run: bool = False) -> StageReport:
-    if name not in _PLANNERS:
+    if name not in _STAGE_TABLE:
         raise PipelineError(f"unknown stage {name!r}; expected one of {STAGES}")
-    units = _PLANNERS[name](ctx)
+    plan, execute, _ = _STAGE_TABLE[name]
+    units = plan(ctx)
     if dry_run:
         return StageReport(name, planned=len(units))
-    return _RUNNERS[name](ctx, units)
+    return execute(ctx, units)
 
 
 def run(ctx: RunContext, requested: Iterable[str], *, dry_run: bool = False) -> list[StageReport]:

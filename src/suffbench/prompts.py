@@ -22,6 +22,7 @@ from .corpus import QuestionItem
 
 if TYPE_CHECKING:
     from .constrainer import Explanation
+    from .masker import MaskReport
 
 ANSWER_SUFFIX = "The answer is "
 KINDS = ("generate", "constrain", "score", "baseline")
@@ -44,7 +45,7 @@ class TemplateError(PromptError):
 
 
 class UnmaskedExplanationError(PromptError):
-    """An explanation that has not passed leak masking reached scoring."""
+    """Explanation text that still leaks the answer reached scoring."""
 
 
 def default_template_root() -> Path:
@@ -127,9 +128,6 @@ def load_template_set(
 class RenderedPrompt:
     kind: str
     text: str
-    item_id: str
-    level: int | str
-    template_id: str
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -162,7 +160,7 @@ def render_generation(item: QuestionItem, templates: PromptTemplateSet) -> Rende
     """Prompt asking for an answer letter plus a free-length explanation."""
     _check_language(item, templates)
     text = _render("generate", templates, {"stem": item.stem, "options": format_options(item)})
-    return RenderedPrompt("generate", text, item.id, 0, templates.template_id)
+    return RenderedPrompt("generate", text)
 
 
 def render_constrain(
@@ -189,44 +187,43 @@ def render_constrain(
             "word_budget": str(word_budget),
         },
     )
-    return RenderedPrompt("constrain", text, item.id, 0, templates.template_id)
+    return RenderedPrompt("constrain", text)
 
 
 def render_scoring(
     item: QuestionItem,
-    explanation: "Explanation | None",
+    mask: "MaskReport | None",
     templates: PromptTemplateSet,
 ) -> RenderedPrompt:
-    """Scoring prompt for one explanation, or the no-explanation baseline.
+    """Scoring prompt for one masked explanation, or the no-explanation
+    baseline when mask is None.
 
-    Refuses any explanation that is not marked masked or that still
-    trips the leak check; raw explanation text must never reach the
-    scoring model.
+    Masked text is read back from the store, so it is checked again here:
+    text that still trips the leak check must never reach the scoring
+    model.
     """
     from .masker import verify_masked
 
     _check_language(item, templates)
-    if explanation is None:
+    if mask is None:
         text = _render(
             "baseline", templates, {"stem": item.stem, "options": format_options(item)}
         )
-        return RenderedPrompt("baseline", text, item.id, "noexp", templates.template_id)
+        return RenderedPrompt("baseline", text)
 
-    if explanation.item_id != item.id:
+    if mask.item_id != item.id:
         raise PromptError(
-            f"explanation {explanation.item_id!r} does not belong to item {item.id!r}"
+            f"explanation {mask.item_id!r} does not belong to item {item.id!r}"
         )
-    if explanation.masking != "masked":
-        raise UnmaskedExplanationError(f"{item.id}: explanation has not been masked")
-    if not verify_masked(explanation.text, item):
+    if not verify_masked(mask.masked_text, item):
         raise UnmaskedExplanationError(f"{item.id}: masked explanation still leaks the answer")
     text = _render(
         "score",
         templates,
         {
             "stem": item.stem,
-            "explanation": explanation.text,
+            "explanation": mask.masked_text,
             "options": format_options(item),
         },
     )
-    return RenderedPrompt("score", text, item.id, explanation.level, templates.template_id)
+    return RenderedPrompt("score", text)

@@ -39,7 +39,7 @@ AUDIT = "audit.csv"
 COLUMNS = {
     EXPLANATIONS: (
         "run_id", "item_id", "language", "generator_model", "level",
-        "word_count", "length_status", "masking", "text",
+        "word_count", "length_status", "text",
     ),
     MASKS: (
         "run_id", "item_id", "language", "generator_model", "level",
@@ -81,8 +81,12 @@ class RunManifest:
     """Identity of a run: its id plus the fully resolved configuration.
 
     created_at is provenance only and excluded from the identity hash,
-    so a resumed run written at a later time still matches.
+    so a resumed run written at a later time still matches. The store
+    format is written alongside; stores of any other format are refused
+    before the identity is compared.
     """
+
+    STORE_FORMAT = 2
 
     run_id: str
     config: dict
@@ -98,9 +102,10 @@ class RunManifest:
         return hashlib.sha256(_canonical(payload).encode("utf-8")).hexdigest()
 
     def to_json(self) -> str:
-        return _canonical(
-            {"run_id": self.run_id, "config": self.config, "created_at": self.created_at}
-        )
+        return _canonical({
+            "format": self.STORE_FORMAT, "run_id": self.run_id,
+            "config": self.config, "created_at": self.created_at,
+        })
 
     @classmethod
     def from_json(cls, text: str) -> "RunManifest":
@@ -111,6 +116,13 @@ class RunManifest:
         missing = {"run_id", "config", "created_at"} - set(data)
         if missing:
             raise StoreError(f"manifest missing fields: {sorted(missing)}")
+        # stores written before the format field existed are format 1
+        found = data.get("format", 1)
+        if found != cls.STORE_FORMAT:
+            raise StoreError(
+                f"run store format {found!r} is not supported (this version reads "
+                f"format {cls.STORE_FORMAT}); use a new store_dir"
+            )
         return cls(run_id=data["run_id"], config=data["config"], created_at=data["created_at"])
 
 
@@ -324,7 +336,7 @@ class RunStore:
         key = _work_key(e.item_id, e.language, e.generator_model, e.level)
         return self._append(EXPLANATIONS, key, (
             e.run_id, e.item_id, e.language, e.generator_model, e.level,
-            e.word_count, e.length_status, e.masking, e.text,
+            e.word_count, e.length_status, e.text,
         ))
 
     def append_mask(self, m: MaskReport) -> bool:
@@ -369,7 +381,7 @@ class RunStore:
                 item_id=r["item_id"], language=r["language"],
                 generator_model=r["generator_model"], level=int(r["level"]),
                 text=r["text"], word_count=int(r["word_count"]),
-                masking=r["masking"], length_status=r["length_status"],
+                length_status=r["length_status"],
                 run_id=r["run_id"],
             )
             for r in self._read_rows(EXPLANATIONS)

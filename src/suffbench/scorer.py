@@ -21,7 +21,7 @@ from .gateway import Gateway, ModelEndpoint
 from .prompts import ANSWER_SUFFIX, RenderedPrompt, render_scoring
 
 if TYPE_CHECKING:
-    from .constrainer import Explanation
+    from .masker import MaskReport
     from .prompts import PromptTemplateSet
 
 BASELINE_MODEL = "baseline"
@@ -106,19 +106,19 @@ def score_item(
     gateway: Gateway,
     scorer: ModelEndpoint,
     item: QuestionItem,
-    explanation: "Explanation | None",
+    mask: "MaskReport | None",
     templates: "PromptTemplateSet",
 ) -> ScoreResult:
     """Score one masked explanation, or the no-explanation baseline when
-    explanation is None."""
-    prompt = render_scoring(item, explanation, templates)
+    mask is None."""
+    prompt = render_scoring(item, mask, templates)
     option_probs = score_options(gateway, scorer, prompt)
     predicted = predict(option_probs)
     return ScoreResult(
         item_id=item.id,
         language=item.language,
-        generator_model=explanation.generator_model if explanation else BASELINE_MODEL,
-        level=explanation.level if explanation else BASELINE_LEVEL,
+        generator_model=mask.generator_model if mask else BASELINE_MODEL,
+        level=mask.level if mask else BASELINE_LEVEL,
         option_probs=option_probs,
         sufficiency=option_probs[item.gold],
         predicted=predicted,

@@ -154,16 +154,16 @@ def test_masking_golden_suite(criterion):
                 gold="A", language=case["language"],
             )
             raw = make_explanation("g1", case["language"], "gen-1", 0, case["text"])
-            masked, report = mask_explanation(raw, item)
-            assert masked.text == case["masked"]
+            report = mask_explanation(raw, item)
+            assert report.masked_text == case["masked"]
             assert report.label_hits == case["label_hits"]
             assert report.text_hits == case["text_hits"]
-            assert verify_masked(masked.text, item)
-            again, second = mask_explanation(
-                make_explanation("g1", case["language"], "gen-1", 0, masked.text), item
+            assert verify_masked(report.masked_text, item)
+            again = mask_explanation(
+                make_explanation("g1", case["language"], "gen-1", 0, report.masked_text), item
             )
-            assert again.text == masked.text
-            assert second.label_hits == second.text_hits == 0
+            assert again.masked_text == report.masked_text
+            assert again.label_hits == again.text_hits == 0
 
 
 def test_uniform_scorer_oracle(criterion):

@@ -1,6 +1,8 @@
+import csv
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -62,6 +64,13 @@ class TestLoadConfig:
         other_levels = load_config(write_config(tmp_path, levels=[10, 50]))
         assert base.run_id == moved.run_id == cached.run_id == threaded.run_id
         assert base.run_id != other_levels.run_id
+
+    def test_level_order_does_not_change_run_id(self, tmp_path):
+        ascending = load_config(write_config(tmp_path, levels=[10, 20]))
+        descending = load_config(write_config(tmp_path, levels=[20, 10]))
+        assert ascending.levels == descending.levels == (10, 20)
+        assert ascending.run_id == descending.run_id
+        assert ascending.manifest().identity() == descending.manifest().identity()
 
     def test_sample_enters_run_identity(self, tmp_path):
         path = write_config(tmp_path)
@@ -209,6 +218,50 @@ class TestRunCommand:
         assert "error:" in capsys.readouterr().err
 
 
+class TestStoreBoundaries:
+    def test_store_without_format_is_refused(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        store = tmp_path / "store"
+        assert main(["run", "--config", str(path), "--all", "--dry-run"]) == EXIT_OK
+        # a store written before the format field: no "format", old explanations header
+        manifest = json.loads((store / "manifest.json").read_text(encoding="utf-8"))
+        del manifest["format"]
+        (store / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        (store / "explanations.csv").write_text(
+            "run_id,item_id,language,generator_model,level,"
+            "word_count,length_status,masking,text\n",
+            encoding="utf-8",
+        )
+        capsys.readouterr()
+        for argv in (
+            ["run", "--config", str(path), "--all"],
+            ["report", "--store", str(store), "--kind", "tables"],
+        ):
+            assert main(argv) == EXIT_STAGE
+            err = capsys.readouterr().err
+            assert "format 1" in err and "format 2" in err and "new store_dir" in err
+            assert "unexpected header" not in err
+
+    def test_leaky_masks_row_never_scored(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        assert main(["run", "--config", str(path), "--stage", "mask"]) == EXIT_OK
+        masks_path = tmp_path / "store" / "masks.csv"
+        with open(masks_path, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        header, edited = rows[0], rows[1]
+        edited[header.index("masked_text")] = "The answer is B"
+        with open(masks_path, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        capsys.readouterr()
+
+        assert main(["run", "--config", str(path), "--stage", "score"]) == EXIT_STAGE
+        assert "still leaks" in capsys.readouterr().err
+        key = edited[1:5]  # item_id, language, generator_model, level
+        with open(tmp_path / "store" / "scores.csv", encoding="utf-8", newline="") as fh:
+            scored = [row[1:5] for row in list(csv.reader(fh))[1:]]
+        assert key not in scored
+
+
 class TestValidateCommand:
     def test_ok(self, tmp_path, capsys):
         path = write_config(tmp_path)
@@ -275,6 +328,18 @@ class TestReportCommand:
 
     def test_report_missing_store(self, tmp_path):
         assert main(["report", "--store", str(tmp_path / "none"), "--kind", "tables"]) == EXIT_STAGE
+
+
+class TestMockDemo:
+    def test_quick_start_runs(self, tmp_path):
+        script = Path(__file__).resolve().parents[1] / "scripts" / "run_mock_demo.py"
+        proc = subprocess.run(
+            [sys.executable, str(script), "--out", str(tmp_path), "--sample", "3"],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = (tmp_path / "store" / "aggregates.csv").read_text(encoding="utf-8").splitlines()
+        assert len(lines) > 1  # header plus at least one cell
 
 
 class TestConsoleEntry:

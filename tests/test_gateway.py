@@ -31,7 +31,7 @@ SCORING_PROMPT = "Question: Q?\nThe answer is "
 
 
 def prompt_of(text: str) -> RenderedPrompt:
-    return RenderedPrompt("generate", text, "q0001", 0, "t")
+    return RenderedPrompt("generate", text)
 
 
 def live_endpoint(server, **kw) -> ModelEndpoint:
@@ -227,16 +227,6 @@ class TestCache:
         gw.generate(endpoint, prompt)
         gw.generate(endpoint, prompt)
         assert len(server.requests) == 1
-
-    def test_force_refresh_bypasses_reads_but_writes(self, server, tmp_path):
-        endpoint = live_endpoint(server)
-        prompt = prompt_of("refresh me")
-        Gateway(cache_dir=tmp_path).generate(endpoint, prompt)
-        Gateway(cache_dir=tmp_path, force_refresh=True).generate(endpoint, prompt)
-        assert len(server.requests) == 2
-        # refreshed body is served from cache afterwards
-        Gateway(cache_dir=tmp_path).generate(endpoint, prompt)
-        assert len(server.requests) == 2
 
     def test_corrupt_cache_entry_fails_loudly(self, tmp_path):
         gw = Gateway(cache_dir=tmp_path)

@@ -45,12 +45,10 @@ class TestGoldenCases:
 
     @pytest.mark.parametrize("case", GOLDEN["cases"], ids=lambda c: c["name"])
     def test_masked_text_and_counts(self, case):
-        masked, report = mask_explanation(raw_explanation(case), item_for(case))
-        assert masked.text == case["masked"]
+        report = mask_explanation(raw_explanation(case), item_for(case))
+        assert report.masked_text == case["masked"]
         assert report.label_hits == case["label_hits"]
         assert report.text_hits == case["text_hits"]
-        assert report.masked_text == masked.text
-        assert masked.masking == "masked"
 
     @pytest.mark.parametrize("case", GOLDEN["cases"], ids=lambda c: c["name"])
     def test_verify_flags_input(self, case):
@@ -58,31 +56,31 @@ class TestGoldenCases:
 
     @pytest.mark.parametrize("case", GOLDEN["cases"], ids=lambda c: c["name"])
     def test_masked_output_is_leak_free(self, case):
-        masked, _ = mask_explanation(raw_explanation(case), item_for(case))
-        assert verify_masked(masked.text, item_for(case))
+        report = mask_explanation(raw_explanation(case), item_for(case))
+        assert verify_masked(report.masked_text, item_for(case))
 
     @pytest.mark.parametrize("case", GOLDEN["cases"], ids=lambda c: c["name"])
     def test_idempotent(self, case):
-        masked, _ = mask_explanation(raw_explanation(case), item_for(case))
-        again, report = mask_explanation(
-            make_explanation("g1", case["language"], "gen-1", 0, masked.text),
+        report = mask_explanation(raw_explanation(case), item_for(case))
+        again = mask_explanation(
+            make_explanation("g1", case["language"], "gen-1", 0, report.masked_text),
             item_for(case),
         )
-        assert again.text == masked.text
-        assert report.label_hits == 0 and report.text_hits == 0
+        assert again.masked_text == report.masked_text
+        assert again.label_hits == 0 and again.text_hits == 0
 
     @pytest.mark.parametrize("case", GOLDEN["cases"], ids=lambda c: c["name"])
     def test_mask_count_equals_hits(self, case):
-        masked, report = mask_explanation(raw_explanation(case), item_for(case))
-        introduced = masked.text.count(MASK_TOKEN) - case["text"].count(MASK_TOKEN)
+        report = mask_explanation(raw_explanation(case), item_for(case))
+        introduced = report.masked_text.count(MASK_TOKEN) - case["text"].count(MASK_TOKEN)
         assert introduced == report.label_hits + report.text_hits
 
     @pytest.mark.parametrize("case", GOLDEN["cases"], ids=lambda c: c["name"])
     def test_conservation_outside_replacements(self, case):
         # leak-free inputs must come back byte-identical
-        masked, report = mask_explanation(raw_explanation(case), item_for(case))
+        report = mask_explanation(raw_explanation(case), item_for(case))
         if report.label_hits == report.text_hits == 0:
-            assert masked.text == case["text"]
+            assert report.masked_text == case["text"]
 
 
 class TestRules:
@@ -96,24 +94,24 @@ class TestRules:
         return make_explanation("x1", "en", "g", 0, text)
 
     def test_longest_option_wins_overlap(self):
-        masked, report = mask_explanation(self.exp("Because heat energy flows."), self.ITEM)
-        assert masked.text == "Because [MASK] flows."
+        report = mask_explanation(self.exp("Because heat energy flows."), self.ITEM)
+        assert report.masked_text == "Because [MASK] flows."
         assert report.text_hits == 1
 
     def test_option_keyword_form(self):
-        masked, report = mask_explanation(self.exp("Thus option D fits."), self.ITEM)
-        assert masked.text == "Thus option [MASK] fits."
+        report = mask_explanation(self.exp("Thus option D fits."), self.ITEM)
+        assert report.masked_text == "Thus option [MASK] fits."
         assert report.label_hits == 1
 
     def test_partial_option_copy_not_masked(self):
         # "wind" alone is not the full option text "wind chill"
-        masked, report = mask_explanation(self.exp("The wind blows."), self.ITEM)
-        assert masked.text == "The wind blows."
+        report = mask_explanation(self.exp("The wind blows."), self.ITEM)
+        assert report.masked_text == "The wind blows."
         assert report.text_hits == 0
 
     def test_substring_inside_word_not_masked(self):
-        masked, _ = mask_explanation(self.exp("Reheating is colder."), self.ITEM)
-        assert masked.text == "Reheating is colder."
+        report = mask_explanation(self.exp("Reheating is colder."), self.ITEM)
+        assert report.masked_text == "Reheating is colder."
 
     def test_persian_answer_keyword(self):
         item = QuestionItem(
@@ -122,14 +120,9 @@ class TestRules:
             gold="A", language="fa",
         )
         exp = make_explanation("x1", "fa", "g", 0, "پاسخ A درست است.")
-        masked, report = mask_explanation(exp, item)
-        assert masked.text == "پاسخ [MASK] درست است."
+        report = mask_explanation(exp, item)
+        assert report.masked_text == "پاسخ [MASK] درست است."
         assert report.label_hits == 1
-
-    def test_already_masked_state_rejected(self):
-        masked, _ = mask_explanation(self.exp("heat"), self.ITEM)
-        with pytest.raises(MaskingError, match="already masked"):
-            mask_explanation(masked, self.ITEM)
 
     def test_wrong_item_rejected(self):
         other = QuestionItem(
@@ -158,12 +151,12 @@ class TestProperties:
     def test_masking_is_idempotent_and_leak_free(self, pieces):
         text = " ".join(pieces)
         exp = make_explanation("x1", "en", "g", 0, text)
-        masked, report = mask_explanation(exp, self.ITEM)
-        assert verify_masked(masked.text, self.ITEM)
-        introduced = masked.text.count(MASK_TOKEN) - text.count(MASK_TOKEN)
+        report = mask_explanation(exp, self.ITEM)
+        assert verify_masked(report.masked_text, self.ITEM)
+        introduced = report.masked_text.count(MASK_TOKEN) - text.count(MASK_TOKEN)
         assert introduced == report.label_hits + report.text_hits
-        again, again_report = mask_explanation(
-            make_explanation("x1", "en", "g", 0, masked.text), self.ITEM
+        again = mask_explanation(
+            make_explanation("x1", "en", "g", 0, report.masked_text), self.ITEM
         )
-        assert again.text == masked.text
-        assert again_report.label_hits == again_report.text_hits == 0
+        assert again.masked_text == report.masked_text
+        assert again.label_hits == again.text_hits == 0

@@ -13,7 +13,6 @@ from suffbench.metrics import (
     SimilarityRecord,
     accuracy,
     aggregate,
-    conciseness,
     cosine,
     heatmap_matrix,
     mean_sufficiency,
@@ -101,16 +100,6 @@ class TestCosine:
         if all(abs(x) < 1e-9 for x in other):
             other[0] += 1.0
         assert -1.0 <= cosine(vector, other) <= 1.0
-
-
-class TestConciseness:
-    @pytest.mark.parametrize(("level", "expected"), [(0, 0.0), (10, 0.1), (50, 0.5), (90, 0.9)])
-    def test_fraction_of_level(self, level, expected):
-        assert conciseness(level) == pytest.approx(expected)
-
-    def test_domain_checked(self):
-        with pytest.raises(MetricsError):
-            conciseness(15)
 
 
 class TestMeans:

@@ -4,6 +4,7 @@ from suffbench.corpus import subset
 from suffbench.gateway import Gateway, GenerationResult, ModelEndpoint
 from suffbench.pipeline import (
     EXCLUSION_EVENTS,
+    STAGES,
     PipelineError,
     RunContext,
     StageFailure,
@@ -77,9 +78,10 @@ class TestStageGraph:
 
     def test_transitive_deps_in_order(self):
         assert expand_stages(["score"]) == ("generate", "constrain", "mask", "score")
+        assert expand_stages(["similarity"]) == ("generate", "constrain", "similarity")
 
     def test_aggregate_pulls_everything(self):
-        assert expand_stages(["aggregate"]) == (
+        assert expand_stages(["aggregate"]) == STAGES == (
             "generate", "constrain", "mask", "score", "similarity", "aggregate",
         )
 
@@ -91,6 +93,8 @@ class TestStageGraph:
     def test_unknown_stage_rejected(self):
         with pytest.raises(PipelineError, match="unknown stage"):
             expand_stages(["polish"])
+        with pytest.raises(PipelineError, match="unknown stage"):
+            run_stage(None, "polish")
 
 
 class TestContextValidation:

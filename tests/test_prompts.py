@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from suffbench.constrainer import make_explanation
-from suffbench.masker import mask_explanation
+from suffbench.masker import MaskReport, mask_explanation
 from suffbench.prompts import (
     ANSWER_SUFFIX,
     DEFAULT_TEMPLATE_ID,
@@ -25,10 +25,7 @@ FA = load_template_set(DEFAULT_TEMPLATE_ID, "fa")
 
 
 def masked_explanation(item, text: str):
-    masked, _ = mask_explanation(
-        make_explanation(item.id, item.language, "gen-1", 10, text), item
-    )
-    return masked
+    return mask_explanation(make_explanation(item.id, item.language, "gen-1", 10, text), item)
 
 
 class TestLoading:
@@ -106,8 +103,6 @@ class TestRendering:
         assert item.stem in prompt.text
         assert "A) oxygen" in prompt.text
         assert "D) helium" in prompt.text
-        assert prompt.item_id == item.id
-        assert prompt.template_id == DEFAULT_TEMPLATE_ID
 
     def test_options_block_in_label_order(self, en_corpus):
         block = format_options(en_corpus.items[0])
@@ -150,7 +145,6 @@ class TestScoringRender:
         item = en_corpus.items[0]
         prompt = render_scoring(item, None, EN)
         assert prompt.kind == "baseline"
-        assert prompt.level == "noexp"
         assert prompt.text.endswith(ANSWER_SUFFIX)
         assert "Explanation" not in prompt.text
 
@@ -159,26 +153,23 @@ class TestScoringRender:
         masked = masked_explanation(item, "This gas feeds photosynthesis.")
         prompt = render_scoring(item, masked, EN)
         assert prompt.kind == "score"
-        assert prompt.level == 10
         assert prompt.text.endswith(ANSWER_SUFFIX)
-        assert masked.text in prompt.text
-
-    def test_raw_explanation_rejected(self, en_corpus):
-        item = en_corpus.items[0]
-        raw = make_explanation(item.id, "en", "gen-1", 10, "Plain text.")
-        with pytest.raises(UnmaskedExplanationError, match="not been masked"):
-            render_scoring(item, raw, EN)
+        assert masked.masked_text in prompt.text
 
     def test_leaky_explanation_rejected_even_if_marked_masked(self, en_corpus):
-        from suffbench.constrainer import Explanation
-
+        # a mask report read back from a hand-edited store still leaks
         item = en_corpus.items[0]
-        leaky = Explanation(
+        leaky = MaskReport(
             item_id=item.id, language="en", generator_model="gen-1", level=10,
-            text="The answer is B here.", word_count=5, masking="masked",
+            label_hits=0, text_hits=0, masked_text="The answer is B here.",
         )
         with pytest.raises(UnmaskedExplanationError, match="still leaks"):
             render_scoring(item, leaky, EN)
+
+    def test_mask_of_another_item_rejected(self, en_corpus):
+        item, other = en_corpus.items[0], en_corpus.items[1]
+        with pytest.raises(PromptError, match="does not belong"):
+            render_scoring(item, masked_explanation(other, "Some words."), EN)
 
     def test_persian_scoring_prompt_keeps_latin_suffix(self, fa_corpus):
         item = fa_corpus.items[0]
@@ -191,8 +182,8 @@ class TestScoringRender:
 class TestRenderedPrompt:
     def test_scoring_kind_enforces_suffix(self):
         with pytest.raises(PromptError, match="must end with"):
-            RenderedPrompt("score", "no suffix here", "q1", 10, "t")
+            RenderedPrompt("score", "no suffix here")
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(PromptError, match="unknown prompt kind"):
-            RenderedPrompt("translate", "text", "q1", 0, "t")
+            RenderedPrompt("translate", "text")

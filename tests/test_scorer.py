@@ -101,9 +101,7 @@ class TestPredict:
 
 class TestScoreOptions:
     def test_uniform_mock_scorer(self, en_corpus):
-        prompt = RenderedPrompt(
-            "baseline", "Question: Q?\nThe answer is ", "q0001", "noexp", "t"
-        )
+        prompt = RenderedPrompt("baseline", "Question: Q?\nThe answer is ")
         probs = score_options(Gateway(), MOCK_SCORER, prompt)
         assert probs == {"A": 0.25, "B": 0.25, "C": 0.25, "D": 0.25}
 
@@ -111,9 +109,7 @@ class TestScoreOptions:
         endpoint = ModelEndpoint(
             base_url=server.base_url, model_id="probe-fixture", requests_per_minute=10_000
         )
-        prompt = RenderedPrompt(
-            "baseline", "Question: Q?\nThe answer is ", "q0001", "noexp", "t"
-        )
+        prompt = RenderedPrompt("baseline", "Question: Q?\nThe answer is ")
         probs = score_options(Gateway(), endpoint, prompt)
         for option, expected in ORACLE_FIXTURE.items():
             assert probs[option] == pytest.approx(expected, abs=1e-12)
@@ -124,7 +120,7 @@ class TestScoreOptions:
         assert sent == {f"Question: Q?\nThe answer is  {o}" for o in "ABCD"}
 
     def test_wrong_prompt_kind_rejected(self):
-        prompt = RenderedPrompt("generate", "anything", "q0001", 0, "t")
+        prompt = RenderedPrompt("generate", "anything")
         with pytest.raises(ScoringError, match="cannot score"):
             score_options(Gateway(), MOCK_SCORER, prompt)
 
@@ -132,8 +128,7 @@ class TestScoreOptions:
 class TestScoreItem:
     def masked(self, item, text):
         raw = make_explanation(item.id, item.language, "gen-1", 10, text)
-        masked, _ = mask_explanation(raw, item)
-        return masked
+        return mask_explanation(raw, item)
 
     def test_baseline_row_shape(self, en_corpus):
         item = en_corpus["q0002"]  # gold A
@@ -167,9 +162,9 @@ class TestScoreItem:
         from suffbench.prompts import render_scoring
 
         item = en_corpus["q0001"]
-        explanation = self.masked(item, "This gas feeds leaves.")
-        result = score_item(Gateway(), MOCK_SCORER, item, explanation, EN)
-        prompt = render_scoring(item, explanation, EN)
+        mask = self.masked(item, "This gas feeds leaves.")
+        result = score_item(Gateway(), MOCK_SCORER, item, mask, EN)
+        prompt = render_scoring(item, mask, EN)
         expected = hashlib.sha256(f"mock-probe\n{prompt.text}".encode()).hexdigest()
         assert result.prompt_fingerprint == expected
 
