@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import io
 import json
 import logging
@@ -26,7 +25,7 @@ from .gateway import Gateway, ModelEndpoint
 from .metrics import heatmap_matrix, render_heatmap_svg
 from .pipeline import STAGES, PipelineError, RunContext, StageFailure, run
 from .prompts import PromptError, load_template_set
-from .runstore import ManifestMismatch, RunManifest, RunStore, StoreError
+from .runstore import ManifestMismatch, RunManifest, RunStore, StoreError, digest, work_key
 from .scorer import BASELINE_LEVEL
 
 log = logging.getLogger(__name__)
@@ -231,11 +230,7 @@ def load_config(
         seed=seed,
     )
     if run_id is None:
-        blob = json.dumps(
-            config.experiment_config(), sort_keys=True, ensure_ascii=False, separators=(",", ":")
-        )
-        digest = hashlib.sha256(blob.encode("utf-8")).hexdigest()
-        config = replace(config, run_id=f"run-{digest[:12]}")
+        config = replace(config, run_id=f"run-{digest(config.experiment_config())[:12]}")
     return config
 
 
@@ -335,15 +330,12 @@ def write_curves(store: RunStore, out_dir: Path) -> list[Path]:
     cells = store.load_aggregates()
     if not cells:
         raise StoreError("no aggregate rows; run the aggregate stage first")
-    word_counts = {
-        (e.language, e.generator_model, e.item_id, e.level): e.word_count
-        for e in store.load_explanations()
-    }
+    word_counts = {work_key(e): e.word_count for e in store.load_explanations()}
     reductions: dict[tuple[str, str, int], list[float]] = {}
-    for (language, model, item_id, level), count in word_counts.items():
+    for (item_id, language, model, level), count in word_counts.items():
         if level == 0:
             continue
-        base = word_counts.get((language, model, item_id, 0))
+        base = word_counts.get((item_id, language, model, 0))
         if base:
             key = (language, model, level)
             reductions.setdefault(key, []).append(1.0 - count / base)

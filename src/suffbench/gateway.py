@@ -363,20 +363,35 @@ class Gateway:
                 self._limiters[key] = limiter
             return limiter
 
-    def _cached(self, key: str) -> bytes | None:
-        if self._cache is None:
-            return None
-        return self._cache.get(key)
+    def _fetch(
+        self, endpoint: ModelEndpoint, payload: dict, mock_call, path: str, wire: dict
+    ) -> tuple[dict, str]:
+        """Decoded response and fingerprint for one request.
 
-    def _store(self, key: str, body: bytes) -> None:
-        if self._cache is not None:
-            self._cache.put(key, body)
-
-    def _decode(self, body: bytes, key: str) -> dict:
+        The fingerprint of `payload` keys the cache. On a miss the body
+        comes from `mock_call(backend)` for mock endpoints, else from
+        POSTing `wire` to `path`, and is cached before decoding.
+        """
+        key = request_fingerprint(payload)
+        body = self._cache.get(key) if self._cache is not None else None
+        if body is None:
+            if endpoint.is_mock:
+                body = _encode(mock_call(self._mock(endpoint)))
+            else:
+                body = self._post(endpoint, path, wire)
+            if self._cache is not None:
+                self._cache.put(key, body)
         try:
-            return json.loads(body.decode("utf-8"))
+            return json.loads(body.decode("utf-8")), key
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise GatewayError(f"unreadable response body for request {key}: {exc}") from exc
+
+    @staticmethod
+    def _first_choice(data: dict, key: str) -> dict:
+        try:
+            return data["choices"][0]
+        except (KeyError, IndexError, TypeError):
+            raise EmptyCompletion(f"response for {key} carries no choices") from None
 
     def _post(self, endpoint: ModelEndpoint, path: str, payload: dict) -> bytes:
         url = endpoint.base_url.rstrip("/") + path
@@ -445,29 +460,18 @@ class Gateway:
         }
         if cache_salt:
             payload["cache_salt"] = cache_salt
-        key = request_fingerprint(payload)
-        body = self._cached(key)
-        if body is None:
-            if endpoint.is_mock:
-                body = _encode(
-                    self._mock(endpoint).generate(
-                        endpoint.model_id, prompt.text, temperature, max_tokens
-                    )
-                )
-            else:
-                wire = {
-                    "model": endpoint.model_id,
-                    "messages": [{"role": "user", "content": prompt.text}],
-                    "temperature": temperature,
-                    "max_tokens": max_tokens,
-                }
-                body = self._post(endpoint, "/chat/completions", wire)
-            self._store(key, body)
-        data = self._decode(body, key)
-        try:
-            choice = data["choices"][0]
-        except (KeyError, IndexError, TypeError):
-            raise EmptyCompletion(f"response for {key} carries no choices") from None
+        wire = {
+            "model": endpoint.model_id,
+            "messages": [{"role": "user", "content": prompt.text}],
+            "temperature": temperature,
+            "max_tokens": max_tokens,
+        }
+        data, key = self._fetch(
+            endpoint, payload,
+            lambda mock: mock.generate(endpoint.model_id, prompt.text, temperature, max_tokens),
+            "/chat/completions", wire,
+        )
+        choice = self._first_choice(data, key)
         text = (choice.get("message") or {}).get("content") or ""
         if not text.strip():
             raise EmptyCompletion(f"{endpoint.model_id} returned an empty completion")
@@ -496,29 +500,19 @@ class Gateway:
             "prompt": prompt_text,
             "continuation": continuation,
         }
-        key = request_fingerprint(payload)
-        body = self._cached(key)
-        if body is None:
-            if endpoint.is_mock:
-                body = _encode(
-                    self._mock(endpoint).score(endpoint.model_id, prompt_text, continuation)
-                )
-            else:
-                wire = {
-                    "model": endpoint.model_id,
-                    "prompt": prompt_text + continuation,
-                    "max_tokens": 0,
-                    "echo": True,
-                    "logprobs": 1,
-                }
-                body = self._post(endpoint, "/completions", wire)
-            self._store(key, body)
-        data = self._decode(body, key)
-        try:
-            choice = data["choices"][0]
-        except (KeyError, IndexError, TypeError):
-            raise EmptyCompletion(f"response for {key} carries no choices") from None
-        blob = choice.get("logprobs")
+        wire = {
+            "model": endpoint.model_id,
+            "prompt": prompt_text + continuation,
+            "max_tokens": 0,
+            "echo": True,
+            "logprobs": 1,
+        }
+        data, key = self._fetch(
+            endpoint, payload,
+            lambda mock: mock.score(endpoint.model_id, prompt_text, continuation),
+            "/completions", wire,
+        )
+        blob = self._first_choice(data, key).get("logprobs")
         if not blob:
             raise LogprobsUnsupported(
                 f"{endpoint.model_id} returned no logprobs; teacher-forced scoring is impossible"
@@ -555,16 +549,10 @@ class Gateway:
         if not text.strip():
             raise ValueError("embedding input must be non-empty")
         payload = {"kind": "embeddings", "model": endpoint.model_id, "input": text}
-        key = request_fingerprint(payload)
-        body = self._cached(key)
-        if body is None:
-            if endpoint.is_mock:
-                body = _encode(self._mock(endpoint).embed(endpoint.model_id, text))
-            else:
-                wire = {"model": endpoint.model_id, "input": text}
-                body = self._post(endpoint, "/embeddings", wire)
-            self._store(key, body)
-        data = self._decode(body, key)
+        data, key = self._fetch(
+            endpoint, payload, lambda mock: mock.embed(endpoint.model_id, text),
+            "/embeddings", {"model": endpoint.model_id, "input": text},
+        )
         try:
             vector = data["data"][0]["embedding"]
         except (KeyError, IndexError, TypeError):

@@ -18,10 +18,9 @@ are byte-identical regardless of worker count or scheduling.
 from __future__ import annotations
 
 import logging
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Container, Iterable, Sequence
 
 from .constrainer import (
     CONSTRAINT_LEVELS,
@@ -36,7 +35,7 @@ from .gateway import Gateway, ModelEndpoint
 from .masker import mask_explanation
 from .metrics import SimilarityRecord, aggregate, cosine
 from .prompts import PromptTemplateSet, render_generation
-from .runstore import EXPLANATIONS, MASKS, SCORES, SIMILARITY, AuditRecord, RunStore
+from .runstore import EXPLANATIONS, MASKS, SCORES, SIMILARITY, AuditRecord, RunStore, work_key
 from .scorer import BASELINE_LEVEL, BASELINE_MODEL, score_item
 
 log = logging.getLogger(__name__)
@@ -86,9 +85,6 @@ class RunContext:
     @property
     def run_id(self) -> str:
         return self.store.run_id
-
-    def sorted_generators(self) -> list[ModelEndpoint]:
-        return sorted(self.generators, key=lambda e: e.model_id)
 
     def item(self, language: str, item_id: str):
         return self.corpora[language][item_id]
@@ -141,12 +137,41 @@ def _map_ordered(ctx: RunContext, units: Sequence, fn: Callable):
     return out
 
 
-def _audit(ctx: RunContext, stage: str, key: tuple, event: str, detail: str) -> None:
-    item_id, language, model, level = key
-    ctx.store.append_audit(AuditRecord(
-        stage=stage, item_id=item_id, language=language, generator_model=model,
-        level=level, event=event, detail=detail, run_id=ctx.run_id,
-    ))
+def _commit(
+    ctx: RunContext, stage: str, units: Sequence[tuple], job: Callable, append: Callable,
+    expected: type[Exception] | tuple = (), event: str = "",
+) -> StageReport:
+    """Run job over units (each a tuple led by its work key) and append the
+    results in planning order.
+
+    An `expected` error is audited as `event` and counted as failed; any
+    other error raises StageFailure once the units before it are stored.
+    """
+    report = StageReport(stage, planned=len(units))
+    for unit, result, error in _map_ordered(ctx, units, job):
+        key = unit[0]
+        if error is None:
+            append(replace(result, run_id=ctx.run_id))
+            report.completed += 1
+        elif isinstance(error, expected):
+            log.warning("%s %s: %s: %s", stage, key, event, error)
+            item_id, language, model, level = key
+            ctx.store.append_audit(AuditRecord(
+                stage=stage, item_id=item_id, language=language, generator_model=model,
+                level=level, event=event, detail=str(error), run_id=ctx.run_id,
+            ))
+            report.failed += 1
+        else:
+            raise StageFailure(f"{stage} {key}: {error}") from error
+    return report
+
+
+def _pending(records: Iterable, done: Container[tuple]) -> list[tuple]:
+    """(work key, record) for each record whose key is not in `done`,
+    ordered by (language, generator_model, item_id, level)."""
+    pending = [(work_key(r), r) for r in records]
+    pending.sort(key=lambda unit: (unit[0][1], unit[0][2], unit[0][0], unit[0][3]))
+    return [unit for unit in pending if unit[0] not in done]
 
 
 # -- generate ---------------------------------------------------------------
@@ -156,7 +181,7 @@ def plan_generate(ctx: RunContext) -> list[tuple]:
     done = ctx.store.done_keys(EXPLANATIONS) | ctx.store.audit_keys("generate")
     units = []
     for language in sorted(ctx.corpora):
-        for endpoint in ctx.sorted_generators():
+        for endpoint in sorted(ctx.generators, key=lambda e: e.model_id):
             for item in sorted(ctx.corpora[language], key=lambda i: i.id):
                 key = (item.id, language, endpoint.model_id, 0)
                 if key not in done:
@@ -166,7 +191,7 @@ def plan_generate(ctx: RunContext) -> list[tuple]:
 
 def run_generate(ctx: RunContext, units: Sequence[tuple]) -> StageReport:
     def job(unit):
-        key, endpoint, item = unit
+        _, endpoint, item = unit
         prompt = render_generation(item, ctx.templates[item.language])
         result = ctx.gateway.generate(
             endpoint, prompt, temperature=ctx.temperature, max_tokens=ctx.max_tokens
@@ -174,18 +199,10 @@ def run_generate(ctx: RunContext, units: Sequence[tuple]) -> StageReport:
         _, body = extract_answer_and_explanation(result)
         return make_explanation(item.id, item.language, endpoint.model_id, 0, body)
 
-    report = StageReport("generate", planned=len(units))
-    for (key, endpoint, item), explanation, error in _map_ordered(ctx, units, job):
-        if error is None:
-            ctx.store.append_explanation(replace(explanation, run_id=ctx.run_id))
-            report.completed += 1
-        elif isinstance(error, UnparseableOutput):
-            log.warning("generate %s: unparseable output: %s", key, error)
-            _audit(ctx, "generate", key, "unparseable", str(error))
-            report.failed += 1
-        else:
-            raise StageFailure(f"generate {key}: {error}") from error
-    return report
+    return _commit(
+        ctx, "generate", units, job, ctx.store.append_explanation,
+        UnparseableOutput, "unparseable",
+    )
 
 
 # -- constrain ----------------------------------------------------------------
@@ -195,9 +212,9 @@ def plan_constrain(ctx: RunContext) -> list[tuple]:
     done = ctx.store.done_keys(EXPLANATIONS) | ctx.store.audit_keys("constrain")
     bases = [e for e in ctx.store.load_explanations() if e.level == 0]
     units = []
-    for base in sorted(bases, key=lambda e: (e.language, e.generator_model, e.item_id)):
+    for base_key, base in _pending(bases, ()):
         for level in sorted(ctx.levels):
-            key = (base.item_id, base.language, base.generator_model, level)
+            key = base_key[:3] + (level,)
             if key not in done:
                 units.append((key, base, level))
     return units
@@ -207,7 +224,7 @@ def run_constrain(ctx: RunContext, units: Sequence[tuple]) -> StageReport:
     endpoints = {e.model_id: e for e in ctx.generators}
 
     def job(unit):
-        key, base, level = unit
+        _, base, level = unit
         item = ctx.item(base.language, base.item_id)
         return constrain_explanation(
             item, base, level, endpoints[base.generator_model],
@@ -215,48 +232,25 @@ def run_constrain(ctx: RunContext, units: Sequence[tuple]) -> StageReport:
             temperature=ctx.temperature, max_tokens=ctx.max_tokens,
         )
 
-    report = StageReport("constrain", planned=len(units))
-    for (key, base, level), constrained, error in _map_ordered(ctx, units, job):
-        if error is None:
-            ctx.store.append_explanation(replace(constrained, run_id=ctx.run_id))
-            report.completed += 1
-        elif isinstance(error, EmptyRegeneration):
-            log.warning("constrain %s: %s", key, error)
-            _audit(ctx, "constrain", key, "empty_regeneration", str(error))
-            report.failed += 1
-        else:
-            raise StageFailure(f"constrain {key}: {error}") from error
-    return report
+    return _commit(
+        ctx, "constrain", units, job, ctx.store.append_explanation,
+        EmptyRegeneration, "empty_regeneration",
+    )
 
 
 # -- mask ---------------------------------------------------------------------
 
 
 def plan_mask(ctx: RunContext) -> list[tuple]:
-    done = ctx.store.done_keys(MASKS)
-    units = []
-    explanations = ctx.store.load_explanations()
-    order = sorted(explanations, key=lambda e: (e.language, e.generator_model, e.item_id, e.level))
-    for e in order:
-        key = (e.item_id, e.language, e.generator_model, e.level)
-        if key not in done:
-            units.append((key, e))
-    return units
+    return _pending(ctx.store.load_explanations(), ctx.store.done_keys(MASKS))
 
 
 def run_mask(ctx: RunContext, units: Sequence[tuple]) -> StageReport:
     def job(unit):
-        key, explanation = unit
-        item = ctx.item(explanation.language, explanation.item_id)
-        return mask_explanation(explanation, item)
+        _, explanation = unit
+        return mask_explanation(explanation, ctx.item(explanation.language, explanation.item_id))
 
-    report = StageReport("mask", planned=len(units))
-    for (key, _), mask_report, error in _map_ordered(ctx, units, job):
-        if error is not None:
-            raise StageFailure(f"mask {key}: {error}") from error
-        ctx.store.append_mask(replace(mask_report, run_id=ctx.run_id))
-        report.completed += 1
-    return report
+    return _commit(ctx, "mask", units, job, ctx.store.append_mask)
 
 
 # -- score ----------------------------------------------------------------------
@@ -264,57 +258,33 @@ def run_mask(ctx: RunContext, units: Sequence[tuple]) -> StageReport:
 
 def plan_score(ctx: RunContext) -> list[tuple]:
     done = ctx.store.done_keys(SCORES)
-    units = []
-    for language in sorted(ctx.corpora):
-        for item in sorted(ctx.corpora[language], key=lambda i: i.id):
-            key = (item.id, language, BASELINE_MODEL, BASELINE_LEVEL)
-            if key not in done:
-                units.append((key, None))
-    masks = ctx.store.load_masks()
-    order = sorted(masks, key=lambda m: (m.language, m.generator_model, m.item_id, m.level))
-    for m in order:
-        key = (m.item_id, m.language, m.generator_model, m.level)
-        if key not in done:
-            units.append((key, m))
-    return units
+    baselines = [
+        ((item.id, language, BASELINE_MODEL, BASELINE_LEVEL), None)
+        for language in sorted(ctx.corpora)
+        for item in sorted(ctx.corpora[language], key=lambda i: i.id)
+    ]
+    return [u for u in baselines if u[0] not in done] + _pending(ctx.store.load_masks(), done)
 
 
 def run_score(ctx: RunContext, units: Sequence[tuple]) -> StageReport:
     def job(unit):
-        key, mask = unit
-        item_id, language, _, _ = key
+        (item_id, language, _, _), mask = unit
         item = ctx.item(language, item_id)
         return score_item(ctx.gateway, ctx.scorer, item, mask, ctx.templates[language])
 
-    report = StageReport("score", planned=len(units))
-    for (key, _), result, error in _map_ordered(ctx, units, job):
-        if error is not None:
-            raise StageFailure(f"score {key}: {error}") from error
-        ctx.store.append_score(replace(result, run_id=ctx.run_id))
-        report.completed += 1
-    return report
+    return _commit(ctx, "score", units, job, ctx.store.append_score)
 
 
 # -- similarity -------------------------------------------------------------------
 
 
 def plan_similarity(ctx: RunContext) -> list[tuple]:
-    done = ctx.store.done_keys(SIMILARITY)
     explanations = ctx.store.load_explanations()
-    bases = {
-        (e.item_id, e.language, e.generator_model): e
-        for e in explanations if e.level == 0
-    }
+    bases = {work_key(e)[:3]: e for e in explanations if e.level == 0}
+    constrained = [e for e in explanations if e.level != 0]
     units = []
-    order = sorted(
-        (e for e in explanations if e.level != 0),
-        key=lambda e: (e.language, e.generator_model, e.item_id, e.level),
-    )
-    for e in order:
-        key = (e.item_id, e.language, e.generator_model, e.level)
-        if key in done:
-            continue
-        base = bases.get((e.item_id, e.language, e.generator_model))
+    for key, e in _pending(constrained, ctx.store.done_keys(SIMILARITY)):
+        base = bases.get(key[:3])
         if base is None:
             raise StageFailure(f"similarity {key}: constrained row without a level-0 base")
         units.append((key, base, e))
@@ -322,35 +292,29 @@ def plan_similarity(ctx: RunContext) -> list[tuple]:
 
 
 def run_similarity(ctx: RunContext, units: Sequence[tuple]) -> StageReport:
-    # comparison is between the raw texts; masking only affects scoring
-    memo: dict[str, tuple[float, ...]] = {}
-    memo_lock = threading.Lock()
+    # comparison is between the raw texts; masking only affects scoring.
+    # Each distinct text is embedded once, before any unit needs it.
+    def embed(text: str) -> tuple[float, ...]:
+        return ctx.gateway.embed(ctx.embedder, text).vector
 
-    def embed_text(text: str) -> tuple[float, ...]:
-        with memo_lock:
-            vector = memo.get(text)
-        if vector is None:
-            vector = ctx.gateway.embed(ctx.embedder, text).vector
-            with memo_lock:
-                memo[text] = vector
-        return vector
+    texts = list(dict.fromkeys(e.text for _, base, other in units for e in (base, other)))
+    embedded = {text: (value, error) for text, value, error in _map_ordered(ctx, texts, embed)}
+
+    def vector(text: str) -> tuple[float, ...]:
+        value, error = embedded[text]
+        if error is not None:
+            raise error
+        return value
 
     def job(unit):
-        key, base, constrained = unit
-        value = cosine(embed_text(base.text), embed_text(constrained.text))
+        _, base, constrained = unit
         return SimilarityRecord(
             item_id=constrained.item_id, language=constrained.language,
             generator_model=constrained.generator_model, level=constrained.level,
-            cosine=value,
+            cosine=cosine(vector(base.text), vector(constrained.text)),
         )
 
-    report = StageReport("similarity", planned=len(units))
-    for (key, _, _), record, error in _map_ordered(ctx, units, job):
-        if error is not None:
-            raise StageFailure(f"similarity {key}: {error}") from error
-        ctx.store.append_similarity(replace(record, run_id=ctx.run_id))
-        report.completed += 1
-    return report
+    return _commit(ctx, "similarity", units, job, ctx.store.append_similarity)
 
 
 # -- aggregate ---------------------------------------------------------------------

@@ -76,6 +76,11 @@ def _canonical(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
 
 
+def digest(obj: dict) -> str:
+    """SHA-256 hex of the canonical JSON of `obj`; run identities hash this."""
+    return hashlib.sha256(_canonical(obj).encode("utf-8")).hexdigest()
+
+
 @dataclass(frozen=True)
 class RunManifest:
     """Identity of a run: its id plus the fully resolved configuration.
@@ -98,8 +103,7 @@ class RunManifest:
         return cls(run_id=run_id, config=config, created_at=stamp)
 
     def identity(self) -> str:
-        payload = {"run_id": self.run_id, "config": self.config}
-        return hashlib.sha256(_canonical(payload).encode("utf-8")).hexdigest()
+        return digest({"run_id": self.run_id, "config": self.config})
 
     def to_json(self) -> str:
         return _canonical({
@@ -192,8 +196,9 @@ def _parse_bool(raw: str) -> bool:
     return raw == "true"
 
 
-def _work_key(item_id: str, language: str, model: str, level: int | str) -> tuple:
-    return (item_id, language, model, level)
+def work_key(record) -> tuple:
+    """The (item_id, language, generator_model, level) key a row is stored under."""
+    return (record.item_id, record.language, record.generator_model, record.level)
 
 
 class RunStore:
@@ -282,9 +287,8 @@ class RunStore:
     # -- row codecs ------------------------------------------------------
 
     def _row_key(self, name: str, row: dict[str, str]) -> tuple:
-        key = _work_key(
-            row.get("item_id", ""), row.get("language", ""),
-            row.get("generator_model", ""), _parse_level(row.get("level", "")),
+        key = (
+            row["item_id"], row["language"], row["generator_model"], _parse_level(row["level"])
         )
         if name == AUDIT:
             return (row["stage"], row["event"]) + key
@@ -315,7 +319,12 @@ class RunStore:
             rows.append(row)
         return rows
 
-    def _append(self, name: str, key: tuple, values: Sequence) -> bool:
+    def _append(self, name: str, record, values: Sequence) -> bool:
+        if record.run_id != self.run_id:
+            raise StoreError(f"record run_id {record.run_id!r} != store run {self.run_id!r}")
+        key = work_key(record)
+        if name == AUDIT:
+            key = (record.stage, record.event) + key
         if key in self._keys[name]:
             return False
         with open(self.root / name, "ab") as fh:
@@ -323,35 +332,23 @@ class RunStore:
         self._keys[name].add(key)
         return True
 
-    def _check_run_id(self, record) -> None:
-        if record.run_id != self.run_id:
-            raise StoreError(
-                f"record run_id {record.run_id!r} != store run {self.run_id!r}"
-            )
-
     # -- appends (return False when the work key is already stored) ------
 
     def append_explanation(self, e: Explanation) -> bool:
-        self._check_run_id(e)
-        key = _work_key(e.item_id, e.language, e.generator_model, e.level)
-        return self._append(EXPLANATIONS, key, (
+        return self._append(EXPLANATIONS, e, (
             e.run_id, e.item_id, e.language, e.generator_model, e.level,
             e.word_count, e.length_status, e.text,
         ))
 
     def append_mask(self, m: MaskReport) -> bool:
-        self._check_run_id(m)
-        key = _work_key(m.item_id, m.language, m.generator_model, m.level)
-        return self._append(MASKS, key, (
+        return self._append(MASKS, m, (
             m.run_id, m.item_id, m.language, m.generator_model, m.level,
             m.label_hits, m.text_hits, m.masked_text,
         ))
 
     def append_score(self, s: ScoreResult) -> bool:
-        self._check_run_id(s)
-        key = _work_key(s.item_id, s.language, s.generator_model, s.level)
         probs = s.option_probs
-        return self._append(SCORES, key, (
+        return self._append(SCORES, s, (
             s.run_id, s.item_id, s.language, s.generator_model, s.level,
             probs["A"], probs["B"], probs["C"], probs["D"],
             s.sufficiency, s.predicted, "true" if s.correct else "false",
@@ -359,16 +356,12 @@ class RunStore:
         ))
 
     def append_similarity(self, s: SimilarityRecord) -> bool:
-        self._check_run_id(s)
-        key = _work_key(s.item_id, s.language, s.generator_model, s.level)
-        return self._append(SIMILARITY, key, (
+        return self._append(SIMILARITY, s, (
             s.run_id, s.item_id, s.language, s.generator_model, s.level, s.cosine,
         ))
 
     def append_audit(self, a: AuditRecord) -> bool:
-        self._check_run_id(a)
-        key = (a.stage, a.event) + _work_key(a.item_id, a.language, a.generator_model, a.level)
-        return self._append(AUDIT, key, (
+        return self._append(AUDIT, a, (
             a.run_id, a.stage, a.item_id, a.language, a.generator_model, a.level,
             a.event, a.detail,
         ))

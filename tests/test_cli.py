@@ -72,6 +72,19 @@ class TestLoadConfig:
         assert ascending.run_id == descending.run_id
         assert ascending.manifest().identity() == descending.manifest().identity()
 
+    def test_derived_run_id_is_pinned(self, tmp_path):
+        # a change to how the identity is hashed would orphan every
+        # existing store: resuming it would exit with EXIT_MISMATCH
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "store_dir": "s",
+            "corpus": {"en": "c.jsonl"},
+            "generators": [{"base_url": "mock://101", "model_id": "g"}],
+            "scorer": {"base_url": "mock://102", "model_id": "p"},
+            "embedder": {"base_url": "mock://103", "model_id": "e"},
+        }), encoding="utf-8")
+        assert load_config(path).run_id == "run-ba593f99d855"
+
     def test_sample_enters_run_identity(self, tmp_path):
         path = write_config(tmp_path)
         assert load_config(path).run_id != load_config(path, sample=3, seed=7).run_id

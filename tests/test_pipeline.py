@@ -1,7 +1,13 @@
+import threading
+import time
+from collections import Counter
+
 import pytest
 
-from suffbench.corpus import subset
-from suffbench.gateway import Gateway, GenerationResult, ModelEndpoint
+from suffbench import gateway as gateway_module
+from suffbench import masker, pipeline
+from suffbench.corpus import Corpus, subset
+from suffbench.gateway import Gateway, GenerationResult, MockBackend, ModelEndpoint, ResponseCache
 from suffbench.pipeline import (
     EXCLUSION_EVENTS,
     STAGES,
@@ -10,6 +16,7 @@ from suffbench.pipeline import (
     StageFailure,
     expand_stages,
     exclusion_keys,
+    plan_constrain,
     plan_generate,
     run,
     run_stage,
@@ -236,17 +243,19 @@ class TestResume:
 
 
 class _SabotagedGeneration:
-    """Delegates to a real gateway but returns junk for one item's
-    generation prompt."""
+    """Delegates to a real gateway but returns `text` for one item's
+    prompts of one kind (junk for its generation prompt by default)."""
 
-    def __init__(self, inner, needle):
+    def __init__(self, inner, needle, kind="generate", text="I cannot answer that."):
         self._inner = inner
         self._needle = needle
+        self._kind = kind
+        self._text = text
 
     def generate(self, endpoint, prompt, **kwargs):
-        if prompt.kind == "generate" and self._needle in prompt.text:
+        if prompt.kind == self._kind and self._needle in prompt.text:
             return GenerationResult(
-                text="I cannot answer that.", finish_reason="stop", request_fingerprint="x",
+                text=self._text, finish_reason="stop", request_fingerprint="x",
             )
         return self._inner.generate(endpoint, prompt, **kwargs)
 
@@ -294,6 +303,37 @@ class TestExpectedFailures:
         assert plan_generate(ctx2) == []
 
 
+    def test_empty_regeneration_is_audited_and_excluded(self, tmp_path, en_corpus):
+        small = subset(en_corpus, 3, seed=7)
+        needle = small["q0006"].stem
+        gateway = _SabotagedGeneration(Gateway(), needle, kind="constrain", text=" \n ")
+        ctx = make_ctx(tmp_path, {"en": small}, gateway=gateway)
+        reports = run(ctx, ["constrain"])
+        constrain = {r.stage: r for r in reports}["constrain"]
+        assert (constrain.planned, constrain.completed, constrain.failed) == (6, 4, 2)
+
+        # one audit row per planned level of the item
+        audit = ctx.store.load_audit()
+        assert sorted((a.stage, a.item_id, a.level, a.event) for a in audit) == [
+            ("constrain", "q0006", 10, "empty_regeneration"),
+            ("constrain", "q0006", 90, "empty_regeneration"),
+        ]
+        assert exclusion_keys(ctx.store) == {("en", "gen-1", "q0006")}
+
+        resumed_store = RunStore.open_resume(
+            tmp_path / "store", RunManifest.new(RUN, {"levels": [10, 90]})
+        )
+        ctx2 = make_ctx(tmp_path, {"en": small}, store=resumed_store)
+        assert plan_constrain(ctx2) == []
+
+        run(ctx2, ["aggregate"])
+        gen_cells = [c for c in ctx2.store.load_aggregates() if c.generator_model == "gen-1"]
+        assert [c.level for c in gen_cells] == [0, 10, 90]
+        assert all(c.n_excluded == 1 for c in gen_cells)
+        # the item has no constrained rows to score
+        assert all(c.n_items == 2 for c in gen_cells if c.level != 0)
+
+
 class _BrokenEmbeddings:
     def __init__(self, inner):
         self._inner = inner
@@ -303,6 +343,38 @@ class _BrokenEmbeddings:
 
     def __getattr__(self, name):
         return getattr(self._inner, name)
+
+
+class _CountingEmbeddings:
+    """Delegates to a real gateway; every embed call is counted per text
+    and sleeps, so that concurrent units overlap."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self._lock = threading.Lock()
+        self.calls = Counter()
+
+    def embed(self, endpoint, text):
+        with self._lock:
+            self.calls[text] += 1
+        time.sleep(0.05)
+        return self._inner.embed(endpoint, text)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+class TestSimilarity:
+    def test_each_text_embedded_once_across_workers(self, tmp_path, en_corpus):
+        small = subset(en_corpus, 2, seed=7)
+        gateway = _CountingEmbeddings(Gateway())
+        ctx = make_ctx(
+            tmp_path, {"en": small}, levels=(10, 50, 90), workers=4, gateway=gateway
+        )
+        run(ctx, ["similarity"])
+        texts = {e.text for e in ctx.store.load_explanations()}
+        assert len(ctx.store.load_similarities()) == 6
+        assert gateway.calls == Counter(texts)
 
 
 class TestFatalFailures:
@@ -335,3 +407,40 @@ class TestDryRun:
         reports = run(ctx, ["constrain"], dry_run=True)
         by_stage = {r.stage: r for r in reports}
         assert by_stage["constrain"].planned == 6
+
+
+class TestBenchContract:
+    """Names the benchmark harness looks up: bench/tracing.py drives each
+    stage through its public plan_/run_ pair and patches the attributes
+    listed here, so renaming any of them breaks traced runs."""
+
+    def test_public_stage_pairs_are_the_stage_table(self):
+        for stage in STAGES:
+            plan, execute, _ = pipeline._STAGE_TABLE[stage]
+            assert getattr(pipeline, f"plan_{stage}") is plan
+            assert getattr(pipeline, f"run_{stage}") is execute
+
+    def test_traced_attributes_exist(self):
+        patched = [
+            (Corpus, "__getitem__"),
+            (pipeline, "mask_explanation"),
+            (pipeline, "constrain_explanation"),
+            (pipeline, "score_item"),
+            (pipeline, "aggregate"),
+            (masker, "verify_masked"),
+            (gateway_module, "request_fingerprint"),
+            (ResponseCache, "get"),
+            (ResponseCache, "put"),
+            *((MockBackend, name) for name in ("generate", "score", "embed")),
+            *((Gateway, name) for name in ("generate", "score_continuation", "embed")),
+            *((RunStore, f"append_{name}")
+              for name in ("explanation", "mask", "score", "similarity", "audit")),
+            *((RunStore, f"load_{name}") for name in (
+                "explanations", "masks", "scores", "similarities", "audit", "aggregates",
+            )),
+        ]
+        missing = [
+            f"{owner.__name__}.{name}" for owner, name in patched
+            if not callable(getattr(owner, name, None))
+        ]
+        assert missing == []
