@@ -88,8 +88,9 @@ def make_explanation(
     *,
     length_status: str = "within_budget",
 ) -> Explanation:
-    """Build an Explanation with NFC-normalized text and derived word count."""
-    text = unicodedata.normalize("NFC", text)
+    """Build an Explanation with NFC-normalized, LF-only text (the store's
+    csv reader splits rows at a bare CR) and derived word count."""
+    text = unicodedata.normalize("NFC", text).replace("\r\n", "\n").replace("\r", "\n")
     return Explanation(
         item_id=item_id,
         language=language,

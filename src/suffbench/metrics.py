@@ -101,15 +101,19 @@ def aggregate(
 ) -> list[AggregateCell]:
     """One cell per (model, language, level) plus a per-language baseline.
 
-    `exclusions` holds (language, generator_model, item_id) triples for
-    items dropped before scoring. Output order is deterministic:
-    language, then baseline before generator models (alphabetical), then
-    level ascending; input order never matters.
+    `exclusions` holds (language, generator_model, item_id) triples of
+    items left out of every cell of that model and language. Output
+    order is deterministic: language, then baseline before generator
+    models (alphabetical), then level ascending; input order never matters.
     """
     run_id = _check_single_run(list(scores) + list(similarities), run_id)
+    exclusions = set(exclusions)
+
+    def kept(records):
+        return [r for r in records if (r.language, r.generator_model, r.item_id) not in exclusions]
 
     sim_index: dict[tuple[str, str, int], list[float]] = {}
-    for record in similarities:
+    for record in kept(similarities):
         key = (record.generator_model, record.language, record.level)
         sim_index.setdefault(key, []).append(record.cosine)
 
@@ -118,7 +122,7 @@ def aggregate(
         excluded_index.setdefault((model, language), set()).add(item_id)
 
     grouped: dict[tuple[str, str, int | str], list[ScoreResult]] = {}
-    for score in scores:
+    for score in kept(scores):
         grouped.setdefault((score.generator_model, score.language, score.level), []).append(score)
 
     def sort_key(group: tuple[str, str, int | str]):

@@ -143,10 +143,7 @@ def format_options(item: QuestionItem) -> str:
 
 
 def _render(kind: str, templates: PromptTemplateSet, mapping: dict[str, str]) -> str:
-    try:
-        return templates._by_kind()[kind].format_map(mapping)
-    except (KeyError, IndexError) as exc:  # pragma: no cover - load-time checks make this unreachable
-        raise TemplateError(f"{kind}: unbound placeholder {exc}") from exc
+    return templates._by_kind()[kind].format_map(mapping)
 
 
 def _check_language(item: QuestionItem, templates: PromptTemplateSet) -> None:

@@ -23,6 +23,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .constrainer import Explanation
+from .corpus import LABELS
 from .masker import MaskReport
 from .metrics import AggregateCell, SimilarityRecord
 from .scorer import ScoreResult
@@ -35,33 +36,6 @@ SCORES = "scores.csv"
 SIMILARITY = "similarity.csv"
 AGGREGATES = "aggregates.csv"
 AUDIT = "audit.csv"
-
-COLUMNS = {
-    EXPLANATIONS: (
-        "run_id", "item_id", "language", "generator_model", "level",
-        "word_count", "length_status", "text",
-    ),
-    MASKS: (
-        "run_id", "item_id", "language", "generator_model", "level",
-        "label_hits", "text_hits", "masked_text",
-    ),
-    SCORES: (
-        "run_id", "item_id", "language", "generator_model", "level",
-        "option_prob_A", "option_prob_B", "option_prob_C", "option_prob_D",
-        "sufficiency", "predicted", "correct", "scorer_model", "prompt_fingerprint",
-    ),
-    SIMILARITY: (
-        "run_id", "item_id", "language", "generator_model", "level", "cosine",
-    ),
-    AGGREGATES: (
-        "run_id", "generator_model", "language", "level", "n_items",
-        "n_excluded", "accuracy", "mean_sufficiency", "mean_similarity",
-    ),
-    AUDIT: (
-        "run_id", "stage", "item_id", "language", "generator_model", "level",
-        "event", "detail",
-    ),
-}
 
 
 class StoreError(RuntimeError):
@@ -149,41 +123,75 @@ class AuditRecord:
     run_id: str = ""
 
 
-_QUOTE = ord('"')
-_NEWLINE = ord("\n")
+# One spec per table: the record type it stores and the columns it
+# writes, in order. A column is the record field of the same name, except
+# that scores.csv spreads option_probs over option_prob_A..D. run_id leads
+# every table.
+TABLES = {
+    EXPLANATIONS: (Explanation, (
+        "run_id", "item_id", "language", "generator_model", "level",
+        "word_count", "length_status", "text",
+    )),
+    MASKS: (MaskReport, (
+        "run_id", "item_id", "language", "generator_model", "level",
+        "label_hits", "text_hits", "masked_text",
+    )),
+    SCORES: (ScoreResult, (
+        "run_id", "item_id", "language", "generator_model", "level",
+        "option_prob_A", "option_prob_B", "option_prob_C", "option_prob_D",
+        "sufficiency", "predicted", "correct", "scorer_model", "prompt_fingerprint",
+    )),
+    SIMILARITY: (SimilarityRecord, (
+        "run_id", "item_id", "language", "generator_model", "level", "cosine",
+    )),
+    AGGREGATES: (AggregateCell, (
+        "run_id", "generator_model", "language", "level", "n_items",
+        "n_excluded", "accuracy", "mean_sufficiency", "mean_similarity",
+    )),
+    AUDIT: (AuditRecord, (
+        "run_id", "stage", "item_id", "language", "generator_model", "level",
+        "event", "detail",
+    )),
+}
+COLUMNS = {name: columns for name, (_, columns) in TABLES.items()}
+
+_OPTION_PROB = "option_prob_"
 
 
 def _complete_prefix_length(data: bytes) -> int:
     """Byte length of the longest prefix ending on a row boundary.
 
-    Quote-aware: newlines inside a quoted field are data, and a doubled
-    quote inside a quoted field does not close it. Only the writer's own
-    output is scanned, so stray quotes in unquoted fields cannot occur.
+    A newline ends a row exactly when an even number of quotes come before
+    it: the writer quotes every field holding a quote or a newline and
+    doubles the quotes inside it, so each quoted field adds an even count.
+    Only the writer's own output is scanned.
     """
-    end = 0
-    in_quotes = False
-    i = 0
-    n = len(data)
-    while i < n:
-        byte = data[i]
-        if in_quotes:
-            if byte == _QUOTE:
-                if i + 1 < n and data[i + 1] == _QUOTE:
-                    i += 2
-                    continue
-                in_quotes = False
-        elif byte == _QUOTE:
-            in_quotes = True
-        elif byte == _NEWLINE:
-            end = i + 1
-        i += 1
-    return end
+    quotes = data.count(b'"')
+    end = len(data)
+    while (cut := data.rfind(b"\n", 0, end)) != -1:
+        quotes -= data.count(b'"', cut + 1, end)
+        if quotes % 2 == 0:
+            return cut + 1
+        end = cut
+    return 0
 
 
 def _encode_row(values: Sequence) -> bytes:
     sink = io.StringIO()
     csv.writer(sink, lineterminator="\n", quoting=csv.QUOTE_MINIMAL).writerow(values)
     return sink.getvalue().encode("utf-8")
+
+
+def _encode_record(name: str, record) -> bytes:
+    """One row of table `name`; bools are written true/false, None empty."""
+    values = []
+    for column in COLUMNS[name]:
+        if column.startswith(_OPTION_PROB):
+            value = record.option_probs[column[len(_OPTION_PROB):]]
+        else:
+            value = getattr(record, column)
+        values.append(("true" if value else "false") if isinstance(value, bool) else value)
+    return _encode_row(values)
 
 
 def _parse_level(raw: str) -> int | str:
@@ -194,6 +202,34 @@ def _parse_bool(raw: str) -> bool:
     if raw not in ("true", "false"):
         raise StoreError(f"boolean field must be true/false, got {raw!r}")
     return raw == "true"
+
+
+_PARSERS = {
+    "level": _parse_level,
+    "correct": _parse_bool,
+    "mean_similarity": lambda raw: float(raw) if raw else None,
+    **dict.fromkeys(("word_count", "label_hits", "text_hits", "n_items", "n_excluded"), int),
+    **dict.fromkeys(
+        ("sufficiency", "cosine", "accuracy", "mean_sufficiency")
+        + tuple(_OPTION_PROB + label for label in LABELS),
+        float,
+    ),
+}
+# resolved once per table; None keeps the column's text as it is
+_TABLE_PARSERS = {
+    name: tuple(_PARSERS.get(column) for column in columns) for name, columns in COLUMNS.items()
+}
+
+
+def _decode(name: str, row: dict[str, str]):
+    """The record stored in one header-checked row of table `name`."""
+    fields = {
+        column: raw if parse is None else parse(raw)
+        for (column, raw), parse in zip(row.items(), _TABLE_PARSERS[name])
+    }
+    if name == SCORES:
+        fields["option_probs"] = {label: fields.pop(_OPTION_PROB + label) for label in LABELS}
+    return TABLES[name][0](**fields)
 
 
 def work_key(record) -> tuple:
@@ -210,11 +246,9 @@ class RunStore:
         self.run_id = manifest.run_id
         self.salvage_report = salvage_report
         self._keys: dict[str, set[tuple]] = {
-            name: set() for name in (EXPLANATIONS, MASKS, SCORES, SIMILARITY, AUDIT)
+            name: {self._row_key(name, row) for row in self._read_rows(name)}
+            for name in (EXPLANATIONS, MASKS, SCORES, SIMILARITY, AUDIT)
         }
-        for name in self._keys:
-            for row in self._read_rows(name):
-                self._keys[name].add(self._row_key(name, row))
 
     # -- lifecycle -------------------------------------------------------
 
@@ -301,9 +335,8 @@ class RunStore:
         data = path.read_bytes()
         text = data[:_complete_prefix_length(data)].decode("utf-8")
         reader = csv.reader(io.StringIO(text, newline=""))
-        try:
-            header = next(reader)
-        except StopIteration:
+        header = next(reader, None)
+        if header is None:
             return []
         if tuple(header) != COLUMNS[name]:
             raise StoreError(f"{name}: unexpected header {header!r}")
@@ -319,7 +352,7 @@ class RunStore:
             rows.append(row)
         return rows
 
-    def _append(self, name: str, record, values: Sequence) -> bool:
+    def _append(self, name: str, record) -> bool:
         if record.run_id != self.run_id:
             raise StoreError(f"record run_id {record.run_id!r} != store run {self.run_id!r}")
         key = work_key(record)
@@ -328,114 +361,49 @@ class RunStore:
         if key in self._keys[name]:
             return False
         with open(self.root / name, "ab") as fh:
-            fh.write(_encode_row(values))
+            fh.write(_encode_record(name, record))
         self._keys[name].add(key)
         return True
+
+    def _load(self, name: str) -> tuple:
+        return tuple(_decode(name, row) for row in self._read_rows(name))
 
     # -- appends (return False when the work key is already stored) ------
 
     def append_explanation(self, e: Explanation) -> bool:
-        return self._append(EXPLANATIONS, e, (
-            e.run_id, e.item_id, e.language, e.generator_model, e.level,
-            e.word_count, e.length_status, e.text,
-        ))
+        return self._append(EXPLANATIONS, e)
 
     def append_mask(self, m: MaskReport) -> bool:
-        return self._append(MASKS, m, (
-            m.run_id, m.item_id, m.language, m.generator_model, m.level,
-            m.label_hits, m.text_hits, m.masked_text,
-        ))
+        return self._append(MASKS, m)
 
     def append_score(self, s: ScoreResult) -> bool:
-        probs = s.option_probs
-        return self._append(SCORES, s, (
-            s.run_id, s.item_id, s.language, s.generator_model, s.level,
-            probs["A"], probs["B"], probs["C"], probs["D"],
-            s.sufficiency, s.predicted, "true" if s.correct else "false",
-            s.scorer_model, s.prompt_fingerprint,
-        ))
+        return self._append(SCORES, s)
 
     def append_similarity(self, s: SimilarityRecord) -> bool:
-        return self._append(SIMILARITY, s, (
-            s.run_id, s.item_id, s.language, s.generator_model, s.level, s.cosine,
-        ))
+        return self._append(SIMILARITY, s)
 
     def append_audit(self, a: AuditRecord) -> bool:
-        return self._append(AUDIT, a, (
-            a.run_id, a.stage, a.item_id, a.language, a.generator_model, a.level,
-            a.event, a.detail,
-        ))
+        return self._append(AUDIT, a)
 
     # -- loads -----------------------------------------------------------
 
     def load_explanations(self) -> tuple[Explanation, ...]:
-        return tuple(
-            Explanation(
-                item_id=r["item_id"], language=r["language"],
-                generator_model=r["generator_model"], level=int(r["level"]),
-                text=r["text"], word_count=int(r["word_count"]),
-                length_status=r["length_status"],
-                run_id=r["run_id"],
-            )
-            for r in self._read_rows(EXPLANATIONS)
-        )
+        return self._load(EXPLANATIONS)
 
     def load_masks(self) -> tuple[MaskReport, ...]:
-        return tuple(
-            MaskReport(
-                item_id=r["item_id"], language=r["language"],
-                generator_model=r["generator_model"], level=int(r["level"]),
-                label_hits=int(r["label_hits"]), text_hits=int(r["text_hits"]),
-                masked_text=r["masked_text"], run_id=r["run_id"],
-            )
-            for r in self._read_rows(MASKS)
-        )
+        return self._load(MASKS)
 
     def load_scores(self) -> tuple[ScoreResult, ...]:
-        return tuple(
-            ScoreResult(
-                item_id=r["item_id"], language=r["language"],
-                generator_model=r["generator_model"], level=_parse_level(r["level"]),
-                option_probs={o: float(r[f"option_prob_{o}"]) for o in "ABCD"},
-                sufficiency=float(r["sufficiency"]), predicted=r["predicted"],
-                correct=_parse_bool(r["correct"]), scorer_model=r["scorer_model"],
-                prompt_fingerprint=r["prompt_fingerprint"], run_id=r["run_id"],
-            )
-            for r in self._read_rows(SCORES)
-        )
+        return self._load(SCORES)
 
     def load_similarities(self) -> tuple[SimilarityRecord, ...]:
-        return tuple(
-            SimilarityRecord(
-                item_id=r["item_id"], language=r["language"],
-                generator_model=r["generator_model"], level=int(r["level"]),
-                cosine=float(r["cosine"]), run_id=r["run_id"],
-            )
-            for r in self._read_rows(SIMILARITY)
-        )
+        return self._load(SIMILARITY)
 
     def load_audit(self) -> tuple[AuditRecord, ...]:
-        return tuple(
-            AuditRecord(
-                stage=r["stage"], item_id=r["item_id"], language=r["language"],
-                generator_model=r["generator_model"], level=_parse_level(r["level"]),
-                event=r["event"], detail=r["detail"], run_id=r["run_id"],
-            )
-            for r in self._read_rows(AUDIT)
-        )
+        return self._load(AUDIT)
 
     def load_aggregates(self) -> tuple[AggregateCell, ...]:
-        return tuple(
-            AggregateCell(
-                generator_model=r["generator_model"], language=r["language"],
-                level=_parse_level(r["level"]), n_items=int(r["n_items"]),
-                n_excluded=int(r["n_excluded"]), accuracy=float(r["accuracy"]),
-                mean_sufficiency=float(r["mean_sufficiency"]),
-                mean_similarity=float(r["mean_similarity"]) if r["mean_similarity"] else None,
-                run_id=r["run_id"],
-            )
-            for r in self._read_rows(AGGREGATES)
-        )
+        return self._load(AGGREGATES)
 
     # -- derived views ---------------------------------------------------
 
@@ -460,11 +428,7 @@ class RunStore:
                 raise StoreError(
                     f"cell run_id {c.run_id!r} != store run {self.run_id!r}"
                 )
-            chunks.append(_encode_row((
-                c.run_id, c.generator_model, c.language, c.level, c.n_items,
-                c.n_excluded, c.accuracy, c.mean_sufficiency,
-                "" if c.mean_similarity is None else c.mean_similarity,
-            )))
+            chunks.append(_encode_record(AGGREGATES, c))
         path = self.root / AGGREGATES
         tmp = path.with_suffix(".csv.tmp")
         with open(tmp, "wb") as fh:

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Mapping
 from .constrainer import ALL_LEVELS
 from .corpus import LABELS, LANGUAGES, QuestionItem
 from .gateway import Gateway, ModelEndpoint
-from .prompts import ANSWER_SUFFIX, RenderedPrompt, render_scoring
+from .prompts import RenderedPrompt, render_scoring
 
 if TYPE_CHECKING:
     from .masker import MaskReport
@@ -93,8 +93,6 @@ def score_options(
     """Option distribution for one scoring or baseline prompt."""
     if prompt.kind not in ("score", "baseline"):
         raise ScoringError(f"cannot score a {prompt.kind!r} prompt")
-    if not prompt.text.endswith(ANSWER_SUFFIX):
-        raise ScoringError(f"scoring prompt must end with {ANSWER_SUFFIX!r}")
     totals = {
         option: gateway.score_continuation(scorer, prompt.text, f" {option}").total_logprob
         for option in LABELS

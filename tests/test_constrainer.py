@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import unicodedata
 from fractions import Fraction
@@ -25,6 +26,7 @@ from suffbench.constrainer import (
 )
 from suffbench.gateway import Gateway, GenerationResult, ModelEndpoint
 from suffbench.prompts import DEFAULT_TEMPLATE_ID, load_template_set
+from suffbench.runstore import RunManifest, RunStore
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -236,6 +238,18 @@ class TestConstrainExplanation:
             self.item(en_corpus), self.base(20), 50, self.ENDPOINT, self.TEMPLATES, gateway
         )
         assert result.text == "brief and clear"
+
+    def test_carriage_returns_stored_as_newlines(self, en_corpus, tmp_path):
+        gateway = ScriptedGateway(["Plants need light.\rThey grow.\r\nFast."])
+        result = constrain_explanation(
+            self.item(en_corpus), self.base(20), 50, self.ENDPOINT, self.TEMPLATES, gateway
+        )
+        assert result.text == "Plants need light.\nThey grow.\nFast."
+        manifest = RunManifest.new("run-cr", {"seed": 1})
+        store = RunStore.create(tmp_path, manifest)
+        stored = dataclasses.replace(result, run_id="run-cr")
+        assert store.append_explanation(stored)
+        assert RunStore.open_resume(tmp_path, manifest).load_explanations() == (stored,)
 
     def test_all_empty_attempts_raise(self, en_corpus):
         gateway = ScriptedGateway(["  ", " ", "  ", " "])

@@ -201,6 +201,25 @@ class TestAggregate:
         assert gen_b_10.mean_similarity is None
         assert gen_b_10.n_excluded == 0
 
+    def test_excluded_item_rows_dropped(self):
+        scores, similarities, _ = build_inputs()
+        full = {
+            (c.language, c.generator_model, c.level): c
+            for c in aggregate(scores, similarities, run_id="run-x")
+        }
+        cells = {
+            (c.language, c.generator_model, c.level): c
+            for c in aggregate(scores, similarities, [("en", "gen-a", "q3")], run_id="run-x")
+        }
+        for level in (0, 10):
+            cell = cells[("en", "gen-a", level)]
+            assert (cell.n_items, cell.n_excluded) == (3, 1)
+        kept = [0.8 - i * 0.123 for i in range(3)]
+        assert cells[("en", "gen-a", 10)].mean_similarity == sum(sorted(kept)) / 3
+        for key, cell in cells.items():
+            if key[:2] != ("en", "gen-a"):
+                assert cell == full[key]
+
     def test_permutation_invariant(self):
         scores, similarities, exclusions = build_inputs()
         expected = aggregate(scores, similarities, exclusions, run_id="run-x")

@@ -330,8 +330,8 @@ class TestExpectedFailures:
         gen_cells = [c for c in ctx2.store.load_aggregates() if c.generator_model == "gen-1"]
         assert [c.level for c in gen_cells] == [0, 10, 90]
         assert all(c.n_excluded == 1 for c in gen_cells)
-        # the item has no constrained rows to score
-        assert all(c.n_items == 2 for c in gen_cells if c.level != 0)
+        # the item's level-0 row is dropped too: it counts only in n_excluded
+        assert all(c.n_items == 2 for c in gen_cells)
 
 
 class _BrokenEmbeddings:

@@ -13,6 +13,7 @@ from suffbench.runstore import (
     COLUMNS,
     EXPLANATIONS,
     SCORES,
+    TABLES,
     AuditRecord,
     ManifestMismatch,
     RunManifest,
@@ -141,6 +142,18 @@ class TestLifecycle:
         (tmp_path / EXPLANATIONS).write_text("nope,columns\n", encoding="utf-8")
         with pytest.raises(StoreError, match="unexpected header"):
             store.load_explanations()
+
+
+class TestTableSpec:
+    def test_columns_are_the_record_fields(self):
+        probs = tuple(f"option_prob_{label}" for label in "ABCD")
+        for name, (record_type, columns) in TABLES.items():
+            assert columns == COLUMNS[name]
+            assert columns[0] == "run_id"
+            fields = []
+            for f in dataclasses.fields(record_type):
+                fields.extend(probs if f.name == "option_probs" else [f.name])
+            assert sorted(columns) == sorted(fields), name
 
 
 class TestRoundTrip:
