@@ -16,15 +16,15 @@ import io
 import json
 import logging
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 from .constrainer import CONSTRAINT_LEVELS
 from .corpus import LANGUAGES, Corpus, CorpusError, load_corpus, subset
 from .gateway import Gateway, ModelEndpoint
 from .metrics import heatmap_matrix, render_heatmap_svg
-from .pipeline import STAGES, PipelineError, RunContext, StageFailure, run
-from .prompts import PromptError, load_template_set
+from .pipeline import STAGES, PipelineError, RunContext, StageFailure, exclusion_keys, run
+from .prompts import DEFAULT_TEMPLATE_ID, PromptError, load_template_set
 from .runstore import ManifestMismatch, RunManifest, RunStore, StoreError, digest, work_key
 from .scorer import BASELINE_LEVEL
 
@@ -37,10 +37,7 @@ EXIT_MISMATCH = 4
 
 REPORT_KINDS = ("tables", "heatmap", "curves")
 
-_ENDPOINT_KEYS = {
-    "base_url", "model_id", "api_key_ref", "max_retries",
-    "requests_per_minute", "timeout",
-}
+_ENDPOINT_KEYS = {f.name for f in fields(ModelEndpoint)}
 _TOP_KEYS = {
     "store_dir", "cache_dir", "corpus", "generators", "scorer", "embedder",
     "template_id", "levels", "run_id", "temperature", "max_tokens", "workers",
@@ -100,9 +97,6 @@ def _parse_endpoint(spec, where: str) -> ModelEndpoint:
     unknown = sorted(set(spec) - _ENDPOINT_KEYS)
     if unknown:
         raise ConfigError(f"{where}: unknown keys {unknown}")
-    for key in ("base_url", "model_id"):
-        if not isinstance(spec.get(key), str) or not spec[key]:
-            raise ConfigError(f"{where}: {key} must be a non-empty string")
     try:
         return ModelEndpoint(**spec)
     except (TypeError, ValueError) as exc:
@@ -172,7 +166,7 @@ def load_config(
         f"levels must be distinct values from {list(CONSTRAINT_LEVELS)}",
     )
 
-    template_id = raw.get("template_id", "default-v1")
+    template_id = raw.get("template_id", DEFAULT_TEMPLATE_ID)
     _require(
         isinstance(template_id, str) and bool(template_id),
         "template_id must be a non-empty string",
@@ -326,11 +320,16 @@ def write_heatmaps(store: RunStore, out_dir: Path) -> list[Path]:
 
 def write_curves(store: RunStore, out_dir: Path) -> list[Path]:
     """Per-language accuracy/sufficiency at each enforced level, with the
-    achieved word-count reduction alongside the nominal one."""
+    achieved word-count reduction alongside the nominal one. Like the
+    cells, the achieved reduction leaves out excluded items."""
     cells = store.load_aggregates()
     if not cells:
         raise StoreError("no aggregate rows; run the aggregate stage first")
-    word_counts = {work_key(e): e.word_count for e in store.load_explanations()}
+    excluded = exclusion_keys(store)
+    word_counts = {
+        work_key(e): e.word_count for e in store.load_explanations()
+        if (e.language, e.generator_model, e.item_id) not in excluded
+    }
     reductions: dict[tuple[str, str, int], list[float]] = {}
     for (item_id, language, model, level), count in word_counts.items():
         if level == 0:

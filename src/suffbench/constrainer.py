@@ -11,7 +11,7 @@ from __future__ import annotations
 import logging
 import re
 import unicodedata
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -102,36 +102,20 @@ def make_explanation(
     )
 
 
-@dataclass(frozen=True)
-class BudgetTable:
-    """Word budgets per reduction level for one base explanation."""
-
-    base_word_count: int
-    budgets: dict[int, int] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.base_word_count < 1:
-            raise ExplanationError("base explanation must contain at least one word")
-        if tuple(self.budgets) != CONSTRAINT_LEVELS:
-            raise ExplanationError(f"budget table must cover levels {CONSTRAINT_LEVELS}")
-        values = list(self.budgets.values())
-        if any(b < 1 for b in values):
-            raise ExplanationError("budgets must be >= 1")
-        if any(a < b for a, b in zip(values, values[1:])):
-            raise ExplanationError("budgets must be non-increasing in the level")
-
-
-def compute_budgets(base: Explanation) -> BudgetTable:
-    """Budget per level: max(1, floor((1 - v/100) * base words)).
+def word_budget(base: Explanation, level: int) -> int:
+    """Word budget for rewriting the level-0 `base` at `level`:
+    max(1, floor((1 - level/100) * base words)).
 
     Computed in integer arithmetic; float multiplication loses exactness
     (e.g. a 20-word base at level 90 must give 2, not floor(1.9999...)).
     """
     if base.level != 0:
         raise ExplanationError(f"budgets derive from the level-0 base, got level {base.level}")
-    wc = base.word_count
-    budgets = {v: max(1, (100 - v) * wc // 100) for v in CONSTRAINT_LEVELS}
-    return BudgetTable(base_word_count=wc, budgets=budgets)
+    if base.word_count < 1:
+        raise ExplanationError("base explanation must contain at least one word")
+    if level not in CONSTRAINT_LEVELS:
+        raise ExplanationError(f"level {level!r} not in {CONSTRAINT_LEVELS}")
+    return max(1, (100 - level) * base.word_count // 100)
 
 
 _ANSWER_RE = re.compile(r"^\s*answer\s*:\s*(\S+)\s*$", re.IGNORECASE)
@@ -145,8 +129,11 @@ def extract_answer_and_explanation(raw: "GenerationResult | str") -> tuple[str, 
         Explanation: <free text, may span lines>
 
     Keywords tolerate leading whitespace and any case; the letter itself
-    must be an uppercase A-D. Anything else raises UnparseableOutput.
+    must be an uppercase A-D. Anything else, or a generation cut off at
+    max_tokens (finish_reason "length"), raises UnparseableOutput.
     """
+    if not isinstance(raw, str) and raw.finish_reason == "length":
+        raise UnparseableOutput("generation cut off at max_tokens")
     text = raw if isinstance(raw, str) else raw.text
     lines = text.splitlines()
     i = 0
@@ -199,11 +186,10 @@ def constrain_explanation(
     *,
     temperature: float = 0.0,
     max_tokens: int = 512,
-    retries: int = BUDGET_RETRIES,
 ) -> Explanation:
     """Regenerate `base` under the word budget for `level`.
 
-    Retries up to `retries` times on a budget violation; if every attempt
+    Retries up to BUDGET_RETRIES times on a budget violation; if every attempt
     is over budget the last text is hard-truncated to the first budget
     words and marked length_status="truncated". Retried requests carry a
     cache salt so they are distinct deterministic calls rather than
@@ -211,13 +197,11 @@ def constrain_explanation(
     """
     from .prompts import render_constrain
 
-    if level not in CONSTRAINT_LEVELS:
-        raise ExplanationError(f"level {level!r} not in {CONSTRAINT_LEVELS}")
-    budget = compute_budgets(base).budgets[level]
+    budget = word_budget(base, level)
     prompt = render_constrain(item, base, budget, templates)
 
     text = ""
-    for attempt in range(retries + 1):
+    for attempt in range(BUDGET_RETRIES + 1):
         salt = f"retry-{attempt}" if attempt else ""
         result = gateway.generate(
             endpoint, prompt, temperature=temperature, max_tokens=max_tokens, cache_salt=salt
@@ -235,7 +219,7 @@ def constrain_explanation(
             item.id, level, attempt, count_words(text), budget,
         )
     if not text:
-        raise EmptyRegeneration(f"{item.id}: no text after {retries + 1} attempts")
+        raise EmptyRegeneration(f"{item.id}: no text after {BUDGET_RETRIES + 1} attempts")
     return make_explanation(
         item.id, item.language, endpoint.model_id, level, _truncate_words(text, budget),
         length_status="truncated",

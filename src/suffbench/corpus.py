@@ -63,7 +63,6 @@ class QuestionItem:
 class Corpus:
     language: str
     items: tuple[QuestionItem, ...]
-    source_path: str = ""
 
     def __post_init__(self) -> None:
         seen: set[str] = set()
@@ -160,7 +159,7 @@ def load_corpus(path: str | Path, language: str) -> Corpus:
             raise CorpusError(f"{where}: malformed JSON ({exc.msg})") from exc
         items.append(_normalize_record(rec, language, where))
     log.info("loaded %d items from %s (%s)", len(items), path, language)
-    return Corpus(language=language, items=tuple(items), source_path=str(path))
+    return Corpus(language=language, items=tuple(items))
 
 
 def subset(corpus: Corpus, n: int, seed: int) -> Corpus:

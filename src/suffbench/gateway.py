@@ -83,10 +83,9 @@ class ModelEndpoint:
     timeout: float = 60.0
 
     def __post_init__(self) -> None:
-        if not self.base_url:
-            raise ValueError("base_url must be non-empty")
-        if not self.model_id:
-            raise ValueError("model_id must be non-empty")
+        for name in ("base_url", "model_id"):
+            if not isinstance(getattr(self, name), str) or not getattr(self, name):
+                raise ValueError(f"{name} must be a non-empty string")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         if self.requests_per_minute < 1:

@@ -23,7 +23,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Container, Iterable, Sequence
 
 from .constrainer import (
-    CONSTRAINT_LEVELS,
     EmptyRegeneration,
     UnparseableOutput,
     constrain_explanation,
@@ -54,7 +53,10 @@ class StageFailure(PipelineError):
 
 @dataclass
 class RunContext:
-    """Everything the stages need, resolved once by the caller."""
+    """Everything the stages need, resolved and checked once by the caller
+    (cli.load_config): at least one generator, one template set per
+    corpus language, distinct ascending levels from CONSTRAINT_LEVELS,
+    and workers >= 1."""
 
     store: RunStore
     gateway: Gateway
@@ -63,24 +65,10 @@ class RunContext:
     scorer: ModelEndpoint
     embedder: ModelEndpoint
     templates: dict[str, PromptTemplateSet]
-    levels: tuple[int, ...] = CONSTRAINT_LEVELS
-    temperature: float = 0.0
-    max_tokens: int = 512
-    workers: int = 4
-
-    def __post_init__(self) -> None:
-        if not self.generators:
-            raise PipelineError("at least one generator model is required")
-        if set(self.corpora) != set(self.templates):
-            raise PipelineError(
-                f"corpora languages {sorted(self.corpora)} != "
-                f"template languages {sorted(self.templates)}"
-            )
-        bad = [v for v in self.levels if v not in CONSTRAINT_LEVELS]
-        if bad or len(set(self.levels)) != len(self.levels):
-            raise PipelineError(f"levels must be distinct values from {CONSTRAINT_LEVELS}")
-        if self.workers < 1:
-            raise PipelineError("workers must be >= 1")
+    levels: tuple[int, ...]
+    temperature: float
+    max_tokens: int
+    workers: int
 
     @property
     def run_id(self) -> str:
@@ -127,8 +115,7 @@ def _map_ordered(ctx: RunContext, units: Sequence, fn: Callable):
     triples in planning order once every unit has finished."""
     if not units:
         return []
-    workers = max(1, min(ctx.workers, len(units)))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=min(ctx.workers, len(units))) as pool:
         futures = [pool.submit(fn, unit) for unit in units]
     out = []
     for unit, future in zip(units, futures):
@@ -213,7 +200,7 @@ def plan_constrain(ctx: RunContext) -> list[tuple]:
     bases = [e for e in ctx.store.load_explanations() if e.level == 0]
     units = []
     for base_key, base in _pending(bases, ()):
-        for level in sorted(ctx.levels):
+        for level in ctx.levels:
             key = base_key[:3] + (level,)
             if key not in done:
                 units.append((key, base, level))

@@ -166,14 +166,11 @@ def render_constrain(
     word_budget: int,
     templates: PromptTemplateSet,
 ) -> RenderedPrompt:
-    """Prompt asking to rewrite the base explanation within a word budget."""
+    """Prompt asking to rewrite the level-0 base within `word_budget` words,
+    as given by constrainer.word_budget."""
     _check_language(item, templates)
-    if base.level != 0:
-        raise PromptError(f"constrain rewrites the level-0 base, got level {base.level}")
     if base.item_id != item.id:
         raise PromptError(f"explanation {base.item_id!r} does not belong to item {item.id!r}")
-    if word_budget < 1:
-        raise PromptError(f"word budget must be >= 1, got {word_budget}")
     text = _render(
         "constrain",
         templates,

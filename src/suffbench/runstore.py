@@ -232,6 +232,16 @@ def _decode(name: str, row: dict[str, str]):
     return TABLES[name][0](**fields)
 
 
+def _replace_file(path: Path, data: bytes) -> None:
+    """Write `path` whole or not at all: a durable temp file, then a rename."""
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "wb") as fh:
+        fh.write(data)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
+
+
 def work_key(record) -> tuple:
     """The (item_id, language, generator_model, level) key a row is stored under."""
     return (record.item_id, record.language, record.generator_model, record.level)
@@ -254,14 +264,17 @@ class RunStore:
 
     @classmethod
     def create(cls, root: Path | str, manifest: RunManifest) -> "RunStore":
+        """Write every table header, then the manifest, atomically and last:
+        a directory is a store exactly when its manifest exists, so a
+        create killed part way is simply run again."""
         root = Path(root)
         manifest_path = root / MANIFEST_NAME
         if manifest_path.exists():
             raise StoreError(f"store already initialized: {manifest_path}")
         root.mkdir(parents=True, exist_ok=True)
-        manifest_path.write_text(manifest.to_json() + "\n", encoding="utf-8")
         for name, columns in COLUMNS.items():
             (root / name).write_bytes(_encode_row(columns))
+        _replace_file(manifest_path, (manifest.to_json() + "\n").encode("utf-8"))
         return cls(root, manifest, salvage_report={})
 
     @classmethod
@@ -412,12 +425,9 @@ class RunStore:
             raise StoreError(f"unknown table {name!r}")
         return frozenset(self._keys[name])
 
-    def audit_keys(self, stage: str, event: str | None = None) -> frozenset[tuple]:
-        """Work keys audited for `stage` (optionally one event kind)."""
-        return frozenset(
-            key[2:] for key in self._keys[AUDIT]
-            if key[0] == stage and (event is None or key[1] == event)
-        )
+    def audit_keys(self, stage: str) -> frozenset[tuple]:
+        """Work keys audited for `stage`."""
+        return frozenset(key[2:] for key in self._keys[AUDIT] if key[0] == stage)
 
     # -- aggregates (full atomic rewrite, not append) ---------------------
 
@@ -429,10 +439,4 @@ class RunStore:
                     f"cell run_id {c.run_id!r} != store run {self.run_id!r}"
                 )
             chunks.append(_encode_record(AGGREGATES, c))
-        path = self.root / AGGREGATES
-        tmp = path.with_suffix(".csv.tmp")
-        with open(tmp, "wb") as fh:
-            fh.write(b"".join(chunks))
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
+        _replace_file(self.root / AGGREGATES, b"".join(chunks))

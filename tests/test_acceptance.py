@@ -16,7 +16,7 @@ from fractions import Fraction
 import pytest
 
 from suffbench.cli import build_context, load_config, main
-from suffbench.constrainer import CONSTRAINT_LEVELS, compute_budgets, make_explanation
+from suffbench.constrainer import CONSTRAINT_LEVELS, make_explanation, word_budget
 from suffbench.corpus import QuestionItem, load_corpus
 from suffbench.gateway import Gateway, ModelEndpoint
 from suffbench.masker import mask_explanation, verify_masked
@@ -125,20 +125,19 @@ def test_budget_suite(criterion):
         "budgets: 50-word base at level 20 -> 40, floor 1, non-increasing (500 bases)", 1.0
     ):
         fifty = make_explanation("x", "en", "m", 0, " ".join(["w"] * 50))
-        assert compute_budgets(fifty).budgets[20] == 40
+        assert word_budget(fifty, 20) == 40
 
         tiny = make_explanation("x", "en", "m", 0, "single")
-        assert compute_budgets(tiny).budgets[90] == 1
+        assert word_budget(tiny, 90) == 1
 
         rng = random.Random(7)
         for _ in range(500):
             words = rng.randint(1, 400)
             base = make_explanation("x", "en", "m", 0, " ".join(["w"] * words))
-            budgets = compute_budgets(base).budgets
-            values = [budgets[v] for v in CONSTRAINT_LEVELS]
+            values = [word_budget(base, v) for v in CONSTRAINT_LEVELS]
             assert all(a >= b for a, b in zip(values, values[1:]))
             assert all(b >= 1 for b in values)
-            for level, value in budgets.items():
+            for level, value in zip(CONSTRAINT_LEVELS, values):
                 assert value == max(1, int(Fraction(100 - level, 100) * words))
 
 

@@ -13,16 +13,15 @@ from hypothesis import strategies as st
 from suffbench.constrainer import (
     ALL_LEVELS,
     CONSTRAINT_LEVELS,
-    BudgetTable,
     EmptyRegeneration,
     Explanation,
     ExplanationError,
     UnparseableOutput,
-    compute_budgets,
     constrain_explanation,
     count_words,
     extract_answer_and_explanation,
     make_explanation,
+    word_budget,
 )
 from suffbench.gateway import Gateway, GenerationResult, ModelEndpoint
 from suffbench.prompts import DEFAULT_TEMPLATE_ID, load_template_set
@@ -69,42 +68,43 @@ class TestCountWords:
 class TestBudgets:
     def test_fifty_word_base_at_level_20_allows_40(self):
         base = base_explanation(" ".join(["w"] * 50))
-        assert compute_budgets(base).budgets[20] == 40
+        assert word_budget(base, 20) == 40
 
     def test_twenty_word_base_at_level_90_allows_2(self):
         # float arithmetic would floor 1.9999... down to 1
         base = base_explanation(" ".join(["w"] * 20))
-        assert compute_budgets(base).budgets[90] == 2
+        assert word_budget(base, 90) == 2
 
     def test_budget_never_below_one(self):
         base = base_explanation("single")
-        table = compute_budgets(base)
-        assert all(b == 1 for b in table.budgets.values())
+        assert all(word_budget(base, level) == 1 for level in CONSTRAINT_LEVELS)
 
-    def test_levels_covered_in_order(self):
-        table = compute_budgets(base_explanation(" ".join(["w"] * 33)))
-        assert tuple(table.budgets) == CONSTRAINT_LEVELS
+    def test_rejects_levels_outside_the_domain(self):
+        base = base_explanation(" ".join(["w"] * 33))
+        for level in (0, 15, 100):
+            with pytest.raises(ExplanationError, match="not in"):
+                word_budget(base, level)
 
     def test_rejects_constrained_base(self):
         constrained = make_explanation("q0001", "en", "gen-1", 10, "short text")
         with pytest.raises(ExplanationError, match="level-0"):
-            compute_budgets(constrained)
+            word_budget(constrained, 20)
 
-    def test_rejects_missing_level(self):
-        with pytest.raises(ExplanationError, match="cover levels"):
-            BudgetTable(base_word_count=10, budgets={10: 9})
+    def test_rejects_empty_base(self):
+        with pytest.raises(ExplanationError, match="at least one word"):
+            word_budget(base_explanation(""), 10)
 
     @given(wc=st.integers(min_value=1, max_value=2000))
     def test_matches_exact_fraction_oracle(self, wc):
         base = base_explanation(" ".join(["w"] * wc))
-        table = compute_budgets(base)
-        for level, budget in table.budgets.items():
+        for level in CONSTRAINT_LEVELS:
             exact = Fraction(100 - level, 100) * wc
-            assert budget == max(1, exact.numerator // exact.denominator)
+            assert word_budget(base, level) == max(1, exact.numerator // exact.denominator)
 
     @given(wc=st.integers(min_value=1, max_value=2000))
     def test_non_increasing_and_positive(self, wc):
-        values = list(compute_budgets(base_explanation(" ".join(["w"] * wc))).budgets.values())
+        base = base_explanation(" ".join(["w"] * wc))
+        values = [word_budget(base, level) for level in CONSTRAINT_LEVELS]
         assert all(b >= 1 for b in values)
         assert all(a >= b for a, b in zip(values, values[1:]))
 

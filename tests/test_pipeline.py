@@ -1,3 +1,4 @@
+import csv
 import threading
 import time
 from collections import Counter
@@ -6,6 +7,7 @@ import pytest
 
 from suffbench import gateway as gateway_module
 from suffbench import masker, pipeline
+from suffbench.cli import write_curves
 from suffbench.corpus import Corpus, subset
 from suffbench.gateway import Gateway, GenerationResult, MockBackend, ModelEndpoint, ResponseCache
 from suffbench.pipeline import (
@@ -68,6 +70,8 @@ def make_ctx(
         embedder=EMBED,
         templates={k: TEMPLATES[k] for k in corpora},
         levels=tuple(levels),
+        temperature=0.0,
+        max_tokens=512,
         workers=workers,
     )
 
@@ -102,32 +106,6 @@ class TestStageGraph:
             expand_stages(["polish"])
         with pytest.raises(PipelineError, match="unknown stage"):
             run_stage(None, "polish")
-
-
-class TestContextValidation:
-    def test_needs_generators(self, tmp_path, en_corpus):
-        with pytest.raises(PipelineError, match="generator"):
-            make_ctx(tmp_path, {"en": en_corpus}, generators=())
-
-    def test_language_mismatch(self, tmp_path, en_corpus, fa_corpus):
-        store = RunStore.open_or_create(tmp_path / "s", RunManifest.new(RUN, {}))
-        with pytest.raises(PipelineError, match="template languages"):
-            RunContext(
-                store=store, gateway=Gateway(),
-                corpora={"en": en_corpus, "fa": fa_corpus},
-                generators=(GEN,), scorer=PROBE, embedder=EMBED,
-                templates={"en": TEMPLATES["en"]},
-            )
-
-    def test_level_domain(self, tmp_path, en_corpus):
-        with pytest.raises(PipelineError, match="levels"):
-            make_ctx(tmp_path / "a", {"en": en_corpus}, levels=(10, 15))
-        with pytest.raises(PipelineError, match="levels"):
-            make_ctx(tmp_path / "b", {"en": en_corpus}, levels=(10, 10))
-
-    def test_worker_floor(self, tmp_path, en_corpus):
-        with pytest.raises(PipelineError, match="workers"):
-            make_ctx(tmp_path, {"en": en_corpus}, workers=0)
 
 
 class TestFullRun:
@@ -243,19 +221,24 @@ class TestResume:
 
 
 class _SabotagedGeneration:
-    """Delegates to a real gateway but returns `text` for one item's
-    prompts of one kind (junk for its generation prompt by default)."""
+    """Delegates to a real gateway but returns `text` for the prompts of
+    one kind that contain every needle (junk for a generation prompt by
+    default)."""
 
-    def __init__(self, inner, needle, kind="generate", text="I cannot answer that."):
+    def __init__(
+        self, inner, *needles, kind="generate", text="I cannot answer that.",
+        finish_reason="stop",
+    ):
         self._inner = inner
-        self._needle = needle
+        self._needles = needles
         self._kind = kind
         self._text = text
+        self._finish_reason = finish_reason
 
     def generate(self, endpoint, prompt, **kwargs):
-        if prompt.kind == self._kind and self._needle in prompt.text:
+        if prompt.kind == self._kind and all(n in prompt.text for n in self._needles):
             return GenerationResult(
-                text=self._text, finish_reason="stop", request_fingerprint="x",
+                text=self._text, finish_reason=self._finish_reason, request_fingerprint="x",
             )
         return self._inner.generate(endpoint, prompt, **kwargs)
 
@@ -288,6 +271,41 @@ class TestExpectedFailures:
             if cell.generator_model == "gen-1":
                 assert cell.n_items == 2
                 assert cell.n_excluded == 1
+
+    def test_generation_cut_at_max_tokens_is_audited_and_excluded(self, tmp_path, en_corpus):
+        small = subset(en_corpus, 3, seed=7)
+        gateway = _SabotagedGeneration(
+            Gateway(), small["q0006"].stem,
+            text="Answer: A\nExplanation: Plants take in", finish_reason="length",
+        )
+        ctx = make_ctx(tmp_path, {"en": small}, gateway=gateway)
+        run(ctx, ["aggregate"])
+        audit = ctx.store.load_audit()
+        assert [(a.stage, a.item_id, a.event) for a in audit] == [
+            ("generate", "q0006", "unparseable"),
+        ]
+        assert not [e for e in ctx.store.load_explanations() if e.item_id == "q0006"]
+        gen_cells = [c for c in ctx.store.load_aggregates() if c.generator_model == "gen-1"]
+        assert gen_cells
+        assert all((c.n_items, c.n_excluded) == (2, 1) for c in gen_cells)
+
+    def test_curves_leave_out_excluded_items(self, tmp_path, en_corpus):
+        small = subset(en_corpus, 3, seed=7)
+        # q0006's 28-word base gets a 25-word budget at level 10 only
+        gateway = _SabotagedGeneration(
+            Gateway(), small["q0006"].stem, "at most 25 words", kind="constrain", text=" ",
+        )
+        ctx = make_ctx(tmp_path, {"en": small}, gateway=gateway)
+        run(ctx, ["aggregate"])
+        assert exclusion_keys(ctx.store) == {("en", "gen-1", "q0006")}
+
+        words = {(e.item_id, e.level): e.word_count for e in ctx.store.load_explanations()}
+        kept = [1 - words[item, 90] / words[item, 0] for item in ("q0003", "q0007")]
+        write_curves(ctx.store, tmp_path)
+        with open(tmp_path / "curves_en.csv", encoding="utf-8", newline="") as fh:
+            rows = {(r["model"], r["level"]): r for r in csv.DictReader(fh)}
+        assert rows["gen-1", "90"]["n_items"] == "2"
+        assert rows["gen-1", "90"]["mean_realized_reduction"] == f"{sum(kept) / 2:.4f}"
 
     def test_resume_does_not_retry_audited_item(self, tmp_path, en_corpus):
         small = subset(en_corpus, 3, seed=7)

@@ -117,18 +117,6 @@ class TestRendering:
         assert base.text in prompt.text
         assert "at most 7 words" in prompt.text
 
-    def test_constrain_requires_level_zero_base(self, en_corpus):
-        item = en_corpus.items[0]
-        base = make_explanation(item.id, "en", "gen-1", 10, "short")
-        with pytest.raises(PromptError, match="level-0"):
-            render_constrain(item, base, 5, EN)
-
-    def test_constrain_rejects_budget_below_one(self, en_corpus):
-        item = en_corpus.items[0]
-        base = make_explanation(item.id, "en", "gen-1", 0, "words here")
-        with pytest.raises(PromptError, match=">= 1"):
-            render_constrain(item, base, 0, EN)
-
     def test_language_mismatch_rejected(self, fa_corpus):
         with pytest.raises(PromptError, match="templates are 'en'"):
             render_generation(fa_corpus.items[0], EN)

@@ -1,5 +1,9 @@
 import dataclasses
+import itertools
 import json
+import os
+from contextlib import suppress
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -290,11 +294,56 @@ class TestDoneKeys:
             ("q0002", "en", "gen-1", 0),
             ("q0003", "en", "gen-1", 0),
         }
-        assert store.audit_keys("generate", "unparseable") == {("q0002", "en", "gen-1", 0)}
         assert store.audit_keys("score") == frozenset()
 
 
+class _Killed(Exception):
+    """Stands in for the process dying part way through a write."""
+
+
+def _kill_at_write(monkeypatch, k):
+    """Make the k-th file write or rename fail; a write is torn half-way."""
+    count = itertools.count()
+
+    def tearing(write):
+        def patched(path, data, *args, **kwargs):
+            if next(count) == k:
+                write(path, data[: len(data) // 2], *args, **kwargs)
+                raise _Killed
+            return write(path, data, *args, **kwargs)
+        return patched
+
+    def replace(src, dst, real=os.replace):
+        if next(count) == k:
+            raise _Killed
+        real(src, dst)
+
+    monkeypatch.setattr(Path, "write_bytes", tearing(Path.write_bytes))
+    monkeypatch.setattr(Path, "write_text", tearing(Path.write_text))
+    monkeypatch.setattr(os, "replace", replace)
+
+
 class TestTornTails:
+    @pytest.mark.parametrize("k", range(8))
+    def test_create_killed_at_any_write_recovers(self, tmp_path, monkeypatch, k):
+        with monkeypatch.context() as patched, suppress(_Killed):
+            _kill_at_write(patched, k)
+            RunStore.create(tmp_path, manifest())
+        store = RunStore.open_or_create(tmp_path, manifest())
+        records = (explanation(), mask_report(), score(), similarity(), audit())
+        appends = (
+            store.append_explanation, store.append_mask, store.append_score,
+            store.append_similarity, store.append_audit,
+        )
+        assert all(append(r) for append, r in zip(appends, records))
+        reopened = RunStore.open_or_create(tmp_path, manifest())
+        loaded = (
+            reopened.load_explanations(), reopened.load_masks(), reopened.load_scores(),
+            reopened.load_similarities(), reopened.load_audit(),
+        )
+        assert loaded == tuple((r,) for r in records)
+        assert reopened.load_aggregates() == ()
+
     def test_resume_truncates_partial_line(self, tmp_path):
         store = RunStore.create(tmp_path, manifest())
         store.append_explanation(explanation(item_id="q0001"))
