@@ -22,7 +22,7 @@ from pathlib import Path
 from .constrainer import CONSTRAINT_LEVELS
 from .corpus import LANGUAGES, Corpus, CorpusError, load_corpus, subset
 from .gateway import Gateway, ModelEndpoint
-from .metrics import heatmap_matrix, render_heatmap_svg
+from .metrics import heatmap_matrix, render_heatmap_svg, without_excluded
 from .pipeline import STAGES, PipelineError, RunContext, StageFailure, exclusion_keys, run
 from .prompts import DEFAULT_TEMPLATE_ID, PromptError, load_template_set
 from .runstore import ManifestMismatch, RunManifest, RunStore, StoreError, digest, work_key
@@ -296,12 +296,15 @@ def write_tables(store: RunStore, out_dir: Path) -> list[Path]:
 
 
 def write_heatmaps(store: RunStore, out_dir: Path) -> list[Path]:
+    """Per-language mean similarity by model and level; like the cells,
+    the means leave out excluded items."""
     similarities = store.load_similarities()
     if not similarities:
         raise StoreError("no similarity rows; run the similarity stage first")
+    kept = without_excluded(similarities, exclusion_keys(store))
     written = []
     for language in _ordered_languages(similarities):
-        matrix = heatmap_matrix([s for s in similarities if s.language == language])
+        matrix = heatmap_matrix([s for s in kept if s.language == language])
         svg_path = out_dir / f"heatmap_{language}.svg"
         svg_path.write_text(
             render_heatmap_svg(matrix, title=f"mean base/constrained similarity ({language})"),
@@ -325,10 +328,9 @@ def write_curves(store: RunStore, out_dir: Path) -> list[Path]:
     cells = store.load_aggregates()
     if not cells:
         raise StoreError("no aggregate rows; run the aggregate stage first")
-    excluded = exclusion_keys(store)
     word_counts = {
-        work_key(e): e.word_count for e in store.load_explanations()
-        if (e.language, e.generator_model, e.item_id) not in excluded
+        work_key(e): e.word_count
+        for e in without_excluded(store.load_explanations(), exclusion_keys(store))
     }
     reductions: dict[tuple[str, str, int], list[float]] = {}
     for (item_id, language, model, level), count in word_counts.items():

@@ -12,7 +12,7 @@ import json
 import logging
 import random
 import unicodedata
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 log = logging.getLogger(__name__)
@@ -63,17 +63,19 @@ class QuestionItem:
 class Corpus:
     language: str
     items: tuple[QuestionItem, ...]
+    _index: dict[str, QuestionItem] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        seen: set[str] = set()
+        index: dict[str, QuestionItem] = {}
         for item in self.items:
-            if item.id in seen:
+            if item.id in index:
                 raise CorpusError(f"duplicate item id {item.id!r}")
-            seen.add(item.id)
+            index[item.id] = item
             if item.language != self.language:
                 raise CorpusError(
                     f"{item.id}: item language {item.language!r} != corpus {self.language!r}"
                 )
+        object.__setattr__(self, "_index", index)
 
     def __len__(self) -> int:
         return len(self.items)
@@ -82,10 +84,7 @@ class Corpus:
         return iter(self.items)
 
     def __getitem__(self, item_id: str) -> QuestionItem:
-        for item in self.items:
-            if item.id == item_id:
-                return item
-        raise KeyError(item_id)
+        return self._index[item_id]
 
 
 def _normalize_record(rec: dict, language: str, where: str) -> QuestionItem:

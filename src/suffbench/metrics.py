@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Container, Iterable, Sequence
 
 from .constrainer import CONSTRAINT_LEVELS
 from .corpus import LANGUAGES
@@ -93,6 +93,11 @@ def _check_single_run(records: Iterable, run_id: str | None) -> str:
     return next(iter(run_ids), "")
 
 
+def without_excluded(records: Iterable, exclusions: Container[tuple[str, str, str]]) -> list:
+    """The records whose (language, generator_model, item_id) is not in `exclusions`."""
+    return [r for r in records if (r.language, r.generator_model, r.item_id) not in exclusions]
+
+
 def aggregate(
     scores: Sequence[ScoreResult],
     similarities: Sequence[SimilarityRecord] = (),
@@ -109,11 +114,8 @@ def aggregate(
     run_id = _check_single_run(list(scores) + list(similarities), run_id)
     exclusions = set(exclusions)
 
-    def kept(records):
-        return [r for r in records if (r.language, r.generator_model, r.item_id) not in exclusions]
-
     sim_index: dict[tuple[str, str, int], list[float]] = {}
-    for record in kept(similarities):
+    for record in without_excluded(similarities, exclusions):
         key = (record.generator_model, record.language, record.level)
         sim_index.setdefault(key, []).append(record.cosine)
 
@@ -122,7 +124,7 @@ def aggregate(
         excluded_index.setdefault((model, language), set()).add(item_id)
 
     grouped: dict[tuple[str, str, int | str], list[ScoreResult]] = {}
-    for score in kept(scores):
+    for score in without_excluded(scores, exclusions):
         grouped.setdefault((score.generator_model, score.language, score.level), []).append(score)
 
     def sort_key(group: tuple[str, str, int | str]):

@@ -5,9 +5,12 @@ artifact. Every append is a single O_APPEND write of one encoded row,
 so a killed process leaves at worst one torn final line; resuming trims
 the incomplete tail before any further writes. Appends deduplicate on
 the work key (item_id, language, generator_model, level), which makes
-every stage idempotent under restarts.
+every stage idempotent under restarts. Apart from the torn-tail scan, a
+store reads each appendable table once, at its first use, and keeps its
+records with every record it appends: a corrupt table is reported then.
 
-Stores are single-writer: callers must serialize appends.
+Stores are single-writer: callers must serialize appends, and nothing
+else may edit the tables while a store is open.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import os
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .constrainer import Explanation
 from .corpus import LABELS
@@ -154,6 +157,7 @@ TABLES = {
     )),
 }
 COLUMNS = {name: columns for name, (_, columns) in TABLES.items()}
+_APPENDABLE = (EXPLANATIONS, MASKS, SCORES, SIMILARITY, AUDIT)
 
 _OPTION_PROB = "option_prob_"
 
@@ -221,11 +225,11 @@ _TABLE_PARSERS = {
 }
 
 
-def _decode(name: str, row: dict[str, str]):
-    """The record stored in one header-checked row of table `name`."""
+def _decode(name: str, values: Sequence[str]):
+    """The record stored in one width-checked row of table `name`."""
     fields = {
         column: raw if parse is None else parse(raw)
-        for (column, raw), parse in zip(row.items(), _TABLE_PARSERS[name])
+        for column, raw, parse in zip(COLUMNS[name], values, _TABLE_PARSERS[name])
     }
     if name == SCORES:
         fields["option_probs"] = {label: fields.pop(_OPTION_PROB + label) for label in LABELS}
@@ -247,6 +251,11 @@ def work_key(record) -> tuple:
     return (record.item_id, record.language, record.generator_model, record.level)
 
 
+def _key(name: str, record) -> tuple:
+    """The work key of a record of table `name`, led by (stage, event) in audit.csv."""
+    return ((record.stage, record.event) if name == AUDIT else ()) + work_key(record)
+
+
 class RunStore:
     """One run directory: manifest, append-only tables, rewrite aggregates."""
 
@@ -255,10 +264,7 @@ class RunStore:
         self.manifest = manifest
         self.run_id = manifest.run_id
         self.salvage_report = salvage_report
-        self._keys: dict[str, set[tuple]] = {
-            name: {self._row_key(name, row) for row in self._read_rows(name)}
-            for name in (EXPLANATIONS, MASKS, SCORES, SIMILARITY, AUDIT)
-        }
+        self._records: dict[str, dict[tuple, object]] = {}
 
     # -- lifecycle -------------------------------------------------------
 
@@ -331,55 +337,50 @@ class RunStore:
             fh.truncate(keep)
         return len(data) - keep
 
-    # -- row codecs ------------------------------------------------------
+    # -- rows and records ----------------------------------------------
 
-    def _row_key(self, name: str, row: dict[str, str]) -> tuple:
-        key = (
-            row["item_id"], row["language"], row["generator_model"], _parse_level(row["level"])
-        )
-        if name == AUDIT:
-            return (row["stage"], row["event"]) + key
-        return key
-
-    def _read_rows(self, name: str) -> list[dict[str, str]]:
+    def _read_rows(self, name: str) -> Iterator[list[str]]:
+        """The checked value lists of the complete rows of table `name`."""
         path = self.root / name
         if not path.exists():
-            return []
+            return
         data = path.read_bytes()
         text = data[:_complete_prefix_length(data)].decode("utf-8")
         reader = csv.reader(io.StringIO(text, newline=""))
         header = next(reader, None)
-        if header is None:
-            return []
-        if tuple(header) != COLUMNS[name]:
+        if header is not None and tuple(header) != COLUMNS[name]:
             raise StoreError(f"{name}: unexpected header {header!r}")
-        rows = []
         for values in reader:
             if len(values) != len(header):
                 raise StoreError(f"{name}: row width {len(values)} != {len(header)}")
-            row = dict(zip(header, values))
-            if row["run_id"] != self.run_id:
-                raise StoreError(
-                    f"{name}: row for run {row['run_id']!r} in store for {self.run_id!r}"
-                )
-            rows.append(row)
-        return rows
+            if values[0] != self.run_id:
+                raise StoreError(f"{name}: row for run {values[0]!r} in store for {self.run_id!r}")
+            yield values
+
+    def _table(self, name: str) -> dict[tuple, object]:
+        """Appendable table `name` as {key: record} in file order, read at first use."""
+        if name not in self._records:
+            if name not in _APPENDABLE:
+                raise StoreError(f"unknown table {name!r}")
+            table = {}
+            for values in self._read_rows(name):
+                record = _decode(name, values)
+                if table.setdefault(key := _key(name, record), record) is not record:
+                    raise StoreError(f"{name}: key {key!r} is stored twice")
+            self._records[name] = table
+        return self._records[name]
 
     def _append(self, name: str, record) -> bool:
         if record.run_id != self.run_id:
             raise StoreError(f"record run_id {record.run_id!r} != store run {self.run_id!r}")
-        key = work_key(record)
-        if name == AUDIT:
-            key = (record.stage, record.event) + key
-        if key in self._keys[name]:
+        table = self._table(name)
+        key = _key(name, record)
+        if key in table:
             return False
         with open(self.root / name, "ab") as fh:
             fh.write(_encode_record(name, record))
-        self._keys[name].add(key)
+        table[key] = record
         return True
-
-    def _load(self, name: str) -> tuple:
-        return tuple(_decode(name, row) for row in self._read_rows(name))
 
     # -- appends (return False when the work key is already stored) ------
 
@@ -401,33 +402,31 @@ class RunStore:
     # -- loads -----------------------------------------------------------
 
     def load_explanations(self) -> tuple[Explanation, ...]:
-        return self._load(EXPLANATIONS)
+        return tuple(self._table(EXPLANATIONS).values())
 
     def load_masks(self) -> tuple[MaskReport, ...]:
-        return self._load(MASKS)
+        return tuple(self._table(MASKS).values())
 
     def load_scores(self) -> tuple[ScoreResult, ...]:
-        return self._load(SCORES)
+        return tuple(self._table(SCORES).values())
 
     def load_similarities(self) -> tuple[SimilarityRecord, ...]:
-        return self._load(SIMILARITY)
+        return tuple(self._table(SIMILARITY).values())
 
     def load_audit(self) -> tuple[AuditRecord, ...]:
-        return self._load(AUDIT)
+        return tuple(self._table(AUDIT).values())
 
     def load_aggregates(self) -> tuple[AggregateCell, ...]:
-        return self._load(AGGREGATES)
+        return tuple(_decode(AGGREGATES, values) for values in self._read_rows(AGGREGATES))
 
     # -- derived views ---------------------------------------------------
 
     def done_keys(self, name: str) -> frozenset[tuple]:
-        if name not in self._keys:
-            raise StoreError(f"unknown table {name!r}")
-        return frozenset(self._keys[name])
+        return frozenset(self._table(name))
 
     def audit_keys(self, stage: str) -> frozenset[tuple]:
         """Work keys audited for `stage`."""
-        return frozenset(key[2:] for key in self._keys[AUDIT] if key[0] == stage)
+        return frozenset(key[2:] for key in self._table(AUDIT) if key[0] == stage)
 
     # -- aggregates (full atomic rewrite, not append) ---------------------
 

@@ -154,3 +154,12 @@ class TestSubset:
         assert len(first) == min(n, 10)
         positions = [int(i.id[1:]) for i in first]
         assert positions == sorted(positions)
+
+
+
+class TestLookup:
+    def test_subset_finds_only_its_items(self, en_corpus):
+        picked = subset(en_corpus, 3, seed=7)
+        assert picked["q0006"] is en_corpus["q0006"]
+        with pytest.raises(KeyError):
+            picked["q0001"]

@@ -1,13 +1,16 @@
 import csv
+import itertools
 import threading
 import time
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from suffbench import gateway as gateway_module
 from suffbench import masker, pipeline
-from suffbench.cli import write_curves
+from suffbench.cli import write_curves, write_heatmaps
 from suffbench.corpus import Corpus, subset
 from suffbench.gateway import Gateway, GenerationResult, MockBackend, ModelEndpoint, ResponseCache
 from suffbench.pipeline import (
@@ -186,7 +189,63 @@ class TestDeterminism:
         assert store_bytes(tmp_path / "a" / "store") == store_bytes(tmp_path / "b" / "store")
 
 
+_APPENDS = tuple(
+    f"append_{name}" for name in ("explanation", "mask", "score", "similarity", "audit")
+)
+
+
+class _Killed(Exception):
+    """Stands in for the process dying at an append."""
+
+
+def _kill_at_append(store, k):
+    """Make the k-th call (from 0) to any of `store`'s append methods raise
+    _Killed instead of appending; returns the count of calls made."""
+    calls = itertools.count()
+    for name in _APPENDS:
+        def append(record, inner=getattr(store, name)):
+            if next(calls) == k:
+                raise _Killed
+            return inner(record)
+        setattr(store, name, append)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def uninterrupted(tmp_path_factory, en_corpus):
+    """Table bytes, mock counts and append count of one uninterrupted run."""
+    root = tmp_path_factory.mktemp("uninterrupted")
+    gateway = Gateway(cache_dir=root / "cache")
+    ctx = make_ctx(root, {"en": en_corpus}, gateway=gateway)
+    calls = _kill_at_append(ctx.store, -1)
+    run(ctx, STAGES)
+    return store_bytes(root / "store"), gateway.mock_counts(), next(calls)
+
+
 class TestResume:
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_killed_at_any_append_resumes_to_the_same_store(
+        self, uninterrupted, tmp_path_factory, en_corpus, data
+    ):
+        tables, counts, appends = uninterrupted
+        k = data.draw(st.integers(min_value=0, max_value=appends - 1), label="killed at append")
+        root = tmp_path_factory.mktemp("killed")
+        first = Gateway(cache_dir=root / "cache")
+        ctx = make_ctx(root, {"en": en_corpus}, gateway=first)
+        _kill_at_append(ctx.store, k)
+        with pytest.raises(_Killed):
+            run(ctx, STAGES)
+
+        store = RunStore.open_resume(root / "store", RunManifest.new(RUN, {"levels": [10, 90]}))
+        resumed = Gateway(cache_dir=root / "cache")
+        run(make_ctx(root, {"en": en_corpus}, gateway=resumed, store=store), STAGES)
+        assert store_bytes(root / "store") == tables
+        # each call the first run completed is answered by the cache
+        assert {
+            kind: first.mock_counts()[kind] + resumed.mock_counts()[kind] for kind in counts
+        } == counts
+
     def test_fresh_gateway_resume_makes_no_model_calls(self, tmp_path, en_corpus):
         small = subset(en_corpus, 3, seed=7)
         ctx = make_ctx(tmp_path, {"en": small})
@@ -306,6 +365,23 @@ class TestExpectedFailures:
             rows = {(r["model"], r["level"]): r for r in csv.DictReader(fh)}
         assert rows["gen-1", "90"]["n_items"] == "2"
         assert rows["gen-1", "90"]["mean_realized_reduction"] == f"{sum(kept) / 2:.4f}"
+
+    def test_heatmaps_leave_out_excluded_items(self, tmp_path, en_corpus):
+        small = subset(en_corpus, 3, seed=7)
+        gateway = _SabotagedGeneration(
+            Gateway(), small["q0006"].stem, "at most 25 words", kind="constrain", text=" ",
+        )
+        ctx = make_ctx(tmp_path, {"en": small}, gateway=gateway)
+        run(ctx, ["aggregate"])
+        assert exclusion_keys(ctx.store) == {("en", "gen-1", "q0006")}
+
+        cell = next(
+            c for c in ctx.store.load_aggregates() if (c.generator_model, c.level) == ("gen-1", 90)
+        )
+        write_heatmaps(ctx.store, tmp_path)
+        with open(tmp_path / "heatmap_en.csv", encoding="utf-8", newline="") as fh:
+            rows = {r["model"]: r for r in csv.DictReader(fh)}
+        assert rows["gen-1"]["90"] == f"{cell.mean_similarity:.6f}" == "-0.200490"
 
     def test_resume_does_not_retry_audited_item(self, tmp_path, en_corpus):
         small = subset(en_corpus, 3, seed=7)

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import os
+from collections import Counter
 from contextlib import suppress
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from suffbench.runstore import (
     COLUMNS,
     EXPLANATIONS,
     SCORES,
+    SIMILARITY,
     TABLES,
     AuditRecord,
     ManifestMismatch,
@@ -264,6 +266,40 @@ class TestDedupAndRunChecks:
         store = RunStore.create(tmp_path, manifest())
         with pytest.raises(StoreError, match="run-other"):
             store.write_aggregates([cell(run_id="run-other")])
+
+    def test_repeated_key_in_file_rejected(self, tmp_path):
+        RunStore.create(tmp_path, manifest()).append_similarity(similarity())
+        path = tmp_path / SIMILARITY
+        row = path.read_bytes().splitlines(keepends=True)[-1]
+        with open(path, "ab") as fh:
+            fh.write(row.replace(b"0.875", b"0.5"))
+        with pytest.raises(StoreError, match=r"similarity\.csv: key .* stored twice"):
+            RunStore.load(tmp_path).load_similarities()
+        with pytest.raises(StoreError, match=r"similarity\.csv: key .* stored twice"):
+            RunStore.open_resume(tmp_path, manifest()).done_keys(SIMILARITY)
+
+
+class TestReads:
+    def test_each_table_read_once_at_first_use(self, tmp_path, monkeypatch):
+        store = RunStore.create(tmp_path, manifest())
+        store.append_explanation(explanation())
+        store.write_aggregates([cell()])
+        reads = Counter()
+        real = Path.read_bytes
+
+        def spy(path):
+            if path.name in COLUMNS:
+                reads[path.name] += 1
+            return real(path)
+
+        monkeypatch.setattr(Path, "read_bytes", spy)
+        loaded = RunStore.load(tmp_path)
+        assert loaded.load_aggregates() == (cell(),)
+        assert reads == {"aggregates.csv": 1}
+        assert loaded.load_explanations() == (explanation(),)
+        assert loaded.load_explanations() == (explanation(),)
+        assert loaded.done_keys(EXPLANATIONS) == {("q0001", "en", "gen-1", 0)}
+        assert reads == {"aggregates.csv": 1, EXPLANATIONS: 1}
 
 
 class TestDoneKeys:
