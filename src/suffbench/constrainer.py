@@ -63,7 +63,6 @@ class Explanation:
     text: str
     word_count: int
     length_status: str = "within_budget"
-    run_id: str = ""
 
     def __post_init__(self) -> None:
         if self.level not in ALL_LEVELS:

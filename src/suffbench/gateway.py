@@ -369,21 +369,24 @@ class Gateway:
 
         The fingerprint of `payload` keys the cache. On a miss the body
         comes from `mock_call(backend)` for mock endpoints, else from
-        POSTing `wire` to `path`, and is cached before decoding.
+        POSTing `wire` to `path`, and is cached once it decodes: an
+        unreadable reply is never replayed.
         """
         key = request_fingerprint(payload)
-        body = self._cache.get(key) if self._cache is not None else None
-        if body is None:
-            if endpoint.is_mock:
-                body = _encode(mock_call(self._mock(endpoint)))
-            else:
-                body = self._post(endpoint, path, wire)
-            if self._cache is not None:
-                self._cache.put(key, body)
+        cached = self._cache.get(key) if self._cache is not None else None
+        if cached is not None:
+            body = cached
+        elif endpoint.is_mock:
+            body = _encode(mock_call(self._mock(endpoint)))
+        else:
+            body = self._post(endpoint, path, wire)
         try:
-            return json.loads(body.decode("utf-8")), key
+            data = json.loads(body.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise GatewayError(f"unreadable response body for request {key}: {exc}") from exc
+        if cached is None and self._cache is not None:
+            self._cache.put(key, body)
+        return data, key
 
     @staticmethod
     def _first_choice(data: dict, key: str) -> dict:

@@ -53,7 +53,6 @@ class MaskReport:
     label_hits: int
     text_hits: int
     masked_text: str
-    run_id: str = ""
 
     def __post_init__(self) -> None:
         if self.level not in ALL_LEVELS:

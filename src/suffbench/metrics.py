@@ -60,7 +60,6 @@ class SimilarityRecord:
     generator_model: str
     level: int
     cosine: float
-    run_id: str = ""
 
     def __post_init__(self) -> None:
         if self.language not in LANGUAGES:
@@ -81,16 +80,6 @@ class AggregateCell:
     accuracy: float
     mean_sufficiency: float
     mean_similarity: float | None
-    run_id: str = ""
-
-
-def _check_single_run(records: Iterable, run_id: str | None) -> str:
-    run_ids = {r.run_id for r in records if r.run_id}
-    if run_id:
-        run_ids.add(run_id)
-    if len(run_ids) > 1:
-        raise MetricsError(f"records span multiple runs: {sorted(run_ids)}")
-    return next(iter(run_ids), "")
 
 
 def without_excluded(records: Iterable, exclusions: Container[tuple[str, str, str]]) -> list:
@@ -102,7 +91,6 @@ def aggregate(
     scores: Sequence[ScoreResult],
     similarities: Sequence[SimilarityRecord] = (),
     exclusions: Iterable[tuple[str, str, str]] = (),
-    run_id: str | None = None,
 ) -> list[AggregateCell]:
     """One cell per (model, language, level) plus a per-language baseline.
 
@@ -111,7 +99,6 @@ def aggregate(
     order is deterministic: language, then baseline before generator
     models (alphabetical), then level ascending; input order never matters.
     """
-    run_id = _check_single_run(list(scores) + list(similarities), run_id)
     exclusions = set(exclusions)
 
     sim_index: dict[tuple[str, str, int], list[float]] = {}
@@ -151,7 +138,6 @@ def aggregate(
                 accuracy=accuracy(rows),
                 mean_sufficiency=mean_sufficiency(rows),
                 mean_similarity=sum(sorted(sims)) / len(sims) if sims else None,
-                run_id=run_id,
             )
         )
     return cells

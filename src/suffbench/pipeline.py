@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Container, Iterable, Sequence
 
 from .constrainer import (
@@ -69,10 +69,6 @@ class RunContext:
     temperature: float
     max_tokens: int
     workers: int
-
-    @property
-    def run_id(self) -> str:
-        return self.store.run_id
 
     def item(self, language: str, item_id: str):
         return self.corpora[language][item_id]
@@ -138,14 +134,14 @@ def _commit(
     for unit, result, error in _map_ordered(ctx, units, job):
         key = unit[0]
         if error is None:
-            append(replace(result, run_id=ctx.run_id))
+            append(result)
             report.completed += 1
         elif isinstance(error, expected):
             log.warning("%s %s: %s: %s", stage, key, event, error)
             item_id, language, model, level = key
             ctx.store.append_audit(AuditRecord(
                 stage=stage, item_id=item_id, language=language, generator_model=model,
-                level=level, event=event, detail=str(error), run_id=ctx.run_id,
+                level=level, event=event, detail=str(error),
             ))
             report.failed += 1
         else:
@@ -323,10 +319,7 @@ def plan_aggregate(ctx: RunContext) -> list[tuple]:
 def run_aggregate(ctx: RunContext, units: Sequence[tuple]) -> StageReport:
     scores = ctx.store.load_scores()
     similarities = ctx.store.load_similarities()
-    try:
-        cells = aggregate(scores, similarities, exclusion_keys(ctx.store), run_id=ctx.run_id)
-    except ValueError as exc:
-        raise StageFailure(f"aggregate: {exc}") from exc
+    cells = aggregate(scores, similarities, exclusion_keys(ctx.store))
     ctx.store.write_aggregates(cells)
     return StageReport("aggregate", planned=1, completed=len(cells))
 

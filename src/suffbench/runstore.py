@@ -8,6 +8,12 @@ the work key (item_id, language, generator_model, level), which makes
 every stage idempotent under restarts. Apart from the torn-tail scan, a
 store reads each appendable table once, at its first use, and keeps its
 records with every record it appends: a corrupt table is reported then.
+A missing or headerless table file is refused, never read as an empty
+table.
+
+The run id is the store's own, and no record carries it: the store
+writes it as column 0 of every row and checks that column on every row
+it reads.
 
 Stores are single-writer: callers must serialize appends, and nothing
 else may edit the tables while a store is open.
@@ -123,13 +129,12 @@ class AuditRecord:
     level: int | str
     event: str
     detail: str
-    run_id: str = ""
 
 
 # One spec per table: the record type it stores and the columns it
-# writes, in order. A column is the record field of the same name, except
-# that scores.csv spreads option_probs over option_prob_A..D. run_id leads
-# every table.
+# writes, in order. run_id leads every table and is the store's own;
+# every other column is the record field of the same name, except that
+# scores.csv spreads option_probs over option_prob_A..D.
 TABLES = {
     EXPLANATIONS: (Explanation, (
         "run_id", "item_id", "language", "generator_model", "level",
@@ -186,10 +191,11 @@ def _encode_row(values: Sequence) -> bytes:
     return sink.getvalue().encode("utf-8")
 
 
-def _encode_record(name: str, record) -> bytes:
-    """One row of table `name`; bools are written true/false, None empty."""
-    values = []
-    for column in COLUMNS[name]:
+def _encode_record(name: str, run_id: str, record) -> bytes:
+    """One row of table `name`, led by `run_id`; bools are written
+    true/false, None empty."""
+    values = [run_id]
+    for column in COLUMNS[name][1:]:
         if column.startswith(_OPTION_PROB):
             value = record.option_probs[column[len(_OPTION_PROB):]]
         else:
@@ -219,21 +225,33 @@ _PARSERS = {
         float,
     ),
 }
-# resolved once per table; None keeps the column's text as it is
-_TABLE_PARSERS = {
-    name: tuple(_PARSERS.get(column) for column in columns) for name, columns in COLUMNS.items()
+# the record columns of each table (all but run_id), each with its parser
+# resolved once; None keeps the column's text as it is
+_RECORD_COLUMNS = {
+    name: tuple((column, _PARSERS.get(column)) for column in columns[1:])
+    for name, columns in COLUMNS.items()
 }
 
 
 def _decode(name: str, values: Sequence[str]):
-    """The record stored in one width-checked row of table `name`."""
+    """The record stored in one checked row of table `name`, from every
+    column after the run id."""
     fields = {
         column: raw if parse is None else parse(raw)
-        for column, raw, parse in zip(COLUMNS[name], values, _TABLE_PARSERS[name])
+        for (column, parse), raw in zip(_RECORD_COLUMNS[name], values[1:])
     }
     if name == SCORES:
         fields["option_probs"] = {label: fields.pop(_OPTION_PROB + label) for label in LABELS}
     return TABLES[name][0](**fields)
+
+
+def _read_table(path: Path) -> bytes:
+    """The bytes of table file `path`; a missing table is refused, never
+    taken for an empty one."""
+    try:
+        return path.read_bytes()
+    except FileNotFoundError:
+        raise StoreError(f"{path.name}: table file is missing from {path.parent}") from None
 
 
 def _replace_file(path: Path, data: bytes) -> None:
@@ -327,9 +345,7 @@ class RunStore:
 
     @staticmethod
     def _truncate_torn_tail(path: Path) -> int:
-        if not path.exists():
-            return 0
-        data = path.read_bytes()
+        data = _read_table(path)
         keep = _complete_prefix_length(data)
         if keep == len(data):
             return 0
@@ -340,15 +356,14 @@ class RunStore:
     # -- rows and records ----------------------------------------------
 
     def _read_rows(self, name: str) -> Iterator[list[str]]:
-        """The checked value lists of the complete rows of table `name`."""
-        path = self.root / name
-        if not path.exists():
-            return
-        data = path.read_bytes()
+        """The checked value lists of the complete rows of table `name`.
+        Column 0 is checked against the manifest's run id: the file is
+        input from outside the program."""
+        data = _read_table(self.root / name)
         text = data[:_complete_prefix_length(data)].decode("utf-8")
         reader = csv.reader(io.StringIO(text, newline=""))
         header = next(reader, None)
-        if header is not None and tuple(header) != COLUMNS[name]:
+        if header is None or tuple(header) != COLUMNS[name]:
             raise StoreError(f"{name}: unexpected header {header!r}")
         for values in reader:
             if len(values) != len(header):
@@ -371,14 +386,12 @@ class RunStore:
         return self._records[name]
 
     def _append(self, name: str, record) -> bool:
-        if record.run_id != self.run_id:
-            raise StoreError(f"record run_id {record.run_id!r} != store run {self.run_id!r}")
         table = self._table(name)
         key = _key(name, record)
         if key in table:
             return False
         with open(self.root / name, "ab") as fh:
-            fh.write(_encode_record(name, record))
+            fh.write(_encode_record(name, self.run_id, record))
         table[key] = record
         return True
 
@@ -432,10 +445,5 @@ class RunStore:
 
     def write_aggregates(self, cells: Iterable[AggregateCell]) -> None:
         chunks = [_encode_row(COLUMNS[AGGREGATES])]
-        for c in cells:
-            if c.run_id != self.run_id:
-                raise StoreError(
-                    f"cell run_id {c.run_id!r} != store run {self.run_id!r}"
-                )
-            chunks.append(_encode_record(AGGREGATES, c))
+        chunks.extend(_encode_record(AGGREGATES, self.run_id, c) for c in cells)
         _replace_file(self.root / AGGREGATES, b"".join(chunks))

@@ -61,7 +61,6 @@ class ScoreResult:
     correct: bool
     scorer_model: str
     prompt_fingerprint: str
-    run_id: str = ""
 
     def __post_init__(self) -> None:
         if self.language not in LANGUAGES:

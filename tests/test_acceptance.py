@@ -217,7 +217,7 @@ def test_end_to_end_mock_run(criterion, tmp_path):
         shuffled_sims = list(store.load_similarities())
         random.Random(3).shuffle(shuffled_scores)
         random.Random(4).shuffle(shuffled_sims)
-        assert aggregate(shuffled_scores, shuffled_sims, run_id=store.run_id) == list(cells)
+        assert aggregate(shuffled_scores, shuffled_sims) == list(cells)
 
         assert table_bytes(tmp_path / "store_a") == table_bytes(tmp_path / "store_b")
 

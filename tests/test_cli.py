@@ -255,6 +255,16 @@ class TestStoreBoundaries:
             assert "format 1" in err and "format 2" in err and "new store_dir" in err
             assert "unexpected header" not in err
 
+    def test_missing_table_is_refused(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        assert main(["run", "--config", str(path), "--all"]) == EXIT_OK
+        masks = tmp_path / "store" / "masks.csv"
+        masks.unlink()
+        capsys.readouterr()
+        assert main(["run", "--config", str(path), "--all"]) == EXIT_STAGE
+        assert "masks.csv: table file is missing" in capsys.readouterr().err
+        assert not masks.exists()
+
     def test_leaky_masks_row_never_scored(self, tmp_path, capsys):
         path = write_config(tmp_path)
         assert main(["run", "--config", str(path), "--stage", "mask"]) == EXIT_OK

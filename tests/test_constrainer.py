@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import json
 import unicodedata
 from fractions import Fraction
@@ -247,9 +246,8 @@ class TestConstrainExplanation:
         assert result.text == "Plants need light.\nThey grow.\nFast."
         manifest = RunManifest.new("run-cr", {"seed": 1})
         store = RunStore.create(tmp_path, manifest)
-        stored = dataclasses.replace(result, run_id="run-cr")
-        assert store.append_explanation(stored)
-        assert RunStore.open_resume(tmp_path, manifest).load_explanations() == (stored,)
+        assert store.append_explanation(result)
+        assert RunStore.open_resume(tmp_path, manifest).load_explanations() == (result,)
 
     def test_all_empty_attempts_raise(self, en_corpus):
         gateway = ScriptedGateway(["  ", " ", "  ", " "])

@@ -57,15 +57,15 @@ class VirtualClock:
 
 
 class FakeResponse:
-    def __init__(self, status_code: int, body: dict):
+    def __init__(self, status_code: int, body: dict | bytes):
         self.status_code = status_code
-        self.content = json.dumps(body).encode("utf-8")
+        self.content = body if isinstance(body, bytes) else json.dumps(body).encode("utf-8")
         self.text = self.content.decode("utf-8")
 
 
 class FakeSession:
     """Scripted transport: each entry is a status code, a (status, body)
-    pair, or an exception to raise."""
+    pair with a dict or raw bytes body, or an exception to raise."""
 
     def __init__(self, script):
         self.script = list(script)
@@ -236,6 +236,33 @@ class TestCache:
         cache.put(result.request_fingerprint, b"\xff not json")
         with pytest.raises(GatewayError, match="unreadable response body"):
             Gateway(cache_dir=tmp_path).generate(MOCK, prompt)
+
+    def test_unreadable_reply_is_not_cached(self, tmp_path):
+        # a 200 that is not JSON, such as a proxy's error page
+        session = FakeSession([(200, b"<html>Bad gateway</html>"), (200, CHAT_BODY)])
+        endpoint = ModelEndpoint(base_url="http://fake", model_id="m")
+        with pytest.raises(GatewayError, match="unreadable response body"):
+            Gateway(cache_dir=tmp_path, session=session).generate(endpoint, prompt_of("p"))
+        assert not [path for path in tmp_path.rglob("*") if path.is_file()]
+        result = Gateway(cache_dir=tmp_path, session=session).generate(endpoint, prompt_of("p"))
+        assert len(session.calls) == 2
+        assert result.text.startswith("Answer: B")
+
+    def test_cache_salt_keys_the_cache_not_the_wire(self, server, tmp_path):
+        endpoint = live_endpoint(server)
+        gw = Gateway(cache_dir=tmp_path)
+        plain = gw.generate(endpoint, prompt_of("p"))
+        salted = gw.generate(endpoint, prompt_of("p"), cache_salt="retry-1")
+        assert salted.request_fingerprint != plain.request_fingerprint
+        first, second = server.requests
+        assert (second["path"], second["payload"]) == (first["path"], first["payload"])
+        cache = ResponseCache(tmp_path)
+        assert cache.get(plain.request_fingerprint) is not None
+        assert cache.get(salted.request_fingerprint) is not None
+        fresh = Gateway(cache_dir=tmp_path)
+        fresh.generate(endpoint, prompt_of("p"))
+        fresh.generate(endpoint, prompt_of("p"), cache_salt="retry-1")
+        assert len(server.requests) == 2
 
     def test_roundtrip_bytes(self, tmp_path):
         cache = ResponseCache(tmp_path)

@@ -28,7 +28,6 @@ def score_row(
     level=0,
     sufficiency=0.25,
     correct=False,
-    run_id="run-x",
 ) -> ScoreResult:
     remainder = (1.0 - sufficiency) / 3
     probs = {o: remainder for o in "ABCD"}
@@ -44,11 +43,10 @@ def score_row(
         correct=correct,
         scorer_model="probe",
         prompt_fingerprint="f" * 64,
-        run_id=run_id,
     )
 
 
-def baseline_row(item_id="q0001", language="en", correct=True, run_id="run-x") -> ScoreResult:
+def baseline_row(item_id="q0001", language="en", correct=True) -> ScoreResult:
     return ScoreResult(
         item_id=item_id,
         language=language,
@@ -60,7 +58,6 @@ def baseline_row(item_id="q0001", language="en", correct=True, run_id="run-x") -
         correct=correct,
         scorer_model="probe",
         prompt_fingerprint="f" * 64,
-        run_id=run_id,
     )
 
 
@@ -149,7 +146,7 @@ def build_inputs():
                         )
                     )
     similarities = [
-        SimilarityRecord(f"q{i}", "en", "gen-a", 10, 0.8 - i * 0.123, run_id="run-x")
+        SimilarityRecord(f"q{i}", "en", "gen-a", 10, 0.8 - i * 0.123)
         for i in range(4)
     ]
     exclusions = [("en", "gen-a", "q9"), ("en", "gen-a", "q8")]
@@ -159,7 +156,7 @@ def build_inputs():
 class TestAggregate:
     def test_cell_grid_and_order(self):
         scores, similarities, exclusions = build_inputs()
-        cells = aggregate(scores, similarities, exclusions, run_id="run-x")
+        cells = aggregate(scores, similarities, exclusions)
         heads = [(c.language, c.generator_model, c.level) for c in cells]
         assert heads == [
             ("en", "baseline", "noexp"),
@@ -178,7 +175,7 @@ class TestAggregate:
         scores, similarities, exclusions = build_inputs()
         cells = {
             (c.language, c.generator_model, c.level): c
-            for c in aggregate(scores, similarities, exclusions, run_id="run-x")
+            for c in aggregate(scores, similarities, exclusions)
         }
         baseline = cells[("en", "baseline", "noexp")]
         assert baseline.n_items == 4
@@ -205,11 +202,11 @@ class TestAggregate:
         scores, similarities, _ = build_inputs()
         full = {
             (c.language, c.generator_model, c.level): c
-            for c in aggregate(scores, similarities, run_id="run-x")
+            for c in aggregate(scores, similarities)
         }
         cells = {
             (c.language, c.generator_model, c.level): c
-            for c in aggregate(scores, similarities, [("en", "gen-a", "q3")], run_id="run-x")
+            for c in aggregate(scores, similarities, [("en", "gen-a", "q3")])
         }
         for level in (0, 10):
             cell = cells[("en", "gen-a", level)]
@@ -222,25 +219,14 @@ class TestAggregate:
 
     def test_permutation_invariant(self):
         scores, similarities, exclusions = build_inputs()
-        expected = aggregate(scores, similarities, exclusions, run_id="run-x")
+        expected = aggregate(scores, similarities, exclusions)
         rng = random.Random(3)
         for _ in range(3):
             shuffled_scores = scores[:]
             shuffled_sims = similarities[:]
             rng.shuffle(shuffled_scores)
             rng.shuffle(shuffled_sims)
-            assert aggregate(shuffled_scores, shuffled_sims, exclusions, run_id="run-x") == expected
-
-    def test_mixed_run_ids_rejected(self):
-        scores, similarities, exclusions = build_inputs()
-        scores[0] = baseline_row(item_id="q0", run_id="run-other")
-        with pytest.raises(MetricsError, match="multiple runs"):
-            aggregate(scores, similarities, exclusions, run_id="run-x")
-
-    def test_cells_carry_run_id(self):
-        scores, similarities, exclusions = build_inputs()
-        cells = aggregate(scores, similarities, exclusions)
-        assert {c.run_id for c in cells} == {"run-x"}
+            assert aggregate(shuffled_scores, shuffled_sims, exclusions) == expected
 
 
 class TestHeatmap:

@@ -29,6 +29,7 @@ from suffbench.pipeline import (
 from suffbench.prompts import load_template_set
 from suffbench.runstore import (
     AUDIT,
+    COLUMNS,
     EXPLANATIONS,
     MASKS,
     SCORES,
@@ -162,12 +163,12 @@ class TestFullRun:
     def test_run_id_stamped_everywhere(self, tmp_path, small):
         ctx = make_ctx(tmp_path, {"en": small})
         run(ctx, ["aggregate"])
-        rows = (
-            ctx.store.load_explanations() + ctx.store.load_masks()
-            + ctx.store.load_scores() + ctx.store.load_similarities()
-            + ctx.store.load_aggregates()
-        )
-        assert {r.run_id for r in rows} == {RUN}
+        for name in COLUMNS:
+            with open(tmp_path / "store" / name, encoding="utf-8", newline="") as fh:
+                header, *rows = csv.reader(fh)
+            assert header[0] == "run_id"
+            assert rows or name == AUDIT, name
+            assert all(row[0] == RUN for row in rows), name
 
     def test_both_languages(self, tmp_path, en_corpus, fa_corpus):
         small_en = subset(en_corpus, 2, seed=1)

@@ -37,44 +37,42 @@ def manifest(run_id=RUN, seed=1):
     return RunManifest.new(run_id, {"seed": seed, "models": ["gen-1"]})
 
 
-def explanation(item_id="q0001", level=0, text="Light drives growth.", run_id=RUN, **kw):
-    built = make_explanation(item_id, "en", "gen-1", level, text, **kw)
-    return dataclasses.replace(built, run_id=run_id)
+def explanation(item_id="q0001", level=0, text="Light drives growth.", **kw):
+    return make_explanation(item_id, "en", "gen-1", level, text, **kw)
 
 
-def mask_report(item_id="q0001", level=10, run_id=RUN):
+def mask_report(item_id="q0001", level=10):
     return MaskReport(
         item_id=item_id, language="en", generator_model="gen-1", level=level,
-        label_hits=1, text_hits=0, masked_text="Because [MASK] is right.", run_id=run_id,
+        label_hits=1, text_hits=0, masked_text="Because [MASK] is right.",
     )
 
 
-def score(item_id="q0001", level=10, model="gen-1", run_id=RUN):
+def score(item_id="q0001", level=10, model="gen-1"):
     return ScoreResult(
         item_id=item_id, language="en", generator_model=model, level=level,
         option_probs={"A": 0.4, "B": 0.3, "C": 0.2, "D": 0.1},
         sufficiency=0.3, predicted="A", correct=False,
-        scorer_model="probe", prompt_fingerprint="a" * 64, run_id=run_id,
+        scorer_model="probe", prompt_fingerprint="a" * 64,
     )
 
 
-def similarity(item_id="q0001", level=10, run_id=RUN):
-    return SimilarityRecord(item_id, "en", "gen-1", level, 0.875, run_id=run_id)
+def similarity(item_id="q0001", level=10):
+    return SimilarityRecord(item_id, "en", "gen-1", level, 0.875)
 
 
-def audit(item_id="q0002", event="unparseable", run_id=RUN):
+def audit(item_id="q0002", event="unparseable"):
     return AuditRecord(
         stage="generate", item_id=item_id, language="en", generator_model="gen-1",
         level=0, event=event, detail="first line is not an answer declaration",
-        run_id=run_id,
     )
 
 
-def cell(level=10, mean_similarity=0.9, run_id=RUN):
+def cell(level=10, mean_similarity=0.9):
     return AggregateCell(
         generator_model="gen-1", language="en", level=level, n_items=10,
         n_excluded=1, accuracy=0.7, mean_sufficiency=0.55,
-        mean_similarity=mean_similarity, run_id=run_id,
+        mean_similarity=mean_similarity,
     )
 
 
@@ -143,6 +141,22 @@ class TestLifecycle:
         with pytest.raises(StoreError, match="missing manifest.json"):
             RunStore.load(tmp_path)
 
+    def test_missing_table_rejected(self, tmp_path):
+        RunStore.create(tmp_path, manifest())
+        (tmp_path / SCORES).unlink()
+        with pytest.raises(StoreError, match=r"scores\.csv: table file is missing"):
+            RunStore.load(tmp_path).load_scores()
+        with pytest.raises(StoreError, match=r"scores\.csv: table file is missing"):
+            RunStore.open_resume(tmp_path, manifest())
+        assert not (tmp_path / SCORES).exists()
+
+    def test_headerless_table_rejected_before_append(self, tmp_path):
+        store = RunStore.create(tmp_path, manifest())
+        (tmp_path / SCORES).write_bytes(b"")
+        with pytest.raises(StoreError, match=r"scores\.csv: unexpected header None"):
+            store.append_score(score())
+        assert (tmp_path / SCORES).read_bytes() == b""
+
     def test_header_drift_rejected(self, tmp_path):
         store = RunStore.create(tmp_path, manifest())
         (tmp_path / EXPLANATIONS).write_text("nope,columns\n", encoding="utf-8")
@@ -155,11 +169,12 @@ class TestTableSpec:
         probs = tuple(f"option_prob_{label}" for label in "ABCD")
         for name, (record_type, columns) in TABLES.items():
             assert columns == COLUMNS[name]
-            assert columns[0] == "run_id"
             fields = []
             for f in dataclasses.fields(record_type):
                 fields.extend(probs if f.name == "option_probs" else [f.name])
-            assert sorted(columns) == sorted(fields), name
+            # run_id leads every table and is no record's field
+            assert columns[0] == "run_id"
+            assert sorted(columns[1:]) == sorted(fields), name
 
 
 class TestRoundTrip:
@@ -249,11 +264,6 @@ class TestDedupAndRunChecks:
         assert store.append_audit(audit(event="empty_regeneration"))
         assert not store.append_audit(audit(event="unparseable"))
 
-    def test_foreign_run_id_rejected_on_append(self, tmp_path):
-        store = RunStore.create(tmp_path, manifest())
-        with pytest.raises(StoreError, match="run-other"):
-            store.append_explanation(explanation(run_id="run-other"))
-
     def test_foreign_run_id_rejected_on_load(self, tmp_path):
         store = RunStore.create(tmp_path, manifest())
         store.append_explanation(explanation())
@@ -261,11 +271,6 @@ class TestDedupAndRunChecks:
         (tmp_path / "manifest.json").write_text(other.to_json(), encoding="utf-8")
         with pytest.raises(StoreError, match="row for run"):
             RunStore.load(tmp_path).load_explanations()
-
-    def test_aggregate_cells_checked(self, tmp_path):
-        store = RunStore.create(tmp_path, manifest())
-        with pytest.raises(StoreError, match="run-other"):
-            store.write_aggregates([cell(run_id="run-other")])
 
     def test_repeated_key_in_file_rejected(self, tmp_path):
         RunStore.create(tmp_path, manifest()).append_similarity(similarity())
