@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from suffbench.metrics import (
     mean_sufficiency,
     render_heatmap_svg,
 )
+from suffbench.runstore import AGGREGATES, RunManifest, RunStore
 from suffbench.scorer import ScoreResult
 
 
@@ -227,6 +229,20 @@ class TestAggregate:
             rng.shuffle(shuffled_scores)
             rng.shuffle(shuffled_sims)
             assert aggregate(shuffled_scores, shuffled_sims, exclusions) == expected
+
+    def test_cells_carry_run_id(self, tmp_path):
+        # Cells hold no run id themselves; the store that writes them stamps
+        # its own id on every row and reads the same cells back.
+        scores, similarities, exclusions = build_inputs()
+        cells = aggregate(scores, similarities, exclusions)
+        store = RunStore.create(tmp_path, RunManifest.new("run-x", {"seed": 1}))
+        store.write_aggregates(cells)
+        with open(tmp_path / AGGREGATES, encoding="utf-8", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header[0] == "run_id"
+        assert len(rows) == len(cells)
+        assert {row[0] for row in rows} == {"run-x"}
+        assert RunStore.load(tmp_path).load_aggregates() == tuple(cells)
 
 
 class TestHeatmap:
