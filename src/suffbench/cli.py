@@ -19,8 +19,11 @@ import sys
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
+import requests
+from requests.adapters import HTTPAdapter
+
 from .constrainer import CONSTRAINT_LEVELS
-from .corpus import LANGUAGES, Corpus, CorpusError, load_corpus, subset
+from .corpus import LABELS, LANGUAGES, Corpus, CorpusError, load_corpus, subset
 from .gateway import Gateway, ModelEndpoint
 from .metrics import heatmap_matrix, render_heatmap_svg, without_excluded
 from .pipeline import STAGES, PipelineError, RunContext, StageFailure, exclusion_keys, run
@@ -240,6 +243,17 @@ def load_corpora(config: RunConfig) -> dict[str, Corpus]:
     return corpora
 
 
+def _http_session(workers: int) -> requests.Session:
+    """A session that keeps a connection for every request that can be in
+    flight to one host: each of `workers` scoring units sends its option
+    requests at once. requests' default pool keeps 10 and discards the rest."""
+    session = requests.Session()
+    adapter = HTTPAdapter(pool_maxsize=max(10, len(LABELS) * workers))
+    session.mount("http://", adapter)
+    session.mount("https://", adapter)
+    return session
+
+
 def build_context(config: RunConfig, store: RunStore, gateway: Gateway | None = None) -> RunContext:
     corpora = load_corpora(config)
     templates = {
@@ -247,7 +261,9 @@ def build_context(config: RunConfig, store: RunStore, gateway: Gateway | None = 
     }
     return RunContext(
         store=store,
-        gateway=gateway or Gateway(cache_dir=config.cache_dir),
+        gateway=gateway or Gateway(
+            cache_dir=config.cache_dir, session=_http_session(config.workers)
+        ),
         corpora=corpora,
         generators=config.generators,
         scorer=config.scorer,

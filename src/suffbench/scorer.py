@@ -89,14 +89,19 @@ def _prompt_fingerprint(scorer_model: str, prompt_text: str) -> str:
 def score_options(
     gateway: Gateway, scorer: ModelEndpoint, prompt: RenderedPrompt
 ) -> dict[str, float]:
-    """Option distribution for one scoring or baseline prompt."""
+    """Option distribution for one scoring or baseline prompt.
+
+    The four option continuations go to the gateway as one call, so an
+    HTTP scorer has all four requests in flight together.
+    """
     if prompt.kind not in ("score", "baseline"):
         raise ScoringError(f"cannot score a {prompt.kind!r} prompt")
-    totals = {
-        option: gateway.score_continuation(scorer, prompt.text, f" {option}").total_logprob
-        for option in LABELS
-    }
-    return softmax_probs(totals)
+    results = gateway.score_continuations(
+        scorer, prompt.text, [f" {option}" for option in LABELS]
+    )
+    return softmax_probs(
+        {option: result.total_logprob for option, result in zip(LABELS, results)}
+    )
 
 
 def score_item(

@@ -55,8 +55,10 @@ class _FixtureHandler(BaseHTTPRequestHandler):
             self.send_response(404)
             self.end_headers()
             return
-        body = json.dumps(handler(payload), ensure_ascii=False).encode("utf-8")
-        self.send_response(200)
+        reply = handler(payload)
+        status, reply = reply if isinstance(reply, tuple) else (200, reply)
+        body = json.dumps(reply, ensure_ascii=False).encode("utf-8")
+        self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
@@ -65,7 +67,8 @@ class _FixtureHandler(BaseHTTPRequestHandler):
 
 class FixtureServer:
     """Local OpenAI-shaped endpoint with per-path canned responses and an
-    optional scripted status sequence."""
+    optional scripted status sequence. A route answers with a body, or
+    with a (status, body) pair."""
 
     def __init__(self):
         self.httpd = ThreadingHTTPServer(("127.0.0.1", 0), _FixtureHandler)
@@ -97,6 +100,29 @@ class FixtureServer:
     def __exit__(self, *exc):
         self.httpd.shutdown()
         self.httpd.server_close()
+
+
+# each option letter's logprob in option_logprobs replies
+OPTION_LOGPROBS = {"A": -1.0, "B": -2.0, "C": -3.0, "D": -4.0}
+
+
+def option_logprobs(payload):
+    """A /completions echo reply for any scoring prompt ending in one of
+    the continuations " A".." D": the prompt is one scoreless token and
+    the continuation one token scored by OPTION_LOGPROBS."""
+    text = payload["prompt"]
+    prompt, continuation = text[:-2], text[-2:]
+    return {
+        "choices": [{
+            "index": 0,
+            "text": text,
+            "logprobs": {
+                "tokens": [prompt, continuation],
+                "token_logprobs": [None, OPTION_LOGPROBS[continuation[-1]]],
+                "text_offset": [0, len(prompt)],
+            },
+        }],
+    }
 
 
 @pytest.fixture

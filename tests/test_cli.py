@@ -1,7 +1,9 @@
 import csv
 import json
+import logging
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -16,7 +18,7 @@ from suffbench.cli import (
     main,
 )
 from suffbench.constrainer import CONSTRAINT_LEVELS
-from tests.conftest import FIXTURES
+from tests.conftest import FIXTURES, option_logprobs
 
 
 def write_config(tmp_path, **overrides):
@@ -229,6 +231,24 @@ class TestRunCommand:
         path = write_config(tmp_path, levels=[13])
         assert main(["run", "--config", str(path), "--all"]) == EXIT_CONFIG
         assert "error:" in capsys.readouterr().err
+
+
+class TestHttpScorer:
+    def test_connection_pool_holds_every_request_in_flight(self, tmp_path, server, caplog):
+        # at workers=4 up to 16 option requests are in flight to the scorer,
+        # more than the 10 connections requests keeps per host by default
+        def slow_reply(payload):
+            time.sleep(0.02)
+            return option_logprobs(payload)
+
+        server.route("/completions", slow_reply)
+        scorer = {"base_url": server.base_url, "model_id": "probe-1", "requests_per_minute": 10_000}
+        path = write_config(tmp_path, scorer=scorer, workers=4)
+        caplog.set_level(logging.WARNING, logger="urllib3")
+        assert main(["run", "--config", str(path), "--stage", "score"]) == EXIT_OK
+        assert len(server.requests) == 4 * 40
+        full = [r for r in caplog.records if "Connection pool is full" in r.getMessage()]
+        assert full == []
 
 
 class TestStoreBoundaries:

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import hashlib
 import math
+import threading
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -21,6 +23,8 @@ from suffbench.scorer import (
     score_options,
     softmax_probs,
 )
+
+from tests.conftest import LOGPROB_FIXTURE, option_logprobs
 
 MOCK_SCORER = ModelEndpoint(base_url="mock://11", model_id="mock-probe")
 EN = load_template_set(DEFAULT_TEMPLATE_ID, "en")
@@ -119,6 +123,38 @@ class TestScoreOptions:
         sent = {req["payload"]["prompt"] for req in server.requests}
         assert sent == {f"Question: Q?\nThe answer is  {o}" for o in "ABCD"}
 
+    def test_http_option_requests_in_flight_together(self, server):
+        # no reply goes out before all four requests have arrived, which a
+        # gateway sending them one after another never gets to
+        together = threading.Barrier(4, timeout=2)
+
+        def reply(payload):
+            together.wait()
+            return LOGPROB_FIXTURE[payload["prompt"]]
+
+        server.route("/completions", reply)
+        endpoint = ModelEndpoint(
+            base_url=server.base_url, model_id="probe-fixture",
+            requests_per_minute=10_000, max_retries=0,
+        )
+        prompt = RenderedPrompt("baseline", "Question: Q?\nThe answer is ")
+        probs = score_options(Gateway(), endpoint, prompt)
+        for option, expected in ORACLE_FIXTURE.items():
+            assert probs[option] == pytest.approx(expected, abs=1e-12)
+
+    def test_mock_scorer_stays_on_the_calling_thread(self, monkeypatch):
+        threads = []
+        real = Gateway.score_continuation
+
+        def spy(self, *args):
+            threads.append(threading.get_ident())
+            return real(self, *args)
+
+        monkeypatch.setattr(Gateway, "score_continuation", spy)
+        prompt = RenderedPrompt("baseline", "Question: Q?\nThe answer is ")
+        score_options(Gateway(), MOCK_SCORER, prompt)
+        assert threads == [threading.get_ident()] * 4
+
     def test_wrong_prompt_kind_rejected(self):
         prompt = RenderedPrompt("generate", "anything")
         with pytest.raises(ScoringError, match="cannot score"):
@@ -157,6 +193,25 @@ class TestScoreItem:
         assert result.level == 10
         assert result.item_id == "q0001"
         assert result.language == "en"
+
+    def test_429_retries_only_its_own_request(self, server, en_corpus):
+        server.route("/completions", option_logprobs)
+        endpoint = ModelEndpoint(
+            base_url=server.base_url, model_id="probe-live", requests_per_minute=10_000
+        )
+        item = en_corpus["q0002"]
+        expected = score_item(Gateway(), endpoint, item, None, EN)
+        assert len(server.requests) == 4
+        del server.requests[:]
+        server.script_statuses([429])
+        waits = []
+        result = score_item(Gateway(sleep=waits.append), endpoint, item, None, EN)
+        assert result == expected
+        assert result.option_probs == pytest.approx(ORACLE_1234, abs=1e-12)
+        assert waits == [Gateway.BACKOFF_BASE]
+        sent = Counter(request["payload"]["prompt"][-1] for request in server.requests)
+        assert sorted(sent) == ["A", "B", "C", "D"]
+        assert sorted(sent.values()) == [1, 1, 1, 2]
 
     def test_prompt_fingerprint_pins_scorer_and_prompt(self, en_corpus):
         from suffbench.prompts import render_scoring
