@@ -248,7 +248,7 @@ def _http_session(workers: int) -> requests.Session:
     flight to one host: each of `workers` scoring units sends its option
     requests at once. requests' default pool keeps 10 and discards the rest."""
     session = requests.Session()
-    adapter = HTTPAdapter(pool_maxsize=max(10, len(LABELS) * workers))
+    adapter = HTTPAdapter(pool_maxsize=len(LABELS) * workers)
     session.mount("http://", adapter)
     session.mount("https://", adapter)
     return session

@@ -562,6 +562,7 @@ class Gateway:
         request has finished.
         """
         if endpoint.is_mock:
+            # CPU-bound: a pool per prompt more than doubles a mock run's time
             return [self.score_continuation(endpoint, prompt_text, c) for c in continuations]
         with ThreadPoolExecutor(max_workers=len(continuations)) as pool:
             futures = [

@@ -5,10 +5,9 @@ artifact. Every append is a single O_APPEND write of one encoded row,
 so a killed process leaves at worst one torn final line; resuming trims
 the incomplete tail before any further writes. Appends deduplicate on
 the work key (item_id, language, generator_model, level), which makes
-every stage idempotent under restarts. A store reads each appendable
-table file once and parses it at its first use, keeping its records with
-every record it appends: a corrupt table is reported then. A resumed
-store parses the bytes its torn-tail scan read.
+every stage idempotent under restarts. Apart from the torn-tail scan, a
+store reads each appendable table once, at its first use, and keeps its
+records with every record it appends: a corrupt table is reported then.
 A missing or headerless table file is refused, never read as an empty
 table.
 
@@ -278,17 +277,12 @@ def _key(name: str, record) -> tuple:
 class RunStore:
     """One run directory: manifest, append-only tables, rewrite aggregates."""
 
-    def __init__(
-        self, root: Path, manifest: RunManifest, salvage_report: dict[str, int],
-        scanned: dict[str, bytes] | None = None,
-    ):
+    def __init__(self, root: Path, manifest: RunManifest, salvage_report: dict[str, int]):
         self.root = Path(root)
         self.manifest = manifest
         self.run_id = manifest.run_id
         self.salvage_report = salvage_report
         self._records: dict[str, dict[tuple, object]] = {}
-        # complete rows of appendable tables read at open, parsed at first use
-        self._scanned = scanned or {}
 
     # -- lifecycle -------------------------------------------------------
 
@@ -313,8 +307,7 @@ class RunStore:
 
         The identity of `manifest` must match what the store was created
         with; the on-disk manifest (with the original created_at) wins.
-        Torn final lines left by a killed writer are truncated away; the
-        rows the scan read are kept for each appendable table's first use.
+        Torn final lines left by a killed writer are truncated away.
         """
         root = Path(root)
         existing = cls._read_manifest(root)
@@ -323,14 +316,12 @@ class RunStore:
                 f"store {root} belongs to run {existing.run_id!r} with a "
                 "different configuration; refusing to mix runs"
             )
-        salvage, scanned = {}, {}
+        salvage = {}
         for name in COLUMNS:
-            rows, dropped = cls._truncate_torn_tail(root / name)
+            dropped = cls._truncate_torn_tail(root / name)
             if dropped:
                 salvage[name] = dropped
-            if name in _APPENDABLE:
-                scanned[name] = rows
-        return cls(root, existing, salvage_report=salvage, scanned=scanned)
+        return cls(root, existing, salvage_report=salvage)
 
     @classmethod
     def open_or_create(cls, root: Path | str, manifest: RunManifest) -> "RunStore":
@@ -353,26 +344,22 @@ class RunStore:
         return RunManifest.from_json(path.read_text(encoding="utf-8"))
 
     @staticmethod
-    def _truncate_torn_tail(path: Path) -> tuple[bytes, int]:
-        """The complete rows of table file `path` and the byte count of the
-        torn tail cut from the file after them."""
+    def _truncate_torn_tail(path: Path) -> int:
         data = _read_table(path)
         keep = _complete_prefix_length(data)
-        if keep < len(data):
-            with open(path, "r+b") as fh:
-                fh.truncate(keep)
-        return data[:keep], len(data) - keep
+        if keep == len(data):
+            return 0
+        with open(path, "r+b") as fh:
+            fh.truncate(keep)
+        return len(data) - keep
 
     # -- rows and records ----------------------------------------------
 
     def _read_rows(self, name: str) -> Iterator[list[str]]:
         """The checked value lists of the complete rows of table `name`.
         Column 0 is checked against the manifest's run id: the file is
-        input from outside the program. Rows read at open are parsed once
-        and then dropped."""
-        data = self._scanned.pop(name, None)
-        if data is None:
-            data = _read_table(self.root / name)
+        input from outside the program."""
+        data = _read_table(self.root / name)
         text = data[:_complete_prefix_length(data)].decode("utf-8")
         reader = csv.reader(io.StringIO(text, newline=""))
         header = next(reader, None)

@@ -285,10 +285,7 @@ class TestDedupAndRunChecks:
 
 
 class TestReads:
-    @pytest.fixture
-    def reads(self, tmp_path, monkeypatch):
-        """Reads of each table file of a store holding one explanation and
-        one aggregate cell, counted from when the store is written."""
+    def test_each_table_read_once_at_first_use(self, tmp_path, monkeypatch):
         store = RunStore.create(tmp_path, manifest())
         store.append_explanation(explanation())
         store.write_aggregates([cell()])
@@ -301,9 +298,6 @@ class TestReads:
             return real(path)
 
         monkeypatch.setattr(Path, "read_bytes", spy)
-        return reads
-
-    def test_each_table_read_once_at_first_use(self, tmp_path, reads):
         loaded = RunStore.load(tmp_path)
         assert loaded.load_aggregates() == (cell(),)
         assert reads == {"aggregates.csv": 1}
@@ -311,14 +305,6 @@ class TestReads:
         assert loaded.load_explanations() == (explanation(),)
         assert loaded.done_keys(EXPLANATIONS) == {("q0001", "en", "gen-1", 0)}
         assert reads == {"aggregates.csv": 1, EXPLANATIONS: 1}
-
-    def test_resume_parses_the_rows_its_scan_read(self, tmp_path, reads):
-        resumed = RunStore.open_resume(tmp_path, manifest())
-        assert reads == dict.fromkeys(COLUMNS, 1)
-        assert resumed.done_keys(EXPLANATIONS) == {("q0001", "en", "gen-1", 0)}
-        assert resumed.load_explanations() == (explanation(),)
-        assert resumed.load_aggregates() == (cell(),)
-        assert reads == {**dict.fromkeys(COLUMNS, 1), "aggregates.csv": 2}
 
 
 class TestDoneKeys:
