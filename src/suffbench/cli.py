@@ -23,10 +23,12 @@ import requests
 from requests.adapters import HTTPAdapter
 
 from .constrainer import CONSTRAINT_LEVELS
-from .corpus import LABELS, LANGUAGES, Corpus, CorpusError, load_corpus, subset
+from .corpus import LANGUAGES, Corpus, CorpusError, load_corpus, subset
 from .gateway import Gateway, ModelEndpoint
 from .metrics import heatmap_matrix, render_heatmap_svg, without_excluded
-from .pipeline import STAGES, PipelineError, RunContext, StageFailure, exclusion_keys, run
+from .pipeline import (
+    STAGES, PipelineError, RunContext, StageFailure, exclusion_keys, requests_in_flight, run,
+)
 from .prompts import DEFAULT_TEMPLATE_ID, PromptError, load_template_set
 from .runstore import ManifestMismatch, RunManifest, RunStore, StoreError, digest, work_key
 from .scorer import BASELINE_LEVEL
@@ -244,11 +246,11 @@ def load_corpora(config: RunConfig) -> dict[str, Corpus]:
 
 
 def _http_session(workers: int) -> requests.Session:
-    """A session that keeps a connection for every request that can be in
-    flight to one host: each of `workers` scoring units sends its option
-    requests at once. requests' default pool keeps 10 and discards the rest."""
+    """A session that keeps a connection for every request a stage can have
+    in flight to one host, requests_in_flight(workers). requests' default
+    pool keeps 10 and discards the rest."""
     session = requests.Session()
-    adapter = HTTPAdapter(pool_maxsize=len(LABELS) * workers)
+    adapter = HTTPAdapter(pool_maxsize=requests_in_flight(workers))
     session.mount("http://", adapter)
     session.mount("https://", adapter)
     return session

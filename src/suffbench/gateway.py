@@ -11,11 +11,12 @@ by a deterministic in-process backend instead of HTTP, which lets the
 whole pipeline run offline. Mock responses use the same wire shapes as
 the OpenAI-compatible endpoints and flow through the same parsers.
 
-The continuations of one scoring prompt are scored together: an HTTP
-endpoint gets one request per continuation, all in flight at once, so a
-prompt waits on one round trip rather than one per continuation. Each
-request is still cached, rate-limited and retried on its own. A mock
-endpoint is CPU-bound and is served in turn on the calling thread.
+Each call makes its requests one at a time on the calling thread, and a
+Gateway is safe to share between threads, so the caller's thread count
+sets how many requests are in flight: a pipeline stage that calls an
+HTTP endpoint keeps pipeline.requests_in_flight(workers) of them, one per
+pool thread. Each request is still cached, rate-limited and retried on
+its own.
 """
 
 from __future__ import annotations
@@ -29,10 +30,9 @@ import re
 import threading
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 from urllib.parse import urlparse
 
 import requests
@@ -549,27 +549,6 @@ class Gateway:
         return LogprobResult(
             continuation=continuation, token_logprobs=token_logprobs, total_logprob=total
         )
-
-    def score_continuations(
-        self, endpoint: ModelEndpoint, prompt_text: str, continuations: Sequence[str]
-    ) -> list[LogprobResult]:
-        """score_continuation for each continuation, in input order.
-
-        On an HTTP endpoint the requests are all in flight at once, from a
-        pool that lives for this call only; a mock endpoint is served in
-        turn on the calling thread. The error of the first failing
-        continuation in input order is raised, and only once every
-        request has finished.
-        """
-        if endpoint.is_mock:
-            # CPU-bound: a pool per prompt more than doubles a mock run's time
-            return [self.score_continuation(endpoint, prompt_text, c) for c in continuations]
-        with ThreadPoolExecutor(max_workers=len(continuations)) as pool:
-            futures = [
-                pool.submit(self.score_continuation, endpoint, prompt_text, c)
-                for c in continuations
-            ]
-        return [future.result() for future in futures]
 
     # -- embeddings ------------------------------------------------------------
 

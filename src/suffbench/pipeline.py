@@ -10,9 +10,9 @@ be interrupted and resumed at any point without repeating model calls:
     similarity  embedding cosine between base and constrained texts
     aggregate   per-cell accuracy / sufficiency / similarity table
 
-Model calls run in a small thread pool, but results are committed to
-the store from the calling thread in planning order, so table contents
-are byte-identical regardless of worker count or scheduling.
+Model calls run in a thread pool, but results are committed to the
+store from the calling thread in planning order, so table contents are
+byte-identical regardless of worker count or scheduling.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .constrainer import (
     extract_answer_and_explanation,
     make_explanation,
 )
-from .corpus import Corpus
+from .corpus import LABELS, Corpus
 from .gateway import Gateway, ModelEndpoint
 from .masker import mask_explanation
 from .metrics import SimilarityRecord, aggregate, cosine
@@ -106,12 +106,25 @@ def expand_stages(requested: Iterable[str]) -> tuple[str, ...]:
     return tuple(s for s in STAGES if s in want)
 
 
-def _map_ordered(ctx: RunContext, units: Sequence, fn: Callable):
-    """Run fn over units in a worker pool; return (unit, result, error)
-    triples in planning order once every unit has finished."""
+def requests_in_flight(workers: int) -> int:
+    """Requests a stage that calls an HTTP endpoint keeps in flight, one per
+    pool thread; the HTTP session keeps a connection for each."""
+    return len(LABELS) * workers
+
+
+def _map_ordered(ctx: RunContext, units: Sequence, fn: Callable, endpoints: Iterable = ()):
+    """Run fn over units in a thread pool; return (unit, result, error)
+    triples in planning order once every unit has finished.
+
+    If any of the `endpoints` fn calls is HTTP, the pool has
+    requests_in_flight(workers) threads, which mostly wait on round trips;
+    otherwise the work is CPU-bound and it has `workers`.
+    """
     if not units:
         return []
-    with ThreadPoolExecutor(max_workers=min(ctx.workers, len(units))) as pool:
+    http = any(not endpoint.is_mock for endpoint in endpoints)
+    threads = requests_in_flight(ctx.workers) if http else ctx.workers
+    with ThreadPoolExecutor(max_workers=min(threads, len(units))) as pool:
         futures = [pool.submit(fn, unit) for unit in units]
     out = []
     for unit, future in zip(units, futures):
@@ -123,15 +136,16 @@ def _map_ordered(ctx: RunContext, units: Sequence, fn: Callable):
 def _commit(
     ctx: RunContext, stage: str, units: Sequence[tuple], job: Callable, append: Callable,
     expected: type[Exception] | tuple = (), event: str = "",
+    endpoints: Iterable[ModelEndpoint] = (),
 ) -> StageReport:
-    """Run job over units (each a tuple led by its work key) and append the
-    results in planning order.
+    """Run job, which calls `endpoints`, over units (each a tuple led by its
+    work key) and append the results in planning order.
 
     An `expected` error is audited as `event` and counted as failed; any
     other error raises StageFailure once the units before it are stored.
     """
     report = StageReport(stage, planned=len(units))
-    for unit, result, error in _map_ordered(ctx, units, job):
+    for unit, result, error in _map_ordered(ctx, units, job, endpoints):
         key = unit[0]
         if error is None:
             append(result)
@@ -184,7 +198,7 @@ def run_generate(ctx: RunContext, units: Sequence[tuple]) -> StageReport:
 
     return _commit(
         ctx, "generate", units, job, ctx.store.append_explanation,
-        UnparseableOutput, "unparseable",
+        UnparseableOutput, "unparseable", endpoints=ctx.generators,
     )
 
 
@@ -217,7 +231,7 @@ def run_constrain(ctx: RunContext, units: Sequence[tuple]) -> StageReport:
 
     return _commit(
         ctx, "constrain", units, job, ctx.store.append_explanation,
-        EmptyRegeneration, "empty_regeneration",
+        EmptyRegeneration, "empty_regeneration", endpoints=ctx.generators,
     )
 
 
@@ -255,7 +269,7 @@ def run_score(ctx: RunContext, units: Sequence[tuple]) -> StageReport:
         item = ctx.item(language, item_id)
         return score_item(ctx.gateway, ctx.scorer, item, mask, ctx.templates[language])
 
-    return _commit(ctx, "score", units, job, ctx.store.append_score)
+    return _commit(ctx, "score", units, job, ctx.store.append_score, endpoints=(ctx.scorer,))
 
 
 # -- similarity -------------------------------------------------------------------
@@ -281,7 +295,10 @@ def run_similarity(ctx: RunContext, units: Sequence[tuple]) -> StageReport:
         return ctx.gateway.embed(ctx.embedder, text).vector
 
     texts = list(dict.fromkeys(e.text for _, base, other in units for e in (base, other)))
-    embedded = {text: (value, error) for text, value, error in _map_ordered(ctx, texts, embed)}
+    embedded = {
+        text: (value, error)
+        for text, value, error in _map_ordered(ctx, texts, embed, (ctx.embedder,))
+    }
 
     def vector(text: str) -> tuple[float, ...]:
         value, error = embedded[text]

@@ -91,17 +91,18 @@ def score_options(
 ) -> dict[str, float]:
     """Option distribution for one scoring or baseline prompt.
 
-    The four option continuations go to the gateway as one call, so an
-    HTTP scorer has all four requests in flight together.
+    The four option continuations are scored one after another on the
+    calling thread; the score stage keeps an HTTP scorer busy by running
+    more units at once (pipeline.requests_in_flight), not more requests
+    per unit.
     """
     if prompt.kind not in ("score", "baseline"):
         raise ScoringError(f"cannot score a {prompt.kind!r} prompt")
-    results = gateway.score_continuations(
-        scorer, prompt.text, [f" {option}" for option in LABELS]
-    )
-    return softmax_probs(
-        {option: result.total_logprob for option, result in zip(LABELS, results)}
-    )
+    totals = {
+        option: gateway.score_continuation(scorer, prompt.text, f" {option}").total_logprob
+        for option in LABELS
+    }
+    return softmax_probs(totals)
 
 
 def score_item(

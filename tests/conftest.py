@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from suffbench.corpus import load_corpus
+from suffbench.gateway import MockBackend
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -123,6 +124,22 @@ def option_logprobs(payload):
             },
         }],
     }
+
+
+def route_mock(server: FixtureServer, seed: int) -> str:
+    """Answer requests under /<seed>/ with the bodies mock://<seed> builds
+    in process, as bench/stub.py does, and return that base URL: a run
+    against it stores the same tables as a mock:// run. A scoring request's
+    continuation is its last two characters, " A".." D"."""
+    backend = MockBackend(seed)
+    server.route(f"/{seed}/chat/completions", lambda p: backend.generate(
+        p["model"], p["messages"][0]["content"], p["temperature"], p["max_tokens"]
+    ))
+    server.route(f"/{seed}/completions", lambda p: backend.score(
+        p["model"], p["prompt"][:-2], p["prompt"][-2:]
+    ))
+    server.route(f"/{seed}/embeddings", lambda p: backend.embed(p["model"], p["input"]))
+    return f"{server.base_url}/{seed}"
 
 
 @pytest.fixture

@@ -18,7 +18,8 @@ from suffbench.cli import (
     main,
 )
 from suffbench.constrainer import CONSTRAINT_LEVELS
-from tests.conftest import FIXTURES, option_logprobs
+from suffbench.runstore import COLUMNS
+from tests.conftest import FIXTURES, FixtureServer, option_logprobs, route_mock
 
 
 def write_config(tmp_path, **overrides):
@@ -235,8 +236,8 @@ class TestRunCommand:
 
 class TestHttpScorer:
     def test_connection_pool_holds_every_request_in_flight(self, tmp_path, server, caplog):
-        # at workers=4 up to 16 option requests are in flight to the scorer,
-        # more than the 10 connections requests keeps per host by default
+        # at workers=4 the score stage has 16 requests in flight to the
+        # scorer, more than the 10 connections requests keeps per host by default
         def slow_reply(payload):
             time.sleep(0.02)
             return option_logprobs(payload)
@@ -249,6 +250,54 @@ class TestHttpScorer:
         assert len(server.requests) == 4 * 40
         full = [r for r in caplog.records if "Connection pool is full" in r.getMessage()]
         assert full == []
+
+
+def rows_without_run_id(store: Path) -> dict[str, list[list[str]]]:
+    # run_id is column 0 of every table
+    rows = {}
+    for name in COLUMNS:
+        with open(store / name, newline="", encoding="utf-8") as fh:
+            rows[name] = [row[1:] for row in csv.reader(fh)]
+    return rows
+
+
+class TestHttpRun:
+    def test_http_run_stores_the_mock_tables_at_any_worker_count(self, tmp_path):
+        # every endpoint answers over HTTP as its mock:// seed does in process;
+        # an HTTP stage runs 4 x workers threads, which must not change a row
+        experiment = {
+            "corpus": {"en": str(FIXTURES / "corpus_en.jsonl"),
+                       "fa": str(FIXTURES / "corpus_fa.jsonl")},
+            "generators": [{"base_url": "mock://21", "model_id": "gen-1"},
+                           {"base_url": "mock://24", "model_id": "gen-2"}],
+            "scorer": {"base_url": "mock://22", "model_id": "probe-1"},
+            "embedder": {"base_url": "mock://23", "model_id": "embed-1"},
+        }
+        sample = ["--sample", "4", "--seed", "7"]
+        (tmp_path / "mock").mkdir()
+        path = write_config(tmp_path / "mock", **experiment)
+        assert main(["run", "--config", str(path), "--all", *sample]) == EXIT_OK
+        expected = rows_without_run_id(tmp_path / "mock" / "store")
+        assert len(expected["scores.csv"]) == 1 + 8 + 2 * 8 * 3
+
+        with FixtureServer() as server:
+            def live(endpoint):
+                seed = int(endpoint["base_url"].removeprefix("mock://"))
+                url = route_mock(server, seed)
+                return {**endpoint, "base_url": url, "requests_per_minute": 100_000}
+
+            http = {
+                **experiment,
+                "generators": [live(e) for e in experiment["generators"]],
+                "scorer": live(experiment["scorer"]),
+                "embedder": live(experiment["embedder"]),
+            }
+            for workers in (1, 3):
+                (tmp_path / f"http-{workers}").mkdir()
+                path = write_config(tmp_path / f"http-{workers}", workers=workers, **http)
+                assert main(["run", "--config", str(path), "--all", *sample]) == EXIT_OK
+                got = rows_without_run_id(tmp_path / f"http-{workers}" / "store")
+                assert got == expected, workers
 
 
 class TestStoreBoundaries:

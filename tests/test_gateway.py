@@ -3,7 +3,6 @@ from __future__ import annotations
 import json
 import math
 import threading
-import time
 
 import pytest
 import requests
@@ -26,7 +25,7 @@ from suffbench.gateway import (
 )
 from suffbench.prompts import RenderedPrompt
 
-from tests.conftest import CHAT_BODY, option_logprobs
+from tests.conftest import CHAT_BODY
 
 SCORING_PROMPT = "Question: Q?\nThe answer is "
 
@@ -407,29 +406,6 @@ class TestLiveScoring:
     def test_logprob_result_validates_total(self):
         with pytest.raises(ValueError, match="token sum"):
             LogprobResult(" A", ((" A", -1.0),), -2.0)
-
-
-class TestScoreContinuations:
-    def test_first_failure_in_input_order_raised_once_all_finish(self, server):
-        # D is refused at once and B after a pause, while C answers last:
-        # the error is B's, and C has been answered when the call returns
-        delays = {"A": 0.0, "B": 0.1, "C": 0.3, "D": 0.0}
-        answered = []
-
-        def reply(payload):
-            option = payload["prompt"][-1]
-            time.sleep(delays[option])
-            answered.append(option)
-            if option in "BD":
-                return 400, {"error": {"message": f"option {option} refused"}}
-            return option_logprobs(payload)
-
-        server.route("/completions", reply)
-        with pytest.raises(RequestFailed, match="option B refused"):
-            Gateway().score_continuations(
-                live_endpoint(server), SCORING_PROMPT, [" A", " B", " C", " D"]
-            )
-        assert sorted(answered) == ["A", "B", "C", "D"]
 
 
 class TestLiveEmbeddings:

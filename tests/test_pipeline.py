@@ -23,6 +23,7 @@ from suffbench.pipeline import (
     exclusion_keys,
     plan_constrain,
     plan_generate,
+    requests_in_flight,
     run,
     run_stage,
 )
@@ -37,6 +38,8 @@ from suffbench.runstore import (
     RunManifest,
     RunStore,
 )
+
+from tests.conftest import FixtureServer, route_mock
 
 RUN = "run-pipe"
 
@@ -57,6 +60,8 @@ def make_ctx(
     *,
     levels=(10, 90),
     generators=(GEN,),
+    scorer=PROBE,
+    embedder=EMBED,
     workers=2,
     gateway=None,
     store=None,
@@ -70,8 +75,8 @@ def make_ctx(
         gateway=gateway or Gateway(),
         corpora=dict(corpora),
         generators=tuple(generators),
-        scorer=PROBE,
-        embedder=EMBED,
+        scorer=scorer,
+        embedder=embedder,
         templates={k: TEMPLATES[k] for k in corpora},
         levels=tuple(levels),
         temperature=0.0,
@@ -470,6 +475,115 @@ class TestSimilarity:
         texts = {e.text for e in ctx.store.load_explanations()}
         assert len(ctx.store.load_similarities()) == 6
         assert gateway.calls == Counter(texts)
+
+
+def live(server, endpoint: ModelEndpoint) -> ModelEndpoint:
+    """`endpoint` served over HTTP by `server`, answering as it would in
+    process; no retries, so a request the server drops fails its unit."""
+    seed = int(endpoint.base_url.removeprefix("mock://"))
+    return ModelEndpoint(
+        base_url=route_mock(server, seed), model_id=endpoint.model_id,
+        max_retries=0, requests_per_minute=100_000,
+    )
+
+
+class InFlight:
+    """Holds every request `server` answers for `hold` seconds and records
+    the most it has had in flight at once, across all routes."""
+
+    def __init__(self, server, hold: float):
+        self._hold = hold
+        self._lock = threading.Lock()
+        self._now = 0
+        self.peak = 0
+        for path, answer in list(server.httpd.routes.items()):
+            server.route(path, self._counted(answer))
+
+    def _counted(self, answer):
+        def route(payload):
+            with self._lock:
+                self._now += 1
+                self.peak = max(self.peak, self._now)
+            try:
+                time.sleep(self._hold)
+                return answer(payload)
+            finally:
+                with self._lock:
+                    self._now -= 1
+        return route
+
+
+class TestRequestsInFlight:
+    """A stage that calls an HTTP endpoint keeps requests_in_flight(workers)
+    requests in flight, one per pool thread; a stage that calls only mock://
+    endpoints, or none, runs on `workers` threads."""
+
+    @pytest.mark.parametrize("stage, path", [
+        ("generate", "/11/chat/completions"),
+        ("constrain", "/11/chat/completions"),
+        ("score", "/12/completions"),
+        ("similarity", "/13/embeddings"),
+    ])
+    def test_http_stage_reaches_four_requests_at_one_worker(
+        self, tmp_path, en_corpus, stage, path
+    ):
+        # the first four requests of the stage are answered only once all
+        # four have arrived; with fewer in flight the barrier times out and
+        # the dropped request fails the stage. One HTTP generator next to a
+        # mock one makes generate and constrain HTTP stages.
+        assert requests_in_flight(1) == 4
+        with FixtureServer() as server:
+            ctx = make_ctx(
+                tmp_path, {"en": en_corpus}, workers=1, generators=(live(server, GEN), GEN_B),
+                scorer=live(server, PROBE), embedder=live(server, EMBED),
+            )
+            run(ctx, expand_stages([stage])[:-1])
+            answer = server.httpd.routes[path]
+            together = threading.Barrier(4, timeout=2)
+            arrivals = itertools.count()
+
+            def held(payload):
+                if next(arrivals) < 4:
+                    together.wait()
+                return answer(payload)
+
+            server.route(path, held)
+            report = run_stage(ctx, stage)
+        assert report.planned >= 4
+        assert report.completed == report.planned
+        assert not together.broken
+
+    def test_no_stage_exceeds_four_requests_per_worker(self, tmp_path, en_corpus):
+        with FixtureServer() as server:
+            ctx = make_ctx(
+                tmp_path, {"en": en_corpus}, workers=2, generators=(live(server, GEN),),
+                scorer=live(server, PROBE), embedder=live(server, EMBED),
+            )
+            in_flight = InFlight(server, hold=0.01)
+            run(ctx, ["aggregate"])
+        assert len(ctx.store.load_scores()) == 40
+        assert 2 < in_flight.peak <= requests_in_flight(2) == 8
+
+    def test_mock_stages_run_on_at_most_workers_threads(self, tmp_path, en_corpus, monkeypatch):
+        threads = set()
+
+        def spy(real):
+            def call(*args, **kwargs):
+                threads.add(threading.get_ident())
+                return real(*args, **kwargs)
+            return call
+
+        for owner, name in (
+            (Gateway, "generate"), (Gateway, "score_continuation"), (Gateway, "embed"),
+            (pipeline, "mask_explanation"),
+        ):
+            monkeypatch.setattr(owner, name, spy(getattr(owner, name)))
+        ctx = make_ctx(tmp_path, {"en": en_corpus}, levels=(10, 50, 90), workers=2)
+        for stage in STAGES[:-1]:
+            threads.clear()
+            report = run_stage(ctx, stage)
+            assert report.completed == report.planned > 2
+            assert 1 <= len(threads) <= 2, stage
 
 
 class TestFatalFailures:

@@ -24,7 +24,7 @@ from suffbench.scorer import (
     softmax_probs,
 )
 
-from tests.conftest import LOGPROB_FIXTURE, option_logprobs
+from tests.conftest import option_logprobs
 
 MOCK_SCORER = ModelEndpoint(base_url="mock://11", model_id="mock-probe")
 EN = load_template_set(DEFAULT_TEMPLATE_ID, "en")
@@ -122,25 +122,6 @@ class TestScoreOptions:
         assert len(server.requests) == 4
         sent = {req["payload"]["prompt"] for req in server.requests}
         assert sent == {f"Question: Q?\nThe answer is  {o}" for o in "ABCD"}
-
-    def test_http_option_requests_in_flight_together(self, server):
-        # no reply goes out before all four requests have arrived, which a
-        # gateway sending them one after another never gets to
-        together = threading.Barrier(4, timeout=2)
-
-        def reply(payload):
-            together.wait()
-            return LOGPROB_FIXTURE[payload["prompt"]]
-
-        server.route("/completions", reply)
-        endpoint = ModelEndpoint(
-            base_url=server.base_url, model_id="probe-fixture",
-            requests_per_minute=10_000, max_retries=0,
-        )
-        prompt = RenderedPrompt("baseline", "Question: Q?\nThe answer is ")
-        probs = score_options(Gateway(), endpoint, prompt)
-        for option, expected in ORACLE_FIXTURE.items():
-            assert probs[option] == pytest.approx(expected, abs=1e-12)
 
     def test_mock_scorer_stays_on_the_calling_thread(self, monkeypatch):
         threads = []
