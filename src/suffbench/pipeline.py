@@ -29,7 +29,7 @@ from .constrainer import (
     extract_answer_and_explanation,
     make_explanation,
 )
-from .corpus import LABELS, Corpus
+from .corpus import Corpus
 from .gateway import Gateway, ModelEndpoint
 from .masker import mask_explanation
 from .metrics import SimilarityRecord, aggregate, cosine
@@ -41,6 +41,9 @@ log = logging.getLogger(__name__)
 
 # audit events that exclude an item from every cell of its model x language
 EXCLUSION_EVENTS = ("unparseable", "empty_regeneration")
+# requests in flight per worker on a stage that calls an HTTP endpoint: sized
+# on the http-latency bench (25 ms loopback stub), not on what the stages do
+REQUESTS_PER_WORKER = 4
 
 
 class PipelineError(RuntimeError):
@@ -109,17 +112,14 @@ def expand_stages(requested: Iterable[str]) -> tuple[str, ...]:
 def requests_in_flight(workers: int) -> int:
     """Requests a stage that calls an HTTP endpoint keeps in flight, one per
     pool thread; the HTTP session keeps a connection for each."""
-    return len(LABELS) * workers
+    return REQUESTS_PER_WORKER * workers
 
 
 def _map_ordered(ctx: RunContext, units: Sequence, fn: Callable, endpoints: Iterable = ()):
     """Run fn over units in a thread pool; return (unit, result, error)
-    triples in planning order once every unit has finished.
-
-    If any of the `endpoints` fn calls is HTTP, the pool has
-    requests_in_flight(workers) threads, which mostly wait on round trips;
-    otherwise the work is CPU-bound and it has `workers`.
-    """
+    triples in planning order once every unit has finished. The pool has
+    requests_in_flight(workers) threads if any of the `endpoints` fn calls
+    is HTTP, else `workers`: more threads slow CPU-bound mock work down."""
     if not units:
         return []
     http = any(not endpoint.is_mock for endpoint in endpoints)

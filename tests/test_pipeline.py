@@ -565,6 +565,8 @@ class TestRequestsInFlight:
         assert 2 < in_flight.peak <= requests_in_flight(2) == 8
 
     def test_mock_stages_run_on_at_most_workers_threads(self, tmp_path, en_corpus, monkeypatch):
+        # CPU-bound mock work on 4 x workers threads contends for one GIL:
+        # mock-cold run_s 25% and resume-warm run_s 63% slower at workers=1
         threads = set()
 
         def spy(real):
