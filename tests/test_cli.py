@@ -3,10 +3,13 @@ import json
 import logging
 import subprocess
 import sys
+import threading
 import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
+import requests
 
 from suffbench.cli import (
     EXIT_CONFIG,
@@ -14,6 +17,7 @@ from suffbench.cli import (
     EXIT_OK,
     EXIT_STAGE,
     ConfigError,
+    _http_session,
     load_config,
     main,
 )
@@ -235,9 +239,17 @@ class TestRunCommand:
 
 
 class TestHttpScorer:
-    def test_connection_pool_holds_every_request_in_flight(self, tmp_path, server, caplog):
+    def test_connection_pool_holds_every_request_in_flight(
+        self, tmp_path, server, caplog, monkeypatch
+    ):
         # at workers=4 the score stage has 16 requests in flight to the
-        # scorer, more than the 10 connections requests keeps per host by default
+        # scorer, more than the 10 connections requests keeps per host by
+        # default; a netrc login for the host sends it through requests
+        netrc = tmp_path / "netrc"
+        netrc.write_text("machine 127.0.0.1 login user password secret\n", encoding="utf-8")
+        netrc.chmod(0o600)
+        monkeypatch.setenv("NETRC", str(netrc))
+
         def slow_reply(payload):
             time.sleep(0.02)
             return option_logprobs(payload)
@@ -248,8 +260,159 @@ class TestHttpScorer:
         caplog.set_level(logging.WARNING, logger="urllib3")
         assert main(["run", "--config", str(path), "--stage", "score"]) == EXIT_OK
         assert len(server.requests) == 4 * 40
+        assert all(r["headers"]["Authorization"].startswith("Basic ") for r in server.requests)
         full = [r for r in caplog.records if "Connection pool is full" in r.getMessage()]
         assert full == []
+
+
+class _KeepAliveHandler(BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"
+
+    def log_message(self, *args):
+        pass
+
+    def do_POST(self):
+        body = self.rfile.read(int(self.headers["Content-Length"]))
+        self.server.seen.append({
+            "path": self.path, "body": body, "headers": dict(self.headers),
+            "port": self.client_address[1],
+        })
+        if self.path == "/moved":
+            self.send_response(307)
+            self.send_header("Location", "/v1/embeddings")
+            self.send_header("Content-Length", "0")
+            self.end_headers()
+            return
+        reply = json.dumps({"path": self.path, "echo": json.loads(body)}).encode("utf-8")
+        self.send_response(500 if self.path == "/fail" else 200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(reply)))
+        self.end_headers()
+        self.wfile.write(reply)
+        # a server that drops a kept connection without saying so
+        self.close_connection = self.server.drop_after_reply
+
+
+class _KeepAliveServer(ThreadingHTTPServer):
+    daemon_threads = True
+
+    def __init__(self):
+        super().__init__(("127.0.0.1", 0), _KeepAliveHandler)
+        self.seen, self.drop_after_reply, self.closed = [], False, 0
+
+    def shutdown_request(self, request):
+        super().shutdown_request(request)
+        self.closed += 1
+
+
+@pytest.fixture
+def keepalive():
+    httpd = _KeepAliveServer()
+    thread = threading.Thread(target=httpd.serve_forever, kwargs={"poll_interval": 0.02})
+    thread.start()
+    yield httpd, f"http://127.0.0.1:{httpd.server_address[1]}"
+    httpd.shutdown()
+    httpd.server_close()
+    thread.join()
+
+
+class TestHttpSession:
+    def test_plain_http_sends_requests_bytes_over_one_kept_connection(self, keepalive):
+        httpd, base = keepalive
+        payload = {"model": "embed-1", "input": "naïve café", "temperature": 0.5}
+        headers = {"Authorization": "Bearer sk-123"}
+        session = _http_session(1)
+        lean = [
+            session.post(f"{base}/{path}", json=payload, headers=headers, timeout=5)
+            for path in ("v1/embeddings", "v1/embeddings", "fail")
+        ]
+        plain = [
+            requests.post(f"{base}/{path}", json=payload, headers=headers, timeout=5)
+            for path in ("v1/embeddings", "fail")
+        ]
+        seen = httpd.seen
+        assert [s["body"] for s in seen[:3]] == [seen[3]["body"]] * 3
+        assert all(s["headers"]["Authorization"] == "Bearer sk-123" for s in seen[:3])
+        assert len({s["port"] for s in seen[:3]}) == 1
+        for got, expected in zip(lean[1:], plain):
+            assert (got.status_code, got.content, got.text) == (
+                expected.status_code, expected.content, expected.text
+            )
+        closed = httpd.closed
+        session.close()
+        deadline = time.monotonic() + 5
+        while httpd.closed == closed and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert httpd.closed == closed + 1
+
+    def test_threads_share_kept_connections_without_crossing_replies(self, keepalive):
+        httpd, base = keepalive
+        session = _http_session(1)
+        replies = {}
+
+        def post_many(worker):
+            for i in range(10):
+                payload = {"worker": worker, "i": i}
+                reply = session.post(f"{base}/v1/embeddings", json=payload, timeout=5)
+                replies[worker, i] = (payload, reply.json()["echo"])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=post_many, args=(w,), daemon=True) for w in range(16)
+            ]
+            for thread in threads:
+                thread.start()
+            deadline = time.monotonic() + 30
+            for thread in threads:
+                thread.join(timeout=max(0.0, deadline - time.monotonic()))
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(replies) == 16 * 10
+        assert all(sent == echoed for sent, echoed in replies.values())
+        assert len(session._idle[base.removeprefix("http://")]) <= 4
+        session.close()
+
+    def test_connection_the_server_closed_is_replaced(self, keepalive):
+        httpd, base = keepalive
+        httpd.drop_after_reply = True
+        with _http_session(1) as session:
+            first = session.post(f"{base}/v1/embeddings", json={}, timeout=5)
+            deadline = time.monotonic() + 5
+            while httpd.closed < 1 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            second = session.post(f"{base}/v1/embeddings", json={}, timeout=5)
+        assert (first.status_code, second.status_code) == (200, 200)
+        assert httpd.seen[0]["port"] != httpd.seen[1]["port"]
+
+    def test_proxy_netrc_and_redirect_go_through_requests(self, keepalive, monkeypatch, tmp_path):
+        httpd, base = keepalive
+        for name in ("http_proxy", "https_proxy", "no_proxy", "all_proxy"):
+            monkeypatch.delenv(name, raising=False)
+            monkeypatch.delenv(name.upper(), raising=False)
+        monkeypatch.setenv("NETRC", str(tmp_path / "absent"))
+        # nothing listens on the discard port: the proxy refuses the request
+        monkeypatch.setenv("HTTP_PROXY", "http://127.0.0.1:9")
+        with _http_session(1) as session, pytest.raises(requests.ConnectionError):
+            session.post(f"{base}/v1/embeddings", json={}, timeout=5)
+        assert httpd.seen == []
+
+        monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+        netrc = tmp_path / "netrc"
+        netrc.write_text("machine 127.0.0.1 login user password secret\n", encoding="utf-8")
+        netrc.chmod(0o600)
+        monkeypatch.setenv("NETRC", str(netrc))
+        with _http_session(1) as session:
+            session.post(f"{base}/v1/embeddings", json={}, timeout=5)
+        assert httpd.seen[0]["headers"]["Authorization"].startswith("Basic ")
+
+        monkeypatch.setenv("NETRC", str(tmp_path / "absent"))
+        with _http_session(1) as session:
+            moved = session.post(f"{base}/moved", json={}, timeout=5)
+        assert moved.status_code == 200
+        assert [s["path"] for s in httpd.seen[1:]] == ["/moved", "/moved", "/v1/embeddings"]
 
 
 def rows_without_run_id(store: Path) -> dict[str, list[list[str]]]:
