@@ -19,6 +19,7 @@ import logging
 import select
 import sys
 import threading
+from contextlib import closing
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from urllib.parse import urlsplit
@@ -502,12 +503,13 @@ def write_curves(store: RunStore, out_dir: Path) -> list[Path]:
 def cmd_run(args) -> int:
     config = load_config(args.config, sample=args.sample, seed=args.seed)
     manifest = config.manifest()
-    store = RunStore.open_or_create(config.store_dir, manifest)
-    for name, dropped in store.salvage_report.items():
-        print(f"salvaged {name}: dropped {dropped} bytes of torn tail")
-    ctx = build_context(config, store)
-    stage_names = list(STAGES) if args.all else args.stage
-    reports = run(ctx, stage_names, dry_run=args.dry_run)
+    with closing(RunStore.open_or_create(config.store_dir, manifest)) as store:
+        for name, dropped in store.salvage_report.items():
+            print(f"salvaged {name}: dropped {dropped} bytes of torn tail")
+        ctx = build_context(config, store)
+        stage_names = list(STAGES) if args.all else args.stage
+        with closing(ctx.gateway):
+            reports = run(ctx, stage_names, dry_run=args.dry_run)
     prefix = "planned" if args.dry_run else "done"
     for report in reports:
         print(f"{prefix} {report.line()}")

@@ -341,6 +341,10 @@ class Gateway:
         self._embed_dims: dict[str, int] = {}
         self._lock = threading.Lock()
 
+    def close(self) -> None:
+        """Close the HTTP session and the connections it keeps."""
+        self._session.close()
+
     # -- shared plumbing ---------------------------------------------------
 
     def _mock(self, endpoint: ModelEndpoint) -> MockBackend:
@@ -374,19 +378,20 @@ class Gateway:
     ) -> tuple[dict, str]:
         """Decoded response and fingerprint for one request.
 
-        The fingerprint of `payload` keys the cache. On a miss the body
-        comes from `mock_call(backend)` for mock endpoints, else from
-        POSTing `wire` to `path`, and is cached once it decodes: an
-        unreadable reply is never replayed.
+        The fingerprint of `payload` keys the cache. On a miss, a mock
+        endpoint's reply is `mock_call(backend)`, used as it is and
+        encoded only to be cached; any other endpoint's comes from POSTing
+        `wire` to `path` and is cached once it decodes: an unreadable reply
+        is never replayed.
         """
         key = request_fingerprint(payload)
         cached = self._cache.get(key) if self._cache is not None else None
-        if cached is not None:
-            body = cached
-        elif endpoint.is_mock:
-            body = _encode(mock_call(self._mock(endpoint)))
-        else:
-            body = self._post(endpoint, path, wire)
+        if cached is None and endpoint.is_mock:
+            data = mock_call(self._mock(endpoint))
+            if self._cache is not None:
+                self._cache.put(key, _encode(data))
+            return data, key
+        body = cached if cached is not None else self._post(endpoint, path, wire)
         try:
             data = json.loads(body.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .constrainer import ALL_LEVELS, Explanation
 from .corpus import LABELS, QuestionItem
@@ -61,20 +62,23 @@ class MaskReport:
             raise MaskingError("hit counts must be non-negative")
 
 
-def _option_patterns(item: QuestionItem) -> list[re.Pattern[str]]:
-    # longest option first so nested copies resolve to the longer text
-    order = sorted(LABELS, key=lambda l: (-len(" ".join(item.options[l].split())), l))
+@lru_cache(maxsize=1024)
+def _option_patterns(options: tuple[str, ...]) -> tuple[re.Pattern[str], ...]:
+    """Full-copy patterns for an item's options given in LABELS order,
+    cached by the option texts, so masking an item's rows and verifying
+    them at score time compile its patterns once."""
+    # longest option first so nested copies resolve to the longer text;
+    # sorted() is stable, so equal lengths keep label order
     patterns = []
-    for label in order:
-        words = item.options[label].split()
-        body = r"\s+".join(re.escape(w) for w in words)
+    for option in sorted(options, key=lambda o: -len(" ".join(o.split()))):
+        body = r"\s+".join(re.escape(w) for w in option.split())
         patterns.append(re.compile(r"(?<!\w)" + body + r"(?!\w)", re.IGNORECASE))
-    return patterns
+    return tuple(patterns)
 
 
 def _option_spans(text: str, item: QuestionItem) -> list[tuple[int, int]]:
     claimed: list[tuple[int, int]] = []
-    for pattern in _option_patterns(item):
+    for pattern in _option_patterns(tuple(item.options[label] for label in LABELS)):
         for m in pattern.finditer(text):
             start, end = m.span()
             if not any(s < end and start < e for s, e in claimed):

@@ -1,15 +1,17 @@
 """Append-only on-disk storage for one evaluation run.
 
 A run directory holds a manifest plus one CSV table per pipeline
-artifact. Every append is a single O_APPEND write of one encoded row,
-so a killed process leaves at worst one torn final line; resuming trims
-the incomplete tail before any further writes. Appends deduplicate on
-the work key (item_id, language, generator_model, level), which makes
-every stage idempotent under restarts. Apart from the torn-tail scan, a
-store reads each appendable table once, at its first use, and keeps its
-records with every record it appends: a corrupt table is reported then.
-A missing or headerless table file is refused, never read as an empty
-table.
+artifact. Each appendable table keeps one unbuffered O_APPEND handle,
+opened at its first append, and every append is a single write of one
+encoded row on it, so a killed process leaves at worst one torn final
+line; resuming trims the incomplete tail before any further writes.
+close() releases the handles, and a closed store refuses appends.
+Appends deduplicate on the work key (item_id, language,
+generator_model, level), which makes every stage idempotent under
+restarts. Apart from the torn-tail scan, a store reads each appendable
+table once, at its first use, and keeps its records with every record
+it appends: a corrupt table is reported then. A missing or headerless
+table file is refused, never read as an empty table.
 
 The run id is the store's own, and no record carries it: the store
 writes it as column 0 of every row and checks that column on every row
@@ -283,6 +285,8 @@ class RunStore:
         self.run_id = manifest.run_id
         self.salvage_report = salvage_report
         self._records: dict[str, dict[tuple, object]] = {}
+        # None once closed
+        self._handles: dict[str, io.FileIO] | None = {}
 
     # -- lifecycle -------------------------------------------------------
 
@@ -386,14 +390,31 @@ class RunStore:
         return self._records[name]
 
     def _append(self, name: str, record) -> bool:
+        if self._handles is None:
+            raise StoreError(f"store {self.root} is closed")
         table = self._table(name)
         key = _key(name, record)
         if key in table:
             return False
-        with open(self.root / name, "ab") as fh:
-            fh.write(_encode_record(name, self.run_id, record))
+        self._write(name, _encode_record(name, self.run_id, record))
         table[key] = record
         return True
+
+    def _write(self, name: str, row: bytes) -> None:
+        """Append `row` to table `name` with one write on the table's kept
+        handle, opened at first use; after a short write, the rest follows."""
+        fh = self._handles.get(name)
+        if fh is None:
+            fh = self._handles[name] = open(self.root / name, "ab", buffering=0)
+        written = 0
+        while written < len(row):
+            written += fh.write(row[written:])
+
+    def close(self) -> None:
+        """Close the kept append handles; any later append raises StoreError."""
+        handles, self._handles = self._handles or {}, None
+        for fh in handles.values():
+            fh.close()
 
     # -- appends (return False when the work key is already stored) ------
 

@@ -54,6 +54,7 @@ class _FixtureHandler(BaseHTTPRequestHandler):
         handler = server.routes.get(self.path)
         if handler is None:
             self.send_response(404)
+            self.send_header("Content-Length", "0")
             self.end_headers()
             return
         reply = handler(payload)
@@ -66,13 +67,19 @@ class _FixtureHandler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
 
+class _KeepAliveFixtureHandler(_FixtureHandler):
+    protocol_version = "HTTP/1.1"
+
+
 class FixtureServer:
     """Local OpenAI-shaped endpoint with per-path canned responses and an
     optional scripted status sequence. A route answers with a body, or
-    with a (status, body) pair."""
+    with a (status, body) pair. With keep_alive the server speaks HTTP/1.1
+    and keeps each connection open for more requests."""
 
-    def __init__(self):
-        self.httpd = ThreadingHTTPServer(("127.0.0.1", 0), _FixtureHandler)
+    def __init__(self, keep_alive: bool = False):
+        handler = _KeepAliveFixtureHandler if keep_alive else _FixtureHandler
+        self.httpd = ThreadingHTTPServer(("127.0.0.1", 0), handler)
         self.httpd.requests = []
         self.httpd.routes = {}
         self.httpd.status_script = []

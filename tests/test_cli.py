@@ -5,12 +5,15 @@ import subprocess
 import sys
 import threading
 import time
+from collections import Counter
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
 import requests
 
+from suffbench import cli
+from suffbench import gateway as gateway_module
 from suffbench.cli import (
     EXIT_CONFIG,
     EXIT_MISMATCH,
@@ -22,7 +25,8 @@ from suffbench.cli import (
     main,
 )
 from suffbench.constrainer import CONSTRAINT_LEVELS
-from suffbench.runstore import COLUMNS
+from suffbench.gateway import MockBackend, _encode
+from suffbench.runstore import COLUMNS, AuditRecord, RunStore, StoreError
 from tests.conftest import FIXTURES, FixtureServer, option_logprobs, route_mock
 
 
@@ -424,21 +428,24 @@ def rows_without_run_id(store: Path) -> dict[str, list[list[str]]]:
     return rows
 
 
+# en + fa, two generators, every endpoint a mock:// seed
+BILINGUAL_MOCK = {
+    "corpus": {"en": str(FIXTURES / "corpus_en.jsonl"),
+               "fa": str(FIXTURES / "corpus_fa.jsonl")},
+    "generators": [{"base_url": "mock://21", "model_id": "gen-1"},
+                   {"base_url": "mock://24", "model_id": "gen-2"}],
+    "scorer": {"base_url": "mock://22", "model_id": "probe-1"},
+    "embedder": {"base_url": "mock://23", "model_id": "embed-1"},
+}
+
+
 class TestHttpRun:
     def test_http_run_stores_the_mock_tables_at_any_worker_count(self, tmp_path):
         # every endpoint answers over HTTP as its mock:// seed does in process;
         # an HTTP stage runs 4 x workers threads, which must not change a row
-        experiment = {
-            "corpus": {"en": str(FIXTURES / "corpus_en.jsonl"),
-                       "fa": str(FIXTURES / "corpus_fa.jsonl")},
-            "generators": [{"base_url": "mock://21", "model_id": "gen-1"},
-                           {"base_url": "mock://24", "model_id": "gen-2"}],
-            "scorer": {"base_url": "mock://22", "model_id": "probe-1"},
-            "embedder": {"base_url": "mock://23", "model_id": "embed-1"},
-        }
         sample = ["--sample", "4", "--seed", "7"]
         (tmp_path / "mock").mkdir()
-        path = write_config(tmp_path / "mock", **experiment)
+        path = write_config(tmp_path / "mock", **BILINGUAL_MOCK)
         assert main(["run", "--config", str(path), "--all", *sample]) == EXIT_OK
         expected = rows_without_run_id(tmp_path / "mock" / "store")
         assert len(expected["scores.csv"]) == 1 + 8 + 2 * 8 * 3
@@ -450,10 +457,10 @@ class TestHttpRun:
                 return {**endpoint, "base_url": url, "requests_per_minute": 100_000}
 
             http = {
-                **experiment,
-                "generators": [live(e) for e in experiment["generators"]],
-                "scorer": live(experiment["scorer"]),
-                "embedder": live(experiment["embedder"]),
+                **BILINGUAL_MOCK,
+                "generators": [live(e) for e in BILINGUAL_MOCK["generators"]],
+                "scorer": live(BILINGUAL_MOCK["scorer"]),
+                "embedder": live(BILINGUAL_MOCK["embedder"]),
             }
             for workers in (1, 3):
                 (tmp_path / f"http-{workers}").mkdir()
@@ -461,6 +468,105 @@ class TestHttpRun:
                 assert main(["run", "--config", str(path), "--all", *sample]) == EXIT_OK
                 got = rows_without_run_id(tmp_path / f"http-{workers}" / "store")
                 assert got == expected, workers
+
+    def test_run_closes_its_connections_and_its_store(self, tmp_path, monkeypatch):
+        sessions, stores = [], []
+
+        class Session(cli._HttpSession):
+            def __init__(self, pool_size):
+                super().__init__(pool_size)
+                sessions.append(self)
+
+            def close(self):
+                self.kept_at_close = sum(len(kept) for kept in self._idle.values())
+                super().close()
+
+        monkeypatch.setattr(cli, "_HttpSession", Session)
+        real_open = RunStore.open_or_create
+        monkeypatch.setattr(
+            RunStore, "open_or_create",
+            lambda root, manifest: stores.append(real_open(root, manifest)) or stores[-1],
+        )
+        with FixtureServer(keep_alive=True) as server:
+            def live(seed, model_id):
+                return {"base_url": route_mock(server, seed), "model_id": model_id,
+                        "requests_per_minute": 100_000}
+
+            path = write_config(
+                tmp_path, workers=1, generators=[live(21, "gen-1")],
+                scorer=live(22, "probe-1"), embedder=live(23, "embed-1"),
+            )
+            argv = ["run", "--config", str(path), "--all", "--sample", "2", "--seed", "7"]
+            assert main(argv) == EXIT_OK
+        [session], [store] = sessions, stores
+        # the run kept connections open until it closed them all
+        assert session.kept_at_close > 0
+        assert not any(session._idle.values())
+        with pytest.raises(StoreError, match="closed"):
+            store.append_audit(AuditRecord(
+                stage="generate", item_id="q0001", language="en", generator_model="gen-1",
+                level=0, event="unparseable", detail="",
+            ))
+
+
+def table_bytes(store: Path) -> dict[str, bytes]:
+    return {name: (store / name).read_bytes() for name in COLUMNS}
+
+
+class TestMockCache:
+    def run_all(self, tmp_path, name, **overrides) -> Path:
+        (tmp_path / name).mkdir()
+        path = write_config(tmp_path / name, **BILINGUAL_MOCK, **overrides)
+        argv = ["run", "--config", str(path), "--all", "--sample", "3", "--seed", "7"]
+        assert main(argv) == EXIT_OK
+        return tmp_path / name / "store"
+
+    def test_cache_changes_no_table_and_a_warm_cache_answers_every_call(
+        self, tmp_path, monkeypatch
+    ):
+        cache = str(tmp_path / "cache")
+        plain = table_bytes(self.run_all(tmp_path, "plain"))
+        cold = table_bytes(self.run_all(tmp_path, "cold", cache_dir=cache))
+        calls = Counter()
+        for method in ("generate", "score", "embed"):
+            real = getattr(MockBackend, method)
+            monkeypatch.setattr(
+                MockBackend, method,
+                lambda backend, *args, method=method, real=real:
+                calls.update([method]) or real(backend, *args),
+            )
+        warm = table_bytes(self.run_all(tmp_path, "warm", cache_dir=cache))
+        assert len(plain["scores.csv"].splitlines()) == 1 + 6 + 2 * 6 * 3
+        assert cold == plain
+        assert warm == plain
+        assert calls == {}
+
+    def test_each_cache_file_is_the_encoded_mock_reply(self, tmp_path, monkeypatch):
+        payloads = {}
+        real = gateway_module.request_fingerprint
+
+        def spy(payload):
+            key = real(payload)
+            payloads[key] = payload
+            return key
+
+        monkeypatch.setattr(gateway_module, "request_fingerprint", spy)
+        self.run_all(tmp_path, "cold", cache_dir=str(tmp_path / "cache"))
+        endpoints = [*BILINGUAL_MOCK["generators"], BILINGUAL_MOCK["scorer"],
+                     BILINGUAL_MOCK["embedder"]]
+        seeds = {e["model_id"]: int(e["base_url"].removeprefix("mock://")) for e in endpoints}
+        files = sorted((tmp_path / "cache").rglob("*.json"))
+        assert len(files) == len(payloads) > 0
+        for path in files:
+            p = payloads[path.stem]
+            backend = MockBackend(seeds[p["model"]])
+            if p["kind"] == "chat.completions":
+                reply = backend.generate(p["model"], p["prompt"], p["temperature"], p["max_tokens"])
+            elif p["kind"] == "completions.logprobs":
+                reply = backend.score(p["model"], p["prompt"], p["continuation"])
+            else:
+                reply = backend.embed(p["model"], p["input"])
+            assert path.read_bytes() == _encode(reply), p
 
 
 class TestStoreBoundaries:

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -16,6 +18,7 @@ from suffbench.masker import (
     mask_explanation,
     verify_masked,
 )
+from suffbench.prompts import UnmaskedExplanationError, load_template_set, render_scoring
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -98,6 +101,16 @@ class TestRules:
         assert report.masked_text == "Because [MASK] flows."
         assert report.text_hits == 1
 
+    def test_equal_length_overlap_goes_to_the_earlier_label(self):
+        item = QuestionItem(
+            id="x1", stem="s?",
+            options={"A": "sun set", "B": "red sun", "C": "cold", "D": "wind"},
+            gold="A", language="en",
+        )
+        report = mask_explanation(self.exp("The red sun set."), item)
+        assert report.masked_text == "The red [MASK]."
+        assert report.text_hits == 1
+
     def test_option_keyword_form(self):
         report = mask_explanation(self.exp("Thus option D fits."), self.ITEM)
         assert report.masked_text == "Thus option [MASK] fits."
@@ -134,6 +147,49 @@ class TestRules:
     def test_mask_token_is_exactly_six_chars(self):
         assert MASK_TOKEN == "[MASK]"
         assert len(MASK_TOKEN) == 6
+
+
+class TestCompiledOnce:
+    # option texts no other test uses, so no earlier call has compiled them
+    ITEM = QuestionItem(
+        id="c1", stem="s?",
+        options={"A": "amber quartz", "B": "basalt", "C": "chalk dust", "D": "dolomite"},
+        gold="A", language="en",
+    )
+    WORDS = ("amber", "basalt", "chalk", "dolomite")
+
+    def test_mask_and_verify_of_one_item_compile_its_patterns_once(self, monkeypatch):
+        compiled = []
+        real = re.compile
+
+        def spy(pattern, flags=0):
+            if any(word in str(pattern) for word in self.WORDS):
+                compiled.append(pattern)
+            return real(pattern, flags)
+
+        monkeypatch.setattr(re, "compile", spy)
+        reports = [
+            mask_explanation(
+                make_explanation("c1", "en", "g", level, f"Amber  quartz, not basalt, at {level}."),
+                self.ITEM,
+            )
+            for level in range(0, 100, 10)
+        ]
+        assert all(r.masked_text.startswith("[MASK], not [MASK]") for r in reports)
+        assert all(verify_masked(r.masked_text, self.ITEM) for r in reports)
+        assert len(compiled) == 4
+
+    def test_tampered_stored_row_still_fails_the_leak_check(self):
+        templates = load_template_set("default-v1", "en")
+        report = mask_explanation(
+            make_explanation("c1", "en", "g", 10, "It is chalk dust."), self.ITEM
+        )
+        assert render_scoring(self.ITEM, report, templates).kind == "score"
+        # as read back from a masks.csv row edited after masking
+        for leak in ("It is chalk  dust.", "It is (C)."):
+            tampered = replace(report, masked_text=leak)
+            with pytest.raises(UnmaskedExplanationError, match="still leaks"):
+                render_scoring(self.ITEM, tampered, templates)
 
 
 LEAK_SNIPPETS = st.sampled_from(

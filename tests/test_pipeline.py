@@ -3,6 +3,7 @@ import itertools
 import threading
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -185,6 +186,22 @@ class TestFullRun:
         assert len(scores) == 2 * (2 + 4)  # per language: 2 baseline + 2 items x 2 levels
 
 
+class TestAppendHandles:
+    def test_full_run_opens_each_table_once(self, tmp_path, en_corpus, monkeypatch):
+        ctx = make_ctx(tmp_path, {"en": subset(en_corpus, 3, seed=7)})
+        opened = Counter()
+        real = open
+
+        def spy(file, mode="r", *args, **kwargs):
+            if "a" in mode:
+                opened[Path(file).name] += 1
+            return real(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", spy)
+        run(ctx, STAGES)
+        assert opened == dict.fromkeys((EXPLANATIONS, MASKS, SCORES, SIMILARITY), 1)
+
+
 class TestDeterminism:
     def test_worker_count_does_not_change_bytes(self, tmp_path, en_corpus):
         small = subset(en_corpus, 3, seed=7)
@@ -217,15 +234,37 @@ def _kill_at_append(store, k):
     return calls
 
 
+def _tear_at_write(store, k, cut):
+    """Make the k-th row write (from 0) of `store` write only the first
+    cut(row) bytes of its row through the table's kept handle and then
+    raise _Killed; returns the count of writes made and a list that gets
+    (table, bytes written, row length) for the torn write."""
+    writes, torn = itertools.count(), []
+
+    def write(name, row, inner=store._write):
+        if next(writes) == k:
+            written = cut(row)
+            torn.append((name, written, len(row)))
+            inner(name, row[:written])
+            raise _Killed
+        inner(name, row)
+
+    store._write = write
+    return writes, torn
+
+
 @pytest.fixture(scope="module")
 def uninterrupted(tmp_path_factory, en_corpus):
-    """Table bytes, mock counts and append count of one uninterrupted run."""
+    """Table bytes, mock counts, append count and row-write count of one
+    uninterrupted run."""
     root = tmp_path_factory.mktemp("uninterrupted")
     gateway = Gateway(cache_dir=root / "cache")
     ctx = make_ctx(root, {"en": en_corpus}, gateway=gateway)
     calls = _kill_at_append(ctx.store, -1)
+    writes, _ = _tear_at_write(ctx.store, -1, None)
     run(ctx, STAGES)
-    return store_bytes(root / "store"), gateway.mock_counts(), next(calls)
+    ctx.store.close()
+    return store_bytes(root / "store"), gateway.mock_counts(), next(calls), next(writes)
 
 
 class TestResume:
@@ -234,7 +273,7 @@ class TestResume:
     def test_killed_at_any_append_resumes_to_the_same_store(
         self, uninterrupted, tmp_path_factory, en_corpus, data
     ):
-        tables, counts, appends = uninterrupted
+        tables, counts, appends, _ = uninterrupted
         k = data.draw(st.integers(min_value=0, max_value=appends - 1), label="killed at append")
         root = tmp_path_factory.mktemp("killed")
         first = Gateway(cache_dir=root / "cache")
@@ -242,12 +281,45 @@ class TestResume:
         _kill_at_append(ctx.store, k)
         with pytest.raises(_Killed):
             run(ctx, STAGES)
+        ctx.store.close()
 
         store = RunStore.open_resume(root / "store", RunManifest.new(RUN, {"levels": [10, 90]}))
         resumed = Gateway(cache_dir=root / "cache")
         run(make_ctx(root, {"en": en_corpus}, gateway=resumed, store=store), STAGES)
+        store.close()
         assert store_bytes(root / "store") == tables
         # each call the first run completed is answered by the cache
+        assert {
+            kind: first.mock_counts()[kind] + resumed.mock_counts()[kind] for kind in counts
+        } == counts
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_torn_write_at_any_append_resumes_to_the_same_store(
+        self, uninterrupted, tmp_path_factory, en_corpus, data
+    ):
+        # the process dies part way through a row's write: resume salvages
+        # the torn tail, and a row written whole is kept
+        tables, counts, _, writes = uninterrupted
+        k = data.draw(st.integers(min_value=0, max_value=writes - 1), label="torn at write")
+        root = tmp_path_factory.mktemp("torn")
+        first = Gateway(cache_dir=root / "cache")
+        ctx = make_ctx(root, {"en": en_corpus}, gateway=first)
+        _, torn = _tear_at_write(
+            ctx.store, k,
+            lambda row: data.draw(st.integers(min_value=0, max_value=len(row)), label="bytes"),
+        )
+        with pytest.raises(_Killed):
+            run(ctx, STAGES)
+        ctx.store.close()
+        [(name, written, size)] = torn
+
+        store = RunStore.open_resume(root / "store", RunManifest.new(RUN, {"levels": [10, 90]}))
+        assert store.salvage_report == ({name: written} if 0 < written < size else {})
+        resumed = Gateway(cache_dir=root / "cache")
+        run(make_ctx(root, {"en": en_corpus}, gateway=resumed, store=store), STAGES)
+        store.close()
+        assert store_bytes(root / "store") == tables
         assert {
             kind: first.mock_counts()[kind] + resumed.mock_counts()[kind] for kind in counts
         } == counts
@@ -256,6 +328,7 @@ class TestResume:
         small = subset(en_corpus, 3, seed=7)
         ctx = make_ctx(tmp_path, {"en": small})
         run(ctx, ["aggregate"])
+        ctx.store.close()
         before = store_bytes(tmp_path / "store")
 
         resumed_store = RunStore.open_resume(
@@ -264,6 +337,7 @@ class TestResume:
         gateway = Gateway()
         ctx2 = make_ctx(tmp_path, {"en": small}, gateway=gateway, store=resumed_store)
         reports = run(ctx2, ["aggregate"])
+        resumed_store.close()
         assert gateway.mock_counts() == {"generate": 0, "logprobs": 0, "embeddings": 0}
         assert store_bytes(tmp_path / "store") == before
         assert all(r.planned == 0 for r in reports if r.stage != "aggregate")
@@ -272,6 +346,7 @@ class TestResume:
         small = subset(en_corpus, 3, seed=7)
         ctx = make_ctx(tmp_path, {"en": small})
         run(ctx, ["generate"])
+        ctx.store.close()
 
         resumed_store = RunStore.open_resume(
             tmp_path / "store", RunManifest.new(RUN, {"levels": [10, 90]})
@@ -279,6 +354,7 @@ class TestResume:
         ctx2 = make_ctx(tmp_path, {"en": small}, store=resumed_store)
         assert plan_generate(ctx2) == []
         reports = run(ctx2, ["score"])
+        resumed_store.close()
         by_stage = {r.stage: r for r in reports}
         assert by_stage["generate"].planned == 0
         assert by_stage["constrain"].completed == 6

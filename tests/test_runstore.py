@@ -307,6 +307,47 @@ class TestReads:
         assert reads == {"aggregates.csv": 1, EXPLANATIONS: 1}
 
 
+class _ShortWrites:
+    """A kept handle whose writes take at most three bytes each."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def write(self, data):
+        return self.inner.write(data[:3])
+
+    def close(self):
+        self.inner.close()
+
+
+class TestAppendHandles:
+    def test_short_writes_are_finished(self, tmp_path):
+        whole = RunStore.create(tmp_path / "whole", manifest())
+        short = RunStore.create(tmp_path / "short", manifest())
+        for store in (whole, short):
+            store.append_explanation(explanation(item_id="q0000"))
+        short._handles[EXPLANATIONS] = _ShortWrites(short._handles[EXPLANATIONS])
+        for store in (whole, short):
+            store.append_explanation(explanation(item_id="q0001", text="Naïve café, \"quoted\"."))
+            store.close()
+        assert (tmp_path / "short" / EXPLANATIONS).read_bytes() == (
+            tmp_path / "whole" / EXPLANATIONS
+        ).read_bytes()
+        assert len(RunStore.load(tmp_path / "short").load_explanations()) == 2
+
+    def test_append_after_close_raises(self, tmp_path):
+        store = RunStore.create(tmp_path, manifest())
+        store.append_explanation(explanation())
+        store.close()
+        store.close()
+        with pytest.raises(StoreError, match="closed"):
+            store.append_explanation(explanation(item_id="q0002"))
+        with pytest.raises(StoreError, match="closed"):
+            store.append_audit(audit())
+        assert store.load_explanations() == (explanation(),)
+        assert RunStore.open_resume(tmp_path, manifest()).load_explanations() == (explanation(),)
+
+
 class TestDoneKeys:
     def test_done_keys_track_appends(self, tmp_path):
         store = RunStore.create(tmp_path, manifest())
