@@ -503,7 +503,7 @@ def write_curves(store: RunStore, out_dir: Path) -> list[Path]:
 def cmd_run(args) -> int:
     config = load_config(args.config, sample=args.sample, seed=args.seed)
     manifest = config.manifest()
-    with closing(RunStore.open_or_create(config.store_dir, manifest)) as store:
+    with RunStore.open_or_create(config.store_dir, manifest) as store:
         for name, dropped in store.salvage_report.items():
             print(f"salvaged {name}: dropped {dropped} bytes of torn tail")
         ctx = build_context(config, store)

@@ -190,22 +190,26 @@ def constrain_explanation(
 
     Retries up to BUDGET_RETRIES times on a budget violation; if every attempt
     is over budget the last text is hard-truncated to the first budget
-    words and marked length_status="truncated". Retried requests carry a
-    cache salt so they are distinct deterministic calls rather than
-    replays of the identical one.
+    words and marked length_status="truncated". An attempt that is empty
+    or cut off at max_tokens (finish_reason "length") is retried as well
+    and gives no text; the truncated text is the last over-budget one, and
+    if no attempt gives text, EmptyRegeneration is raised. Retried
+    requests carry a cache salt so they are distinct deterministic calls
+    rather than replays of the identical one.
     """
     from .prompts import render_constrain
 
     budget = word_budget(base, level)
     prompt = render_constrain(item, base, budget, templates)
 
-    text = ""
+    over = ""
     for attempt in range(BUDGET_RETRIES + 1):
         salt = f"retry-{attempt}" if attempt else ""
         result = gateway.generate(
             endpoint, prompt, temperature=temperature, max_tokens=max_tokens, cache_salt=salt
         )
-        text = _strip_regenerated(result.text)
+        # a rewrite cut off at max_tokens is no more usable than an empty one
+        text = "" if result.finish_reason == "length" else _strip_regenerated(result.text)
         if not text:
             continue
         if count_words(text) <= budget:
@@ -213,14 +217,15 @@ def constrain_explanation(
                 item.id, item.language, endpoint.model_id, level, text,
                 length_status="within_budget",
             )
+        over = text
         log.debug(
             "%s level %d attempt %d over budget (%d > %d)",
             item.id, level, attempt, count_words(text), budget,
         )
-    if not text:
-        raise EmptyRegeneration(f"{item.id}: no text after {BUDGET_RETRIES + 1} attempts")
+    if not over:
+        raise EmptyRegeneration(f"{item.id}: no usable text after {BUDGET_RETRIES + 1} attempts")
     return make_explanation(
-        item.id, item.language, endpoint.model_id, level, _truncate_words(text, budget),
+        item.id, item.language, endpoint.model_id, level, _truncate_words(over, budget),
         length_status="truncated",
     )
 

@@ -10,15 +10,19 @@ be interrupted and resumed at any point without repeating model calls:
     similarity  embedding cosine between base and constrained texts
     aggregate   per-cell accuracy / sufficiency / similarity table
 
-Model calls run in a thread pool, but results are committed to the
-store from the calling thread in planning order, so table contents are
-byte-identical regardless of worker count or scheduling.
+A stage whose pool would have one thread runs its units inline on the
+calling thread; otherwise its units run in a thread pool. Either way each
+result is committed to the store from the calling thread, in planning
+order, as soon as it and every unit before it have finished: table
+contents are byte-identical regardless of worker count or scheduling, and
+a run killed mid-stage loses only the units in flight.
 """
 
 from __future__ import annotations
 
 import logging
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
 from typing import Callable, Container, Iterable, Sequence
 
@@ -116,21 +120,34 @@ def requests_in_flight(workers: int) -> int:
 
 
 def _map_ordered(ctx: RunContext, units: Sequence, fn: Callable, endpoints: Iterable = ()):
-    """Run fn over units in a thread pool; return (unit, result, error)
-    triples in planning order once every unit has finished. The pool has
-    requests_in_flight(workers) threads if any of the `endpoints` fn calls
-    is HTTP, else `workers`: more threads slow CPU-bound mock work down."""
-    if not units:
-        return []
+    """Run fn over units; yield (unit, result, error) triples in planning
+    order, each as soon as its unit and every unit before it have finished.
+
+    The pool would have requests_in_flight(workers) threads if any of the
+    `endpoints` fn calls is HTTP, else `workers`: more threads slow
+    CPU-bound mock work down. At one thread the units run inline on the
+    calling thread, with no pool, and only an Exception is caught, so a
+    KeyboardInterrupt stops the stage at once. Otherwise every unit is
+    submitted up front; the units not yet started are cancelled when the
+    caller stops early."""
     http = any(not endpoint.is_mock for endpoint in endpoints)
-    threads = requests_in_flight(ctx.workers) if http else ctx.workers
-    with ThreadPoolExecutor(max_workers=min(threads, len(units))) as pool:
+    threads = min(requests_in_flight(ctx.workers) if http else ctx.workers, len(units))
+    if threads <= 1:
+        for unit in units:
+            try:
+                result, error = fn(unit), None
+            except Exception as exc:
+                result, error = None, exc
+            yield unit, result, error
+        return
+    pool = ThreadPoolExecutor(max_workers=threads)
+    try:
         futures = [pool.submit(fn, unit) for unit in units]
-    out = []
-    for unit, future in zip(units, futures):
-        error = future.exception()
-        out.append((unit, None if error else future.result(), error))
-    return out
+        for unit, future in zip(units, futures):
+            error = future.exception()
+            yield unit, None if error else future.result(), error
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _commit(
@@ -139,27 +156,29 @@ def _commit(
     endpoints: Iterable[ModelEndpoint] = (),
 ) -> StageReport:
     """Run job, which calls `endpoints`, over units (each a tuple led by its
-    work key) and append the results in planning order.
+    work key) and append each result as it lands, in planning order.
 
     An `expected` error is audited as `event` and counted as failed; any
-    other error raises StageFailure once the units before it are stored.
+    other error raises StageFailure, with the units before it stored and
+    the units not yet started cancelled.
     """
     report = StageReport(stage, planned=len(units))
-    for unit, result, error in _map_ordered(ctx, units, job, endpoints):
-        key = unit[0]
-        if error is None:
-            append(result)
-            report.completed += 1
-        elif isinstance(error, expected):
-            log.warning("%s %s: %s: %s", stage, key, event, error)
-            item_id, language, model, level = key
-            ctx.store.append_audit(AuditRecord(
-                stage=stage, item_id=item_id, language=language, generator_model=model,
-                level=level, event=event, detail=str(error),
-            ))
-            report.failed += 1
-        else:
-            raise StageFailure(f"{stage} {key}: {error}") from error
+    with closing(_map_ordered(ctx, units, job, endpoints)) as results:
+        for unit, result, error in results:
+            key = unit[0]
+            if error is None:
+                append(result)
+                report.completed += 1
+            elif isinstance(error, expected):
+                log.warning("%s %s: %s: %s", stage, key, event, error)
+                item_id, language, model, level = key
+                ctx.store.append_audit(AuditRecord(
+                    stage=stage, item_id=item_id, language=language, generator_model=model,
+                    level=level, event=event, detail=str(error),
+                ))
+                report.failed += 1
+            else:
+                raise StageFailure(f"{stage} {key}: {error}") from error
     return report
 
 

@@ -5,7 +5,8 @@ artifact. Each appendable table keeps one unbuffered O_APPEND handle,
 opened at its first append, and every append is a single write of one
 encoded row on it, so a killed process leaves at worst one torn final
 line; resuming trims the incomplete tail before any further writes.
-close() releases the handles, and a closed store refuses appends.
+close(), or leaving a `with` block on the store, releases the handles,
+and a closed store refuses appends.
 Appends deduplicate on the work key (item_id, language,
 generator_model, level), which makes every stage idempotent under
 restarts. Apart from the torn-tail scan, a store reads each appendable
@@ -415,6 +416,12 @@ class RunStore:
         handles, self._handles = self._handles or {}, None
         for fh in handles.values():
             fh.close()
+
+    def __enter__(self) -> "RunStore":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     # -- appends (return False when the work key is already stored) ------
 

@@ -231,15 +231,15 @@ def test_resume_correctness(criterion, tmp_path):
         config_path = write_json(tmp_path, "a.json", bilingual_config(tmp_path, "store_a"))
         config = load_config(config_path)
 
-        first_store = RunStore.open_or_create(config.store_dir, config.manifest())
-        first_ctx = build_context(config, first_store, Gateway())
-        run_stages(first_ctx, ["constrain"])
+        with RunStore.open_or_create(config.store_dir, config.manifest()) as first_store:
+            first_ctx = build_context(config, first_store, Gateway())
+            run_stages(first_ctx, ["constrain"])
         # the process "dies" here; nothing from first_ctx is reused
 
-        resumed_store = RunStore.open_or_create(config.store_dir, config.manifest())
         fresh_gateway = Gateway()
-        resumed_ctx = build_context(config, resumed_store, fresh_gateway)
-        run_stages(resumed_ctx, ["aggregate"])
+        with RunStore.open_or_create(config.store_dir, config.manifest()) as resumed_store:
+            resumed_ctx = build_context(config, resumed_store, fresh_gateway)
+            run_stages(resumed_ctx, ["aggregate"])
         assert fresh_gateway.mock_counts()["generate"] == 0
         assert fresh_gateway.mock_counts()["logprobs"] > 0
 

@@ -712,3 +712,10 @@ class TestConsoleEntry:
         )
         assert proc.returncode == 0, proc.stderr
         assert "config OK" in proc.stdout
+
+    def test_package_invocation(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "suffbench", "--help"], capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage: suffbench")

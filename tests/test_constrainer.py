@@ -164,16 +164,19 @@ class TestExtractAnswerAndExplanation:
 
 
 class ScriptedGateway:
-    """Returns canned generation texts in order, recording cache salts."""
+    """Returns canned generation texts in order, recording cache salts. A
+    text given as a (text, finish_reason) pair ends with that reason,
+    any other with "stop"."""
 
     def __init__(self, texts):
-        self.texts = list(texts)
+        self.texts = [t if isinstance(t, tuple) else (t, "stop") for t in texts]
         self.salts: list[str] = []
 
     def generate(self, endpoint, prompt, *, temperature=0.0, max_tokens=512, cache_salt=""):
         self.salts.append(cache_salt)
+        text, finish_reason = self.texts.pop(0)
         return GenerationResult(
-            text=self.texts.pop(0), finish_reason="stop", request_fingerprint="scripted"
+            text=text, finish_reason=finish_reason, request_fingerprint="scripted"
         )
 
 
@@ -245,8 +248,8 @@ class TestConstrainExplanation:
         )
         assert result.text == "Plants need light.\nThey grow.\nFast."
         manifest = RunManifest.new("run-cr", {"seed": 1})
-        store = RunStore.create(tmp_path, manifest)
-        assert store.append_explanation(result)
+        with RunStore.create(tmp_path, manifest) as store:
+            assert store.append_explanation(result)
         assert RunStore.open_resume(tmp_path, manifest).load_explanations() == (result,)
 
     def test_all_empty_attempts_raise(self, en_corpus):
@@ -255,6 +258,33 @@ class TestConstrainExplanation:
             constrain_explanation(
                 self.item(en_corpus), self.base(20), 50, self.ENDPOINT, self.TEMPLATES, gateway
             )
+
+    def test_cut_off_attempt_is_retried(self, en_corpus):
+        # within budget, but cut off at max_tokens: not a usable rewrite
+        gateway = ScriptedGateway([("Plants take in", "length"), "short enough now"])
+        result = constrain_explanation(
+            self.item(en_corpus), self.base(20), 50, self.ENDPOINT, self.TEMPLATES, gateway
+        )
+        assert gateway.salts == ["", "retry-1"]
+        assert result.length_status == "within_budget"
+        assert result.text == "short enough now"
+
+    def test_all_cut_off_attempts_raise(self, en_corpus):
+        gateway = ScriptedGateway([("Plants take in", "length")] * 4)
+        with pytest.raises(EmptyRegeneration, match="after 4 attempts"):
+            constrain_explanation(
+                self.item(en_corpus), self.base(20), 50, self.ENDPOINT, self.TEMPLATES, gateway
+            )
+        assert gateway.salts == ["", "retry-1", "retry-2", "retry-3"]
+
+    def test_over_budget_text_outlives_later_unusable_attempts(self, en_corpus):
+        over = " ".join(["over"] * 30)
+        gateway = ScriptedGateway([over, ("Plants take in", "length"), " ", ("cut", "length")])
+        result = constrain_explanation(
+            self.item(en_corpus), self.base(20), 50, self.ENDPOINT, self.TEMPLATES, gateway
+        )
+        assert result.length_status == "truncated"
+        assert result.text == " ".join(["over"] * 10)
 
     def test_level_domain_enforced(self, en_corpus):
         with pytest.raises(ExplanationError, match="level"):

@@ -3,6 +3,7 @@ import itertools
 import threading
 import time
 from collections import Counter
+from contextlib import ExitStack
 from pathlib import Path
 
 import pytest
@@ -38,6 +39,7 @@ from suffbench.runstore import (
     SIMILARITY,
     RunManifest,
     RunStore,
+    work_key,
 )
 
 from tests.conftest import FixtureServer, route_mock
@@ -55,7 +57,7 @@ TEMPLATES = {
 }
 
 
-def make_ctx(
+def new_context(
     tmp_path,
     corpora,
     *,
@@ -84,6 +86,18 @@ def make_ctx(
         max_tokens=512,
         workers=workers,
     )
+
+
+@pytest.fixture
+def make_ctx():
+    """new_context, with every store it opens or is handed closed at teardown."""
+    with ExitStack() as stores:
+        def make(*args, **kwargs):
+            ctx = new_context(*args, **kwargs)
+            stores.enter_context(ctx.store)
+            return ctx
+
+        yield make
 
 
 def store_bytes(root):
@@ -123,7 +137,7 @@ class TestFullRun:
     def small(self, en_corpus):
         return subset(en_corpus, 3, seed=7)  # q0003, q0006, q0007
 
-    def test_row_counts(self, tmp_path, small):
+    def test_row_counts(self, make_ctx, tmp_path, small):
         ctx = make_ctx(tmp_path, {"en": small})
         reports = run(ctx, ["aggregate"])
         by_stage = {r.stage: r for r in reports}
@@ -137,7 +151,7 @@ class TestFullRun:
         assert len(ctx.store.load_scores()) == 12
         assert len(ctx.store.load_similarities()) == 6
 
-    def test_aggregate_cells(self, tmp_path, small):
+    def test_aggregate_cells(self, make_ctx, tmp_path, small):
         ctx = make_ctx(tmp_path, {"en": small})
         run(ctx, ["aggregate"])
         cells = ctx.store.load_aggregates()
@@ -148,7 +162,7 @@ class TestFullRun:
             assert cell.n_excluded == 0
         assert cells[0].mean_sufficiency == 0.25  # mock scorer ties every option
 
-    def test_constrained_rows_within_budget(self, tmp_path, small):
+    def test_constrained_rows_within_budget(self, make_ctx, tmp_path, small):
         ctx = make_ctx(tmp_path, {"en": small})
         run(ctx, ["constrain"])
         bases = {e.item_id: e for e in ctx.store.load_explanations() if e.level == 0}
@@ -158,7 +172,7 @@ class TestFullRun:
             budget = max(1, (100 - e.level) * bases[e.item_id].word_count // 100)
             assert e.word_count <= budget
 
-    def test_masked_rows_verify(self, tmp_path, small):
+    def test_masked_rows_verify(self, make_ctx, tmp_path, small):
         from suffbench.masker import verify_masked
 
         ctx = make_ctx(tmp_path, {"en": small})
@@ -166,7 +180,7 @@ class TestFullRun:
         for m in ctx.store.load_masks():
             assert verify_masked(m.masked_text, small[m.item_id])
 
-    def test_run_id_stamped_everywhere(self, tmp_path, small):
+    def test_run_id_stamped_everywhere(self, make_ctx, tmp_path, small):
         ctx = make_ctx(tmp_path, {"en": small})
         run(ctx, ["aggregate"])
         for name in COLUMNS:
@@ -176,7 +190,7 @@ class TestFullRun:
             assert rows or name == AUDIT, name
             assert all(row[0] == RUN for row in rows), name
 
-    def test_both_languages(self, tmp_path, en_corpus, fa_corpus):
+    def test_both_languages(self, make_ctx, tmp_path, en_corpus, fa_corpus):
         small_en = subset(en_corpus, 2, seed=1)
         small_fa = subset(fa_corpus, 2, seed=1)
         ctx = make_ctx(tmp_path, {"en": small_en, "fa": small_fa}, levels=(50,))
@@ -187,7 +201,7 @@ class TestFullRun:
 
 
 class TestAppendHandles:
-    def test_full_run_opens_each_table_once(self, tmp_path, en_corpus, monkeypatch):
+    def test_full_run_opens_each_table_once(self, make_ctx, tmp_path, en_corpus, monkeypatch):
         ctx = make_ctx(tmp_path, {"en": subset(en_corpus, 3, seed=7)})
         opened = Counter()
         real = open
@@ -203,7 +217,7 @@ class TestAppendHandles:
 
 
 class TestDeterminism:
-    def test_worker_count_does_not_change_bytes(self, tmp_path, en_corpus):
+    def test_worker_count_does_not_change_bytes(self, make_ctx, tmp_path, en_corpus):
         small = subset(en_corpus, 3, seed=7)
         ctx1 = make_ctx(tmp_path / "a", {"en": small}, workers=1)
         ctx4 = make_ctx(tmp_path / "b", {"en": small}, workers=4)
@@ -259,7 +273,7 @@ def uninterrupted(tmp_path_factory, en_corpus):
     uninterrupted run."""
     root = tmp_path_factory.mktemp("uninterrupted")
     gateway = Gateway(cache_dir=root / "cache")
-    ctx = make_ctx(root, {"en": en_corpus}, gateway=gateway)
+    ctx = new_context(root, {"en": en_corpus}, gateway=gateway)
     calls = _kill_at_append(ctx.store, -1)
     writes, _ = _tear_at_write(ctx.store, -1, None)
     run(ctx, STAGES)
@@ -277,7 +291,7 @@ class TestResume:
         k = data.draw(st.integers(min_value=0, max_value=appends - 1), label="killed at append")
         root = tmp_path_factory.mktemp("killed")
         first = Gateway(cache_dir=root / "cache")
-        ctx = make_ctx(root, {"en": en_corpus}, gateway=first)
+        ctx = new_context(root, {"en": en_corpus}, gateway=first)
         _kill_at_append(ctx.store, k)
         with pytest.raises(_Killed):
             run(ctx, STAGES)
@@ -285,7 +299,7 @@ class TestResume:
 
         store = RunStore.open_resume(root / "store", RunManifest.new(RUN, {"levels": [10, 90]}))
         resumed = Gateway(cache_dir=root / "cache")
-        run(make_ctx(root, {"en": en_corpus}, gateway=resumed, store=store), STAGES)
+        run(new_context(root, {"en": en_corpus}, gateway=resumed, store=store), STAGES)
         store.close()
         assert store_bytes(root / "store") == tables
         # each call the first run completed is answered by the cache
@@ -304,7 +318,7 @@ class TestResume:
         k = data.draw(st.integers(min_value=0, max_value=writes - 1), label="torn at write")
         root = tmp_path_factory.mktemp("torn")
         first = Gateway(cache_dir=root / "cache")
-        ctx = make_ctx(root, {"en": en_corpus}, gateway=first)
+        ctx = new_context(root, {"en": en_corpus}, gateway=first)
         _, torn = _tear_at_write(
             ctx.store, k,
             lambda row: data.draw(st.integers(min_value=0, max_value=len(row)), label="bytes"),
@@ -317,14 +331,14 @@ class TestResume:
         store = RunStore.open_resume(root / "store", RunManifest.new(RUN, {"levels": [10, 90]}))
         assert store.salvage_report == ({name: written} if 0 < written < size else {})
         resumed = Gateway(cache_dir=root / "cache")
-        run(make_ctx(root, {"en": en_corpus}, gateway=resumed, store=store), STAGES)
+        run(new_context(root, {"en": en_corpus}, gateway=resumed, store=store), STAGES)
         store.close()
         assert store_bytes(root / "store") == tables
         assert {
             kind: first.mock_counts()[kind] + resumed.mock_counts()[kind] for kind in counts
         } == counts
 
-    def test_fresh_gateway_resume_makes_no_model_calls(self, tmp_path, en_corpus):
+    def test_fresh_gateway_resume_makes_no_model_calls(self, make_ctx, tmp_path, en_corpus):
         small = subset(en_corpus, 3, seed=7)
         ctx = make_ctx(tmp_path, {"en": small})
         run(ctx, ["aggregate"])
@@ -342,7 +356,7 @@ class TestResume:
         assert store_bytes(tmp_path / "store") == before
         assert all(r.planned == 0 for r in reports if r.stage != "aggregate")
 
-    def test_partial_resume_skips_finished_stage(self, tmp_path, en_corpus):
+    def test_partial_resume_skips_finished_stage(self, make_ctx, tmp_path, en_corpus):
         small = subset(en_corpus, 3, seed=7)
         ctx = make_ctx(tmp_path, {"en": small})
         run(ctx, ["generate"])
@@ -388,7 +402,7 @@ class _SabotagedGeneration:
 
 
 class TestExpectedFailures:
-    def test_unparseable_generation_is_audited_and_excluded(self, tmp_path, en_corpus):
+    def test_unparseable_generation_is_audited_and_excluded(self, make_ctx, tmp_path, en_corpus):
         small = subset(en_corpus, 3, seed=7)  # q0003, q0006, q0007
         needle = small["q0006"].stem
         gateway = _SabotagedGeneration(Gateway(), needle)
@@ -413,7 +427,9 @@ class TestExpectedFailures:
                 assert cell.n_items == 2
                 assert cell.n_excluded == 1
 
-    def test_generation_cut_at_max_tokens_is_audited_and_excluded(self, tmp_path, en_corpus):
+    def test_generation_cut_at_max_tokens_is_audited_and_excluded(
+        self, make_ctx, tmp_path, en_corpus
+    ):
         small = subset(en_corpus, 3, seed=7)
         gateway = _SabotagedGeneration(
             Gateway(), small["q0006"].stem,
@@ -430,7 +446,7 @@ class TestExpectedFailures:
         assert gen_cells
         assert all((c.n_items, c.n_excluded) == (2, 1) for c in gen_cells)
 
-    def test_curves_leave_out_excluded_items(self, tmp_path, en_corpus):
+    def test_curves_leave_out_excluded_items(self, make_ctx, tmp_path, en_corpus):
         small = subset(en_corpus, 3, seed=7)
         # q0006's 28-word base gets a 25-word budget at level 10 only
         gateway = _SabotagedGeneration(
@@ -448,7 +464,7 @@ class TestExpectedFailures:
         assert rows["gen-1", "90"]["n_items"] == "2"
         assert rows["gen-1", "90"]["mean_realized_reduction"] == f"{sum(kept) / 2:.4f}"
 
-    def test_heatmaps_leave_out_excluded_items(self, tmp_path, en_corpus):
+    def test_heatmaps_leave_out_excluded_items(self, make_ctx, tmp_path, en_corpus):
         small = subset(en_corpus, 3, seed=7)
         gateway = _SabotagedGeneration(
             Gateway(), small["q0006"].stem, "at most 25 words", kind="constrain", text=" ",
@@ -465,7 +481,7 @@ class TestExpectedFailures:
             rows = {r["model"]: r for r in csv.DictReader(fh)}
         assert rows["gen-1"]["90"] == f"{cell.mean_similarity:.6f}" == "-0.200490"
 
-    def test_resume_does_not_retry_audited_item(self, tmp_path, en_corpus):
+    def test_resume_does_not_retry_audited_item(self, make_ctx, tmp_path, en_corpus):
         small = subset(en_corpus, 3, seed=7)
         needle = small["q0006"].stem
         gateway = _SabotagedGeneration(Gateway(), needle)
@@ -479,7 +495,7 @@ class TestExpectedFailures:
         assert plan_generate(ctx2) == []
 
 
-    def test_empty_regeneration_is_audited_and_excluded(self, tmp_path, en_corpus):
+    def test_empty_regeneration_is_audited_and_excluded(self, make_ctx, tmp_path, en_corpus):
         small = subset(en_corpus, 3, seed=7)
         needle = small["q0006"].stem
         gateway = _SabotagedGeneration(Gateway(), needle, kind="constrain", text=" \n ")
@@ -541,7 +557,7 @@ class _CountingEmbeddings:
 
 
 class TestSimilarity:
-    def test_each_text_embedded_once_across_workers(self, tmp_path, en_corpus):
+    def test_each_text_embedded_once_across_workers(self, make_ctx, tmp_path, en_corpus):
         small = subset(en_corpus, 2, seed=7)
         gateway = _CountingEmbeddings(Gateway())
         ctx = make_ctx(
@@ -589,6 +605,25 @@ class InFlight:
         return route
 
 
+def _record_threads(monkeypatch) -> set[int]:
+    """The idents of the threads that make a unit's model calls or mask
+    its explanation, collected into the returned set."""
+    threads = set()
+
+    def spy(real):
+        def call(*args, **kwargs):
+            threads.add(threading.get_ident())
+            return real(*args, **kwargs)
+        return call
+
+    for owner, name in (
+        (Gateway, "generate"), (Gateway, "score_continuation"), (Gateway, "embed"),
+        (pipeline, "mask_explanation"),
+    ):
+        monkeypatch.setattr(owner, name, spy(getattr(owner, name)))
+    return threads
+
+
 class TestRequestsInFlight:
     """A stage that calls an HTTP endpoint keeps requests_in_flight(workers)
     requests in flight, one per pool thread; a stage that calls only mock://
@@ -601,7 +636,7 @@ class TestRequestsInFlight:
         ("similarity", "/13/embeddings"),
     ])
     def test_http_stage_reaches_four_requests_at_one_worker(
-        self, tmp_path, en_corpus, stage, path
+        self, make_ctx, tmp_path, en_corpus, stage, path
     ):
         # the first four requests of the stage are answered only once all
         # four have arrived; with fewer in flight the barrier times out and
@@ -629,7 +664,7 @@ class TestRequestsInFlight:
         assert report.completed == report.planned
         assert not together.broken
 
-    def test_no_stage_exceeds_four_requests_per_worker(self, tmp_path, en_corpus):
+    def test_no_stage_exceeds_four_requests_per_worker(self, make_ctx, tmp_path, en_corpus):
         with FixtureServer() as server:
             ctx = make_ctx(
                 tmp_path, {"en": en_corpus}, workers=2, generators=(live(server, GEN),),
@@ -640,22 +675,12 @@ class TestRequestsInFlight:
         assert len(ctx.store.load_scores()) == 40
         assert 2 < in_flight.peak <= requests_in_flight(2) == 8
 
-    def test_mock_stages_run_on_at_most_workers_threads(self, tmp_path, en_corpus, monkeypatch):
+    def test_mock_stages_run_on_at_most_workers_threads(
+        self, make_ctx, tmp_path, en_corpus, monkeypatch
+    ):
         # CPU-bound mock work on 4 x workers threads contends for one GIL:
         # mock-cold run_s 25% and resume-warm run_s 63% slower at workers=1
-        threads = set()
-
-        def spy(real):
-            def call(*args, **kwargs):
-                threads.add(threading.get_ident())
-                return real(*args, **kwargs)
-            return call
-
-        for owner, name in (
-            (Gateway, "generate"), (Gateway, "score_continuation"), (Gateway, "embed"),
-            (pipeline, "mask_explanation"),
-        ):
-            monkeypatch.setattr(owner, name, spy(getattr(owner, name)))
+        threads = _record_threads(monkeypatch)
         ctx = make_ctx(tmp_path, {"en": en_corpus}, levels=(10, 50, 90), workers=2)
         for stage in STAGES[:-1]:
             threads.clear()
@@ -665,16 +690,155 @@ class TestRequestsInFlight:
 
 
 class TestFatalFailures:
-    def test_unexpected_error_becomes_stage_failure(self, tmp_path, en_corpus):
+    def test_unexpected_error_becomes_stage_failure(self, make_ctx, tmp_path, en_corpus):
         small = subset(en_corpus, 2, seed=7)
         ctx = make_ctx(tmp_path, {"en": small}, gateway=_BrokenEmbeddings(Gateway()))
         run(ctx, ["constrain"])
         with pytest.raises(StageFailure, match="similarity"):
             run_stage(ctx, "similarity")
 
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_stage_failure_stores_exactly_the_units_before_it(
+        self, make_ctx, tmp_path, en_corpus, monkeypatch, workers
+    ):
+        ctx = make_ctx(tmp_path, {"en": subset(en_corpus, 4, seed=7)}, workers=workers)
+        run(ctx, ["constrain"])
+        keys = [unit[0] for unit in pipeline.plan_mask(ctx)]
+        k = len(keys) // 2
+        started = []
+        real = pipeline.mask_explanation
+
+        def mask(explanation, item):
+            key = work_key(explanation)
+            started.append(key)
+            if key == keys[k]:
+                raise RuntimeError("masker exploded")
+            if key in keys[k + 1:]:
+                time.sleep(0.5)  # the failure reaches the calling thread meanwhile
+            return real(explanation, item)
+
+        monkeypatch.setattr(pipeline, "mask_explanation", mask)
+        with pytest.raises(StageFailure, match="masker exploded"):
+            run_stage(ctx, "mask")
+        stored = RunStore.load(tmp_path / "store").load_masks()
+        assert [work_key(m) for m in stored] == keys[:k]
+        # the units not started by then are cancelled: no thread starts
+        # more than one unit after the failing one, and inline none
+        assert set(keys[:k + 1]) <= set(started)
+        assert len(started) <= k + 1 + (workers if workers > 1 else 0)
+
+
+class _InterruptedConstrain:
+    """Delegates to a real gateway, but raises KeyboardInterrupt in place
+    of its k-th (from 1) constrain generation call."""
+
+    def __init__(self, inner, k):
+        self._inner = inner
+        self._k = k
+        self._calls = itertools.count(1)
+
+    def generate(self, endpoint, prompt, **kwargs):
+        if prompt.kind == "constrain" and next(self._calls) == self._k:
+            raise KeyboardInterrupt
+        return self._inner.generate(endpoint, prompt, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+@pytest.fixture(scope="module")
+def uncached(tmp_path_factory, en_corpus):
+    """Corpus, table bytes, mock counts and constrain work keys, in planning
+    order, of one uninterrupted run at workers=1 with no cache."""
+    root = tmp_path_factory.mktemp("uncached")
+    corpora = {"en": subset(en_corpus, 4, seed=7)}
+    gateway = Gateway()
+    ctx = new_context(root, corpora, workers=1, gateway=gateway)
+    with ctx.store:
+        run(ctx, ["generate"])
+        keys = [unit[0] for unit in plan_constrain(ctx)]
+        reports = run(ctx, STAGES)
+    # one generation call per generate and per constrain unit
+    assert gateway.mock_counts()["generate"] == len(corpora["en"]) + len(keys)
+    assert reports[1].completed == len(keys)
+    return corpora, store_bytes(root / "store"), gateway.mock_counts(), keys
+
+
+class TestCommitsAsResultsLand:
+    def test_one_worker_mock_stages_run_inline(self, make_ctx, tmp_path, en_corpus, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-thread stage made a thread pool")
+
+        monkeypatch.setattr(pipeline, "ThreadPoolExecutor", no_pool)
+        threads = _record_threads(monkeypatch)
+        ctx = make_ctx(tmp_path, {"en": en_corpus}, workers=1)
+        reports = run(ctx, STAGES)
+        assert all(r.completed == r.planned > 0 for r in reports[:-1])
+        assert threads == {threading.get_ident()}
+
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_interrupt_loses_only_the_unit_in_flight(self, uncached, tmp_path_factory, data):
+        # no cache: a unit lost to the interrupt is paid for again on resume
+        corpora, tables, counts, keys = uncached
+        k = data.draw(st.integers(min_value=1, max_value=len(keys)), label="interrupted call")
+        root = tmp_path_factory.mktemp("interrupted")
+        first = Gateway()
+        ctx = new_context(root, corpora, workers=1, gateway=_InterruptedConstrain(first, k))
+        with ctx.store, pytest.raises(KeyboardInterrupt):
+            run(ctx, STAGES)
+        stored = RunStore.load(root / "store").load_explanations()
+        assert [work_key(e) for e in stored if e.level != 0] == keys[:k - 1]
+
+        resumed = Gateway()
+        manifest = RunManifest.new(RUN, {"levels": [10, 90]})
+        with RunStore.open_resume(root / "store", manifest) as store:
+            run(new_context(root, corpora, workers=1, gateway=resumed, store=store), STAGES)
+        assert store_bytes(root / "store") == tables
+        assert {
+            kind: first.mock_counts()[kind] + resumed.mock_counts()[kind] for kind in counts
+        } == counts
+
+    def test_http_stage_commits_before_its_last_unit_answers(
+        self, make_ctx, tmp_path, en_corpus
+    ):
+        # ten generate units on eight threads: the last unit's request is
+        # held until the first row is in the table file
+        last = max(en_corpus, key=lambda item: item.id)
+        table = tmp_path / "store" / EXPLANATIONS
+        landed, done, released = threading.Event(), threading.Event(), []
+        with FixtureServer() as server:
+            ctx = make_ctx(
+                tmp_path, {"en": en_corpus}, workers=2, generators=(live(server, GEN),)
+            )
+            header = table.stat().st_size
+            answer = server.httpd.routes["/11/chat/completions"]
+
+            def hold_last(payload):
+                if last.stem in payload["messages"][0]["content"]:
+                    released.append(landed.wait(timeout=5))
+                return answer(payload)
+
+            def watch():
+                while not done.wait(0.005):
+                    if table.stat().st_size > header:
+                        landed.set()
+                        return
+
+            server.route("/11/chat/completions", hold_last)
+            watcher = threading.Thread(target=watch)
+            watcher.start()
+            try:
+                report = run_stage(ctx, "generate")
+            finally:
+                done.set()
+                watcher.join()
+        assert released == [True]
+        assert report.completed == report.planned == len(en_corpus)
+
 
 class TestDryRun:
-    def test_plans_without_calls(self, tmp_path, en_corpus):
+    def test_plans_without_calls(self, make_ctx, tmp_path, en_corpus):
         small = subset(en_corpus, 3, seed=7)
         gateway = Gateway()
         ctx = make_ctx(tmp_path, {"en": small}, gateway=gateway)
@@ -687,7 +851,7 @@ class TestDryRun:
         assert gateway.mock_counts() == {"generate": 0, "logprobs": 0, "embeddings": 0}
         assert len(ctx.store.load_explanations()) == 0
 
-    def test_dry_run_after_generate_sees_constrain_work(self, tmp_path, en_corpus):
+    def test_dry_run_after_generate_sees_constrain_work(self, make_ctx, tmp_path, en_corpus):
         small = subset(en_corpus, 3, seed=7)
         ctx = make_ctx(tmp_path, {"en": small})
         run(ctx, ["generate"])

@@ -132,8 +132,8 @@ class TestLifecycle:
         assert resumed.manifest.created_at == first.created_at
 
     def test_open_or_create_dispatch(self, tmp_path):
-        first = RunStore.open_or_create(tmp_path, manifest())
-        first.append_explanation(explanation())
+        with RunStore.open_or_create(tmp_path, manifest()) as first:
+            first.append_explanation(explanation())
         second = RunStore.open_or_create(tmp_path, manifest())
         assert len(second.load_explanations()) == 1
 
@@ -179,50 +179,50 @@ class TestTableSpec:
 
 class TestRoundTrip:
     def test_explanation(self, tmp_path):
-        store = RunStore.create(tmp_path, manifest())
-        e = explanation(text='Line one,\n"quoted" line two.', level=0)
-        assert store.append_explanation(e)
-        assert store.load_explanations() == (e,)
+        with RunStore.create(tmp_path, manifest()) as store:
+            e = explanation(text='Line one,\n"quoted" line two.', level=0)
+            assert store.append_explanation(e)
+            assert store.load_explanations() == (e,)
 
     def test_explanation_persian(self, tmp_path):
-        store = RunStore.create(tmp_path, manifest())
-        e = explanation(text="گیاهان برای رشد به نور نیاز دارند.")
-        store.append_explanation(e)
-        assert store.load_explanations()[0].text == e.text
+        with RunStore.create(tmp_path, manifest()) as store:
+            e = explanation(text="گیاهان برای رشد به نور نیاز دارند.")
+            store.append_explanation(e)
+            assert store.load_explanations()[0].text == e.text
 
     def test_mask_report(self, tmp_path):
-        store = RunStore.create(tmp_path, manifest())
-        m = mask_report()
-        assert store.append_mask(m)
-        assert store.load_masks() == (m,)
+        with RunStore.create(tmp_path, manifest()) as store:
+            m = mask_report()
+            assert store.append_mask(m)
+            assert store.load_masks() == (m,)
 
     def test_score_floats_exact(self, tmp_path):
-        store = RunStore.create(tmp_path, manifest())
-        s = dataclasses.replace(
-            score(),
-            option_probs={"A": 0.6439142598879723, "B": 0.23688281808991013,
-                          "C": 0.08714431874203257, "D": 0.03205860328008499},
-            sufficiency=0.6439142598879723, predicted="A", correct=True,
-        )
-        store.append_score(s)
-        loaded = store.load_scores()[0]
-        assert loaded == s  # float text round-trips bit-exact
+        with RunStore.create(tmp_path, manifest()) as store:
+            s = dataclasses.replace(
+                score(),
+                option_probs={"A": 0.6439142598879723, "B": 0.23688281808991013,
+                              "C": 0.08714431874203257, "D": 0.03205860328008499},
+                sufficiency=0.6439142598879723, predicted="A", correct=True,
+            )
+            store.append_score(s)
+            loaded = store.load_scores()[0]
+            assert loaded == s  # float text round-trips bit-exact
 
     def test_baseline_score_level_stays_string(self, tmp_path):
-        store = RunStore.create(tmp_path, manifest())
-        s = score(model="baseline", level="noexp")
-        store.append_score(s)
-        assert store.load_scores()[0].level == "noexp"
+        with RunStore.create(tmp_path, manifest()) as store:
+            s = score(model="baseline", level="noexp")
+            store.append_score(s)
+            assert store.load_scores()[0].level == "noexp"
 
     def test_similarity(self, tmp_path):
-        store = RunStore.create(tmp_path, manifest())
-        assert store.append_similarity(similarity())
-        assert store.load_similarities() == (similarity(),)
+        with RunStore.create(tmp_path, manifest()) as store:
+            assert store.append_similarity(similarity())
+            assert store.load_similarities() == (similarity(),)
 
     def test_audit(self, tmp_path):
-        store = RunStore.create(tmp_path, manifest())
-        assert store.append_audit(audit())
-        assert store.load_audit() == (audit(),)
+        with RunStore.create(tmp_path, manifest()) as store:
+            assert store.append_audit(audit())
+            assert store.load_audit() == (audit(),)
 
     def test_aggregates_none_similarity(self, tmp_path):
         store = RunStore.create(tmp_path, manifest())
@@ -242,38 +242,40 @@ class TestRoundTrip:
 
 class TestDedupAndRunChecks:
     def test_duplicate_key_skipped(self, tmp_path):
-        store = RunStore.create(tmp_path, manifest())
-        assert store.append_explanation(explanation())
-        assert not store.append_explanation(explanation(text="Different words entirely."))
-        assert len(store.load_explanations()) == 1
+        with RunStore.create(tmp_path, manifest()) as store:
+            assert store.append_explanation(explanation())
+            assert not store.append_explanation(explanation(text="Different words entirely."))
+            assert len(store.load_explanations()) == 1
 
     def test_same_item_other_level_kept(self, tmp_path):
-        store = RunStore.create(tmp_path, manifest())
-        store.append_explanation(explanation(level=0))
-        assert store.append_explanation(explanation(level=50))
-        assert len(store.load_explanations()) == 2
+        with RunStore.create(tmp_path, manifest()) as store:
+            store.append_explanation(explanation(level=0))
+            assert store.append_explanation(explanation(level=50))
+            assert len(store.load_explanations()) == 2
 
     def test_dedup_survives_resume(self, tmp_path):
-        RunStore.create(tmp_path, manifest()).append_explanation(explanation())
+        with RunStore.create(tmp_path, manifest()) as store:
+            store.append_explanation(explanation())
         resumed = RunStore.open_resume(tmp_path, manifest())
         assert not resumed.append_explanation(explanation())
 
     def test_audit_dedup_includes_event(self, tmp_path):
-        store = RunStore.create(tmp_path, manifest())
-        assert store.append_audit(audit(event="unparseable"))
-        assert store.append_audit(audit(event="empty_regeneration"))
-        assert not store.append_audit(audit(event="unparseable"))
+        with RunStore.create(tmp_path, manifest()) as store:
+            assert store.append_audit(audit(event="unparseable"))
+            assert store.append_audit(audit(event="empty_regeneration"))
+            assert not store.append_audit(audit(event="unparseable"))
 
     def test_foreign_run_id_rejected_on_load(self, tmp_path):
-        store = RunStore.create(tmp_path, manifest())
-        store.append_explanation(explanation())
+        with RunStore.create(tmp_path, manifest()) as store:
+            store.append_explanation(explanation())
         other = dataclasses.replace(manifest(), run_id="run-other")
         (tmp_path / "manifest.json").write_text(other.to_json(), encoding="utf-8")
         with pytest.raises(StoreError, match="row for run"):
             RunStore.load(tmp_path).load_explanations()
 
     def test_repeated_key_in_file_rejected(self, tmp_path):
-        RunStore.create(tmp_path, manifest()).append_similarity(similarity())
+        with RunStore.create(tmp_path, manifest()) as store:
+            store.append_similarity(similarity())
         path = tmp_path / SIMILARITY
         row = path.read_bytes().splitlines(keepends=True)[-1]
         with open(path, "ab") as fh:
@@ -286,9 +288,9 @@ class TestDedupAndRunChecks:
 
 class TestReads:
     def test_each_table_read_once_at_first_use(self, tmp_path, monkeypatch):
-        store = RunStore.create(tmp_path, manifest())
-        store.append_explanation(explanation())
-        store.write_aggregates([cell()])
+        with RunStore.create(tmp_path, manifest()) as store:
+            store.append_explanation(explanation())
+            store.write_aggregates([cell()])
         reads = Counter()
         real = Path.read_bytes
 
@@ -350,18 +352,18 @@ class TestAppendHandles:
 
 class TestDoneKeys:
     def test_done_keys_track_appends(self, tmp_path):
-        store = RunStore.create(tmp_path, manifest())
-        store.append_explanation(explanation(item_id="q0001", level=0))
-        store.append_explanation(explanation(item_id="q0002", level=0))
-        assert store.done_keys(EXPLANATIONS) == {
-            ("q0001", "en", "gen-1", 0),
-            ("q0002", "en", "gen-1", 0),
-        }
+        with RunStore.create(tmp_path, manifest()) as store:
+            store.append_explanation(explanation(item_id="q0001", level=0))
+            store.append_explanation(explanation(item_id="q0002", level=0))
+            assert store.done_keys(EXPLANATIONS) == {
+                ("q0001", "en", "gen-1", 0),
+                ("q0002", "en", "gen-1", 0),
+            }
 
     def test_score_keys_include_baseline(self, tmp_path):
-        store = RunStore.create(tmp_path, manifest())
-        store.append_score(score(model="baseline", level="noexp"))
-        assert ("q0001", "en", "baseline", "noexp") in store.done_keys(SCORES)
+        with RunStore.create(tmp_path, manifest()) as store:
+            store.append_score(score(model="baseline", level="noexp"))
+            assert ("q0001", "en", "baseline", "noexp") in store.done_keys(SCORES)
 
     def test_unknown_table_rejected(self, tmp_path):
         store = RunStore.create(tmp_path, manifest())
@@ -369,14 +371,14 @@ class TestDoneKeys:
             store.done_keys("nope.csv")
 
     def test_audit_keys_filter(self, tmp_path):
-        store = RunStore.create(tmp_path, manifest())
-        store.append_audit(audit(item_id="q0002", event="unparseable"))
-        store.append_audit(audit(item_id="q0003", event="empty_regeneration"))
-        assert store.audit_keys("generate") == {
-            ("q0002", "en", "gen-1", 0),
-            ("q0003", "en", "gen-1", 0),
-        }
-        assert store.audit_keys("score") == frozenset()
+        with RunStore.create(tmp_path, manifest()) as store:
+            store.append_audit(audit(item_id="q0002", event="unparseable"))
+            store.append_audit(audit(item_id="q0003", event="empty_regeneration"))
+            assert store.audit_keys("generate") == {
+                ("q0002", "en", "gen-1", 0),
+                ("q0003", "en", "gen-1", 0),
+            }
+            assert store.audit_keys("score") == frozenset()
 
 
 class _Killed(Exception):
@@ -411,13 +413,13 @@ class TestTornTails:
         with monkeypatch.context() as patched, suppress(_Killed):
             _kill_at_write(patched, k)
             RunStore.create(tmp_path, manifest())
-        store = RunStore.open_or_create(tmp_path, manifest())
         records = (explanation(), mask_report(), score(), similarity(), audit())
-        appends = (
-            store.append_explanation, store.append_mask, store.append_score,
-            store.append_similarity, store.append_audit,
-        )
-        assert all(append(r) for append, r in zip(appends, records))
+        with RunStore.open_or_create(tmp_path, manifest()) as store:
+            appends = (
+                store.append_explanation, store.append_mask, store.append_score,
+                store.append_similarity, store.append_audit,
+            )
+            assert all(append(r) for append, r in zip(appends, records))
         reopened = RunStore.open_or_create(tmp_path, manifest())
         loaded = (
             reopened.load_explanations(), reopened.load_masks(), reopened.load_scores(),
@@ -427,8 +429,8 @@ class TestTornTails:
         assert reopened.load_aggregates() == ()
 
     def test_resume_truncates_partial_line(self, tmp_path):
-        store = RunStore.create(tmp_path, manifest())
-        store.append_explanation(explanation(item_id="q0001"))
+        with RunStore.create(tmp_path, manifest()) as store:
+            store.append_explanation(explanation(item_id="q0001"))
         path = tmp_path / EXPLANATIONS
         clean = path.read_bytes()
         torn = b"run-abc,q0002,en,gen-1,0,3,wi"  # killed mid-row
@@ -440,17 +442,17 @@ class TestTornTails:
         assert len(resumed.load_explanations()) == 1
 
     def test_appends_after_salvage_are_clean(self, tmp_path):
-        store = RunStore.create(tmp_path, manifest())
-        store.append_explanation(explanation(item_id="q0001"))
+        with RunStore.create(tmp_path, manifest()) as store:
+            store.append_explanation(explanation(item_id="q0001"))
         with open(tmp_path / EXPLANATIONS, "ab") as fh:
             fh.write(b"run-abc,q0002,en")
-        resumed = RunStore.open_resume(tmp_path, manifest())
-        assert resumed.append_explanation(explanation(item_id="q0002"))
-        assert len(resumed.load_explanations()) == 2
+        with RunStore.open_resume(tmp_path, manifest()) as resumed:
+            assert resumed.append_explanation(explanation(item_id="q0002"))
+            assert len(resumed.load_explanations()) == 2
 
     def test_newline_inside_quoted_field_not_a_boundary(self, tmp_path):
-        store = RunStore.create(tmp_path, manifest())
-        store.append_explanation(explanation(item_id="q0001"))
+        with RunStore.create(tmp_path, manifest()) as store:
+            store.append_explanation(explanation(item_id="q0001"))
         torn = 'run-abc,q0002,en,gen-1,0,4,within_budget,raw,"line one\nline'
         with open(tmp_path / EXPLANATIONS, "ab") as fh:
             fh.write(torn.encode("utf-8"))
@@ -459,16 +461,16 @@ class TestTornTails:
         assert len(resumed.load_explanations()) == 1
 
     def test_complete_multiline_row_survives(self, tmp_path):
-        store = RunStore.create(tmp_path, manifest())
         e = explanation(text="first line\nsecond line")
-        store.append_explanation(e)
+        with RunStore.create(tmp_path, manifest()) as store:
+            store.append_explanation(e)
         resumed = RunStore.open_resume(tmp_path, manifest())
         assert resumed.salvage_report == {}
         assert resumed.load_explanations() == (e,)
 
     def test_readonly_load_skips_torn_tail_without_truncating(self, tmp_path):
-        store = RunStore.create(tmp_path, manifest())
-        store.append_explanation(explanation())
+        with RunStore.create(tmp_path, manifest()) as store:
+            store.append_explanation(explanation())
         path = tmp_path / EXPLANATIONS
         with open(path, "ab") as fh:
             fh.write(b"run-abc,q0009")
