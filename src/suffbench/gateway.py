@@ -17,6 +17,11 @@ sets how many requests are in flight: a pipeline stage that calls an
 HTTP endpoint keeps pipeline.requests_in_flight(workers) of them, one per
 pool thread. Each request is still cached, rate-limited and retried on
 its own.
+
+HTTP requests go through a requests.Session: the caller's, such as the
+pooled one from suffbench.transport, or a default one the Gateway creates
+at its first HTTP request. This module loads requests only then, so a
+mock-only run never imports it.
 """
 
 from __future__ import annotations
@@ -35,9 +40,9 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 from urllib.parse import urlparse
 
-import requests
-
 if TYPE_CHECKING:
+    import requests
+
     from .prompts import RenderedPrompt
 
 log = logging.getLogger(__name__)
@@ -149,9 +154,12 @@ class EmbeddingResult:
             raise ValueError("embedding vector must be non-empty")
 
 
+# the canonical request JSON; every cache key depends on its settings
+_CANONICAL = json.JSONEncoder(sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+
+
 def request_fingerprint(payload: dict) -> str:
-    canonical = json.dumps(payload, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return hashlib.sha256(_CANONICAL.encode(payload).encode("utf-8")).hexdigest()
 
 
 class ResponseCache:
@@ -335,15 +343,17 @@ class Gateway:
         self._cache = ResponseCache(cache_dir) if cache_dir is not None else None
         self._clock = clock
         self._sleep = sleep
-        self._session = session or requests.Session()
+        self._session = session
         self._mocks: dict[str, MockBackend] = {}
         self._limiters: dict[tuple[str, str], RateLimiter] = {}
         self._embed_dims: dict[str, int] = {}
         self._lock = threading.Lock()
 
     def close(self) -> None:
-        """Close the HTTP session and the connections it keeps."""
-        self._session.close()
+        """Close the HTTP session and the connections it keeps, if there is
+        one."""
+        if self._session is not None:
+            self._session.close()
 
     # -- shared plumbing ---------------------------------------------------
 
@@ -408,6 +418,8 @@ class Gateway:
             raise EmptyCompletion(f"response for {key} carries no choices") from None
 
     def _post(self, endpoint: ModelEndpoint, path: str, payload: dict) -> bytes:
+        import requests  # loaded at the first HTTP request, not with this module
+
         url = endpoint.base_url.rstrip("/") + path
         headers = {}
         if endpoint.api_key_ref:
@@ -417,6 +429,10 @@ class Gateway:
                     f"api_key_ref names env var {endpoint.api_key_ref!r}, which is not set"
                 )
             headers["Authorization"] = f"Bearer {api_key}"
+        with self._lock:
+            if self._session is None:
+                self._session = requests.Session()
+            session = self._session
         attempts = endpoint.max_retries + 1
         failure = ""
         for attempt in range(attempts):
@@ -424,7 +440,7 @@ class Gateway:
                 self._sleep(self.BACKOFF_BASE * 2 ** (attempt - 1))
             self._limiter(endpoint).acquire()
             try:
-                response = self._session.post(
+                response = session.post(
                     url, json=payload, headers=headers, timeout=endpoint.timeout
                 )
             except requests.Timeout:

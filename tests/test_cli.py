@@ -12,21 +12,22 @@ from pathlib import Path
 import pytest
 import requests
 
-from suffbench import cli
 from suffbench import gateway as gateway_module
+from suffbench import transport
 from suffbench.cli import (
     EXIT_CONFIG,
     EXIT_MISMATCH,
     EXIT_OK,
     EXIT_STAGE,
     ConfigError,
-    _http_session,
     load_config,
     main,
 )
 from suffbench.constrainer import CONSTRAINT_LEVELS
 from suffbench.gateway import MockBackend, _encode
+from suffbench.pipeline import requests_in_flight
 from suffbench.runstore import COLUMNS, AuditRecord, RunStore, StoreError
+from suffbench.transport import http_session
 from tests.conftest import FIXTURES, FixtureServer, option_logprobs, route_mock
 
 
@@ -325,7 +326,7 @@ class TestHttpSession:
         httpd, base = keepalive
         payload = {"model": "embed-1", "input": "naïve café", "temperature": 0.5}
         headers = {"Authorization": "Bearer sk-123"}
-        session = _http_session(1)
+        session = http_session(1)
         lean = [
             session.post(f"{base}/{path}", json=payload, headers=headers, timeout=5)
             for path in ("v1/embeddings", "v1/embeddings", "fail")
@@ -351,7 +352,7 @@ class TestHttpSession:
 
     def test_threads_share_kept_connections_without_crossing_replies(self, keepalive):
         httpd, base = keepalive
-        session = _http_session(1)
+        session = http_session(1)
         replies = {}
 
         def post_many(worker):
@@ -382,7 +383,7 @@ class TestHttpSession:
     def test_connection_the_server_closed_is_replaced(self, keepalive):
         httpd, base = keepalive
         httpd.drop_after_reply = True
-        with _http_session(1) as session:
+        with http_session(1) as session:
             first = session.post(f"{base}/v1/embeddings", json={}, timeout=5)
             deadline = time.monotonic() + 5
             while httpd.closed < 1 and time.monotonic() < deadline:
@@ -399,7 +400,7 @@ class TestHttpSession:
         monkeypatch.setenv("NETRC", str(tmp_path / "absent"))
         # nothing listens on the discard port: the proxy refuses the request
         monkeypatch.setenv("HTTP_PROXY", "http://127.0.0.1:9")
-        with _http_session(1) as session, pytest.raises(requests.ConnectionError):
+        with http_session(1) as session, pytest.raises(requests.ConnectionError):
             session.post(f"{base}/v1/embeddings", json={}, timeout=5)
         assert httpd.seen == []
 
@@ -408,12 +409,12 @@ class TestHttpSession:
         netrc.write_text("machine 127.0.0.1 login user password secret\n", encoding="utf-8")
         netrc.chmod(0o600)
         monkeypatch.setenv("NETRC", str(netrc))
-        with _http_session(1) as session:
+        with http_session(1) as session:
             session.post(f"{base}/v1/embeddings", json={}, timeout=5)
         assert httpd.seen[0]["headers"]["Authorization"].startswith("Basic ")
 
         monkeypatch.setenv("NETRC", str(tmp_path / "absent"))
-        with _http_session(1) as session:
+        with http_session(1) as session:
             moved = session.post(f"{base}/moved", json={}, timeout=5)
         assert moved.status_code == 200
         assert [s["path"] for s in httpd.seen[1:]] == ["/moved", "/moved", "/v1/embeddings"]
@@ -472,7 +473,7 @@ class TestHttpRun:
     def test_run_closes_its_connections_and_its_store(self, tmp_path, monkeypatch):
         sessions, stores = [], []
 
-        class Session(cli._HttpSession):
+        class Session(transport.HttpSession):
             def __init__(self, pool_size):
                 super().__init__(pool_size)
                 sessions.append(self)
@@ -481,7 +482,7 @@ class TestHttpRun:
                 self.kept_at_close = sum(len(kept) for kept in self._idle.values())
                 super().close()
 
-        monkeypatch.setattr(cli, "_HttpSession", Session)
+        monkeypatch.setattr(transport, "HttpSession", Session)
         real_open = RunStore.open_or_create
         monkeypatch.setattr(
             RunStore, "open_or_create",
@@ -719,3 +720,56 @@ class TestConsoleEntry:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("usage: suffbench")
+
+
+def python_json(code: str):
+    """Run `code` in a fresh interpreter and decode the JSON on its last
+    line of output."""
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestImportBoundary:
+    """Only a config that calls an http(s) endpoint loads the HTTP stack."""
+
+    HTTP_STACK = ["requests", "urllib3", "http.client", "ssl", "charset_normalizer"]
+
+    def test_mock_run_report_and_check_load_no_http_module(self, tmp_path):
+        path = write_config(tmp_path, **BILINGUAL_MOCK)
+        got = python_json(f"""
+import json, sys
+from suffbench.cli import main
+codes = [
+    main(["run", "--config", {str(path)!r}, "--all", "--sample", "2", "--seed", "7"]),
+    main(["report", "--store", {str(tmp_path / "store")!r}, "--kind", "tables"]),
+    main(["validate-config", {str(path)!r}]),
+]
+print(json.dumps({{"codes": codes, "loaded": [m for m in {self.HTTP_STACK!r} if m in sys.modules]}}))
+""")
+        assert got == {"codes": [EXIT_OK] * 3, "loaded": []}
+
+    def test_http_config_gives_the_gateway_a_pooled_session(self, tmp_path):
+        path = write_config(
+            tmp_path, workers=3, scorer={"base_url": "http://127.0.0.1:9", "model_id": "probe-1"}
+        )
+        got = python_json(f"""
+import json, sys
+from suffbench import cli
+contexts = []
+build = cli.build_context
+cli.build_context = lambda *args: contexts.append(build(*args)) or contexts[-1]
+code = cli.main(["run", "--config", {str(path)!r}, "--all", "--dry-run"])
+session = contexts[0].gateway._session
+print(json.dumps({{
+    "code": code, "loaded": "suffbench.transport" in sys.modules,
+    "session": f"{{type(session).__module__}}.{{type(session).__name__}}",
+    "pool": [session._pool_size, session.get_adapter("http://127.0.0.1:9/")._pool_maxsize],
+}}))
+""")
+        assert got == {
+            "code": EXIT_OK, "loaded": True, "session": "suffbench.transport.HttpSession",
+            "pool": [requests_in_flight(3)] * 2,
+        }

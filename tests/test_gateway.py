@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import threading
+import time
 
 import pytest
 import requests
@@ -94,6 +96,35 @@ class TestFingerprint:
         base = {"kind": "chat.completions", "model": "m", "prompt": "p", "temperature": 0.0, "max_tokens": 4}
         salted = dict(base, cache_salt="retry-1")
         assert request_fingerprint(base) != request_fingerprint(salted)
+
+
+# the cache key of one request of each kind, as the store has always
+# written them: a change to the payloads or to their canonical JSON
+# orphans every cache already on disk
+CACHE_KEYS = {
+    "generate": (
+        lambda gw: gw.generate(
+            MOCK, prompt_of("Explain in at most 12 words: چرا آسمان آبی است? naïve"),
+            temperature=0.0, max_tokens=64, cache_salt="retry-1",
+        ),
+        "79dceae9b3fc92137a2ca11c7ed3a725ab792400224fff40030ce6d84f3e5de4",
+    ),
+    "score": (
+        lambda gw: gw.score_continuation(MOCK, "Question: چرا؟\nThe answer is", " B"),
+        "16ed32aae21fe006c9a9109ecc51374993511e56d3209f6f00d4fa11e9f65489",
+    ),
+    "embed": (
+        lambda gw: gw.embed(MOCK, "نور خورشید — café"),
+        "62a38e98d8aa711c0dc5bf85c24c82080002e9f03034cf201dad3c051fe1da15",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CACHE_KEYS))
+def test_cache_keys_are_pinned(kind, tmp_path):
+    call, key = CACHE_KEYS[kind]
+    call(Gateway(cache_dir=tmp_path))
+    assert [path.stem for path in tmp_path.rglob("*.json")] == [key]
 
 
 class TestRateLimiter:
@@ -423,3 +454,65 @@ class TestLiveEmbeddings:
     def test_empty_text_rejected(self, server):
         with pytest.raises(ValueError, match="non-empty"):
             Gateway().embed(live_endpoint(server), "   ")
+
+
+class TestSessionLifecycle:
+    def test_close_before_any_request_neither_creates_a_session_nor_imports_requests(
+        self, monkeypatch
+    ):
+        # a None entry in sys.modules makes `import requests` raise
+        monkeypatch.setitem(sys.modules, "requests", None)
+        gw = Gateway()
+        gw.generate(MOCK, prompt_of("a mock call needs no session"))
+        gw.close()
+        assert gw._session is None
+
+    def test_threads_racing_to_the_first_request_create_one_default_session(
+        self, server, monkeypatch
+    ):
+        created = []
+
+        class CountedSession(requests.Session):
+            def __init__(self):
+                super().__init__()
+                time.sleep(0.05)  # a second creation would start in this window
+                created.append(self)
+
+        monkeypatch.setattr(requests, "Session", CountedSession)
+        gw = Gateway()
+        endpoint = live_endpoint(server)
+        barrier = threading.Barrier(8)
+        results = []
+
+        def first_request(i):
+            barrier.wait(timeout=10)
+            results.append(gw.generate(endpoint, prompt_of(f"question {i}")))
+
+        threads = [threading.Thread(target=first_request, args=(i,), daemon=True) for i in range(8)]
+        for thread in threads:
+            thread.start()
+        deadline = time.monotonic() + 30
+        for thread in threads:
+            thread.join(timeout=max(0.0, deadline - time.monotonic()))
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(results) == 8
+        assert len(created) == 1 and gw._session is created[0]
+        gw.close()
+
+    def test_caller_session_is_used_as_given_and_closed(self):
+        class ClosableSession(FakeSession):
+            closed = 0
+
+            def close(self):
+                self.closed += 1
+
+        session = ClosableSession([(200, CHAT_BODY)])
+        gw = Gateway(session=session)
+        endpoint = ModelEndpoint(base_url="http://example.invalid/v1", model_id="live-1")
+        result = gw.generate(endpoint, prompt_of("Q?"))
+        assert result.text == CHAT_BODY["choices"][0]["message"]["content"]
+        assert [call["url"] for call in session.calls] == [
+            "http://example.invalid/v1/chat/completions"
+        ]
+        gw.close()
+        assert session.closed == 1 and gw._session is session
