@@ -3,6 +3,8 @@
 Runs the full pipeline on the bundled 10-item bilingual fixture corpus
 with two mock generator models, then writes every report kind. No
 network access and no API keys; the whole thing takes a few seconds.
+Its last line is the command that resumes its run: `--sample` and `--seed`
+enter the run id, so the command carries them.
 
     python3 scripts/run_mock_demo.py --out demo_out
 """
@@ -11,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import shlex
 import sys
 from pathlib import Path
 
@@ -65,6 +68,7 @@ def main(argv=None) -> int:
 
     print()
     print((out_dir / "store" / "reports" / "tables.txt").read_text(encoding="utf-8"))
+    print(f"resume: {shlex.join(['suffbench', *run_args])}")
     return 0
 
 

@@ -15,16 +15,21 @@ calling thread; otherwise its units run in a thread pool. Either way each
 result is committed to the store from the calling thread, in planning
 order, as soon as it and every unit before it have finished: table
 contents are byte-identical regardless of worker count or scheduling, and
-a run killed mid-stage loses only the units in flight.
+a run killed mid-stage loses only the units in flight. Once a result is
+committed only the store keeps it, and the similarity stage drops each
+embedding vector after the last unit that needs it: apart from the
+store's records, a stage holds memory for its work in flight, not for the
+whole corpus.
 """
 
 from __future__ import annotations
 
 import logging
+from collections import Counter, deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
-from typing import Callable, Container, Iterable, Sequence
+from typing import Callable, Container, Iterable, Iterator, Sequence
 
 from .constrainer import (
     EmptyRegeneration,
@@ -129,7 +134,8 @@ def _map_ordered(ctx: RunContext, units: Sequence, fn: Callable, endpoints: Iter
     calling thread, with no pool, and only an Exception is caught, so a
     KeyboardInterrupt stops the stage at once. Otherwise every unit is
     submitted up front; the units not yet started are cancelled when the
-    caller stops early."""
+    caller stops early. Either way a result is released once it is
+    yielded, so it lives no longer than the caller keeps it."""
     http = any(not endpoint.is_mock for endpoint in endpoints)
     threads = min(requests_in_flight(ctx.workers) if http else ctx.workers, len(units))
     if threads <= 1:
@@ -142,8 +148,9 @@ def _map_ordered(ctx: RunContext, units: Sequence, fn: Callable, endpoints: Iter
         return
     pool = ThreadPoolExecutor(max_workers=threads)
     try:
-        futures = [pool.submit(fn, unit) for unit in units]
-        for unit, future in zip(units, futures):
+        futures = deque(pool.submit(fn, unit) for unit in units)
+        for unit in units:
+            future = futures.popleft()
             error = future.exception()
             yield unit, None if error else future.result(), error
     finally:
@@ -151,19 +158,18 @@ def _map_ordered(ctx: RunContext, units: Sequence, fn: Callable, endpoints: Iter
 
 
 def _commit(
-    ctx: RunContext, stage: str, units: Sequence[tuple], job: Callable, append: Callable,
+    ctx: RunContext, stage: str, planned: int, results: Iterator[tuple], append: Callable,
     expected: type[Exception] | tuple = (), event: str = "",
-    endpoints: Iterable[ModelEndpoint] = (),
 ) -> StageReport:
-    """Run job, which calls `endpoints`, over units (each a tuple led by its
-    work key) and append each result as it lands, in planning order.
+    """Append each result of `results`, (unit, result, error) triples in
+    planning order with each unit led by its work key, as it lands.
 
     An `expected` error is audited as `event` and counted as failed; any
     other error raises StageFailure, with the units before it stored and
-    the units not yet started cancelled.
+    `results` closed, which cancels the units not yet started.
     """
-    report = StageReport(stage, planned=len(units))
-    with closing(_map_ordered(ctx, units, job, endpoints)) as results:
+    report = StageReport(stage, planned=planned)
+    with closing(results):
         for unit, result, error in results:
             key = unit[0]
             if error is None:
@@ -216,8 +222,8 @@ def run_generate(ctx: RunContext, units: Sequence[tuple]) -> StageReport:
         return make_explanation(item.id, item.language, endpoint.model_id, 0, body)
 
     return _commit(
-        ctx, "generate", units, job, ctx.store.append_explanation,
-        UnparseableOutput, "unparseable", endpoints=ctx.generators,
+        ctx, "generate", len(units), _map_ordered(ctx, units, job, ctx.generators),
+        ctx.store.append_explanation, UnparseableOutput, "unparseable",
     )
 
 
@@ -249,8 +255,8 @@ def run_constrain(ctx: RunContext, units: Sequence[tuple]) -> StageReport:
         )
 
     return _commit(
-        ctx, "constrain", units, job, ctx.store.append_explanation,
-        EmptyRegeneration, "empty_regeneration", endpoints=ctx.generators,
+        ctx, "constrain", len(units), _map_ordered(ctx, units, job, ctx.generators),
+        ctx.store.append_explanation, EmptyRegeneration, "empty_regeneration",
     )
 
 
@@ -266,7 +272,7 @@ def run_mask(ctx: RunContext, units: Sequence[tuple]) -> StageReport:
         _, explanation = unit
         return mask_explanation(explanation, ctx.item(explanation.language, explanation.item_id))
 
-    return _commit(ctx, "mask", units, job, ctx.store.append_mask)
+    return _commit(ctx, "mask", len(units), _map_ordered(ctx, units, job), ctx.store.append_mask)
 
 
 # -- score ----------------------------------------------------------------------
@@ -288,7 +294,10 @@ def run_score(ctx: RunContext, units: Sequence[tuple]) -> StageReport:
         item = ctx.item(language, item_id)
         return score_item(ctx.gateway, ctx.scorer, item, mask, ctx.templates[language])
 
-    return _commit(ctx, "score", units, job, ctx.store.append_score, endpoints=(ctx.scorer,))
+    return _commit(
+        ctx, "score", len(units), _map_ordered(ctx, units, job, (ctx.scorer,)),
+        ctx.store.append_score,
+    )
 
 
 # -- similarity -------------------------------------------------------------------
@@ -308,32 +317,55 @@ def plan_similarity(ctx: RunContext) -> list[tuple]:
 
 
 def run_similarity(ctx: RunContext, units: Sequence[tuple]) -> StageReport:
-    # comparison is between the raw texts; masking only affects scoring.
-    # Each distinct text is embedded once, before any unit needs it.
+    """Cosine between each constrained text and its level-0 base, in one
+    streaming pass. The comparison is between the raw texts; masking only
+    affects scoring.
+
+    Each distinct text is embedded once, in first-use order, through
+    _map_ordered, so an HTTP embedder gets every text submitted up front.
+    A unit's cosine is computed on the calling thread as soon as both of
+    its vectors have landed, and each vector is dropped after the last
+    unit that needs it: the stage holds the vectors of the work in flight,
+    not one for each distinct text. On a pool, the vectors that land while
+    an earlier text is still in flight wait for it.
+    """
+    uses = Counter(e.text for _, base, constrained in units for e in (base, constrained))
+
     def embed(text: str) -> tuple[float, ...]:
         return ctx.gateway.embed(ctx.embedder, text).vector
 
-    texts = list(dict.fromkeys(e.text for _, base, other in units for e in (base, other)))
-    embedded = {
-        text: (value, error)
-        for text, value, error in _map_ordered(ctx, texts, embed, (ctx.embedder,))
-    }
+    def results():
+        embedded = _map_ordered(ctx, list(uses), embed, (ctx.embedder,))
+        # text -> (vector, error), from the text's first use to its last
+        vectors: dict[str, tuple] = {}
 
-    def vector(text: str) -> tuple[float, ...]:
-        value, error = embedded[text]
-        if error is not None:
-            raise error
-        return value
+        def vector(text: str) -> tuple[float, ...]:
+            while text not in vectors:
+                landed, value, error = next(embedded)
+                vectors[landed] = value, error
+            value, error = vectors[text]
+            if error is not None:
+                raise error
+            return value
 
-    def job(unit):
-        _, base, constrained = unit
-        return SimilarityRecord(
-            item_id=constrained.item_id, language=constrained.language,
-            generator_model=constrained.generator_model, level=constrained.level,
-            cosine=cosine(vector(base.text), vector(constrained.text)),
-        )
+        with closing(embedded):
+            for unit in units:
+                _, base, constrained = unit
+                try:
+                    result, error = SimilarityRecord(
+                        item_id=constrained.item_id, language=constrained.language,
+                        generator_model=constrained.generator_model, level=constrained.level,
+                        cosine=cosine(vector(base.text), vector(constrained.text)),
+                    ), None
+                except Exception as exc:
+                    result, error = None, exc
+                for text in (base.text, constrained.text):
+                    uses[text] -= 1
+                    if not uses[text]:
+                        vectors.pop(text, None)
+                yield unit, result, error
 
-    return _commit(ctx, "similarity", units, job, ctx.store.append_similarity)
+    return _commit(ctx, "similarity", len(units), results(), ctx.store.append_similarity)
 
 
 # -- aggregate ---------------------------------------------------------------------

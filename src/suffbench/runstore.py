@@ -29,6 +29,7 @@ import hashlib
 import io
 import json
 import os
+import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -90,6 +91,18 @@ class RunManifest:
 
     def identity(self) -> str:
         return digest({"run_id": self.run_id, "config": self.config})
+
+    def difference(self, other: "RunManifest") -> str:
+        """What sets `other`'s identity apart from this one's: the top-level
+        config keys that differ, else the run id."""
+        mine, theirs, missing = self.config, other.config, object()
+        keys = sorted(
+            key for key in mine.keys() | theirs.keys()
+            if mine.get(key, missing) != theirs.get(key, missing)
+        )
+        if keys:
+            return "config keys that differ: " + ", ".join(keys)
+        return f"run id {other.run_id!r} differs"
 
     def to_json(self) -> str:
         return _canonical({
@@ -217,7 +230,13 @@ def _parse_bool(raw: str) -> bool:
     return raw == "true"
 
 
+# the text columns that repeat across rows and tables are interned, so the
+# records a store loads share one string per value
 _PARSERS = {
+    **dict.fromkeys((
+        "item_id", "language", "generator_model", "scorer_model", "length_status",
+        "stage", "event",
+    ), sys.intern),
     "level": _parse_level,
     "correct": _parse_bool,
     "mean_similarity": lambda raw: float(raw) if raw else None,
@@ -319,7 +338,8 @@ class RunStore:
         if existing.identity() != manifest.identity():
             raise ManifestMismatch(
                 f"store {root} belongs to run {existing.run_id!r} with a "
-                "different configuration; refusing to mix runs"
+                f"different configuration ({existing.difference(manifest)}); "
+                "refusing to mix runs"
             )
         salvage = {}
         for name in COLUMNS:

@@ -71,6 +71,13 @@ class _KeepAliveFixtureHandler(_FixtureHandler):
     protocol_version = "HTTP/1.1"
 
 
+class _FixtureHTTPServer(ThreadingHTTPServer):
+    # a stage keeps up to 4 x workers connections opening at once; past the
+    # default backlog of 5 the kernel drops a connect, which the client
+    # repeats only a second later
+    request_queue_size = 64
+
+
 class FixtureServer:
     """Local OpenAI-shaped endpoint with per-path canned responses and an
     optional scripted status sequence. A route answers with a body, or
@@ -79,7 +86,7 @@ class FixtureServer:
 
     def __init__(self, keep_alive: bool = False):
         handler = _KeepAliveFixtureHandler if keep_alive else _FixtureHandler
-        self.httpd = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+        self.httpd = _FixtureHTTPServer(("127.0.0.1", 0), handler)
         self.httpd.requests = []
         self.httpd.routes = {}
         self.httpd.status_script = []

@@ -1,6 +1,7 @@
 import csv
 import json
 import logging
+import shlex
 import subprocess
 import sys
 import threading
@@ -219,7 +220,8 @@ class TestRunCommand:
         main(["run", "--config", str(path), "--stage", "generate"])
         changed = write_config(tmp_path, levels=[10, 50])
         assert main(["run", "--config", str(changed), "--all"]) == EXIT_MISMATCH
-        assert "different configuration" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "different configuration (config keys that differ: levels)" in err
 
     def test_dry_run_makes_no_rows(self, tmp_path, capsys):
         path = write_config(tmp_path)
@@ -702,6 +704,27 @@ class TestMockDemo:
         assert proc.returncode == 0, proc.stderr
         lines = (tmp_path / "store" / "aggregates.csv").read_text(encoding="utf-8").splitlines()
         assert len(lines) > 1  # header plus at least one cell
+
+    def test_printed_resume_command_reaches_its_store(self, tmp_path, capsys):
+        # --sample and --seed enter the run id: a resume without them is
+        # refused, and the printed command carries them
+        script = Path(__file__).resolve().parents[1] / "scripts" / "run_mock_demo.py"
+        proc = subprocess.run(
+            [sys.executable, str(script), "--out", str(tmp_path), "--sample", "2", "--seed", "5"],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        resume = shlex.split(proc.stdout.splitlines()[-1].removeprefix("resume: "))
+        config = str(tmp_path / "mock_config.json")
+        assert resume == [
+            "suffbench", "run", "--config", config, "--all", "--sample", "2", "--seed", "5",
+        ]
+        assert main(resume[1:]) == EXIT_OK
+        planned = [line.split()[2] for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("done ")]
+        assert planned == ["planned=0"] * 5 + ["planned=1"]
+        assert main(["run", "--config", config, "--all"]) == EXIT_MISMATCH
+        assert "(config keys that differ: sample, seed)" in capsys.readouterr().err
 
 
 class TestConsoleEntry:

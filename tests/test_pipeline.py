@@ -2,9 +2,11 @@ import csv
 import itertools
 import threading
 import time
+import weakref
 from collections import Counter
-from contextlib import ExitStack
+from contextlib import ExitStack, closing
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,14 @@ from suffbench import gateway as gateway_module
 from suffbench import masker, pipeline
 from suffbench.cli import write_curves, write_heatmaps
 from suffbench.corpus import Corpus, subset
-from suffbench.gateway import Gateway, GenerationResult, MockBackend, ModelEndpoint, ResponseCache
+from suffbench.gateway import (
+    EmbeddingResult,
+    Gateway,
+    GenerationResult,
+    MockBackend,
+    ModelEndpoint,
+    ResponseCache,
+)
 from suffbench.pipeline import (
     EXCLUSION_EVENTS,
     STAGES,
@@ -356,6 +365,41 @@ class TestResume:
         assert store_bytes(tmp_path / "store") == before
         assert all(r.planned == 0 for r in reports if r.stage != "aggregate")
 
+    def test_loaded_rows_share_their_key_strings_across_tables(
+        self, make_ctx, tmp_path, en_corpus
+    ):
+        # an empty rewrite of q0006 gives two audit rows with one stage and event
+        small = subset(en_corpus, 3, seed=7)
+        gateway = _SabotagedGeneration(
+            Gateway(), small["q0006"].stem, kind="constrain", text=" \n ",
+        )
+        ctx = make_ctx(tmp_path, {"en": small}, gateway=gateway)
+        run(ctx, ["aggregate"])
+        ctx.store.close()
+
+        store = RunStore.open_resume(tmp_path / "store", RunManifest.new(RUN, {"levels": [10, 90]}))
+        with store:
+            tables = {
+                "explanations": store.load_explanations(), "masks": store.load_masks(),
+                "scores": store.load_scores(), "similarity": store.load_similarities(),
+                "audit": store.load_audit(),
+            }
+        assert len(tables["audit"]) == 2
+        columns = ["item_id", "language", "generator_model"]
+        extra = {
+            "explanations": ["length_status"], "scores": ["scorer_model"],
+            "audit": ["stage", "event"],
+        }
+        shared, seen = {}, Counter()
+        for name, records in tables.items():
+            for record in records:
+                for column in columns + extra.get(name, []):
+                    value = getattr(record, column)
+                    assert shared.setdefault(value, value) is value, (name, column, value)
+                    seen[value] += 1
+        # every item id, say, was read from several rows of several tables
+        assert all(seen[item_id] > 5 for item_id in ("q0003", "q0006", "q0007"))
+
     def test_partial_resume_skips_finished_stage(self, make_ctx, tmp_path, en_corpus):
         small = subset(en_corpus, 3, seed=7)
         ctx = make_ctx(tmp_path, {"en": small})
@@ -527,11 +571,17 @@ class TestExpectedFailures:
 
 
 class _BrokenEmbeddings:
-    def __init__(self, inner):
+    """Delegates to a real gateway, but fails to embed `text`, or any text
+    when it is None."""
+
+    def __init__(self, inner, text=None):
         self._inner = inner
+        self._text = text
 
     def embed(self, endpoint, text):
-        raise RuntimeError("embedding backend exploded")
+        if self._text in (None, text):
+            raise RuntimeError("embedding backend exploded")
+        return self._inner.embed(endpoint, text)
 
     def __getattr__(self, name):
         return getattr(self._inner, name)
@@ -556,17 +606,123 @@ class _CountingEmbeddings:
         return getattr(self._inner, name)
 
 
+class _Vector(tuple):
+    """An embedding vector that tells its `owner` when it is freed. CPython
+    takes no weakref to a tuple subclass, so __del__ does the counting."""
+
+    def __del__(self):
+        self.owner.freed()
+
+
+class _TrackedEmbeddings:
+    """Delegates to a real gateway; every vector embed returns is a
+    _Vector, and live() counts those not yet freed."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        # reentrant: a vector may be freed on a thread that holds the lock
+        self._lock = threading.RLock()
+        self._live = 0
+
+    def embed(self, endpoint, text):
+        vector = _Vector(self._inner.embed(endpoint, text).vector)
+        vector.owner = self
+        with self._lock:
+            self._live += 1
+        return EmbeddingResult(vector=vector, model_id=endpoint.model_id)
+
+    def freed(self) -> None:
+        with self._lock:
+            self._live -= 1
+
+    def live(self) -> int:
+        with self._lock:
+            return self._live
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+def _distinct_texts(units) -> list[str]:
+    """The texts of similarity units, each once, in first-use order."""
+    return list(dict.fromkeys(e.text for _, base, other in units for e in (base, other)))
+
+
 class TestSimilarity:
     def test_each_text_embedded_once_across_workers(self, make_ctx, tmp_path, en_corpus):
+        # with repeats, every rewrite is the same one word
         small = subset(en_corpus, 2, seed=7)
-        gateway = _CountingEmbeddings(Gateway())
-        ctx = make_ctx(
-            tmp_path, {"en": small}, levels=(10, 50, 90), workers=4, gateway=gateway
+        for workers, repeats in itertools.product((1, 4), (False, True)):
+            gateway = _CountingEmbeddings(Gateway())
+            if repeats:
+                gateway = _SabotagedGeneration(gateway, kind="constrain", text="Light")
+            ctx = make_ctx(
+                tmp_path / f"{workers}-{repeats}", {"en": small}, levels=(10, 50, 90),
+                workers=workers, gateway=gateway,
+            )
+            run(ctx, ["similarity"])
+            texts = {e.text for e in ctx.store.load_explanations()}
+            assert len(texts) == (3 if repeats else 8)
+            assert len(ctx.store.load_similarities()) == 6
+            assert gateway.calls == Counter(texts)
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_live_vectors_do_not_grow_with_the_corpus(
+        self, make_ctx, tmp_path, en_corpus, fa_corpus, workers
+    ):
+        # at workers=4 the embedder is HTTP, with every text submitted up
+        # front and requests_in_flight(4) = 16 requests held 10 ms each
+        bound = 2 * requests_in_flight(workers) + 4
+        sizes = {
+            "small": {"en": subset(en_corpus, 5, seed=7)},
+            "large": {"en": en_corpus, "fa": fa_corpus},
+        }
+        peaks = {}
+        with FixtureServer() as server:
+            embedder = live(server, EMBED) if workers > 1 else EMBED
+            InFlight(server, hold=0.01)
+            for size, corpora in sizes.items():
+                gateway = _TrackedEmbeddings(Gateway())
+                ctx = make_ctx(
+                    tmp_path / size, corpora, levels=tuple(range(10, 100, 10)),
+                    workers=workers, gateway=gateway, embedder=embedder,
+                )
+                run(ctx, ["constrain"])
+                assert len(_distinct_texts(pipeline.plan_similarity(ctx))) > bound
+
+                counts = []
+                append = ctx.store.append_similarity
+
+                def counted(record, append=append, gateway=gateway, counts=counts):
+                    counts.append(gateway.live())
+                    return append(record)
+
+                ctx.store.append_similarity = counted
+                with closing(gateway):
+                    report = run_stage(ctx, "similarity")
+                assert report.completed == report.planned == len(counts)
+                peaks[size] = max(counts)
+        assert all(peak <= bound for peak in peaks.values()), peaks
+
+    @pytest.mark.parametrize("workers, offset", [(1, 0), (1, 1), (3, 0), (3, 1)])
+    def test_embed_error_stores_exactly_the_units_before_its_text(
+        self, make_ctx, tmp_path, en_corpus, workers, offset
+    ):
+        # offset 0 fails a level-0 base text, offset 1 a rewrite
+        ctx = make_ctx(tmp_path, {"en": subset(en_corpus, 4, seed=7)}, workers=workers)
+        run(ctx, ["constrain"])
+        units = pipeline.plan_similarity(ctx)
+        texts = _distinct_texts(units)
+        failing = texts[len(texts) // 2 + offset]
+        first = next(
+            i for i, (_, base, other) in enumerate(units) if failing in (base.text, other.text)
         )
-        run(ctx, ["similarity"])
-        texts = {e.text for e in ctx.store.load_explanations()}
-        assert len(ctx.store.load_similarities()) == 6
-        assert gateway.calls == Counter(texts)
+        assert 0 < first < len(units) - 1
+        ctx.gateway = _BrokenEmbeddings(ctx.gateway, failing)
+        with pytest.raises(StageFailure, match="embedding backend exploded"):
+            run_stage(ctx, "similarity")
+        stored = RunStore.load(tmp_path / "store").load_similarities()
+        assert [work_key(s) for s in stored] == [unit[0] for unit in units[:first]]
 
 
 def live(server, endpoint: ModelEndpoint) -> ModelEndpoint:
@@ -764,7 +920,24 @@ def uncached(tmp_path_factory, en_corpus):
     return corpora, store_bytes(root / "store"), gateway.mock_counts(), keys
 
 
+class _Result:
+    """A unit result that a weakref can follow."""
+
+
 class TestCommitsAsResultsLand:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_result_is_freed_once_the_caller_drops_it(self, workers):
+        # workers=2 runs the units on a pool, workers=1 inline
+        ctx = SimpleNamespace(workers=workers)
+        results = pipeline._map_ordered(ctx, range(3), lambda unit: _Result())
+        with closing(results):
+            _, first, _ = next(results)
+            dropped = weakref.ref(first)
+            del first
+            _, second, _ = next(results)
+            assert dropped() is None
+            assert isinstance(second, _Result)
+
     def test_one_worker_mock_stages_run_inline(self, make_ctx, tmp_path, en_corpus, monkeypatch):
         def no_pool(*args, **kwargs):
             raise AssertionError("a one-thread stage made a thread pool")

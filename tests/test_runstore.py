@@ -124,6 +124,17 @@ class TestLifecycle:
         with pytest.raises(ManifestMismatch, match="different configuration"):
             RunStore.open_resume(tmp_path, manifest(seed=2))
 
+    def test_mismatch_names_the_config_keys_that_differ(self, tmp_path):
+        RunStore.create(tmp_path, manifest(seed=1))
+        with pytest.raises(ManifestMismatch) as caught:
+            RunStore.open_resume(tmp_path, manifest(seed=2))
+        assert "different configuration (config keys that differ: seed);" in str(caught.value)
+
+    def test_mismatch_of_run_id_alone_names_it(self, tmp_path):
+        RunStore.create(tmp_path, manifest())
+        with pytest.raises(ManifestMismatch, match=r"\(run id 'run-other' differs\)"):
+            RunStore.open_resume(tmp_path, manifest(run_id="run-other"))
+
     def test_resume_keeps_original_created_at(self, tmp_path):
         first = manifest()
         RunStore.create(tmp_path, first)
