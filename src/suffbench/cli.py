@@ -24,7 +24,9 @@ from .constrainer import CONSTRAINT_LEVELS
 from .corpus import LANGUAGES, Corpus, CorpusError, load_corpus, subset
 from .gateway import Gateway, ModelEndpoint
 from .metrics import heatmap_matrix, render_heatmap_svg, without_excluded
-from .pipeline import STAGES, PipelineError, RunContext, StageFailure, exclusion_keys, run
+from .pipeline import (
+    STAGES, PipelineError, RunContext, StageFailure, exclusion_keys, requests_in_flight, run,
+)
 from .prompts import DEFAULT_TEMPLATE_ID, PromptError, load_template_set
 from .runstore import ManifestMismatch, RunManifest, RunStore, StoreError, digest, work_key
 from .scorer import BASELINE_LEVEL
@@ -251,9 +253,11 @@ def build_context(config: RunConfig, store: RunStore, gateway: Gateway | None = 
         # only a config that calls an http(s) endpoint loads the HTTP stack,
         # and it does so here, before the first stage
         if not all(e.is_mock for e in (*config.generators, config.scorer, config.embedder)):
-            from .transport import http_session
+            from .transport import HttpSession
 
-            session = http_session(config.workers)
+            # one kept connection for every request a stage keeps in flight;
+            # requests' default pool keeps 10 and discards the rest
+            session = HttpSession(requests_in_flight(config.workers))
         gateway = Gateway(cache_dir=config.cache_dir, session=session)
     return RunContext(
         store=store,

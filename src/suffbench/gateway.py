@@ -68,7 +68,7 @@ class RetriesExhausted(GatewayError):
 
 
 class EmptyCompletion(GatewayError):
-    """HTTP success but no usable completion text."""
+    """HTTP success but the reply carries no choices."""
 
 
 class LogprobsUnsupported(GatewayError):
@@ -503,8 +503,6 @@ class Gateway:
         )
         choice = self._first_choice(data, key)
         text = (choice.get("message") or {}).get("content") or ""
-        if not text.strip():
-            raise EmptyCompletion(f"{endpoint.model_id} returned an empty completion")
         finish = choice.get("finish_reason")
         if finish not in FINISH_REASONS:
             finish = "other"

@@ -10,16 +10,17 @@ be interrupted and resumed at any point without repeating model calls:
     similarity  embedding cosine between base and constrained texts
     aggregate   per-cell accuracy / sufficiency / similarity table
 
-A stage whose pool would have one thread runs its units inline on the
-calling thread; otherwise its units run in a thread pool. Either way each
-result is committed to the store from the calling thread, in planning
-order, as soon as it and every unit before it have finished: table
-contents are byte-identical regardless of worker count or scheduling, and
-a run killed mid-stage loses only the units in flight. Once a result is
-committed only the store keeps it, and the similarity stage drops each
-embedding vector after the last unit that needs it: apart from the
-store's records, a stage holds memory for its work in flight, not for the
-whole corpus.
+A stage that calls an HTTP endpoint runs its units in a thread pool, one
+request in flight per thread; every other stage (mask, and any stage whose
+endpoints are all mock://) is CPU work under one GIL and runs its units
+inline on the calling thread. Either way each result is committed to the
+store from the calling thread, in planning order, as soon as it and every
+unit before it have finished: table contents are byte-identical regardless
+of worker count or scheduling, and a run killed mid-stage loses only the
+units in flight. Once a result is committed only the store keeps it, and
+the similarity stage drops each embedding vector after the last unit that
+needs it: apart from the store's records, a stage holds memory for its
+work in flight, not for the whole corpus.
 """
 
 from __future__ import annotations
@@ -128,16 +129,16 @@ def _map_ordered(ctx: RunContext, units: Sequence, fn: Callable, endpoints: Iter
     """Run fn over units; yield (unit, result, error) triples in planning
     order, each as soon as its unit and every unit before it have finished.
 
-    The pool would have requests_in_flight(workers) threads if any of the
-    `endpoints` fn calls is HTTP, else `workers`: more threads slow
-    CPU-bound mock work down. At one thread the units run inline on the
-    calling thread, with no pool, and only an Exception is caught, so a
-    KeyboardInterrupt stops the stage at once. Otherwise every unit is
-    submitted up front; the units not yet started are cancelled when the
-    caller stops early. Either way a result is released once it is
+    If any of the `endpoints` fn calls is HTTP, the units run on a pool of
+    requests_in_flight(workers) threads: every unit is submitted up front,
+    and the units not yet started are cancelled when the caller stops
+    early. Otherwise, or with one unit, they run inline on the calling
+    thread, whatever `workers` is: threads would only slow CPU-bound mock
+    work down. Inline only an Exception is caught, so a KeyboardInterrupt
+    stops the stage at once. Either way a result is released once it is
     yielded, so it lives no longer than the caller keeps it."""
     http = any(not endpoint.is_mock for endpoint in endpoints)
-    threads = min(requests_in_flight(ctx.workers) if http else ctx.workers, len(units))
+    threads = min(requests_in_flight(ctx.workers), len(units)) if http else 1
     if threads <= 1:
         for unit in units:
             try:
@@ -322,12 +323,12 @@ def run_similarity(ctx: RunContext, units: Sequence[tuple]) -> StageReport:
     affects scoring.
 
     Each distinct text is embedded once, in first-use order, through
-    _map_ordered, so an HTTP embedder gets every text submitted up front.
-    A unit's cosine is computed on the calling thread as soon as both of
-    its vectors have landed, and each vector is dropped after the last
-    unit that needs it: the stage holds the vectors of the work in flight,
-    not one for each distinct text. On a pool, the vectors that land while
-    an earlier text is still in flight wait for it.
+    _map_ordered, so an HTTP embedder gets every text submitted up front
+    to a pool. A unit's cosine is computed on the calling thread as soon
+    as both of its vectors have landed, and each vector is dropped after
+    the last unit that needs it: the stage holds the vectors of the work
+    in flight, not one for each distinct text. With an HTTP embedder, the
+    vectors that land while an earlier text is still in flight wait for it.
     """
     uses = Counter(e.text for _, base, constrained in units for e in (base, constrained))
 

@@ -15,8 +15,6 @@ from urllib.parse import urlsplit
 import requests
 from requests.adapters import HTTPAdapter
 
-from .pipeline import requests_in_flight
-
 
 class HttpSession(requests.Session):
     """A requests.Session that keeps up to `pool_size` connections per host
@@ -124,10 +122,3 @@ class HttpSession(requests.Session):
         for connection in (c for kept in idle.values() for c in kept):
             connection.close()
         super().close()
-
-
-def http_session(workers: int) -> HttpSession:
-    """A session that keeps a connection for every request a stage can have
-    in flight to one host, requests_in_flight(workers); requests' default
-    pool keeps 10 and discards the rest."""
-    return HttpSession(requests_in_flight(workers))

@@ -28,7 +28,7 @@ from suffbench.constrainer import CONSTRAINT_LEVELS
 from suffbench.gateway import MockBackend, _encode
 from suffbench.pipeline import requests_in_flight
 from suffbench.runstore import COLUMNS, AuditRecord, RunStore, StoreError
-from suffbench.transport import http_session
+from suffbench.transport import HttpSession
 from tests.conftest import FIXTURES, FixtureServer, option_logprobs, route_mock
 
 
@@ -302,6 +302,9 @@ class _KeepAliveHandler(BaseHTTPRequestHandler):
 
 class _KeepAliveServer(ThreadingHTTPServer):
     daemon_threads = True
+    # 16 threads connect at once; past the default backlog of 5 the kernel
+    # drops a connect, which the client repeats only a second later
+    request_queue_size = 64
 
     def __init__(self):
         super().__init__(("127.0.0.1", 0), _KeepAliveHandler)
@@ -328,7 +331,7 @@ class TestHttpSession:
         httpd, base = keepalive
         payload = {"model": "embed-1", "input": "naïve café", "temperature": 0.5}
         headers = {"Authorization": "Bearer sk-123"}
-        session = http_session(1)
+        session = HttpSession(4)
         lean = [
             session.post(f"{base}/{path}", json=payload, headers=headers, timeout=5)
             for path in ("v1/embeddings", "v1/embeddings", "fail")
@@ -354,7 +357,7 @@ class TestHttpSession:
 
     def test_threads_share_kept_connections_without_crossing_replies(self, keepalive):
         httpd, base = keepalive
-        session = http_session(1)
+        session = HttpSession(4)
         replies = {}
 
         def post_many(worker):
@@ -385,7 +388,7 @@ class TestHttpSession:
     def test_connection_the_server_closed_is_replaced(self, keepalive):
         httpd, base = keepalive
         httpd.drop_after_reply = True
-        with http_session(1) as session:
+        with HttpSession(4) as session:
             first = session.post(f"{base}/v1/embeddings", json={}, timeout=5)
             deadline = time.monotonic() + 5
             while httpd.closed < 1 and time.monotonic() < deadline:
@@ -402,7 +405,7 @@ class TestHttpSession:
         monkeypatch.setenv("NETRC", str(tmp_path / "absent"))
         # nothing listens on the discard port: the proxy refuses the request
         monkeypatch.setenv("HTTP_PROXY", "http://127.0.0.1:9")
-        with http_session(1) as session, pytest.raises(requests.ConnectionError):
+        with HttpSession(4) as session, pytest.raises(requests.ConnectionError):
             session.post(f"{base}/v1/embeddings", json={}, timeout=5)
         assert httpd.seen == []
 
@@ -411,12 +414,12 @@ class TestHttpSession:
         netrc.write_text("machine 127.0.0.1 login user password secret\n", encoding="utf-8")
         netrc.chmod(0o600)
         monkeypatch.setenv("NETRC", str(netrc))
-        with http_session(1) as session:
+        with HttpSession(4) as session:
             session.post(f"{base}/v1/embeddings", json={}, timeout=5)
         assert httpd.seen[0]["headers"]["Authorization"].startswith("Basic ")
 
         monkeypatch.setenv("NETRC", str(tmp_path / "absent"))
-        with http_session(1) as session:
+        with HttpSession(4) as session:
             moved = session.post(f"{base}/moved", json={}, timeout=5)
         assert moved.status_code == 200
         assert [s["path"] for s in httpd.seen[1:]] == ["/moved", "/moved", "/v1/embeddings"]

@@ -12,7 +12,6 @@ import requests
 from suffbench.constrainer import count_words, extract_answer_and_explanation
 from suffbench.gateway import (
     EmbeddingDimensionError,
-    EmptyCompletion,
     Gateway,
     GatewayError,
     LogprobResult,
@@ -373,14 +372,6 @@ class TestLiveGeneration:
         assert sent["payload"]["messages"] == [{"role": "user", "content": "Question: Q?"}]
         assert sent["payload"]["temperature"] == 0.0
         assert sent["payload"]["max_tokens"] == 128
-
-    def test_empty_completion_is_distinct_error(self, server):
-        server.route(
-            "/chat/completions",
-            lambda payload: {"choices": [{"message": {"content": "  "}, "finish_reason": "stop"}]},
-        )
-        with pytest.raises(EmptyCompletion):
-            Gateway().generate(live_endpoint(server), prompt_of("p"))
 
     def test_unknown_finish_reason_mapped_to_other(self, server):
         server.route(

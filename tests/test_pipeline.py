@@ -109,6 +109,20 @@ def make_ctx():
         yield make
 
 
+@pytest.fixture
+def pools(monkeypatch):
+    """The thread count of every pool _map_ordered builds, in order."""
+    built = []
+    real = pipeline.ThreadPoolExecutor
+
+    def spy(max_workers):
+        built.append(max_workers)
+        return real(max_workers=max_workers)
+
+    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", spy)
+    return built
+
+
 def store_bytes(root):
     return {
         name: (root / name).read_bytes()
@@ -226,12 +240,20 @@ class TestAppendHandles:
 
 
 class TestDeterminism:
-    def test_worker_count_does_not_change_bytes(self, make_ctx, tmp_path, en_corpus):
+    def test_worker_count_does_not_change_bytes(self, make_ctx, tmp_path, en_corpus, pools):
+        # the workers=4 run calls its endpoints over HTTP, so every stage
+        # but mask and aggregate runs on a pool; route_mock answers as the
+        # in-process mock does
         small = subset(en_corpus, 3, seed=7)
         ctx1 = make_ctx(tmp_path / "a", {"en": small}, workers=1)
-        ctx4 = make_ctx(tmp_path / "b", {"en": small}, workers=4)
         run(ctx1, ["aggregate"])
-        run(ctx4, ["aggregate"])
+        with FixtureServer() as server:
+            ctx4 = make_ctx(
+                tmp_path / "b", {"en": small}, workers=4, generators=(live(server, GEN),),
+                scorer=live(server, PROBE), embedder=live(server, EMBED),
+            )
+            run(ctx4, ["aggregate"])
+        assert len(pools) == 4
         assert store_bytes(tmp_path / "a" / "store") == store_bytes(tmp_path / "b" / "store")
 
 
@@ -570,6 +592,54 @@ class TestExpectedFailures:
         assert all(c.n_items == 2 for c in gen_cells)
 
 
+def blank_reply(payload):
+    """A chat completion whose content is only whitespace."""
+    return {"choices": [{"message": {"content": " \n "}, "finish_reason": "stop"}]}
+
+
+class TestBlankLiveReplies:
+    def test_blank_rewrite_is_retried_then_audited(
+        self, make_ctx, tmp_path, en_corpus, monkeypatch
+    ):
+        salts = []
+        generate = Gateway.generate
+
+        def spy(self, endpoint, prompt, **kwargs):
+            if prompt.kind == "constrain":
+                salts.append(kwargs["cache_salt"])
+            return generate(self, endpoint, prompt, **kwargs)
+
+        monkeypatch.setattr(Gateway, "generate", spy)
+        with FixtureServer() as server:
+            ctx = make_ctx(
+                tmp_path, {"en": subset(en_corpus, 1, seed=7)}, levels=(10,),
+                generators=(live(server, GEN),),
+            )
+            run(ctx, ["generate"])
+            server.route("/11/chat/completions", blank_reply)
+            before = len(server.requests)
+            report = run_stage(ctx, "constrain")
+            sent = len(server.requests) - before
+        assert sent == 4
+        assert salts == ["", "retry-1", "retry-2", "retry-3"]
+        assert (report.planned, report.completed, report.failed) == (1, 0, 1)
+        assert [(a.stage, a.level, a.event) for a in ctx.store.load_audit()] == [
+            ("constrain", 10, "empty_regeneration"),
+        ]
+
+    def test_blank_generation_is_audited_unparseable(self, make_ctx, tmp_path, en_corpus):
+        with FixtureServer() as server:
+            ctx = make_ctx(
+                tmp_path, {"en": subset(en_corpus, 2, seed=7)}, generators=(live(server, GEN),),
+            )
+            server.route("/11/chat/completions", blank_reply)
+            report = run_stage(ctx, "generate")
+        assert (report.planned, report.completed, report.failed) == (2, 0, 2)
+        assert [(a.stage, a.level, a.event) for a in ctx.store.load_audit()] == [
+            ("generate", 0, "unparseable"),
+        ] * 2
+
+
 class _BrokenEmbeddings:
     """Delegates to a real gateway, but fails to embed `text`, or any text
     when it is None."""
@@ -649,22 +719,29 @@ def _distinct_texts(units) -> list[str]:
 
 
 class TestSimilarity:
-    def test_each_text_embedded_once_across_workers(self, make_ctx, tmp_path, en_corpus):
-        # with repeats, every rewrite is the same one word
+    def test_each_text_embedded_once_across_workers(
+        self, make_ctx, tmp_path, en_corpus, pools
+    ):
+        # with repeats, every rewrite is the same one word; at workers=4 the
+        # embedder is HTTP, so the texts are embedded on a pool
         small = subset(en_corpus, 2, seed=7)
-        for workers, repeats in itertools.product((1, 4), (False, True)):
-            gateway = _CountingEmbeddings(Gateway())
-            if repeats:
-                gateway = _SabotagedGeneration(gateway, kind="constrain", text="Light")
-            ctx = make_ctx(
-                tmp_path / f"{workers}-{repeats}", {"en": small}, levels=(10, 50, 90),
-                workers=workers, gateway=gateway,
-            )
-            run(ctx, ["similarity"])
-            texts = {e.text for e in ctx.store.load_explanations()}
-            assert len(texts) == (3 if repeats else 8)
-            assert len(ctx.store.load_similarities()) == 6
-            assert gateway.calls == Counter(texts)
+        with FixtureServer() as server:
+            for workers, repeats in itertools.product((1, 4), (False, True)):
+                gateway = _CountingEmbeddings(Gateway())
+                if repeats:
+                    gateway = _SabotagedGeneration(gateway, kind="constrain", text="Light")
+                ctx = make_ctx(
+                    tmp_path / f"{workers}-{repeats}", {"en": small}, levels=(10, 50, 90),
+                    workers=workers, gateway=gateway,
+                    embedder=live(server, EMBED) if workers > 1 else EMBED,
+                )
+                pools.clear()
+                run(ctx, ["similarity"])
+                assert bool(pools) == (workers > 1)
+                texts = {e.text for e in ctx.store.load_explanations()}
+                assert len(texts) == (3 if repeats else 8)
+                assert len(ctx.store.load_similarities()) == 6
+                assert gateway.calls == Counter(texts)
 
     @pytest.mark.parametrize("workers", [1, 4])
     def test_live_vectors_do_not_grow_with_the_corpus(
@@ -706,21 +783,27 @@ class TestSimilarity:
 
     @pytest.mark.parametrize("workers, offset", [(1, 0), (1, 1), (3, 0), (3, 1)])
     def test_embed_error_stores_exactly_the_units_before_its_text(
-        self, make_ctx, tmp_path, en_corpus, workers, offset
+        self, make_ctx, tmp_path, en_corpus, pools, workers, offset
     ):
-        # offset 0 fails a level-0 base text, offset 1 a rewrite
-        ctx = make_ctx(tmp_path, {"en": subset(en_corpus, 4, seed=7)}, workers=workers)
-        run(ctx, ["constrain"])
-        units = pipeline.plan_similarity(ctx)
-        texts = _distinct_texts(units)
-        failing = texts[len(texts) // 2 + offset]
-        first = next(
-            i for i, (_, base, other) in enumerate(units) if failing in (base.text, other.text)
-        )
-        assert 0 < first < len(units) - 1
-        ctx.gateway = _BrokenEmbeddings(ctx.gateway, failing)
-        with pytest.raises(StageFailure, match="embedding backend exploded"):
-            run_stage(ctx, "similarity")
+        # offset 0 fails a level-0 base text, offset 1 a rewrite; at
+        # workers=3 the embedder is HTTP, so the texts are embedded on a pool
+        with FixtureServer() as server:
+            ctx = make_ctx(
+                tmp_path, {"en": subset(en_corpus, 4, seed=7)}, workers=workers,
+                embedder=live(server, EMBED) if workers > 1 else EMBED,
+            )
+            run(ctx, ["constrain"])
+            units = pipeline.plan_similarity(ctx)
+            texts = _distinct_texts(units)
+            failing = texts[len(texts) // 2 + offset]
+            first = next(
+                i for i, (_, base, other) in enumerate(units) if failing in (base.text, other.text)
+            )
+            assert 0 < first < len(units) - 1
+            ctx.gateway = _BrokenEmbeddings(ctx.gateway, failing)
+            with pytest.raises(StageFailure, match="embedding backend exploded"):
+                run_stage(ctx, "similarity")
+        assert bool(pools) == (workers > 1)
         stored = RunStore.load(tmp_path / "store").load_similarities()
         assert [work_key(s) for s in stored] == [unit[0] for unit in units[:first]]
 
@@ -783,7 +866,7 @@ def _record_threads(monkeypatch) -> set[int]:
 class TestRequestsInFlight:
     """A stage that calls an HTTP endpoint keeps requests_in_flight(workers)
     requests in flight, one per pool thread; a stage that calls only mock://
-    endpoints, or none, runs on `workers` threads."""
+    endpoints, or none, runs inline on the calling thread."""
 
     @pytest.mark.parametrize("stage, path", [
         ("generate", "/11/chat/completions"),
@@ -831,18 +914,20 @@ class TestRequestsInFlight:
         assert len(ctx.store.load_scores()) == 40
         assert 2 < in_flight.peak <= requests_in_flight(2) == 8
 
-    def test_mock_stages_run_on_at_most_workers_threads(
-        self, make_ctx, tmp_path, en_corpus, monkeypatch
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_mock_stages_run_inline_at_any_worker_count(
+        self, make_ctx, tmp_path, en_corpus, monkeypatch, workers
     ):
-        # CPU-bound mock work on 4 x workers threads contends for one GIL:
-        # mock-cold run_s 25% and resume-warm run_s 63% slower at workers=1
+        # CPU-bound mock work on more threads only contends for one GIL
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a stage with no HTTP endpoint made a thread pool")
+
+        monkeypatch.setattr(pipeline, "ThreadPoolExecutor", no_pool)
         threads = _record_threads(monkeypatch)
-        ctx = make_ctx(tmp_path, {"en": en_corpus}, levels=(10, 50, 90), workers=2)
-        for stage in STAGES[:-1]:
-            threads.clear()
-            report = run_stage(ctx, stage)
-            assert report.completed == report.planned > 2
-            assert 1 <= len(threads) <= 2, stage
+        ctx = make_ctx(tmp_path, {"en": en_corpus}, levels=(10, 50, 90), workers=workers)
+        reports = run(ctx, STAGES)
+        assert all(r.completed == r.planned > 2 for r in reports[:-1])
+        assert threads == {threading.get_ident()}
 
 
 class TestFatalFailures:
@@ -855,33 +940,42 @@ class TestFatalFailures:
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_stage_failure_stores_exactly_the_units_before_it(
-        self, make_ctx, tmp_path, en_corpus, monkeypatch, workers
+        self, make_ctx, tmp_path, en_corpus, monkeypatch, pools, workers
     ):
-        ctx = make_ctx(tmp_path, {"en": subset(en_corpus, 4, seed=7)}, workers=workers)
-        run(ctx, ["constrain"])
-        keys = [unit[0] for unit in pipeline.plan_mask(ctx)]
-        k = len(keys) // 2
-        started = []
-        real = pipeline.mask_explanation
+        # at workers=3 the generator is HTTP, so the constrain units run on
+        # a pool of requests_in_flight(3) threads; at workers=1 it is
+        # mock:// and they run inline
+        with FixtureServer() as server:
+            ctx = make_ctx(
+                tmp_path, {"en": subset(en_corpus, 4, seed=7)}, levels=tuple(range(10, 100, 10)),
+                workers=workers, generators=(live(server, GEN) if workers > 1 else GEN,),
+            )
+            run(ctx, ["generate"])
+            keys = [unit[0] for unit in plan_constrain(ctx)]
+            k = len(keys) // 2
+            started = []
+            real = pipeline.constrain_explanation
 
-        def mask(explanation, item):
-            key = work_key(explanation)
-            started.append(key)
-            if key == keys[k]:
-                raise RuntimeError("masker exploded")
-            if key in keys[k + 1:]:
-                time.sleep(0.5)  # the failure reaches the calling thread meanwhile
-            return real(explanation, item)
+            def constrain(item, base, level, *args, **kwargs):
+                key = work_key(base)[:3] + (level,)
+                started.append(key)
+                if key == keys[k]:
+                    raise RuntimeError("constrainer exploded")
+                if key in keys[k + 1:]:
+                    time.sleep(0.5)  # the failure reaches the calling thread meanwhile
+                return real(item, base, level, *args, **kwargs)
 
-        monkeypatch.setattr(pipeline, "mask_explanation", mask)
-        with pytest.raises(StageFailure, match="masker exploded"):
-            run_stage(ctx, "mask")
-        stored = RunStore.load(tmp_path / "store").load_masks()
-        assert [work_key(m) for m in stored] == keys[:k]
+            monkeypatch.setattr(pipeline, "constrain_explanation", constrain)
+            pools.clear()
+            with pytest.raises(StageFailure, match="constrainer exploded"):
+                run_stage(ctx, "constrain")
+        stored = RunStore.load(tmp_path / "store").load_explanations()
+        assert [work_key(e) for e in stored if e.level] == keys[:k]
+        assert pools == ([requests_in_flight(workers)] if workers > 1 else [])
         # the units not started by then are cancelled: no thread starts
         # more than one unit after the failing one, and inline none
         assert set(keys[:k + 1]) <= set(started)
-        assert len(started) <= k + 1 + (workers if workers > 1 else 0)
+        assert len(started) <= k + 1 + sum(pools) < len(keys)
 
 
 class _InterruptedConstrain:
@@ -925,11 +1019,15 @@ class _Result:
 
 
 class TestCommitsAsResultsLand:
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_each_result_is_freed_once_the_caller_drops_it(self, workers):
-        # workers=2 runs the units on a pool, workers=1 inline
-        ctx = SimpleNamespace(workers=workers)
-        results = pipeline._map_ordered(ctx, range(3), lambda unit: _Result())
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_each_result_is_freed_once_the_caller_drops_it(self, pools, threads):
+        # two units of a stage that calls an HTTP endpoint run on a pool of
+        # two threads; with no endpoint they run inline
+        endpoints = (ModelEndpoint(base_url="http://127.0.0.1:9", model_id="gen-1"),)
+        results = pipeline._map_ordered(
+            SimpleNamespace(workers=1), range(2), lambda unit: _Result(),
+            endpoints if threads > 1 else (),
+        )
         with closing(results):
             _, first, _ = next(results)
             dropped = weakref.ref(first)
@@ -937,17 +1035,7 @@ class TestCommitsAsResultsLand:
             _, second, _ = next(results)
             assert dropped() is None
             assert isinstance(second, _Result)
-
-    def test_one_worker_mock_stages_run_inline(self, make_ctx, tmp_path, en_corpus, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a one-thread stage made a thread pool")
-
-        monkeypatch.setattr(pipeline, "ThreadPoolExecutor", no_pool)
-        threads = _record_threads(monkeypatch)
-        ctx = make_ctx(tmp_path, {"en": en_corpus}, workers=1)
-        reports = run(ctx, STAGES)
-        assert all(r.completed == r.planned > 0 for r in reports[:-1])
-        assert threads == {threading.get_ident()}
+        assert pools == ([threads] if threads > 1 else [])
 
     @settings(max_examples=10, deadline=None)
     @given(data=st.data())
