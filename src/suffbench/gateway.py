@@ -18,10 +18,14 @@ HTTP endpoint keeps pipeline.requests_in_flight(workers) of them, one per
 pool thread. Each request is still cached, rate-limited and retried on
 its own.
 
-HTTP requests go through a requests.Session: the caller's, such as the
-pooled one from suffbench.transport, or a default one the Gateway creates
-at its first HTTP request. This module loads requests only then, so a
-mock-only run never imports it.
+HTTP requests go through a session: any object with
+`post(url, json=, headers=, timeout=)` returning a reply with
+`status_code`, `content` and `text`, and a `close()`. That is the
+caller's, such as suffbench.transport.HttpSession or a requests.Session,
+or a default requests.Session the Gateway creates at its first HTTP
+request. This module imports requests only then, so a run that passes its
+own session never loads it here. A timeout or a failed connection, the
+builtin TimeoutError and ConnectionError or requests' own, is retried.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ import logging
 import os
 import random
 import re
+import sys
 import threading
 import time
 from collections import deque
@@ -41,8 +46,6 @@ from typing import TYPE_CHECKING
 from urllib.parse import urlparse
 
 if TYPE_CHECKING:
-    import requests
-
     from .prompts import RenderedPrompt
 
 log = logging.getLogger(__name__)
@@ -327,6 +330,18 @@ def _encode(data: dict) -> bytes:
     return json.dumps(data, ensure_ascii=False).encode("utf-8")
 
 
+def _transport_errors() -> tuple[tuple[type, ...], tuple[type, ...]]:
+    """The exceptions that mean a timeout, and those that mean a failed
+    connection: the builtins, and requests' own once requests is loaded.
+    All of them are OSErrors. Read after a request fails, since that request
+    may have loaded requests; if it is not loaded, no session can have
+    raised one of its exceptions."""
+    requests = sys.modules.get("requests")
+    if requests is None:
+        return (TimeoutError,), (ConnectionError,)
+    return (TimeoutError, requests.Timeout), (ConnectionError, requests.ConnectionError)
+
+
 class Gateway:
     """Entry point for every outbound model call the pipeline makes."""
 
@@ -338,7 +353,7 @@ class Gateway:
         *,
         clock=time.monotonic,
         sleep=time.sleep,
-        session: requests.Session | None = None,
+        session=None,
     ):
         self._cache = ResponseCache(cache_dir) if cache_dir is not None else None
         self._clock = clock
@@ -418,8 +433,6 @@ class Gateway:
             raise EmptyCompletion(f"response for {key} carries no choices") from None
 
     def _post(self, endpoint: ModelEndpoint, path: str, payload: dict) -> bytes:
-        import requests  # loaded at the first HTTP request, not with this module
-
         url = endpoint.base_url.rstrip("/") + path
         headers = {}
         if endpoint.api_key_ref:
@@ -431,6 +444,8 @@ class Gateway:
             headers["Authorization"] = f"Bearer {api_key}"
         with self._lock:
             if self._session is None:
+                import requests  # loaded for the default session, not with this module
+
                 self._session = requests.Session()
             session = self._session
         attempts = endpoint.max_retries + 1
@@ -443,13 +458,16 @@ class Gateway:
                 response = session.post(
                     url, json=payload, headers=headers, timeout=endpoint.timeout
                 )
-            except requests.Timeout:
-                failure = "timeout"
-                log.warning("%s attempt %d/%d timed out", url, attempt + 1, attempts)
-                continue
-            except requests.ConnectionError as exc:
-                failure = f"connection error: {exc}"
-                log.warning("%s attempt %d/%d failed: %s", url, attempt + 1, attempts, failure)
+            except OSError as exc:
+                timeouts, failures = _transport_errors()
+                if isinstance(exc, timeouts):
+                    failure = "timeout"
+                    log.warning("%s attempt %d/%d timed out", url, attempt + 1, attempts)
+                elif isinstance(exc, failures):
+                    failure = f"connection error: {exc}"
+                    log.warning("%s attempt %d/%d failed: %s", url, attempt + 1, attempts, failure)
+                else:
+                    raise
                 continue
             if response.status_code == 200:
                 return response.content

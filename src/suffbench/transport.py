@@ -1,95 +1,188 @@
 """The HTTP transport: the pooled session a run gives its Gateway.
 
-This is the only module that imports requests at load time. cli loads it
-only for a config that names an http(s) endpoint, so a mock-only run, a
-report or a config check never loads requests, urllib3 or http.client.
+cli loads this module only for a config that names an http(s) endpoint, so
+a mock-only run, a report or a config check never loads http.client. It
+loads requests only at the first request that needs it: an https,
+proxied, netrc or redirecting host. A run whose hosts are all plain http
+never imports requests, urllib3 or charset_normalizer.
+
+The Gateway accepts any session with `post(url, json=, headers=, timeout=)`
+whose reply has `status_code`, `content` and `text`, and a `close()`.
 """
 
 from __future__ import annotations
 
 import http.client
+import json as jsonlib
+import os
 import select
+import sys
 import threading
 from urllib.parse import urlsplit
 
-import requests
-from requests.adapters import HTTPAdapter
+from . import __version__
+
+# what the lean path sends besides the caller's headers: requests' default
+# headers, except that it asks for an uncompressed reply and names this
+# package as the client
+LEAN_HEADERS = {
+    "User-Agent": f"suffbench/{__version__}",
+    "Accept-Encoding": "identity",
+    "Accept": "*/*",
+    "Connection": "keep-alive",
+    "Content-Type": "application/json",
+}
 
 
-class HttpSession(requests.Session):
-    """A requests.Session that keeps up to `pool_size` connections per host
-    and sends the Gateway's JSON POSTs to plain-http hosts over http.client.
+def _encoding_from_content_type(content_type: str | None) -> str | None:
+    """The encoding requests.utils.get_encoding_from_headers reads from a
+    Content-Type header: its charset, else ISO-8859-1 for text, UTF-8 for
+    JSON, and None for anything else."""
+    if not content_type:
+        return None
+    media, *params = content_type.split(";")
+    charset = None
+    for param in params:
+        key, equals, value = param.strip().partition("=")
+        if equals and key.strip("\"' ").lower() == "charset":
+            charset = value.strip("\"' ")
+    if charset is not None:
+        return charset
+    if "text" in media:
+        return "ISO-8859-1"
+    if "application/json" in media:
+        return "utf-8"
+    return None
+
+
+class Reply:
+    """A plain-http reply: the parts of a requests.Response that callers
+    read, decoded as requests decodes them."""
+
+    def __init__(self, url: str, status_code: int, reason: str, headers, content: bytes):
+        self.url, self.status_code, self.reason = url, status_code, reason
+        self.headers, self.content = headers, content
+        self.encoding = _encoding_from_content_type(headers.get("Content-Type"))
+
+    @property
+    def text(self) -> str:
+        if not self.content:
+            return ""
+        encoding = self.encoding
+        if encoding is None:
+            # requests guesses with its detector; only a reply that names no
+            # charset and is neither text nor JSON loads it
+            from requests.compat import chardet
+
+            encoding = chardet.detect(self.content)["encoding"] if chardet else "utf-8"
+        try:
+            return str(self.content, encoding or "utf-8", errors="replace")
+        except LookupError:
+            return str(self.content, errors="replace")
+
+    def json(self):
+        if self.encoding is None:
+            # as requests does: UTF-8, -16 or -32 as JSON allows, else the text
+            try:
+                return jsonlib.loads(self.content)
+            except UnicodeDecodeError:
+                pass
+        return jsonlib.loads(self.text)
+
+
+def _may_need_requests() -> bool:
+    """Whether requests could find a proxy or a netrc login for some host.
+
+    On Linux requests reads proxies only from `*_proxy` environment
+    variables, and netrc logins only from $NETRC, ~/.netrc or ~/_netrc; with
+    none of them every plain-http host is plain. Anywhere else this says
+    yes, and requests.utils decides.
+    """
+    if sys.platform != "linux" or any(name.lower().endswith("_proxy") for name in os.environ):
+        return True
+    netrc = os.environ.get("NETRC")
+    locations = (netrc,) if netrc is not None else ("~/.netrc", "~/_netrc")
+    return any(os.path.exists(os.path.expanduser(location)) for location in locations)
+
+
+class HttpSession:
+    """Keeps up to `pool_size` connections per host and sends the Gateway's
+    JSON POSTs to plain-http hosts over http.client.
 
     Per request, requests costs the client three to four times the CPU of
     http.client. With many requests in flight to a fast local endpoint that
     CPU, taken under one GIL, sets the run time, and a run moves with the
-    machine's speed. The lean path sends requests' body bytes and default
-    headers, except that it asks for an uncompressed reply, and it keeps no
-    cookies. A host is sent that way when its URL has no login and the
-    environment gives it no proxy and no netrc login, read once per host;
-    any other request, and any host that answers with a redirect, goes
-    through requests.
+    machine's speed. The lean path sends requests' body bytes and
+    LEAN_HEADERS, and it keeps no cookies. A host is sent that way when its
+    URL is http with no login and the environment gives it no proxy and no
+    netrc login, read once per host; any other request, and any host that
+    answers with a redirect, goes through a requests.Session that keeps as
+    many connections per host, created at the first such request.
     """
 
     def __init__(self, pool_size: int) -> None:
-        super().__init__()
-        adapter = HTTPAdapter(pool_maxsize=pool_size)
-        self.mount("http://", adapter)
-        self.mount("https://", adapter)
         self._pool_size = pool_size
         self._plain: dict[str, bool] = {}
         self._idle: dict[str, list[http.client.HTTPConnection]] = {}
+        self._fallback = None
         self._lock = threading.Lock()
 
-    def post(self, url, data=None, json=None, **kwargs):
+    def __enter__(self) -> HttpSession:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def post(self, url: str, json, headers=None, timeout=None):
         parts = urlsplit(url)
-        lean = (
-            data is None and json is not None and url.isascii()
-            and not set(kwargs) - {"headers", "timeout"}
-        )
-        if not (lean and self._is_plain(parts)):
-            return super().post(url, data=data, json=json, **kwargs)
-        body = requests.compat.json.dumps(json, allow_nan=False).encode("utf-8")
-        headers = {
-            **self.headers, "Accept-Encoding": "identity",
-            "Content-Type": "application/json", **(kwargs.get("headers") or {}),
-        }
-        connection = self._checkout(parts, kwargs.get("timeout"))
+        if not url.isascii() or not self._is_plain(parts):
+            return self._requests().post(url, json=json, headers=headers, timeout=timeout)
+        body = jsonlib.dumps(json, allow_nan=False).encode("utf-8")
+        connection = self._checkout(parts, timeout)
         try:
             target = parts.path or "/"
             connection.request("POST", f"{target}?{parts.query}" if parts.query else target,
-                               body, headers)
+                               body, {**LEAN_HEADERS, **(headers or {})})
             reply = connection.getresponse()
             content = reply.read()
-        except TimeoutError as exc:
+        except (TimeoutError, ConnectionError):
             connection.close()
-            raise requests.ReadTimeout(exc) from exc
+            raise
         except (OSError, http.client.HTTPException) as exc:
             connection.close()
-            raise requests.ConnectionError(exc) from exc
+            raise ConnectionError(exc) from exc
         self._checkin(parts.netloc, connection, reply.will_close)
         if 300 <= reply.status < 400:
             self._plain[parts.netloc] = False
-            return super().post(url, json=json, **kwargs)
-        response = requests.Response()
-        response.status_code, response.reason, response._content = reply.status, reply.reason, content
-        response.headers = requests.structures.CaseInsensitiveDict(reply.getheaders())
-        response.encoding = requests.utils.get_encoding_from_headers(response.headers)
-        response.url = url
-        return response
+            return self._requests().post(url, json=json, headers=headers, timeout=timeout)
+        return Reply(url, reply.status, reply.reason, reply.msg, content)
+
+    def _requests(self):
+        """The requests.Session for every request the lean path does not
+        send, created, and requests imported, at the first such request."""
+        with self._lock:
+            if self._fallback is None:
+                import requests
+                from requests.adapters import HTTPAdapter
+
+                self._fallback = requests.Session()
+                adapter = HTTPAdapter(pool_maxsize=self._pool_size)
+                self._fallback.mount("http://", adapter)
+                self._fallback.mount("https://", adapter)
+            return self._fallback
 
     def _is_plain(self, parts) -> bool:
         """Whether a host is plain http with no login in the URL, no proxy
         and no netrc login in the environment; read once per host."""
         if parts.netloc not in self._plain:
-            origin = f"{parts.scheme}://{parts.netloc}/"
-            self._plain[parts.netloc] = (
-                parts.scheme == "http" and "@" not in parts.netloc
-                and not requests.utils.select_proxy(
-                    origin, requests.utils.get_environ_proxies(origin)
-                )
-                and not requests.utils.get_netrc_auth(origin)
-            )
+            plain = parts.scheme == "http" and "@" not in parts.netloc
+            if plain and _may_need_requests():
+                from requests.utils import get_environ_proxies, get_netrc_auth, select_proxy
+
+                origin = f"{parts.scheme}://{parts.netloc}/"
+                plain = (not select_proxy(origin, get_environ_proxies(origin))
+                         and not get_netrc_auth(origin))
+            self._plain[parts.netloc] = plain
         return self._plain[parts.netloc]
 
     def _checkout(self, parts, timeout) -> http.client.HTTPConnection:
@@ -119,6 +212,8 @@ class HttpSession(requests.Session):
     def close(self) -> None:
         with self._lock:
             idle, self._idle = self._idle, {}
+            fallback, self._fallback = self._fallback, None
         for connection in (c for kept in idle.values() for c in kept):
             connection.close()
-        super().close()
+        if fallback is not None:
+            fallback.close()

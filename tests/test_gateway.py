@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import sys
 import threading
 import time
@@ -25,6 +26,7 @@ from suffbench.gateway import (
     request_fingerprint,
 )
 from suffbench.prompts import RenderedPrompt
+from suffbench.transport import HttpSession
 
 from tests.conftest import CHAT_BODY
 
@@ -329,6 +331,29 @@ class TestRetryPolicy:
         )
         assert len(session.calls) == 2
 
+    @pytest.mark.parametrize("error", [
+        requests.Timeout("slow"), TimeoutError("slow"),
+        requests.ConnectionError("refused"), ConnectionError("refused"),
+    ], ids=lambda error: f"{type(error).__module__}.{type(error).__name__}")
+    def test_transport_errors_are_retried_with_backoff(self, error):
+        result, session, vc = self.run_generate([error, error, (200, CHAT_BODY)], max_retries=2)
+        assert result.text.startswith("Answer: B")
+        assert len(session.calls) == 3
+        assert vc.sleeps == [0.5, 1.0]
+
+    @pytest.mark.parametrize("error", [
+        requests.exceptions.InvalidURL("no host"), ValueError("bad payload"), OSError("disk"),
+    ], ids=lambda error: f"{type(error).__module__}.{type(error).__name__}")
+    def test_other_errors_raise_after_one_attempt(self, error):
+        vc = VirtualClock()
+        session = FakeSession([error, (200, CHAT_BODY)])
+        gw = Gateway(clock=vc.clock, sleep=vc.sleep, session=session)
+        endpoint = ModelEndpoint(base_url="http://fake", model_id="m", max_retries=3)
+        with pytest.raises(type(error)):
+            gw.generate(endpoint, prompt_of("p"))
+        assert len(session.calls) == 1
+        assert vc.sleeps == []
+
     def test_retries_exhausted(self):
         with pytest.raises(RetriesExhausted, match="after 2 attempts"):
             self.run_generate([503, 503], max_retries=1)
@@ -457,6 +482,23 @@ class TestSessionLifecycle:
         gw.generate(MOCK, prompt_of("a mock call needs no session"))
         gw.close()
         assert gw._session is None
+
+    def test_plain_http_session_needs_no_requests(self, server, monkeypatch, tmp_path):
+        # no proxy variable and no netrc file: a plain-http host is sent over
+        # http.client, and a refused connect is retried as a builtin error
+        for name in [name for name in os.environ if name.lower().endswith("_proxy")]:
+            monkeypatch.delenv(name)
+        monkeypatch.setenv("NETRC", str(tmp_path / "absent"))
+        monkeypatch.setitem(sys.modules, "requests", None)
+        vc = VirtualClock()
+        gw = Gateway(sleep=vc.sleep, session=HttpSession(4))
+        result = gw.generate(live_endpoint(server), prompt_of("Q?"))
+        assert result.text == CHAT_BODY["choices"][0]["message"]["content"]
+        refused = ModelEndpoint(base_url="http://127.0.0.1:9", model_id="m", max_retries=1)
+        with pytest.raises(RetriesExhausted, match="connection error"):
+            gw.generate(refused, prompt_of("Q?"))
+        assert vc.sleeps == [0.5]
+        gw.close()
 
     def test_threads_racing_to_the_first_request_create_one_default_session(
         self, server, monkeypatch
