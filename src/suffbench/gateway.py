@@ -16,7 +16,10 @@ Gateway is safe to share between threads, so the caller's thread count
 sets how many requests are in flight: a pipeline stage that calls an
 HTTP endpoint keeps pipeline.requests_in_flight(workers) of them, one per
 pool thread. Each request is still cached, rate-limited and retried on
-its own.
+its own. score_continuations sends the continuations of one prompt as one
+/completions request with a list prompt, so a scored row costs one
+request; on an endpoint that refuses list prompts it costs four, one per
+continuation. Either way each continuation keeps its own cache entry.
 
 HTTP requests go through a session: any object with
 `post(url, json=, headers=, timeout=)` returning a reply with
@@ -42,7 +45,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 from urllib.parse import urlparse
 
 if TYPE_CHECKING:
@@ -76,6 +79,11 @@ class EmptyCompletion(GatewayError):
 
 class LogprobsUnsupported(GatewayError):
     """Backend cannot return per-token logprobs; scoring must fail loudly."""
+
+
+class ListPromptRefused(GatewayError):
+    """An endpoint failed its first list-prompt request other than with a
+    429, so it is sent one prompt per request from then on."""
 
 
 class TokenAlignmentError(GatewayError):
@@ -243,8 +251,11 @@ class MockBackend:
     Rewrite prompts stating a word budget get exactly that many words
     back; anything else gets a parseable Answer/Explanation block.
     Scoring gives every continuation token a logprob of -1.0, so the
-    four option letters always tie. Embeddings are unit-norm vectors
-    seeded by the text hash, fixed width EMBED_DIM.
+    four option letters always tie; one call scores a tuple of
+    continuations of one prompt, one choice each, as an endpoint answers a
+    list prompt. Embeddings are unit-norm vectors seeded by the text hash,
+    fixed width EMBED_DIM. `counts` counts calls, that is requests, per
+    kind.
     """
 
     EMBED_DIM = 32
@@ -282,9 +293,20 @@ class MockBackend:
             ],
         }
 
-    def score(self, model_id: str, prompt_text: str, continuation: str) -> dict:
+    def score(self, model_id: str, prompt_text: str, continuations: tuple[str, ...]) -> dict:
         with self._lock:
             self.counts["logprobs"] += 1
+        return {
+            "object": "text_completion",
+            "model": model_id,
+            "choices": [
+                self._echo_choice(index, prompt_text, continuation)
+                for index, continuation in enumerate(continuations)
+            ],
+        }
+
+    @staticmethod
+    def _echo_choice(index: int, prompt_text: str, continuation: str) -> dict:
         # prompt echoed as one scoreless token; continuation split on
         # whitespace-prefixed runs so offsets line up exactly
         tokens = re.findall(r"\s*\S+", continuation)
@@ -296,20 +318,14 @@ class MockBackend:
             offsets.append(pos)
             pos += len(token)
         return {
-            "object": "text_completion",
-            "model": model_id,
-            "choices": [
-                {
-                    "index": 0,
-                    "text": prompt_text + continuation,
-                    "finish_reason": "stop",
-                    "logprobs": {
-                        "tokens": [prompt_text] + tokens,
-                        "token_logprobs": [None] + [-1.0] * len(tokens),
-                        "text_offset": [0] + offsets,
-                    },
-                }
-            ],
+            "index": index,
+            "text": prompt_text + continuation,
+            "finish_reason": "stop",
+            "logprobs": {
+                "tokens": [prompt_text] + tokens,
+                "token_logprobs": [None] + [-1.0] * len(tokens),
+                "text_offset": [0] + offsets,
+            },
         }
 
     def embed(self, model_id: str, text: str) -> dict:
@@ -328,6 +344,87 @@ class MockBackend:
 
 def _encode(data: dict) -> bytes:
     return json.dumps(data, ensure_ascii=False).encode("utf-8")
+
+
+def _endpoint_key(endpoint: ModelEndpoint) -> tuple[str, str]:
+    return (endpoint.base_url, endpoint.model_id)
+
+
+def _decode(body: bytes, what: str) -> dict:
+    try:
+        return json.loads(body.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise GatewayError(f"unreadable response body for {what}: {exc}") from exc
+
+
+def _score_payload(model_id: str, prompt_text: str, continuation: str) -> dict:
+    """What keys the cache entry of one continuation's logprobs."""
+    return {
+        "kind": "completions.logprobs",
+        "model": model_id,
+        "prompt": prompt_text,
+        "continuation": continuation,
+    }
+
+
+def _score_wire(model_id: str, prompt: str | list[str]) -> dict:
+    """An echo-mode /completions request: max_tokens 0 scores the given text
+    instead of sampling. A list prompt gets one choice per prompt."""
+    return {"model": model_id, "prompt": prompt, "max_tokens": 0, "echo": True, "logprobs": 1}
+
+
+def _choices_by_index(data: dict, count: int) -> list[dict]:
+    """The choices of a reply to `count` prompts in prompt order, placed by
+    their `index` and not by their position: exactly one per prompt, or
+    GatewayError."""
+    choices = data.get("choices") if isinstance(data, dict) else None
+    if not isinstance(choices, list) or len(choices) != count:
+        got = len(choices) if isinstance(choices, list) else "no"
+        raise GatewayError(f"a reply to {count} prompts carries {got} choices")
+    ordered: list[dict | None] = [None] * count
+    for choice in choices:
+        index = choice.get("index") if isinstance(choice, dict) else None
+        if type(index) is not int or not 0 <= index < count or ordered[index] is not None:
+            raise GatewayError(f"a reply to {count} prompts carries a choice with index {index!r}")
+        ordered[index] = choice
+    return ordered
+
+
+def _logprob_result(
+    endpoint: ModelEndpoint, prompt_text: str, continuation: str, choice: dict
+) -> LogprobResult:
+    """The summed logprobs of `continuation` in one echo-mode choice for
+    `prompt_text + continuation`. Its tokens are selected by text offset;
+    any misalignment with the prompt boundary is a hard error, never
+    silently truncated."""
+    blob = choice.get("logprobs")
+    if not blob:
+        raise LogprobsUnsupported(
+            f"{endpoint.model_id} returned no logprobs; teacher-forced scoring is impossible"
+        )
+    tokens = blob.get("tokens")
+    logprobs = blob.get("token_logprobs")
+    offsets = blob.get("text_offset")
+    if tokens is None or logprobs is None or offsets is None:
+        raise LogprobsUnsupported(f"{endpoint.model_id} logprobs block is incomplete")
+    boundary = len(prompt_text)
+    selected = [
+        (token, lp, off)
+        for token, lp, off in zip(tokens, logprobs, offsets)
+        if off >= boundary
+    ]
+    if not selected or selected[0][2] != boundary:
+        got = selected[0][2] if selected else "none"
+        raise TokenAlignmentError(
+            f"continuation tokens start at offset {got}, expected {boundary}"
+        )
+    if any(lp is None for _, lp, _ in selected):
+        raise LogprobsUnsupported(f"{endpoint.model_id} omitted continuation logprobs")
+    token_logprobs = tuple((token, float(lp)) for token, lp, _ in selected)
+    total = sum(lp for _, lp in token_logprobs)
+    return LogprobResult(
+        continuation=continuation, token_logprobs=token_logprobs, total_logprob=total
+    )
 
 
 def _transport_errors() -> tuple[tuple[type, ...], tuple[type, ...]]:
@@ -363,6 +460,12 @@ class Gateway:
         self._limiters: dict[tuple[str, str], RateLimiter] = {}
         self._embed_dims: dict[str, int] = {}
         self._lock = threading.Lock()
+        # (base_url, model_id) -> whether the endpoint takes list prompts, once
+        # its probe has settled it; an endpoint whose probe is in flight is in
+        # _probing, and the other threads wait on _probe_settled
+        self._list_prompts: dict[tuple[str, str], bool] = {}
+        self._probing: set[tuple[str, str]] = set()
+        self._probe_settled = threading.Condition(self._lock)
 
     def close(self) -> None:
         """Close the HTTP session and the connections it keeps, if there is
@@ -381,7 +484,8 @@ class Gateway:
             return backend
 
     def mock_counts(self) -> dict[str, int]:
-        """Aggregate backend-call counters across all mock endpoints."""
+        """Requests the mock endpoints answered, per kind, summed over them:
+        a prompt's batched continuations count one."""
         totals = {"generate": 0, "logprobs": 0, "embeddings": 0}
         with self._lock:
             for backend in self._mocks.values():
@@ -390,7 +494,7 @@ class Gateway:
         return totals
 
     def _limiter(self, endpoint: ModelEndpoint) -> RateLimiter:
-        key = (endpoint.base_url, endpoint.model_id)
+        key = _endpoint_key(endpoint)
         with self._lock:
             limiter = self._limiters.get(key)
             if limiter is None:
@@ -410,20 +514,23 @@ class Gateway:
         is never replayed.
         """
         key = request_fingerprint(payload)
-        cached = self._cache.get(key) if self._cache is not None else None
-        if cached is None and endpoint.is_mock:
+        data = self._cached(key)
+        if data is not None:
+            return data, key
+        if endpoint.is_mock:
             data = mock_call(self._mock(endpoint))
             if self._cache is not None:
                 self._cache.put(key, _encode(data))
             return data, key
-        body = cached if cached is not None else self._post(endpoint, path, wire)
-        try:
-            data = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise GatewayError(f"unreadable response body for request {key}: {exc}") from exc
-        if cached is None and self._cache is not None:
+        body = self._post(endpoint, path, wire)
+        data = _decode(body, f"request {key}")
+        if self._cache is not None:
             self._cache.put(key, body)
         return data, key
+
+    def _cached(self, key: str) -> dict | None:
+        body = self._cache.get(key) if self._cache is not None else None
+        return None if body is None else _decode(body, f"request {key}")
 
     @staticmethod
     def _first_choice(data: dict, key: str) -> dict:
@@ -432,7 +539,12 @@ class Gateway:
         except (KeyError, IndexError, TypeError):
             raise EmptyCompletion(f"response for {key} carries no choices") from None
 
-    def _post(self, endpoint: ModelEndpoint, path: str, payload: dict) -> bytes:
+    def _post(
+        self, endpoint: ModelEndpoint, path: str, payload: dict, probe: bool = False
+    ) -> bytes:
+        """The body of a 200 reply to `payload`. A 429, a 5xx, a timeout or
+        a failed connection is retried with backoff; with `probe`, only a
+        429 is, and any other failure raises ListPromptRefused at once."""
         url = endpoint.base_url.rstrip("/") + path
         headers = {}
         if endpoint.api_key_ref:
@@ -462,19 +574,22 @@ class Gateway:
                 timeouts, failures = _transport_errors()
                 if isinstance(exc, timeouts):
                     failure = "timeout"
-                    log.warning("%s attempt %d/%d timed out", url, attempt + 1, attempts)
                 elif isinstance(exc, failures):
                     failure = f"connection error: {exc}"
-                    log.warning("%s attempt %d/%d failed: %s", url, attempt + 1, attempts, failure)
                 else:
                     raise
+                if probe:
+                    raise ListPromptRefused(failure) from exc
+                log.warning("%s attempt %d/%d failed: %s", url, attempt + 1, attempts, failure)
                 continue
             if response.status_code == 200:
                 return response.content
             failure = f"HTTP {response.status_code}"
-            if response.status_code == 429 or response.status_code >= 500:
+            if response.status_code == 429 or response.status_code >= 500 and not probe:
                 log.warning("%s attempt %d/%d got %s", url, attempt + 1, attempts, failure)
                 continue
+            if probe:
+                raise ListPromptRefused(f"{failure}: {response.text[:500]}")
             raise RequestFailed(
                 f"{url} rejected the request: {failure}: {response.text[:500]}",
                 status=response.status_code,
@@ -531,61 +646,123 @@ class Gateway:
     def score_continuation(
         self, endpoint: ModelEndpoint, prompt_text: str, continuation: str
     ) -> LogprobResult:
-        """Sum of token logprobs for `continuation` appended to `prompt_text`.
-
-        Uses echo mode with max_tokens=0 so the backend scores the given
-        text instead of sampling. Continuation tokens are selected by
-        text offset; any misalignment with the prompt boundary is a hard
-        error, never silently truncated.
-        """
+        """Sum of token logprobs for `continuation` appended to `prompt_text`,
+        sent as a request of its own (see _score_wire and _logprob_result)."""
         if not continuation:
             raise ValueError("continuation must be non-empty")
-        payload = {
-            "kind": "completions.logprobs",
-            "model": endpoint.model_id,
-            "prompt": prompt_text,
-            "continuation": continuation,
-        }
-        wire = {
-            "model": endpoint.model_id,
-            "prompt": prompt_text + continuation,
-            "max_tokens": 0,
-            "echo": True,
-            "logprobs": 1,
-        }
         data, key = self._fetch(
-            endpoint, payload,
-            lambda mock: mock.score(endpoint.model_id, prompt_text, continuation),
-            "/completions", wire,
+            endpoint, _score_payload(endpoint.model_id, prompt_text, continuation),
+            lambda mock: mock.score(endpoint.model_id, prompt_text, (continuation,)),
+            "/completions", _score_wire(endpoint.model_id, prompt_text + continuation),
         )
-        blob = self._first_choice(data, key).get("logprobs")
-        if not blob:
-            raise LogprobsUnsupported(
-                f"{endpoint.model_id} returned no logprobs; teacher-forced scoring is impossible"
-            )
-        tokens = blob.get("tokens")
-        logprobs = blob.get("token_logprobs")
-        offsets = blob.get("text_offset")
-        if tokens is None or logprobs is None or offsets is None:
-            raise LogprobsUnsupported(f"{endpoint.model_id} logprobs block is incomplete")
-        boundary = len(prompt_text)
-        selected = [
-            (token, lp, off)
-            for token, lp, off in zip(tokens, logprobs, offsets)
-            if off >= boundary
+        return _logprob_result(
+            endpoint, prompt_text, continuation, self._first_choice(data, key)
+        )
+
+    def score_continuations(
+        self, endpoint: ModelEndpoint, prompt_text: str, continuations: Sequence[str]
+    ) -> list[LogprobResult]:
+        """score_continuation of each continuation of one prompt, in order,
+        with the ones the cache misses sent as one request.
+
+        Each continuation keeps the cache entry score_continuation gives it.
+        The misses go out in input order as one /completions request with a
+        list prompt, under one rate-limiter admission, and each choice of the
+        reply, placed by its index, is cached as the one-choice reply a
+        request of its own would have had.
+
+        An HTTP endpoint's first list-prompt request is a probe, and threads
+        that come while it is in flight wait for its outcome. If it fails in
+        any way but a 429, or its reply has not one choice per prompt, the
+        endpoint is sent one prompt per request from then on: its prompts
+        are scored through score_continuation, one request per continuation.
+        """
+        if not all(continuations):
+            raise ValueError("continuation must be non-empty")
+        if not endpoint.is_mock and self._list_prompts.get(_endpoint_key(endpoint)) is False:
+            return [self.score_continuation(endpoint, prompt_text, c) for c in continuations]
+        keys = [
+            request_fingerprint(_score_payload(endpoint.model_id, prompt_text, c))
+            for c in continuations
         ]
-        if not selected or selected[0][2] != boundary:
-            got = selected[0][2] if selected else "none"
-            raise TokenAlignmentError(
-                f"continuation tokens start at offset {got}, expected {boundary}"
+        choices = []
+        for key in keys:
+            data = self._cached(key)
+            choices.append(None if data is None else self._first_choice(data, key))
+        missing = [i for i, choice in enumerate(choices) if choice is None]
+        if missing:
+            texts = tuple(continuations[i] for i in missing)
+            if endpoint.is_mock:
+                data = self._mock(endpoint).score(endpoint.model_id, prompt_text, texts)
+                fresh = _choices_by_index(data, len(texts))
+            else:
+                answer = self._post_list(endpoint, prompt_text, texts)
+                if answer is None:
+                    return [
+                        self.score_continuation(endpoint, prompt_text, c) for c in continuations
+                    ]
+                data, fresh = answer
+            for i, choice in zip(missing, fresh):
+                choices[i] = choice
+                if self._cache is not None:
+                    self._cache.put(keys[i], _encode({**data, "choices": [{**choice, "index": 0}]}))
+        return [
+            _logprob_result(endpoint, prompt_text, c, choice)
+            for c, choice in zip(continuations, choices)
+        ]
+
+    def _post_list(
+        self, endpoint: ModelEndpoint, prompt_text: str, continuations: tuple[str, ...]
+    ) -> tuple[dict, list[dict]] | None:
+        """The reply to the continuations sent as one list-prompt request and
+        its choices in prompt order, or None if the endpoint takes one prompt
+        per request. Sends the endpoint's probe if no request has settled
+        that yet, and waits while another thread's probe is in flight."""
+        key = _endpoint_key(endpoint)
+        with self._probe_settled:
+            while key in self._probing:
+                self._probe_settled.wait()
+            takes = self._list_prompts.get(key)
+            if takes is None:
+                self._probing.add(key)
+        if takes is not None:
+            return self._send_list(endpoint, prompt_text, continuations) if takes else None
+        try:
+            answer = self._send_list(endpoint, prompt_text, continuations, probe=True)
+            takes = True
+            return answer
+        except ListPromptRefused as exc:
+            log.warning(
+                "%s refused a list prompt (%s); sending one prompt per request",
+                endpoint.base_url, exc,
             )
-        if any(lp is None for _, lp, _ in selected):
-            raise LogprobsUnsupported(f"{endpoint.model_id} omitted continuation logprobs")
-        token_logprobs = tuple((token, float(lp)) for token, lp, _ in selected)
-        total = sum(lp for _, lp in token_logprobs)
-        return LogprobResult(
-            continuation=continuation, token_logprobs=token_logprobs, total_logprob=total
-        )
+            takes = False
+            return None
+        finally:
+            # a probe that raised anything else settles nothing: the next
+            # list-prompt request is a probe again
+            with self._probe_settled:
+                self._probing.discard(key)
+                if takes is not None:
+                    self._list_prompts[key] = takes
+                self._probe_settled.notify_all()
+
+    def _send_list(
+        self,
+        endpoint: ModelEndpoint,
+        prompt_text: str,
+        continuations: tuple[str, ...],
+        probe: bool = False,
+    ) -> tuple[dict, list[dict]]:
+        wire = _score_wire(endpoint.model_id, [prompt_text + c for c in continuations])
+        body = self._post(endpoint, "/completions", wire, probe=probe)
+        try:
+            data = _decode(body, f"a list of {len(continuations)} prompts")
+            return data, _choices_by_index(data, len(continuations))
+        except GatewayError as exc:
+            if probe:
+                raise ListPromptRefused(str(exc)) from exc
+            raise
 
     # -- embeddings ------------------------------------------------------------
 

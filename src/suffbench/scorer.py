@@ -26,6 +26,8 @@ if TYPE_CHECKING:
 
 BASELINE_MODEL = "baseline"
 BASELINE_LEVEL = "noexp"
+# what each option's letter is teacher-forced as, in LABELS order
+_CONTINUATIONS = tuple(f" {option}" for option in LABELS)
 
 
 class ScoringError(ValueError):
@@ -91,18 +93,18 @@ def score_options(
 ) -> dict[str, float]:
     """Option distribution for one scoring or baseline prompt.
 
-    The four option continuations are scored one after another on the
-    calling thread; the score stage keeps an HTTP scorer busy by running
-    more units at once (pipeline.requests_in_flight), not more requests
-    per unit.
+    The four option continuations go to the scorer as one request with a
+    list prompt (Gateway.score_continuations), or as four requests, one
+    after another on the calling thread, to an endpoint that refuses list
+    prompts. The score stage keeps an HTTP scorer busy by running more
+    units at once (pipeline.requests_in_flight).
     """
     if prompt.kind not in ("score", "baseline"):
         raise ScoringError(f"cannot score a {prompt.kind!r} prompt")
-    totals = {
-        option: gateway.score_continuation(scorer, prompt.text, f" {option}").total_logprob
-        for option in LABELS
-    }
-    return softmax_probs(totals)
+    results = gateway.score_continuations(scorer, prompt.text, _CONTINUATIONS)
+    return softmax_probs(
+        {option: result.total_logprob for option, result in zip(LABELS, results)}
+    )
 
 
 def score_item(

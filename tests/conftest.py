@@ -31,6 +31,10 @@ CHAT_BODY = {
 }
 
 
+# what a route returns to have the connection closed with no reply
+DROP = object()
+
+
 class _FixtureHandler(BaseHTTPRequestHandler):
     def log_message(self, *args):  # keep test output clean
         pass
@@ -58,6 +62,11 @@ class _FixtureHandler(BaseHTTPRequestHandler):
             self.end_headers()
             return
         reply = handler(payload)
+        if reply is DROP:
+            # close the connection with no reply, as a server whose handler
+            # raised does
+            self.close_connection = True
+            return
         status, reply = reply if isinstance(reply, tuple) else (200, reply)
         body = json.dumps(reply, ensure_ascii=False).encode("utf-8")
         self.send_response(status)
@@ -80,9 +89,9 @@ class _FixtureHTTPServer(ThreadingHTTPServer):
 
 class FixtureServer:
     """Local OpenAI-shaped endpoint with per-path canned responses and an
-    optional scripted status sequence. A route answers with a body, or
-    with a (status, body) pair. With keep_alive the server speaks HTTP/1.1
-    and keeps each connection open for more requests."""
+    optional scripted status sequence. A route answers with a body, a
+    (status, body) pair, or DROP. With keep_alive the server speaks
+    HTTP/1.1 and keeps each connection open for more requests."""
 
     def __init__(self, keep_alive: bool = False):
         handler = _KeepAliveFixtureHandler if keep_alive else _FixtureHandler
@@ -121,6 +130,21 @@ class FixtureServer:
 OPTION_LOGPROBS = {"A": -1.0, "B": -2.0, "C": -3.0, "D": -4.0}
 
 
+def each_prompt(answer):
+    """A /completions route that answers a list prompt with one choice per
+    prompt, the i-th with index i, each taken from `answer` to that prompt
+    alone; a single prompt gets `answer`'s reply as it is."""
+    def route(payload):
+        prompts = payload["prompt"]
+        if isinstance(prompts, str):
+            return answer(payload)
+        replies = [answer({**payload, "prompt": prompt}) for prompt in prompts]
+        choices = [{**reply["choices"][0], "index": i} for i, reply in enumerate(replies)]
+        return {**replies[0], "choices": choices}
+    return route
+
+
+@each_prompt
 def option_logprobs(payload):
     """A /completions echo reply for any scoring prompt ending in one of
     the continuations " A".." D": the prompt is one scoreless token and
@@ -140,18 +164,37 @@ def option_logprobs(payload):
     }
 
 
+def drops_list_prompts(route):
+    """`route`, except that a list prompt has its connection closed with no
+    reply, as bench/stub.py's handler does when it fails on one."""
+    return lambda payload: DROP if isinstance(payload["prompt"], list) else route(payload)
+
+
+def rejects_list_prompts(route):
+    """`route`, except that a list prompt is answered 400."""
+    def reject(payload):
+        if isinstance(payload["prompt"], list):
+            return 400, {"error": {"message": "prompt must be a string"}}
+        return route(payload)
+    return reject
+
+
 def route_mock(server: FixtureServer, seed: int) -> str:
     """Answer requests under /<seed>/ with the bodies mock://<seed> builds
     in process, as bench/stub.py does, and return that base URL: a run
-    against it stores the same tables as a mock:// run. A scoring request's
-    continuation is its last two characters, " A".." D"."""
+    against it stores the same tables as a mock:// run. A scoring prompt's
+    continuation is its last two characters, " A".." D"; a list prompt's
+    prompts share the text before them, and are answered as one mock call."""
     backend = MockBackend(seed)
+
+    def score(p):
+        prompts = [p["prompt"]] if isinstance(p["prompt"], str) else p["prompt"]
+        return backend.score(p["model"], prompts[0][:-2], tuple(t[-2:] for t in prompts))
+
     server.route(f"/{seed}/chat/completions", lambda p: backend.generate(
         p["model"], p["messages"][0]["content"], p["temperature"], p["max_tokens"]
     ))
-    server.route(f"/{seed}/completions", lambda p: backend.score(
-        p["model"], p["prompt"][:-2], p["prompt"][-2:]
-    ))
+    server.route(f"/{seed}/completions", score)
     server.route(f"/{seed}/embeddings", lambda p: backend.embed(p["model"], p["input"]))
     return f"{server.base_url}/{seed}"
 
@@ -160,7 +203,7 @@ def route_mock(server: FixtureServer, seed: int) -> str:
 def server():
     with FixtureServer() as srv:
         srv.route("/chat/completions", lambda payload: CHAT_BODY)
-        srv.route("/completions", lambda payload: LOGPROB_FIXTURE[payload["prompt"]])
+        srv.route("/completions", each_prompt(lambda payload: LOGPROB_FIXTURE[payload["prompt"]]))
         srv.route(
             "/embeddings",
             lambda payload: {

@@ -268,7 +268,8 @@ class TestHttpScorer:
         path = write_config(tmp_path, scorer=scorer, workers=4)
         caplog.set_level(logging.WARNING, logger="urllib3")
         assert main(["run", "--config", str(path), "--stage", "score"]) == EXIT_OK
-        assert len(server.requests) == 4 * 40
+        # one request per scored row: its four options as one list prompt
+        assert len(server.requests) == 40
         assert all(r["headers"]["Authorization"].startswith("Basic ") for r in server.requests)
         full = [r for r in caplog.records if "Connection pool is full" in r.getMessage()]
         assert full == []
@@ -616,7 +617,7 @@ class TestMockCache:
             if p["kind"] == "chat.completions":
                 reply = backend.generate(p["model"], p["prompt"], p["temperature"], p["max_tokens"])
             elif p["kind"] == "completions.logprobs":
-                reply = backend.score(p["model"], p["prompt"], p["continuation"])
+                reply = backend.score(p["model"], p["prompt"], (p["continuation"],))
             else:
                 reply = backend.embed(p["model"], p["input"])
             assert path.read_bytes() == _encode(reply), p

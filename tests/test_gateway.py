@@ -17,6 +17,7 @@ from suffbench.gateway import (
     GatewayError,
     LogprobResult,
     LogprobsUnsupported,
+    MockBackend,
     ModelEndpoint,
     RateLimiter,
     RequestFailed,
@@ -28,7 +29,14 @@ from suffbench.gateway import (
 from suffbench.prompts import RenderedPrompt
 from suffbench.transport import HttpSession
 
-from tests.conftest import CHAT_BODY
+from tests.conftest import (
+    CHAT_BODY,
+    OPTION_LOGPROBS,
+    FixtureServer,
+    drops_list_prompts,
+    option_logprobs,
+    route_mock,
+)
 
 SCORING_PROMPT = "Question: Q?\nThe answer is "
 
@@ -453,6 +461,247 @@ class TestLiveScoring:
     def test_logprob_result_validates_total(self):
         with pytest.raises(ValueError, match="token sum"):
             LogprobResult(" A", ((" A", -1.0),), -2.0)
+
+
+OPTIONS = (" A", " B", " C", " D")
+FA_PROMPT = "پرسش: چرا آسمان آبی است؟\nپاسخ "
+
+
+def cache_files(root) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in sorted(root.rglob("*.json"))}
+
+
+def list_reply(prompt_text, continuations, model="m", seed=7) -> dict:
+    """The reply an endpoint that takes list prompts gives, as mock://<seed>."""
+    return MockBackend(seed).score(model, prompt_text, tuple(continuations))
+
+
+class TestScoreContinuations:
+    def test_results_and_cache_files_match_single_calls(self, tmp_path):
+        # mock:// in process, and the same seed over HTTP, batched and one
+        # continuation at a time: every result and every cache file agree
+        with FixtureServer() as server:
+            endpoints = {
+                "mock": ModelEndpoint(base_url="mock://7", model_id="probe"),
+                "http": ModelEndpoint(base_url=route_mock(server, 7), model_id="probe",
+                                      requests_per_minute=10_000),
+            }
+            results, files, sent = {}, {}, {}
+            for name, endpoint in endpoints.items():
+                for way in ("batched", "single"):
+                    gw = Gateway(cache_dir=tmp_path / name / way)
+                    before = len(server.requests)
+                    if way == "batched":
+                        got = gw.score_continuations(endpoint, FA_PROMPT, OPTIONS)
+                    else:
+                        got = [gw.score_continuation(endpoint, FA_PROMPT, c) for c in OPTIONS]
+                    results[name, way] = got
+                    files[name, way] = cache_files(tmp_path / name / way)
+                    sent[name, way] = len(server.requests) - before
+                    gw.close()
+        assert len(set(map(tuple, results.values()))) == 1
+        assert [r.continuation for r in results["mock", "batched"]] == list(OPTIONS)
+        assert len(files["mock", "single"]) == 4
+        assert all(got == files["mock", "single"] for got in files.values())
+        assert sent == {("mock", "batched"): 0, ("mock", "single"): 0,
+                        ("http", "batched"): 1, ("http", "single"): 4}
+
+    def test_mock_scores_a_prompt_in_one_call(self):
+        gw = Gateway()
+        gw.score_continuations(MOCK, SCORING_PROMPT, OPTIONS)
+        assert gw.mock_counts() == {"generate": 0, "logprobs": 1, "embeddings": 0}
+
+    def test_only_cache_misses_are_sent_in_input_order(self, tmp_path):
+        order = (" D", " C", " B", " A")
+        with FixtureServer() as server:
+            endpoint = live_endpoint(server, base_url=route_mock(server, 7))
+            warm = Gateway(cache_dir=tmp_path)
+            expected = {c: warm.score_continuation(endpoint, SCORING_PROMPT, c) for c in order}
+            for path in tmp_path.rglob("*.json"):
+                path.unlink()
+            for c in (" C", " A"):
+                warm.score_continuation(endpoint, SCORING_PROMPT, c)
+            del server.requests[:]
+            got = Gateway(cache_dir=tmp_path).score_continuations(endpoint, SCORING_PROMPT, order)
+        assert got == [expected[c] for c in order]
+        [sent] = server.requests
+        assert sent["payload"] == {
+            "model": "live-1", "prompt": [SCORING_PROMPT + " D", SCORING_PROMPT + " B"],
+            "max_tokens": 0, "echo": True, "logprobs": 1,
+        }
+        assert len(cache_files(tmp_path)) == 4
+
+    def test_every_continuation_cached_sends_nothing(self, tmp_path):
+        session = FakeSession([])
+        endpoint = ModelEndpoint(base_url="http://fake", model_id="m")
+        cache = ResponseCache(tmp_path)
+        for c in OPTIONS:
+            key = request_fingerprint({
+                "kind": "completions.logprobs", "model": "m",
+                "prompt": SCORING_PROMPT, "continuation": c,
+            })
+            cache.put(key, json.dumps(list_reply(SCORING_PROMPT, [c])).encode("utf-8"))
+        got = Gateway(cache_dir=tmp_path, session=session).score_continuations(
+            endpoint, SCORING_PROMPT, OPTIONS
+        )
+        assert [r.total_logprob for r in got] == [-1.0] * 4
+        assert session.calls == []
+
+    def test_choices_out_of_index_order_are_mapped_by_index(self, server):
+        def reversed_choices(payload):
+            reply = option_logprobs(payload)
+            return {**reply, "choices": reply["choices"][::-1]}
+
+        server.route("/completions", reversed_choices)
+        got = Gateway().score_continuations(live_endpoint(server), SCORING_PROMPT, OPTIONS)
+        assert [r.continuation for r in got] == list(OPTIONS)
+        assert [r.total_logprob for r in got] == [OPTION_LOGPROBS[c[-1]] for c in OPTIONS]
+        [sent] = server.requests
+        assert [prompt[-1] for prompt in sent["payload"]["prompt"]] == ["A", "B", "C", "D"]
+
+    @pytest.mark.parametrize("fault", ["missing", "extra", "duplicate", "out of range", "no index"])
+    def test_a_reply_without_one_choice_per_prompt_is_fatal(self, fault, tmp_path):
+        other = "Question: R?\nThe answer is "
+        bad = list_reply(other, OPTIONS)
+        choices = bad["choices"]
+        if fault == "missing":
+            del choices[2]
+        elif fault == "extra":
+            choices.append({**choices[0], "index": 4})
+        elif fault == "duplicate":
+            choices[2]["index"] = 1
+        elif fault == "out of range":
+            choices[2]["index"] = 4
+        else:
+            del choices[2]["index"]
+        session = FakeSession([(200, list_reply(SCORING_PROMPT, OPTIONS)), (200, bad)])
+        gw = Gateway(cache_dir=tmp_path, session=session)
+        endpoint = ModelEndpoint(base_url="http://fake", model_id="m")
+        # the first list-prompt request settles that the endpoint takes them
+        first = gw.score_continuations(endpoint, SCORING_PROMPT, OPTIONS)
+        assert [r.total_logprob for r in first] == [-1.0] * 4
+        with pytest.raises(GatewayError, match="a reply to 4 prompts carries"):
+            gw.score_continuations(endpoint, other, OPTIONS)
+        assert len(session.calls) == 2
+        # no choice of the faulty reply was cached under any continuation
+        assert len(cache_files(tmp_path)) == 4
+
+    def test_empty_continuation_rejected(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            Gateway().score_continuations(MOCK, SCORING_PROMPT, (" A", ""))
+
+
+def single_replies(prompt_text, continuations) -> list:
+    return [(200, list_reply(prompt_text, [c])) for c in continuations]
+
+
+class TestListPromptProbe:
+    """An HTTP endpoint's first list-prompt request is a probe: a 429 is
+    retried, and any other failure sends the endpoint one prompt per request
+    from then on, with no backoff."""
+
+    OTHER = "Question: R?\nThe answer is "
+
+    @pytest.mark.parametrize("refusal", [
+        400, 404, 413, 500, 503,
+        TimeoutError("slow"), ConnectionError("reset"),
+        requests.Timeout("slow"), requests.ConnectionError("reset"),
+        (200, b"<html>Bad gateway</html>"),
+        (200, {"choices": list_reply(SCORING_PROMPT, OPTIONS)["choices"][:1]}),
+    ], ids=repr)
+    def test_refused_probe_falls_back_with_no_sleep(self, refusal, tmp_path):
+        vc = VirtualClock()
+        session = FakeSession([
+            refusal,
+            *single_replies(SCORING_PROMPT, OPTIONS),
+            *single_replies(self.OTHER, OPTIONS),
+        ])
+        gw = Gateway(cache_dir=tmp_path, clock=vc.clock, sleep=vc.sleep, session=session)
+        endpoint = ModelEndpoint(base_url="http://fake", model_id="m", max_retries=3)
+        first = gw.score_continuations(endpoint, SCORING_PROMPT, OPTIONS)
+        second = gw.score_continuations(endpoint, self.OTHER, OPTIONS)
+        assert vc.sleeps == []
+        prompts = [call["json"]["prompt"] for call in session.calls]
+        assert prompts[0] == [SCORING_PROMPT + c for c in OPTIONS]
+        # the probe, then one request per continuation, and no second probe
+        assert prompts[1:] == [p + c for p in (SCORING_PROMPT, self.OTHER) for c in OPTIONS]
+        assert first == second == Gateway().score_continuations(MOCK, SCORING_PROMPT, OPTIONS)
+        assert len(cache_files(tmp_path)) == 8
+
+    def test_threads_racing_to_the_first_list_prompt_send_one_probe(self, server):
+        # the endpoint drops list prompts, so a second probe would show as a
+        # second list-prompt request
+        server.route("/completions", drops_list_prompts(option_logprobs))
+        sleeps, results = [], []
+        gw = Gateway(sleep=sleeps.append, session=HttpSession(16))
+        endpoint = live_endpoint(server, max_retries=3)
+        barrier = threading.Barrier(16)
+
+        def score(i):
+            barrier.wait(timeout=10)
+            prompt = f"Question {i}?\nThe answer is "
+            results.append(gw.score_continuations(endpoint, prompt, OPTIONS))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=score, args=(i,), daemon=True) for i in range(16)]
+            for thread in threads:
+                thread.start()
+            deadline = time.monotonic() + 30
+            for thread in threads:
+                thread.join(timeout=max(0.0, deadline - time.monotonic()))
+        finally:
+            sys.setswitchinterval(interval)
+            gw.close()
+        assert not any(thread.is_alive() for thread in threads)
+        assert sleeps == []
+        lists = [r for r in server.requests if isinstance(r["payload"]["prompt"], list)]
+        assert len(lists) == 1
+        assert len(server.requests) == 1 + 16 * 4
+        assert [[r.total_logprob for r in got] for got in results] == [[-1.0, -2.0, -3.0, -4.0]] * 16
+
+    def test_429_on_the_probe_is_retried_and_batching_stays_on(self):
+        vc = VirtualClock()
+        session = FakeSession([
+            429,
+            (200, list_reply(SCORING_PROMPT, OPTIONS)),
+            (200, list_reply(self.OTHER, OPTIONS)),
+        ])
+        gw = Gateway(clock=vc.clock, sleep=vc.sleep, session=session)
+        endpoint = ModelEndpoint(base_url="http://fake", model_id="m", max_retries=3)
+        gw.score_continuations(endpoint, SCORING_PROMPT, OPTIONS)
+        gw.score_continuations(endpoint, self.OTHER, OPTIONS)
+        assert vc.sleeps == [Gateway.BACKOFF_BASE]
+        assert [len(call["json"]["prompt"]) for call in session.calls] == [4, 4, 4]
+
+    def test_failures_after_a_batched_success_are_retried(self):
+        vc = VirtualClock()
+        session = FakeSession([
+            (200, list_reply(SCORING_PROMPT, OPTIONS)),
+            503, ConnectionError("reset"),
+            (200, list_reply(self.OTHER, OPTIONS)),
+        ])
+        gw = Gateway(clock=vc.clock, sleep=vc.sleep, session=session)
+        endpoint = ModelEndpoint(base_url="http://fake", model_id="m", max_retries=3)
+        gw.score_continuations(endpoint, SCORING_PROMPT, OPTIONS)
+        gw.score_continuations(endpoint, self.OTHER, OPTIONS)
+        assert vc.sleeps == [0.5, 1.0]
+        assert [len(call["json"]["prompt"]) for call in session.calls] == [4, 4, 4, 4]
+
+    def test_a_probe_that_runs_out_of_429_retries_settles_nothing(self):
+        vc = VirtualClock()
+        session = FakeSession([429, 429, 503, *single_replies(SCORING_PROMPT, OPTIONS)])
+        gw = Gateway(clock=vc.clock, sleep=vc.sleep, session=session)
+        endpoint = ModelEndpoint(base_url="http://fake", model_id="m", max_retries=1)
+        with pytest.raises(RetriesExhausted):
+            gw.score_continuations(endpoint, SCORING_PROMPT, OPTIONS)
+        # the next row probes again, and this probe's 503 refuses list prompts
+        gw.score_continuations(endpoint, SCORING_PROMPT, OPTIONS)
+        assert [isinstance(call["json"]["prompt"], list) for call in session.calls] == [
+            True, True, True, False, False, False, False,
+        ]
+        assert vc.sleeps == [Gateway.BACKOFF_BASE]
 
 
 class TestLiveEmbeddings:

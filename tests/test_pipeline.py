@@ -5,6 +5,7 @@ import time
 import weakref
 from collections import Counter
 from contextlib import ExitStack, closing
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -51,7 +52,7 @@ from suffbench.runstore import (
     work_key,
 )
 
-from tests.conftest import FixtureServer, route_mock
+from tests.conftest import FixtureServer, drops_list_prompts, rejects_list_prompts, route_mock
 
 RUN = "run-pipe"
 
@@ -856,8 +857,8 @@ def _record_threads(monkeypatch) -> set[int]:
         return call
 
     for owner, name in (
-        (Gateway, "generate"), (Gateway, "score_continuation"), (Gateway, "embed"),
-        (pipeline, "mask_explanation"),
+        (Gateway, "generate"), (Gateway, "score_continuations"),
+        (Gateway, "score_continuation"), (Gateway, "embed"), (pipeline, "mask_explanation"),
     ):
         monkeypatch.setattr(owner, name, spy(getattr(owner, name)))
     return threads
@@ -880,7 +881,9 @@ class TestRequestsInFlight:
         # the first four requests of the stage are answered only once all
         # four have arrived; with fewer in flight the barrier times out and
         # the dropped request fails the stage. One HTTP generator next to a
-        # mock one makes generate and constrain HTTP stages.
+        # mock one makes generate and constrain HTTP stages. The scorer's
+        # first request is its list-prompt probe, which the other threads
+        # wait on, so there the four after it are held.
         assert requests_in_flight(1) == 4
         with FixtureServer() as server:
             ctx = make_ctx(
@@ -891,9 +894,10 @@ class TestRequestsInFlight:
             answer = server.httpd.routes[path]
             together = threading.Barrier(4, timeout=2)
             arrivals = itertools.count()
+            first_held = 1 if stage == "score" else 0
 
             def held(payload):
-                if next(arrivals) < 4:
+                if first_held <= next(arrivals) < first_held + 4:
                     together.wait()
                 return answer(payload)
 
@@ -928,6 +932,51 @@ class TestRequestsInFlight:
         reports = run(ctx, STAGES)
         assert all(r.completed == r.planned > 2 for r in reports[:-1])
         assert threads == {threading.get_ident()}
+
+
+class TestScorerListPrompts:
+    """A scored row is one request to a scorer that takes list prompts, and
+    four to one that refuses them; the stored scores are the same."""
+
+    def scores(self, make_ctx, root, corpus, scorer, sleeps):
+        ctx = make_ctx(root, {"en": corpus}, workers=4, scorer=scorer,
+                       gateway=Gateway(sleep=sleeps.append))
+        run(ctx, ["score"])
+        return ctx.store.load_scores()
+
+    @pytest.mark.parametrize("refuse", [drops_list_prompts, rejects_list_prompts])
+    def test_refusing_scorer_is_probed_once_with_no_sleep(
+        self, make_ctx, tmp_path, en_corpus, refuse
+    ):
+        corpus = subset(en_corpus, 3, seed=7)
+        expected = self.scores(make_ctx, tmp_path / "mock", corpus, PROBE, [])
+        sleeps = []
+        with FixtureServer() as server:
+            scorer = replace(live(server, PROBE), max_retries=3)
+            path = "/12/completions"
+            server.route(path, refuse(server.httpd.routes[path]))
+            got = self.scores(make_ctx, tmp_path / "http", corpus, scorer, sleeps)
+        assert sleeps == []
+        # 16 threads score at once: one sends the probe, the rest wait for it
+        probes = [r for r in server.requests if isinstance(r["payload"]["prompt"], list)]
+        assert len(probes) == 1
+        assert got == expected
+        assert len(server.requests) == 1 + 4 * len(expected)
+
+    def test_429_on_the_probe_is_retried_and_batching_stays_on(
+        self, make_ctx, tmp_path, en_corpus
+    ):
+        corpus = subset(en_corpus, 3, seed=7)
+        expected = self.scores(make_ctx, tmp_path / "mock", corpus, PROBE, [])
+        sleeps = []
+        with FixtureServer() as server:
+            scorer = replace(live(server, PROBE), max_retries=3)
+            server.script_statuses([429])
+            got = self.scores(make_ctx, tmp_path / "http", corpus, scorer, sleeps)
+        assert sleeps == [Gateway.BACKOFF_BASE]
+        assert got == expected
+        assert all(isinstance(r["payload"]["prompt"], list) for r in server.requests)
+        assert len(server.requests) == 1 + len(expected)
 
 
 class TestFatalFailures:

@@ -3,14 +3,13 @@ from __future__ import annotations
 import hashlib
 import math
 import threading
-from collections import Counter
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from suffbench.constrainer import make_explanation
-from suffbench.gateway import Gateway, ModelEndpoint
+from suffbench.gateway import Gateway, MockBackend, ModelEndpoint
 from suffbench.masker import mask_explanation
 from suffbench.prompts import DEFAULT_TEMPLATE_ID, RenderedPrompt, load_template_set
 from suffbench.scorer import (
@@ -118,23 +117,23 @@ class TestScoreOptions:
         for option, expected in ORACLE_FIXTURE.items():
             assert probs[option] == pytest.approx(expected, abs=1e-12)
         assert predict(probs) == "D"
-        # one teacher-forced call per option letter
-        assert len(server.requests) == 4
-        sent = {req["payload"]["prompt"] for req in server.requests}
-        assert sent == {f"Question: Q?\nThe answer is  {o}" for o in "ABCD"}
+        # one teacher-forced request for the four option letters
+        [sent] = server.requests
+        assert sent["payload"]["prompt"] == [f"Question: Q?\nThe answer is  {o}" for o in "ABCD"]
 
     def test_mock_scorer_stays_on_the_calling_thread(self, monkeypatch):
         threads = []
-        real = Gateway.score_continuation
+        real = MockBackend.score
 
         def spy(self, *args):
             threads.append(threading.get_ident())
             return real(self, *args)
 
-        monkeypatch.setattr(Gateway, "score_continuation", spy)
+        monkeypatch.setattr(MockBackend, "score", spy)
         prompt = RenderedPrompt("baseline", "Question: Q?\nThe answer is ")
         score_options(Gateway(), MOCK_SCORER, prompt)
-        assert threads == [threading.get_ident()] * 4
+        # one mock call scores the four options
+        assert threads == [threading.get_ident()]
 
     def test_wrong_prompt_kind_rejected(self):
         prompt = RenderedPrompt("generate", "anything")
@@ -182,7 +181,7 @@ class TestScoreItem:
         )
         item = en_corpus["q0002"]
         expected = score_item(Gateway(), endpoint, item, None, EN)
-        assert len(server.requests) == 4
+        assert len(server.requests) == 1
         del server.requests[:]
         server.script_statuses([429])
         waits = []
@@ -190,9 +189,9 @@ class TestScoreItem:
         assert result == expected
         assert result.option_probs == pytest.approx(ORACLE_1234, abs=1e-12)
         assert waits == [Gateway.BACKOFF_BASE]
-        sent = Counter(request["payload"]["prompt"][-1] for request in server.requests)
-        assert sorted(sent) == ["A", "B", "C", "D"]
-        assert sorted(sent.values()) == [1, 1, 1, 2]
+        # the refused request, then its one retry, each the row's four prompts
+        sent = [[prompt[-1] for prompt in r["payload"]["prompt"]] for r in server.requests]
+        assert sent == [["A", "B", "C", "D"]] * 2
 
     def test_prompt_fingerprint_pins_scorer_and_prompt(self, en_corpus):
         from suffbench.prompts import render_scoring
