@@ -18,8 +18,10 @@ HTTP endpoint keeps pipeline.requests_in_flight(workers) of them, one per
 pool thread. Each request is still cached, rate-limited and retried on
 its own. score_continuations sends the continuations of one prompt as one
 /completions request with a list prompt, so a scored row costs one
-request; on an endpoint that refuses list prompts it costs four, one per
-continuation. Either way each continuation keeps its own cache entry.
+request, and embed_texts sends several texts as one /embeddings request
+with a list input. Either way each continuation or text keeps its own
+cache entry. An endpoint whose first list request to a path fails in any
+way but a 429 is sent one prompt or text per request there from then on.
 
 HTTP requests go through a session: any object with
 `post(url, json=, headers=, timeout=)` returning a reply with
@@ -45,7 +47,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 from urllib.parse import urlparse
 
 if TYPE_CHECKING:
@@ -74,16 +76,16 @@ class RetriesExhausted(GatewayError):
 
 
 class EmptyCompletion(GatewayError):
-    """HTTP success but the reply carries no choices."""
+    """HTTP success but the reply carries no choices, or no embeddings."""
 
 
 class LogprobsUnsupported(GatewayError):
     """Backend cannot return per-token logprobs; scoring must fail loudly."""
 
 
-class ListPromptRefused(GatewayError):
-    """An endpoint failed its first list-prompt request other than with a
-    429, so it is sent one prompt per request from then on."""
+class ListRequestRefused(GatewayError):
+    """An endpoint failed its first list request to a path other than with
+    a 429, so it is sent one input per request there from then on."""
 
 
 class TokenAlignmentError(GatewayError):
@@ -254,8 +256,9 @@ class MockBackend:
     four option letters always tie; one call scores a tuple of
     continuations of one prompt, one choice each, as an endpoint answers a
     list prompt. Embeddings are unit-norm vectors seeded by the text hash,
-    fixed width EMBED_DIM. `counts` counts calls, that is requests, per
-    kind.
+    fixed width EMBED_DIM; `input` is what the wire carries, a text, which
+    gets one item, or a sequence of texts, which gets one item per text.
+    `counts` counts calls, that is requests, per kind.
     """
 
     EMBED_DIM = 32
@@ -328,18 +331,24 @@ class MockBackend:
             },
         }
 
-    def embed(self, model_id: str, text: str) -> dict:
+    def embed(self, model_id: str, input: str | Sequence[str]) -> dict:
         with self._lock:
             self.counts["embeddings"] += 1
-        rng = self._rng("embed", text)
-        vector = [rng.gauss(0.0, 1.0) for _ in range(self.EMBED_DIM)]
-        norm = sum(x * x for x in vector) ** 0.5
-        vector = [x / norm for x in vector]
+        texts = (input,) if isinstance(input, str) else input
         return {
             "object": "list",
             "model": model_id,
-            "data": [{"object": "embedding", "index": 0, "embedding": vector}],
+            "data": [
+                {"object": "embedding", "index": index, "embedding": self._unit_vector(text)}
+                for index, text in enumerate(texts)
+            ],
         }
+
+    def _unit_vector(self, text: str) -> list[float]:
+        rng = self._rng("embed", text)
+        vector = [rng.gauss(0.0, 1.0) for _ in range(self.EMBED_DIM)]
+        norm = sum(x * x for x in vector) ** 0.5
+        return [x / norm for x in vector]
 
 
 def _encode(data: dict) -> bytes:
@@ -367,26 +376,39 @@ def _score_payload(model_id: str, prompt_text: str, continuation: str) -> dict:
     }
 
 
+def _embed_payload(model_id: str, text: str) -> dict:
+    """What keys the cache entry of one text's embedding."""
+    return {"kind": "embeddings", "model": model_id, "input": text}
+
+
 def _score_wire(model_id: str, prompt: str | list[str]) -> dict:
     """An echo-mode /completions request: max_tokens 0 scores the given text
     instead of sampling. A list prompt gets one choice per prompt."""
     return {"model": model_id, "prompt": prompt, "max_tokens": 0, "echo": True, "logprobs": 1}
 
 
-def _choices_by_index(data: dict, count: int) -> list[dict]:
-    """The choices of a reply to `count` prompts in prompt order, placed by
-    their `index` and not by their position: exactly one per prompt, or
-    GatewayError."""
-    choices = data.get("choices") if isinstance(data, dict) else None
-    if not isinstance(choices, list) or len(choices) != count:
-        got = len(choices) if isinstance(choices, list) else "no"
-        raise GatewayError(f"a reply to {count} prompts carries {got} choices")
+# path -> (the request field that carries a list of inputs, the reply field
+# that carries one item per input)
+_LIST_FIELDS = {"/completions": ("prompt", "choices"), "/embeddings": ("input", "data")}
+
+
+def _items_by_index(data: dict, path: str, count: int) -> list[dict]:
+    """The items of a reply to a list of `count` inputs sent to `path`, in
+    input order, placed by their `index` and not by their position: exactly
+    one per input, or GatewayError."""
+    inputs, field = _LIST_FIELDS[path]
+    items = data.get(field) if isinstance(data, dict) else None
+    if not isinstance(items, list) or len(items) != count:
+        got = len(items) if isinstance(items, list) else "no"
+        raise GatewayError(f"a reply to {count} {inputs}s carries {got} {field} items")
     ordered: list[dict | None] = [None] * count
-    for choice in choices:
-        index = choice.get("index") if isinstance(choice, dict) else None
+    for item in items:
+        index = item.get("index") if isinstance(item, dict) else None
         if type(index) is not int or not 0 <= index < count or ordered[index] is not None:
-            raise GatewayError(f"a reply to {count} prompts carries a choice with index {index!r}")
-        ordered[index] = choice
+            raise GatewayError(
+                f"a reply to {count} {inputs}s carries a {field} item with index {index!r}"
+            )
+        ordered[index] = item
     return ordered
 
 
@@ -460,11 +482,11 @@ class Gateway:
         self._limiters: dict[tuple[str, str], RateLimiter] = {}
         self._embed_dims: dict[str, int] = {}
         self._lock = threading.Lock()
-        # (base_url, model_id) -> whether the endpoint takes list prompts, once
-        # its probe has settled it; an endpoint whose probe is in flight is in
-        # _probing, and the other threads wait on _probe_settled
-        self._list_prompts: dict[tuple[str, str], bool] = {}
-        self._probing: set[tuple[str, str]] = set()
+        # (base_url, model_id, path) -> whether the endpoint takes list
+        # requests at path, once its probe has settled it; a probe in flight
+        # is in _probing, and the other threads wait on _probe_settled
+        self._takes_lists: dict[tuple[str, str, str], bool] = {}
+        self._probing: set[tuple[str, str, str]] = set()
         self._probe_settled = threading.Condition(self._lock)
 
     def close(self) -> None:
@@ -485,7 +507,7 @@ class Gateway:
 
     def mock_counts(self) -> dict[str, int]:
         """Requests the mock endpoints answered, per kind, summed over them:
-        a prompt's batched continuations count one."""
+        a batch of continuations or of texts counts one."""
         totals = {"generate": 0, "logprobs": 0, "embeddings": 0}
         with self._lock:
             for backend in self._mocks.values():
@@ -528,23 +550,126 @@ class Gateway:
             self._cache.put(key, body)
         return data, key
 
+    def _fetch_each(
+        self,
+        endpoint: ModelEndpoint,
+        path: str,
+        payloads: Sequence[dict],
+        list_wire: Callable[[list[int]], dict],
+        mock_call: Callable[[MockBackend, list[int]], dict],
+    ) -> list[tuple[dict, str] | None]:
+        """The item, a choice or an embedding, and the fingerprint of each of
+        several requests to `path`, request i keyed by `payloads[i]`, with
+        the ones the cache misses sent as one list request; or None for a
+        request the caller is to send on its own, because the endpoint
+        refuses list requests to `path`.
+
+        Each cache entry is read once. The misses, at positions `misses`,
+        go out in input order as `list_wire(misses)` under one rate-limiter
+        admission; a mock endpoint answers them with `mock_call(backend,
+        misses)`. Each item of the reply, placed by its index, is cached as
+        the one-item reply a request of its own would have had. An HTTP
+        endpoint's first list request to a path is a probe (see _post_list).
+        If it is refused, that call's misses are None; once it has been,
+        every request is None and no entry is read here.
+        """
+        if self._takes_lists.get(_endpoint_key(endpoint) + (path,)) is False:
+            return [None] * len(payloads)
+        field = _LIST_FIELDS[path][1]
+        keys = [request_fingerprint(payload) for payload in payloads]
+        results = []
+        for key in keys:
+            data = self._cached(key)
+            results.append(None if data is None else (self._first_item(data, field, key), key))
+        misses = [i for i, result in enumerate(results) if result is None]
+        if not misses:
+            return results
+        if endpoint.is_mock:
+            data = mock_call(self._mock(endpoint), misses)
+            items = _items_by_index(data, path, len(misses))
+        else:
+            answer = self._post_list(endpoint, path, list_wire(misses), len(misses))
+            if answer is None:
+                return results
+            data, items = answer
+        for i, item in zip(misses, items):
+            results[i] = item, keys[i]
+            if self._cache is not None:
+                self._cache.put(keys[i], _encode({**data, field: [{**item, "index": 0}]}))
+        return results
+
+    def _post_list(
+        self, endpoint: ModelEndpoint, path: str, wire: dict, count: int
+    ) -> tuple[dict, list[dict]] | None:
+        """The reply to `wire`, a list of `count` inputs sent to `path`, and
+        its items in input order; or None if the endpoint takes one input
+        per request there.
+
+        The endpoint's first list request to a path is a probe, and threads
+        that come while it is in flight wait for its outcome. If it fails in
+        any way but a 429, or its reply has not one item per input, the
+        endpoint takes one input per request at that path for the Gateway's
+        life. A probe that raises anything else (such as 429s past
+        max_retries) settles nothing: the next list request is a probe again.
+        """
+        key = _endpoint_key(endpoint) + (path,)
+        with self._probe_settled:
+            while key in self._probing:
+                self._probe_settled.wait()
+            takes = self._takes_lists.get(key)
+            if takes is None:
+                self._probing.add(key)
+        if takes is not None:
+            return self._send_list(endpoint, path, wire, count) if takes else None
+        try:
+            answer = self._send_list(endpoint, path, wire, count, probe=True)
+            takes = True
+            return answer
+        except ListRequestRefused as exc:
+            log.warning(
+                "%s refused a list request to %s (%s); sending one input per request",
+                endpoint.base_url, path, exc,
+            )
+            takes = False
+            return None
+        finally:
+            with self._probe_settled:
+                self._probing.discard(key)
+                if takes is not None:
+                    self._takes_lists[key] = takes
+                self._probe_settled.notify_all()
+
+    def _send_list(
+        self, endpoint: ModelEndpoint, path: str, wire: dict, count: int, probe: bool = False
+    ) -> tuple[dict, list[dict]]:
+        body = self._post(endpoint, path, wire, probe=probe)
+        try:
+            data = _decode(body, f"a list of {count} inputs")
+            return data, _items_by_index(data, path, count)
+        except GatewayError as exc:
+            if probe:
+                raise ListRequestRefused(str(exc)) from exc
+            raise
+
     def _cached(self, key: str) -> dict | None:
         body = self._cache.get(key) if self._cache is not None else None
         return None if body is None else _decode(body, f"request {key}")
 
     @staticmethod
-    def _first_choice(data: dict, key: str) -> dict:
+    def _first_item(data: dict, field: str, key: str) -> dict:
+        """The first of the items under `field`, the choices or the
+        embeddings, of the reply `data` to request `key`."""
         try:
-            return data["choices"][0]
+            return data[field][0]
         except (KeyError, IndexError, TypeError):
-            raise EmptyCompletion(f"response for {key} carries no choices") from None
+            raise EmptyCompletion(f"response for {key} carries no {field}") from None
 
     def _post(
         self, endpoint: ModelEndpoint, path: str, payload: dict, probe: bool = False
     ) -> bytes:
         """The body of a 200 reply to `payload`. A 429, a 5xx, a timeout or
         a failed connection is retried with backoff; with `probe`, only a
-        429 is, and any other failure raises ListPromptRefused at once."""
+        429 is, and any other failure raises ListRequestRefused at once."""
         url = endpoint.base_url.rstrip("/") + path
         headers = {}
         if endpoint.api_key_ref:
@@ -579,7 +704,7 @@ class Gateway:
                 else:
                     raise
                 if probe:
-                    raise ListPromptRefused(failure) from exc
+                    raise ListRequestRefused(failure) from exc
                 log.warning("%s attempt %d/%d failed: %s", url, attempt + 1, attempts, failure)
                 continue
             if response.status_code == 200:
@@ -589,7 +714,7 @@ class Gateway:
                 log.warning("%s attempt %d/%d got %s", url, attempt + 1, attempts, failure)
                 continue
             if probe:
-                raise ListPromptRefused(f"{failure}: {response.text[:500]}")
+                raise ListRequestRefused(f"{failure}: {response.text[:500]}")
             raise RequestFailed(
                 f"{url} rejected the request: {failure}: {response.text[:500]}",
                 status=response.status_code,
@@ -634,7 +759,7 @@ class Gateway:
             lambda mock: mock.generate(endpoint.model_id, prompt.text, temperature, max_tokens),
             "/chat/completions", wire,
         )
-        choice = self._first_choice(data, key)
+        choice = self._first_item(data, "choices", key)
         text = (choice.get("message") or {}).get("content") or ""
         finish = choice.get("finish_reason")
         if finish not in FINISH_REASONS:
@@ -656,129 +781,71 @@ class Gateway:
             "/completions", _score_wire(endpoint.model_id, prompt_text + continuation),
         )
         return _logprob_result(
-            endpoint, prompt_text, continuation, self._first_choice(data, key)
+            endpoint, prompt_text, continuation, self._first_item(data, "choices", key)
         )
 
     def score_continuations(
         self, endpoint: ModelEndpoint, prompt_text: str, continuations: Sequence[str]
     ) -> list[LogprobResult]:
         """score_continuation of each continuation of one prompt, in order,
-        with the ones the cache misses sent as one request.
-
-        Each continuation keeps the cache entry score_continuation gives it.
-        The misses go out in input order as one /completions request with a
-        list prompt, under one rate-limiter admission, and each choice of the
-        reply, placed by its index, is cached as the one-choice reply a
-        request of its own would have had.
-
-        An HTTP endpoint's first list-prompt request is a probe, and threads
-        that come while it is in flight wait for its outcome. If it fails in
-        any way but a 429, or its reply has not one choice per prompt, the
-        endpoint is sent one prompt per request from then on: its prompts
-        are scored through score_continuation, one request per continuation.
-        """
+        with the ones the cache misses sent as one /completions request with
+        a list prompt (see _fetch_each). On an endpoint that refuses list
+        prompts, each miss goes through score_continuation."""
         if not all(continuations):
             raise ValueError("continuation must be non-empty")
-        if not endpoint.is_mock and self._list_prompts.get(_endpoint_key(endpoint)) is False:
-            return [self.score_continuation(endpoint, prompt_text, c) for c in continuations]
-        keys = [
-            request_fingerprint(_score_payload(endpoint.model_id, prompt_text, c))
-            for c in continuations
-        ]
-        choices = []
-        for key in keys:
-            data = self._cached(key)
-            choices.append(None if data is None else self._first_choice(data, key))
-        missing = [i for i, choice in enumerate(choices) if choice is None]
-        if missing:
-            texts = tuple(continuations[i] for i in missing)
-            if endpoint.is_mock:
-                data = self._mock(endpoint).score(endpoint.model_id, prompt_text, texts)
-                fresh = _choices_by_index(data, len(texts))
-            else:
-                answer = self._post_list(endpoint, prompt_text, texts)
-                if answer is None:
-                    return [
-                        self.score_continuation(endpoint, prompt_text, c) for c in continuations
-                    ]
-                data, fresh = answer
-            for i, choice in zip(missing, fresh):
-                choices[i] = choice
-                if self._cache is not None:
-                    self._cache.put(keys[i], _encode({**data, "choices": [{**choice, "index": 0}]}))
+        model = endpoint.model_id
+        fetched = self._fetch_each(
+            endpoint, "/completions",
+            [_score_payload(model, prompt_text, c) for c in continuations],
+            lambda misses: _score_wire(model, [prompt_text + continuations[i] for i in misses]),
+            lambda mock, misses: mock.score(
+                model, prompt_text, tuple(continuations[i] for i in misses)
+            ),
+        )
         return [
-            _logprob_result(endpoint, prompt_text, c, choice)
-            for c, choice in zip(continuations, choices)
+            self.score_continuation(endpoint, prompt_text, c) if found is None
+            else _logprob_result(endpoint, prompt_text, c, found[0])
+            for c, found in zip(continuations, fetched)
         ]
-
-    def _post_list(
-        self, endpoint: ModelEndpoint, prompt_text: str, continuations: tuple[str, ...]
-    ) -> tuple[dict, list[dict]] | None:
-        """The reply to the continuations sent as one list-prompt request and
-        its choices in prompt order, or None if the endpoint takes one prompt
-        per request. Sends the endpoint's probe if no request has settled
-        that yet, and waits while another thread's probe is in flight."""
-        key = _endpoint_key(endpoint)
-        with self._probe_settled:
-            while key in self._probing:
-                self._probe_settled.wait()
-            takes = self._list_prompts.get(key)
-            if takes is None:
-                self._probing.add(key)
-        if takes is not None:
-            return self._send_list(endpoint, prompt_text, continuations) if takes else None
-        try:
-            answer = self._send_list(endpoint, prompt_text, continuations, probe=True)
-            takes = True
-            return answer
-        except ListPromptRefused as exc:
-            log.warning(
-                "%s refused a list prompt (%s); sending one prompt per request",
-                endpoint.base_url, exc,
-            )
-            takes = False
-            return None
-        finally:
-            # a probe that raised anything else settles nothing: the next
-            # list-prompt request is a probe again
-            with self._probe_settled:
-                self._probing.discard(key)
-                if takes is not None:
-                    self._list_prompts[key] = takes
-                self._probe_settled.notify_all()
-
-    def _send_list(
-        self,
-        endpoint: ModelEndpoint,
-        prompt_text: str,
-        continuations: tuple[str, ...],
-        probe: bool = False,
-    ) -> tuple[dict, list[dict]]:
-        wire = _score_wire(endpoint.model_id, [prompt_text + c for c in continuations])
-        body = self._post(endpoint, "/completions", wire, probe=probe)
-        try:
-            data = _decode(body, f"a list of {len(continuations)} prompts")
-            return data, _choices_by_index(data, len(continuations))
-        except GatewayError as exc:
-            if probe:
-                raise ListPromptRefused(str(exc)) from exc
-            raise
 
     # -- embeddings ------------------------------------------------------------
 
     def embed(self, endpoint: ModelEndpoint, text: str) -> EmbeddingResult:
-        """Embedding vector for one text; width is pinned by the first call
-        per model and any later mismatch is fatal."""
+        """Embedding vector for one text, sent as a request of its own; see
+        _embedding for the width check."""
         if not text.strip():
             raise ValueError("embedding input must be non-empty")
-        payload = {"kind": "embeddings", "model": endpoint.model_id, "input": text}
+        model = endpoint.model_id
         data, key = self._fetch(
-            endpoint, payload, lambda mock: mock.embed(endpoint.model_id, text),
-            "/embeddings", {"model": endpoint.model_id, "input": text},
+            endpoint, _embed_payload(model, text), lambda mock: mock.embed(model, text),
+            "/embeddings", {"model": model, "input": text},
         )
+        return self._embedding(endpoint, self._first_item(data, "data", key), key)
+
+    def embed_texts(self, endpoint: ModelEndpoint, texts: Sequence[str]) -> list[EmbeddingResult]:
+        """embed of each text, in order, with the ones the cache misses sent
+        as one /embeddings request with a list input (see _fetch_each). On an
+        endpoint that refuses list inputs, each miss goes through embed."""
+        if not all(text.strip() for text in texts):
+            raise ValueError("embedding input must be non-empty")
+        model = endpoint.model_id
+        fetched = self._fetch_each(
+            endpoint, "/embeddings", [_embed_payload(model, text) for text in texts],
+            lambda misses: {"model": model, "input": [texts[i] for i in misses]},
+            lambda mock, misses: mock.embed(model, tuple(texts[i] for i in misses)),
+        )
+        return [
+            self.embed(endpoint, text) if found is None else self._embedding(endpoint, *found)
+            for text, found in zip(texts, fetched)
+        ]
+
+    def _embedding(self, endpoint: ModelEndpoint, item: dict, key: str) -> EmbeddingResult:
+        """The vector of one embedding item of the reply to request `key`.
+        Its width is pinned by the first vector per model and any later
+        mismatch is fatal."""
         try:
-            vector = data["data"][0]["embedding"]
-        except (KeyError, IndexError, TypeError):
+            vector = item["embedding"]
+        except (KeyError, TypeError):
             raise GatewayError(f"response for {key} carries no embedding") from None
         if not isinstance(vector, list) or not vector:
             raise GatewayError(f"response for {key} carries an empty embedding")

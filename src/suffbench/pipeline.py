@@ -54,6 +54,12 @@ EXCLUSION_EVENTS = ("unparseable", "empty_regeneration")
 # requests in flight per worker on a stage that calls an HTTP endpoint: sized
 # on the http-latency bench (25 ms loopback stub), not on what the stages do
 REQUESTS_PER_WORKER = 4
+# units a pool thread may have submitted but not yet yielded: results that
+# land behind a slow head unit wait for it, so this bounds what they hold. A
+# cap of 2 per thread left threads idle behind a head unit in backoff
+UNITS_AHEAD_PER_THREAD = 16
+# distinct texts per /embeddings request in the similarity stage
+EMBED_BATCH = 16
 
 
 class PipelineError(RuntimeError):
@@ -130,13 +136,15 @@ def _map_ordered(ctx: RunContext, units: Sequence, fn: Callable, endpoints: Iter
     order, each as soon as its unit and every unit before it have finished.
 
     If any of the `endpoints` fn calls is HTTP, the units run on a pool of
-    requests_in_flight(workers) threads: every unit is submitted up front,
-    and the units not yet started are cancelled when the caller stops
-    early. Otherwise, or with one unit, they run inline on the calling
-    thread, whatever `workers` is: threads would only slow CPU-bound mock
-    work down. Inline only an Exception is caught, so a KeyboardInterrupt
-    stops the stage at once. Either way a result is released once it is
-    yielded, so it lives no longer than the caller keeps it."""
+    requests_in_flight(workers) threads, with at most UNITS_AHEAD_PER_THREAD
+    units per thread submitted and not yet yielded: the results that land
+    behind a slow head unit are held, up to that many. The units not yet
+    started are cancelled when the caller stops early. Otherwise, or with
+    one unit, they run inline on the calling thread, whatever `workers` is:
+    threads would only slow CPU-bound mock work down. Inline only an
+    Exception is caught, so a KeyboardInterrupt stops the stage at once.
+    Either way a result is released once it is yielded, so it lives no
+    longer than the caller keeps it."""
     http = any(not endpoint.is_mock for endpoint in endpoints)
     threads = min(requests_in_flight(ctx.workers), len(units)) if http else 1
     if threads <= 1:
@@ -147,10 +155,13 @@ def _map_ordered(ctx: RunContext, units: Sequence, fn: Callable, endpoints: Iter
                 result, error = None, exc
             yield unit, result, error
         return
+    window = UNITS_AHEAD_PER_THREAD * threads
     pool = ThreadPoolExecutor(max_workers=threads)
     try:
-        futures = deque(pool.submit(fn, unit) for unit in units)
-        for unit in units:
+        futures: deque = deque()
+        for i, unit in enumerate(units):
+            for ahead in units[i + len(futures):i + window]:
+                futures.append(pool.submit(fn, ahead))
             future = futures.popleft()
             error = future.exception()
             yield unit, None if error else future.result(), error
@@ -322,28 +333,34 @@ def run_similarity(ctx: RunContext, units: Sequence[tuple]) -> StageReport:
     streaming pass. The comparison is between the raw texts; masking only
     affects scoring.
 
-    Each distinct text is embedded once, in first-use order, through
-    _map_ordered, so an HTTP embedder gets every text submitted up front
-    to a pool. A unit's cosine is computed on the calling thread as soon
-    as both of its vectors have landed, and each vector is dropped after
-    the last unit that needs it: the stage holds the vectors of the work
-    in flight, not one for each distinct text. With an HTTP embedder, the
-    vectors that land while an earlier text is still in flight wait for it.
+    Each distinct text is embedded once. The texts, in first-use order, go
+    out in batches of up to EMBED_BATCH consecutive texts, one embed_texts
+    call and so one request each, through _map_ordered: an HTTP embedder
+    gets the batches on a pool, and a failed request fails every text of
+    its batch. A
+    unit's cosine is computed on the calling thread as soon as both of its
+    vectors have landed, and each vector is dropped after the last unit
+    that needs it: the stage holds the vectors of the batches in flight,
+    not one for each distinct text. With an HTTP embedder, the batches that
+    land while an earlier one is still in flight wait for it.
     """
     uses = Counter(e.text for _, base, constrained in units for e in (base, constrained))
+    texts = list(uses)
+    batches = [texts[i:i + EMBED_BATCH] for i in range(0, len(texts), EMBED_BATCH)]
 
-    def embed(text: str) -> tuple[float, ...]:
-        return ctx.gateway.embed(ctx.embedder, text).vector
+    def embed(batch: list[str]) -> list[tuple[float, ...]]:
+        return [result.vector for result in ctx.gateway.embed_texts(ctx.embedder, batch)]
 
     def results():
-        embedded = _map_ordered(ctx, list(uses), embed, (ctx.embedder,))
-        # text -> (vector, error), from the text's first use to its last
+        embedded = _map_ordered(ctx, batches, embed, (ctx.embedder,))
+        # text -> (vector, error), from the text's batch landing to its last use
         vectors: dict[str, tuple] = {}
 
         def vector(text: str) -> tuple[float, ...]:
             while text not in vectors:
-                landed, value, error = next(embedded)
-                vectors[landed] = value, error
+                batch, values, error = next(embedded)
+                for i, landed in enumerate(batch):
+                    vectors[landed] = (None, error) if error else (values[i], None)
             value, error = vectors[text]
             if error is not None:
                 raise error

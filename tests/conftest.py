@@ -144,6 +144,20 @@ def each_prompt(answer):
     return route
 
 
+def each_input(answer):
+    """An /embeddings route that answers a list input with one item per
+    text, the i-th with index i, each taken from `answer` to that text
+    alone; a single text gets `answer`'s reply as it is."""
+    def route(payload):
+        texts = payload["input"]
+        if isinstance(texts, str):
+            return answer(payload)
+        replies = [answer({**payload, "input": text}) for text in texts]
+        items = [{**reply["data"][0], "index": i} for i, reply in enumerate(replies)]
+        return {**replies[0], "data": items}
+    return route
+
+
 @each_prompt
 def option_logprobs(payload):
     """A /completions echo reply for any scoring prompt ending in one of
@@ -161,6 +175,17 @@ def option_logprobs(payload):
                 "text_offset": [0, len(prompt)],
             },
         }],
+    }
+
+
+def fixture_embedding(payload):
+    """An /embeddings reply with the EMBED_FIXTURE vector of one text."""
+    return {
+        "object": "list",
+        "model": payload["model"],
+        "data": [
+            {"object": "embedding", "index": 0, "embedding": EMBED_FIXTURE[payload["input"]]}
+        ],
     }
 
 
@@ -204,20 +229,7 @@ def server():
     with FixtureServer() as srv:
         srv.route("/chat/completions", lambda payload: CHAT_BODY)
         srv.route("/completions", each_prompt(lambda payload: LOGPROB_FIXTURE[payload["prompt"]]))
-        srv.route(
-            "/embeddings",
-            lambda payload: {
-                "object": "list",
-                "model": payload["model"],
-                "data": [
-                    {
-                        "object": "embedding",
-                        "index": 0,
-                        "embedding": EMBED_FIXTURE[payload["input"]],
-                    }
-                ],
-            },
-        )
+        srv.route("/embeddings", each_input(fixture_embedding))
         yield srv
 
 

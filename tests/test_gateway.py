@@ -3,9 +3,11 @@ from __future__ import annotations
 import json
 import math
 import os
+import random
 import sys
 import threading
 import time
+from collections import Counter
 
 import pytest
 import requests
@@ -31,6 +33,7 @@ from suffbench.transport import HttpSession
 
 from tests.conftest import (
     CHAT_BODY,
+    DROP,
     OPTION_LOGPROBS,
     FixtureServer,
     drops_list_prompts,
@@ -225,6 +228,15 @@ class TestMockBackend:
         result = Gateway().score_continuation(MOCK, SCORING_PROMPT, " two words")
         assert "".join(t for t, _ in result.token_logprobs) == " two words"
         assert result.total_logprob == -2.0
+
+    def test_embedding_list_input_gets_one_item_per_text(self):
+        backend = MockBackend(7)
+        one = backend.embed("m", "a")
+        many = backend.embed("m", ("a", "b"))
+        assert backend.counts["embeddings"] == 2
+        assert [item["index"] for item in many["data"]] == [0, 1]
+        assert many["data"][0] == one["data"][0]
+        assert many["data"][1] == {**backend.embed("m", "b")["data"][0], "index": 1}
 
     def test_embedding_unit_norm_and_fixed_dim(self):
         gw = Gateway()
@@ -702,6 +714,258 @@ class TestListPromptProbe:
             True, True, True, False, False, False, False,
         ]
         assert vc.sleeps == [Gateway.BACKOFF_BASE]
+
+
+def cache_reads(monkeypatch) -> Counter:
+    """A Counter of the keys ResponseCache.get is asked for from now on."""
+    reads = Counter()
+    real = ResponseCache.get
+
+    def get(cache, key):
+        reads[key] += 1
+        return real(cache, key)
+
+    monkeypatch.setattr(ResponseCache, "get", get)
+    return reads
+
+
+class TestCacheReads:
+    """A batched call reads each cache entry it finds once, and sends only
+    the misses: as one list request, or one per request on an endpoint that
+    refuses lists. The row whose probe is refused looks its misses up a
+    second time, in the single-request method that sends each of them."""
+
+    OTHER = "Question: R?\nThe answer is "
+
+    @pytest.mark.parametrize("refuses", [False, True])
+    def test_score_continuations_reads_each_entry_once(self, refuses, tmp_path, monkeypatch):
+        for prompt in (SCORING_PROMPT, self.OTHER):
+            Gateway(cache_dir=tmp_path).score_continuations(MOCK, prompt, OPTIONS[::2])
+        found = {path.stem for path in tmp_path.rglob("*.json")}
+        misses = OPTIONS[1::2]
+        if refuses:
+            replies = [400, *single_replies(SCORING_PROMPT, misses),
+                       *single_replies(self.OTHER, misses)]
+        else:
+            replies = [(200, list_reply(p, misses)) for p in (SCORING_PROMPT, self.OTHER)]
+        session = FakeSession(replies)
+        gw = Gateway(cache_dir=tmp_path, session=session)
+        endpoint = ModelEndpoint(base_url="http://fake", model_id="mock-gen")
+        reads = cache_reads(monkeypatch)
+        first = gw.score_continuations(endpoint, SCORING_PROMPT, OPTIONS)
+        probe_row = set(reads)
+        second = gw.score_continuations(endpoint, self.OTHER, OPTIONS)
+        assert first == second == Gateway().score_continuations(MOCK, SCORING_PROMPT, OPTIONS)
+        assert len(found) == 4 and all(reads[key] == 1 for key in found)
+        assert all(reads[key] == 1 for key in set(reads) - probe_row)
+        assert len(reads) == 8
+        prompts = [call["json"]["prompt"] for call in session.calls]
+        listed = [[prompt + c for c in misses] for prompt in (SCORING_PROMPT, self.OTHER)]
+        assert prompts == ([listed[0], *listed[0], *listed[1]] if refuses else listed)
+
+    @pytest.mark.parametrize("refuses", [False, True])
+    def test_embed_texts_reads_each_entry_once(self, refuses, tmp_path, monkeypatch):
+        rows = [[f"text {i}" for i in range(4)], [f"other {i}" for i in range(4)]]
+        for row in rows:
+            Gateway(cache_dir=tmp_path).embed_texts(MOCK, row[::2])
+        found = {path.stem for path in tmp_path.rglob("*.json")}
+        misses = [row[1::2] for row in rows]
+        if refuses:
+            replies = [400, *((200, embed_reply([t])) for t in misses[0] + misses[1])]
+        else:
+            replies = [(200, embed_reply(m)) for m in misses]
+        session = FakeSession(replies)
+        gw = Gateway(cache_dir=tmp_path, session=session)
+        endpoint = ModelEndpoint(base_url="http://fake", model_id="mock-gen")
+        reads = cache_reads(monkeypatch)
+        first = gw.embed_texts(endpoint, rows[0])
+        probe_row = set(reads)
+        second = gw.embed_texts(endpoint, rows[1])
+        assert first + second == Gateway().embed_texts(MOCK, rows[0] + rows[1])
+        assert len(found) == 4 and all(reads[key] == 1 for key in found)
+        assert all(reads[key] == 1 for key in set(reads) - probe_row)
+        assert len(reads) == 8
+        inputs = [call["json"]["input"] for call in session.calls]
+        assert inputs == ([misses[0], *misses[0], *misses[1]] if refuses else misses)
+
+
+def embed_reply(texts, model="mock-gen", seed=7) -> dict:
+    """The reply an endpoint that takes list inputs gives, as mock://<seed>."""
+    return MockBackend(seed).embed(model, tuple(texts))
+
+
+class TestEmbedTexts:
+    TEXTS = tuple(f"نور {i} — café {i}" for i in range(5))
+
+    def test_results_and_cache_files_match_single_calls(self, tmp_path):
+        # mock:// in process, and the same seed over HTTP, batched and one
+        # text at a time: every result and every cache file agree
+        with FixtureServer() as server:
+            endpoints = {
+                "mock": ModelEndpoint(base_url="mock://7", model_id="embed"),
+                "http": ModelEndpoint(base_url=route_mock(server, 7), model_id="embed",
+                                      requests_per_minute=10_000),
+            }
+            results, files, sent = {}, {}, {}
+            for name, endpoint in endpoints.items():
+                for way in ("batched", "single"):
+                    gw = Gateway(cache_dir=tmp_path / name / way)
+                    before = len(server.requests)
+                    if way == "batched":
+                        got = gw.embed_texts(endpoint, self.TEXTS)
+                    else:
+                        got = [gw.embed(endpoint, text) for text in self.TEXTS]
+                    results[name, way] = got
+                    files[name, way] = cache_files(tmp_path / name / way)
+                    sent[name, way] = len(server.requests) - before
+                    gw.close()
+        assert len(set(map(tuple, results.values()))) == 1
+        assert len(files["mock", "single"]) == 5
+        assert all(got == files["mock", "single"] for got in files.values())
+        assert sent == {("mock", "batched"): 0, ("mock", "single"): 0,
+                        ("http", "batched"): 1, ("http", "single"): 5}
+
+    def test_mock_embeds_a_batch_in_one_call(self):
+        gw = Gateway()
+        gw.embed_texts(MOCK, self.TEXTS)
+        assert gw.mock_counts() == {"generate": 0, "logprobs": 0, "embeddings": 1}
+
+    def test_items_are_placed_by_a_shuffled_index(self):
+        reply = embed_reply(self.TEXTS)
+        random.Random(3).shuffle(reply["data"])
+        assert [item["index"] for item in reply["data"]] != list(range(5))
+        session = FakeSession([(200, reply)])
+        endpoint = ModelEndpoint(base_url="http://fake", model_id="mock-gen")
+        got = Gateway(session=session).embed_texts(endpoint, self.TEXTS)
+        assert got == [Gateway().embed(MOCK, text) for text in self.TEXTS]
+        [call] = session.calls
+        assert call["json"] == {"model": "mock-gen", "input": list(self.TEXTS)}
+
+    @pytest.mark.parametrize("refusal", ["one vector", "400"])
+    def test_a_refused_probe_is_sent_once_then_one_text_per_request(self, refusal, tmp_path):
+        # a list input gets the first text's vector alone, or a 400: the
+        # probe is refused with no sleep, nothing of its reply is cached, and
+        # every text is then sent on its own, with no second probe
+        with FixtureServer() as server:
+            base_url = route_mock(server, 7)
+            path = "/7/embeddings"
+            answer = server.httpd.routes[path]
+
+            def refuse(payload):
+                if not isinstance(payload["input"], list):
+                    return answer(payload)
+                if refusal == "400":
+                    return 400, {"error": {"message": "input must be a string"}}
+                return answer({**payload, "input": payload["input"][0]})
+
+            server.route(path, refuse)
+            sleeps = []
+            gw = Gateway(cache_dir=tmp_path, sleep=sleeps.append)
+            endpoint = ModelEndpoint(base_url=base_url, model_id="mock-gen", max_retries=3)
+            first = gw.embed_texts(endpoint, self.TEXTS[:3])
+            second = gw.embed_texts(endpoint, self.TEXTS[3:])
+            gw.close()
+        assert sleeps == []
+        inputs = [r["payload"]["input"] for r in server.requests]
+        assert inputs == [list(self.TEXTS[:3]), *self.TEXTS]
+        assert first + second == [Gateway().embed(MOCK, text) for text in self.TEXTS]
+        assert len(cache_files(tmp_path)) == 5
+
+    def test_threads_racing_to_the_first_list_input_send_one_probe(self):
+        # the endpoint drops list inputs, so a second probe would show as a
+        # second list request
+        with FixtureServer() as server:
+            base_url = route_mock(server, 7)
+            path = "/7/embeddings"
+            answer = server.httpd.routes[path]
+            server.route(path, lambda p: DROP if isinstance(p["input"], list) else answer(p))
+            sleeps, results = [], []
+            gw = Gateway(sleep=sleeps.append, session=HttpSession(16))
+            endpoint = ModelEndpoint(base_url=base_url, model_id="mock-gen", max_retries=3)
+            barrier = threading.Barrier(16)
+
+            def embed(i):
+                barrier.wait(timeout=10)
+                results.append(gw.embed_texts(endpoint, [f"text {i} {j}" for j in range(3)]))
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                threads = [
+                    threading.Thread(target=embed, args=(i,), daemon=True) for i in range(16)
+                ]
+                for thread in threads:
+                    thread.start()
+                deadline = time.monotonic() + 30
+                for thread in threads:
+                    thread.join(timeout=max(0.0, deadline - time.monotonic()))
+            finally:
+                sys.setswitchinterval(interval)
+                gw.close()
+        assert not any(thread.is_alive() for thread in threads)
+        assert sleeps == []
+        lists = [r for r in server.requests if isinstance(r["payload"]["input"], list)]
+        assert len(lists) == 1
+        assert len(server.requests) == 1 + 16 * 3
+        assert len(results) == 16
+
+    def test_probes_are_kept_per_path(self):
+        # an endpoint that refuses list prompts may still take list inputs
+        session = FakeSession([
+            400, *single_replies(SCORING_PROMPT, OPTIONS), (200, embed_reply(self.TEXTS)),
+        ])
+        gw = Gateway(session=session)
+        endpoint = ModelEndpoint(base_url="http://fake", model_id="mock-gen")
+        gw.score_continuations(endpoint, SCORING_PROMPT, OPTIONS)
+        gw.embed_texts(endpoint, self.TEXTS)
+        assert session.calls[-1]["json"]["input"] == list(self.TEXTS)
+        assert len(session.calls) == 6
+
+    def test_429_on_a_batch_is_retried_not_refused(self):
+        vc = VirtualClock()
+        session = FakeSession([
+            429, (200, embed_reply(self.TEXTS[:2])), 429, (200, embed_reply(self.TEXTS[2:])),
+        ])
+        gw = Gateway(clock=vc.clock, sleep=vc.sleep, session=session)
+        endpoint = ModelEndpoint(base_url="http://fake", model_id="mock-gen", max_retries=3)
+        got = gw.embed_texts(endpoint, self.TEXTS[:2]) + gw.embed_texts(endpoint, self.TEXTS[2:])
+        assert vc.sleeps == [Gateway.BACKOFF_BASE] * 2
+        assert [call["json"]["input"] for call in session.calls] == [
+            list(self.TEXTS[:2]), list(self.TEXTS[:2]), list(self.TEXTS[2:]), list(self.TEXTS[2:]),
+        ]
+        assert got == Gateway().embed_texts(MOCK, self.TEXTS)
+
+    def test_a_reply_without_one_item_per_text_after_the_probe_is_fatal(self, tmp_path):
+        bad = embed_reply(self.TEXTS[2:])
+        del bad["data"][1]
+        session = FakeSession([(200, embed_reply(self.TEXTS[:2])), (200, bad)])
+        gw = Gateway(cache_dir=tmp_path, session=session)
+        endpoint = ModelEndpoint(base_url="http://fake", model_id="mock-gen")
+        gw.embed_texts(endpoint, self.TEXTS[:2])
+        with pytest.raises(GatewayError, match="a reply to 3 inputs carries 2 data items"):
+            gw.embed_texts(endpoint, self.TEXTS[2:])
+        assert len(cache_files(tmp_path)) == 2
+
+    def test_width_mismatch_inside_one_batch_is_fatal(self, server):
+        endpoint = live_endpoint(server)
+        with pytest.raises(EmbeddingDimensionError, match="dim 8, previously 1024"):
+            Gateway().embed_texts(endpoint, ["The sun warms the ground.", "short vector"])
+        [sent] = server.requests
+        assert sent["payload"]["input"] == ["The sun warms the ground.", "short vector"]
+
+    def test_blank_text_raises_before_any_request(self, tmp_path):
+        session = FakeSession([])
+        endpoint = ModelEndpoint(base_url="http://fake", model_id="m")
+        with pytest.raises(ValueError, match="non-empty"):
+            Gateway(cache_dir=tmp_path, session=session).embed_texts(endpoint, ["fine", " \n"])
+        assert session.calls == []
+
+    def test_a_cache_written_by_embed_is_fully_hit(self, tmp_path):
+        writer = Gateway(cache_dir=tmp_path)
+        expected = [writer.embed(MOCK, text) for text in self.TEXTS]
+        reader = Gateway(cache_dir=tmp_path)
+        assert reader.embed_texts(MOCK, self.TEXTS) == expected
+        assert reader.mock_counts()["embeddings"] == 0
 
 
 class TestLiveEmbeddings:

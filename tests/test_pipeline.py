@@ -4,7 +4,7 @@ import threading
 import time
 import weakref
 from collections import Counter
-from contextlib import ExitStack, closing
+from contextlib import ExitStack, closing, contextmanager
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -26,8 +26,10 @@ from suffbench.gateway import (
     ResponseCache,
 )
 from suffbench.pipeline import (
+    EMBED_BATCH,
     EXCLUSION_EVENTS,
     STAGES,
+    UNITS_AHEAD_PER_THREAD,
     PipelineError,
     RunContext,
     StageFailure,
@@ -243,15 +245,18 @@ class TestAppendHandles:
 class TestDeterminism:
     def test_worker_count_does_not_change_bytes(self, make_ctx, tmp_path, en_corpus, pools):
         # the workers=4 run calls its endpoints over HTTP, so every stage
-        # but mask and aggregate runs on a pool; route_mock answers as the
-        # in-process mock does
+        # but mask and aggregate runs on a pool (five levels give 18 texts,
+        # two embedding batches); route_mock answers as the in-process mock
+        # does
         small = subset(en_corpus, 3, seed=7)
-        ctx1 = make_ctx(tmp_path / "a", {"en": small}, workers=1)
+        levels = (10, 30, 50, 70, 90)
+        ctx1 = make_ctx(tmp_path / "a", {"en": small}, levels=levels, workers=1)
         run(ctx1, ["aggregate"])
         with FixtureServer() as server:
             ctx4 = make_ctx(
-                tmp_path / "b", {"en": small}, workers=4, generators=(live(server, GEN),),
-                scorer=live(server, PROBE), embedder=live(server, EMBED),
+                tmp_path / "b", {"en": small}, levels=levels, workers=4,
+                generators=(live(server, GEN),), scorer=live(server, PROBE),
+                embedder=live(server, EMBED),
             )
             run(ctx4, ["aggregate"])
         assert len(pools) == 4
@@ -299,18 +304,50 @@ def _tear_at_write(store, k, cut):
     return writes, torn
 
 
+@contextmanager
+def _texts_embedded():
+    """A Counter of the texts MockBackend embeds while the block runs, one
+    count per text of each request."""
+    embedded = Counter()
+    real = MockBackend.embed
+
+    def embed(backend, model_id, input):
+        embedded.update((input,) if isinstance(input, str) else input)
+        return real(backend, model_id, input)
+
+    MockBackend.embed = embed
+    try:
+        yield embedded
+    finally:
+        MockBackend.embed = real
+
+
+def _assert_no_call_repeated(first, resumed, counts, texts, embedded):
+    """A killed run (Gateway `first`) and its resume together made the
+    generation and scoring requests `counts` of an uninterrupted run, and
+    embedded each of its `texts` once. Embedding requests are not counted:
+    the resume batches the texts it still needs from where it starts, so
+    its batches need not line up with the first run's."""
+    for kind in ("generate", "logprobs"):
+        assert first.mock_counts()[kind] + resumed.mock_counts()[kind] == counts[kind]
+    assert embedded == texts
+
+
 @pytest.fixture(scope="module")
 def uninterrupted(tmp_path_factory, en_corpus):
-    """Table bytes, mock counts, append count and row-write count of one
-    uninterrupted run."""
+    """Table bytes, mock counts, texts embedded, append count and row-write
+    count of one uninterrupted run."""
     root = tmp_path_factory.mktemp("uninterrupted")
     gateway = Gateway(cache_dir=root / "cache")
     ctx = new_context(root, {"en": en_corpus}, gateway=gateway)
     calls = _kill_at_append(ctx.store, -1)
     writes, _ = _tear_at_write(ctx.store, -1, None)
-    run(ctx, STAGES)
+    with _texts_embedded() as embedded:
+        run(ctx, STAGES)
     ctx.store.close()
-    return store_bytes(root / "store"), gateway.mock_counts(), next(calls), next(writes)
+    return (
+        store_bytes(root / "store"), gateway.mock_counts(), embedded, next(calls), next(writes)
+    )
 
 
 class TestResume:
@@ -319,25 +356,26 @@ class TestResume:
     def test_killed_at_any_append_resumes_to_the_same_store(
         self, uninterrupted, tmp_path_factory, en_corpus, data
     ):
-        tables, counts, appends, _ = uninterrupted
+        tables, counts, texts, appends, _ = uninterrupted
         k = data.draw(st.integers(min_value=0, max_value=appends - 1), label="killed at append")
         root = tmp_path_factory.mktemp("killed")
         first = Gateway(cache_dir=root / "cache")
         ctx = new_context(root, {"en": en_corpus}, gateway=first)
         _kill_at_append(ctx.store, k)
-        with pytest.raises(_Killed):
-            run(ctx, STAGES)
-        ctx.store.close()
+        with _texts_embedded() as embedded:
+            with pytest.raises(_Killed):
+                run(ctx, STAGES)
+            ctx.store.close()
 
-        store = RunStore.open_resume(root / "store", RunManifest.new(RUN, {"levels": [10, 90]}))
-        resumed = Gateway(cache_dir=root / "cache")
-        run(new_context(root, {"en": en_corpus}, gateway=resumed, store=store), STAGES)
-        store.close()
+            store = RunStore.open_resume(
+                root / "store", RunManifest.new(RUN, {"levels": [10, 90]})
+            )
+            resumed = Gateway(cache_dir=root / "cache")
+            run(new_context(root, {"en": en_corpus}, gateway=resumed, store=store), STAGES)
+            store.close()
         assert store_bytes(root / "store") == tables
         # each call the first run completed is answered by the cache
-        assert {
-            kind: first.mock_counts()[kind] + resumed.mock_counts()[kind] for kind in counts
-        } == counts
+        _assert_no_call_repeated(first, resumed, counts, texts, embedded)
 
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
@@ -346,7 +384,7 @@ class TestResume:
     ):
         # the process dies part way through a row's write: resume salvages
         # the torn tail, and a row written whole is kept
-        tables, counts, _, writes = uninterrupted
+        tables, counts, texts, _, writes = uninterrupted
         k = data.draw(st.integers(min_value=0, max_value=writes - 1), label="torn at write")
         root = tmp_path_factory.mktemp("torn")
         first = Gateway(cache_dir=root / "cache")
@@ -355,20 +393,21 @@ class TestResume:
             ctx.store, k,
             lambda row: data.draw(st.integers(min_value=0, max_value=len(row)), label="bytes"),
         )
-        with pytest.raises(_Killed):
-            run(ctx, STAGES)
-        ctx.store.close()
-        [(name, written, size)] = torn
+        with _texts_embedded() as embedded:
+            with pytest.raises(_Killed):
+                run(ctx, STAGES)
+            ctx.store.close()
+            [(name, written, size)] = torn
 
-        store = RunStore.open_resume(root / "store", RunManifest.new(RUN, {"levels": [10, 90]}))
-        assert store.salvage_report == ({name: written} if 0 < written < size else {})
-        resumed = Gateway(cache_dir=root / "cache")
-        run(new_context(root, {"en": en_corpus}, gateway=resumed, store=store), STAGES)
-        store.close()
+            store = RunStore.open_resume(
+                root / "store", RunManifest.new(RUN, {"levels": [10, 90]})
+            )
+            assert store.salvage_report == ({name: written} if 0 < written < size else {})
+            resumed = Gateway(cache_dir=root / "cache")
+            run(new_context(root, {"en": en_corpus}, gateway=resumed, store=store), STAGES)
+            store.close()
         assert store_bytes(root / "store") == tables
-        assert {
-            kind: first.mock_counts()[kind] + resumed.mock_counts()[kind] for kind in counts
-        } == counts
+        _assert_no_call_repeated(first, resumed, counts, texts, embedded)
 
     def test_fresh_gateway_resume_makes_no_model_calls(self, make_ctx, tmp_path, en_corpus):
         small = subset(en_corpus, 3, seed=7)
@@ -642,36 +681,36 @@ class TestBlankLiveReplies:
 
 
 class _BrokenEmbeddings:
-    """Delegates to a real gateway, but fails to embed `text`, or any text
-    when it is None."""
+    """Delegates to a real gateway, but fails every batch that holds `text`,
+    or every batch when it is None."""
 
     def __init__(self, inner, text=None):
         self._inner = inner
         self._text = text
 
-    def embed(self, endpoint, text):
-        if self._text in (None, text):
+    def embed_texts(self, endpoint, texts):
+        if self._text is None or self._text in texts:
             raise RuntimeError("embedding backend exploded")
-        return self._inner.embed(endpoint, text)
+        return self._inner.embed_texts(endpoint, texts)
 
     def __getattr__(self, name):
         return getattr(self._inner, name)
 
 
 class _CountingEmbeddings:
-    """Delegates to a real gateway; every embed call is counted per text
-    and sleeps, so that concurrent units overlap."""
+    """Delegates to a real gateway; every text of every batch is counted and
+    each batch sleeps, so that concurrent units overlap."""
 
     def __init__(self, inner):
         self._inner = inner
         self._lock = threading.Lock()
         self.calls = Counter()
 
-    def embed(self, endpoint, text):
+    def embed_texts(self, endpoint, texts):
         with self._lock:
-            self.calls[text] += 1
+            self.calls.update(texts)
         time.sleep(0.05)
-        return self._inner.embed(endpoint, text)
+        return self._inner.embed_texts(endpoint, texts)
 
     def __getattr__(self, name):
         return getattr(self._inner, name)
@@ -686,7 +725,7 @@ class _Vector(tuple):
 
 
 class _TrackedEmbeddings:
-    """Delegates to a real gateway; every vector embed returns is a
+    """Delegates to a real gateway; every vector embed_texts returns is a
     _Vector, and live() counts those not yet freed."""
 
     def __init__(self, inner):
@@ -695,12 +734,15 @@ class _TrackedEmbeddings:
         self._lock = threading.RLock()
         self._live = 0
 
-    def embed(self, endpoint, text):
-        vector = _Vector(self._inner.embed(endpoint, text).vector)
-        vector.owner = self
-        with self._lock:
-            self._live += 1
-        return EmbeddingResult(vector=vector, model_id=endpoint.model_id)
+    def embed_texts(self, endpoint, texts):
+        results = []
+        for result in self._inner.embed_texts(endpoint, texts):
+            vector = _Vector(result.vector)
+            vector.owner = self
+            with self._lock:
+                self._live += 1
+            results.append(EmbeddingResult(vector=vector, model_id=endpoint.model_id))
+        return results
 
     def freed(self) -> None:
         with self._lock:
@@ -719,20 +761,30 @@ def _distinct_texts(units) -> list[str]:
     return list(dict.fromkeys(e.text for _, base, other in units for e in (base, other)))
 
 
+def _copies(corpus: Corpus, n: int) -> Corpus:
+    """`corpus` with each item repeated `n` times under its own id and stem,
+    so the mock writes each copy texts of its own."""
+    return replace(corpus, items=tuple(
+        replace(item, id=f"{item.id}-{k}", stem=f"{item.stem} ({k})")
+        for k in range(n) for item in corpus
+    ))
+
+
 class TestSimilarity:
     def test_each_text_embedded_once_across_workers(
         self, make_ctx, tmp_path, en_corpus, pools
     ):
         # with repeats, every rewrite is the same one word; at workers=4 the
-        # embedder is HTTP, so the texts are embedded on a pool
-        small = subset(en_corpus, 2, seed=7)
+        # embedder is HTTP, so the batches are embedded on a pool. 20 items
+        # give more than one batch either way
+        corpus = _copies(en_corpus, 2)
         with FixtureServer() as server:
             for workers, repeats in itertools.product((1, 4), (False, True)):
                 gateway = _CountingEmbeddings(Gateway())
                 if repeats:
                     gateway = _SabotagedGeneration(gateway, kind="constrain", text="Light")
                 ctx = make_ctx(
-                    tmp_path / f"{workers}-{repeats}", {"en": small}, levels=(10, 50, 90),
+                    tmp_path / f"{workers}-{repeats}", {"en": corpus}, levels=(10, 50, 90),
                     workers=workers, gateway=gateway,
                     embedder=live(server, EMBED) if workers > 1 else EMBED,
                 )
@@ -740,20 +792,21 @@ class TestSimilarity:
                 run(ctx, ["similarity"])
                 assert bool(pools) == (workers > 1)
                 texts = {e.text for e in ctx.store.load_explanations()}
-                assert len(texts) == (3 if repeats else 8)
-                assert len(ctx.store.load_similarities()) == 6
+                assert len(texts) == (21 if repeats else 80) > EMBED_BATCH
+                assert len(ctx.store.load_similarities()) == 60
                 assert gateway.calls == Counter(texts)
 
     @pytest.mark.parametrize("workers", [1, 4])
     def test_live_vectors_do_not_grow_with_the_corpus(
         self, make_ctx, tmp_path, en_corpus, fa_corpus, workers
     ):
-        # at workers=4 the embedder is HTTP, with every text submitted up
-        # front and requests_in_flight(4) = 16 requests held 10 ms each
-        bound = 2 * requests_in_flight(workers) + 4
+        # the vectors held are about those of the batches in flight, each of
+        # EMBED_BATCH texts. At workers=4 the embedder is HTTP, with
+        # requests_in_flight(4) = 16 requests held 10 ms each
+        bound = 2 * requests_in_flight(workers) * EMBED_BATCH
         sizes = {
-            "small": {"en": subset(en_corpus, 5, seed=7)},
-            "large": {"en": en_corpus, "fa": fa_corpus},
+            "small": {"en": _copies(en_corpus, 6)},
+            "large": {"en": _copies(en_corpus, 12), "fa": _copies(fa_corpus, 12)},
         }
         peaks = {}
         with FixtureServer() as server:
@@ -782,23 +835,59 @@ class TestSimilarity:
                 peaks[size] = max(counts)
         assert all(peak <= bound for peak in peaks.values()), peaks
 
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_a_cache_written_one_text_at_a_time_is_fully_hit(
+        self, make_ctx, tmp_path, en_corpus, workers
+    ):
+        # Gateway.embed writes each text's cache entry as a request of its
+        # own would; the batched stage reads them all and sends nothing.
+        # At workers=4 the embedder is HTTP and answers as the mock does
+        corpus = subset(en_corpus, 4, seed=7)
+        levels = tuple(range(10, 100, 10))
+        expected = make_ctx(tmp_path / "plain", {"en": corpus}, levels=levels)
+        run(expected, ["similarity"])
+        with FixtureServer() as server:
+            embedder = live(server, EMBED) if workers > 1 else EMBED
+            writer = Gateway(cache_dir=tmp_path / "cache")
+            for text in {e.text for e in expected.store.load_explanations()}:
+                writer.embed(embedder, text)
+            writer.close()
+            del server.requests[:]
+            gateway = Gateway(cache_dir=tmp_path / "cache")
+            ctx = make_ctx(
+                tmp_path / "cached", {"en": corpus}, levels=levels, workers=workers,
+                gateway=gateway, embedder=embedder,
+            )
+            run(ctx, ["constrain"])
+            with closing(gateway):
+                report = run_stage(ctx, "similarity")
+        assert report.completed == report.planned == 36
+        assert gateway.mock_counts()["embeddings"] == 0
+        assert server.requests == []
+        assert ctx.store.load_similarities() == expected.store.load_similarities()
+
     @pytest.mark.parametrize("workers, offset", [(1, 0), (1, 1), (3, 0), (3, 1)])
     def test_embed_error_stores_exactly_the_units_before_its_text(
         self, make_ctx, tmp_path, en_corpus, pools, workers, offset
     ):
-        # offset 0 fails a level-0 base text, offset 1 a rewrite; at
-        # workers=3 the embedder is HTTP, so the texts are embedded on a pool
+        # offset 0 fails the batch of a level-0 base text, offset 1 that of
+        # a rewrite; 40 texts make three batches. At workers=3 the embedder
+        # is HTTP, so the batches are embedded on a pool
         with FixtureServer() as server:
             ctx = make_ctx(
-                tmp_path, {"en": subset(en_corpus, 4, seed=7)}, workers=workers,
+                tmp_path, {"en": subset(en_corpus, 4, seed=7)},
+                levels=tuple(range(10, 100, 10)), workers=workers,
                 embedder=live(server, EMBED) if workers > 1 else EMBED,
             )
             run(ctx, ["constrain"])
             units = pipeline.plan_similarity(ctx)
             texts = _distinct_texts(units)
-            failing = texts[len(texts) // 2 + offset]
+            position = len(texts) // 2 + offset
+            failing = texts[position]
+            start = position - position % EMBED_BATCH
+            batch = set(texts[start:start + EMBED_BATCH])
             first = next(
-                i for i, (_, base, other) in enumerate(units) if failing in (base.text, other.text)
+                i for i, (_, base, other) in enumerate(units) if {base.text, other.text} & batch
             )
             assert 0 < first < len(units) - 1
             ctx.gateway = _BrokenEmbeddings(ctx.gateway, failing)
@@ -858,7 +947,8 @@ def _record_threads(monkeypatch) -> set[int]:
 
     for owner, name in (
         (Gateway, "generate"), (Gateway, "score_continuations"),
-        (Gateway, "score_continuation"), (Gateway, "embed"), (pipeline, "mask_explanation"),
+        (Gateway, "score_continuation"), (Gateway, "embed_texts"), (Gateway, "embed"),
+        (pipeline, "mask_explanation"),
     ):
         monkeypatch.setattr(owner, name, spy(getattr(owner, name)))
     return threads
@@ -881,20 +971,23 @@ class TestRequestsInFlight:
         # the first four requests of the stage are answered only once all
         # four have arrived; with fewer in flight the barrier times out and
         # the dropped request fails the stage. One HTTP generator next to a
-        # mock one makes generate and constrain HTTP stages. The scorer's
-        # first request is its list-prompt probe, which the other threads
-        # wait on, so there the four after it are held.
+        # mock one makes generate and constrain HTTP stages. The scorer's and
+        # the embedder's first request is a list probe, which the other
+        # threads wait on, so there the four after it are held; nine levels
+        # give the embedder 100 texts, seven batches.
         assert requests_in_flight(1) == 4
+        levels = tuple(range(10, 100, 10)) if stage == "similarity" else (10, 90)
         with FixtureServer() as server:
             ctx = make_ctx(
-                tmp_path, {"en": en_corpus}, workers=1, generators=(live(server, GEN), GEN_B),
+                tmp_path, {"en": en_corpus}, levels=levels, workers=1,
+                generators=(live(server, GEN), GEN_B),
                 scorer=live(server, PROBE), embedder=live(server, EMBED),
             )
             run(ctx, expand_stages([stage])[:-1])
             answer = server.httpd.routes[path]
             together = threading.Barrier(4, timeout=2)
             arrivals = itertools.count()
-            first_held = 1 if stage == "score" else 0
+            first_held = 1 if stage in ("score", "similarity") else 0
 
             def held(payload):
                 if first_held <= next(arrivals) < first_held + 4:
@@ -1085,6 +1178,46 @@ class TestCommitsAsResultsLand:
             assert dropped() is None
             assert isinstance(second, _Result)
         assert pools == ([threads] if threads > 1 else [])
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_units_ahead_of_a_stalled_head_are_capped(self, pools, workers):
+        # the head unit waits until the pool has started every unit it may,
+        # UNITS_AHEAD_PER_THREAD per thread counting the head; a thread
+        # that finds no unit to start stays idle
+        threads = requests_in_flight(workers)
+        cap = UNITS_AHEAD_PER_THREAD * threads
+        units = range(3 * cap)
+        started, seen = [], []
+        lock, release = threading.Lock(), threading.Event()
+
+        def fn(unit):
+            with lock:
+                started.append(unit)
+            if unit == 0:
+                assert release.wait(timeout=10)
+            return unit
+
+        def release_head():
+            deadline = time.monotonic() + 10
+            while len(started) < cap and time.monotonic() < deadline:
+                time.sleep(0.005)
+            time.sleep(0.1)  # time for any unit past the cap to start
+            seen.append(len(started))
+            release.set()
+
+        endpoints = (ModelEndpoint(base_url="http://127.0.0.1:9", model_id="gen-1"),)
+        watcher = threading.Thread(target=release_head)
+        watcher.start()
+        try:
+            results = pipeline._map_ordered(SimpleNamespace(workers=workers), units, fn, endpoints)
+            got = [result for _, result, error in results if error is None]
+        finally:
+            release.set()
+            watcher.join()
+        assert pools == [threads]
+        assert seen == [cap]
+        assert got == list(units)
+        assert sorted(started) == list(units)
 
     @settings(max_examples=10, deadline=None)
     @given(data=st.data())
