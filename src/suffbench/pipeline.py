@@ -55,8 +55,12 @@ EXCLUSION_EVENTS = ("unparseable", "empty_regeneration")
 # on the http-latency bench (25 ms loopback stub), not on what the stages do
 REQUESTS_PER_WORKER = 4
 # units a pool thread may have submitted but not yet yielded: results that
-# land behind a slow head unit wait for it, so this bounds what they hold. A
-# cap of 2 per thread left threads idle behind a head unit in backoff
+# land behind a slow head unit wait for it, so at most this many per thread
+# are held; a similarity unit is a batch, so that is up to
+# UNITS_AHEAD_PER_THREAD x EMBED_BATCH vectors per thread. No bench workload
+# has a stage with more units than the cap. A cap of 2 per thread made
+# http-latency 3-15% slower (ROADMAP item 5): a head unit in a 429 backoff
+# left the other threads idle
 UNITS_AHEAD_PER_THREAD = 16
 # distinct texts per /embeddings request in the similarity stage
 EMBED_BATCH = 16
@@ -316,15 +320,27 @@ def run_score(ctx: RunContext, units: Sequence[tuple]) -> StageReport:
 
 
 def plan_similarity(ctx: RunContext) -> list[tuple]:
+    """(key, base, constrained, batches) for each constrained row not yet
+    done, where `batches` numbers the embedding batch of each of its two
+    texts. A text's batch is its position, over EMBED_BATCH, in the
+    first-use order of every constrained row, done or not, so a resumed run
+    cuts the batches an uninterrupted run would have: a batch is cached
+    whole or not at all, so with a cache it costs a resume one request or
+    none."""
     explanations = ctx.store.load_explanations()
     bases = {work_key(e)[:3]: e for e in explanations if e.level == 0}
     constrained = [e for e in explanations if e.level != 0]
+    done = ctx.store.done_keys(SIMILARITY)
+    batch_of: dict[str, int] = {}
     units = []
-    for key, e in _pending(constrained, ctx.store.done_keys(SIMILARITY)):
+    for key, e in _pending(constrained, ()):
         base = bases.get(key[:3])
         if base is None:
             raise StageFailure(f"similarity {key}: constrained row without a level-0 base")
-        units.append((key, base, e))
+        for text in (base.text, e.text):
+            batch_of.setdefault(text, len(batch_of) // EMBED_BATCH)
+        if key not in done:
+            units.append((key, base, e, (batch_of[base.text], batch_of[e.text])))
     return units
 
 
@@ -333,20 +349,25 @@ def run_similarity(ctx: RunContext, units: Sequence[tuple]) -> StageReport:
     streaming pass. The comparison is between the raw texts; masking only
     affects scoring.
 
-    Each distinct text is embedded once. The texts, in first-use order, go
-    out in batches of up to EMBED_BATCH consecutive texts, one embed_texts
-    call and so one request each, through _map_ordered: an HTTP embedder
-    gets the batches on a pool, and a failed request fails every text of
-    its batch. A
-    unit's cosine is computed on the calling thread as soon as both of its
-    vectors have landed, and each vector is dropped after the last unit
-    that needs it: the stage holds the vectors of the batches in flight,
-    not one for each distinct text. With an HTTP embedder, the batches that
-    land while an earlier one is still in flight wait for it.
+    Each distinct text is embedded once. The texts go out in the batches
+    plan_similarity numbered, in order, one embed_texts call and so one
+    request each, through _map_ordered: an HTTP embedder gets the batches
+    on a pool, and a failed request fails every text of its batch. A unit's
+    cosine is computed on the calling thread as soon as both of its vectors
+    have landed, and each vector is dropped after the last unit that needs
+    it: the stage holds the vectors of the batches in flight, not one for
+    each distinct text. With an HTTP embedder, the batches that land while
+    an earlier one is still in flight wait for it.
     """
-    uses = Counter(e.text for _, base, constrained in units for e in (base, constrained))
-    texts = list(uses)
-    batches = [texts[i:i + EMBED_BATCH] for i in range(0, len(texts), EMBED_BATCH)]
+    uses = Counter(e.text for _, base, constrained, _ in units for e in (base, constrained))
+    batch_of: dict[str, int] = {}
+    for _, base, constrained, numbers in units:
+        for text, number in zip((base.text, constrained.text), numbers):
+            batch_of.setdefault(text, number)
+    numbered: dict[int, list[str]] = {}
+    for text, number in batch_of.items():
+        numbered.setdefault(number, []).append(text)
+    batches = [numbered[number] for number in sorted(numbered)]
 
     def embed(batch: list[str]) -> list[tuple[float, ...]]:
         return [result.vector for result in ctx.gateway.embed_texts(ctx.embedder, batch)]
@@ -368,7 +389,7 @@ def run_similarity(ctx: RunContext, units: Sequence[tuple]) -> StageReport:
 
         with closing(embedded):
             for unit in units:
-                _, base, constrained = unit
+                _, base, constrained, _ = unit
                 try:
                     result, error = SimilarityRecord(
                         item_id=constrained.item_id, language=constrained.language,

@@ -324,12 +324,11 @@ def _texts_embedded():
 
 def _assert_no_call_repeated(first, resumed, counts, texts, embedded):
     """A killed run (Gateway `first`) and its resume together made the
-    generation and scoring requests `counts` of an uninterrupted run, and
-    embedded each of its `texts` once. Embedding requests are not counted:
-    the resume batches the texts it still needs from where it starts, so
-    its batches need not line up with the first run's."""
-    for kind in ("generate", "logprobs"):
-        assert first.mock_counts()[kind] + resumed.mock_counts()[kind] == counts[kind]
+    requests `counts` of an uninterrupted run, and embedded each of its
+    `texts` once."""
+    assert {
+        kind: first.mock_counts()[kind] + resumed.mock_counts()[kind] for kind in counts
+    } == counts
     assert embedded == texts
 
 
@@ -408,6 +407,51 @@ class TestResume:
             store.close()
         assert store_bytes(root / "store") == tables
         _assert_no_call_repeated(first, resumed, counts, texts, embedded)
+
+    @pytest.mark.parametrize("killed_at", [1, 7, 15, 16, 30])
+    def test_resumed_similarity_sends_the_batches_of_an_uninterrupted_run(
+        self, make_ctx, tmp_path, en_corpus, killed_at
+    ):
+        # 4 items at 9 levels: 40 texts, three batches. A resume numbers
+        # each text's batch as the uninterrupted plan does, so a batch the
+        # killed run embedded costs it nothing and any other one request
+        corpus = subset(en_corpus, 4, seed=7)
+        levels = tuple(range(10, 100, 10))
+        whole = make_ctx(tmp_path / "whole", {"en": corpus}, levels=levels)
+        run(whole, ["constrain"])
+        planned = pipeline.plan_similarity(whole)
+        with _texts_embedded() as texts:
+            run_stage(whole, "similarity")
+        assert whole.gateway.mock_counts()["embeddings"] == 3
+
+        first = Gateway(cache_dir=tmp_path / "cache")
+        ctx = make_ctx(tmp_path / "killed", {"en": corpus}, levels=levels, gateway=first)
+        run(ctx, ["constrain"])
+        appends = itertools.count()
+
+        def append(record, inner=ctx.store.append_similarity):
+            if next(appends) == killed_at:
+                raise _Killed
+            return inner(record)
+
+        ctx.store.append_similarity = append
+        with _texts_embedded() as embedded:
+            with pytest.raises(_Killed):
+                run_stage(ctx, "similarity")
+            ctx.store.close()
+            store = RunStore.open_resume(
+                tmp_path / "killed" / "store", RunManifest.new(RUN, {"levels": list(levels)})
+            )
+            resumed = Gateway(cache_dir=tmp_path / "cache")
+            ctx = make_ctx(
+                tmp_path / "killed", {"en": corpus}, levels=levels, gateway=resumed, store=store,
+            )
+            units = pipeline.plan_similarity(ctx)
+            assert units == planned[killed_at:]
+            run_stage(ctx, "similarity")
+        assert embedded == texts
+        assert first.mock_counts()["embeddings"] + resumed.mock_counts()["embeddings"] == 3
+        assert ctx.store.load_similarities() == whole.store.load_similarities()
 
     def test_fresh_gateway_resume_makes_no_model_calls(self, make_ctx, tmp_path, en_corpus):
         small = subset(en_corpus, 3, seed=7)
@@ -758,7 +802,7 @@ class _TrackedEmbeddings:
 
 def _distinct_texts(units) -> list[str]:
     """The texts of similarity units, each once, in first-use order."""
-    return list(dict.fromkeys(e.text for _, base, other in units for e in (base, other)))
+    return list(dict.fromkeys(e.text for _, base, other, _ in units for e in (base, other)))
 
 
 def _copies(corpus: Corpus, n: int) -> Corpus:
@@ -801,9 +845,13 @@ class TestSimilarity:
         self, make_ctx, tmp_path, en_corpus, fa_corpus, workers
     ):
         # the vectors held are about those of the batches in flight, each of
-        # EMBED_BATCH texts. At workers=4 the embedder is HTTP, with
+        # EMBED_BATCH texts: inline, the batch that landed last and what is
+        # left of the one before it; at workers=4 the embedder is HTTP, with
         # requests_in_flight(4) = 16 requests held 10 ms each
-        bound = 2 * requests_in_flight(workers) * EMBED_BATCH
+        if workers == 1:
+            bound = 2 * EMBED_BATCH + 4
+        else:
+            bound = 2 * requests_in_flight(workers) * EMBED_BATCH
         sizes = {
             "small": {"en": _copies(en_corpus, 6)},
             "large": {"en": _copies(en_corpus, 12), "fa": _copies(fa_corpus, 12)},
@@ -887,7 +935,8 @@ class TestSimilarity:
             start = position - position % EMBED_BATCH
             batch = set(texts[start:start + EMBED_BATCH])
             first = next(
-                i for i, (_, base, other) in enumerate(units) if {base.text, other.text} & batch
+                i for i, (_, base, other, _) in enumerate(units)
+                if {base.text, other.text} & batch
             )
             assert 0 < first < len(units) - 1
             ctx.gateway = _BrokenEmbeddings(ctx.gateway, failing)
