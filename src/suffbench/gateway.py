@@ -1,10 +1,12 @@
 """Access layer for generation, teacher-forced scoring, and embeddings.
 
 All three request kinds go through one Gateway that adds, in order: an
-on-disk response cache keyed by the SHA-256 of the canonical request
-JSON, per-endpoint rate limiting, and retry with exponential backoff.
-Cache hits replay the stored body through the same response parsers
-with no network traffic, so cached and live runs are byte-equivalent.
+optional on-disk response cache keyed by the SHA-256 of the canonical
+request JSON, per-endpoint rate limiting, and retry with exponential
+backoff. Cache hits replay the stored body through the same response
+parsers with no network traffic, so cached and live runs are
+byte-equivalent. A Gateway without a cache_dir computes no request keys,
+and its error messages name a request by its model and path.
 
 Endpoints whose base_url uses the ``mock://<seed>`` scheme are served
 by a deterministic in-process backend instead of HTTP, which lets the
@@ -46,7 +48,6 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence
 from urllib.parse import urlparse
 
@@ -127,7 +128,6 @@ class ModelEndpoint:
 class GenerationResult:
     text: str
     finish_reason: str
-    request_fingerprint: str
 
     def __post_init__(self) -> None:
         if self.finish_reason not in FINISH_REASONS:
@@ -176,26 +176,31 @@ def request_fingerprint(payload: dict) -> str:
 
 
 class ResponseCache:
-    """Content-addressed raw response bodies, written atomically."""
+    """Content-addressed raw response bodies, written atomically: the body
+    of request `key` is `root/<key[:2]>/<key>.json`. Entry paths are plain
+    strings, with no pathlib object per read or write."""
 
-    def __init__(self, root: str | Path):
-        self.root = Path(root)
-
-    def _path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
+    def __init__(self, root: str | os.PathLike):
+        self.root = os.fspath(root)
 
     def get(self, key: str) -> bytes | None:
         try:
-            return self._path(key).read_bytes()
+            with open(f"{self.root}/{key[:2]}/{key}.json", "rb") as fh:
+                return fh.read()
         except FileNotFoundError:
             return None
 
     def put(self, key: str, body: bytes) -> None:
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.parent / f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp"
-        tmp.write_bytes(body)
-        os.replace(tmp, path)
+        folder = f"{self.root}/{key[:2]}"
+        tmp = f"{folder}/.{key}.json.{os.getpid()}.{threading.get_ident()}.tmp"
+        try:
+            fh = open(tmp, "wb")
+        except FileNotFoundError:  # the first entry under this prefix
+            os.makedirs(folder, exist_ok=True)
+            fh = open(tmp, "wb")
+        with fh:
+            fh.write(body)
+        os.replace(tmp, f"{folder}/{key}.json")
 
 
 class RateLimiter:
@@ -359,6 +364,11 @@ def _endpoint_key(endpoint: ModelEndpoint) -> tuple[str, str]:
     return (endpoint.base_url, endpoint.model_id)
 
 
+def _uncached_name(endpoint: ModelEndpoint, path: str) -> str:
+    """What error messages call a request when no cache keys it."""
+    return f"a {endpoint.model_id} request to {path}"
+
+
 def _decode(body: bytes, what: str) -> dict:
     try:
         return json.loads(body.decode("utf-8"))
@@ -468,7 +478,7 @@ class Gateway:
 
     def __init__(
         self,
-        cache_dir: str | Path | None = None,
+        cache_dir: str | os.PathLike | None = None,
         *,
         clock=time.monotonic,
         sleep=time.sleep,
@@ -527,28 +537,33 @@ class Gateway:
     def _fetch(
         self, endpoint: ModelEndpoint, payload: dict, mock_call, path: str, wire: dict
     ) -> tuple[dict, str]:
-        """Decoded response and fingerprint for one request.
+        """Decoded response for one request, and the request's name in error
+        messages: its cache key, or with no cache its model and path.
 
-        The fingerprint of `payload` keys the cache. On a miss, a mock
-        endpoint's reply is `mock_call(backend)`, used as it is and
-        encoded only to be cached; any other endpoint's comes from POSTing
-        `wire` to `path` and is cached once it decodes: an unreadable reply
-        is never replayed.
+        With a cache, the fingerprint of `payload` keys it; without one,
+        `payload` is not fingerprinted. On a miss, a mock endpoint's reply is
+        `mock_call(backend)`, used as it is and encoded only to be cached;
+        any other endpoint's comes from POSTing `wire` to `path` and is
+        cached once it decodes: an unreadable reply is never replayed.
         """
-        key = request_fingerprint(payload)
-        data = self._cached(key)
-        if data is not None:
-            return data, key
+        if self._cache is None:
+            key, name = None, _uncached_name(endpoint, path)
+        else:
+            key = request_fingerprint(payload)
+            name = f"request {key}"
+            body = self._cache.get(key)
+            if body is not None:
+                return _decode(body, name), name
         if endpoint.is_mock:
             data = mock_call(self._mock(endpoint))
-            if self._cache is not None:
+            if key is not None:
                 self._cache.put(key, _encode(data))
-            return data, key
+            return data, name
         body = self._post(endpoint, path, wire)
-        data = _decode(body, f"request {key}")
-        if self._cache is not None:
+        data = _decode(body, name)
+        if key is not None:
             self._cache.put(key, body)
-        return data, key
+        return data, name
 
     def _fetch_each(
         self,
@@ -558,11 +573,11 @@ class Gateway:
         list_wire: Callable[[list[int]], dict],
         mock_call: Callable[[MockBackend, list[int]], dict],
     ) -> list[tuple[dict, str] | None]:
-        """The item, a choice or an embedding, and the fingerprint of each of
-        several requests to `path`, request i keyed by `payloads[i]`, with
-        the ones the cache misses sent as one list request; or None for a
-        request the caller is to send on its own, because the endpoint
-        refuses list requests to `path`.
+        """The item, a choice or an embedding, and the name (see _fetch) of
+        each of several requests to `path`, request i keyed by `payloads[i]`
+        when there is a cache, with the ones the cache misses sent as one
+        list request; or None for a request the caller is to send on its
+        own, because the endpoint refuses list requests to `path`.
 
         Each cache entry is read once. The misses, at positions `misses`,
         go out in input order as `list_wire(misses)` under one rate-limiter
@@ -576,11 +591,21 @@ class Gateway:
         if self._takes_lists.get(_endpoint_key(endpoint) + (path,)) is False:
             return [None] * len(payloads)
         field = _LIST_FIELDS[path][1]
-        keys = [request_fingerprint(payload) for payload in payloads]
-        results = []
-        for key in keys:
-            data = self._cached(key)
-            results.append(None if data is None else (self._first_item(data, field, key), key))
+        results: list[tuple[dict, str] | None]
+        if self._cache is None:
+            keys = None
+            names = [_uncached_name(endpoint, path)] * len(payloads)
+            results = [None] * len(payloads)
+        else:
+            keys = [request_fingerprint(payload) for payload in payloads]
+            names = [f"request {key}" for key in keys]
+            results = []
+            for key, name in zip(keys, names):
+                body = self._cache.get(key)
+                results.append(
+                    None if body is None
+                    else (self._first_item(_decode(body, name), field, name), name)
+                )
         misses = [i for i, result in enumerate(results) if result is None]
         if not misses:
             return results
@@ -593,8 +618,8 @@ class Gateway:
                 return results
             data, items = answer
         for i, item in zip(misses, items):
-            results[i] = item, keys[i]
-            if self._cache is not None:
+            results[i] = item, names[i]
+            if keys is not None:
                 self._cache.put(keys[i], _encode({**data, field: [{**item, "index": 0}]}))
         return results
 
@@ -651,18 +676,14 @@ class Gateway:
                 raise ListRequestRefused(str(exc)) from exc
             raise
 
-    def _cached(self, key: str) -> dict | None:
-        body = self._cache.get(key) if self._cache is not None else None
-        return None if body is None else _decode(body, f"request {key}")
-
     @staticmethod
-    def _first_item(data: dict, field: str, key: str) -> dict:
+    def _first_item(data: dict, field: str, name: str) -> dict:
         """The first of the items under `field`, the choices or the
-        embeddings, of the reply `data` to request `key`."""
+        embeddings, of the reply `data` to the request named `name`."""
         try:
             return data[field][0]
         except (KeyError, IndexError, TypeError):
-            raise EmptyCompletion(f"response for {key} carries no {field}") from None
+            raise EmptyCompletion(f"response for {name} carries no {field}") from None
 
     def _post(
         self, endpoint: ModelEndpoint, path: str, payload: dict, probe: bool = False
@@ -754,17 +775,17 @@ class Gateway:
             "temperature": temperature,
             "max_tokens": max_tokens,
         }
-        data, key = self._fetch(
+        data, name = self._fetch(
             endpoint, payload,
             lambda mock: mock.generate(endpoint.model_id, prompt.text, temperature, max_tokens),
             "/chat/completions", wire,
         )
-        choice = self._first_item(data, "choices", key)
+        choice = self._first_item(data, "choices", name)
         text = (choice.get("message") or {}).get("content") or ""
         finish = choice.get("finish_reason")
         if finish not in FINISH_REASONS:
             finish = "other"
-        return GenerationResult(text=text, finish_reason=finish, request_fingerprint=key)
+        return GenerationResult(text=text, finish_reason=finish)
 
     # -- teacher-forced scoring ----------------------------------------------
 
@@ -775,13 +796,13 @@ class Gateway:
         sent as a request of its own (see _score_wire and _logprob_result)."""
         if not continuation:
             raise ValueError("continuation must be non-empty")
-        data, key = self._fetch(
+        data, name = self._fetch(
             endpoint, _score_payload(endpoint.model_id, prompt_text, continuation),
             lambda mock: mock.score(endpoint.model_id, prompt_text, (continuation,)),
             "/completions", _score_wire(endpoint.model_id, prompt_text + continuation),
         )
         return _logprob_result(
-            endpoint, prompt_text, continuation, self._first_item(data, "choices", key)
+            endpoint, prompt_text, continuation, self._first_item(data, "choices", name)
         )
 
     def score_continuations(
@@ -816,11 +837,11 @@ class Gateway:
         if not text.strip():
             raise ValueError("embedding input must be non-empty")
         model = endpoint.model_id
-        data, key = self._fetch(
+        data, name = self._fetch(
             endpoint, _embed_payload(model, text), lambda mock: mock.embed(model, text),
             "/embeddings", {"model": model, "input": text},
         )
-        return self._embedding(endpoint, self._first_item(data, "data", key), key)
+        return self._embedding(endpoint, self._first_item(data, "data", name), name)
 
     def embed_texts(self, endpoint: ModelEndpoint, texts: Sequence[str]) -> list[EmbeddingResult]:
         """embed of each text, in order, with the ones the cache misses sent
@@ -839,16 +860,16 @@ class Gateway:
             for text, found in zip(texts, fetched)
         ]
 
-    def _embedding(self, endpoint: ModelEndpoint, item: dict, key: str) -> EmbeddingResult:
-        """The vector of one embedding item of the reply to request `key`.
-        Its width is pinned by the first vector per model and any later
-        mismatch is fatal."""
+    def _embedding(self, endpoint: ModelEndpoint, item: dict, name: str) -> EmbeddingResult:
+        """The vector of one embedding item of the reply to the request named
+        `name`. Its width is pinned by the first vector per model and any
+        later mismatch is fatal."""
         try:
             vector = item["embedding"]
         except (KeyError, TypeError):
-            raise GatewayError(f"response for {key} carries no embedding") from None
+            raise GatewayError(f"response for {name} carries no embedding") from None
         if not isinstance(vector, list) or not vector:
-            raise GatewayError(f"response for {key} carries an empty embedding")
+            raise GatewayError(f"response for {name} carries an empty embedding")
         with self._lock:
             expected = self._embed_dims.setdefault(endpoint.model_id, len(vector))
         if len(vector) != expected:

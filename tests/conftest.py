@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import json
 import threading
+from collections import Counter
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from urllib.parse import urlparse
 
 import pytest
 
@@ -30,6 +32,8 @@ CHAT_BODY = {
     ],
 }
 
+
+_CANONICAL = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode
 
 # what a route returns to have the connection closed with no reply
 DROP = object()
@@ -204,10 +208,9 @@ def rejects_list_prompts(route):
     return reject
 
 
-def route_mock(server: FixtureServer, seed: int) -> str:
-    """Answer requests under /<seed>/ with the bodies mock://<seed> builds
-    in process, as bench/stub.py does, and return that base URL: a run
-    against it stores the same tables as a mock:// run. A scoring prompt's
+def mock_routes(seed: int) -> dict:
+    """Routes, by path, that answer requests with the bodies mock://<seed>
+    builds in process, as bench/stub.py does. A scoring prompt's
     continuation is its last two characters, " A".." D"; a list prompt's
     prompts share the text before them, and are answered as one mock call."""
     backend = MockBackend(seed)
@@ -216,12 +219,66 @@ def route_mock(server: FixtureServer, seed: int) -> str:
         prompts = [p["prompt"]] if isinstance(p["prompt"], str) else p["prompt"]
         return backend.score(p["model"], prompts[0][:-2], tuple(t[-2:] for t in prompts))
 
-    server.route(f"/{seed}/chat/completions", lambda p: backend.generate(
-        p["model"], p["messages"][0]["content"], p["temperature"], p["max_tokens"]
-    ))
-    server.route(f"/{seed}/completions", score)
-    server.route(f"/{seed}/embeddings", lambda p: backend.embed(p["model"], p["input"]))
+    return {
+        "/chat/completions": lambda p: backend.generate(
+            p["model"], p["messages"][0]["content"], p["temperature"], p["max_tokens"]
+        ),
+        "/completions": score,
+        "/embeddings": lambda p: backend.embed(p["model"], p["input"]),
+    }
+
+
+def route_mock(server: FixtureServer, seed: int) -> str:
+    """Answer requests under /<seed>/ as mock://<seed> does (see
+    mock_routes), and return that base URL: a run against it stores the
+    same tables as a mock:// run."""
+    for path, route in mock_routes(seed).items():
+        server.route(f"/{seed}{path}", route)
     return f"{server.base_url}/{seed}"
+
+
+class _Reply:
+    def __init__(self, status_code: int, body: dict):
+        self.status_code = status_code
+        self.content = json.dumps(body, ensure_ascii=False).encode("utf-8")
+        self.text = self.content.decode("utf-8")
+
+
+class FaultyMockSession:
+    """A Gateway session that answers a POST to http://<host>/<seed><path>
+    as mock://<seed> does (see mock_routes), with no server, except that the
+    first attempt of every `every`-th distinct request, by URL and payload,
+    fails: in turn with a 429, a 503 and a timeout. A later attempt of the
+    same request is answered. `faults` counts the failures by kind."""
+
+    FAULTS = (429, 503, "timeout")
+
+    def __init__(self, every: int):
+        self.every = every
+        self.faults: Counter = Counter()
+        self._seen: set[tuple[str, str]] = set()
+        self._routes: dict[str, dict] = {}
+        self._lock = threading.Lock()
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        _, seed, path = urlparse(url).path.split("/", 2)
+        request = (url, _CANONICAL(json))
+        with self._lock:
+            fault = None
+            if request not in self._seen:
+                self._seen.add(request)
+                if len(self._seen) % self.every == 0:
+                    fault = self.FAULTS[(len(self._seen) // self.every - 1) % len(self.FAULTS)]
+                    self.faults[fault] += 1
+            routes = self._routes.setdefault(seed, mock_routes(int(seed)))
+        if fault == "timeout":
+            raise TimeoutError("injected timeout")
+        if fault is not None:
+            return _Reply(fault, {"error": {"message": "injected failure"}})
+        return _Reply(200, routes["/" + path](json))
+
+    def close(self) -> None:
+        pass
 
 
 @pytest.fixture

@@ -595,6 +595,19 @@ class TestMockCache:
         assert warm == plain
         assert calls == {}
 
+    def test_a_run_without_a_cache_fingerprints_no_request(self, tmp_path, monkeypatch):
+        payloads = []
+        real = gateway_module.request_fingerprint
+
+        def spy(payload):
+            payloads.append(payload)
+            return real(payload)
+
+        monkeypatch.setattr(gateway_module, "request_fingerprint", spy)
+        store = self.run_all(tmp_path, "plain")
+        assert len(table_bytes(store)["scores.csv"].splitlines()) == 1 + 6 + 2 * 6 * 3
+        assert payloads == []
+
     def test_each_cache_file_is_the_encoded_mock_reply(self, tmp_path, monkeypatch):
         payloads = {}
         real = gateway_module.request_fingerprint

@@ -175,9 +175,7 @@ class ScriptedGateway:
     def generate(self, endpoint, prompt, *, temperature=0.0, max_tokens=512, cache_salt=""):
         self.salts.append(cache_salt)
         text, finish_reason = self.texts.pop(0)
-        return GenerationResult(
-            text=text, finish_reason=finish_reason, request_fingerprint="scripted"
-        )
+        return GenerationResult(text=text, finish_reason=finish_reason)
 
 
 class TestConstrainExplanation:

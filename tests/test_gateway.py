@@ -191,12 +191,14 @@ class TestRateLimiter:
 
 
 class TestMockBackend:
-    def test_generation_deterministic_across_gateways(self):
+    def test_generation_deterministic_across_gateways(self, tmp_path):
         prompt = prompt_of("Question: why?\nOptions:\nA) a\nB) b\nC) c\nD) d")
-        first = Gateway().generate(MOCK, prompt)
-        second = Gateway().generate(MOCK, prompt)
+        first = Gateway(cache_dir=tmp_path / "a").generate(MOCK, prompt)
+        second = Gateway(cache_dir=tmp_path / "b").generate(MOCK, prompt)
         assert first.text == second.text
-        assert first.request_fingerprint == second.request_fingerprint
+        # both gateways key the request the same way
+        assert len(cache_files(tmp_path / "a")) == 1
+        assert cache_files(tmp_path / "a") == cache_files(tmp_path / "b")
 
     def test_different_seed_changes_output(self):
         prompt = prompt_of("Question: why?")
@@ -283,9 +285,9 @@ class TestCache:
     def test_corrupt_cache_entry_fails_loudly(self, tmp_path):
         gw = Gateway(cache_dir=tmp_path)
         prompt = prompt_of("poison")
-        result = gw.generate(MOCK, prompt)
-        cache = ResponseCache(tmp_path)
-        cache.put(result.request_fingerprint, b"\xff not json")
+        gw.generate(MOCK, prompt)
+        [entry] = tmp_path.rglob("*.json")
+        ResponseCache(tmp_path).put(entry.stem, b"\xff not json")
         with pytest.raises(GatewayError, match="unreadable response body"):
             Gateway(cache_dir=tmp_path).generate(MOCK, prompt)
 
@@ -303,14 +305,13 @@ class TestCache:
     def test_cache_salt_keys_the_cache_not_the_wire(self, server, tmp_path):
         endpoint = live_endpoint(server)
         gw = Gateway(cache_dir=tmp_path)
-        plain = gw.generate(endpoint, prompt_of("p"))
-        salted = gw.generate(endpoint, prompt_of("p"), cache_salt="retry-1")
-        assert salted.request_fingerprint != plain.request_fingerprint
+        gw.generate(endpoint, prompt_of("p"))
+        plain = set(cache_files(tmp_path))
+        gw.generate(endpoint, prompt_of("p"), cache_salt="retry-1")
+        salted = set(cache_files(tmp_path)) - plain
+        assert len(plain) == len(salted) == 1
         first, second = server.requests
         assert (second["path"], second["payload"]) == (first["path"], first["payload"])
-        cache = ResponseCache(tmp_path)
-        assert cache.get(plain.request_fingerprint) is not None
-        assert cache.get(salted.request_fingerprint) is not None
         fresh = Gateway(cache_dir=tmp_path)
         fresh.generate(endpoint, prompt_of("p"))
         fresh.generate(endpoint, prompt_of("p"), cache_salt="retry-1")

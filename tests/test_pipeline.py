@@ -54,7 +54,13 @@ from suffbench.runstore import (
     work_key,
 )
 
-from tests.conftest import FixtureServer, drops_list_prompts, rejects_list_prompts, route_mock
+from tests.conftest import (
+    FaultyMockSession,
+    FixtureServer,
+    drops_list_prompts,
+    rejects_list_prompts,
+    route_mock,
+)
 
 RUN = "run-pipe"
 
@@ -172,6 +178,8 @@ class TestFullRun:
         assert by_stage["mask"].completed == 9
         assert by_stage["score"].completed == 12  # 3 baseline + 9 masked
         assert by_stage["similarity"].completed == 6
+        # the aggregate stage's one unit, not its cells
+        assert by_stage["aggregate"].line() == "aggregate: planned=1 completed=1 failed=0"
         assert len(ctx.store.load_explanations()) == 9
         assert len(ctx.store.load_masks()) == 9
         assert len(ctx.store.load_scores()) == 12
@@ -332,6 +340,18 @@ def _assert_no_call_repeated(first, resumed, counts, texts, embedded):
     assert embedded == texts
 
 
+FAULT_EVERY = 5
+
+
+def _over_http(endpoint: ModelEndpoint) -> ModelEndpoint:
+    """`endpoint` with an HTTP base URL that FaultyMockSession answers as
+    the mock:// one, and no rate limit to wait on."""
+    seed = endpoint.base_url.removeprefix("mock://")
+    return replace(
+        endpoint, base_url=f"http://faulty/{seed}", requests_per_minute=1_000_000
+    )
+
+
 @pytest.fixture(scope="module")
 def uninterrupted(tmp_path_factory, en_corpus):
     """Table bytes, mock counts, texts embedded, append count and row-write
@@ -407,6 +427,43 @@ class TestResume:
             store.close()
         assert store_bytes(root / "store") == tables
         _assert_no_call_repeated(first, resumed, counts, texts, embedded)
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_killed_at_any_append_under_injected_faults_resumes_to_the_same_store(
+        self, uninterrupted, tmp_path_factory, en_corpus, data
+    ):
+        # every endpoint is HTTP, answered as its mock:// twin would be, and
+        # the first attempt of every FAULT_EVERY-th distinct request fails
+        tables, _, _, appends, _ = uninterrupted
+        k = data.draw(st.integers(min_value=0, max_value=appends - 1), label="killed at append")
+        root = tmp_path_factory.mktemp("faults")
+        sessions, sleeps = [], []
+
+        def faulty_context(store=None):
+            session = FaultyMockSession(every=FAULT_EVERY)
+            sessions.append(session)
+            gateway = Gateway(cache_dir=root / "cache", sleep=sleeps.append, session=session)
+            return new_context(
+                root, {"en": en_corpus}, generators=(_over_http(GEN),),
+                scorer=_over_http(PROBE), embedder=_over_http(EMBED),
+                gateway=gateway, store=store,
+            )
+
+        ctx = faulty_context()
+        _kill_at_append(ctx.store, k)
+        with pytest.raises(_Killed):
+            run(ctx, STAGES)
+        ctx.store.close()
+        store = RunStore.open_resume(root / "store", RunManifest.new(RUN, {"levels": [10, 90]}))
+        run(faulty_context(store), STAGES)
+        store.close()
+        assert store_bytes(root / "store") == tables
+        faults = sum((session.faults for session in sessions), Counter())
+        assert set(faults) == set(FaultyMockSession.FAULTS)
+        # a failed list probe is not retried; every other fault is, once
+        assert 0 < len(sleeps) <= sum(faults.values())
+        assert set(sleeps) == {Gateway.BACKOFF_BASE}
 
     @pytest.mark.parametrize("killed_at", [1, 7, 15, 16, 30])
     def test_resumed_similarity_sends_the_batches_of_an_uninterrupted_run(
@@ -542,9 +599,7 @@ class _SabotagedGeneration:
 
     def generate(self, endpoint, prompt, **kwargs):
         if prompt.kind == self._kind and all(n in prompt.text for n in self._needles):
-            return GenerationResult(
-                text=self._text, finish_reason=self._finish_reason, request_fingerprint="x",
-            )
+            return GenerationResult(text=self._text, finish_reason=self._finish_reason)
         return self._inner.generate(endpoint, prompt, **kwargs)
 
     def __getattr__(self, name):
