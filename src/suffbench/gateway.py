@@ -22,17 +22,20 @@ its own. score_continuations sends the continuations of one prompt as one
 /completions request with a list prompt, so a scored row costs one
 request, and embed_texts sends several texts as one /embeddings request
 with a list input. Either way each continuation or text keeps its own
-cache entry. An endpoint whose first list request to a path fails in any
-way but a 429 is sent one prompt or text per request there from then on.
+cache entry. An endpoint's first list request to a path is retried on a
+429, a 5xx or a timeout like any request. If it gets any other 4xx, a
+failed connection or a reply without one item per input, or its retries
+run out on 5xx replies or timeouts, the endpoint is sent one prompt or
+text per request there from then on.
 
 HTTP requests go through a session: any object with
 `post(url, json=, headers=, timeout=)` returning a reply with
-`status_code`, `content` and `text`, and a `close()`. That is the
-caller's, such as suffbench.transport.HttpSession or a requests.Session,
-or a default requests.Session the Gateway creates at its first HTTP
-request. This module imports requests only then, so a run that passes its
-own session never loads it here. A timeout or a failed connection, the
-builtin TimeoutError and ConnectionError or requests' own, is retried.
+`status_code` and `content`, and a `close()`. That is the caller's, such
+as suffbench.transport.HttpSession or a requests.Session, or a default
+requests.Session the Gateway creates at its first HTTP request. This
+module imports requests only then, so a run that passes its own session
+never loads it here. A timeout or a failed connection, the builtin
+TimeoutError and ConnectionError or requests' own, is retried.
 """
 
 from __future__ import annotations
@@ -85,8 +88,8 @@ class LogprobsUnsupported(GatewayError):
 
 
 class ListRequestRefused(GatewayError):
-    """An endpoint failed its first list request to a path other than with
-    a 429, so it is sent one input per request there from then on."""
+    """An endpoint refused its first list request to a path (see
+    Gateway._post), so it is sent one input per request there from then on."""
 
 
 class TokenAlignmentError(GatewayError):
@@ -397,16 +400,20 @@ def _score_wire(model_id: str, prompt: str | list[str]) -> dict:
     return {"model": model_id, "prompt": prompt, "max_tokens": 0, "echo": True, "logprobs": 1}
 
 
-# path -> (the request field that carries a list of inputs, the reply field
-# that carries one item per input)
-_LIST_FIELDS = {"/completions": ("prompt", "choices"), "/embeddings": ("input", "data")}
+# path -> (what error messages call one input, the reply field that carries
+# one item per input); only /completions and /embeddings take lists of inputs
+_ITEM_FIELDS = {
+    "/chat/completions": ("prompt", "choices"),
+    "/completions": ("prompt", "choices"),
+    "/embeddings": ("input", "data"),
+}
 
 
 def _items_by_index(data: dict, path: str, count: int) -> list[dict]:
     """The items of a reply to a list of `count` inputs sent to `path`, in
     input order, placed by their `index` and not by their position: exactly
     one per input, or GatewayError."""
-    inputs, field = _LIST_FIELDS[path]
+    inputs, field = _ITEM_FIELDS[path]
     items = data.get(field) if isinstance(data, dict) else None
     if not isinstance(items, list) or len(items) != count:
         got = len(items) if isinstance(items, list) else "no"
@@ -535,62 +542,34 @@ class Gateway:
             return limiter
 
     def _fetch(
-        self, endpoint: ModelEndpoint, payload: dict, mock_call, path: str, wire: dict
-    ) -> tuple[dict, str]:
-        """Decoded response for one request, and the request's name in error
-        messages: its cache key, or with no cache its model and path.
-
-        With a cache, the fingerprint of `payload` keys it; without one,
-        `payload` is not fingerprinted. On a miss, a mock endpoint's reply is
-        `mock_call(backend)`, used as it is and encoded only to be cached;
-        any other endpoint's comes from POSTing `wire` to `path` and is
-        cached once it decodes: an unreadable reply is never replayed.
-        """
-        if self._cache is None:
-            key, name = None, _uncached_name(endpoint, path)
-        else:
-            key = request_fingerprint(payload)
-            name = f"request {key}"
-            body = self._cache.get(key)
-            if body is not None:
-                return _decode(body, name), name
-        if endpoint.is_mock:
-            data = mock_call(self._mock(endpoint))
-            if key is not None:
-                self._cache.put(key, _encode(data))
-            return data, name
-        body = self._post(endpoint, path, wire)
-        data = _decode(body, name)
-        if key is not None:
-            self._cache.put(key, body)
-        return data, name
-
-    def _fetch_each(
         self,
         endpoint: ModelEndpoint,
         path: str,
         payloads: Sequence[dict],
-        list_wire: Callable[[list[int]], dict],
+        wire: Callable[[list[int]], dict],
         mock_call: Callable[[MockBackend, list[int]], dict],
+        lists: bool = False,
     ) -> list[tuple[dict, str] | None]:
-        """The item, a choice or an embedding, and the name (see _fetch) of
-        each of several requests to `path`, request i keyed by `payloads[i]`
-        when there is a cache, with the ones the cache misses sent as one
-        list request; or None for a request the caller is to send on its
-        own, because the endpoint refuses list requests to `path`.
+        """The item, a choice or an embedding, of the reply to each request
+        to `path`, and the request's name in error messages: with a cache,
+        request i is keyed and named by the fingerprint of `payloads[i]`;
+        without one nothing is fingerprinted and the name gives the model
+        and path.
 
         Each cache entry is read once. The misses, at positions `misses`,
-        go out in input order as `list_wire(misses)` under one rate-limiter
-        admission; a mock endpoint answers them with `mock_call(backend,
-        misses)`. Each item of the reply, placed by its index, is cached as
-        the one-item reply a request of its own would have had. An HTTP
-        endpoint's first list request to a path is a probe (see _post_list).
-        If it is refused, that call's misses are None; once it has been,
-        every request is None and no entry is read here.
+        are answered by one mock call, `mock_call(backend, misses)`; or with
+        `lists`, by one list request `wire(misses)` (see _post_list); or else
+        there is one request, and `wire([0])` is POSTed on its own. A lone
+        HTTP reply is cached as its bytes once it decodes, so an unreadable
+        one is never replayed. Any other item, placed by its index, is
+        cached as the one-item reply a request of its own would have had.
+        With `lists`, a request is None if the caller is to send it on its
+        own, because the endpoint refuses list requests to `path`; once it
+        has, every request is None and no entry is read here.
         """
-        if self._takes_lists.get(_endpoint_key(endpoint) + (path,)) is False:
+        if lists and self._takes_lists.get(_endpoint_key(endpoint) + (path,)) is False:
             return [None] * len(payloads)
-        field = _LIST_FIELDS[path][1]
+        field = _ITEM_FIELDS[path][1]
         results: list[tuple[dict, str] | None]
         if self._cache is None:
             keys = None
@@ -612,11 +591,18 @@ class Gateway:
         if endpoint.is_mock:
             data = mock_call(self._mock(endpoint), misses)
             items = _items_by_index(data, path, len(misses))
-        else:
-            answer = self._post_list(endpoint, path, list_wire(misses), len(misses))
+        elif lists:
+            answer = self._post_list(endpoint, path, wire(misses), len(misses))
             if answer is None:
                 return results
             data, items = answer
+        else:
+            body = self._post(endpoint, path, wire(misses))
+            [name] = names
+            data = _decode(body, name)
+            if keys is not None:
+                self._cache.put(keys[0], body)
+            return [(self._first_item(data, field, name), name)]
         for i, item in zip(misses, items):
             results[i] = item, names[i]
             if keys is not None:
@@ -631,8 +617,8 @@ class Gateway:
         per request there.
 
         The endpoint's first list request to a path is a probe, and threads
-        that come while it is in flight wait for its outcome. If it fails in
-        any way but a 429, or its reply has not one item per input, the
+        that come while it is in flight wait for its outcome. If it is
+        refused (see _post) or its reply has not one item per input, the
         endpoint takes one input per request at that path for the Gateway's
         life. A probe that raises anything else (such as 429s past
         max_retries) settles nothing: the next list request is a probe again.
@@ -644,12 +630,20 @@ class Gateway:
             takes = self._takes_lists.get(key)
             if takes is None:
                 self._probing.add(key)
-        if takes is not None:
-            return self._send_list(endpoint, path, wire, count) if takes else None
+        if takes is False:
+            return None
+        probe = takes is None
         try:
-            answer = self._send_list(endpoint, path, wire, count, probe=True)
+            body = self._post(endpoint, path, wire, probe=probe)
+            try:
+                data = _decode(body, f"a list of {count} inputs")
+                items = _items_by_index(data, path, count)
+            except GatewayError as exc:
+                if probe:
+                    raise ListRequestRefused(str(exc)) from exc
+                raise
             takes = True
-            return answer
+            return data, items
         except ListRequestRefused as exc:
             log.warning(
                 "%s refused a list request to %s (%s); sending one input per request",
@@ -658,23 +652,12 @@ class Gateway:
             takes = False
             return None
         finally:
-            with self._probe_settled:
-                self._probing.discard(key)
-                if takes is not None:
-                    self._takes_lists[key] = takes
-                self._probe_settled.notify_all()
-
-    def _send_list(
-        self, endpoint: ModelEndpoint, path: str, wire: dict, count: int, probe: bool = False
-    ) -> tuple[dict, list[dict]]:
-        body = self._post(endpoint, path, wire, probe=probe)
-        try:
-            data = _decode(body, f"a list of {count} inputs")
-            return data, _items_by_index(data, path, count)
-        except GatewayError as exc:
             if probe:
-                raise ListRequestRefused(str(exc)) from exc
-            raise
+                with self._probe_settled:
+                    self._probing.discard(key)
+                    if takes is not None:
+                        self._takes_lists[key] = takes
+                    self._probe_settled.notify_all()
 
     @staticmethod
     def _first_item(data: dict, field: str, name: str) -> dict:
@@ -689,8 +672,9 @@ class Gateway:
         self, endpoint: ModelEndpoint, path: str, payload: dict, probe: bool = False
     ) -> bytes:
         """The body of a 200 reply to `payload`. A 429, a 5xx, a timeout or
-        a failed connection is retried with backoff; with `probe`, only a
-        429 is, and any other failure raises ListRequestRefused at once."""
+        a failed connection is retried with backoff. With `probe`, a failed
+        connection or a 4xx other than 429 raises ListRequestRefused at once,
+        and so do retries that run out on anything but a 429."""
         url = endpoint.base_url.rstrip("/") + path
         headers = {}
         if endpoint.api_key_ref:
@@ -722,25 +706,27 @@ class Gateway:
                     failure = "timeout"
                 elif isinstance(exc, failures):
                     failure = f"connection error: {exc}"
+                    if probe:
+                        raise ListRequestRefused(failure) from exc
                 else:
                     raise
-                if probe:
-                    raise ListRequestRefused(failure) from exc
                 log.warning("%s attempt %d/%d failed: %s", url, attempt + 1, attempts, failure)
                 continue
-            if response.status_code == 200:
+            status = response.status_code
+            if status == 200:
                 return response.content
-            failure = f"HTTP {response.status_code}"
-            if response.status_code == 429 or response.status_code >= 500 and not probe:
+            failure = f"HTTP {status}"
+            if status == 429 or status >= 500:
                 log.warning("%s attempt %d/%d got %s", url, attempt + 1, attempts, failure)
                 continue
+            text = response.content.decode("utf-8", errors="replace")
             if probe:
-                raise ListRequestRefused(f"{failure}: {response.text[:500]}")
+                raise ListRequestRefused(f"{failure}: {text[:500]}")
             raise RequestFailed(
-                f"{url} rejected the request: {failure}: {response.text[:500]}",
-                status=response.status_code,
-                body=response.text,
+                f"{url} rejected the request: {failure}: {text[:500]}", status=status, body=text
             )
+        if probe and failure != "HTTP 429":
+            raise ListRequestRefused(f"still failing after {attempts} attempts ({failure})")
         raise RetriesExhausted(f"{url} still failing after {attempts} attempts ({failure})")
 
     # -- generation ----------------------------------------------------------
@@ -775,12 +761,10 @@ class Gateway:
             "temperature": temperature,
             "max_tokens": max_tokens,
         }
-        data, name = self._fetch(
-            endpoint, payload,
-            lambda mock: mock.generate(endpoint.model_id, prompt.text, temperature, max_tokens),
-            "/chat/completions", wire,
+        [(choice, _)] = self._fetch(
+            endpoint, "/chat/completions", [payload], lambda _: wire,
+            lambda mock, _: mock.generate(endpoint.model_id, prompt.text, temperature, max_tokens),
         )
-        choice = self._first_item(data, "choices", name)
         text = (choice.get("message") or {}).get("content") or ""
         finish = choice.get("finish_reason")
         if finish not in FINISH_REASONS:
@@ -796,32 +780,32 @@ class Gateway:
         sent as a request of its own (see _score_wire and _logprob_result)."""
         if not continuation:
             raise ValueError("continuation must be non-empty")
-        data, name = self._fetch(
-            endpoint, _score_payload(endpoint.model_id, prompt_text, continuation),
-            lambda mock: mock.score(endpoint.model_id, prompt_text, (continuation,)),
-            "/completions", _score_wire(endpoint.model_id, prompt_text + continuation),
+        model = endpoint.model_id
+        [(choice, _)] = self._fetch(
+            endpoint, "/completions", [_score_payload(model, prompt_text, continuation)],
+            lambda _: _score_wire(model, prompt_text + continuation),
+            lambda mock, _: mock.score(model, prompt_text, (continuation,)),
         )
-        return _logprob_result(
-            endpoint, prompt_text, continuation, self._first_item(data, "choices", name)
-        )
+        return _logprob_result(endpoint, prompt_text, continuation, choice)
 
     def score_continuations(
         self, endpoint: ModelEndpoint, prompt_text: str, continuations: Sequence[str]
     ) -> list[LogprobResult]:
         """score_continuation of each continuation of one prompt, in order,
         with the ones the cache misses sent as one /completions request with
-        a list prompt (see _fetch_each). On an endpoint that refuses list
+        a list prompt (see _fetch). On an endpoint that refuses list
         prompts, each miss goes through score_continuation."""
         if not all(continuations):
             raise ValueError("continuation must be non-empty")
         model = endpoint.model_id
-        fetched = self._fetch_each(
+        fetched = self._fetch(
             endpoint, "/completions",
             [_score_payload(model, prompt_text, c) for c in continuations],
             lambda misses: _score_wire(model, [prompt_text + continuations[i] for i in misses]),
             lambda mock, misses: mock.score(
                 model, prompt_text, tuple(continuations[i] for i in misses)
             ),
+            lists=True,
         )
         return [
             self.score_continuation(endpoint, prompt_text, c) if found is None
@@ -837,23 +821,24 @@ class Gateway:
         if not text.strip():
             raise ValueError("embedding input must be non-empty")
         model = endpoint.model_id
-        data, name = self._fetch(
-            endpoint, _embed_payload(model, text), lambda mock: mock.embed(model, text),
-            "/embeddings", {"model": model, "input": text},
+        [found] = self._fetch(
+            endpoint, "/embeddings", [_embed_payload(model, text)],
+            lambda _: {"model": model, "input": text}, lambda mock, _: mock.embed(model, text),
         )
-        return self._embedding(endpoint, self._first_item(data, "data", name), name)
+        return self._embedding(endpoint, *found)
 
     def embed_texts(self, endpoint: ModelEndpoint, texts: Sequence[str]) -> list[EmbeddingResult]:
         """embed of each text, in order, with the ones the cache misses sent
-        as one /embeddings request with a list input (see _fetch_each). On an
+        as one /embeddings request with a list input (see _fetch). On an
         endpoint that refuses list inputs, each miss goes through embed."""
         if not all(text.strip() for text in texts):
             raise ValueError("embedding input must be non-empty")
         model = endpoint.model_id
-        fetched = self._fetch_each(
+        fetched = self._fetch(
             endpoint, "/embeddings", [_embed_payload(model, text) for text in texts],
             lambda misses: {"model": model, "input": [texts[i] for i in misses]},
             lambda mock, misses: mock.embed(model, tuple(texts[i] for i in misses)),
+            lists=True,
         )
         return [
             self.embed(endpoint, text) if found is None else self._embedding(endpoint, *found)

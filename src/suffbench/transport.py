@@ -7,7 +7,7 @@ proxied, netrc or redirecting host. A run whose hosts are all plain http
 never imports requests, urllib3 or charset_normalizer.
 
 The Gateway accepts any session with `post(url, json=, headers=, timeout=)`
-whose reply has `status_code`, `content` and `text`, and a `close()`.
+whose reply has `status_code` and `content`, and a `close()`.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import os
 import select
 import sys
 import threading
+from typing import NamedTuple
 from urllib.parse import urlsplit
 
 from . import __version__
@@ -34,60 +35,12 @@ LEAN_HEADERS = {
 }
 
 
-def _encoding_from_content_type(content_type: str | None) -> str | None:
-    """The encoding requests.utils.get_encoding_from_headers reads from a
-    Content-Type header: its charset, else ISO-8859-1 for text, UTF-8 for
-    JSON, and None for anything else."""
-    if not content_type:
-        return None
-    media, *params = content_type.split(";")
-    charset = None
-    for param in params:
-        key, equals, value = param.strip().partition("=")
-        if equals and key.strip("\"' ").lower() == "charset":
-            charset = value.strip("\"' ")
-    if charset is not None:
-        return charset
-    if "text" in media:
-        return "ISO-8859-1"
-    if "application/json" in media:
-        return "utf-8"
-    return None
+class Reply(NamedTuple):
+    """A plain-http reply: the two parts of a requests.Response that the
+    Gateway reads."""
 
-
-class Reply:
-    """A plain-http reply: the parts of a requests.Response that callers
-    read, decoded as requests decodes them."""
-
-    def __init__(self, url: str, status_code: int, reason: str, headers, content: bytes):
-        self.url, self.status_code, self.reason = url, status_code, reason
-        self.headers, self.content = headers, content
-        self.encoding = _encoding_from_content_type(headers.get("Content-Type"))
-
-    @property
-    def text(self) -> str:
-        if not self.content:
-            return ""
-        encoding = self.encoding
-        if encoding is None:
-            # requests guesses with its detector; only a reply that names no
-            # charset and is neither text nor JSON loads it
-            from requests.compat import chardet
-
-            encoding = chardet.detect(self.content)["encoding"] if chardet else "utf-8"
-        try:
-            return str(self.content, encoding or "utf-8", errors="replace")
-        except LookupError:
-            return str(self.content, errors="replace")
-
-    def json(self):
-        if self.encoding is None:
-            # as requests does: UTF-8, -16 or -32 as JSON allows, else the text
-            try:
-                return jsonlib.loads(self.content)
-            except UnicodeDecodeError:
-                pass
-        return jsonlib.loads(self.text)
+    status_code: int
+    content: bytes
 
 
 def _may_need_requests() -> bool:
@@ -155,7 +108,7 @@ class HttpSession:
         if 300 <= reply.status < 400:
             self._plain[parts.netloc] = False
             return self._requests().post(url, json=json, headers=headers, timeout=timeout)
-        return Reply(url, reply.status, reply.reason, reply.msg, content)
+        return Reply(reply.status, content)
 
     def _requests(self):
         """The requests.Session for every request the lean path does not

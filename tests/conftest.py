@@ -241,17 +241,18 @@ class _Reply:
     def __init__(self, status_code: int, body: dict):
         self.status_code = status_code
         self.content = json.dumps(body, ensure_ascii=False).encode("utf-8")
-        self.text = self.content.decode("utf-8")
 
 
 class FaultyMockSession:
     """A Gateway session that answers a POST to http://<host>/<seed><path>
     as mock://<seed> does (see mock_routes), with no server, except that the
-    first attempt of every `every`-th distinct request, by URL and payload,
-    fails: in turn with a 429, a 503 and a timeout. A later attempt of the
-    same request is answered. `faults` counts the failures by kind."""
+    first attempt of the first distinct request, by URL and payload, and of
+    every `every`-th one after it, fails: in turn with a 503, a timeout and
+    a 429. So the first request a resumed run sends, often an endpoint's
+    first list request, gets a 503. A later attempt of the same request is
+    answered. `faults` counts the failures by kind."""
 
-    FAULTS = (429, 503, "timeout")
+    FAULTS = (503, "timeout", 429)
 
     def __init__(self, every: int):
         self.every = every
@@ -267,8 +268,8 @@ class FaultyMockSession:
             fault = None
             if request not in self._seen:
                 self._seen.add(request)
-                if len(self._seen) % self.every == 0:
-                    fault = self.FAULTS[(len(self._seen) // self.every - 1) % len(self.FAULTS)]
+                if (len(self._seen) - 1) % self.every == 0:
+                    fault = self.FAULTS[(len(self._seen) - 1) // self.every % len(self.FAULTS)]
                     self.faults[fault] += 1
             routes = self._routes.setdefault(seed, mock_routes(int(seed)))
         if fault == "timeout":

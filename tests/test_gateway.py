@@ -74,7 +74,6 @@ class FakeResponse:
     def __init__(self, status_code: int, body: dict | bytes):
         self.status_code = status_code
         self.content = body if isinstance(body, bytes) else json.dumps(body).encode("utf-8")
-        self.text = self.content.decode("utf-8")
 
 
 class FakeSession:
@@ -301,6 +300,30 @@ class TestCache:
         result = Gateway(cache_dir=tmp_path, session=session).generate(endpoint, prompt_of("p"))
         assert len(session.calls) == 2
         assert result.text.startswith("Answer: B")
+
+    def test_a_lone_reply_is_cached_as_its_bytes(self, tmp_path):
+        # the server indents its JSON and escapes non-ASCII, as the cache's
+        # own encoding does not: each entry is the reply's bytes as they came
+        generation = MockBackend(7).generate("mock-gen", "پرسش؟", 0.0, 512)
+        generation["choices"][0]["message"]["content"] = "Answer: B\nExplanation: نور خورشید"
+        replies = [
+            json.dumps(body, indent=2).encode("ascii")
+            for body in (generation, list_reply(FA_PROMPT, [" A"]), embed_reply(["نور"]))
+        ]
+        endpoint = ModelEndpoint(base_url="http://fake", model_id="mock-gen")
+
+        def calls(gw):
+            return (gw.generate(endpoint, prompt_of("پرسش؟")),
+                    gw.score_continuation(endpoint, FA_PROMPT, " A"),
+                    gw.embed(endpoint, "نور"))
+
+        session = FakeSession([(200, body) for body in replies])
+        live = calls(Gateway(cache_dir=tmp_path, session=session))
+        assert sorted(cache_files(tmp_path).values()) == sorted(replies)
+        fresh = FakeSession([])
+        assert calls(Gateway(cache_dir=tmp_path, session=fresh)) == live
+        assert fresh.calls == []
+        assert live[0].text.endswith("نور خورشید")
 
     def test_cache_salt_keys_the_cache_not_the_wire(self, server, tmp_path):
         endpoint = live_endpoint(server)
@@ -609,16 +632,15 @@ def single_replies(prompt_text, continuations) -> list:
 
 
 class TestListPromptProbe:
-    """An HTTP endpoint's first list-prompt request is a probe: a 429 is
-    retried, and any other failure sends the endpoint one prompt per request
-    from then on, with no backoff."""
+    """An HTTP endpoint's first list-prompt request is a probe: a 429, a 5xx
+    or a timeout is retried as for any request, and any other failure sends
+    the endpoint one prompt per request from then on, with no backoff."""
 
     OTHER = "Question: R?\nThe answer is "
 
     @pytest.mark.parametrize("refusal", [
-        400, 404, 413, 500, 503,
-        TimeoutError("slow"), ConnectionError("reset"),
-        requests.Timeout("slow"), requests.ConnectionError("reset"),
+        400, 404, 413,
+        ConnectionError("reset"), requests.ConnectionError("reset"),
         (200, b"<html>Bad gateway</html>"),
         (200, {"choices": list_reply(SCORING_PROMPT, OPTIONS)["choices"][:1]}),
     ], ids=repr)
@@ -674,10 +696,10 @@ class TestListPromptProbe:
         assert len(server.requests) == 1 + 16 * 4
         assert [[r.total_logprob for r in got] for got in results] == [[-1.0, -2.0, -3.0, -4.0]] * 16
 
-    def test_429_on_the_probe_is_retried_and_batching_stays_on(self):
+    def assert_probe_retried(self, failure):
         vc = VirtualClock()
         session = FakeSession([
-            429,
+            failure,
             (200, list_reply(SCORING_PROMPT, OPTIONS)),
             (200, list_reply(self.OTHER, OPTIONS)),
         ])
@@ -687,6 +709,55 @@ class TestListPromptProbe:
         gw.score_continuations(endpoint, self.OTHER, OPTIONS)
         assert vc.sleeps == [Gateway.BACKOFF_BASE]
         assert [len(call["json"]["prompt"]) for call in session.calls] == [4, 4, 4]
+
+    def test_429_on_the_probe_is_retried_and_batching_stays_on(self):
+        self.assert_probe_retried(429)
+
+    @pytest.mark.parametrize("failure", [
+        500, 503, TimeoutError("slow"), requests.Timeout("slow"),
+    ], ids=repr)
+    def test_probe_retries_5xx_and_timeouts(self, failure):
+        self.assert_probe_retried(failure)
+
+    def test_a_probe_whose_503s_run_out_falls_back(self, tmp_path):
+        vc = VirtualClock()
+        session = FakeSession([
+            503, 503, 503, 503,
+            *single_replies(SCORING_PROMPT, OPTIONS),
+            *single_replies(self.OTHER, OPTIONS),
+        ])
+        gw = Gateway(cache_dir=tmp_path, clock=vc.clock, sleep=vc.sleep, session=session)
+        endpoint = ModelEndpoint(base_url="http://fake", model_id="m", max_retries=3)
+        first = gw.score_continuations(endpoint, SCORING_PROMPT, OPTIONS)
+        second = gw.score_continuations(endpoint, self.OTHER, OPTIONS)
+        assert vc.sleeps == [0.5, 1.0, 2.0]
+        prompts = [call["json"]["prompt"] for call in session.calls]
+        assert prompts[:4] == [[SCORING_PROMPT + c for c in OPTIONS]] * 4
+        assert prompts[4:] == [p + c for p in (SCORING_PROMPT, self.OTHER) for c in OPTIONS]
+        assert first == second == Gateway().score_continuations(MOCK, SCORING_PROMPT, OPTIONS)
+        assert len(cache_files(tmp_path)) == 8
+
+    def test_a_503_on_the_first_list_prompt_leaves_one_request_per_row(self):
+        # the probe's 503 is retried, so the next 10 rows send 10 requests,
+        # not 40 with one prompt each
+        sleeps = []
+        with FixtureServer() as server:
+            endpoint = ModelEndpoint(base_url=route_mock(server, 7), model_id="m",
+                                     requests_per_minute=10_000)
+            gw = Gateway(sleep=sleeps.append)
+            server.script_statuses([503])
+            gw.score_continuations(endpoint, SCORING_PROMPT, OPTIONS)
+            probe = list(server.requests)
+            del server.requests[:]
+            rows = [gw.score_continuations(endpoint, f"Question {i}?\nThe answer is ", OPTIONS)
+                    for i in range(10)]
+            gw.close()
+        assert sleeps == [Gateway.BACKOFF_BASE]
+        assert [len(r["payload"]["prompt"]) for r in probe] == [4, 4]
+        assert [len(r["payload"]["prompt"]) for r in server.requests] == [4] * 10
+        mock = ModelEndpoint(base_url="mock://7", model_id="m")
+        assert rows == [Gateway().score_continuations(mock, f"Question {i}?\nThe answer is ",
+                                                      OPTIONS) for i in range(10)]
 
     def test_failures_after_a_batched_success_are_retried(self):
         vc = VirtualClock()
@@ -704,12 +775,12 @@ class TestListPromptProbe:
 
     def test_a_probe_that_runs_out_of_429_retries_settles_nothing(self):
         vc = VirtualClock()
-        session = FakeSession([429, 429, 503, *single_replies(SCORING_PROMPT, OPTIONS)])
+        session = FakeSession([429, 429, 400, *single_replies(SCORING_PROMPT, OPTIONS)])
         gw = Gateway(clock=vc.clock, sleep=vc.sleep, session=session)
         endpoint = ModelEndpoint(base_url="http://fake", model_id="m", max_retries=1)
         with pytest.raises(RetriesExhausted):
             gw.score_continuations(endpoint, SCORING_PROMPT, OPTIONS)
-        # the next row probes again, and this probe's 503 refuses list prompts
+        # the next row probes again, and this probe's 400 refuses list prompts
         gw.score_continuations(endpoint, SCORING_PROMPT, OPTIONS)
         assert [isinstance(call["json"]["prompt"], list) for call in session.calls] == [
             True, True, True, False, False, False, False,

@@ -369,6 +369,83 @@ def uninterrupted(tmp_path_factory, en_corpus):
     )
 
 
+def _mock_contexts(root, corpus):
+    """A function that makes a run context over `corpus` under `root` with
+    a Gateway of its own, given the store to resume or none, and the list
+    of the Gateways it made."""
+    gateways = []
+
+    def context(store=None):
+        gateways.append(Gateway(cache_dir=root / "cache"))
+        return new_context(root, {"en": corpus}, gateway=gateways[-1], store=store)
+
+    return context, gateways
+
+
+def _faulty_contexts(root, corpus):
+    """As _mock_contexts, except that every endpoint is HTTP, answered as
+    its mock:// twin would be by a FaultyMockSession of its own, which fails
+    the first attempt of one distinct request in FAULT_EVERY; returns the
+    function, the sessions it made and the sleeps their Gateways took."""
+    sessions, sleeps = [], []
+
+    def context(store=None):
+        sessions.append(FaultyMockSession(every=FAULT_EVERY))
+        gateway = Gateway(cache_dir=root / "cache", sleep=sleeps.append, session=sessions[-1])
+        return new_context(
+            root, {"en": corpus}, generators=(_over_http(GEN),),
+            scorer=_over_http(PROBE), embedder=_over_http(EMBED),
+            gateway=gateway, store=store,
+        )
+
+    return context, sessions, sleeps
+
+
+def _assert_each_fault_retried_once(sessions, sleeps):
+    """Every kind of fault was injected, and each fault cost one first
+    backoff and nothing else."""
+    faults = sum((session.faults for session in sessions), Counter())
+    assert set(faults) == set(FaultyMockSession.FAULTS)
+    assert len(sleeps) == sum(faults.values())
+    assert set(sleeps) == {Gateway.BACKOFF_BASE}
+
+
+def _resume(root, context):
+    """Run every stage of context(store) on the store under `root`,
+    reopened for resume."""
+    store = RunStore.open_resume(root / "store", RunManifest.new(RUN, {"levels": [10, 90]}))
+    run(context(store), STAGES)
+    store.close()
+    return store
+
+
+def _kill_and_resume(root, context, k):
+    """Run context() until its k-th append, then resume it."""
+    ctx = context()
+    _kill_at_append(ctx.store, k)
+    with pytest.raises(_Killed):
+        run(ctx, STAGES)
+    ctx.store.close()
+    _resume(root, context)
+
+
+def _tear_and_resume(root, context, k, data):
+    """Run context() until its k-th row write, which writes only part of
+    its row (a number of bytes `data` draws), then resume it: resume
+    salvages the torn tail, and a row written whole is kept."""
+    ctx = context()
+    _, torn = _tear_at_write(
+        ctx.store, k,
+        lambda row: data.draw(st.integers(min_value=0, max_value=len(row)), label="bytes"),
+    )
+    with pytest.raises(_Killed):
+        run(ctx, STAGES)
+    ctx.store.close()
+    [(name, written, size)] = torn
+    store = _resume(root, context)
+    assert store.salvage_report == ({name: written} if 0 < written < size else {})
+
+
 class TestResume:
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
@@ -378,92 +455,52 @@ class TestResume:
         tables, counts, texts, appends, _ = uninterrupted
         k = data.draw(st.integers(min_value=0, max_value=appends - 1), label="killed at append")
         root = tmp_path_factory.mktemp("killed")
-        first = Gateway(cache_dir=root / "cache")
-        ctx = new_context(root, {"en": en_corpus}, gateway=first)
-        _kill_at_append(ctx.store, k)
+        context, gateways = _mock_contexts(root, en_corpus)
         with _texts_embedded() as embedded:
-            with pytest.raises(_Killed):
-                run(ctx, STAGES)
-            ctx.store.close()
-
-            store = RunStore.open_resume(
-                root / "store", RunManifest.new(RUN, {"levels": [10, 90]})
-            )
-            resumed = Gateway(cache_dir=root / "cache")
-            run(new_context(root, {"en": en_corpus}, gateway=resumed, store=store), STAGES)
-            store.close()
+            _kill_and_resume(root, context, k)
         assert store_bytes(root / "store") == tables
         # each call the first run completed is answered by the cache
-        _assert_no_call_repeated(first, resumed, counts, texts, embedded)
+        _assert_no_call_repeated(*gateways, counts, texts, embedded)
 
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
     def test_torn_write_at_any_append_resumes_to_the_same_store(
         self, uninterrupted, tmp_path_factory, en_corpus, data
     ):
-        # the process dies part way through a row's write: resume salvages
-        # the torn tail, and a row written whole is kept
         tables, counts, texts, _, writes = uninterrupted
         k = data.draw(st.integers(min_value=0, max_value=writes - 1), label="torn at write")
         root = tmp_path_factory.mktemp("torn")
-        first = Gateway(cache_dir=root / "cache")
-        ctx = new_context(root, {"en": en_corpus}, gateway=first)
-        _, torn = _tear_at_write(
-            ctx.store, k,
-            lambda row: data.draw(st.integers(min_value=0, max_value=len(row)), label="bytes"),
-        )
+        context, gateways = _mock_contexts(root, en_corpus)
         with _texts_embedded() as embedded:
-            with pytest.raises(_Killed):
-                run(ctx, STAGES)
-            ctx.store.close()
-            [(name, written, size)] = torn
-
-            store = RunStore.open_resume(
-                root / "store", RunManifest.new(RUN, {"levels": [10, 90]})
-            )
-            assert store.salvage_report == ({name: written} if 0 < written < size else {})
-            resumed = Gateway(cache_dir=root / "cache")
-            run(new_context(root, {"en": en_corpus}, gateway=resumed, store=store), STAGES)
-            store.close()
+            _tear_and_resume(root, context, k, data)
         assert store_bytes(root / "store") == tables
-        _assert_no_call_repeated(first, resumed, counts, texts, embedded)
+        _assert_no_call_repeated(*gateways, counts, texts, embedded)
 
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
     def test_killed_at_any_append_under_injected_faults_resumes_to_the_same_store(
         self, uninterrupted, tmp_path_factory, en_corpus, data
     ):
-        # every endpoint is HTTP, answered as its mock:// twin would be, and
-        # the first attempt of every FAULT_EVERY-th distinct request fails
         tables, _, _, appends, _ = uninterrupted
         k = data.draw(st.integers(min_value=0, max_value=appends - 1), label="killed at append")
         root = tmp_path_factory.mktemp("faults")
-        sessions, sleeps = [], []
-
-        def faulty_context(store=None):
-            session = FaultyMockSession(every=FAULT_EVERY)
-            sessions.append(session)
-            gateway = Gateway(cache_dir=root / "cache", sleep=sleeps.append, session=session)
-            return new_context(
-                root, {"en": en_corpus}, generators=(_over_http(GEN),),
-                scorer=_over_http(PROBE), embedder=_over_http(EMBED),
-                gateway=gateway, store=store,
-            )
-
-        ctx = faulty_context()
-        _kill_at_append(ctx.store, k)
-        with pytest.raises(_Killed):
-            run(ctx, STAGES)
-        ctx.store.close()
-        store = RunStore.open_resume(root / "store", RunManifest.new(RUN, {"levels": [10, 90]}))
-        run(faulty_context(store), STAGES)
-        store.close()
+        context, sessions, sleeps = _faulty_contexts(root, en_corpus)
+        _kill_and_resume(root, context, k)
         assert store_bytes(root / "store") == tables
-        faults = sum((session.faults for session in sessions), Counter())
-        assert set(faults) == set(FaultyMockSession.FAULTS)
-        # a failed list probe is not retried; every other fault is, once
-        assert 0 < len(sleeps) <= sum(faults.values())
-        assert set(sleeps) == {Gateway.BACKOFF_BASE}
+        _assert_each_fault_retried_once(sessions, sleeps)
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_torn_write_at_any_append_under_injected_faults_resumes_to_the_same_store(
+        self, uninterrupted, tmp_path_factory, en_corpus, data
+    ):
+        tables, _, _, _, writes = uninterrupted
+        k = data.draw(st.integers(min_value=0, max_value=writes - 1), label="torn at write")
+        root = tmp_path_factory.mktemp("torn-faults")
+        context, sessions, sleeps = _faulty_contexts(root, en_corpus)
+        _tear_and_resume(root, context, k, data)
+        assert store_bytes(root / "store") == tables
+        _assert_each_fault_retried_once(sessions, sleeps)
 
     @pytest.mark.parametrize("killed_at", [1, 7, 15, 16, 30])
     def test_resumed_similarity_sends_the_batches_of_an_uninterrupted_run(
