@@ -256,7 +256,7 @@ def build_context(config: RunConfig, store: RunStore, gateway: Gateway | None = 
             from .transport import HttpSession
 
             # one kept connection for every request a stage keeps in flight;
-            # requests' default pool keeps 10 and discards the rest
+            # a Gateway's default session keeps 10 and closes the rest
             session = HttpSession(requests_in_flight(config.workers))
         gateway = Gateway(cache_dir=config.cache_dir, session=session)
     return RunContext(

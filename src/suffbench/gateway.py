@@ -31,11 +31,11 @@ text per request there from then on.
 HTTP requests go through a session: any object with
 `post(url, json=, headers=, timeout=)` returning a reply with
 `status_code` and `content`, and a `close()`. That is the caller's, such
-as suffbench.transport.HttpSession or a requests.Session, or a default
-requests.Session the Gateway creates at its first HTTP request. This
-module imports requests only then, so a run that passes its own session
-never loads it here. A timeout or a failed connection, the builtin
-TimeoutError and ConnectionError or requests' own, is retried.
+as suffbench.transport.HttpSession, or an HttpSession the Gateway creates
+at its first HTTP request; this module imports suffbench.transport only
+then, so a mock-only Gateway never loads http.client. A timeout or a
+failed connection, the builtin TimeoutError and ConnectionError or those
+of a requests.Session a caller passes, is retried.
 """
 
 from __future__ import annotations
@@ -121,6 +121,11 @@ class ModelEndpoint:
             raise ValueError("requests_per_minute must be >= 1")
         if self.timeout <= 0:
             raise ValueError("timeout must be positive")
+        if not self.base_url.isascii():
+            raise ValueError(
+                f"base_url {self.base_url!r} is not ASCII: give its host in punycode"
+                " (xn--...) and percent-encode its path"
+            )
 
     @property
     def is_mock(self) -> bool:
@@ -469,9 +474,10 @@ def _logprob_result(
 def _transport_errors() -> tuple[tuple[type, ...], tuple[type, ...]]:
     """The exceptions that mean a timeout, and those that mean a failed
     connection: the builtins, and requests' own once requests is loaded.
-    All of them are OSErrors. Read after a request fails, since that request
-    may have loaded requests; if it is not loaded, no session can have
-    raised one of its exceptions."""
+    All of them are OSErrors. requests' are here only because a caller may
+    still pass a requests.Session, as the benchmark's tracing session is;
+    suffbench itself never imports requests. If requests is not loaded, no
+    session can have raised one of its exceptions."""
     requests = sys.modules.get("requests")
     if requests is None:
         return (TimeoutError,), (ConnectionError,)
@@ -686,9 +692,10 @@ class Gateway:
             headers["Authorization"] = f"Bearer {api_key}"
         with self._lock:
             if self._session is None:
-                import requests  # loaded for the default session, not with this module
+                from .transport import HttpSession  # loaded for HTTP, not with this module
 
-                self._session = requests.Session()
+                # keeps as many connections per host as requests' default pool
+                self._session = HttpSession(10)
             session = self._session
         attempts = endpoint.max_retries + 1
         failure = ""

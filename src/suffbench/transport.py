@@ -1,10 +1,9 @@
 """The HTTP transport: the pooled session a run gives its Gateway.
 
 cli loads this module only for a config that names an http(s) endpoint, so
-a mock-only run, a report or a config check never loads http.client. It
-loads requests only at the first request that needs it: an https,
-proxied, netrc or redirecting host. A run whose hosts are all plain http
-never imports requests, urllib3 or charset_normalizer.
+a mock-only run, a report or a config check never loads http.client. Every
+request goes over http.client, to plain-http and https hosts alike, and the
+package needs no HTTP library.
 
 The Gateway accepts any session with `post(url, json=, headers=, timeout=)`
 whose reply has `status_code` and `content`, and a `close()`.
@@ -12,18 +11,22 @@ whose reply has `status_code` and `content`, and a `close()`.
 
 from __future__ import annotations
 
+import base64
 import http.client
 import json as jsonlib
+import netrc
 import os
 import select
-import sys
+import ssl
 import threading
-from typing import NamedTuple
-from urllib.parse import urlsplit
+import urllib.request
+import weakref
+from typing import Callable, NamedTuple
+from urllib.parse import unquote, urljoin, urlsplit
 
 from . import __version__
 
-# what the lean path sends besides the caller's headers: requests' default
+# what every request sends besides the caller's headers: requests' default
 # headers, except that it asks for an uncompressed reply and names this
 # package as the client
 LEAN_HEADERS = {
@@ -34,51 +37,91 @@ LEAN_HEADERS = {
     "Content-Type": "application/json",
 }
 
+# a 307 or 308 is followed this many times at most, as requests does
+MAX_REDIRECTS = 30
+
 
 class Reply(NamedTuple):
-    """A plain-http reply: the two parts of a requests.Response that the
-    Gateway reads."""
+    """A reply's status and body, the two parts of it that the Gateway
+    reads."""
 
     status_code: int
     content: bytes
 
 
-def _may_need_requests() -> bool:
-    """Whether requests could find a proxy or a netrc login for some host.
+class _Route(NamedTuple):
+    """How to reach one origin: what opens a connection to it, the prefix
+    that makes a path its request target, and the headers that a login or
+    a proxy adds."""
 
-    On Linux requests reads proxies only from `*_proxy` environment
-    variables, and netrc logins only from $NETRC, ~/.netrc or ~/_netrc; with
-    none of them every plain-http host is plain. Anywhere else this says
-    yes, and requests.utils decides.
-    """
-    if sys.platform != "linux" or any(name.lower().endswith("_proxy") for name in os.environ):
-        return True
-    netrc = os.environ.get("NETRC")
-    locations = (netrc,) if netrc is not None else ("~/.netrc", "~/_netrc")
-    return any(os.path.exists(os.path.expanduser(location)) for location in locations)
+    connect: Callable[[float | None], http.client.HTTPConnection]
+    prefix: str
+    headers: dict[str, str]
+
+
+def _basic(user: str, password: str) -> str:
+    """A Basic credential, encoded as requests encodes it."""
+    token = base64.b64encode(f"{user}:{password}".encode("latin-1")).decode("ascii")
+    return f"Basic {token}"
+
+
+def _netrc_login(host: str) -> tuple[str, str] | None:
+    """The login and password that the netrc file gives `host`, as requests
+    reads them: the first of $NETRC, or else ~/.netrc and ~/_netrc, that
+    exists. An unreadable or malformed file gives none."""
+    path = os.environ.get("NETRC")
+    locations = (path,) if path is not None else ("~/.netrc", "~/_netrc")
+    found = [p for p in map(os.path.expanduser, locations) if os.path.exists(p)]
+    if not found:
+        return None
+    try:
+        entry = netrc.netrc(found[0]).authenticators(host)
+    except (netrc.NetrcParseError, OSError):
+        return None
+    if not entry:
+        return None
+    login, account, password = entry
+    return (login or account, password)
+
+
+def _tls_context() -> ssl.SSLContext:
+    """A verifying TLS context that trusts $REQUESTS_CA_BUNDLE or
+    $CURL_CA_BUNDLE, a file or a directory, as requests does, or else the
+    system's store, where ssl reads $SSL_CERT_FILE and $SSL_CERT_DIR."""
+    bundle = os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE")
+    if bundle and os.path.isdir(bundle):
+        return ssl.create_default_context(capath=bundle)
+    return ssl.create_default_context(cafile=bundle or None)
 
 
 class HttpSession:
-    """Keeps up to `pool_size` connections per host and sends the Gateway's
-    JSON POSTs to plain-http hosts over http.client.
+    """Keeps up to `pool_size` connections per origin and sends the
+    Gateway's JSON POSTs over http.client.
 
     Per request, requests costs the client three to four times the CPU of
     http.client. With many requests in flight to a fast local endpoint that
     CPU, taken under one GIL, sets the run time, and a run moves with the
-    machine's speed. The lean path sends requests' body bytes and
-    LEAN_HEADERS, and it keeps no cookies. A host is sent that way when its
-    URL is http with no login and the environment gives it no proxy and no
-    netrc login, read once per host; any other request, and any host that
-    answers with a redirect, goes through a requests.Session that keeps as
-    many connections per host, created at the first such request.
+    machine's speed. A request carries requests' body bytes and
+    LEAN_HEADERS, and the session keeps no cookies.
+
+    The environment is read once per origin, as requests reads it: a proxy
+    from the `*_proxy` variables unless `no_proxy` names the host, a login
+    in the URL or else from the netrc file, and for https the CA bundle. A
+    caller's Authorization header wins over either login. A 307 or 308 is
+    followed with the same body, and the caller's Authorization header is
+    dropped when the scheme, host or port changes; any other reply, a 301,
+    302 or 303 too, is returned as it came.
     """
 
     def __init__(self, pool_size: int) -> None:
         self._pool_size = pool_size
-        self._plain: dict[str, bool] = {}
+        self._routes: dict[str, _Route] = {}
         self._idle: dict[str, list[http.client.HTTPConnection]] = {}
-        self._fallback = None
+        self._context: ssl.SSLContext | None = None
         self._lock = threading.Lock()
+        # a session dropped unclosed, as a Gateway's default one may be,
+        # still closes the connections it keeps
+        weakref.finalize(self, _close_idle, self._idle, self._lock)
 
     def __enter__(self) -> HttpSession:
         return self
@@ -86,67 +129,104 @@ class HttpSession:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def post(self, url: str, json, headers=None, timeout=None):
-        parts = urlsplit(url)
-        if not url.isascii() or not self._is_plain(parts):
-            return self._requests().post(url, json=json, headers=headers, timeout=timeout)
+    def post(self, url: str, json, headers=None, timeout=None) -> Reply:
         body = jsonlib.dumps(json, allow_nan=False).encode("utf-8")
-        connection = self._checkout(parts, timeout)
+        headers = dict(headers or {})
+        for _ in range(MAX_REDIRECTS + 1):
+            status, content, location = self._send(url, body, headers, timeout)
+            if status not in (307, 308) or location is None:
+                break
+            moved = urljoin(url, location)
+            if _host(moved) != _host(url):
+                headers.pop("Authorization", None)
+            url = moved
+        return Reply(status, content)
+
+    def _send(self, url: str, body: bytes, headers: dict, timeout):
+        """One POST: the reply's status, its body and its Location."""
+        parts = urlsplit(url)
+        # routes and kept connections are filed by scheme and netloc, login
+        # included
+        origin = f"{parts.scheme}://{parts.netloc}"
+        route = self._route(origin, parts)
+        target = parts.path or "/"
+        if parts.query:
+            target = f"{target}?{parts.query}"
+        connection = self._checkout(origin, route, timeout)
         try:
-            target = parts.path or "/"
-            connection.request("POST", f"{target}?{parts.query}" if parts.query else target,
-                               body, {**LEAN_HEADERS, **(headers or {})})
+            connection.request("POST", route.prefix + target, body,
+                               {**LEAN_HEADERS, **route.headers, **headers})
             reply = connection.getresponse()
             content = reply.read()
         except (TimeoutError, ConnectionError):
             connection.close()
             raise
         except (OSError, http.client.HTTPException) as exc:
+            # an ssl.SSLError too: requests raises a ConnectionError for it
             connection.close()
             raise ConnectionError(exc) from exc
-        self._checkin(parts.netloc, connection, reply.will_close)
-        if 300 <= reply.status < 400:
-            self._plain[parts.netloc] = False
-            return self._requests().post(url, json=json, headers=headers, timeout=timeout)
-        return Reply(reply.status, content)
+        self._checkin(origin, connection, reply.will_close)
+        return reply.status, content, reply.getheader("Location")
 
-    def _requests(self):
-        """The requests.Session for every request the lean path does not
-        send, created, and requests imported, at the first such request."""
+    def _route(self, origin: str, parts) -> _Route:
+        """How to reach `origin`, read from the environment at its first
+        request."""
         with self._lock:
-            if self._fallback is None:
-                import requests
-                from requests.adapters import HTTPAdapter
+            if origin not in self._routes:
+                self._routes[origin] = self._read_route(parts)
+            return self._routes[origin]
 
-                self._fallback = requests.Session()
-                adapter = HTTPAdapter(pool_maxsize=self._pool_size)
-                self._fallback.mount("http://", adapter)
-                self._fallback.mount("https://", adapter)
-            return self._fallback
+    def _read_route(self, parts) -> _Route:
+        if parts.scheme not in ("http", "https"):
+            raise ValueError(f"cannot send to a {parts.scheme}:// URL")
+        host = parts.netloc.rpartition("@")[2]
+        headers = {}
+        login = ((unquote(parts.username), unquote(parts.password or ""))
+                 if parts.username else _netrc_login(parts.hostname))
+        if login:
+            headers["Authorization"] = _basic(*login)
+        context = None
+        if parts.scheme == "https":
+            if self._context is None:
+                self._context = _tls_context()
+            context = self._context
+        proxies = {} if urllib.request.proxy_bypass(host) else urllib.request.getproxies()
+        proxy = proxies.get(parts.scheme) or proxies.get("all")
+        if not proxy:
+            return _Route(_opener(parts.hostname, parts.port, context), "", headers)
+        proxy_parts = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+        if proxy_parts.scheme != "http":
+            raise ConnectionError(
+                f"the proxy for {parts.scheme}://{host} is a {proxy_parts.scheme}:// URL;"
+                " only http:// proxies are supported"
+            )
+        proxy_headers = {}
+        if proxy_parts.username:
+            proxy_headers["Proxy-Authorization"] = _basic(
+                unquote(proxy_parts.username), unquote(proxy_parts.password or "")
+            )
+        connect = _opener(proxy_parts.hostname, proxy_parts.port, context)
+        if context is None:
+            # plain http: the proxy is sent the absolute URL
+            return _Route(connect, f"http://{host}", {**headers, **proxy_headers})
 
-    def _is_plain(self, parts) -> bool:
-        """Whether a host is plain http with no login in the URL, no proxy
-        and no netrc login in the environment; read once per host."""
-        if parts.netloc not in self._plain:
-            plain = parts.scheme == "http" and "@" not in parts.netloc
-            if plain and _may_need_requests():
-                from requests.utils import get_environ_proxies, get_netrc_auth, select_proxy
+        def tunnel(timeout):
+            # https: the proxy relays a CONNECT tunnel to the host
+            connection = connect(timeout)
+            connection.set_tunnel(parts.hostname, parts.port, proxy_headers)
+            return connection
 
-                origin = f"{parts.scheme}://{parts.netloc}/"
-                plain = (not select_proxy(origin, get_environ_proxies(origin))
-                         and not get_netrc_auth(origin))
-            self._plain[parts.netloc] = plain
-        return self._plain[parts.netloc]
+        return _Route(tunnel, "", headers)
 
-    def _checkout(self, parts, timeout) -> http.client.HTTPConnection:
-        """An idle connection to the host that the peer has not closed, or a
-        new one."""
+    def _checkout(self, origin: str, route: _Route, timeout) -> http.client.HTTPConnection:
+        """An idle connection to the origin that the peer has not closed, or
+        a new one."""
         while True:
             with self._lock:
-                idle = self._idle.get(parts.netloc)
+                idle = self._idle.get(origin)
                 connection = idle.pop() if idle else None
             if connection is None:
-                return http.client.HTTPConnection(parts.hostname, parts.port, timeout=timeout)
+                return route.connect(timeout)
             # a kept connection is readable only once the peer closed it
             if connection.sock is not None and not select.select([connection.sock], [], [], 0)[0]:
                 connection.timeout = timeout
@@ -154,19 +234,37 @@ class HttpSession:
                 return connection
             connection.close()
 
-    def _checkin(self, netloc: str, connection, will_close: bool) -> None:
+    def _checkin(self, origin: str, connection, will_close: bool) -> None:
         with self._lock:
-            idle = self._idle.setdefault(netloc, [])
+            idle = self._idle.setdefault(origin, [])
             if not will_close and len(idle) < self._pool_size:
                 idle.append(connection)
                 return
         connection.close()
 
     def close(self) -> None:
-        with self._lock:
-            idle, self._idle = self._idle, {}
-            fallback, self._fallback = self._fallback, None
-        for connection in (c for kept in idle.values() for c in kept):
-            connection.close()
-        if fallback is not None:
-            fallback.close()
+        _close_idle(self._idle, self._lock)
+
+
+def _close_idle(idle: dict[str, list[http.client.HTTPConnection]], lock) -> None:
+    """Close and forget every connection in `idle`."""
+    with lock:
+        kept = [connection for connections in idle.values() for connection in connections]
+        idle.clear()
+    for connection in kept:
+        connection.close()
+
+
+def _host(url: str) -> tuple:
+    """The scheme, host and port of a URL."""
+    parts = urlsplit(url)
+    return parts.scheme, parts.hostname, parts.port
+
+
+def _opener(host: str, port: int | None, context: ssl.SSLContext | None):
+    """What opens a connection to host:port, over TLS with `context`."""
+    if context is None:
+        return lambda timeout: http.client.HTTPConnection(host, port, timeout=timeout)
+    return lambda timeout: http.client.HTTPSConnection(
+        host, port, timeout=timeout, context=context
+    )

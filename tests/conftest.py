@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import ssl
 import threading
 from collections import Counter
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -13,6 +14,8 @@ from suffbench.corpus import load_corpus
 from suffbench.gateway import MockBackend
 
 FIXTURES = Path(__file__).parent / "fixtures"
+# the self-signed certificate of the loopback https servers (fixtures/tls)
+TLS_CERT = FIXTURES / "tls" / "cert.pem"
 
 LOGPROB_FIXTURE = json.loads((FIXTURES / "completions_logprobs.json").read_text(encoding="utf-8"))
 EMBED_FIXTURE = json.loads((FIXTURES / "embeddings.json").read_text(encoding="utf-8"))
@@ -47,9 +50,19 @@ class _FixtureHandler(BaseHTTPRequestHandler):
         server = self.server
         length = int(self.headers.get("Content-Length", "0"))
         payload = json.loads(self.rfile.read(length) or b"{}")
-        server.requests.append(
-            {"path": self.path, "payload": payload, "headers": dict(self.headers)}
-        )
+        server.requests.append({
+            "path": self.path, "payload": payload, "headers": dict(self.headers),
+            "port": self.client_address[1],
+        })
+        # as a proxy, the server is sent the absolute URL, and answers as
+        # the origin it names
+        path = "/" + self.path.split("/", 3)[3] if "://" in self.path else self.path
+        if path.startswith("/307/"):
+            self.send_response(307)
+            self.send_header("Location", path.removeprefix("/307"))
+            self.send_header("Content-Length", "0")
+            self.end_headers()
+            return
         if server.status_script:
             status = server.status_script.pop(0)
             if status != 200:
@@ -59,7 +72,7 @@ class _FixtureHandler(BaseHTTPRequestHandler):
                 self.end_headers()
                 self.wfile.write(body)
                 return
-        handler = server.routes.get(self.path)
+        handler = server.routes.get(path)
         if handler is None:
             self.send_response(404)
             self.send_header("Content-Length", "0")
@@ -94,12 +107,21 @@ class _FixtureHTTPServer(ThreadingHTTPServer):
 class FixtureServer:
     """Local OpenAI-shaped endpoint with per-path canned responses and an
     optional scripted status sequence. A route answers with a body, a
-    (status, body) pair, or DROP. With keep_alive the server speaks
-    HTTP/1.1 and keeps each connection open for more requests."""
+    (status, body) pair, or DROP; a path under /307/ is answered with a
+    307 to the rest of it. Sent an absolute URL, as a proxy is, the server
+    answers as the origin it names. With keep_alive the server speaks
+    HTTP/1.1 and keeps each connection open for more requests; with tls it
+    serves https with the certificate TLS_CERT. Each request is recorded
+    with its client port."""
 
-    def __init__(self, keep_alive: bool = False):
+    def __init__(self, keep_alive: bool = False, tls: bool = False):
         handler = _KeepAliveFixtureHandler if keep_alive else _FixtureHandler
         self.httpd = _FixtureHTTPServer(("127.0.0.1", 0), handler)
+        if tls:
+            context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+            context.load_cert_chain(TLS_CERT, FIXTURES / "tls" / "key.pem")
+            self.httpd.socket = context.wrap_socket(self.httpd.socket, server_side=True)
+        self.scheme = "https" if tls else "http"
         self.httpd.requests = []
         self.httpd.routes = {}
         self.httpd.status_script = []
@@ -109,7 +131,7 @@ class FixtureServer:
 
     @property
     def base_url(self) -> str:
-        return f"http://127.0.0.1:{self.httpd.server_address[1]}"
+        return f"{self.scheme}://127.0.0.1:{self.httpd.server_address[1]}"
 
     @property
     def requests(self):

@@ -12,6 +12,7 @@ from collections import Counter
 import pytest
 import requests
 
+from suffbench import transport
 from suffbench.constrainer import count_words, extract_answer_and_explanation
 from suffbench.gateway import (
     EmbeddingDimensionError,
@@ -1090,13 +1091,13 @@ class TestSessionLifecycle:
     ):
         created = []
 
-        class CountedSession(requests.Session):
-            def __init__(self):
-                super().__init__()
+        class CountedSession(transport.HttpSession):
+            def __init__(self, pool_size):
+                super().__init__(pool_size)
                 time.sleep(0.05)  # a second creation would start in this window
                 created.append(self)
 
-        monkeypatch.setattr(requests, "Session", CountedSession)
+        monkeypatch.setattr(transport, "HttpSession", CountedSession)
         gw = Gateway()
         endpoint = live_endpoint(server)
         barrier = threading.Barrier(8)
