@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import logging
+import os
 import sys
 from contextlib import closing
 from dataclasses import asdict, dataclass, fields, replace
@@ -101,9 +102,16 @@ def _parse_endpoint(spec, where: str) -> ModelEndpoint:
     if unknown:
         raise ConfigError(f"{where}: unknown keys {unknown}")
     try:
-        return ModelEndpoint(**spec)
+        endpoint = ModelEndpoint(**spec)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
+    # the Gateway reads the key at each request; a missing one is a config
+    # error now, not a failed stage after earlier stages spent their requests
+    if endpoint.api_key_ref and not os.environ.get(endpoint.api_key_ref):
+        raise ConfigError(
+            f"{where}: api_key_ref names env var {endpoint.api_key_ref!r}, which is not set"
+        )
+    return endpoint
 
 
 def _require(condition: bool, message: str) -> None:

@@ -18,15 +18,21 @@ Gateway is safe to share between threads, so the caller's thread count
 sets how many requests are in flight: a pipeline stage that calls an
 HTTP endpoint keeps pipeline.requests_in_flight(workers) of them, one per
 pool thread. Each request is still cached, rate-limited and retried on
-its own. score_continuations sends the continuations of one prompt as one
-/completions request with a list prompt, so a scored row costs one
-request, and embed_texts sends several texts as one /embeddings request
-with a list input. Either way each continuation or text keeps its own
-cache entry. An endpoint's first list request to a path is retried on a
-429, a 5xx or a timeout like any request. If it gets any other 4xx, a
-failed connection or a reply without one item per input, or its retries
-run out on 5xx replies or timeouts, the endpoint is sent one prompt or
-text per request there from then on.
+its own. score_prompts sends the continuations of several prompts as one
+/completions request with a list prompt, so several scored rows cost one
+request; score_continuations does so for the continuations of one prompt,
+and embed_texts sends several texts as one /embeddings request with a list
+input. Either way each continuation or text keeps its own cache entry,
+with the bytes a request of its own would have had. An endpoint's first
+list request of a kind is a probe, and a list of more prompts than one
+prompt's continuations is a kind apart from a shorter one. A probe is
+retried on a 429, a 5xx or a timeout like any request. If it gets any other
+4xx, a failed connection or a reply without one item per input, or its
+retries run out on 5xx replies or timeouts, the endpoint refuses that kind
+of list from then on: score_prompts leaves the prompts it could not send
+to the caller, which sends them one prompt per request, and
+score_continuations and embed_texts send one continuation or text per
+request.
 
 HTTP requests go through a session: any object with
 `post(url, json=, headers=, timeout=)` returning a reply with
@@ -52,7 +58,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
-from urllib.parse import urlparse
+from urllib.parse import urlparse, urlsplit
 
 if TYPE_CHECKING:
     from .prompts import RenderedPrompt
@@ -88,8 +94,9 @@ class LogprobsUnsupported(GatewayError):
 
 
 class ListRequestRefused(GatewayError):
-    """An endpoint refused its first list request to a path (see
-    Gateway._post), so it is sent one input per request there from then on."""
+    """An endpoint refused its first list request of a kind (see
+    Gateway._post and _list_key), so it is sent no list of that kind from
+    then on."""
 
 
 class TokenAlignmentError(GatewayError):
@@ -126,6 +133,8 @@ class ModelEndpoint:
                 f"base_url {self.base_url!r} is not ASCII: give its host in punycode"
                 " (xn--...) and percent-encode its path"
             )
+        if not self.is_mock and urlsplit(self.base_url).scheme not in ("http", "https"):
+            raise ValueError(f"base_url {self.base_url!r} is not an http, https or mock URL")
 
     @property
     def is_mock(self) -> bool:
@@ -267,10 +276,13 @@ class MockBackend:
     back; anything else gets a parseable Answer/Explanation block.
     Scoring gives every continuation token a logprob of -1.0, so the
     four option letters always tie; one call scores a tuple of
-    continuations of one prompt, one choice each, as an endpoint answers a
-    list prompt. Embeddings are unit-norm vectors seeded by the text hash,
-    fixed width EMBED_DIM; `input` is what the wire carries, a text, which
-    gets one item, or a sequence of texts, which gets one item per text.
+    continuations, one choice each, as an endpoint answers a list prompt:
+    `prompt_text` is the prompt of every continuation, or a tuple with the
+    prompt of each, so one call answers the options of several rows. Its
+    arguments are strings and tuples of strings, and so hashable.
+    Embeddings are unit-norm vectors seeded by the text hash, fixed width
+    EMBED_DIM; `input` is what the wire carries, a text, which gets one
+    item, or a sequence of texts, which gets one item per text.
     `counts` counts calls, that is requests, per kind.
     """
 
@@ -309,15 +321,20 @@ class MockBackend:
             ],
         }
 
-    def score(self, model_id: str, prompt_text: str, continuations: tuple[str, ...]) -> dict:
+    def score(
+        self, model_id: str, prompt_text: str | tuple[str, ...], continuations: tuple[str, ...]
+    ) -> dict:
         with self._lock:
             self.counts["logprobs"] += 1
+        prompts = prompt_text
+        if isinstance(prompt_text, str):
+            prompts = (prompt_text,) * len(continuations)
         return {
             "object": "text_completion",
             "model": model_id,
             "choices": [
-                self._echo_choice(index, prompt_text, continuation)
-                for index, continuation in enumerate(continuations)
+                self._echo_choice(index, prompt, continuation)
+                for index, (prompt, continuation) in enumerate(zip(prompts, continuations))
             ],
         }
 
@@ -370,6 +387,13 @@ def _encode(data: dict) -> bytes:
 
 def _endpoint_key(endpoint: ModelEndpoint) -> tuple[str, str]:
     return (endpoint.base_url, endpoint.model_id)
+
+
+def _list_key(endpoint: ModelEndpoint, path: str, long: bool) -> tuple:
+    """What Gateway._takes_lists files an endpoint's probe outcome under:
+    its lists to `path` that are longer than the caller's limit (`long`),
+    or those that are not."""
+    return _endpoint_key(endpoint) + (path, long)
 
 
 def _uncached_name(endpoint: ModelEndpoint, path: str) -> str:
@@ -505,11 +529,11 @@ class Gateway:
         self._limiters: dict[tuple[str, str], RateLimiter] = {}
         self._embed_dims: dict[str, int] = {}
         self._lock = threading.Lock()
-        # (base_url, model_id, path) -> whether the endpoint takes list
-        # requests at path, once its probe has settled it; a probe in flight
-        # is in _probing, and the other threads wait on _probe_settled
-        self._takes_lists: dict[tuple[str, str, str], bool] = {}
-        self._probing: set[tuple[str, str, str]] = set()
+        # _list_key -> whether the endpoint takes that kind of list, once its
+        # probe has settled it; a probe in flight is in _probing, and the
+        # other threads wait on _probe_settled
+        self._takes_lists: dict[tuple, bool] = {}
+        self._probing: set[tuple] = set()
         self._probe_settled = threading.Condition(self._lock)
 
     def close(self) -> None:
@@ -554,7 +578,7 @@ class Gateway:
         payloads: Sequence[dict],
         wire: Callable[[list[int]], dict],
         mock_call: Callable[[MockBackend, list[int]], dict],
-        lists: bool = False,
+        lists: int = 0,
     ) -> list[tuple[dict, str] | None]:
         """The item, a choice or an embedding, of the reply to each request
         to `path`, and the request's name in error messages: with a cache,
@@ -569,11 +593,16 @@ class Gateway:
         HTTP reply is cached as its bytes once it decodes, so an unreadable
         one is never replayed. Any other item, placed by its index, is
         cached as the one-item reply a request of its own would have had.
-        With `lists`, a request is None if the caller is to send it on its
-        own, because the endpoint refuses list requests to `path`; once it
-        has, every request is None and no entry is read here.
+
+        With `lists`, whether the endpoint takes a list of more than `lists`
+        inputs at `path` is probed and settled apart from whether it takes
+        a shorter one. A request is None if the caller is to send it in a
+        shorter list or on its own, because the endpoint refuses a list as
+        long as the one its misses would make; once it refuses lists of
+        `lists` inputs or fewer, every request is None and no entry is read
+        here.
         """
-        if lists and self._takes_lists.get(_endpoint_key(endpoint) + (path,)) is False:
+        if lists and self._takes_lists.get(_list_key(endpoint, path, False)) is False:
             return [None] * len(payloads)
         field = _ITEM_FIELDS[path][1]
         results: list[tuple[dict, str] | None]
@@ -598,7 +627,9 @@ class Gateway:
             data = mock_call(self._mock(endpoint), misses)
             items = _items_by_index(data, path, len(misses))
         elif lists:
-            answer = self._post_list(endpoint, path, wire(misses), len(misses))
+            answer = self._post_list(
+                endpoint, path, len(misses) > lists, wire(misses), len(misses)
+            )
             if answer is None:
                 return results
             data, items = answer
@@ -616,20 +647,20 @@ class Gateway:
         return results
 
     def _post_list(
-        self, endpoint: ModelEndpoint, path: str, wire: dict, count: int
+        self, endpoint: ModelEndpoint, path: str, long: bool, wire: dict, count: int
     ) -> tuple[dict, list[dict]] | None:
         """The reply to `wire`, a list of `count` inputs sent to `path`, and
-        its items in input order; or None if the endpoint takes one input
-        per request there.
+        its items in input order; or None if the endpoint refuses lists of
+        its kind, `long` or not (see _list_key).
 
-        The endpoint's first list request to a path is a probe, and threads
+        The endpoint's first list request of a kind is a probe, and threads
         that come while it is in flight wait for its outcome. If it is
         refused (see _post) or its reply has not one item per input, the
-        endpoint takes one input per request at that path for the Gateway's
-        life. A probe that raises anything else (such as 429s past
-        max_retries) settles nothing: the next list request is a probe again.
+        endpoint refuses that kind of list for the Gateway's life. A probe
+        that raises anything else (such as 429s past max_retries) settles
+        nothing: the next list request of its kind is a probe again.
         """
-        key = _endpoint_key(endpoint) + (path,)
+        key = _list_key(endpoint, path, long)
         with self._probe_settled:
             while key in self._probing:
                 self._probe_settled.wait()
@@ -652,8 +683,8 @@ class Gateway:
             return data, items
         except ListRequestRefused as exc:
             log.warning(
-                "%s refused a list request to %s (%s); sending one input per request",
-                endpoint.base_url, path, exc,
+                "%s refused a list of %d inputs to %s (%s); sending fewer per request",
+                endpoint.base_url, count, path, exc,
             )
             takes = False
             return None
@@ -802,22 +833,47 @@ class Gateway:
         with the ones the cache misses sent as one /completions request with
         a list prompt (see _fetch). On an endpoint that refuses list
         prompts, each miss goes through score_continuation."""
+        found = self._score_each(endpoint, [prompt_text], continuations)
+        return [
+            self.score_continuation(endpoint, prompt_text, c) if result is None else result
+            for c, result in zip(continuations, found)
+        ]
+
+    def score_prompts(
+        self, endpoint: ModelEndpoint, prompt_texts: Sequence[str], continuations: Sequence[str]
+    ) -> list[list[LogprobResult] | None]:
+        """score_continuations of each prompt, in order, with the
+        continuations the cache misses, of every prompt, sent as one
+        /completions request with a list prompt (see _fetch). A list of more
+        prompts than one prompt's continuations is probed apart from a
+        shorter one: a prompt is None if the endpoint refuses a list as long
+        as its misses made, or refuses lists, for the caller to score with
+        score_continuations."""
+        found = iter(self._score_each(endpoint, prompt_texts, continuations))
+        scored = [[next(found) for _ in continuations] for _ in prompt_texts]
+        return [None if any(r is None for r in results) else results for results in scored]
+
+    def _score_each(
+        self, endpoint: ModelEndpoint, prompt_texts: Sequence[str], continuations: Sequence[str]
+    ) -> list[LogprobResult | None]:
+        """The LogprobResult of each continuation of each prompt, prompt by
+        prompt, with the misses sent as one list request (see _fetch), or
+        None where the endpoint refuses that list."""
         if not all(continuations):
             raise ValueError("continuation must be non-empty")
         model = endpoint.model_id
+        pairs = [(p, c) for p in prompt_texts for c in continuations]
         fetched = self._fetch(
-            endpoint, "/completions",
-            [_score_payload(model, prompt_text, c) for c in continuations],
-            lambda misses: _score_wire(model, [prompt_text + continuations[i] for i in misses]),
+            endpoint, "/completions", [_score_payload(model, p, c) for p, c in pairs],
+            lambda misses: _score_wire(model, [pairs[i][0] + pairs[i][1] for i in misses]),
             lambda mock, misses: mock.score(
-                model, prompt_text, tuple(continuations[i] for i in misses)
+                model, tuple(pairs[i][0] for i in misses), tuple(pairs[i][1] for i in misses)
             ),
-            lists=True,
+            lists=len(continuations),
         )
         return [
-            self.score_continuation(endpoint, prompt_text, c) if found is None
-            else _logprob_result(endpoint, prompt_text, c, found[0])
-            for c, found in zip(continuations, fetched)
+            None if found is None else _logprob_result(endpoint, p, c, found[0])
+            for (p, c), found in zip(pairs, fetched)
         ]
 
     # -- embeddings ------------------------------------------------------------
@@ -845,7 +901,7 @@ class Gateway:
             endpoint, "/embeddings", [_embed_payload(model, text) for text in texts],
             lambda misses: {"model": model, "input": [texts[i] for i in misses]},
             lambda mock, misses: mock.embed(model, tuple(texts[i] for i in misses)),
-            lists=True,
+            lists=len(texts),
         )
         return [
             self.embed(endpoint, text) if found is None else self._embedding(endpoint, *found)

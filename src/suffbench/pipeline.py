@@ -21,6 +21,13 @@ units in flight. Once a result is committed only the store keeps it, and
 the similarity stage drops each embedding vector after the last unit that
 needs it: apart from the store's records, a stage holds memory for its
 work in flight, not for the whole corpus.
+
+Two stages batch their requests: the similarity stage embeds EMBED_BATCH
+texts per request, and the score stage sends the options of SCORE_BATCH
+rows as one request, falling back to one row per request, then one option
+per request, for a scorer that refuses the longer lists. Each numbers its
+batches over its full plan, done or not, so a resumed run sends the
+requests an uninterrupted run would.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ from collections import Counter, deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
+from itertools import chain, groupby, repeat
 from typing import Callable, Container, Iterable, Iterator, Sequence
 
 from .constrainer import (
@@ -43,9 +51,9 @@ from .corpus import Corpus
 from .gateway import Gateway, ModelEndpoint
 from .masker import mask_explanation
 from .metrics import SimilarityRecord, aggregate, cosine
-from .prompts import PromptTemplateSet, render_generation
+from .prompts import PromptTemplateSet, render_generation, render_scoring
 from .runstore import EXPLANATIONS, MASKS, SCORES, SIMILARITY, AuditRecord, RunStore, work_key
-from .scorer import BASELINE_LEVEL, BASELINE_MODEL, score_item
+from .scorer import BASELINE_LEVEL, BASELINE_MODEL, ScoreResult, score_item, score_rows
 
 log = logging.getLogger(__name__)
 
@@ -59,11 +67,14 @@ REQUESTS_PER_WORKER = 4
 # are held; a similarity unit is a batch, so that is up to
 # UNITS_AHEAD_PER_THREAD x EMBED_BATCH vectors per thread. No bench workload
 # has a stage with more units than the cap. A cap of 2 per thread made
-# http-latency 3-15% slower (ROADMAP item 5): a head unit in a 429 backoff
-# left the other threads idle
+# http-latency 3-15% slower (CHANGES.md, the entry that embeds the similarity
+# stage's texts in batched /embeddings requests): a head unit in a 429
+# backoff left the other threads idle
 UNITS_AHEAD_PER_THREAD = 16
 # distinct texts per /embeddings request in the similarity stage
 EMBED_BATCH = 16
+# scored rows whose options go out as one /completions request
+SCORE_BATCH = 4
 
 
 class PipelineError(RuntimeError):
@@ -153,11 +164,7 @@ def _map_ordered(ctx: RunContext, units: Sequence, fn: Callable, endpoints: Iter
     threads = min(requests_in_flight(ctx.workers), len(units)) if http else 1
     if threads <= 1:
         for unit in units:
-            try:
-                result, error = fn(unit), None
-            except Exception as exc:
-                result, error = None, exc
-            yield unit, result, error
+            yield unit, *_attempt(fn, unit)
         return
     window = UNITS_AHEAD_PER_THREAD * threads
     pool = ThreadPoolExecutor(max_workers=threads)
@@ -171,6 +178,14 @@ def _map_ordered(ctx: RunContext, units: Sequence, fn: Callable, endpoints: Iter
             yield unit, None if error else future.result(), error
     finally:
         pool.shutdown(cancel_futures=True)
+
+
+def _attempt(fn: Callable, unit) -> tuple:
+    """(fn(unit), None), or (None, the Exception it raised)."""
+    try:
+        return fn(unit), None
+    except Exception as exc:
+        return None, exc
 
 
 def _commit(
@@ -295,25 +310,78 @@ def run_mask(ctx: RunContext, units: Sequence[tuple]) -> StageReport:
 
 
 def plan_score(ctx: RunContext) -> list[tuple]:
+    """(key, mask, batch) for each row not yet scored: each item's
+    no-explanation baseline (mask None), then each masked explanation. A
+    row's batch is its position, over SCORE_BATCH, in the plan of every
+    row, scored or not, so a resumed run cuts the batches an uninterrupted
+    run would have (see plan_similarity)."""
     done = ctx.store.done_keys(SCORES)
     baselines = [
         ((item.id, language, BASELINE_MODEL, BASELINE_LEVEL), None)
         for language in sorted(ctx.corpora)
         for item in sorted(ctx.corpora[language], key=lambda i: i.id)
     ]
-    return [u for u in baselines if u[0] not in done] + _pending(ctx.store.load_masks(), done)
+    rows = baselines + _pending(ctx.store.load_masks(), ())
+    return [
+        (key, mask, position // SCORE_BATCH)
+        for position, (key, mask) in enumerate(rows) if key not in done
+    ]
 
 
 def run_score(ctx: RunContext, units: Sequence[tuple]) -> StageReport:
-    def job(unit):
-        (item_id, language, _, _), mask = unit
-        item = ctx.item(language, item_id)
-        return score_item(ctx.gateway, ctx.scorer, item, mask, ctx.templates[language])
+    """Score each planned row by its prompt's four options.
 
-    return _commit(
-        ctx, "score", len(units), _map_ordered(ctx, units, job, (ctx.scorer,)),
-        ctx.store.append_score,
-    )
+    The rows go out in the batches plan_score numbered, the options of a
+    batch's rows as one request (scorer.score_rows), through _map_ordered:
+    an HTTP scorer gets the batches on a pool, and a failed request fails
+    every row of its batch. The first batch goes out on the calling thread
+    before any pool starts. If the scorer refuses that list of several
+    rows, every row not yet scored is a unit of its own from then on, and
+    score_item sends its options as one request, or one per option to a
+    scorer that refuses lists too.
+    """
+    def render(unit) -> tuple:
+        (item_id, language, _, _), mask, _ = unit
+        item = ctx.item(language, item_id)
+        return item, render_scoring(item, mask, ctx.templates[language])
+
+    def score(row: tuple) -> ScoreResult:
+        # a row is (unit, (item, prompt) or None, its options' results or
+        # None); score_item makes what is None
+        ((item_id, language, _, _), mask, _), rendered, options = row
+        item, prompt = rendered or (ctx.item(language, item_id), None)
+        return score_item(
+            ctx.gateway, ctx.scorer, item, mask, ctx.templates[language], prompt, options
+        )
+
+    def fetch(batch: list[tuple]) -> list[tuple]:
+        rendered = [render(unit) for unit in batch]
+        fetched = score_rows(ctx.gateway, ctx.scorer, [prompt for _, prompt in rendered])
+        return list(zip(batch, rendered, fetched))
+
+    def scored(batch: list[tuple]) -> list[tuple]:
+        return [_attempt(score, row) for row in fetch(batch)]
+
+    def results():
+        batches = [list(rows) for _, rows in groupby(units, key=lambda unit: unit[2])]
+        if not batches:
+            return
+        first, error = _attempt(fetch, batches[0])
+        if first and any(options is None for _, _, options in first):
+            # refused: each row is a unit of its own, so the pool keeps as
+            # many rows in flight as it would keep batches
+            rows = first + [(unit, None, None) for batch in batches[1:] for unit in batch]
+            with closing(_map_ordered(ctx, rows, score, (ctx.scorer,))) as landed:
+                for row, result, error in landed:
+                    yield row[0], result, error
+            return
+        head = (batches[0], first and [_attempt(score, row) for row in first], error)
+        with closing(_map_ordered(ctx, batches[1:], scored, (ctx.scorer,))) as landed:
+            for batch, rows, error in chain([head], landed):
+                for unit, (result, row_error) in zip(batch, rows or repeat((None, error))):
+                    yield unit, result, row_error
+
+    return _commit(ctx, "score", len(units), results(), ctx.store.append_score)
 
 
 # -- similarity -------------------------------------------------------------------

@@ -13,11 +13,11 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .constrainer import ALL_LEVELS
 from .corpus import LABELS, LANGUAGES, QuestionItem
-from .gateway import Gateway, ModelEndpoint
+from .gateway import Gateway, LogprobResult, ModelEndpoint
 from .prompts import RenderedPrompt, render_scoring
 
 if TYPE_CHECKING:
@@ -88,20 +88,43 @@ def _prompt_fingerprint(scorer_model: str, prompt_text: str) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def score_options(
-    gateway: Gateway, scorer: ModelEndpoint, prompt: RenderedPrompt
-) -> dict[str, float]:
-    """Option distribution for one scoring or baseline prompt.
-
-    The four option continuations go to the scorer as one request with a
-    list prompt (Gateway.score_continuations), or as four requests, one
-    after another on the calling thread, to an endpoint that refuses list
-    prompts. The score stage keeps an HTTP scorer busy by running more
-    units at once (pipeline.requests_in_flight).
-    """
+def _check_kind(prompt: RenderedPrompt) -> None:
     if prompt.kind not in ("score", "baseline"):
         raise ScoringError(f"cannot score a {prompt.kind!r} prompt")
-    results = gateway.score_continuations(scorer, prompt.text, _CONTINUATIONS)
+
+
+def score_rows(
+    gateway: Gateway, scorer: ModelEndpoint, prompts: Sequence[RenderedPrompt]
+) -> list[list[LogprobResult] | None]:
+    """The LogprobResults of the four options of each scoring or baseline
+    prompt, with the options of every prompt sent to the scorer as one
+    request with a list prompt (Gateway.score_prompts). A prompt is None if
+    the scorer refuses a list of several prompts' options: score_options
+    scores it on its own."""
+    for prompt in prompts:
+        _check_kind(prompt)
+    return gateway.score_prompts(scorer, [prompt.text for prompt in prompts], _CONTINUATIONS)
+
+
+def score_options(
+    gateway: Gateway,
+    scorer: ModelEndpoint,
+    prompt: RenderedPrompt,
+    results: Sequence[LogprobResult] | None = None,
+) -> dict[str, float]:
+    """Option distribution for one scoring or baseline prompt, from the
+    LogprobResults of its four options.
+
+    Unless the caller has them (score_rows), the four option continuations
+    go to the scorer as one request with a list prompt
+    (Gateway.score_continuations), or as four requests, one after another
+    on the calling thread, to an endpoint that refuses list prompts. The
+    score stage keeps an HTTP scorer busy by running more units at once
+    (pipeline.requests_in_flight).
+    """
+    _check_kind(prompt)
+    if results is None:
+        results = gateway.score_continuations(scorer, prompt.text, _CONTINUATIONS)
     return softmax_probs(
         {option: result.total_logprob for option, result in zip(LABELS, results)}
     )
@@ -113,11 +136,16 @@ def score_item(
     item: QuestionItem,
     mask: "MaskReport | None",
     templates: "PromptTemplateSet",
+    prompt: RenderedPrompt | None = None,
+    results: Sequence[LogprobResult] | None = None,
 ) -> ScoreResult:
     """Score one masked explanation, or the no-explanation baseline when
-    mask is None."""
-    prompt = render_scoring(item, mask, templates)
-    option_probs = score_options(gateway, scorer, prompt)
+    mask is None. `prompt` is the row's prompt, render_scoring(item, mask,
+    templates), and `results` its options' LogprobResults (score_rows), if
+    the caller has them; what the caller leaves None is made here."""
+    if prompt is None:
+        prompt = render_scoring(item, mask, templates)
+    option_probs = score_options(gateway, scorer, prompt, results)
     predicted = predict(option_probs)
     return ScoreResult(
         item_id=item.id,

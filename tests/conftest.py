@@ -230,16 +230,30 @@ def rejects_list_prompts(route):
     return reject
 
 
+def caps_list_prompts(most: int, route):
+    """`route`, except that a list of more than `most` prompts is answered
+    400, as an endpoint that caps the prompts per request does."""
+    def cap(payload):
+        prompts = payload["prompt"]
+        if isinstance(prompts, list) and len(prompts) > most:
+            return 400, {"error": {"message": f"at most {most} prompts per request"}}
+        return route(payload)
+    return cap
+
+
 def mock_routes(seed: int) -> dict:
     """Routes, by path, that answer requests with the bodies mock://<seed>
     builds in process, as bench/stub.py does. A scoring prompt's
-    continuation is its last two characters, " A".." D"; a list prompt's
-    prompts share the text before them, and are answered as one mock call."""
+    continuation is its last two characters, " A".." D", and the text
+    before them is its own; a list prompt is answered as one mock call,
+    whatever its prompts' texts."""
     backend = MockBackend(seed)
 
     def score(p):
         prompts = [p["prompt"]] if isinstance(p["prompt"], str) else p["prompt"]
-        return backend.score(p["model"], prompts[0][:-2], tuple(t[-2:] for t in prompts))
+        return backend.score(
+            p["model"], tuple(t[:-2] for t in prompts), tuple(t[-2:] for t in prompts)
+        )
 
     return {
         "/chat/completions": lambda p: backend.generate(

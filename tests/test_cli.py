@@ -41,7 +41,14 @@ from suffbench.gateway import (
 from suffbench.pipeline import requests_in_flight
 from suffbench.runstore import COLUMNS, AuditRecord, RunStore, StoreError
 from suffbench.transport import HttpSession
-from tests.conftest import FIXTURES, TLS_CERT, FixtureServer, option_logprobs, route_mock
+from tests.conftest import (
+    FIXTURES,
+    TLS_CERT,
+    FixtureServer,
+    caps_list_prompts,
+    option_logprobs,
+    route_mock,
+)
 
 
 def write_config(tmp_path, **overrides):
@@ -277,11 +284,12 @@ def recorded_sessions(monkeypatch) -> list:
 
 class TestHttpScorer:
     def test_connection_pool_holds_every_request_in_flight(self, tmp_path, monkeypatch):
-        # at workers=4 the score stage has 16 requests in flight to the
-        # scorer, more than the 10 connections a default session keeps per
-        # host: the run's session closes none of the connections it opens,
-        # at most 16. A netrc login for the host changes nothing but the
-        # Authorization header.
+        # the scorer takes one row's four prompts per request, and refuses
+        # more, so each row is a unit of its own: at workers=4 the score
+        # stage has 16 requests in flight to the scorer, more than the 10
+        # connections a default session keeps per host. The run's session
+        # closes none of the connections it opens, at most 16. A netrc login
+        # for the host changes nothing but the Authorization header.
         sessions = recorded_sessions(monkeypatch)
         netrc = tmp_path / "netrc"
         netrc.write_text("machine 127.0.0.1 login user password secret\n", encoding="utf-8")
@@ -293,13 +301,14 @@ class TestHttpScorer:
             return option_logprobs(payload)
 
         with FixtureServer(keep_alive=True) as server:
-            server.route("/completions", slow_reply)
+            server.route("/completions", caps_list_prompts(4, slow_reply))
             scorer = {"base_url": server.base_url, "model_id": "probe-1",
                       "requests_per_minute": 10_000}
             path = write_config(tmp_path, scorer=scorer, workers=4)
             assert main(["run", "--config", str(path), "--stage", "score"]) == EXIT_OK
-        # one request per scored row: its four options as one list prompt
-        assert len(server.requests) == 40
+        # the refused probe of the first batch's rows, then one request per
+        # scored row: its four options as one list prompt
+        assert [len(r["payload"]["prompt"]) for r in server.requests] == [16] + [4] * 40
         assert all(r["headers"]["Authorization"].startswith("Basic ") for r in server.requests)
         ports = {r["port"] for r in server.requests}
         [session] = sessions
@@ -951,6 +960,35 @@ class TestValidateCommand:
     def test_unknown_template_id(self, tmp_path):
         path = write_config(tmp_path, template_id="missing-v9")
         assert main(["validate-config", str(path)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("scorer, message", [
+        ({"base_url": "ftp://127.0.0.1:9/x", "model_id": "probe-1"},
+         "is not an http, https or mock URL"),
+        ({"base_url": "http://127.0.0.1:9", "model_id": "probe-1",
+          "api_key_ref": "SUFFBENCH_UNSET_KEY"},
+         "names env var 'SUFFBENCH_UNSET_KEY', which is not set"),
+    ], ids=["scheme", "api_key_ref"])
+    def test_a_scorer_no_request_can_reach_is_refused_at_load(
+        self, tmp_path, capsys, monkeypatch, scorer, message
+    ):
+        # a config error before any stage, not a stage failure at the score
+        # stage after generate and constrain have spent their requests
+        monkeypatch.delenv("SUFFBENCH_UNSET_KEY", raising=False)
+        path = write_config(tmp_path, scorer=scorer)
+        for argv in (["validate-config", str(path)],
+                     ["run", "--config", str(path), "--all", "--sample", "2", "--seed", "7"]):
+            assert main(argv) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert "error: scorer: " in err and message in err
+        assert not (tmp_path / "store").exists()
+
+    def test_a_set_api_key_ref_passes(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("SUFFBENCH_TEST_KEY", "sk-123")
+        path = write_config(tmp_path, scorer={
+            "base_url": "https://example.invalid/v1", "model_id": "probe-1",
+            "api_key_ref": "SUFFBENCH_TEST_KEY",
+        })
+        assert main(["validate-config", str(path)]) == EXIT_OK
 
 
 class TestReportCommand:

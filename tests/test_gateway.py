@@ -420,13 +420,26 @@ class TestRetryPolicy:
         assert session.calls[0]["headers"]["Authorization"] == "Bearer sk-123"
 
     def test_missing_api_key_env_fails(self, monkeypatch):
+        # load_config refuses such an endpoint; one built in code fails at
+        # its first request, before anything is sent
         monkeypatch.delenv("NO_SUCH_KEY", raising=False)
-        gw = Gateway(session=FakeSession([(200, CHAT_BODY)]))
+        session = FakeSession([(200, CHAT_BODY)])
+        gw = Gateway(session=session)
         endpoint = ModelEndpoint(
             base_url="http://fake", model_id="m", api_key_ref="NO_SUCH_KEY"
         )
         with pytest.raises(GatewayError, match="NO_SUCH_KEY"):
             gw.generate(endpoint, prompt_of("p"))
+        assert session.calls == []
+
+    @pytest.mark.parametrize("base_url", ["ftp://127.0.0.1:9/x", "127.0.0.1:8000/v1", "file:///x"])
+    def test_a_base_url_no_request_can_reach_is_refused(self, base_url):
+        with pytest.raises(ValueError, match="not an http, https or mock URL"):
+            ModelEndpoint(base_url=base_url, model_id="m")
+
+    @pytest.mark.parametrize("base_url", ["http://h", "HTTPS://h/v1", "mock://7"])
+    def test_http_https_and_mock_urls_are_taken(self, base_url):
+        assert ModelEndpoint(base_url=base_url, model_id="m").base_url == base_url
 
 
 class TestLiveGeneration:
@@ -509,7 +522,10 @@ def cache_files(root) -> dict[str, bytes]:
 
 
 def list_reply(prompt_text, continuations, model="m", seed=7) -> dict:
-    """The reply an endpoint that takes list prompts gives, as mock://<seed>."""
+    """The reply an endpoint that takes list prompts gives, as mock://<seed>:
+    `prompt_text` is every continuation's prompt, or a sequence of them."""
+    if not isinstance(prompt_text, str):
+        prompt_text = tuple(prompt_text)
     return MockBackend(seed).score(model, prompt_text, tuple(continuations))
 
 
@@ -626,6 +642,98 @@ class TestScoreContinuations:
     def test_empty_continuation_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
             Gateway().score_continuations(MOCK, SCORING_PROMPT, (" A", ""))
+
+
+class TestScorePrompts:
+    """Several prompts' continuations go out as one list request; a list of
+    more prompts than one prompt's continuations is probed apart from a
+    shorter one."""
+
+    PROMPTS = (SCORING_PROMPT, FA_PROMPT, "Question: R?\nThe answer is ")
+
+    def test_results_and_cache_files_match_single_calls(self, tmp_path):
+        # each continuation is cached as the reply to a request of its own,
+        # with index 0, whatever its place in the list
+        with FixtureServer() as server:
+            endpoints = {
+                "mock": ModelEndpoint(base_url="mock://7", model_id="probe"),
+                "http": ModelEndpoint(base_url=route_mock(server, 7), model_id="probe",
+                                      requests_per_minute=10_000),
+            }
+            results, files, sent = {}, {}, {}
+            for name, endpoint in endpoints.items():
+                for way in ("batched", "single"):
+                    gw = Gateway(cache_dir=tmp_path / name / way)
+                    before = len(server.requests)
+                    if way == "batched":
+                        got = gw.score_prompts(endpoint, self.PROMPTS, OPTIONS)
+                    else:
+                        got = [[gw.score_continuation(endpoint, p, c) for c in OPTIONS]
+                               for p in self.PROMPTS]
+                    results[name, way] = got
+                    files[name, way] = cache_files(tmp_path / name / way)
+                    sent[name, way] = len(server.requests) - before
+                    gw.close()
+        assert all(got == results["mock", "single"] for got in results.values())
+        assert len(files["mock", "single"]) == 12
+        assert all(got == files["mock", "single"] for got in files.values())
+        assert sent == {("mock", "batched"): 0, ("mock", "single"): 0,
+                        ("http", "batched"): 1, ("http", "single"): 12}
+
+    def test_mock_scores_several_prompts_in_one_call(self):
+        gw = Gateway()
+        got = gw.score_prompts(MOCK, self.PROMPTS, OPTIONS)
+        assert gw.mock_counts() == {"generate": 0, "logprobs": 1, "embeddings": 0}
+        assert got == [Gateway().score_continuations(MOCK, p, OPTIONS) for p in self.PROMPTS]
+
+    def test_only_cache_misses_are_sent_in_input_order(self, tmp_path):
+        warm = Gateway(cache_dir=tmp_path)
+        warm.score_continuations(MOCK, self.PROMPTS[0], OPTIONS)
+        warm.score_continuation(MOCK, self.PROMPTS[1], " B")
+        session = FakeSession([(200, list_reply(
+            (self.PROMPTS[1],) * 3 + (self.PROMPTS[2],) * 4,
+            OPTIONS[:1] + OPTIONS[2:] + OPTIONS, model="mock-gen",
+        ))])
+        endpoint = ModelEndpoint(base_url="http://fake", model_id="mock-gen")
+        got = Gateway(cache_dir=tmp_path, session=session).score_prompts(
+            endpoint, self.PROMPTS, OPTIONS
+        )
+        assert got == Gateway().score_prompts(MOCK, self.PROMPTS, OPTIONS)
+        [call] = session.calls
+        assert call["json"]["prompt"] == [
+            self.PROMPTS[1] + c for c in (" A", " C", " D")
+        ] + [self.PROMPTS[2] + c for c in OPTIONS]
+        assert len(cache_files(tmp_path)) == 12
+
+    def test_a_refused_list_of_several_prompts_leaves_one_prompts_lists_on(self):
+        vc = VirtualClock()
+        session = FakeSession([
+            400, (200, list_reply(SCORING_PROMPT, OPTIONS)), (200, list_reply(FA_PROMPT, OPTIONS)),
+        ])
+        gw = Gateway(clock=vc.clock, sleep=vc.sleep, session=session)
+        endpoint = ModelEndpoint(base_url="http://fake", model_id="m", max_retries=3)
+        assert gw.score_prompts(endpoint, self.PROMPTS[:2], OPTIONS) == [None, None]
+        # settled: a list of several prompts is not sent again
+        assert gw.score_prompts(endpoint, self.PROMPTS[:2], OPTIONS) == [None, None]
+        first = gw.score_continuations(endpoint, SCORING_PROMPT, OPTIONS)
+        [second] = gw.score_prompts(endpoint, [FA_PROMPT], OPTIONS)
+        assert vc.sleeps == []
+        assert [len(call["json"]["prompt"]) for call in session.calls] == [8, 4, 4]
+        assert first == Gateway().score_continuations(MOCK, SCORING_PROMPT, OPTIONS)
+        assert second == Gateway().score_continuations(MOCK, FA_PROMPT, OPTIONS)
+
+    def test_a_list_of_several_prompts_is_probed_like_any_list(self):
+        # a 503 on it is retried, and lists of several prompts stay on
+        vc = VirtualClock()
+        pair = self.PROMPTS[:2]
+        reply = list_reply([p for p in pair for _ in OPTIONS], OPTIONS * 2)
+        session = FakeSession([503, (200, reply), (200, reply)])
+        gw = Gateway(clock=vc.clock, sleep=vc.sleep, session=session)
+        endpoint = ModelEndpoint(base_url="http://fake", model_id="m", max_retries=3)
+        twice = [gw.score_prompts(endpoint, pair, OPTIONS) for _ in range(2)]
+        assert vc.sleeps == [Gateway.BACKOFF_BASE]
+        assert [len(call["json"]["prompt"]) for call in session.calls] == [8, 8, 8]
+        assert twice[0] == twice[1] == Gateway().score_prompts(MOCK, pair, OPTIONS)
 
 
 def single_replies(prompt_text, continuations) -> list:

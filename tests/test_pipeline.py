@@ -28,6 +28,7 @@ from suffbench.gateway import (
 from suffbench.pipeline import (
     EMBED_BATCH,
     EXCLUSION_EVENTS,
+    SCORE_BATCH,
     STAGES,
     UNITS_AHEAD_PER_THREAD,
     PipelineError,
@@ -57,6 +58,7 @@ from suffbench.runstore import (
 from tests.conftest import (
     FaultyMockSession,
     FixtureServer,
+    caps_list_prompts,
     drops_list_prompts,
     rejects_list_prompts,
     route_mock,
@@ -330,6 +332,24 @@ def _texts_embedded():
         MockBackend.embed = real
 
 
+@contextmanager
+def _options_scored():
+    """A Counter of the (prompt, continuation) pairs MockBackend scores
+    while the block runs, one count per pair of each request."""
+    scored = Counter()
+    real = MockBackend.score
+
+    def score(backend, model_id, prompt_texts, continuations):
+        scored.update(zip(prompt_texts, continuations))
+        return real(backend, model_id, prompt_texts, continuations)
+
+    MockBackend.score = score
+    try:
+        yield scored
+    finally:
+        MockBackend.score = real
+
+
 def _assert_no_call_repeated(first, resumed, counts, texts, embedded):
     """A killed run (Gateway `first`) and its resume together made the
     requests `counts` of an uninterrupted run, and embedded each of its
@@ -546,6 +566,50 @@ class TestResume:
         assert embedded == texts
         assert first.mock_counts()["embeddings"] + resumed.mock_counts()["embeddings"] == 3
         assert ctx.store.load_similarities() == whole.store.load_similarities()
+
+    @pytest.mark.parametrize("killed_at", [1, 4, 6, 11])
+    def test_resumed_score_sends_the_batches_of_an_uninterrupted_run(
+        self, make_ctx, tmp_path, en_corpus, killed_at
+    ):
+        # 3 baselines and 9 masked rows: 12 rows, three batches. A resume
+        # numbers each row's batch as the uninterrupted plan does, so a
+        # batch the killed run scored costs it nothing and any other one
+        # request. Killed at 1 or 6, batches cut from the pending rows
+        # would cost one request more
+        corpus = subset(en_corpus, 3, seed=7)
+        whole = make_ctx(tmp_path / "whole", {"en": corpus})
+        run(whole, ["mask"])
+        planned = pipeline.plan_score(whole)
+        with _options_scored() as options:
+            run_stage(whole, "score")
+        assert len(planned) == 3 * SCORE_BATCH
+        assert whole.gateway.mock_counts()["logprobs"] == 3
+
+        first = Gateway(cache_dir=tmp_path / "cache")
+        ctx = make_ctx(tmp_path / "killed", {"en": corpus}, gateway=first)
+        run(ctx, ["mask"])
+        appends = itertools.count()
+
+        def append(record, inner=ctx.store.append_score):
+            if next(appends) == killed_at:
+                raise _Killed
+            return inner(record)
+
+        ctx.store.append_score = append
+        with _options_scored() as scored:
+            with pytest.raises(_Killed):
+                run_stage(ctx, "score")
+            ctx.store.close()
+            store = RunStore.open_resume(
+                tmp_path / "killed" / "store", RunManifest.new(RUN, {"levels": [10, 90]})
+            )
+            resumed = Gateway(cache_dir=tmp_path / "cache")
+            ctx = make_ctx(tmp_path / "killed", {"en": corpus}, gateway=resumed, store=store)
+            assert pipeline.plan_score(ctx) == planned[killed_at:]
+            run_stage(ctx, "score")
+        assert scored == options
+        assert first.mock_counts()["logprobs"] + resumed.mock_counts()["logprobs"] == 3
+        assert ctx.store.load_scores() == whole.store.load_scores()
 
     def test_fresh_gateway_resume_makes_no_model_calls(self, make_ctx, tmp_path, en_corpus):
         small = subset(en_corpus, 3, seed=7)
@@ -1169,8 +1233,10 @@ class TestRequestsInFlight:
 
 
 class TestScorerListPrompts:
-    """A scored row is one request to a scorer that takes list prompts, and
-    four to one that refuses them; the stored scores are the same."""
+    """SCORE_BATCH scored rows are one request to a scorer that takes list
+    prompts, a row is one request to a scorer that takes only one row's
+    prompts, and four to one that refuses list prompts; the stored scores
+    are the same."""
 
     def scores(self, make_ctx, root, corpus, scorer, sleeps):
         ctx = make_ctx(root, {"en": corpus}, workers=4, scorer=scorer,
@@ -1180,7 +1246,7 @@ class TestScorerListPrompts:
 
     @pytest.mark.parametrize("refuse", [drops_list_prompts, rejects_list_prompts])
     def test_refusing_scorer_is_probed_once_with_no_sleep(
-        self, make_ctx, tmp_path, en_corpus, refuse
+        self, make_ctx, tmp_path, en_corpus, pools, refuse
     ):
         corpus = subset(en_corpus, 3, seed=7)
         expected = self.scores(make_ctx, tmp_path / "mock", corpus, PROBE, [])
@@ -1191,11 +1257,33 @@ class TestScorerListPrompts:
             server.route(path, refuse(server.httpd.routes[path]))
             got = self.scores(make_ctx, tmp_path / "http", corpus, scorer, sleeps)
         assert sleeps == []
-        # 16 threads score at once: one sends the probe, the rest wait for it
-        probes = [r for r in server.requests if isinstance(r["payload"]["prompt"], list)]
-        assert len(probes) == 1
+        # the first batch's list of several rows is refused, so every row is
+        # a unit of its own; 12 threads score at once: one sends the probe
+        # of one row's list, the rest wait for it
+        probes = [r["payload"]["prompt"] for r in server.requests
+                  if isinstance(r["payload"]["prompt"], list)]
+        assert [len(prompts) for prompts in probes] == [4 * SCORE_BATCH, 4]
+        assert pools == [len(expected)]
         assert got == expected
-        assert len(server.requests) == 1 + 4 * len(expected)
+        assert len(server.requests) == 2 + 4 * len(expected)
+
+    def test_scorer_that_takes_one_rows_prompts_gets_one_request_per_row(
+        self, make_ctx, tmp_path, en_corpus, pools
+    ):
+        corpus = subset(en_corpus, 3, seed=7)
+        expected = self.scores(make_ctx, tmp_path / "mock", corpus, PROBE, [])
+        sleeps = []
+        with FixtureServer() as server:
+            scorer = replace(live(server, PROBE), max_retries=3)
+            path = "/12/completions"
+            server.route(path, caps_list_prompts(4, server.httpd.routes[path]))
+            got = self.scores(make_ctx, tmp_path / "http", corpus, scorer, sleeps)
+        assert sleeps == []
+        assert got == expected
+        # one refused probe of the first batch, then one request per row
+        sent = [len(r["payload"]["prompt"]) for r in server.requests]
+        assert sent == [4 * SCORE_BATCH] + [4] * len(expected)
+        assert pools == [len(expected)]
 
     def test_429_on_the_probe_is_retried_and_batching_stays_on(
         self, make_ctx, tmp_path, en_corpus
@@ -1209,8 +1297,10 @@ class TestScorerListPrompts:
             got = self.scores(make_ctx, tmp_path / "http", corpus, scorer, sleeps)
         assert sleeps == [Gateway.BACKOFF_BASE]
         assert got == expected
-        assert all(isinstance(r["payload"]["prompt"], list) for r in server.requests)
-        assert len(server.requests) == 1 + len(expected)
+        # the first batch twice, its 429 and its retry, then one per batch
+        sent = [len(r["payload"]["prompt"]) for r in server.requests]
+        assert len(expected) == 3 * SCORE_BATCH
+        assert sent == [4 * SCORE_BATCH] * 4
 
 
 class TestFatalFailures:
