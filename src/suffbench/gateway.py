@@ -18,21 +18,20 @@ Gateway is safe to share between threads, so the caller's thread count
 sets how many requests are in flight: a pipeline stage that calls an
 HTTP endpoint keeps pipeline.requests_in_flight(workers) of them, one per
 pool thread. Each request is still cached, rate-limited and retried on
-its own. score_prompts sends the continuations of several prompts as one
-/completions request with a list prompt, so several scored rows cost one
-request; score_continuations does so for the continuations of one prompt,
-and embed_texts sends several texts as one /embeddings request with a list
-input. Either way each continuation or text keeps its own cache entry,
-with the bytes a request of its own would have had. An endpoint's first
-list request of a kind is a probe, and a list of more prompts than one
-prompt's continuations is a kind apart from a shorter one. A probe is
-retried on a 429, a 5xx or a timeout like any request. If it gets any other
-4xx, a failed connection or a reply without one item per input, or its
-retries run out on 5xx replies or timeouts, the endpoint refuses that kind
-of list from then on: score_prompts leaves the prompts it could not send
-to the caller, which sends them one prompt per request, and
-score_continuations and embed_texts send one continuation or text per
-request.
+its own. score_prompts sends the continuations of one prompt or of
+several as one /completions request with a list prompt, so a scored row,
+or several, costs one request, and embed_texts sends several texts as one
+/embeddings request with a list input. Either way each continuation or
+text keeps its own cache entry, with the bytes a request of its own would
+have had. An endpoint's first list request of a kind is a probe, and a
+list of more prompts than one prompt's continuations is a kind apart from
+a shorter one. A probe is retried on a 429, a 5xx or a timeout like any
+request. If it gets any other 4xx, a failed connection or a reply without
+one item per input, or its retries run out on 5xx replies or timeouts, the
+endpoint refuses that kind of list from then on: score_prompts leaves each
+continuation it could not send as None, for the caller to send in a
+shorter list or one per request (scorer.score_options), and embed_texts
+sends one text per request.
 
 HTTP requests go through a session: any object with
 `post(url, json=, headers=, timeout=)` returning a reply with
@@ -122,12 +121,14 @@ class ModelEndpoint:
         for name in ("base_url", "model_id"):
             if not isinstance(getattr(self, name), str) or not getattr(self, name):
                 raise ValueError(f"{name} must be a non-empty string")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if self.requests_per_minute < 1:
-            raise ValueError("requests_per_minute must be >= 1")
-        if self.timeout <= 0:
-            raise ValueError("timeout must be positive")
+        if not isinstance(self.api_key_ref, str):
+            raise ValueError("api_key_ref must be a string")
+        # a bool is an int to isinstance, and no count or number of seconds
+        for name, least in (("max_retries", 0), ("requests_per_minute", 1)):
+            if type(getattr(self, name)) is not int or getattr(self, name) < least:
+                raise ValueError(f"{name} must be an integer >= {least}")
+        if type(self.timeout) not in (int, float) or self.timeout <= 0:
+            raise ValueError("timeout must be a positive number of seconds")
         if not self.base_url.isascii():
             raise ValueError(
                 f"base_url {self.base_url!r} is not ASCII: give its host in punycode"
@@ -277,9 +278,9 @@ class MockBackend:
     Scoring gives every continuation token a logprob of -1.0, so the
     four option letters always tie; one call scores a tuple of
     continuations, one choice each, as an endpoint answers a list prompt:
-    `prompt_text` is the prompt of every continuation, or a tuple with the
-    prompt of each, so one call answers the options of several rows. Its
-    arguments are strings and tuples of strings, and so hashable.
+    `prompt_texts` holds the prompt of each, so one call answers the
+    options of several rows. Its arguments are strings and tuples of
+    strings, and so hashable.
     Embeddings are unit-norm vectors seeded by the text hash, fixed width
     EMBED_DIM; `input` is what the wire carries, a text, which gets one
     item, or a sequence of texts, which gets one item per text.
@@ -322,19 +323,16 @@ class MockBackend:
         }
 
     def score(
-        self, model_id: str, prompt_text: str | tuple[str, ...], continuations: tuple[str, ...]
+        self, model_id: str, prompt_texts: tuple[str, ...], continuations: tuple[str, ...]
     ) -> dict:
         with self._lock:
             self.counts["logprobs"] += 1
-        prompts = prompt_text
-        if isinstance(prompt_text, str):
-            prompts = (prompt_text,) * len(continuations)
         return {
             "object": "text_completion",
             "model": model_id,
             "choices": [
                 self._echo_choice(index, prompt, continuation)
-                for index, (prompt, continuation) in enumerate(zip(prompts, continuations))
+                for index, (prompt, continuation) in enumerate(zip(prompt_texts, continuations))
             ],
         }
 
@@ -699,11 +697,15 @@ class Gateway:
     @staticmethod
     def _first_item(data: dict, field: str, name: str) -> dict:
         """The first of the items under `field`, the choices or the
-        embeddings, of the reply `data` to the request named `name`."""
+        embeddings, of the reply `data` to the request named `name`: a JSON
+        object, or EmptyCompletion."""
         try:
-            return data[field][0]
+            item = data[field][0]
         except (KeyError, IndexError, TypeError):
             raise EmptyCompletion(f"response for {name} carries no {field}") from None
+        if not isinstance(item, dict):
+            raise EmptyCompletion(f"response for {name} carries a non-object {field} item")
+        return item
 
     def _post(
         self, endpoint: ModelEndpoint, path: str, payload: dict, probe: bool = False
@@ -822,43 +824,20 @@ class Gateway:
         [(choice, _)] = self._fetch(
             endpoint, "/completions", [_score_payload(model, prompt_text, continuation)],
             lambda _: _score_wire(model, prompt_text + continuation),
-            lambda mock, _: mock.score(model, prompt_text, (continuation,)),
+            lambda mock, _: mock.score(model, (prompt_text,), (continuation,)),
         )
         return _logprob_result(endpoint, prompt_text, continuation, choice)
 
-    def score_continuations(
-        self, endpoint: ModelEndpoint, prompt_text: str, continuations: Sequence[str]
-    ) -> list[LogprobResult]:
-        """score_continuation of each continuation of one prompt, in order,
-        with the ones the cache misses sent as one /completions request with
-        a list prompt (see _fetch). On an endpoint that refuses list
-        prompts, each miss goes through score_continuation."""
-        found = self._score_each(endpoint, [prompt_text], continuations)
-        return [
-            self.score_continuation(endpoint, prompt_text, c) if result is None else result
-            for c, result in zip(continuations, found)
-        ]
-
     def score_prompts(
         self, endpoint: ModelEndpoint, prompt_texts: Sequence[str], continuations: Sequence[str]
-    ) -> list[list[LogprobResult] | None]:
-        """score_continuations of each prompt, in order, with the
-        continuations the cache misses, of every prompt, sent as one
-        /completions request with a list prompt (see _fetch). A list of more
-        prompts than one prompt's continuations is probed apart from a
-        shorter one: a prompt is None if the endpoint refuses a list as long
-        as its misses made, or refuses lists, for the caller to score with
-        score_continuations."""
-        found = iter(self._score_each(endpoint, prompt_texts, continuations))
-        scored = [[next(found) for _ in continuations] for _ in prompt_texts]
-        return [None if any(r is None for r in results) else results for results in scored]
-
-    def _score_each(
-        self, endpoint: ModelEndpoint, prompt_texts: Sequence[str], continuations: Sequence[str]
-    ) -> list[LogprobResult | None]:
+    ) -> list[list[LogprobResult | None]]:
         """The LogprobResult of each continuation of each prompt, prompt by
-        prompt, with the misses sent as one list request (see _fetch), or
-        None where the endpoint refuses that list."""
+        prompt, with the cache's misses, of every prompt, sent as one
+        /completions request with a list prompt; a list of more prompts than
+        one prompt's continuations is probed apart from a shorter one. Where
+        the endpoint refuses such a list, each miss is None, for the caller
+        to send in a shorter list or through score_continuation, or every
+        continuation is, once it refuses lists of one prompt (see _fetch)."""
         if not all(continuations):
             raise ValueError("continuation must be non-empty")
         model = endpoint.model_id
@@ -871,10 +850,11 @@ class Gateway:
             ),
             lists=len(continuations),
         )
-        return [
-            None if found is None else _logprob_result(endpoint, p, c, found[0])
-            for (p, c), found in zip(pairs, fetched)
-        ]
+        found = iter(
+            None if item is None else _logprob_result(endpoint, p, c, item[0])
+            for (p, c), item in zip(pairs, fetched)
+        )
+        return [[next(found) for _ in continuations] for _ in prompt_texts]
 
     # -- embeddings ------------------------------------------------------------
 

@@ -24,8 +24,9 @@ work in flight, not for the whole corpus.
 
 Two stages batch their requests: the similarity stage embeds EMBED_BATCH
 texts per request, and the score stage sends the options of SCORE_BATCH
-rows as one request, falling back to one row per request, then one option
-per request, for a scorer that refuses the longer lists. Each numbers its
+rows as one request. From the first batch, in plan order, with an option
+the scorer refused in that list, it falls back to one row per request, then
+one option per request for a scorer that refuses lists too. Each numbers its
 batches over its full plan, done or not, so a resumed run sends the
 requests an uninterrupted run would.
 """
@@ -37,7 +38,7 @@ from collections import Counter, deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
-from itertools import chain, groupby, repeat
+from itertools import groupby
 from typing import Callable, Container, Iterable, Iterator, Sequence
 
 from .constrainer import (
@@ -334,16 +335,19 @@ def run_score(ctx: RunContext, units: Sequence[tuple]) -> StageReport:
     The rows go out in the batches plan_score numbered, the options of a
     batch's rows as one request (scorer.score_rows), through _map_ordered:
     an HTTP scorer gets the batches on a pool, and a failed request fails
-    every row of its batch. The first batch goes out on the calling thread
-    before any pool starts. If the scorer refuses that list of several
-    rows, every row not yet scored is a unit of its own from then on, and
-    score_item sends its options as one request, or one per option to a
-    scorer that refuses lists too.
+    every row of its batch. Each landed batch's rows are scored on the
+    calling thread. At the first landed batch with an option the scorer
+    refused to take in that list, the batch pool is closed, and that
+    batch's rows and every later row are units of their own, so the pool
+    keeps as many rows in flight as it kept batches. A row whose batch was
+    fetched with all its options keeps them and its rendered prompt; for
+    any other, score_item sends the row's options as one request, or one
+    per option to a scorer that refuses lists too.
     """
-    def render(unit) -> tuple:
-        (item_id, language, _, _), mask, _ = unit
-        item = ctx.item(language, item_id)
-        return item, render_scoring(item, mask, ctx.templates[language])
+    # work key -> (unit, (item, prompt), its options' results, or None if the
+    # scorer refused any of them in its batch's list), from the batch's fetch
+    # until the row is scored
+    fetched: dict[tuple, tuple] = {}
 
     def score(row: tuple) -> ScoreResult:
         # a row is (unit, (item, prompt) or None, its options' results or
@@ -354,32 +358,33 @@ def run_score(ctx: RunContext, units: Sequence[tuple]) -> StageReport:
             ctx.gateway, ctx.scorer, item, mask, ctx.templates[language], prompt, options
         )
 
-    def fetch(batch: list[tuple]) -> list[tuple]:
-        rendered = [render(unit) for unit in batch]
-        fetched = score_rows(ctx.gateway, ctx.scorer, [prompt for _, prompt in rendered])
-        return list(zip(batch, rendered, fetched))
-
-    def scored(batch: list[tuple]) -> list[tuple]:
-        return [_attempt(score, row) for row in fetch(batch)]
+    def fetch(batch: list[tuple]) -> None:
+        rendered = []
+        for (item_id, language, _, _), mask, _ in batch:
+            item = ctx.item(language, item_id)
+            rendered.append((item, render_scoring(item, mask, ctx.templates[language])))
+        found = score_rows(ctx.gateway, ctx.scorer, [prompt for _, prompt in rendered])
+        for unit, item_prompt, options in zip(batch, rendered, found):
+            fetched[unit[0]] = unit, item_prompt, None if None in options else options
 
     def results():
         batches = [list(rows) for _, rows in groupby(units, key=lambda unit: unit[2])]
-        if not batches:
-            return
-        first, error = _attempt(fetch, batches[0])
-        if first and any(options is None for _, _, options in first):
-            # refused: each row is a unit of its own, so the pool keeps as
-            # many rows in flight as it would keep batches
-            rows = first + [(unit, None, None) for batch in batches[1:] for unit in batch]
-            with closing(_map_ordered(ctx, rows, score, (ctx.scorer,))) as landed:
-                for row, result, error in landed:
-                    yield row[0], result, error
-            return
-        head = (batches[0], first and [_attempt(score, row) for row in first], error)
-        with closing(_map_ordered(ctx, batches[1:], scored, (ctx.scorer,))) as landed:
-            for batch, rows, error in chain([head], landed):
-                for unit, (result, row_error) in zip(batch, rows or repeat((None, error))):
-                    yield unit, result, row_error
+        rest = []
+        with closing(_map_ordered(ctx, batches, fetch, (ctx.scorer,))) as landed:
+            for number, (batch, _, error) in enumerate(landed):
+                if not error and any(fetched[unit[0]][2] is None for unit in batch):
+                    rest = [unit for later in batches[number:] for unit in later]
+                    break
+                for unit in batch:
+                    if error:
+                        yield unit, None, error
+                    else:
+                        yield unit, *_attempt(score, fetched.pop(unit[0]))
+        # refused: each row from here on is a unit of its own
+        rows = [fetched.pop(unit[0], (unit, None, None)) for unit in rest]
+        with closing(_map_ordered(ctx, rows, score, (ctx.scorer,))) as landed:
+            for row, result, error in landed:
+                yield row[0], result, error
 
     return _commit(ctx, "score", len(units), results(), ctx.store.append_score)
 

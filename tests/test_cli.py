@@ -886,7 +886,7 @@ class TestMockCache:
             if p["kind"] == "chat.completions":
                 reply = backend.generate(p["model"], p["prompt"], p["temperature"], p["max_tokens"])
             elif p["kind"] == "completions.logprobs":
-                reply = backend.score(p["model"], p["prompt"], (p["continuation"],))
+                reply = backend.score(p["model"], (p["prompt"],), (p["continuation"],))
             else:
                 reply = backend.embed(p["model"], p["input"])
             assert path.read_bytes() == _encode(reply), p
@@ -981,6 +981,34 @@ class TestValidateCommand:
             err = capsys.readouterr().err
             assert "error: scorer: " in err and message in err
         assert not (tmp_path / "store").exists()
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("max_retries", 2.5, "max_retries must be an integer >= 0"),
+        ("max_retries", True, "max_retries must be an integer >= 0"),
+        ("requests_per_minute", 2.5, "requests_per_minute must be an integer >= 1"),
+        ("requests_per_minute", False, "requests_per_minute must be an integer >= 1"),
+        ("timeout", True, "timeout must be a positive number of seconds"),
+        ("timeout", "60", "timeout must be a positive number of seconds"),
+        ("api_key_ref", 5, "api_key_ref must be a string"),
+    ])
+    def test_an_endpoint_field_of_the_wrong_type_is_refused_at_load(
+        self, tmp_path, capsys, field, value, message
+    ):
+        # a config error, where a float max_retries failed only at the first
+        # request and an int api_key_ref crashed validate-config
+        path = write_config(tmp_path, scorer={
+            "base_url": "http://127.0.0.1:9", "model_id": "probe-1", field: value,
+        })
+        assert main(["validate-config", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "error: scorer: " in err and message in err
+
+    @pytest.mark.parametrize("timeout", [60, 2.5])
+    def test_an_int_or_float_timeout_passes(self, tmp_path, timeout):
+        path = write_config(tmp_path, scorer={
+            "base_url": "http://127.0.0.1:9", "model_id": "probe-1", "timeout": timeout,
+        })
+        assert main(["validate-config", str(path)]) == EXIT_OK
 
     def test_a_set_api_key_ref_passes(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("SUFFBENCH_TEST_KEY", "sk-123")

@@ -16,6 +16,7 @@ from suffbench import transport
 from suffbench.constrainer import count_words, extract_answer_and_explanation
 from suffbench.gateway import (
     EmbeddingDimensionError,
+    EmptyCompletion,
     Gateway,
     GatewayError,
     LogprobResult,
@@ -30,6 +31,7 @@ from suffbench.gateway import (
     request_fingerprint,
 )
 from suffbench.prompts import RenderedPrompt
+from suffbench.scorer import score_options, softmax_probs
 from suffbench.transport import HttpSession
 
 from tests.conftest import (
@@ -326,6 +328,29 @@ class TestCache:
         assert fresh.calls == []
         assert live[0].text.endswith("نور خورشید")
 
+    @pytest.mark.parametrize("item", [None, "x"], ids=repr)
+    @pytest.mark.parametrize("kind", ["generate", "score_continuation"])
+    def test_a_choice_that_is_not_an_object_is_an_empty_completion(self, tmp_path, kind, item):
+        # the reply decodes, so it is cached as its bytes like any lone
+        # reply, and its replay fails the same way
+        endpoint = ModelEndpoint(base_url="http://fake", model_id="m")
+
+        def call(gw):
+            if kind == "generate":
+                return gw.generate(endpoint, prompt_of("p"))
+            return gw.score_continuation(endpoint, SCORING_PROMPT, " A")
+
+        with pytest.raises(EmptyCompletion, match="carries a non-object choices item") as live:
+            call(Gateway(session=FakeSession([(200, {"choices": [item]})])))
+        assert "a m request to /" in str(live.value)
+        session = FakeSession([(200, {"choices": [item]})])
+        for gw in (Gateway(cache_dir=tmp_path, session=session), Gateway(cache_dir=tmp_path)):
+            with pytest.raises(EmptyCompletion, match="non-object") as cached:
+                call(gw)
+            [name] = cache_files(tmp_path)
+            assert f"response for request {name.removesuffix('.json')} " in str(cached.value)
+        assert len(session.calls) == 1
+
     def test_cache_salt_keys_the_cache_not_the_wire(self, server, tmp_path):
         endpoint = live_endpoint(server)
         gw = Gateway(cache_dir=tmp_path)
@@ -524,12 +549,22 @@ def cache_files(root) -> dict[str, bytes]:
 def list_reply(prompt_text, continuations, model="m", seed=7) -> dict:
     """The reply an endpoint that takes list prompts gives, as mock://<seed>:
     `prompt_text` is every continuation's prompt, or a sequence of them."""
-    if not isinstance(prompt_text, str):
-        prompt_text = tuple(prompt_text)
-    return MockBackend(seed).score(model, prompt_text, tuple(continuations))
+    if isinstance(prompt_text, str):
+        prompt_text = [prompt_text] * len(continuations)
+    return MockBackend(seed).score(model, tuple(prompt_text), tuple(continuations))
+
+
+def score_row(gw, endpoint, prompt_text) -> dict[str, float]:
+    """scorer.score_options of the scoring prompt `prompt_text`: its four
+    options as one list request, and one request for each option the
+    endpoint refuses in that list."""
+    return score_options(gw, endpoint, RenderedPrompt("score", prompt_text))
 
 
 class TestScoreContinuations:
+    """One prompt's continuations through score_prompts: the cache's misses
+    go out as one list request."""
+
     def test_results_and_cache_files_match_single_calls(self, tmp_path):
         # mock:// in process, and the same seed over HTTP, batched and one
         # continuation at a time: every result and every cache file agree
@@ -545,7 +580,7 @@ class TestScoreContinuations:
                     gw = Gateway(cache_dir=tmp_path / name / way)
                     before = len(server.requests)
                     if way == "batched":
-                        got = gw.score_continuations(endpoint, FA_PROMPT, OPTIONS)
+                        [got] = gw.score_prompts(endpoint, [FA_PROMPT], OPTIONS)
                     else:
                         got = [gw.score_continuation(endpoint, FA_PROMPT, c) for c in OPTIONS]
                     results[name, way] = got
@@ -561,7 +596,7 @@ class TestScoreContinuations:
 
     def test_mock_scores_a_prompt_in_one_call(self):
         gw = Gateway()
-        gw.score_continuations(MOCK, SCORING_PROMPT, OPTIONS)
+        gw.score_prompts(MOCK, [SCORING_PROMPT], OPTIONS)
         assert gw.mock_counts() == {"generate": 0, "logprobs": 1, "embeddings": 0}
 
     def test_only_cache_misses_are_sent_in_input_order(self, tmp_path):
@@ -575,7 +610,7 @@ class TestScoreContinuations:
             for c in (" C", " A"):
                 warm.score_continuation(endpoint, SCORING_PROMPT, c)
             del server.requests[:]
-            got = Gateway(cache_dir=tmp_path).score_continuations(endpoint, SCORING_PROMPT, order)
+            [got] = Gateway(cache_dir=tmp_path).score_prompts(endpoint, [SCORING_PROMPT], order)
         assert got == [expected[c] for c in order]
         [sent] = server.requests
         assert sent["payload"] == {
@@ -594,8 +629,8 @@ class TestScoreContinuations:
                 "prompt": SCORING_PROMPT, "continuation": c,
             })
             cache.put(key, json.dumps(list_reply(SCORING_PROMPT, [c])).encode("utf-8"))
-        got = Gateway(cache_dir=tmp_path, session=session).score_continuations(
-            endpoint, SCORING_PROMPT, OPTIONS
+        [got] = Gateway(cache_dir=tmp_path, session=session).score_prompts(
+            endpoint, [SCORING_PROMPT], OPTIONS
         )
         assert [r.total_logprob for r in got] == [-1.0] * 4
         assert session.calls == []
@@ -606,7 +641,7 @@ class TestScoreContinuations:
             return {**reply, "choices": reply["choices"][::-1]}
 
         server.route("/completions", reversed_choices)
-        got = Gateway().score_continuations(live_endpoint(server), SCORING_PROMPT, OPTIONS)
+        [got] = Gateway().score_prompts(live_endpoint(server), [SCORING_PROMPT], OPTIONS)
         assert [r.continuation for r in got] == list(OPTIONS)
         assert [r.total_logprob for r in got] == [OPTION_LOGPROBS[c[-1]] for c in OPTIONS]
         [sent] = server.requests
@@ -631,17 +666,17 @@ class TestScoreContinuations:
         gw = Gateway(cache_dir=tmp_path, session=session)
         endpoint = ModelEndpoint(base_url="http://fake", model_id="m")
         # the first list-prompt request settles that the endpoint takes them
-        first = gw.score_continuations(endpoint, SCORING_PROMPT, OPTIONS)
+        [first] = gw.score_prompts(endpoint, [SCORING_PROMPT], OPTIONS)
         assert [r.total_logprob for r in first] == [-1.0] * 4
         with pytest.raises(GatewayError, match="a reply to 4 prompts carries"):
-            gw.score_continuations(endpoint, other, OPTIONS)
+            gw.score_prompts(endpoint, [other], OPTIONS)
         assert len(session.calls) == 2
         # no choice of the faulty reply was cached under any continuation
         assert len(cache_files(tmp_path)) == 4
 
     def test_empty_continuation_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
-            Gateway().score_continuations(MOCK, SCORING_PROMPT, (" A", ""))
+            Gateway().score_prompts(MOCK, [SCORING_PROMPT], (" A", ""))
 
 
 class TestScorePrompts:
@@ -684,11 +719,11 @@ class TestScorePrompts:
         gw = Gateway()
         got = gw.score_prompts(MOCK, self.PROMPTS, OPTIONS)
         assert gw.mock_counts() == {"generate": 0, "logprobs": 1, "embeddings": 0}
-        assert got == [Gateway().score_continuations(MOCK, p, OPTIONS) for p in self.PROMPTS]
+        assert got == [Gateway().score_prompts(MOCK, [p], OPTIONS)[0] for p in self.PROMPTS]
 
     def test_only_cache_misses_are_sent_in_input_order(self, tmp_path):
         warm = Gateway(cache_dir=tmp_path)
-        warm.score_continuations(MOCK, self.PROMPTS[0], OPTIONS)
+        warm.score_prompts(MOCK, [self.PROMPTS[0]], OPTIONS)
         warm.score_continuation(MOCK, self.PROMPTS[1], " B")
         session = FakeSession([(200, list_reply(
             (self.PROMPTS[1],) * 3 + (self.PROMPTS[2],) * 4,
@@ -712,15 +747,27 @@ class TestScorePrompts:
         ])
         gw = Gateway(clock=vc.clock, sleep=vc.sleep, session=session)
         endpoint = ModelEndpoint(base_url="http://fake", model_id="m", max_retries=3)
-        assert gw.score_prompts(endpoint, self.PROMPTS[:2], OPTIONS) == [None, None]
+        # each continuation of a refused list is None
+        assert gw.score_prompts(endpoint, self.PROMPTS[:2], OPTIONS) == [[None] * 4] * 2
         # settled: a list of several prompts is not sent again
-        assert gw.score_prompts(endpoint, self.PROMPTS[:2], OPTIONS) == [None, None]
-        first = gw.score_continuations(endpoint, SCORING_PROMPT, OPTIONS)
+        assert gw.score_prompts(endpoint, self.PROMPTS[:2], OPTIONS) == [[None] * 4] * 2
+        [first] = gw.score_prompts(endpoint, [SCORING_PROMPT], OPTIONS)
         [second] = gw.score_prompts(endpoint, [FA_PROMPT], OPTIONS)
         assert vc.sleeps == []
         assert [len(call["json"]["prompt"]) for call in session.calls] == [8, 4, 4]
-        assert first == Gateway().score_continuations(MOCK, SCORING_PROMPT, OPTIONS)
-        assert second == Gateway().score_continuations(MOCK, FA_PROMPT, OPTIONS)
+        assert first == Gateway().score_prompts(MOCK, [SCORING_PROMPT], OPTIONS)[0]
+        assert second == Gateway().score_prompts(MOCK, [FA_PROMPT], OPTIONS)[0]
+
+    def test_a_refused_list_still_returns_the_continuations_the_cache_found(self, tmp_path):
+        # only the misses of a refused list are None
+        warm = Gateway(cache_dir=tmp_path)
+        [cached] = warm.score_prompts(MOCK, [self.PROMPTS[0]], OPTIONS[1:2])
+        session = FakeSession([400])
+        gw = Gateway(cache_dir=tmp_path, session=session)
+        endpoint = ModelEndpoint(base_url="http://fake", model_id="mock-gen")
+        got = gw.score_prompts(endpoint, self.PROMPTS[:2], OPTIONS)
+        assert got == [[None, *cached, None, None], [None] * 4]
+        assert [len(call["json"]["prompt"]) for call in session.calls] == [7]
 
     def test_a_list_of_several_prompts_is_probed_like_any_list(self):
         # a 503 on it is retried, and lists of several prompts stay on
@@ -762,14 +809,14 @@ class TestListPromptProbe:
         ])
         gw = Gateway(cache_dir=tmp_path, clock=vc.clock, sleep=vc.sleep, session=session)
         endpoint = ModelEndpoint(base_url="http://fake", model_id="m", max_retries=3)
-        first = gw.score_continuations(endpoint, SCORING_PROMPT, OPTIONS)
-        second = gw.score_continuations(endpoint, self.OTHER, OPTIONS)
+        first = score_row(gw, endpoint, SCORING_PROMPT)
+        second = score_row(gw, endpoint, self.OTHER)
         assert vc.sleeps == []
         prompts = [call["json"]["prompt"] for call in session.calls]
         assert prompts[0] == [SCORING_PROMPT + c for c in OPTIONS]
         # the probe, then one request per continuation, and no second probe
         assert prompts[1:] == [p + c for p in (SCORING_PROMPT, self.OTHER) for c in OPTIONS]
-        assert first == second == Gateway().score_continuations(MOCK, SCORING_PROMPT, OPTIONS)
+        assert first == second == score_row(Gateway(), MOCK, SCORING_PROMPT)
         assert len(cache_files(tmp_path)) == 8
 
     def test_threads_racing_to_the_first_list_prompt_send_one_probe(self, server):
@@ -784,7 +831,7 @@ class TestListPromptProbe:
         def score(i):
             barrier.wait(timeout=10)
             prompt = f"Question {i}?\nThe answer is "
-            results.append(gw.score_continuations(endpoint, prompt, OPTIONS))
+            results.append(score_row(gw, endpoint, prompt))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -803,7 +850,7 @@ class TestListPromptProbe:
         lists = [r for r in server.requests if isinstance(r["payload"]["prompt"], list)]
         assert len(lists) == 1
         assert len(server.requests) == 1 + 16 * 4
-        assert [[r.total_logprob for r in got] for got in results] == [[-1.0, -2.0, -3.0, -4.0]] * 16
+        assert results == [softmax_probs(OPTION_LOGPROBS)] * 16
 
     def assert_probe_retried(self, failure):
         vc = VirtualClock()
@@ -814,8 +861,8 @@ class TestListPromptProbe:
         ])
         gw = Gateway(clock=vc.clock, sleep=vc.sleep, session=session)
         endpoint = ModelEndpoint(base_url="http://fake", model_id="m", max_retries=3)
-        gw.score_continuations(endpoint, SCORING_PROMPT, OPTIONS)
-        gw.score_continuations(endpoint, self.OTHER, OPTIONS)
+        gw.score_prompts(endpoint, [SCORING_PROMPT], OPTIONS)
+        gw.score_prompts(endpoint, [self.OTHER], OPTIONS)
         assert vc.sleeps == [Gateway.BACKOFF_BASE]
         assert [len(call["json"]["prompt"]) for call in session.calls] == [4, 4, 4]
 
@@ -837,13 +884,13 @@ class TestListPromptProbe:
         ])
         gw = Gateway(cache_dir=tmp_path, clock=vc.clock, sleep=vc.sleep, session=session)
         endpoint = ModelEndpoint(base_url="http://fake", model_id="m", max_retries=3)
-        first = gw.score_continuations(endpoint, SCORING_PROMPT, OPTIONS)
-        second = gw.score_continuations(endpoint, self.OTHER, OPTIONS)
+        first = score_row(gw, endpoint, SCORING_PROMPT)
+        second = score_row(gw, endpoint, self.OTHER)
         assert vc.sleeps == [0.5, 1.0, 2.0]
         prompts = [call["json"]["prompt"] for call in session.calls]
         assert prompts[:4] == [[SCORING_PROMPT + c for c in OPTIONS]] * 4
         assert prompts[4:] == [p + c for p in (SCORING_PROMPT, self.OTHER) for c in OPTIONS]
-        assert first == second == Gateway().score_continuations(MOCK, SCORING_PROMPT, OPTIONS)
+        assert first == second == score_row(Gateway(), MOCK, SCORING_PROMPT)
         assert len(cache_files(tmp_path)) == 8
 
     def test_a_503_on_the_first_list_prompt_leaves_one_request_per_row(self):
@@ -855,18 +902,18 @@ class TestListPromptProbe:
                                      requests_per_minute=10_000)
             gw = Gateway(sleep=sleeps.append)
             server.script_statuses([503])
-            gw.score_continuations(endpoint, SCORING_PROMPT, OPTIONS)
+            gw.score_prompts(endpoint, [SCORING_PROMPT], OPTIONS)
             probe = list(server.requests)
             del server.requests[:]
-            rows = [gw.score_continuations(endpoint, f"Question {i}?\nThe answer is ", OPTIONS)
+            rows = [gw.score_prompts(endpoint, [f"Question {i}?\nThe answer is "], OPTIONS)
                     for i in range(10)]
             gw.close()
         assert sleeps == [Gateway.BACKOFF_BASE]
         assert [len(r["payload"]["prompt"]) for r in probe] == [4, 4]
         assert [len(r["payload"]["prompt"]) for r in server.requests] == [4] * 10
         mock = ModelEndpoint(base_url="mock://7", model_id="m")
-        assert rows == [Gateway().score_continuations(mock, f"Question {i}?\nThe answer is ",
-                                                      OPTIONS) for i in range(10)]
+        assert rows == [Gateway().score_prompts(mock, [f"Question {i}?\nThe answer is "],
+                                                OPTIONS) for i in range(10)]
 
     def test_failures_after_a_batched_success_are_retried(self):
         vc = VirtualClock()
@@ -877,8 +924,8 @@ class TestListPromptProbe:
         ])
         gw = Gateway(clock=vc.clock, sleep=vc.sleep, session=session)
         endpoint = ModelEndpoint(base_url="http://fake", model_id="m", max_retries=3)
-        gw.score_continuations(endpoint, SCORING_PROMPT, OPTIONS)
-        gw.score_continuations(endpoint, self.OTHER, OPTIONS)
+        gw.score_prompts(endpoint, [SCORING_PROMPT], OPTIONS)
+        gw.score_prompts(endpoint, [self.OTHER], OPTIONS)
         assert vc.sleeps == [0.5, 1.0]
         assert [len(call["json"]["prompt"]) for call in session.calls] == [4, 4, 4, 4]
 
@@ -888,9 +935,9 @@ class TestListPromptProbe:
         gw = Gateway(clock=vc.clock, sleep=vc.sleep, session=session)
         endpoint = ModelEndpoint(base_url="http://fake", model_id="m", max_retries=1)
         with pytest.raises(RetriesExhausted):
-            gw.score_continuations(endpoint, SCORING_PROMPT, OPTIONS)
+            score_row(gw, endpoint, SCORING_PROMPT)
         # the next row probes again, and this probe's 400 refuses list prompts
-        gw.score_continuations(endpoint, SCORING_PROMPT, OPTIONS)
+        score_row(gw, endpoint, SCORING_PROMPT)
         assert [isinstance(call["json"]["prompt"], list) for call in session.calls] == [
             True, True, True, False, False, False, False,
         ]
@@ -921,7 +968,7 @@ class TestCacheReads:
     @pytest.mark.parametrize("refuses", [False, True])
     def test_score_continuations_reads_each_entry_once(self, refuses, tmp_path, monkeypatch):
         for prompt in (SCORING_PROMPT, self.OTHER):
-            Gateway(cache_dir=tmp_path).score_continuations(MOCK, prompt, OPTIONS[::2])
+            Gateway(cache_dir=tmp_path).score_prompts(MOCK, [prompt], OPTIONS[::2])
         found = {path.stem for path in tmp_path.rglob("*.json")}
         misses = OPTIONS[1::2]
         if refuses:
@@ -933,10 +980,10 @@ class TestCacheReads:
         gw = Gateway(cache_dir=tmp_path, session=session)
         endpoint = ModelEndpoint(base_url="http://fake", model_id="mock-gen")
         reads = cache_reads(monkeypatch)
-        first = gw.score_continuations(endpoint, SCORING_PROMPT, OPTIONS)
+        first = score_row(gw, endpoint, SCORING_PROMPT)
         probe_row = set(reads)
-        second = gw.score_continuations(endpoint, self.OTHER, OPTIONS)
-        assert first == second == Gateway().score_continuations(MOCK, SCORING_PROMPT, OPTIONS)
+        second = score_row(gw, endpoint, self.OTHER)
+        assert first == second == score_row(Gateway(), MOCK, SCORING_PROMPT)
         assert len(found) == 4 and all(reads[key] == 1 for key in found)
         assert all(reads[key] == 1 for key in set(reads) - probe_row)
         assert len(reads) == 8
@@ -1097,7 +1144,7 @@ class TestEmbedTexts:
         ])
         gw = Gateway(session=session)
         endpoint = ModelEndpoint(base_url="http://fake", model_id="mock-gen")
-        gw.score_continuations(endpoint, SCORING_PROMPT, OPTIONS)
+        score_row(gw, endpoint, SCORING_PROMPT)
         gw.embed_texts(endpoint, self.TEXTS)
         assert session.calls[-1]["json"]["input"] == list(self.TEXTS)
         assert len(session.calls) == 6

@@ -1,5 +1,6 @@
 import csv
 import itertools
+import sys
 import threading
 import time
 import weakref
@@ -1151,7 +1152,7 @@ def _record_threads(monkeypatch) -> set[int]:
         return call
 
     for owner, name in (
-        (Gateway, "generate"), (Gateway, "score_continuations"),
+        (Gateway, "generate"), (Gateway, "score_prompts"),
         (Gateway, "score_continuation"), (Gateway, "embed_texts"), (Gateway, "embed"),
         (pipeline, "mask_explanation"),
     ):
@@ -1257,13 +1258,14 @@ class TestScorerListPrompts:
             server.route(path, refuse(server.httpd.routes[path]))
             got = self.scores(make_ctx, tmp_path / "http", corpus, scorer, sleeps)
         assert sleeps == []
-        # the first batch's list of several rows is refused, so every row is
-        # a unit of its own; 12 threads score at once: one sends the probe
-        # of one row's list, the rest wait for it
+        # the first batch's list of several rows is refused, so the batch
+        # pool of 3 threads is closed and every row is a unit of its own; 12
+        # threads score at once: one sends the probe of one row's list, the
+        # rest wait for it
         probes = [r["payload"]["prompt"] for r in server.requests
                   if isinstance(r["payload"]["prompt"], list)]
         assert [len(prompts) for prompts in probes] == [4 * SCORE_BATCH, 4]
-        assert pools == [len(expected)]
+        assert pools == [len(expected) // SCORE_BATCH, len(expected)] == [3, 12]
         assert got == expected
         assert len(server.requests) == 2 + 4 * len(expected)
 
@@ -1283,7 +1285,90 @@ class TestScorerListPrompts:
         # one refused probe of the first batch, then one request per row
         sent = [len(r["payload"]["prompt"]) for r in server.requests]
         assert sent == [4 * SCORE_BATCH] + [4] * len(expected)
-        assert pools == [len(expected)]
+        assert pools == [len(expected) // SCORE_BATCH, len(expected)] == [3, 12]
+
+    def test_rows_after_a_refused_batch_fill_the_pool_when_the_first_is_cached(
+        self, make_ctx, tmp_path, en_corpus, pools
+    ):
+        # the first batch is answered from the cache, so the multi-row probe
+        # goes out with the second; once it is refused the 20 rows left are
+        # units of their own on a pool of requests_in_flight(2) threads
+        corpus = subset(en_corpus, 6, seed=7)
+        expected = self.scores(make_ctx, tmp_path / "mock", corpus, PROBE, [])
+        assert len(expected) == 24
+        warm = make_ctx(tmp_path / "warm", {"en": corpus},
+                        gateway=Gateway(cache_dir=tmp_path / "cache"))
+        run(warm, ["mask"])
+        pipeline.run_score(warm, pipeline.plan_score(warm)[:SCORE_BATCH])
+        sleeps = []
+        with FixtureServer() as server:
+            scorer = replace(live(server, PROBE), max_retries=3)
+            path = "/12/completions"
+            server.route(path, caps_list_prompts(4, server.httpd.routes[path]))
+            ctx = make_ctx(tmp_path / "http", {"en": corpus}, workers=2, scorer=scorer,
+                           gateway=Gateway(cache_dir=tmp_path / "cache", sleep=sleeps.append))
+            run(ctx, ["mask"])
+            pools.clear()
+            with closing(ctx.gateway):
+                run_stage(ctx, "score")
+        assert sleeps == []
+        assert ctx.store.load_scores() == expected
+        sent = [len(r["payload"]["prompt"]) for r in server.requests]
+        assert sent == [4 * SCORE_BATCH] + [4] * 20
+        assert pools == [24 // SCORE_BATCH, requests_in_flight(2)] == [6, 8]
+
+    def test_a_row_fetched_whole_before_the_switch_is_not_sent_again(
+        self, make_ctx, tmp_path, en_corpus, pools
+    ):
+        # 9 rows are batches of 4, 4 and 1, fetched at once on a pool of 3.
+        # The last batch's 4 prompts are a list of one row's, which the
+        # scorer takes while it refuses the first batch's 16; with no cache,
+        # that row is scored from its batch's reply, not sent again
+        corpus = subset(en_corpus, 3, seed=7)
+        expected = make_ctx(tmp_path / "mock", {"en": corpus}, levels=(10,))
+        run(expected, ["score"])
+        with FixtureServer() as server:
+            scorer = replace(live(server, PROBE), max_retries=3)
+            path = "/12/completions"
+            server.route(path, caps_list_prompts(4, server.httpd.routes[path]))
+            ctx = make_ctx(tmp_path / "http", {"en": corpus}, levels=(10,), workers=2,
+                           scorer=scorer)
+            run(ctx, ["mask"])
+            pools.clear()
+            with closing(ctx.gateway):
+                run_stage(ctx, "score")
+        assert ctx.store.load_scores() == expected.store.load_scores()
+        sent = sorted(len(r["payload"]["prompt"]) for r in server.requests)
+        assert sent == [4] * 9 + [4 * SCORE_BATCH]
+        assert pools == [3, requests_in_flight(2)]
+
+    def test_rows_fetched_before_the_switch_are_each_scored_once_under_thread_churn(
+        self, make_ctx, tmp_path, en_corpus
+    ):
+        # 14 batches of 4 rows and one of 1 on 16 threads, more than the
+        # cores, switching often: the rows fetched before the switch are
+        # shared with the calling thread, and one lost or scored twice would
+        # show as a wrong table or a request sent again
+        corpus = {"en": subset(_copies(en_corpus, 2), 19, seed=7)}
+        expected = make_ctx(tmp_path / "mock", corpus, levels=(10,))
+        run(expected, ["score"])
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with FixtureServer() as server:
+                scorer = replace(live(server, PROBE), max_retries=3)
+                path = "/12/completions"
+                server.route(path, caps_list_prompts(4, server.httpd.routes[path]))
+                ctx = make_ctx(tmp_path / "http", corpus, levels=(10,), workers=4,
+                               scorer=scorer)
+                with closing(ctx.gateway):
+                    run(ctx, ["score"])
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(ctx.store.load_scores()) == 57 == 14 * SCORE_BATCH + 1
+        assert ctx.store.load_scores() == expected.store.load_scores()
+        sent = sorted(len(r["payload"]["prompt"]) for r in server.requests)
+        assert sent == [4] * 57 + [4 * SCORE_BATCH]
 
     def test_429_on_the_probe_is_retried_and_batching_stays_on(
         self, make_ctx, tmp_path, en_corpus
