@@ -85,7 +85,8 @@ class RetriesExhausted(GatewayError):
 
 
 class EmptyCompletion(GatewayError):
-    """HTTP success but the reply carries no choices, or no embeddings."""
+    """HTTP success but the reply carries no choices, or no embeddings, or
+    one that is not of the shape its request asks for."""
 
 
 class LogprobsUnsupported(GatewayError):
@@ -801,11 +802,17 @@ class Gateway:
             "temperature": temperature,
             "max_tokens": max_tokens,
         }
-        [(choice, _)] = self._fetch(
+        [(choice, name)] = self._fetch(
             endpoint, "/chat/completions", [payload], lambda _: wire,
             lambda mock, _: mock.generate(endpoint.model_id, prompt.text, temperature, max_tokens),
         )
-        text = (choice.get("message") or {}).get("content") or ""
+        # a missing or null message or content is an empty generation
+        message = {} if choice.get("message") is None else choice["message"]
+        if not isinstance(message, dict):
+            raise EmptyCompletion(f"response for {name} carries a non-object message")
+        text = "" if message.get("content") is None else message["content"]
+        if not isinstance(text, str):
+            raise EmptyCompletion(f"response for {name} carries a non-string message content")
         finish = choice.get("finish_reason")
         if finish not in FINISH_REASONS:
             finish = "other"

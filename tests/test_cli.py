@@ -38,7 +38,7 @@ from suffbench.gateway import (
     RetriesExhausted,
     _encode,
 )
-from suffbench.pipeline import requests_in_flight
+from suffbench.pipeline import SCORE_BATCH, requests_in_flight
 from suffbench.runstore import COLUMNS, AuditRecord, RunStore, StoreError
 from suffbench.transport import HttpSession
 from tests.conftest import (
@@ -308,7 +308,8 @@ class TestHttpScorer:
             assert main(["run", "--config", str(path), "--stage", "score"]) == EXIT_OK
         # the refused probe of the first batch's rows, then one request per
         # scored row: its four options as one list prompt
-        assert [len(r["payload"]["prompt"]) for r in server.requests] == [16] + [4] * 40
+        sent = [len(r["payload"]["prompt"]) for r in server.requests]
+        assert sent == [4 * SCORE_BATCH] + [4] * 40
         assert all(r["headers"]["Authorization"].startswith("Basic ") for r in server.requests)
         ports = {r["port"] for r in server.requests}
         [session] = sessions

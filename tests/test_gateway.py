@@ -19,6 +19,7 @@ from suffbench.gateway import (
     EmptyCompletion,
     Gateway,
     GatewayError,
+    GenerationResult,
     LogprobResult,
     LogprobsUnsupported,
     MockBackend,
@@ -350,6 +351,30 @@ class TestCache:
             [name] = cache_files(tmp_path)
             assert f"response for request {name.removesuffix('.json')} " in str(cached.value)
         assert len(session.calls) == 1
+
+    @pytest.mark.parametrize("message, error", [
+        ("x", "carries a non-object message"),
+        ({"role": "assistant", "content": 5}, "carries a non-string message content"),
+    ], ids=["message", "content"])
+    def test_a_message_of_the_wrong_shape_is_an_empty_completion(self, message, error):
+        endpoint = ModelEndpoint(base_url="http://fake", model_id="m")
+        choice = {"index": 0, "message": message, "finish_reason": "stop"}
+        session = FakeSession([(200, {"choices": [choice]})])
+        with pytest.raises(EmptyCompletion, match=error) as live:
+            Gateway(session=session).generate(endpoint, prompt_of("p"))
+        assert "response for a m request to /chat/completions " in str(live.value)
+
+    @pytest.mark.parametrize("choice", [
+        {"message": {"role": "assistant"}},
+        {"message": {"role": "assistant", "content": None}},
+        {"message": None},
+        {},
+    ], ids=repr)
+    def test_a_missing_or_null_content_is_an_empty_text(self, choice):
+        endpoint = ModelEndpoint(base_url="http://fake", model_id="m")
+        session = FakeSession([(200, {"choices": [{"index": 0, **choice}]})])
+        result = Gateway(session=session).generate(endpoint, prompt_of("p"))
+        assert result == GenerationResult(text="", finish_reason="other")
 
     def test_cache_salt_keys_the_cache_not_the_wire(self, server, tmp_path):
         endpoint = live_endpoint(server)

@@ -568,16 +568,19 @@ class TestResume:
         assert first.mock_counts()["embeddings"] + resumed.mock_counts()["embeddings"] == 3
         assert ctx.store.load_similarities() == whole.store.load_similarities()
 
-    @pytest.mark.parametrize("killed_at", [1, 4, 6, 11])
+    @pytest.mark.parametrize(
+        "killed_at", [1, SCORE_BATCH, SCORE_BATCH + 2, 3 * SCORE_BATCH - 1]
+    )
     def test_resumed_score_sends_the_batches_of_an_uninterrupted_run(
         self, make_ctx, tmp_path, en_corpus, killed_at
     ):
-        # 3 baselines and 9 masked rows: 12 rows, three batches. A resume
-        # numbers each row's batch as the uninterrupted plan does, so a
-        # batch the killed run scored costs it nothing and any other one
-        # request. Killed at 1 or 6, batches cut from the pending rows
-        # would cost one request more
-        corpus = subset(en_corpus, 3, seed=7)
+        # three batches of rows, killed inside the first, after it, inside
+        # the second and at the third's last row. A resume numbers each
+        # row's batch as the uninterrupted plan does, so a batch the killed
+        # run scored costs it nothing and any other one request. Killed
+        # inside a batch, batches cut from the pending rows would cost one
+        # request more
+        corpus = _scored_rows(en_corpus, 3 * SCORE_BATCH)
         whole = make_ctx(tmp_path / "whole", {"en": corpus})
         run(whole, ["mask"])
         planned = pipeline.plan_score(whole)
@@ -971,6 +974,15 @@ def _copies(corpus: Corpus, n: int) -> Corpus:
     ))
 
 
+def _scored_rows(corpus: Corpus, rows: int, levels: tuple = (10, 90)) -> Corpus:
+    """Items of `corpus`, and of copies of it, that make `rows` scored rows
+    at `levels`: each item's baseline, its level-0 row and one row per
+    level."""
+    items, rest = divmod(rows, 2 + len(levels))
+    assert not rest, f"{rows} rows are not whole items at levels {levels}"
+    return subset(_copies(corpus, -(-items // len(corpus))), items, seed=7)
+
+
 class TestSimilarity:
     def test_each_text_embedded_once_across_workers(
         self, make_ctx, tmp_path, en_corpus, pools
@@ -1237,7 +1249,7 @@ class TestScorerListPrompts:
     """SCORE_BATCH scored rows are one request to a scorer that takes list
     prompts, a row is one request to a scorer that takes only one row's
     prompts, and four to one that refuses list prompts; the stored scores
-    are the same."""
+    are the same. Each plan spans three batches or more."""
 
     def scores(self, make_ctx, root, corpus, scorer, sleeps):
         ctx = make_ctx(root, {"en": corpus}, workers=4, scorer=scorer,
@@ -1249,7 +1261,7 @@ class TestScorerListPrompts:
     def test_refusing_scorer_is_probed_once_with_no_sleep(
         self, make_ctx, tmp_path, en_corpus, pools, refuse
     ):
-        corpus = subset(en_corpus, 3, seed=7)
+        corpus = _scored_rows(en_corpus, 3 * SCORE_BATCH)
         expected = self.scores(make_ctx, tmp_path / "mock", corpus, PROBE, [])
         sleeps = []
         with FixtureServer() as server:
@@ -1259,20 +1271,20 @@ class TestScorerListPrompts:
             got = self.scores(make_ctx, tmp_path / "http", corpus, scorer, sleeps)
         assert sleeps == []
         # the first batch's list of several rows is refused, so the batch
-        # pool of 3 threads is closed and every row is a unit of its own; 12
+        # pool of 3 threads is closed and every row is a unit of its own; 16
         # threads score at once: one sends the probe of one row's list, the
         # rest wait for it
         probes = [r["payload"]["prompt"] for r in server.requests
                   if isinstance(r["payload"]["prompt"], list)]
         assert [len(prompts) for prompts in probes] == [4 * SCORE_BATCH, 4]
-        assert pools == [len(expected) // SCORE_BATCH, len(expected)] == [3, 12]
+        assert pools == [3, requests_in_flight(4)] == [3, 16]
         assert got == expected
         assert len(server.requests) == 2 + 4 * len(expected)
 
     def test_scorer_that_takes_one_rows_prompts_gets_one_request_per_row(
         self, make_ctx, tmp_path, en_corpus, pools
     ):
-        corpus = subset(en_corpus, 3, seed=7)
+        corpus = _scored_rows(en_corpus, 3 * SCORE_BATCH)
         expected = self.scores(make_ctx, tmp_path / "mock", corpus, PROBE, [])
         sleeps = []
         with FixtureServer() as server:
@@ -1285,17 +1297,41 @@ class TestScorerListPrompts:
         # one refused probe of the first batch, then one request per row
         sent = [len(r["payload"]["prompt"]) for r in server.requests]
         assert sent == [4 * SCORE_BATCH] + [4] * len(expected)
-        assert pools == [len(expected) // SCORE_BATCH, len(expected)] == [3, 12]
+        assert pools == [3, requests_in_flight(4)] == [3, 16]
+
+    def test_scorer_capped_below_a_batch_gets_one_request_per_row(
+        self, make_ctx, tmp_path, en_corpus
+    ):
+        # a scorer that takes the 16 prompts of 4 rows refuses a batch's
+        # 4 * SCORE_BATCH, and then gets one row per request: no list
+        # between one row's and a batch's is tried. It stores the bytes a
+        # scorer that takes a batch's list stores
+        corpus = _scored_rows(en_corpus, 3 * SCORE_BATCH)
+        sent = {}
+        with FixtureServer() as server:
+            scorer = replace(live(server, PROBE), max_retries=3)
+            path = "/12/completions"
+            takes_lists = server.httpd.routes[path]
+            for name, route in (("lists", takes_lists),
+                                ("capped", caps_list_prompts(16, takes_lists))):
+                server.route(path, route)
+                before = len(server.requests)
+                self.scores(make_ctx, tmp_path / name, corpus, scorer, [])
+                sent[name] = [len(r["payload"]["prompt"]) for r in server.requests[before:]]
+        assert sent["lists"] == [4 * SCORE_BATCH] * 3
+        assert sent["capped"] == [4 * SCORE_BATCH] + [4] * 3 * SCORE_BATCH
+        capped = store_bytes(tmp_path / "capped" / "store")
+        assert capped == store_bytes(tmp_path / "lists" / "store")
 
     def test_rows_after_a_refused_batch_fill_the_pool_when_the_first_is_cached(
         self, make_ctx, tmp_path, en_corpus, pools
     ):
         # the first batch is answered from the cache, so the multi-row probe
-        # goes out with the second; once it is refused the 20 rows left are
+        # goes out with the second; once it is refused the rows left are
         # units of their own on a pool of requests_in_flight(2) threads
-        corpus = subset(en_corpus, 6, seed=7)
+        corpus = _scored_rows(en_corpus, 3 * SCORE_BATCH)
         expected = self.scores(make_ctx, tmp_path / "mock", corpus, PROBE, [])
-        assert len(expected) == 24
+        assert len(expected) == 3 * SCORE_BATCH
         warm = make_ctx(tmp_path / "warm", {"en": corpus},
                         gateway=Gateway(cache_dir=tmp_path / "cache"))
         run(warm, ["mask"])
@@ -1314,17 +1350,18 @@ class TestScorerListPrompts:
         assert sleeps == []
         assert ctx.store.load_scores() == expected
         sent = [len(r["payload"]["prompt"]) for r in server.requests]
-        assert sent == [4 * SCORE_BATCH] + [4] * 20
-        assert pools == [24 // SCORE_BATCH, requests_in_flight(2)] == [6, 8]
+        assert sent == [4 * SCORE_BATCH] + [4] * 2 * SCORE_BATCH
+        assert pools == [3, requests_in_flight(2)] == [3, 8]
 
     def test_a_row_fetched_whole_before_the_switch_is_not_sent_again(
         self, make_ctx, tmp_path, en_corpus, pools
     ):
-        # 9 rows are batches of 4, 4 and 1, fetched at once on a pool of 3.
-        # The last batch's 4 prompts are a list of one row's, which the
-        # scorer takes while it refuses the first batch's 16; with no cache,
-        # that row is scored from its batch's reply, not sent again
-        corpus = subset(en_corpus, 3, seed=7)
+        # two full batches and one of 1 row, fetched at once on a pool of
+        # 3. The last batch's 4 prompts are a list of one row's, which the
+        # scorer takes while it refuses the first batch's 4 * SCORE_BATCH;
+        # with no cache, that row is scored from its batch's reply, not sent
+        # again
+        corpus = _scored_rows(en_corpus, 2 * SCORE_BATCH + 1, levels=(10,))
         expected = make_ctx(tmp_path / "mock", {"en": corpus}, levels=(10,))
         run(expected, ["score"])
         with FixtureServer() as server:
@@ -1339,17 +1376,17 @@ class TestScorerListPrompts:
                 run_stage(ctx, "score")
         assert ctx.store.load_scores() == expected.store.load_scores()
         sent = sorted(len(r["payload"]["prompt"]) for r in server.requests)
-        assert sent == [4] * 9 + [4 * SCORE_BATCH]
+        assert sent == [4] * (2 * SCORE_BATCH + 1) + [4 * SCORE_BATCH]
         assert pools == [3, requests_in_flight(2)]
 
     def test_rows_fetched_before_the_switch_are_each_scored_once_under_thread_churn(
         self, make_ctx, tmp_path, en_corpus
     ):
-        # 14 batches of 4 rows and one of 1 on 16 threads, more than the
+        # 14 full batches and one of 1 row on 16 threads, more than the
         # cores, switching often: the rows fetched before the switch are
         # shared with the calling thread, and one lost or scored twice would
         # show as a wrong table or a request sent again
-        corpus = {"en": subset(_copies(en_corpus, 2), 19, seed=7)}
+        corpus = {"en": _scored_rows(en_corpus, 14 * SCORE_BATCH + 1, levels=(10,))}
         expected = make_ctx(tmp_path / "mock", corpus, levels=(10,))
         run(expected, ["score"])
         interval = sys.getswitchinterval()
@@ -1365,15 +1402,15 @@ class TestScorerListPrompts:
                     run(ctx, ["score"])
         finally:
             sys.setswitchinterval(interval)
-        assert len(ctx.store.load_scores()) == 57 == 14 * SCORE_BATCH + 1
+        assert len(ctx.store.load_scores()) == 14 * SCORE_BATCH + 1
         assert ctx.store.load_scores() == expected.store.load_scores()
         sent = sorted(len(r["payload"]["prompt"]) for r in server.requests)
-        assert sent == [4] * 57 + [4 * SCORE_BATCH]
+        assert sent == [4] * (14 * SCORE_BATCH + 1) + [4 * SCORE_BATCH]
 
     def test_429_on_the_probe_is_retried_and_batching_stays_on(
         self, make_ctx, tmp_path, en_corpus
     ):
-        corpus = subset(en_corpus, 3, seed=7)
+        corpus = _scored_rows(en_corpus, 3 * SCORE_BATCH)
         expected = self.scores(make_ctx, tmp_path / "mock", corpus, PROBE, [])
         sleeps = []
         with FixtureServer() as server:
