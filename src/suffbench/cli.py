@@ -6,6 +6,9 @@
 
 Exit codes: 0 success, 2 configuration problem, 3 stage failure,
 4 store/config identity mismatch.
+
+A run's Gateway opens its HTTP session at its first HTTP request, so a
+mock-only run, a dry run, a report or a config check loads no HTTP code.
 """
 
 from __future__ import annotations
@@ -25,9 +28,7 @@ from .constrainer import CONSTRAINT_LEVELS
 from .corpus import LANGUAGES, Corpus, CorpusError, load_corpus, subset
 from .gateway import Gateway, ModelEndpoint
 from .metrics import heatmap_matrix, render_heatmap_svg, without_excluded
-from .pipeline import (
-    STAGES, PipelineError, RunContext, StageFailure, exclusion_keys, requests_in_flight, run,
-)
+from .pipeline import STAGES, PipelineError, RunContext, StageFailure, exclusion_keys, run
 from .prompts import DEFAULT_TEMPLATE_ID, PromptError, load_template_set
 from .runstore import ManifestMismatch, RunManifest, RunStore, StoreError, digest, work_key
 from .scorer import BASELINE_LEVEL
@@ -191,10 +192,11 @@ def load_config(
     )
 
     temperature = raw.get("temperature", 0.0)
+    # json reads Infinity and NaN, which no request body can carry
     _require(
         isinstance(temperature, (int, float)) and not isinstance(temperature, bool)
-        and temperature >= 0.0,
-        "temperature must be a non-negative number",
+        and 0.0 <= temperature <= sys.float_info.max,
+        "temperature must be a finite non-negative number",
     )
     max_tokens = raw.get("max_tokens", 512)
     _require(
@@ -256,20 +258,9 @@ def build_context(config: RunConfig, store: RunStore, gateway: Gateway | None = 
     templates = {
         language: load_template_set(config.template_id, language) for language in corpora
     }
-    if gateway is None:
-        session = None
-        # only a config that calls an http(s) endpoint loads the HTTP stack,
-        # and it does so here, before the first stage
-        if not all(e.is_mock for e in (*config.generators, config.scorer, config.embedder)):
-            from .transport import HttpSession
-
-            # one kept connection for every request a stage keeps in flight;
-            # a Gateway's default session keeps 10 and closes the rest
-            session = HttpSession(requests_in_flight(config.workers))
-        gateway = Gateway(cache_dir=config.cache_dir, session=session)
     return RunContext(
         store=store,
-        gateway=gateway,
+        gateway=gateway or Gateway(cache_dir=config.cache_dir),
         corpora=corpora,
         generators=config.generators,
         scorer=config.scorer,

@@ -35,12 +35,12 @@ sends one text per request.
 
 HTTP requests go through a session: any object with
 `post(url, json=, headers=, timeout=)` returning a reply with
-`status_code` and `content`, and a `close()`. That is the caller's, such
-as suffbench.transport.HttpSession, or an HttpSession the Gateway creates
-at its first HTTP request; this module imports suffbench.transport only
-then, so a mock-only Gateway never loads http.client. A timeout or a
-failed connection, the builtin TimeoutError and ConnectionError or those
-of a requests.Session a caller passes, is retried.
+`status_code` and `content`, and a `close()`. Unless the caller passes
+one, the Gateway opens a suffbench.transport.HttpSession at its first HTTP
+request, and only then loads that module, so a mock-only run or a dry run
+never loads http.client. The session keeps a connection for each request
+it had in flight at once. A timeout or a failed connection, the builtin
+TimeoutError and ConnectionError or those of a requests.Session, is retried.
 """
 
 from __future__ import annotations
@@ -128,15 +128,28 @@ class ModelEndpoint:
         for name, least in (("max_retries", 0), ("requests_per_minute", 1)):
             if type(getattr(self, name)) is not int or getattr(self, name) < least:
                 raise ValueError(f"{name} must be an integer >= {least}")
-        if type(self.timeout) not in (int, float) or self.timeout <= 0:
-            raise ValueError("timeout must be a positive number of seconds")
+        # a socket takes no timeout past threading.TIMEOUT_MAX, nor NaN
+        if type(self.timeout) not in (int, float) or not 0 < self.timeout <= threading.TIMEOUT_MAX:
+            raise ValueError(
+                f"timeout must be a positive number of seconds, at most {threading.TIMEOUT_MAX}"
+            )
         if not self.base_url.isascii():
             raise ValueError(
                 f"base_url {self.base_url!r} is not ASCII: give its host in punycode"
                 " (xn--...) and percent-encode its path"
             )
-        if not self.is_mock and urlsplit(self.base_url).scheme not in ("http", "https"):
+        if self.is_mock:
+            return
+        parts = urlsplit(self.base_url)
+        if parts.scheme not in ("http", "https"):
             raise ValueError(f"base_url {self.base_url!r} is not an http, https or mock URL")
+        try:
+            parts.port  # a ValueError for a port out of range or not a number
+        except ValueError as exc:
+            raise ValueError(f"base_url {self.base_url!r}: {exc}") from None
+        # each request appends its path to base_url
+        if not parts.hostname or "?" in self.base_url or "#" in self.base_url:
+            raise ValueError(f"base_url {self.base_url!r} needs a host, and no query or fragment")
 
     @property
     def is_mock(self) -> bool:
@@ -536,8 +549,7 @@ class Gateway:
         self._probe_settled = threading.Condition(self._lock)
 
     def close(self) -> None:
-        """Close the HTTP session and the connections it keeps, if there is
-        one."""
+        """Close the HTTP session and the connections it keeps, if any."""
         if self._session is not None:
             self._session.close()
 
@@ -727,9 +739,7 @@ class Gateway:
         with self._lock:
             if self._session is None:
                 from .transport import HttpSession  # loaded for HTTP, not with this module
-
-                # keeps as many connections per host as requests' default pool
-                self._session = HttpSession(10)
+                self._session = HttpSession()
             session = self._session
         attempts = endpoint.max_retries + 1
         failure = ""

@@ -1,9 +1,8 @@
-"""The HTTP transport: the pooled session a run gives its Gateway.
+"""The HTTP transport: the session a Gateway opens at its first HTTP request.
 
-cli loads this module only for a config that names an http(s) endpoint, so
-a mock-only run, a report or a config check never loads http.client. Every
-request goes over http.client, to plain-http and https hosts alike, and the
-package needs no HTTP library.
+The Gateway loads this module only then, so a mock-only run, a dry run or a
+report never loads http.client. Every request goes over http.client, to
+plain-http and https hosts alike, and the package needs no HTTP library.
 
 The Gateway accepts any session with `post(url, json=, headers=, timeout=)`
 whose reply has `status_code` and `content`, and a `close()`.
@@ -95,8 +94,9 @@ def _tls_context() -> ssl.SSLContext:
 
 
 class HttpSession:
-    """Keeps up to `pool_size` connections per origin and sends the
-    Gateway's JSON POSTs over http.client.
+    """Sends the Gateway's JSON POSTs over http.client, and keeps each
+    connection that a reply leaves open for the next request to its origin,
+    so it keeps no more per origin than it had requests in flight to it.
 
     Per request, requests costs the client three to four times the CPU of
     http.client. With many requests in flight to a fast local endpoint that
@@ -113,8 +113,7 @@ class HttpSession:
     302 or 303 too, is returned as it came.
     """
 
-    def __init__(self, pool_size: int) -> None:
-        self._pool_size = pool_size
+    def __init__(self) -> None:
         self._routes: dict[str, _Route] = {}
         self._idle: dict[str, list[http.client.HTTPConnection]] = {}
         self._context: ssl.SSLContext | None = None
@@ -235,12 +234,11 @@ class HttpSession:
             connection.close()
 
     def _checkin(self, origin: str, connection, will_close: bool) -> None:
+        if will_close:
+            connection.close()
+            return
         with self._lock:
-            idle = self._idle.setdefault(origin, [])
-            if not will_close and len(idle) < self._pool_size:
-                idle.append(connection)
-                return
-        connection.close()
+            self._idle.setdefault(origin, []).append(connection)
 
     def close(self) -> None:
         _close_idle(self._idle, self._lock)

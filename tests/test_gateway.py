@@ -487,7 +487,10 @@ class TestRetryPolicy:
         with pytest.raises(ValueError, match="not an http, https or mock URL"):
             ModelEndpoint(base_url=base_url, model_id="m")
 
-    @pytest.mark.parametrize("base_url", ["http://h", "HTTPS://h/v1", "mock://7"])
+    @pytest.mark.parametrize("base_url", [
+        "http://h", "HTTPS://h/v1", "mock://7", "http://user:p%40ss@h:8000/v1",
+        "http://[::1]:8000/v1", "mock://102?probe=overlap",
+    ])
     def test_http_https_and_mock_urls_are_taken(self, base_url):
         assert ModelEndpoint(base_url=base_url, model_id="m").base_url == base_url
 
@@ -849,7 +852,7 @@ class TestListPromptProbe:
         # second list-prompt request
         server.route("/completions", drops_list_prompts(option_logprobs))
         sleeps, results = [], []
-        gw = Gateway(sleep=sleeps.append, session=HttpSession(16))
+        gw = Gateway(sleep=sleeps.append, session=HttpSession())
         endpoint = live_endpoint(server, max_retries=3)
         barrier = threading.Barrier(16)
 
@@ -1133,7 +1136,7 @@ class TestEmbedTexts:
             answer = server.httpd.routes[path]
             server.route(path, lambda p: DROP if isinstance(p["input"], list) else answer(p))
             sleeps, results = [], []
-            gw = Gateway(sleep=sleeps.append, session=HttpSession(16))
+            gw = Gateway(sleep=sleeps.append, session=HttpSession())
             endpoint = ModelEndpoint(base_url=base_url, model_id="mock-gen", max_retries=3)
             barrier = threading.Barrier(16)
 
@@ -1257,7 +1260,7 @@ class TestSessionLifecycle:
         monkeypatch.setenv("NETRC", str(tmp_path / "absent"))
         monkeypatch.setitem(sys.modules, "requests", None)
         vc = VirtualClock()
-        gw = Gateway(sleep=vc.sleep, session=HttpSession(4))
+        gw = Gateway(sleep=vc.sleep, session=HttpSession())
         result = gw.generate(live_endpoint(server), prompt_of("Q?"))
         assert result.text == CHAT_BODY["choices"][0]["message"]["content"]
         refused = ModelEndpoint(base_url="http://127.0.0.1:9", model_id="m", max_retries=1)
@@ -1272,8 +1275,8 @@ class TestSessionLifecycle:
         created = []
 
         class CountedSession(transport.HttpSession):
-            def __init__(self, pool_size):
-                super().__init__(pool_size)
+            def __init__(self):
+                super().__init__()
                 time.sleep(0.05)  # a second creation would start in this window
                 created.append(self)
 
