@@ -17,21 +17,24 @@ Each call makes its requests one at a time on the calling thread, and a
 Gateway is safe to share between threads, so the caller's thread count
 sets how many requests are in flight: a pipeline stage that calls an
 HTTP endpoint keeps pipeline.requests_in_flight(workers) of them, one per
-pool thread. Each request is still cached, rate-limited and retried on
-its own. score_prompts sends the continuations of one prompt or of
+pool thread. Each request is still rate-limited and retried on its own.
+
+The cache keeps one entry per generation, one per scored row and one per
+embedded text. score_prompts sends the continuations of one prompt or of
 several as one /completions request with a list prompt, so a scored row,
 or several, costs one request, and embed_texts sends several texts as one
-/embeddings request with a list input. Either way each continuation or
-text keeps its own cache entry, with the bytes a request of its own would
-have had. An endpoint's first list request of a kind is a probe, and a
-list of more prompts than one prompt's continuations is a kind apart from
-a shorter one. A probe is retried on a 429, a 5xx or a timeout like any
-request. If it gets any other 4xx, a failed connection or a reply without
-one item per input, or its retries run out on 5xx replies or timeouts, the
-endpoint refuses that kind of list from then on: score_prompts leaves each
-continuation it could not send as None, for the caller to send in a
-shorter list or one per request (scorer.score_options), and embed_texts
-sends one text per request.
+/embeddings request with a list input. Either way a row's entry holds the
+reply its own one-row list request would get, one choice per continuation,
+and a text's entry the reply a request of its own would get. An
+endpoint's first list request of a kind is a probe, and a list of more
+prompts than one prompt's continuations is a kind apart from a shorter
+one. A probe is retried on a 429, a 5xx or a timeout like any request. If
+it gets any other 4xx, a failed connection or a reply without one item
+per input, or its retries run out on 5xx replies or timeouts, the endpoint
+refuses that kind of list from then on: score_prompts leaves each row of
+several it could not send as None, for the caller to send one row per
+call, and sends a lone row's continuations one per request
+(score_continuation), and embed_texts sends one text per request.
 
 HTTP requests go through a session: any object with
 `post(url, json=, headers=, timeout=)` returning a reply with
@@ -420,13 +423,14 @@ def _decode(body: bytes, what: str) -> dict:
         raise GatewayError(f"unreadable response body for {what}: {exc}") from exc
 
 
-def _score_payload(model_id: str, prompt_text: str, continuation: str) -> dict:
-    """What keys the cache entry of one continuation's logprobs."""
+def _score_payload(model_id: str, prompt_text: str, continuations: Sequence[str]) -> dict:
+    """What keys the cache entry of one scored row: the logprobs of each
+    of `continuations` after `prompt_text`."""
     return {
         "kind": "completions.logprobs",
         "model": model_id,
         "prompt": prompt_text,
-        "continuation": continuation,
+        "continuations": list(continuations),
     }
 
 
@@ -590,33 +594,36 @@ class Gateway:
         wire: Callable[[list[int]], dict],
         mock_call: Callable[[MockBackend, list[int]], dict],
         lists: int = 0,
-    ) -> list[tuple[dict, str] | None]:
-        """The item, a choice or an embedding, of the reply to each request
-        to `path`, and the request's name in error messages: with a cache,
-        request i is keyed and named by the fingerprint of `payloads[i]`;
+        width: int = 1,
+        singly: Callable[[], tuple[dict, list[dict]]] | None = None,
+    ) -> list[tuple[list[dict], str] | None]:
+        """The `width` items, choices or embeddings, that answer each payload
+        at `path`, in input order, and the payload's name in error messages:
+        with a cache, payload i is keyed and named by the fingerprint of
+        `payloads[i]`, and its entry is the reply to a request of its own;
         without one nothing is fingerprinted and the name gives the model
-        and path.
+        and path. A payload covers `width` consecutive inputs of a request,
+        the continuations of a scored row, or one, a text or a chat.
 
         Each cache entry is read once. The misses, at positions `misses`,
         are answered by one mock call, `mock_call(backend, misses)`; or with
-        `lists`, by one list request `wire(misses)` (see _post_list); or else
-        there is one request, and `wire([0])` is POSTed on its own. A lone
-        HTTP reply is cached as its bytes once it decodes, so an unreadable
-        one is never replayed. Any other item, placed by its index, is
-        cached as the one-item reply a request of its own would have had.
+        `lists`, by one list request `wire(misses)` of every input of every
+        miss (see _post_list); or else there is one payload of one input,
+        and `wire([0])` is POSTed on its own. A lone HTTP reply is cached as
+        its bytes once it decodes, so an unreadable one is never replayed.
+        Any other payload's slice of its reply is cached, items indexed
+        0..width-1, as its own reply: a one-row list reply for a scored row.
 
         With `lists`, whether the endpoint takes a list of more than `lists`
         inputs at `path` is probed and settled apart from whether it takes
-        a shorter one. A request is None if the caller is to send it in a
-        shorter list or on its own, because the endpoint refuses a list as
-        long as the one its misses would make; once it refuses lists of
-        `lists` inputs or fewer, every request is None and no entry is read
-        here.
+        a shorter one. If the endpoint refuses a list as long as the one the
+        misses would make, `singly()`, given for a lone payload, answers it
+        with one request per input and returns the first reply and the
+        items; without `singly` each miss is None, for the caller to send
+        in a shorter list or on its own.
         """
-        if lists and self._takes_lists.get(_list_key(endpoint, path, False)) is False:
-            return [None] * len(payloads)
         field = _ITEM_FIELDS[path][1]
-        results: list[tuple[dict, str] | None]
+        results: list[tuple[list[dict], str] | None]
         if self._cache is None:
             keys = None
             names = [_uncached_name(endpoint, path)] * len(payloads)
@@ -627,20 +634,30 @@ class Gateway:
             results = []
             for key, name in zip(keys, names):
                 body = self._cache.get(key)
-                results.append(
-                    None if body is None
-                    else (self._first_item(_decode(body, name), field, name), name)
+                if body is None:
+                    results.append(None)
+                    continue
+                data = _decode(body, name)
+                # a lone reply is cached as it came, a row's with one choice per input
+                items = (
+                    [self._first_item(data, field, name)] if width == 1
+                    else _items_by_index(data, path, width)
                 )
+                results.append((items, name))
         misses = [i for i, result in enumerate(results) if result is None]
         if not misses:
             return results
+        count = len(misses) * width
         if endpoint.is_mock:
             data = mock_call(self._mock(endpoint), misses)
-            items = _items_by_index(data, path, len(misses))
+            items = _items_by_index(data, path, count)
         elif lists:
-            answer = self._post_list(
-                endpoint, path, len(misses) > lists, wire(misses), len(misses)
-            )
+            answer = None
+            # no list of any length goes to an endpoint that refuses short ones
+            if self._takes_lists.get(_list_key(endpoint, path, False)) is not False:
+                answer = self._post_list(endpoint, path, count > lists, wire(misses), count)
+            if answer is None and singly is not None:
+                answer = singly()
             if answer is None:
                 return results
             data, items = answer
@@ -650,11 +667,14 @@ class Gateway:
             data = _decode(body, name)
             if keys is not None:
                 self._cache.put(keys[0], body)
-            return [(self._first_item(data, field, name), name)]
-        for i, item in zip(misses, items):
-            results[i] = item, names[i]
+            return [([self._first_item(data, field, name)], name)]
+        for n, i in enumerate(misses):
+            row = items[n * width:(n + 1) * width]
+            results[i] = row, names[i]
             if keys is not None:
-                self._cache.put(keys[i], _encode({**data, field: [{**item, "index": 0}]}))
+                self._cache.put(keys[i], _encode(
+                    {**data, field: [{**item, "index": j} for j, item in enumerate(row)]}
+                ))
         return results
 
     def _post_list(
@@ -812,7 +832,7 @@ class Gateway:
             "temperature": temperature,
             "max_tokens": max_tokens,
         }
-        [(choice, name)] = self._fetch(
+        [([choice], name)] = self._fetch(
             endpoint, "/chat/completions", [payload], lambda _: wire,
             lambda mock, _: mock.generate(endpoint.model_id, prompt.text, temperature, max_tokens),
         )
@@ -831,47 +851,75 @@ class Gateway:
     # -- teacher-forced scoring ----------------------------------------------
 
     def score_continuation(
-        self, endpoint: ModelEndpoint, prompt_text: str, continuation: str
+        self,
+        endpoint: ModelEndpoint,
+        prompt_text: str,
+        continuation: str,
+        replies: list | None = None,
     ) -> LogprobResult:
         """Sum of token logprobs for `continuation` appended to `prompt_text`,
-        sent as a request of its own (see _score_wire and _logprob_result)."""
+        sent as a request of its own (see _score_wire and _logprob_result).
+        It reads and writes no cache entry: the cache keeps whole rows, and
+        score_prompts sends a row this way, one continuation after another,
+        to an endpoint that refuses lists. With `replies`, the reply and its
+        choice are appended to it, for score_prompts to cache the row."""
         if not continuation:
             raise ValueError("continuation must be non-empty")
         model = endpoint.model_id
-        [(choice, _)] = self._fetch(
-            endpoint, "/completions", [_score_payload(model, prompt_text, continuation)],
-            lambda _: _score_wire(model, prompt_text + continuation),
-            lambda mock, _: mock.score(model, (prompt_text,), (continuation,)),
-        )
+        name = _uncached_name(endpoint, "/completions")
+        if endpoint.is_mock:
+            data = self._mock(endpoint).score(model, (prompt_text,), (continuation,))
+        else:
+            wire = _score_wire(model, prompt_text + continuation)
+            data = _decode(self._post(endpoint, "/completions", wire), name)
+        choice = self._first_item(data, "choices", name)
+        if replies is not None:
+            replies.append((data, choice))
         return _logprob_result(endpoint, prompt_text, continuation, choice)
 
     def score_prompts(
         self, endpoint: ModelEndpoint, prompt_texts: Sequence[str], continuations: Sequence[str]
-    ) -> list[list[LogprobResult | None]]:
+    ) -> list[list[LogprobResult] | None]:
         """The LogprobResult of each continuation of each prompt, prompt by
-        prompt, with the cache's misses, of every prompt, sent as one
-        /completions request with a list prompt; a list of more prompts than
-        one prompt's continuations is probed apart from a shorter one. Where
-        the endpoint refuses such a list, each miss is None, for the caller
-        to send in a shorter list or through score_continuation, or every
-        continuation is, once it refuses lists of one prompt (see _fetch)."""
+        prompt: a row. Each row is one cache entry, and the rows the cache
+        misses go out as one /completions request with a list prompt; a list
+        of more prompts than one prompt's continuations is probed apart from
+        a shorter one (see _fetch). Where the endpoint refuses a list of
+        several rows, each of them is None, for the caller to send one per
+        call. A lone row the endpoint refuses in a list goes out one
+        continuation per request, in turn on the calling thread, through
+        score_continuation, and is cached once every continuation has its
+        reply."""
         if not all(continuations):
             raise ValueError("continuation must be non-empty")
         model = endpoint.model_id
-        pairs = [(p, c) for p in prompt_texts for c in continuations]
+
+        def inputs(misses: list[int]) -> tuple[tuple[str, ...], tuple[str, ...]]:
+            # the prompt and the continuation of each input of the rows `misses`
+            return (tuple(prompt_texts[i] for i in misses for _ in continuations),
+                    tuple(continuations) * len(misses))
+
+        def singly() -> tuple[dict, list[dict]]:
+            replies: list[tuple[dict, dict]] = []
+            for continuation in continuations:
+                self.score_continuation(endpoint, prompt_texts[0], continuation, replies)
+            return replies[0][0], [choice for _, choice in replies]
+
         fetched = self._fetch(
-            endpoint, "/completions", [_score_payload(model, p, c) for p, c in pairs],
-            lambda misses: _score_wire(model, [pairs[i][0] + pairs[i][1] for i in misses]),
-            lambda mock, misses: mock.score(
-                model, tuple(pairs[i][0] for i in misses), tuple(pairs[i][1] for i in misses)
-            ),
-            lists=len(continuations),
+            endpoint, "/completions",
+            [_score_payload(model, p, continuations) for p in prompt_texts],
+            lambda misses: _score_wire(model, [p + c for p, c in zip(*inputs(misses))]),
+            lambda mock, misses: mock.score(model, *inputs(misses)),
+            lists=len(continuations), width=len(continuations),
+            singly=singly if len(prompt_texts) == 1 else None,
         )
-        found = iter(
-            None if item is None else _logprob_result(endpoint, p, c, item[0])
-            for (p, c), item in zip(pairs, fetched)
-        )
-        return [[next(found) for _ in continuations] for _ in prompt_texts]
+        return [
+            None if found is None else [
+                _logprob_result(endpoint, p, c, choice)
+                for c, choice in zip(continuations, found[0])
+            ]
+            for p, found in zip(prompt_texts, fetched)
+        ]
 
     # -- embeddings ------------------------------------------------------------
 
@@ -881,18 +929,21 @@ class Gateway:
         if not text.strip():
             raise ValueError("embedding input must be non-empty")
         model = endpoint.model_id
-        [found] = self._fetch(
+        [([item], name)] = self._fetch(
             endpoint, "/embeddings", [_embed_payload(model, text)],
             lambda _: {"model": model, "input": text}, lambda mock, _: mock.embed(model, text),
         )
-        return self._embedding(endpoint, *found)
+        return self._embedding(endpoint, item, name)
 
     def embed_texts(self, endpoint: ModelEndpoint, texts: Sequence[str]) -> list[EmbeddingResult]:
         """embed of each text, in order, with the ones the cache misses sent
         as one /embeddings request with a list input (see _fetch). On an
-        endpoint that refuses list inputs, each miss goes through embed."""
+        endpoint that refuses list inputs, each miss goes through embed,
+        and once that is settled, each text does, which reads its own entry."""
         if not all(text.strip() for text in texts):
             raise ValueError("embedding input must be non-empty")
+        if self._takes_lists.get(_list_key(endpoint, "/embeddings", False)) is False:
+            return [self.embed(endpoint, text) for text in texts]
         model = endpoint.model_id
         fetched = self._fetch(
             endpoint, "/embeddings", [_embed_payload(model, text) for text in texts],
@@ -901,7 +952,8 @@ class Gateway:
             lists=len(texts),
         )
         return [
-            self.embed(endpoint, text) if found is None else self._embedding(endpoint, *found)
+            self.embed(endpoint, text) if found is None
+            else self._embedding(endpoint, found[0][0], found[1])
             for text, found in zip(texts, fetched)
         ]
 

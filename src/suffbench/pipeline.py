@@ -25,7 +25,7 @@ work in flight, not for the whole corpus.
 Two stages batch their requests: the similarity stage embeds EMBED_BATCH
 texts per request, and the score stage sends the options of SCORE_BATCH
 rows as one request, a list of 64 prompts. From the first batch, in plan
-order, with an option the scorer refused in that list, it falls back to one
+order, with a row the scorer refused in that list, it falls back to one
 row per request, then one option per request for a scorer that refuses
 lists too; no list size between a row's and a batch's is tried. Each
 numbers its batches over its full plan, done or not, so a resumed run sends
@@ -341,7 +341,7 @@ def run_score(ctx: RunContext, units: Sequence[tuple]) -> StageReport:
     batch's rows as one request (scorer.score_rows), through _map_ordered:
     an HTTP scorer gets the batches on a pool, and a failed request fails
     every row of its batch. Each landed batch's rows are scored on the
-    calling thread. At the first landed batch with an option the scorer
+    calling thread. At the first landed batch with a row the scorer
     refused to take in that list, the batch pool is closed, and that
     batch's rows and every later row are units of their own, so the pool
     keeps as many rows in flight as it kept batches. A row whose batch was
@@ -350,7 +350,7 @@ def run_score(ctx: RunContext, units: Sequence[tuple]) -> StageReport:
     per option to a scorer that refuses lists too.
     """
     # work key -> (unit, (item, prompt), its options' results, or None if the
-    # scorer refused any of them in its batch's list), from the batch's fetch
+    # scorer refused the row in its batch's list), from the batch's fetch
     # until the row is scored
     fetched: dict[tuple, tuple] = {}
 
@@ -370,7 +370,7 @@ def run_score(ctx: RunContext, units: Sequence[tuple]) -> StageReport:
             rendered.append((item, render_scoring(item, mask, ctx.templates[language])))
         found = score_rows(ctx.gateway, ctx.scorer, [prompt for _, prompt in rendered])
         for unit, item_prompt, options in zip(batch, rendered, found):
-            fetched[unit[0]] = unit, item_prompt, None if None in options else options
+            fetched[unit[0]] = unit, item_prompt, options
 
     def results():
         batches = [list(rows) for _, rows in groupby(units, key=lambda unit: unit[2])]

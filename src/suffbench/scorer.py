@@ -95,12 +95,12 @@ def _check_kind(prompt: RenderedPrompt) -> None:
 
 def score_rows(
     gateway: Gateway, scorer: ModelEndpoint, prompts: Sequence[RenderedPrompt]
-) -> list[list[LogprobResult | None]]:
+) -> list[list[LogprobResult] | None]:
     """The LogprobResults of the four options of each scoring or baseline
     prompt, with the options of every prompt sent to the scorer as one
-    request with a list prompt (Gateway.score_prompts). An option is None if
-    the scorer refuses a list as long as that: score_options scores its row
-    on its own."""
+    request with a list prompt (Gateway.score_prompts). A row is None if
+    the scorer refuses a list as long as that: score_options scores it on
+    its own."""
     for prompt in prompts:
         _check_kind(prompt)
     return gateway.score_prompts(scorer, [prompt.text for prompt in prompts], _CONTINUATIONS)
@@ -116,19 +116,15 @@ def score_options(
     LogprobResults of its four options.
 
     Unless the caller has them (score_rows), the four option continuations
-    go to the scorer as one request with a list prompt (score_prompts of
-    this one prompt, which has its own probe), and each option the scorer
-    refuses in a list goes through Gateway.score_continuation, one after
-    another on the calling thread. The score stage keeps an HTTP scorer
-    busy by running more units at once (pipeline.requests_in_flight).
+    go to the scorer as one row, Gateway.score_prompts of this one prompt:
+    one cache entry, and one request with a list prompt, which has its own
+    probe, or one per option on the calling thread for a scorer that
+    refuses it. The score stage keeps an HTTP scorer busy by running more
+    units at once (pipeline.requests_in_flight).
     """
     _check_kind(prompt)
     if results is None:
         [results] = gateway.score_prompts(scorer, [prompt.text], _CONTINUATIONS)
-    results = [
-        gateway.score_continuation(scorer, prompt.text, continuation) if result is None else result
-        for continuation, result in zip(_CONTINUATIONS, results)
-    ]
     return softmax_probs(
         {option: result.total_logprob for option, result in zip(LABELS, results)}
     )

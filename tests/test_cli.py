@@ -35,6 +35,7 @@ from suffbench.gateway import (
     MockBackend,
     ModelEndpoint,
     RequestFailed,
+    ResponseCache,
     RetriesExhausted,
     _encode,
 )
@@ -892,10 +893,95 @@ class TestMockCache:
             if p["kind"] == "chat.completions":
                 reply = backend.generate(p["model"], p["prompt"], p["temperature"], p["max_tokens"])
             elif p["kind"] == "completions.logprobs":
-                reply = backend.score(p["model"], (p["prompt"],), (p["continuation"],))
+                continuations = tuple(p["continuations"])
+                prompts = (p["prompt"],) * len(continuations)
+                reply = backend.score(p["model"], prompts, continuations)
             else:
                 reply = backend.embed(p["model"], p["input"])
             assert path.read_bytes() == _encode(reply), p
+
+
+    def spy_on_mock(self, monkeypatch) -> Counter:
+        """A Counter of the MockBackend calls, by method, from now on, with
+        one count per text embedded under "texts"."""
+        calls = Counter()
+        for method in ("generate", "score", "embed"):
+            real = getattr(MockBackend, method)
+
+            def spy(backend, *args, method=method, real=real):
+                calls[method] += 1
+                if method == "embed":
+                    calls["texts"] += 1 if isinstance(args[1], str) else len(args[1])
+                return real(backend, *args)
+
+            monkeypatch.setattr(MockBackend, method, spy)
+        return calls
+
+    def spy_on_fingerprints(self, monkeypatch) -> dict:
+        """The payload of each cache key fingerprinted from now on."""
+        payloads = {}
+        real = gateway_module.request_fingerprint
+
+        def spy(payload):
+            key = real(payload)
+            payloads[key] = payload
+            return key
+
+        monkeypatch.setattr(gateway_module, "request_fingerprint", spy)
+        return payloads
+
+    def test_a_run_caches_one_entry_per_generation_scored_row_and_text(
+        self, tmp_path, monkeypatch
+    ):
+        calls = self.spy_on_mock(monkeypatch)
+        payloads = self.spy_on_fingerprints(monkeypatch)
+        store = self.run_all(tmp_path, "cold", cache_dir=str(tmp_path / "cache"))
+        rows = len(table_bytes(store)["scores.csv"].splitlines()) - 1
+        kinds = Counter(
+            payloads[path.stem]["kind"] for path in (tmp_path / "cache").rglob("*.json")
+        )
+        # every text of the run is new to the cache, and embedded once
+        assert kinds == {
+            "chat.completions": calls["generate"], "completions.logprobs": rows,
+            "embeddings": calls["texts"],
+        }
+        assert rows == 6 + 2 * 6 * 3
+
+    def test_an_older_caches_option_entries_are_never_read(self, tmp_path, monkeypatch):
+        # a cache written when each option of a row was an entry of its own,
+        # under the key of {"kind": "completions.logprobs", ..., "continuation": c}:
+        # a run over it sends each of its scoring requests once more, and
+        # no generation or embedding request
+        calls = self.spy_on_mock(monkeypatch)
+        payloads = self.spy_on_fingerprints(monkeypatch)
+        cold = table_bytes(self.run_all(tmp_path, "cold", cache_dir=str(tmp_path / "cache")))
+        scoring = calls["score"]
+        seed = int(BILINGUAL_MOCK["scorer"]["base_url"].removeprefix("mock://"))
+        old = ResponseCache(tmp_path / "cache")
+        option_keys = set()
+        for path in list((tmp_path / "cache").rglob("*.json")):
+            p = payloads[path.stem]
+            if p["kind"] != "completions.logprobs":
+                continue
+            path.unlink()
+            for c in p["continuations"]:
+                key = gateway_module.request_fingerprint({
+                    "kind": "completions.logprobs", "model": p["model"],
+                    "prompt": p["prompt"], "continuation": c,
+                })
+                old.put(key, _encode(MockBackend(seed).score(p["model"], (p["prompt"],), (c,))))
+                option_keys.add(key)
+        calls.clear()
+        reads = []
+        real_get = ResponseCache.get
+        monkeypatch.setattr(
+            ResponseCache, "get", lambda cache, key: reads.append(key) or real_get(cache, key)
+        )
+        warm = table_bytes(self.run_all(tmp_path, "warm", cache_dir=str(tmp_path / "cache")))
+        assert warm == cold
+        assert calls == {"score": scoring}
+        assert len(option_keys) == 4 * (6 + 2 * 6 * 3)
+        assert reads and not option_keys & set(reads)
 
 
 class TestStoreBoundaries:

@@ -29,6 +29,7 @@ from suffbench.gateway import (
     ResponseCache,
     RetriesExhausted,
     TokenAlignmentError,
+    _encode,
     request_fingerprint,
 )
 from suffbench.prompts import RenderedPrompt
@@ -40,8 +41,11 @@ from tests.conftest import (
     DROP,
     OPTION_LOGPROBS,
     FixtureServer,
+    caps_list_prompts,
     drops_list_prompts,
+    mock_routes,
     option_logprobs,
+    rejects_list_prompts,
     route_mock,
 )
 
@@ -113,9 +117,11 @@ class TestFingerprint:
         assert request_fingerprint(base) != request_fingerprint(salted)
 
 
-# the cache key of one request of each kind, as the store has always
-# written them: a change to the payloads or to their canonical JSON
-# orphans every cache already on disk
+# the cache key of one entry of each kind, a generation, a scored row and
+# an embedded text: a change to the payloads or to their canonical JSON
+# orphans every cache already on disk. The generation and embedding keys are
+# those the store has always written; a scored row's key replaced the four
+# keys of its options
 CACHE_KEYS = {
     "generate": (
         lambda gw: gw.generate(
@@ -125,8 +131,10 @@ CACHE_KEYS = {
         "79dceae9b3fc92137a2ca11c7ed3a725ab792400224fff40030ce6d84f3e5de4",
     ),
     "score": (
-        lambda gw: gw.score_continuation(MOCK, "Question: چرا؟\nThe answer is", " B"),
-        "16ed32aae21fe006c9a9109ecc51374993511e56d3209f6f00d4fa11e9f65489",
+        lambda gw: gw.score_prompts(
+            MOCK, ["Question: چرا؟\nThe answer is"], (" A", " B", " C", " D")
+        ),
+        "6ab99180644b02e8b76fd06bb95893cd7d56c0e1fd036f5057b829a33998ec04",
     ),
     "embed": (
         lambda gw: gw.embed(MOCK, "نور خورشید — café"),
@@ -307,19 +315,19 @@ class TestCache:
 
     def test_a_lone_reply_is_cached_as_its_bytes(self, tmp_path):
         # the server indents its JSON and escapes non-ASCII, as the cache's
-        # own encoding does not: each entry is the reply's bytes as they came
+        # own encoding does not: each entry is the reply's bytes as they came.
+        # A scored row's entry is a one-row list reply, always re-encoded
+        # (TestRowEntries)
         generation = MockBackend(7).generate("mock-gen", "پرسش؟", 0.0, 512)
         generation["choices"][0]["message"]["content"] = "Answer: B\nExplanation: نور خورشید"
         replies = [
             json.dumps(body, indent=2).encode("ascii")
-            for body in (generation, list_reply(FA_PROMPT, [" A"]), embed_reply(["نور"]))
+            for body in (generation, embed_reply(["نور"]))
         ]
         endpoint = ModelEndpoint(base_url="http://fake", model_id="mock-gen")
 
         def calls(gw):
-            return (gw.generate(endpoint, prompt_of("پرسش؟")),
-                    gw.score_continuation(endpoint, FA_PROMPT, " A"),
-                    gw.embed(endpoint, "نور"))
+            return gw.generate(endpoint, prompt_of("پرسش؟")), gw.embed(endpoint, "نور")
 
         session = FakeSession([(200, body) for body in replies])
         live = calls(Gateway(cache_dir=tmp_path, session=session))
@@ -332,8 +340,9 @@ class TestCache:
     @pytest.mark.parametrize("item", [None, "x"], ids=repr)
     @pytest.mark.parametrize("kind", ["generate", "score_continuation"])
     def test_a_choice_that_is_not_an_object_is_an_empty_completion(self, tmp_path, kind, item):
-        # the reply decodes, so it is cached as its bytes like any lone
-        # reply, and its replay fails the same way
+        # the reply decodes, so a generation's is cached as its bytes like
+        # any lone reply, and its replay fails the same way. A continuation
+        # sent on its own is cached by no entry, so it is sent again
         endpoint = ModelEndpoint(base_url="http://fake", model_id="m")
 
         def call(gw):
@@ -344,13 +353,16 @@ class TestCache:
         with pytest.raises(EmptyCompletion, match="carries a non-object choices item") as live:
             call(Gateway(session=FakeSession([(200, {"choices": [item]})])))
         assert "a m request to /" in str(live.value)
-        session = FakeSession([(200, {"choices": [item]})])
-        for gw in (Gateway(cache_dir=tmp_path, session=session), Gateway(cache_dir=tmp_path)):
+        session = FakeSession([(200, {"choices": [item]})] * 2)
+        for _ in range(2):
             with pytest.raises(EmptyCompletion, match="non-object") as cached:
-                call(gw)
-            [name] = cache_files(tmp_path)
-            assert f"response for request {name.removesuffix('.json')} " in str(cached.value)
-        assert len(session.calls) == 1
+                call(Gateway(cache_dir=tmp_path, session=session))
+            if kind == "generate":
+                [name] = cache_files(tmp_path)
+                assert f"response for request {name.removesuffix('.json')} " in str(cached.value)
+            else:
+                assert cache_files(tmp_path) == {}
+        assert len(session.calls) == (1 if kind == "generate" else 2)
 
     @pytest.mark.parametrize("message, error", [
         ("x", "carries a non-object message"),
@@ -590,12 +602,13 @@ def score_row(gw, endpoint, prompt_text) -> dict[str, float]:
 
 
 class TestScoreContinuations:
-    """One prompt's continuations through score_prompts: the cache's misses
-    go out as one list request."""
+    """One prompt's continuations through score_prompts: a row, one cache
+    entry, and one list request if the cache misses it."""
 
-    def test_results_and_cache_files_match_single_calls(self, tmp_path):
-        # mock:// in process, and the same seed over HTTP, batched and one
-        # continuation at a time: every result and every cache file agree
+    def test_results_match_single_calls_which_cache_nothing(self, tmp_path):
+        # mock:// in process, and the same seed over HTTP, as a row and one
+        # continuation at a time: every result agrees, the row is one cache
+        # entry, and a continuation sent on its own is cached by none
         with FixtureServer() as server:
             endpoints = {
                 "mock": ModelEndpoint(base_url="mock://7", model_id="probe"),
@@ -617,8 +630,9 @@ class TestScoreContinuations:
                     gw.close()
         assert len(set(map(tuple, results.values()))) == 1
         assert [r.continuation for r in results["mock", "batched"]] == list(OPTIONS)
-        assert len(files["mock", "single"]) == 4
-        assert all(got == files["mock", "single"] for got in files.values())
+        assert len(files["mock", "batched"]) == 1
+        assert files["http", "batched"] == files["mock", "batched"]
+        assert files["mock", "single"] == files["http", "single"] == {}
         assert sent == {("mock", "batched"): 0, ("mock", "single"): 0,
                         ("http", "batched"): 1, ("http", "single"): 4}
 
@@ -627,29 +641,47 @@ class TestScoreContinuations:
         gw.score_prompts(MOCK, [SCORING_PROMPT], OPTIONS)
         assert gw.mock_counts() == {"generate": 0, "logprobs": 1, "embeddings": 0}
 
-    def test_only_cache_misses_are_sent_in_input_order(self, tmp_path):
+    def test_a_row_is_keyed_by_its_continuations_in_order(self, tmp_path):
         order = (" D", " C", " B", " A")
         with FixtureServer() as server:
             endpoint = live_endpoint(server, base_url=route_mock(server, 7))
             warm = Gateway(cache_dir=tmp_path)
-            expected = {c: warm.score_continuation(endpoint, SCORING_PROMPT, c) for c in order}
-            for path in tmp_path.rglob("*.json"):
-                path.unlink()
-            for c in (" C", " A"):
-                warm.score_continuation(endpoint, SCORING_PROMPT, c)
+            [expected] = warm.score_prompts(endpoint, [SCORING_PROMPT], OPTIONS)
+            warm.close()
             del server.requests[:]
-            [got] = Gateway(cache_dir=tmp_path).score_prompts(endpoint, [SCORING_PROMPT], order)
-        assert got == [expected[c] for c in order]
+            fresh = Gateway(cache_dir=tmp_path)
+            [again] = fresh.score_prompts(endpoint, [SCORING_PROMPT], OPTIONS)
+            assert server.requests == []
+            [got] = fresh.score_prompts(endpoint, [SCORING_PROMPT], order)
+            fresh.close()
+        assert again == expected
+        assert got == expected[::-1]
         [sent] = server.requests
         assert sent["payload"] == {
-            "model": "live-1", "prompt": [SCORING_PROMPT + " D", SCORING_PROMPT + " B"],
+            "model": "live-1", "prompt": [SCORING_PROMPT + c for c in order],
             "max_tokens": 0, "echo": True, "logprobs": 1,
         }
-        assert len(cache_files(tmp_path)) == 4
+        assert len(cache_files(tmp_path)) == 2
 
-    def test_every_continuation_cached_sends_nothing(self, tmp_path):
+    def test_a_cached_row_sends_nothing(self, tmp_path):
         session = FakeSession([])
         endpoint = ModelEndpoint(base_url="http://fake", model_id="m")
+        key = request_fingerprint({
+            "kind": "completions.logprobs", "model": "m",
+            "prompt": SCORING_PROMPT, "continuations": list(OPTIONS),
+        })
+        ResponseCache(tmp_path).put(
+            key, json.dumps(list_reply(SCORING_PROMPT, OPTIONS)).encode("utf-8")
+        )
+        [got] = Gateway(cache_dir=tmp_path, session=session).score_prompts(
+            endpoint, [SCORING_PROMPT], OPTIONS
+        )
+        assert [r.total_logprob for r in got] == [-1.0] * 4
+        assert session.calls == []
+
+    def test_option_entries_of_the_old_layout_are_never_read(self, tmp_path, monkeypatch):
+        # a cache written when each option was an entry of its own: the row
+        # misses, so it is sent once, and no option entry is looked up
         cache = ResponseCache(tmp_path)
         for c in OPTIONS:
             key = request_fingerprint({
@@ -657,11 +689,17 @@ class TestScoreContinuations:
                 "prompt": SCORING_PROMPT, "continuation": c,
             })
             cache.put(key, json.dumps(list_reply(SCORING_PROMPT, [c])).encode("utf-8"))
+        old = {name.removesuffix(".json") for name in cache_files(tmp_path)}
+        reads = cache_reads(monkeypatch)
+        session = FakeSession([(200, list_reply(SCORING_PROMPT, OPTIONS))])
+        endpoint = ModelEndpoint(base_url="http://fake", model_id="m")
         [got] = Gateway(cache_dir=tmp_path, session=session).score_prompts(
             endpoint, [SCORING_PROMPT], OPTIONS
         )
-        assert [r.total_logprob for r in got] == [-1.0] * 4
-        assert session.calls == []
+        assert got == Gateway().score_prompts(MOCK, [SCORING_PROMPT], OPTIONS)[0]
+        assert [len(call["json"]["prompt"]) for call in session.calls] == [4]
+        assert len(reads) == 1 and not old & set(reads)
+        assert len(cache_files(tmp_path)) == len(old) + 1
 
     def test_choices_out_of_index_order_are_mapped_by_index(self, server):
         def reversed_choices(payload):
@@ -699,8 +737,8 @@ class TestScoreContinuations:
         with pytest.raises(GatewayError, match="a reply to 4 prompts carries"):
             gw.score_prompts(endpoint, [other], OPTIONS)
         assert len(session.calls) == 2
-        # no choice of the faulty reply was cached under any continuation
-        assert len(cache_files(tmp_path)) == 4
+        # no choice of the faulty reply was cached: only the first row is
+        assert len(cache_files(tmp_path)) == 1
 
     def test_empty_continuation_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
@@ -714,9 +752,9 @@ class TestScorePrompts:
 
     PROMPTS = (SCORING_PROMPT, FA_PROMPT, "Question: R?\nThe answer is ")
 
-    def test_results_and_cache_files_match_single_calls(self, tmp_path):
-        # each continuation is cached as the reply to a request of its own,
-        # with index 0, whatever its place in the list
+    def test_results_and_cache_files_match_one_row_calls(self, tmp_path):
+        # each row is cached as the reply to a one-row list of its own,
+        # with indexes 0..3, whatever its place in the list
         with FixtureServer() as server:
             endpoints = {
                 "mock": ModelEndpoint(base_url="mock://7", model_id="probe"),
@@ -731,17 +769,16 @@ class TestScorePrompts:
                     if way == "batched":
                         got = gw.score_prompts(endpoint, self.PROMPTS, OPTIONS)
                     else:
-                        got = [[gw.score_continuation(endpoint, p, c) for c in OPTIONS]
-                               for p in self.PROMPTS]
+                        got = [gw.score_prompts(endpoint, [p], OPTIONS)[0] for p in self.PROMPTS]
                     results[name, way] = got
                     files[name, way] = cache_files(tmp_path / name / way)
                     sent[name, way] = len(server.requests) - before
                     gw.close()
         assert all(got == results["mock", "single"] for got in results.values())
-        assert len(files["mock", "single"]) == 12
+        assert len(files["mock", "single"]) == 3
         assert all(got == files["mock", "single"] for got in files.values())
         assert sent == {("mock", "batched"): 0, ("mock", "single"): 0,
-                        ("http", "batched"): 1, ("http", "single"): 12}
+                        ("http", "batched"): 1, ("http", "single"): 3}
 
     def test_mock_scores_several_prompts_in_one_call(self):
         gw = Gateway()
@@ -751,11 +788,9 @@ class TestScorePrompts:
 
     def test_only_cache_misses_are_sent_in_input_order(self, tmp_path):
         warm = Gateway(cache_dir=tmp_path)
-        warm.score_prompts(MOCK, [self.PROMPTS[0]], OPTIONS)
-        warm.score_continuation(MOCK, self.PROMPTS[1], " B")
+        warm.score_prompts(MOCK, [self.PROMPTS[1]], OPTIONS)
         session = FakeSession([(200, list_reply(
-            (self.PROMPTS[1],) * 3 + (self.PROMPTS[2],) * 4,
-            OPTIONS[:1] + OPTIONS[2:] + OPTIONS, model="mock-gen",
+            (self.PROMPTS[0],) * 4 + (self.PROMPTS[2],) * 4, OPTIONS * 2, model="mock-gen",
         ))])
         endpoint = ModelEndpoint(base_url="http://fake", model_id="mock-gen")
         got = Gateway(cache_dir=tmp_path, session=session).score_prompts(
@@ -764,9 +799,9 @@ class TestScorePrompts:
         assert got == Gateway().score_prompts(MOCK, self.PROMPTS, OPTIONS)
         [call] = session.calls
         assert call["json"]["prompt"] == [
-            self.PROMPTS[1] + c for c in (" A", " C", " D")
-        ] + [self.PROMPTS[2] + c for c in OPTIONS]
-        assert len(cache_files(tmp_path)) == 12
+            p + c for p in (self.PROMPTS[0], self.PROMPTS[2]) for c in OPTIONS
+        ]
+        assert len(cache_files(tmp_path)) == 3
 
     def test_a_refused_list_of_several_prompts_leaves_one_prompts_lists_on(self):
         vc = VirtualClock()
@@ -775,10 +810,10 @@ class TestScorePrompts:
         ])
         gw = Gateway(clock=vc.clock, sleep=vc.sleep, session=session)
         endpoint = ModelEndpoint(base_url="http://fake", model_id="m", max_retries=3)
-        # each continuation of a refused list is None
-        assert gw.score_prompts(endpoint, self.PROMPTS[:2], OPTIONS) == [[None] * 4] * 2
+        # each row of a refused list is None
+        assert gw.score_prompts(endpoint, self.PROMPTS[:2], OPTIONS) == [None, None]
         # settled: a list of several prompts is not sent again
-        assert gw.score_prompts(endpoint, self.PROMPTS[:2], OPTIONS) == [[None] * 4] * 2
+        assert gw.score_prompts(endpoint, self.PROMPTS[:2], OPTIONS) == [None, None]
         [first] = gw.score_prompts(endpoint, [SCORING_PROMPT], OPTIONS)
         [second] = gw.score_prompts(endpoint, [FA_PROMPT], OPTIONS)
         assert vc.sleeps == []
@@ -786,16 +821,16 @@ class TestScorePrompts:
         assert first == Gateway().score_prompts(MOCK, [SCORING_PROMPT], OPTIONS)[0]
         assert second == Gateway().score_prompts(MOCK, [FA_PROMPT], OPTIONS)[0]
 
-    def test_a_refused_list_still_returns_the_continuations_the_cache_found(self, tmp_path):
-        # only the misses of a refused list are None
+    def test_a_refused_list_still_returns_the_rows_the_cache_found(self, tmp_path):
+        # only the missed rows of a refused list are None
         warm = Gateway(cache_dir=tmp_path)
-        [cached] = warm.score_prompts(MOCK, [self.PROMPTS[0]], OPTIONS[1:2])
+        [cached] = warm.score_prompts(MOCK, [self.PROMPTS[0]], OPTIONS)
         session = FakeSession([400])
         gw = Gateway(cache_dir=tmp_path, session=session)
         endpoint = ModelEndpoint(base_url="http://fake", model_id="mock-gen")
-        got = gw.score_prompts(endpoint, self.PROMPTS[:2], OPTIONS)
-        assert got == [[None, *cached, None, None], [None] * 4]
-        assert [len(call["json"]["prompt"]) for call in session.calls] == [7]
+        got = gw.score_prompts(endpoint, self.PROMPTS, OPTIONS)
+        assert got == [cached, None, None]
+        assert [len(call["json"]["prompt"]) for call in session.calls] == [8]
 
     def test_a_list_of_several_prompts_is_probed_like_any_list(self):
         # a 503 on it is retried, and lists of several prompts stay on
@@ -809,6 +844,54 @@ class TestScorePrompts:
         assert vc.sleeps == [Gateway.BACKOFF_BASE]
         assert [len(call["json"]["prompt"]) for call in session.calls] == [8, 8, 8]
         assert twice[0] == twice[1] == Gateway().score_prompts(MOCK, pair, OPTIONS)
+
+
+class TestRowEntries:
+    """A scored row is one cache entry: the encoded reply its own one-row
+    list request gets, one choice per continuation indexed in order, with
+    the same bytes however the row was fetched."""
+
+    PROMPTS = tuple(f"Question {i}? نور\nThe answer is " for i in range(16))
+
+    def test_a_rows_entry_has_the_same_bytes_on_every_path(self, tmp_path):
+        row = self.PROMPTS[5]
+        key = request_fingerprint({
+            "kind": "completions.logprobs", "model": "probe",
+            "prompt": row, "continuations": list(OPTIONS),
+        })
+        entries, files, results = {}, {}, {}
+        with FixtureServer() as server:
+            score = mock_routes(7)["/completions"]
+            server.route("/refuses/completions", rejects_list_prompts(score))
+            server.route("/caps/completions", caps_list_prompts(3, score))
+            endpoints = {
+                name: ModelEndpoint(base_url=url, model_id="probe", requests_per_minute=10_000)
+                for name, url in (
+                    ("mock", "mock://7"), ("http", route_mock(server, 7)),
+                    ("refuses", f"{server.base_url}/refuses"), ("caps", f"{server.base_url}/caps"),
+                )
+            }
+            ways = [(name, "batch") for name in ("mock", "http")] + [
+                (name, "row") for name in endpoints
+            ]
+            for name, way in ways:
+                gw = Gateway(cache_dir=tmp_path / name / way)
+                prompts = self.PROMPTS if way == "batch" else [row]
+                before = len(server.requests)
+                results[name, way] = gw.score_prompts(endpoints[name], prompts, OPTIONS)
+                sent = [r["payload"]["prompt"] for r in server.requests[before:]]
+                gw.close()
+                files[name, way] = cache_files(tmp_path / name / way)
+                entries[name, way] = ResponseCache(tmp_path / name / way).get(key)
+                if name in ("refuses", "caps"):
+                    # the refused probe, then one request per option
+                    assert sent == [[row + c for c in OPTIONS], *(row + c for c in OPTIONS)]
+        reply = _encode(MockBackend(7).score("probe", (row,) * 4, OPTIONS))
+        assert set(entries.values()) == {reply}
+        assert {way: len(got) for (_, way), got in files.items()} == {"batch": 16, "row": 1}
+        assert all(got == results["mock", "row"] for (_, way), got in results.items()
+                   if way == "row")
+        assert results["http", "batch"] == results["mock", "batch"]
 
 
 def single_replies(prompt_text, continuations) -> list:
@@ -845,7 +928,7 @@ class TestListPromptProbe:
         # the probe, then one request per continuation, and no second probe
         assert prompts[1:] == [p + c for p in (SCORING_PROMPT, self.OTHER) for c in OPTIONS]
         assert first == second == score_row(Gateway(), MOCK, SCORING_PROMPT)
-        assert len(cache_files(tmp_path)) == 8
+        assert len(cache_files(tmp_path)) == 2
 
     def test_threads_racing_to_the_first_list_prompt_send_one_probe(self, server):
         # the endpoint drops list prompts, so a second probe would show as a
@@ -919,7 +1002,7 @@ class TestListPromptProbe:
         assert prompts[:4] == [[SCORING_PROMPT + c for c in OPTIONS]] * 4
         assert prompts[4:] == [p + c for p in (SCORING_PROMPT, self.OTHER) for c in OPTIONS]
         assert first == second == score_row(Gateway(), MOCK, SCORING_PROMPT)
-        assert len(cache_files(tmp_path)) == 8
+        assert len(cache_files(tmp_path)) == 2
 
     def test_a_503_on_the_first_list_prompt_leaves_one_request_per_row(self):
         # the probe's 503 is retried, so the next 10 rows send 10 requests,
@@ -988,36 +1071,34 @@ def cache_reads(monkeypatch) -> Counter:
 class TestCacheReads:
     """A batched call reads each cache entry it finds once, and sends only
     the misses: as one list request, or one per request on an endpoint that
-    refuses lists. The row whose probe is refused looks its misses up a
-    second time, in the single-request method that sends each of them."""
+    refuses lists. A scored row is one entry, read once however its misses
+    go out. The text whose embedding probe is refused looks its entry up a
+    second time, in embed, which sends it on its own."""
 
     OTHER = "Question: R?\nThe answer is "
+    THIRD = "Question: S?\nThe answer is "
 
     @pytest.mark.parametrize("refuses", [False, True])
-    def test_score_continuations_reads_each_entry_once(self, refuses, tmp_path, monkeypatch):
-        for prompt in (SCORING_PROMPT, self.OTHER):
-            Gateway(cache_dir=tmp_path).score_prompts(MOCK, [prompt], OPTIONS[::2])
-        found = {path.stem for path in tmp_path.rglob("*.json")}
-        misses = OPTIONS[1::2]
+    def test_score_rows_read_each_entry_once(self, refuses, tmp_path, monkeypatch):
+        Gateway(cache_dir=tmp_path).score_prompts(MOCK, [SCORING_PROMPT], OPTIONS)
+        [found] = {path.stem for path in tmp_path.rglob("*.json")}
+        misses = (self.OTHER, self.THIRD)
         if refuses:
-            replies = [400, *single_replies(SCORING_PROMPT, misses),
-                       *single_replies(self.OTHER, misses)]
+            replies = [400, *single_replies(self.OTHER, OPTIONS),
+                       *single_replies(self.THIRD, OPTIONS)]
         else:
-            replies = [(200, list_reply(p, misses)) for p in (SCORING_PROMPT, self.OTHER)]
+            replies = [(200, list_reply(p, OPTIONS)) for p in misses]
         session = FakeSession(replies)
         gw = Gateway(cache_dir=tmp_path, session=session)
         endpoint = ModelEndpoint(base_url="http://fake", model_id="mock-gen")
         reads = cache_reads(monkeypatch)
-        first = score_row(gw, endpoint, SCORING_PROMPT)
-        probe_row = set(reads)
-        second = score_row(gw, endpoint, self.OTHER)
-        assert first == second == score_row(Gateway(), MOCK, SCORING_PROMPT)
-        assert len(found) == 4 and all(reads[key] == 1 for key in found)
-        assert all(reads[key] == 1 for key in set(reads) - probe_row)
-        assert len(reads) == 8
+        rows = [score_row(gw, endpoint, p) for p in (SCORING_PROMPT, *misses)]
+        assert rows == [score_row(Gateway(), MOCK, SCORING_PROMPT)] * 3
+        assert found in reads and len(reads) == 3 and set(reads.values()) == {1}
         prompts = [call["json"]["prompt"] for call in session.calls]
-        listed = [[prompt + c for c in misses] for prompt in (SCORING_PROMPT, self.OTHER)]
+        listed = [[p + c for c in OPTIONS] for p in misses]
         assert prompts == ([listed[0], *listed[0], *listed[1]] if refuses else listed)
+        assert len(cache_files(tmp_path)) == 3
 
     @pytest.mark.parametrize("refuses", [False, True])
     def test_embed_texts_reads_each_entry_once(self, refuses, tmp_path, monkeypatch):

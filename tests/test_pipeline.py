@@ -633,6 +633,48 @@ class TestResume:
         assert store_bytes(tmp_path / "store") == before
         assert all(r.planned == 0 for r in reports if r.stage != "aggregate")
 
+    def test_warm_resume_reads_one_entry_per_pending_row_and_text(
+        self, make_ctx, tmp_path, en_corpus, fa_corpus, monkeypatch
+    ):
+        # an en+fa store cut mid-score, resumed on the cache an uninterrupted
+        # run filled: each scored row still to do is one cache read, as is
+        # each distinct text to embed, and no request reaches the mock
+        corpora = {"en": subset(en_corpus, 3, seed=7), "fa": subset(fa_corpus, 3, seed=7)}
+        cache = tmp_path / "cache"
+        whole = make_ctx(tmp_path / "whole", corpora, gateway=Gateway(cache_dir=cache))
+        run(whole, STAGES)
+        whole.store.close()
+        ctx = make_ctx(tmp_path / "cut", corpora, gateway=Gateway(cache_dir=cache))
+        run(ctx, ["mask"])
+        rows = len(pipeline.plan_score(ctx))
+        _kill_at_append(ctx.store, rows // 2)
+        with pytest.raises(_Killed):
+            run_stage(ctx, "score")
+        ctx.store.close()
+        store = RunStore.open_resume(
+            tmp_path / "cut" / "store", RunManifest.new(RUN, {"levels": [10, 90]})
+        )
+        resumed = Gateway(cache_dir=cache)
+        ctx = make_ctx(tmp_path / "cut", corpora, gateway=resumed, store=store)
+        pending = pipeline.plan_score(ctx)
+        texts = _distinct_texts(pipeline.plan_similarity(ctx))
+        reads = Counter()
+        real = ResponseCache.get
+
+        def get(response_cache, key):
+            body = real(response_cache, key)
+            reads[key] += 1
+            assert body is not None
+            return body
+
+        monkeypatch.setattr(ResponseCache, "get", get)
+        run(ctx, STAGES)
+        store.close()
+        assert len(pending) == rows - rows // 2 and texts
+        assert len(reads) == sum(reads.values()) == len(pending) + len(texts)
+        assert resumed.mock_counts() == {"generate": 0, "logprobs": 0, "embeddings": 0}
+        assert store_bytes(tmp_path / "cut" / "store") == store_bytes(tmp_path / "whole" / "store")
+
     def test_loaded_rows_share_their_key_strings_across_tables(
         self, make_ctx, tmp_path, en_corpus
     ):
