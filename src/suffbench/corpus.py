@@ -11,8 +11,10 @@ from __future__ import annotations
 import json
 import logging
 import random
+import re
 import unicodedata
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 
 log = logging.getLogger(__name__)
@@ -57,6 +59,15 @@ class QuestionItem:
             raise CorpusError(f"{self.id}: gold label {self.gold!r} outside A-D")
         if self.language not in LANGUAGES:
             raise CorpusError(f"{self.id}: unknown language {self.language!r}")
+
+    @cached_property
+    def option_patterns(self) -> tuple[re.Pattern[str], ...]:
+        """The masker's full-copy patterns of the options, compiled at first
+        use and kept with the item, and so with the loaded corpus: however
+        large the corpus, each item's are compiled once."""
+        from .masker import compile_option_patterns  # masker imports this module
+
+        return compile_option_patterns(self.options)
 
 
 @dataclass(frozen=True)

@@ -20,21 +20,23 @@ HTTP endpoint keeps pipeline.requests_in_flight(workers) of them, one per
 pool thread. Each request is still rate-limited and retried on its own.
 
 The cache keeps one entry per generation, one per scored row and one per
-embedded text. score_prompts sends the continuations of one prompt or of
-several as one /completions request with a list prompt, so a scored row,
-or several, costs one request, and embed_texts sends several texts as one
-/embeddings request with a list input. Either way a row's entry holds the
-reply its own one-row list request would get, one choice per continuation,
-and a text's entry the reply a request of its own would get. An
-endpoint's first list request of a kind is a probe, and a list of more
-prompts than one prompt's continuations is a kind apart from a shorter
-one. A probe is retried on a 429, a 5xx or a timeout like any request. If
-it gets any other 4xx, a failed connection or a reply without one item
-per input, or its retries run out on 5xx replies or timeouts, the endpoint
-refuses that kind of list from then on: score_prompts leaves each row of
-several it could not send as None, for the caller to send one row per
-call, and sends a lone row's continuations one per request
-(score_continuation), and embed_texts sends one text per request.
+group of texts embedded together. score_prompts sends the continuations of
+one prompt or of several as one /completions request with a list prompt,
+so a scored row, or several, costs one request, and embed_groups sends the
+texts of one group or of several as one /embeddings request with a list
+input. Either way a row's entry holds the reply its own one-row list
+request would get, one choice per continuation, and a group's the reply
+its own list of the group's texts would get, one embedding per text. An
+endpoint's first list request of a kind is a probe, and a list of several
+rows or groups is a kind apart from one row's or group's. A probe is
+retried on a 429, a 5xx or a timeout like any request. If it gets any
+other 4xx, a failed connection or a reply without one item per input, or
+its retries run out on 5xx replies or timeouts, the endpoint refuses that
+kind of list from then on: score_prompts leaves each row of several it
+could not send as None, for the caller to send one row per call, and
+embed_groups sends each group of several on its own. A lone row or group
+the endpoint refuses in a list goes out one input per request
+(score_continuation, embed), and is cached once every input has its reply.
 
 HTTP requests go through a session: any object with
 `post(url, json=, headers=, timeout=)` returning a reply with
@@ -51,6 +53,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import os
 import random
 import re
@@ -406,8 +409,8 @@ def _endpoint_key(endpoint: ModelEndpoint) -> tuple[str, str]:
 
 def _list_key(endpoint: ModelEndpoint, path: str, long: bool) -> tuple:
     """What Gateway._takes_lists files an endpoint's probe outcome under:
-    its lists to `path` that are longer than the caller's limit (`long`),
-    or those that are not."""
+    its lists to `path` of the inputs of several payloads (`long`), or
+    those of one payload's."""
     return _endpoint_key(endpoint) + (path, long)
 
 
@@ -434,9 +437,10 @@ def _score_payload(model_id: str, prompt_text: str, continuations: Sequence[str]
     }
 
 
-def _embed_payload(model_id: str, text: str) -> dict:
-    """What keys the cache entry of one text's embedding."""
-    return {"kind": "embeddings", "model": model_id, "input": text}
+def _embed_payload(model_id: str, texts: Sequence[str]) -> dict:
+    """What keys the cache entry of one group's embeddings: the vector of
+    each of `texts`, in order."""
+    return {"kind": "embeddings", "model": model_id, "input": list(texts)}
 
 
 def _score_wire(model_id: str, prompt: str | list[str]) -> dict:
@@ -593,36 +597,38 @@ class Gateway:
         payloads: Sequence[dict],
         wire: Callable[[list[int]], dict],
         mock_call: Callable[[MockBackend, list[int]], dict],
-        lists: int = 0,
-        width: int = 1,
+        widths: Sequence[int] = (),
         singly: Callable[[], tuple[dict, list[dict]]] | None = None,
     ) -> list[tuple[list[dict], str] | None]:
-        """The `width` items, choices or embeddings, that answer each payload
-        at `path`, in input order, and the payload's name in error messages:
+        """The items, choices or embeddings, that answer each payload at
+        `path`, in input order, and the payload's name in error messages:
         with a cache, payload i is keyed and named by the fingerprint of
         `payloads[i]`, and its entry is the reply to a request of its own;
         without one nothing is fingerprinted and the name gives the model
-        and path. A payload covers `width` consecutive inputs of a request,
-        the continuations of a scored row, or one, a text or a chat.
+        and path. With `widths`, payload i covers widths[i] consecutive
+        inputs of a list request, the continuations of a scored row or the
+        texts of a group; without, there is one payload of one input, a chat.
 
         Each cache entry is read once. The misses, at positions `misses`,
         are answered by one mock call, `mock_call(backend, misses)`; or with
-        `lists`, by one list request `wire(misses)` of every input of every
-        miss (see _post_list); or else there is one payload of one input,
-        and `wire([0])` is POSTed on its own. A lone HTTP reply is cached as
-        its bytes once it decodes, so an unreadable one is never replayed.
-        Any other payload's slice of its reply is cached, items indexed
-        0..width-1, as its own reply: a one-row list reply for a scored row.
+        `widths`, by one list request `wire(misses)` of every input of every
+        miss (see _post_list); or else `wire([0])` is POSTed on its own. A
+        lone HTTP reply is cached as its bytes once it decodes, so an
+        unreadable one is never replayed. Any other payload's slice of its
+        reply is cached, items indexed 0..width-1, as its own reply: a
+        one-row list reply for a scored row, a one-group one for a group.
 
-        With `lists`, whether the endpoint takes a list of more than `lists`
-        inputs at `path` is probed and settled apart from whether it takes
-        a shorter one. If the endpoint refuses a list as long as the one the
-        misses would make, `singly()`, given for a lone payload, answers it
-        with one request per input and returns the first reply and the
-        items; without `singly` each miss is None, for the caller to send
-        in a shorter list or on its own.
+        Whether the endpoint takes a list of several payloads' inputs at
+        `path` is probed and settled apart from whether it takes one
+        payload's. If the endpoint refuses a list of the kind the misses
+        would make, `singly()`, given for a lone payload, answers it with
+        one request per input and returns the first reply and the items;
+        without `singly` each miss is None, for the caller to send on its
+        own.
         """
         field = _ITEM_FIELDS[path][1]
+        listed = bool(widths)
+        widths = widths or (1,)
         results: list[tuple[list[dict], str] | None]
         if self._cache is None:
             keys = None
@@ -632,30 +638,30 @@ class Gateway:
             keys = [request_fingerprint(payload) for payload in payloads]
             names = [f"request {key}" for key in keys]
             results = []
-            for key, name in zip(keys, names):
+            for key, name, width in zip(keys, names, widths):
                 body = self._cache.get(key)
                 if body is None:
                     results.append(None)
                     continue
                 data = _decode(body, name)
-                # a lone reply is cached as it came, a row's with one choice per input
+                # a lone reply is cached as it came, a listed one with one item per input
                 items = (
-                    [self._first_item(data, field, name)] if width == 1
-                    else _items_by_index(data, path, width)
+                    _items_by_index(data, path, width) if listed
+                    else [self._first_item(data, field, name)]
                 )
                 results.append((items, name))
         misses = [i for i, result in enumerate(results) if result is None]
         if not misses:
             return results
-        count = len(misses) * width
+        count = sum(widths[i] for i in misses)
         if endpoint.is_mock:
             data = mock_call(self._mock(endpoint), misses)
             items = _items_by_index(data, path, count)
-        elif lists:
+        elif listed:
             answer = None
-            # no list of any length goes to an endpoint that refuses short ones
-            if self._takes_lists.get(_list_key(endpoint, path, False)) is not False:
-                answer = self._post_list(endpoint, path, count > lists, wire(misses), count)
+            long = len(misses) > 1
+            if not self._refuses_lists(endpoint, path, long):
+                answer = self._post_list(endpoint, path, long, wire(misses), count)
             if answer is None and singly is not None:
                 answer = singly()
             if answer is None:
@@ -668,14 +674,25 @@ class Gateway:
             if keys is not None:
                 self._cache.put(keys[0], body)
             return [([self._first_item(data, field, name)], name)]
-        for n, i in enumerate(misses):
-            row = items[n * width:(n + 1) * width]
+        start = 0
+        for i in misses:
+            row = items[start:start + widths[i]]
+            start += widths[i]
             results[i] = row, names[i]
             if keys is not None:
                 self._cache.put(keys[i], _encode(
                     {**data, field: [{**item, "index": j} for j, item in enumerate(row)]}
                 ))
         return results
+
+    def _refuses_lists(self, endpoint: ModelEndpoint, path: str, long: bool) -> bool:
+        """Whether a probe settled that the endpoint refuses lists to `path`
+        of several payloads' inputs (`long`) or of one payload's: one that
+        refuses the short kind is sent no list of either."""
+        return False in {
+            self._takes_lists.get(_list_key(endpoint, path, False)),
+            self._takes_lists.get(_list_key(endpoint, path, long)),
+        }
 
     def _post_list(
         self, endpoint: ModelEndpoint, path: str, long: bool, wire: dict, count: int
@@ -883,8 +900,8 @@ class Gateway:
         """The LogprobResult of each continuation of each prompt, prompt by
         prompt: a row. Each row is one cache entry, and the rows the cache
         misses go out as one /completions request with a list prompt; a list
-        of more prompts than one prompt's continuations is probed apart from
-        a shorter one (see _fetch). Where the endpoint refuses a list of
+        of several prompts' continuations is probed apart from one prompt's
+        (see _fetch). Where the endpoint refuses a list of
         several rows, each of them is None, for the caller to send one per
         call. A lone row the endpoint refuses in a list goes out one
         continuation per request, in turn on the calling thread, through
@@ -910,7 +927,7 @@ class Gateway:
             [_score_payload(model, p, continuations) for p in prompt_texts],
             lambda misses: _score_wire(model, [p + c for p, c in zip(*inputs(misses))]),
             lambda mock, misses: mock.score(model, *inputs(misses)),
-            lists=len(continuations), width=len(continuations),
+            widths=[len(continuations)] * len(prompt_texts),
             singly=singly if len(prompt_texts) == 1 else None,
         )
         return [
@@ -923,50 +940,86 @@ class Gateway:
 
     # -- embeddings ------------------------------------------------------------
 
-    def embed(self, endpoint: ModelEndpoint, text: str) -> EmbeddingResult:
+    def embed(
+        self, endpoint: ModelEndpoint, text: str, replies: list | None = None
+    ) -> EmbeddingResult:
         """Embedding vector for one text, sent as a request of its own; see
-        _embedding for the width check."""
+        _embedding for the checks. It reads and writes no cache entry: the
+        cache keeps whole groups, and embed_groups sends a group this way,
+        one text after another, to an endpoint that refuses lists. With
+        `replies`, the reply and its item are appended to it, for
+        embed_groups to cache the group."""
         if not text.strip():
             raise ValueError("embedding input must be non-empty")
         model = endpoint.model_id
-        [([item], name)] = self._fetch(
-            endpoint, "/embeddings", [_embed_payload(model, text)],
-            lambda _: {"model": model, "input": text}, lambda mock, _: mock.embed(model, text),
-        )
+        name = _uncached_name(endpoint, "/embeddings")
+        if endpoint.is_mock:
+            data = self._mock(endpoint).embed(model, text)
+        else:
+            data = _decode(self._post(endpoint, "/embeddings", {"model": model, "input": text}), name)
+        item = self._first_item(data, "data", name)
+        if replies is not None:
+            replies.append((data, item))
         return self._embedding(endpoint, item, name)
 
-    def embed_texts(self, endpoint: ModelEndpoint, texts: Sequence[str]) -> list[EmbeddingResult]:
-        """embed of each text, in order, with the ones the cache misses sent
-        as one /embeddings request with a list input (see _fetch). On an
-        endpoint that refuses list inputs, each miss goes through embed,
-        and once that is settled, each text does, which reads its own entry."""
-        if not all(text.strip() for text in texts):
+    def embed_groups(
+        self, endpoint: ModelEndpoint, groups: Sequence[Sequence[str]]
+    ) -> list[list[EmbeddingResult]]:
+        """The EmbeddingResult of each text of each group, group by group.
+        Each group is one cache entry, and the groups the cache misses go
+        out as one /embeddings request with a list input; a list of several
+        groups' texts is probed apart from one group's (see _fetch). Where
+        the endpoint refuses a list of several groups, each of them is sent
+        on its own. A lone group the endpoint refuses in a list goes out one
+        text per request, in turn on the calling thread, through embed, and
+        is cached once every text has its reply."""
+        if not all(groups) or not all(text.strip() for group in groups for text in group):
             raise ValueError("embedding input must be non-empty")
-        if self._takes_lists.get(_list_key(endpoint, "/embeddings", False)) is False:
-            return [self.embed(endpoint, text) for text in texts]
+        if len(groups) > 1 and self._refuses_lists(endpoint, "/embeddings", True):
+            return [self.embed_groups(endpoint, [group])[0] for group in groups]
         model = endpoint.model_id
+
+        def inputs(misses: list[int]) -> list[str]:
+            # the texts of the groups `misses`, in order
+            return [text for i in misses for text in groups[i]]
+
+        def singly() -> tuple[dict, list[dict]]:
+            replies: list[tuple[dict, dict]] = []
+            for text in groups[0]:
+                self.embed(endpoint, text, replies)
+            return replies[0][0], [item for _, item in replies]
+
         fetched = self._fetch(
-            endpoint, "/embeddings", [_embed_payload(model, text) for text in texts],
-            lambda misses: {"model": model, "input": [texts[i] for i in misses]},
-            lambda mock, misses: mock.embed(model, tuple(texts[i] for i in misses)),
-            lists=len(texts),
+            endpoint, "/embeddings", [_embed_payload(model, group) for group in groups],
+            lambda misses: {"model": model, "input": inputs(misses)},
+            lambda mock, misses: mock.embed(model, tuple(inputs(misses))),
+            widths=[len(group) for group in groups],
+            singly=singly if len(groups) == 1 else None,
         )
         return [
-            self.embed(endpoint, text) if found is None
-            else self._embedding(endpoint, found[0][0], found[1])
-            for text, found in zip(texts, fetched)
+            self.embed_groups(endpoint, [group])[0] if found is None
+            else [self._embedding(endpoint, item, found[1]) for item in found[0]]
+            for group, found in zip(groups, fetched)
         ]
 
     def _embedding(self, endpoint: ModelEndpoint, item: dict, name: str) -> EmbeddingResult:
         """The vector of one embedding item of the reply to the request named
-        `name`. Its width is pinned by the first vector per model and any
-        later mismatch is fatal."""
+        `name`. Each component must be a finite number: JSON replies may
+        carry NaN or Infinity, which no cosine can use. Its width is pinned
+        by the first vector per model and any later mismatch is fatal."""
         try:
             vector = item["embedding"]
         except (KeyError, TypeError):
             raise GatewayError(f"response for {name} carries no embedding") from None
         if not isinstance(vector, list) or not vector:
             raise GatewayError(f"response for {name} carries an empty embedding")
+        for x in vector:
+            # a bool is an int to isinstance, and no component
+            if type(x) not in (int, float) or not math.isfinite(x):
+                raise GatewayError(
+                    f"response for {name} carries an embedding component {x!r}"
+                    " that is not a finite number"
+                )
         with self._lock:
             expected = self._embed_dims.setdefault(endpoint.model_id, len(vector))
         if len(vector) != expected:

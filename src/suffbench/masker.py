@@ -23,10 +23,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .constrainer import ALL_LEVELS, Explanation
-from .corpus import LABELS, QuestionItem
+from .corpus import QuestionItem
 
 MASK_TOKEN = "[MASK]"
 MASKING_RULES_VERSION = "1"
@@ -62,15 +61,15 @@ class MaskReport:
             raise MaskingError("hit counts must be non-negative")
 
 
-@lru_cache(maxsize=1024)
-def _option_patterns(options: tuple[str, ...]) -> tuple[re.Pattern[str], ...]:
-    """Full-copy patterns for an item's options given in LABELS order,
-    cached by the option texts, so masking an item's rows and verifying
-    them at score time compile its patterns once."""
+def compile_option_patterns(options: dict[str, str]) -> tuple[re.Pattern[str], ...]:
+    """Full-copy patterns for an item's options, keyed by label in LABELS
+    order. QuestionItem.option_patterns compiles them once per item and
+    keeps them, so masking an item's rows and verifying them at score time
+    share them."""
     # longest option first so nested copies resolve to the longer text;
     # sorted() is stable, so equal lengths keep label order
     patterns = []
-    for option in sorted(options, key=lambda o: -len(" ".join(o.split()))):
+    for option in sorted(options.values(), key=lambda o: -len(" ".join(o.split()))):
         body = r"\s+".join(re.escape(w) for w in option.split())
         patterns.append(re.compile(r"(?<!\w)" + body + r"(?!\w)", re.IGNORECASE))
     return tuple(patterns)
@@ -78,7 +77,7 @@ def _option_patterns(options: tuple[str, ...]) -> tuple[re.Pattern[str], ...]:
 
 def _option_spans(text: str, item: QuestionItem) -> list[tuple[int, int]]:
     claimed: list[tuple[int, int]] = []
-    for pattern in _option_patterns(tuple(item.options[label] for label in LABELS)):
+    for pattern in item.option_patterns:
         for m in pattern.finditer(text):
             start, end = m.span()
             if not any(s < end and start < e for s, e in claimed):

@@ -23,7 +23,9 @@ class MetricsError(ValueError):
 
 
 def cosine(u: Sequence[float], v: Sequence[float]) -> float:
-    """Cosine similarity, clamped into [-1, 1] against float drift."""
+    """Cosine similarity, clamped into [-1, 1] against float drift. A NaN
+    or an infinite component gives no cosine: min(1.0, nan) is 1.0, so
+    clamping it would read as perfect similarity."""
     if len(u) != len(v):
         raise MetricsError(f"vector dims differ: {len(u)} vs {len(v)}")
     if not u:
@@ -33,7 +35,10 @@ def cosine(u: Sequence[float], v: Sequence[float]) -> float:
     norm_v = math.sqrt(sum(b * b for b in v))
     if norm_u == 0.0 or norm_v == 0.0:
         raise MetricsError("cosine undefined for zero-norm vectors")
-    return max(-1.0, min(1.0, dot / (norm_u * norm_v)))
+    value = dot / (norm_u * norm_v)
+    if not math.isfinite(value):
+        raise MetricsError(f"cosine is {value}: a vector has a non-finite component")
+    return max(-1.0, min(1.0, value))
 
 
 def accuracy(results: Sequence[ScoreResult]) -> float:

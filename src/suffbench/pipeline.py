@@ -18,24 +18,25 @@ store from the calling thread, in planning order, as soon as it and every
 unit before it have finished: table contents are byte-identical regardless
 of worker count or scheduling, and a run killed mid-stage loses only the
 units in flight. Once a result is committed only the store keeps it, and
-the similarity stage drops each embedding vector after the last unit that
-needs it: apart from the store's records, a stage holds memory for its
-work in flight, not for the whole corpus.
+the similarity stage drops a batch's embedding vectors once its rows have
+their cosines: apart from the store's records, a stage holds memory for
+its work in flight, not for the whole corpus.
 
-Two stages batch their requests: the similarity stage embeds EMBED_BATCH
-texts per request, and the score stage sends the options of SCORE_BATCH
-rows as one request, a list of 64 prompts. From the first batch, in plan
-order, with a row the scorer refused in that list, it falls back to one
-row per request, then one option per request for a scorer that refuses
-lists too; no list size between a row's and a batch's is tried. Each
-numbers its batches over its full plan, done or not, so a resumed run sends
-the requests an uninterrupted run would.
+Two stages batch their requests. The similarity stage embeds by group, a
+level-0 base and its rewrites, and sends as many whole groups as fit in
+EMBED_BATCH texts per request. The score stage sends the options of
+SCORE_BATCH rows as one request, a list of 64 prompts. From the first
+batch, in plan order, with a row the scorer refused in that list, it falls
+back to one row per request, then one option per request for a scorer that
+refuses lists too; no list size between a row's and a batch's is tried.
+Each numbers its batches over its full plan, done or not, so a resumed run
+sends the requests an uninterrupted run would.
 """
 
 from __future__ import annotations
 
 import logging
-from collections import Counter, deque
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
@@ -66,15 +67,21 @@ EXCLUSION_EVENTS = ("unparseable", "empty_regeneration")
 REQUESTS_PER_WORKER = 4
 # units a pool thread may have submitted but not yet yielded: results that
 # land behind a slow head unit wait for it, so at most this many per thread
-# are held; a similarity unit is a batch, so that is up to
-# UNITS_AHEAD_PER_THREAD x EMBED_BATCH vectors per thread. No bench workload
-# has a stage with more units than the cap. A cap of 2 per thread made
+# are held; a similarity unit is a batch of up to EMBED_BATCH texts, so that
+# is up to UNITS_AHEAD_PER_THREAD x EMBED_BATCH = 320 vectors per thread (256
+# with batches of 16 texts). No bench workload has a stage with more units
+# than the cap. A cap of 2 per thread made
 # http-latency 3-15% slower (CHANGES.md, the entry that embeds the similarity
 # stage's texts in batched /embeddings requests): a head unit in a 429
 # backoff left the other threads idle
 UNITS_AHEAD_PER_THREAD = 16
-# distinct texts per /embeddings request in the similarity stage
-EMBED_BATCH = 16
+# texts per /embeddings request in the similarity stage, a whole number of
+# groups (a base and its rewrites), or one larger group: at 9 levels a group
+# is 10 texts, so two go out per request. A stage holds the vectors of the
+# batches in flight, so up to 20 vectors per batch (16 with batches of 16
+# texts). 20 rather than 16 cut the mock-cold bench at seed 1 from 125
+# embedding requests to 100
+EMBED_BATCH = 20
 # scored rows whose options go out as one /completions request, a list of
 # 4 x SCORE_BATCH prompts. 16 rows rather than 4 cut the mock-cold bench at
 # seed 1 from 2650 model requests to 2257 (scoring 525 -> 132). An endpoint
@@ -186,10 +193,10 @@ def _map_ordered(ctx: RunContext, units: Sequence, fn: Callable, endpoints: Iter
         pool.shutdown(cancel_futures=True)
 
 
-def _attempt(fn: Callable, unit) -> tuple:
-    """(fn(unit), None), or (None, the Exception it raised)."""
+def _attempt(fn: Callable, *args) -> tuple:
+    """(fn(*args), None), or (None, the Exception it raised)."""
     try:
-        return fn(unit), None
+        return fn(*args), None
     except Exception as exc:
         return None, exc
 
@@ -398,27 +405,33 @@ def run_score(ctx: RunContext, units: Sequence[tuple]) -> StageReport:
 
 
 def plan_similarity(ctx: RunContext) -> list[tuple]:
-    """(key, base, constrained, batches) for each constrained row not yet
-    done, where `batches` numbers the embedding batch of each of its two
-    texts. A text's batch is its position, over EMBED_BATCH, in the
-    first-use order of every constrained row, done or not, so a resumed run
-    cuts the batches an uninterrupted run would have: a batch is cached
-    whole or not at all, so with a cache it costs a resume one request or
-    none."""
+    """(key, texts, index, batch) for each constrained row not yet done.
+    `texts` is the row's group: the text of its level-0 base, then that of
+    each rewrite of the base, done or not, in ascending level order; the
+    row's own text is texts[index]. A batch is as many whole groups as fit
+    in EMBED_BATCH texts, and at least one, packed greedily over every
+    group in plan order, done or not, so a resumed run cuts the batches an
+    uninterrupted run would have: a group is cached whole or not at all, so
+    with a cache it costs a resume one request or none."""
     explanations = ctx.store.load_explanations()
     bases = {work_key(e)[:3]: e for e in explanations if e.level == 0}
-    constrained = [e for e in explanations if e.level != 0]
+    constrained = _pending([e for e in explanations if e.level != 0], ())
     done = ctx.store.done_keys(SIMILARITY)
-    batch_of: dict[str, int] = {}
     units = []
-    for key, e in _pending(constrained, ()):
-        base = bases.get(key[:3])
+    batch, size = 0, 0
+    for group, rows in groupby(constrained, key=lambda unit: unit[0][:3]):
+        rows = list(rows)
+        base = bases.get(group)
         if base is None:
-            raise StageFailure(f"similarity {key}: constrained row without a level-0 base")
-        for text in (base.text, e.text):
-            batch_of.setdefault(text, len(batch_of) // EMBED_BATCH)
-        if key not in done:
-            units.append((key, base, e, (batch_of[base.text], batch_of[e.text])))
+            raise StageFailure(f"similarity {rows[0][0]}: constrained row without a level-0 base")
+        texts = (base.text, *(e.text for _, e in rows))
+        if size and size + len(texts) > EMBED_BATCH:
+            batch, size = batch + 1, 0
+        size += len(texts)
+        units.extend(
+            (key, texts, index, batch)
+            for index, (key, _) in enumerate(rows, 1) if key not in done
+        )
     return units
 
 
@@ -427,60 +440,43 @@ def run_similarity(ctx: RunContext, units: Sequence[tuple]) -> StageReport:
     streaming pass. The comparison is between the raw texts; masking only
     affects scoring.
 
-    Each distinct text is embedded once. The texts go out in the batches
-    plan_similarity numbered, in order, one embed_texts call and so one
-    request each, through _map_ordered: an HTTP embedder gets the batches
-    on a pool, and a failed request fails every text of its batch. A unit's
-    cosine is computed on the calling thread as soon as both of its vectors
-    have landed, and each vector is dropped after the last unit that needs
-    it: the stage holds the vectors of the batches in flight, not one for
-    each distinct text. With an HTTP embedder, the batches that land while
-    an earlier one is still in flight wait for it.
+    The groups go out in the batches plan_similarity numbered, in order,
+    one embed_groups call and so one request each, through _map_ordered:
+    an HTTP embedder gets the batches on a pool, and a failed request fails
+    every row of its batch. Each landed batch's rows get their cosines on
+    the calling thread, and the batch's vectors are then dropped: the stage
+    holds the vectors of the batches in flight, at most EMBED_BATCH each,
+    never one for every text. With an HTTP embedder, the batches that land
+    while an earlier one is still in flight wait for it.
     """
-    uses = Counter(e.text for _, base, constrained, _ in units for e in (base, constrained))
-    batch_of: dict[str, int] = {}
-    for _, base, constrained, numbers in units:
-        for text, number in zip((base.text, constrained.text), numbers):
-            batch_of.setdefault(text, number)
-    numbered: dict[int, list[str]] = {}
-    for text, number in batch_of.items():
-        numbered.setdefault(number, []).append(text)
-    batches = [numbered[number] for number in sorted(numbered)]
+    batches = [list(rows) for _, rows in groupby(units, key=lambda unit: unit[3])]
 
-    def embed(batch: list[str]) -> list[tuple[float, ...]]:
-        return [result.vector for result in ctx.gateway.embed_texts(ctx.embedder, batch)]
+    def embed(batch: list[tuple]) -> dict[tuple, list[tuple[float, ...]]]:
+        # group -> the vector of each of its texts
+        groups = {key[:3]: texts for key, texts, _, _ in batch}
+        found = ctx.gateway.embed_groups(ctx.embedder, list(groups.values()))
+        return {
+            group: [result.vector for result in results]
+            for group, results in zip(groups, found)
+        }
+
+    def similarity(unit: tuple, vectors: dict) -> SimilarityRecord:
+        key, _, index, _ = unit
+        group = vectors[key[:3]]
+        item_id, language, model, level = key
+        return SimilarityRecord(
+            item_id=item_id, language=language, generator_model=model, level=level,
+            cosine=cosine(group[0], group[index]),
+        )
 
     def results():
-        embedded = _map_ordered(ctx, batches, embed, (ctx.embedder,))
-        # text -> (vector, error), from the text's batch landing to its last use
-        vectors: dict[str, tuple] = {}
-
-        def vector(text: str) -> tuple[float, ...]:
-            while text not in vectors:
-                batch, values, error = next(embedded)
-                for i, landed in enumerate(batch):
-                    vectors[landed] = (None, error) if error else (values[i], None)
-            value, error = vectors[text]
-            if error is not None:
-                raise error
-            return value
-
-        with closing(embedded):
-            for unit in units:
-                _, base, constrained, _ = unit
-                try:
-                    result, error = SimilarityRecord(
-                        item_id=constrained.item_id, language=constrained.language,
-                        generator_model=constrained.generator_model, level=constrained.level,
-                        cosine=cosine(vector(base.text), vector(constrained.text)),
-                    ), None
-                except Exception as exc:
-                    result, error = None, exc
-                for text in (base.text, constrained.text):
-                    uses[text] -= 1
-                    if not uses[text]:
-                        vectors.pop(text, None)
-                yield unit, result, error
+        with closing(_map_ordered(ctx, batches, embed, (ctx.embedder,))) as landed:
+            for batch, vectors, error in landed:
+                for unit in batch:
+                    if error:
+                        yield unit, None, error
+                    else:
+                        yield unit, *_attempt(similarity, unit, vectors)
 
     return _commit(ctx, "similarity", len(units), results(), ctx.store.append_similarity)
 

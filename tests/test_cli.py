@@ -930,7 +930,7 @@ class TestMockCache:
         monkeypatch.setattr(gateway_module, "request_fingerprint", spy)
         return payloads
 
-    def test_a_run_caches_one_entry_per_generation_scored_row_and_text(
+    def test_a_run_caches_one_entry_per_generation_scored_row_and_group(
         self, tmp_path, monkeypatch
     ):
         calls = self.spy_on_mock(monkeypatch)
@@ -940,11 +940,15 @@ class TestMockCache:
         kinds = Counter(
             payloads[path.stem]["kind"] for path in (tmp_path / "cache").rglob("*.json")
         )
-        # every text of the run is new to the cache, and embedded once
+        # every group of the run, a base and its two rewrites, is new to the
+        # cache, and embedded once
+        groups = {tuple(row.split(",")[1:4]) for row in
+                  table_bytes(store)["similarity.csv"].decode("utf-8").splitlines()[1:]}
         assert kinds == {
             "chat.completions": calls["generate"], "completions.logprobs": rows,
-            "embeddings": calls["texts"],
+            "embeddings": len(groups),
         }
+        assert calls["texts"] == 3 * len(groups) == 3 * 12
         assert rows == 6 + 2 * 6 * 3
 
     def test_an_older_caches_option_entries_are_never_read(self, tmp_path, monkeypatch):

@@ -118,10 +118,10 @@ class TestFingerprint:
 
 
 # the cache key of one entry of each kind, a generation, a scored row and
-# an embedded text: a change to the payloads or to their canonical JSON
-# orphans every cache already on disk. The generation and embedding keys are
-# those the store has always written; a scored row's key replaced the four
-# keys of its options
+# a group of embedded texts: a change to the payloads or to their canonical
+# JSON orphans every cache already on disk. The generation key is the one
+# the store has always written; a scored row's key replaced the four keys
+# of its options, and a group's the keys of its texts
 CACHE_KEYS = {
     "generate": (
         lambda gw: gw.generate(
@@ -137,8 +137,8 @@ CACHE_KEYS = {
         "6ab99180644b02e8b76fd06bb95893cd7d56c0e1fd036f5057b829a33998ec04",
     ),
     "embed": (
-        lambda gw: gw.embed(MOCK, "نور خورشید — café"),
-        "62a38e98d8aa711c0dc5bf85c24c82080002e9f03034cf201dad3c051fe1da15",
+        lambda gw: gw.embed_groups(MOCK, [["نور خورشید — café", "نور"]]),
+        "ee069e87feac2de90c1c3ceba04dfd569a7bbb8d45af54d5286c66ba4e3d6292",
     ),
 }
 
@@ -315,27 +315,20 @@ class TestCache:
 
     def test_a_lone_reply_is_cached_as_its_bytes(self, tmp_path):
         # the server indents its JSON and escapes non-ASCII, as the cache's
-        # own encoding does not: each entry is the reply's bytes as they came.
-        # A scored row's entry is a one-row list reply, always re-encoded
-        # (TestRowEntries)
+        # own encoding does not: a generation's entry is the reply's bytes as
+        # they came. A scored row's entry and a group's are list replies,
+        # always re-encoded (TestRowEntries, TestGroupEntries)
         generation = MockBackend(7).generate("mock-gen", "پرسش؟", 0.0, 512)
         generation["choices"][0]["message"]["content"] = "Answer: B\nExplanation: نور خورشید"
-        replies = [
-            json.dumps(body, indent=2).encode("ascii")
-            for body in (generation, embed_reply(["نور"]))
-        ]
+        reply = json.dumps(generation, indent=2).encode("ascii")
         endpoint = ModelEndpoint(base_url="http://fake", model_id="mock-gen")
-
-        def calls(gw):
-            return gw.generate(endpoint, prompt_of("پرسش؟")), gw.embed(endpoint, "نور")
-
-        session = FakeSession([(200, body) for body in replies])
-        live = calls(Gateway(cache_dir=tmp_path, session=session))
-        assert sorted(cache_files(tmp_path).values()) == sorted(replies)
+        session = FakeSession([(200, reply)])
+        live = Gateway(cache_dir=tmp_path, session=session).generate(endpoint, prompt_of("پرسش؟"))
+        assert list(cache_files(tmp_path).values()) == [reply]
         fresh = FakeSession([])
-        assert calls(Gateway(cache_dir=tmp_path, session=fresh)) == live
+        assert Gateway(cache_dir=tmp_path, session=fresh).generate(endpoint, prompt_of("پرسش؟")) == live
         assert fresh.calls == []
-        assert live[0].text.endswith("نور خورشید")
+        assert live.text.endswith("نور خورشید")
 
     @pytest.mark.parametrize("item", [None, "x"], ids=repr)
     @pytest.mark.parametrize("kind", ["generate", "score_continuation"])
@@ -1072,8 +1065,8 @@ class TestCacheReads:
     """A batched call reads each cache entry it finds once, and sends only
     the misses: as one list request, or one per request on an endpoint that
     refuses lists. A scored row is one entry, read once however its misses
-    go out. The text whose embedding probe is refused looks its entry up a
-    second time, in embed, which sends it on its own."""
+    go out. A missed group of a refused list of several groups looks its
+    entry up a second time, when it is sent on its own."""
 
     OTHER = "Question: R?\nThe answer is "
     THIRD = "Question: S?\nThe answer is "
@@ -1101,29 +1094,36 @@ class TestCacheReads:
         assert len(cache_files(tmp_path)) == 3
 
     @pytest.mark.parametrize("refuses", [False, True])
-    def test_embed_texts_reads_each_entry_once(self, refuses, tmp_path, monkeypatch):
-        rows = [[f"text {i}" for i in range(4)], [f"other {i}" for i in range(4)]]
-        for row in rows:
-            Gateway(cache_dir=tmp_path).embed_texts(MOCK, row[::2])
-        found = {path.stem for path in tmp_path.rglob("*.json")}
-        misses = [row[1::2] for row in rows]
+    def test_embed_groups_read_each_entry_once(self, refuses, tmp_path, monkeypatch):
+        # two calls of groups the cache misses, after one it finds; on an
+        # endpoint that refuses lists, the first call's missed groups are
+        # read again when each is sent on its own, and the second call's,
+        # sent on their own once that is settled, are read once
+        groups = [[f"text {i} {j}" for j in range(3)] for i in range(5)]
+        Gateway(cache_dir=tmp_path).embed_groups(MOCK, groups[:1])
+        [found] = {path.stem for path in tmp_path.rglob("*.json")}
+        first, second = groups[1:3], groups[3:]
         if refuses:
-            replies = [400, *((200, embed_reply([t])) for t in misses[0] + misses[1])]
+            replies = [400, 400, *((200, embed_reply([t])) for g in groups[1:] for t in g)]
         else:
-            replies = [(200, embed_reply(m)) for m in misses]
+            replies = [(200, embed_reply(g[0] + g[1])) for g in (first, second)]
         session = FakeSession(replies)
         gw = Gateway(cache_dir=tmp_path, session=session)
         endpoint = ModelEndpoint(base_url="http://fake", model_id="mock-gen")
         reads = cache_reads(monkeypatch)
-        first = gw.embed_texts(endpoint, rows[0])
-        probe_row = set(reads)
-        second = gw.embed_texts(endpoint, rows[1])
-        assert first + second == Gateway().embed_texts(MOCK, rows[0] + rows[1])
-        assert len(found) == 4 and all(reads[key] == 1 for key in found)
-        assert all(reads[key] == 1 for key in set(reads) - probe_row)
-        assert len(reads) == 8
+        got = gw.embed_groups(endpoint, groups[:3])
+        later = set(reads)
+        got += gw.embed_groups(endpoint, second)
+        assert got == Gateway().embed_groups(MOCK, groups)
+        assert reads[found] == 1 and len(reads) == 5
+        assert sum(reads[key] for key in later) == (5 if refuses else 3)
+        assert all(reads[key] == 1 for key in set(reads) - later)
         inputs = [call["json"]["input"] for call in session.calls]
-        assert inputs == ([misses[0], *misses[0], *misses[1]] if refuses else misses)
+        if refuses:
+            assert inputs == [first[0] + first[1], first[0], *(t for g in groups[1:] for t in g)]
+        else:
+            assert inputs == [first[0] + first[1], second[0] + second[1]]
+        assert len(cache_files(tmp_path)) == 5
 
 
 def embed_reply(texts, model="mock-gen", seed=7) -> dict:
@@ -1131,12 +1131,19 @@ def embed_reply(texts, model="mock-gen", seed=7) -> dict:
     return MockBackend(seed).embed(model, tuple(texts))
 
 
-class TestEmbedTexts:
-    TEXTS = tuple(f"نور {i} — café {i}" for i in range(5))
+class TestEmbedGroups:
+    """Several groups' texts go out as one list request; a list of several
+    groups is probed apart from one group's."""
 
-    def test_results_and_cache_files_match_single_calls(self, tmp_path):
+    GROUPS = (
+        ("نور 0 — café 0", "نور 1", "café 2"),
+        ("نور 3", "café 4"),
+        ("light 5", "light 5", "heat 6"),
+    )
+
+    def test_results_and_cache_files_match_one_group_calls(self, tmp_path):
         # mock:// in process, and the same seed over HTTP, batched and one
-        # text at a time: every result and every cache file agree
+        # group at a time: every result and every cache file agree
         with FixtureServer() as server:
             endpoints = {
                 "mock": ModelEndpoint(base_url="mock://7", model_id="embed"),
@@ -1149,40 +1156,56 @@ class TestEmbedTexts:
                     gw = Gateway(cache_dir=tmp_path / name / way)
                     before = len(server.requests)
                     if way == "batched":
-                        got = gw.embed_texts(endpoint, self.TEXTS)
+                        got = gw.embed_groups(endpoint, self.GROUPS)
                     else:
-                        got = [gw.embed(endpoint, text) for text in self.TEXTS]
+                        got = [gw.embed_groups(endpoint, [group])[0] for group in self.GROUPS]
                     results[name, way] = got
                     files[name, way] = cache_files(tmp_path / name / way)
                     sent[name, way] = len(server.requests) - before
                     gw.close()
-        assert len(set(map(tuple, results.values()))) == 1
-        assert len(files["mock", "single"]) == 5
+        assert all(got == results["mock", "single"] for got in results.values())
+        assert [[r.vector for r in group] for group in results["mock", "single"]] == [
+            [Gateway().embed(MOCK, text).vector for text in group] for group in self.GROUPS
+        ]
+        assert len(files["mock", "single"]) == 3
         assert all(got == files["mock", "single"] for got in files.values())
         assert sent == {("mock", "batched"): 0, ("mock", "single"): 0,
-                        ("http", "batched"): 1, ("http", "single"): 5}
+                        ("http", "batched"): 1, ("http", "single"): 3}
 
     def test_mock_embeds_a_batch_in_one_call(self):
         gw = Gateway()
-        gw.embed_texts(MOCK, self.TEXTS)
+        gw.embed_groups(MOCK, self.GROUPS)
         assert gw.mock_counts() == {"generate": 0, "logprobs": 0, "embeddings": 1}
 
+    def test_only_cache_misses_are_sent_in_input_order(self, tmp_path):
+        Gateway(cache_dir=tmp_path).embed_groups(MOCK, self.GROUPS[1:2])
+        session = FakeSession([(200, embed_reply(self.GROUPS[0] + self.GROUPS[2]))])
+        endpoint = ModelEndpoint(base_url="http://fake", model_id="mock-gen")
+        got = Gateway(cache_dir=tmp_path, session=session).embed_groups(endpoint, self.GROUPS)
+        assert got == Gateway().embed_groups(MOCK, self.GROUPS)
+        [call] = session.calls
+        assert call["json"] == {"model": "mock-gen", "input": [*self.GROUPS[0], *self.GROUPS[2]]}
+        assert len(cache_files(tmp_path)) == 3
+
     def test_items_are_placed_by_a_shuffled_index(self):
-        reply = embed_reply(self.TEXTS)
+        texts = [text for group in self.GROUPS for text in group]
+        reply = embed_reply(texts)
         random.Random(3).shuffle(reply["data"])
-        assert [item["index"] for item in reply["data"]] != list(range(5))
+        assert [item["index"] for item in reply["data"]] != list(range(len(texts)))
         session = FakeSession([(200, reply)])
         endpoint = ModelEndpoint(base_url="http://fake", model_id="mock-gen")
-        got = Gateway(session=session).embed_texts(endpoint, self.TEXTS)
-        assert got == [Gateway().embed(MOCK, text) for text in self.TEXTS]
+        got = Gateway(session=session).embed_groups(endpoint, self.GROUPS)
+        assert got == Gateway().embed_groups(MOCK, self.GROUPS)
         [call] = session.calls
-        assert call["json"] == {"model": "mock-gen", "input": list(self.TEXTS)}
+        assert call["json"] == {"model": "mock-gen", "input": texts}
 
     @pytest.mark.parametrize("refusal", ["one vector", "400"])
     def test_a_refused_probe_is_sent_once_then_one_text_per_request(self, refusal, tmp_path):
         # a list input gets the first text's vector alone, or a 400: the
-        # probe is refused with no sleep, nothing of its reply is cached, and
-        # every text is then sent on its own, with no second probe
+        # probe of several groups is refused with no sleep, then that of one
+        # group, nothing of their replies is cached, and every text is then
+        # sent on its own, with no third probe. Each group is cached once
+        # all its texts are back
         with FixtureServer() as server:
             base_url = route_mock(server, 7)
             path = "/7/embeddings"
@@ -1199,14 +1222,30 @@ class TestEmbedTexts:
             sleeps = []
             gw = Gateway(cache_dir=tmp_path, sleep=sleeps.append)
             endpoint = ModelEndpoint(base_url=base_url, model_id="mock-gen", max_retries=3)
-            first = gw.embed_texts(endpoint, self.TEXTS[:3])
-            second = gw.embed_texts(endpoint, self.TEXTS[3:])
+            first = gw.embed_groups(endpoint, self.GROUPS[:2])
+            second = gw.embed_groups(endpoint, self.GROUPS[2:])
             gw.close()
         assert sleeps == []
         inputs = [r["payload"]["input"] for r in server.requests]
-        assert inputs == [list(self.TEXTS[:3]), *self.TEXTS]
-        assert first + second == [Gateway().embed(MOCK, text) for text in self.TEXTS]
-        assert len(cache_files(tmp_path)) == 5
+        assert inputs == [
+            [*self.GROUPS[0], *self.GROUPS[1]], list(self.GROUPS[0]),
+            *self.GROUPS[0], *self.GROUPS[1], *self.GROUPS[2],
+        ]
+        assert first + second == Gateway().embed_groups(MOCK, self.GROUPS)
+        assert len(cache_files(tmp_path)) == 3
+
+    def test_a_refused_list_of_several_groups_leaves_one_groups_lists_on(self):
+        g0, g1, g2 = map(list, self.GROUPS)
+        vc = VirtualClock()
+        session = FakeSession([400, *((200, embed_reply(g)) for g in (g0, g1, g1, g2))])
+        gw = Gateway(clock=vc.clock, sleep=vc.sleep, session=session)
+        endpoint = ModelEndpoint(base_url="http://fake", model_id="mock-gen", max_retries=3)
+        first = gw.embed_groups(endpoint, self.GROUPS[:2])
+        # settled: a list of several groups is not sent again
+        second = gw.embed_groups(endpoint, self.GROUPS[1:])
+        assert vc.sleeps == []
+        assert [call["json"]["input"] for call in session.calls] == [g0 + g1, g0, g1, g1, g2]
+        assert first + second[1:] == Gateway().embed_groups(MOCK, self.GROUPS)
 
     def test_threads_racing_to_the_first_list_input_send_one_probe(self):
         # the endpoint drops list inputs, so a second probe would show as a
@@ -1223,7 +1262,7 @@ class TestEmbedTexts:
 
             def embed(i):
                 barrier.wait(timeout=10)
-                results.append(gw.embed_texts(endpoint, [f"text {i} {j}" for j in range(3)]))
+                results.append(gw.embed_groups(endpoint, [[f"text {i} {j}" for j in range(3)]]))
 
             interval = sys.getswitchinterval()
             sys.setswitchinterval(1e-5)
@@ -1248,61 +1287,127 @@ class TestEmbedTexts:
 
     def test_probes_are_kept_per_path(self):
         # an endpoint that refuses list prompts may still take list inputs
+        texts = [text for group in self.GROUPS for text in group]
         session = FakeSession([
-            400, *single_replies(SCORING_PROMPT, OPTIONS), (200, embed_reply(self.TEXTS)),
+            400, *single_replies(SCORING_PROMPT, OPTIONS), (200, embed_reply(texts)),
         ])
         gw = Gateway(session=session)
         endpoint = ModelEndpoint(base_url="http://fake", model_id="mock-gen")
         score_row(gw, endpoint, SCORING_PROMPT)
-        gw.embed_texts(endpoint, self.TEXTS)
-        assert session.calls[-1]["json"]["input"] == list(self.TEXTS)
+        gw.embed_groups(endpoint, self.GROUPS)
+        assert session.calls[-1]["json"]["input"] == texts
         assert len(session.calls) == 6
 
     def test_429_on_a_batch_is_retried_not_refused(self):
         vc = VirtualClock()
-        session = FakeSession([
-            429, (200, embed_reply(self.TEXTS[:2])), 429, (200, embed_reply(self.TEXTS[2:])),
-        ])
+        first, second = list(self.GROUPS[0]), [*self.GROUPS[1], *self.GROUPS[2]]
+        session = FakeSession([429, (200, embed_reply(first)), 429, (200, embed_reply(second))])
         gw = Gateway(clock=vc.clock, sleep=vc.sleep, session=session)
         endpoint = ModelEndpoint(base_url="http://fake", model_id="mock-gen", max_retries=3)
-        got = gw.embed_texts(endpoint, self.TEXTS[:2]) + gw.embed_texts(endpoint, self.TEXTS[2:])
+        got = gw.embed_groups(endpoint, self.GROUPS[:1]) + gw.embed_groups(endpoint, self.GROUPS[1:])
         assert vc.sleeps == [Gateway.BACKOFF_BASE] * 2
-        assert [call["json"]["input"] for call in session.calls] == [
-            list(self.TEXTS[:2]), list(self.TEXTS[:2]), list(self.TEXTS[2:]), list(self.TEXTS[2:]),
-        ]
-        assert got == Gateway().embed_texts(MOCK, self.TEXTS)
+        assert [call["json"]["input"] for call in session.calls] == [first, first, second, second]
+        assert got == Gateway().embed_groups(MOCK, self.GROUPS)
 
     def test_a_reply_without_one_item_per_text_after_the_probe_is_fatal(self, tmp_path):
-        bad = embed_reply(self.TEXTS[2:])
+        bad = embed_reply(self.GROUPS[2])
         del bad["data"][1]
-        session = FakeSession([(200, embed_reply(self.TEXTS[:2])), (200, bad)])
+        session = FakeSession([(200, embed_reply(self.GROUPS[1])), (200, bad)])
         gw = Gateway(cache_dir=tmp_path, session=session)
         endpoint = ModelEndpoint(base_url="http://fake", model_id="mock-gen")
-        gw.embed_texts(endpoint, self.TEXTS[:2])
+        gw.embed_groups(endpoint, self.GROUPS[1:2])
         with pytest.raises(GatewayError, match="a reply to 3 inputs carries 2 data items"):
-            gw.embed_texts(endpoint, self.TEXTS[2:])
-        assert len(cache_files(tmp_path)) == 2
+            gw.embed_groups(endpoint, self.GROUPS[2:])
+        assert len(cache_files(tmp_path)) == 1
 
-    def test_width_mismatch_inside_one_batch_is_fatal(self, server):
+    def test_width_mismatch_inside_one_group_is_fatal(self, server):
         endpoint = live_endpoint(server)
         with pytest.raises(EmbeddingDimensionError, match="dim 8, previously 1024"):
-            Gateway().embed_texts(endpoint, ["The sun warms the ground.", "short vector"])
+            Gateway().embed_groups(endpoint, [["The sun warms the ground.", "short vector"]])
         [sent] = server.requests
         assert sent["payload"]["input"] == ["The sun warms the ground.", "short vector"]
 
-    def test_blank_text_raises_before_any_request(self, tmp_path):
+    @pytest.mark.parametrize("groups", [[["fine"], ["fine", " \n"]], [["fine"], []]], ids=repr)
+    def test_a_blank_text_or_an_empty_group_raises_before_any_request(self, groups, tmp_path):
         session = FakeSession([])
         endpoint = ModelEndpoint(base_url="http://fake", model_id="m")
         with pytest.raises(ValueError, match="non-empty"):
-            Gateway(cache_dir=tmp_path, session=session).embed_texts(endpoint, ["fine", " \n"])
+            Gateway(cache_dir=tmp_path, session=session).embed_groups(endpoint, groups)
         assert session.calls == []
 
-    def test_a_cache_written_by_embed_is_fully_hit(self, tmp_path):
-        writer = Gateway(cache_dir=tmp_path)
-        expected = [writer.embed(MOCK, text) for text in self.TEXTS]
-        reader = Gateway(cache_dir=tmp_path)
-        assert reader.embed_texts(MOCK, self.TEXTS) == expected
-        assert reader.mock_counts()["embeddings"] == 0
+    def test_embed_reads_and_writes_no_entry(self, tmp_path, monkeypatch):
+        # a text sent on its own is a part of a group, which the cache keeps whole
+        reads = cache_reads(monkeypatch)
+        gw = Gateway(cache_dir=tmp_path)
+        assert gw.embed(MOCK, "نور") == gw.embed(MOCK, "نور") == gw.embed_groups(MOCK, [["نور"]])[0][0]
+        assert gw.mock_counts()["embeddings"] == 3
+        assert len(reads) == 1 and len(cache_files(tmp_path)) == 1
+
+
+class TestGroupEntries:
+    """A group is one cache entry: the encoded reply its own list request
+    gets, one embedding per text indexed in order, with the same bytes
+    however the group was fetched."""
+
+    GROUPS = tuple((f"base {i} نور", f"rewrite {i}", "light") for i in range(4))
+
+    def test_a_groups_entry_has_the_same_bytes_on_every_path(self, tmp_path):
+        group = self.GROUPS[2]
+        key = request_fingerprint({"kind": "embeddings", "model": "embed", "input": list(group)})
+        entries = {}
+        with FixtureServer() as server:
+            embed = mock_routes(7)["/embeddings"]
+            server.route(
+                "/refuses/embeddings",
+                lambda p: (400, {}) if isinstance(p["input"], list) else embed(p),
+            )
+            endpoints = {
+                name: ModelEndpoint(base_url=url, model_id="embed", requests_per_minute=10_000)
+                for name, url in (
+                    ("mock", "mock://7"), ("http", route_mock(server, 7)),
+                    ("refuses", f"{server.base_url}/refuses"),
+                )
+            }
+            ways = [(name, "batch") for name in ("mock", "http")] + [
+                (name, "group") for name in endpoints
+            ]
+            for name, way in ways:
+                gw = Gateway(cache_dir=tmp_path / name / way)
+                gw.embed_groups(endpoints[name], self.GROUPS if way == "batch" else [group])
+                gw.close()
+                entries[name, way] = ResponseCache(tmp_path / name / way).get(key)
+        assert set(entries.values()) == {_encode(MockBackend(7).embed("embed", group))}
+
+
+class TestNonFiniteEmbeddings:
+    """JSON replies may carry NaN or Infinity, which json parses; an
+    embedding with such a component, or one that is not a number, is
+    refused with an error that names its request."""
+
+    @pytest.mark.parametrize("component", [
+        float("nan"), float("inf"), float("-inf"), "1.0", True, None,
+    ], ids=repr)
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_a_component_that_is_not_a_finite_number_is_refused(
+        self, component, cached, tmp_path
+    ):
+        reply = embed_reply(["a", "b"])
+        reply["data"][1]["embedding"][3] = component
+        body = json.dumps(reply).encode("utf-8")
+        endpoint = ModelEndpoint(base_url="http://fake", model_id="mock-gen")
+        gw = Gateway(cache_dir=tmp_path if cached else None, session=FakeSession([(200, body)]))
+        key = request_fingerprint({"kind": "embeddings", "model": "mock-gen", "input": ["a", "b"]})
+        name = f"request {key}" if cached else "a mock-gen request to /embeddings"
+        with pytest.raises(GatewayError, match=f"response for {name} .* not a finite number"):
+            gw.embed_groups(endpoint, [["a", "b"]])
+
+    def test_a_lone_text_with_a_nan_is_refused(self):
+        reply = embed_reply(["a"])
+        reply["data"][0]["embedding"][0] = float("nan")
+        session = FakeSession([(200, json.dumps(reply).encode("utf-8"))])
+        endpoint = ModelEndpoint(base_url="http://fake", model_id="mock-gen")
+        with pytest.raises(GatewayError, match="a mock-gen request to /embeddings .* finite"):
+            Gateway(session=session).embed(endpoint, "a")
 
 
 class TestLiveEmbeddings:

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from suffbench import masker
 from suffbench.constrainer import make_explanation
-from suffbench.corpus import QuestionItem
+from suffbench.corpus import Corpus, QuestionItem
 from suffbench.masker import (
     MASK_TOKEN,
     MASKING_RULES_VERSION,
@@ -216,3 +217,33 @@ class TestProperties:
         )
         assert again.masked_text == report.masked_text
         assert again.label_hits == again.text_hits == 0
+
+
+def test_each_items_patterns_are_compiled_once_past_any_cache_bound(monkeypatch):
+    # more items than the 1024 entries the patterns were once cached in: a
+    # pass that masks every item's rows, then one that verifies them, as the
+    # mask and score stages do, still compiles each item's patterns once
+    compiled = []
+    real = masker.compile_option_patterns
+
+    def spy(options):
+        compiled.append(tuple(options.values()))
+        return real(options)
+
+    monkeypatch.setattr(masker, "compile_option_patterns", spy)
+    corpus = Corpus("en", tuple(
+        QuestionItem(
+            id=f"q{i}", stem="stem?", gold="A", language="en",
+            options={label: f"{label.lower()} option {i}" for label in "ABCD"},
+        )
+        for i in range(1100)
+    ))
+    masked = {}
+    for level in (0, 10):
+        for item in corpus:
+            text = f"Option {item.options['B']} (B) is right."
+            report = mask_explanation(make_explanation(item.id, "en", "gen-1", level, text), item)
+            masked[item.id, level] = report.masked_text
+    assert all(verify_masked(text, corpus[item_id]) for (item_id, _), text in masked.items())
+    assert set(masked.values()) == {f"Option {MASK_TOKEN} ({MASK_TOKEN}) is right."}
+    assert len(compiled) == len(set(compiled)) == 1100

@@ -89,6 +89,14 @@ class TestCosine:
         with pytest.raises(MetricsError, match="zero-norm"):
             cosine((0.0, 0.0), (1.0, 2.0))
 
+    @pytest.mark.parametrize("component", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("first", [True, False])
+    def test_a_non_finite_component_is_not_read_as_similarity(self, component, first):
+        # min(1.0, nan) is 1.0: clamped, a NaN would read as a perfect match
+        u, v = (component, 1.0), (1.0, 0.0)
+        with pytest.raises(MetricsError, match="non-finite"):
+            cosine(u, v) if first else cosine(v, u)
+
     @given(
         st.lists(st.floats(min_value=-10, max_value=10), min_size=2, max_size=8).filter(
             lambda v: any(abs(x) > 1e-6 for x in v)

@@ -256,11 +256,11 @@ class TestAppendHandles:
 class TestDeterminism:
     def test_worker_count_does_not_change_bytes(self, make_ctx, tmp_path, en_corpus, pools):
         # the workers=4 run calls its endpoints over HTTP, so every stage
-        # but mask and aggregate runs on a pool (five levels give 18 texts,
-        # two embedding batches); route_mock answers as the in-process mock
-        # does
+        # but mask and aggregate runs on a pool (six levels give three groups
+        # of 7 texts, two embedding batches); route_mock answers as the
+        # in-process mock does
         small = subset(en_corpus, 3, seed=7)
-        levels = (10, 30, 50, 70, 90)
+        levels = (10, 20, 30, 50, 70, 90)
         ctx1 = make_ctx(tmp_path / "a", {"en": small}, levels=levels, workers=1)
         run(ctx1, ["aggregate"])
         with FixtureServer() as server:
@@ -523,13 +523,14 @@ class TestResume:
         assert store_bytes(root / "store") == tables
         _assert_each_fault_retried_once(sessions, sleeps)
 
-    @pytest.mark.parametrize("killed_at", [1, 7, 15, 16, 30])
+    @pytest.mark.parametrize("killed_at", [1, 7, 15, 16, 18, 30])
     def test_resumed_similarity_sends_the_batches_of_an_uninterrupted_run(
         self, make_ctx, tmp_path, en_corpus, killed_at
     ):
-        # 4 items at 9 levels: 40 texts, three batches. A resume numbers
-        # each text's batch as the uninterrupted plan does, so a batch the
-        # killed run embedded costs it nothing and any other one request
+        # 4 items at 9 levels: four groups of 10 texts, two batches of 18
+        # rows. A resume numbers each group's batch as the uninterrupted
+        # plan does, so a batch the killed run embedded costs it nothing and
+        # any other one request
         corpus = subset(en_corpus, 4, seed=7)
         levels = tuple(range(10, 100, 10))
         whole = make_ctx(tmp_path / "whole", {"en": corpus}, levels=levels)
@@ -537,7 +538,7 @@ class TestResume:
         planned = pipeline.plan_similarity(whole)
         with _texts_embedded() as texts:
             run_stage(whole, "similarity")
-        assert whole.gateway.mock_counts()["embeddings"] == 3
+        assert whole.gateway.mock_counts()["embeddings"] == 2
 
         first = Gateway(cache_dir=tmp_path / "cache")
         ctx = make_ctx(tmp_path / "killed", {"en": corpus}, levels=levels, gateway=first)
@@ -565,7 +566,7 @@ class TestResume:
             assert units == planned[killed_at:]
             run_stage(ctx, "similarity")
         assert embedded == texts
-        assert first.mock_counts()["embeddings"] + resumed.mock_counts()["embeddings"] == 3
+        assert first.mock_counts()["embeddings"] + resumed.mock_counts()["embeddings"] == 2
         assert ctx.store.load_similarities() == whole.store.load_similarities()
 
     @pytest.mark.parametrize(
@@ -633,12 +634,12 @@ class TestResume:
         assert store_bytes(tmp_path / "store") == before
         assert all(r.planned == 0 for r in reports if r.stage != "aggregate")
 
-    def test_warm_resume_reads_one_entry_per_pending_row_and_text(
+    def test_warm_resume_reads_one_entry_per_pending_row_and_group(
         self, make_ctx, tmp_path, en_corpus, fa_corpus, monkeypatch
     ):
         # an en+fa store cut mid-score, resumed on the cache an uninterrupted
         # run filled: each scored row still to do is one cache read, as is
-        # each distinct text to embed, and no request reaches the mock
+        # each group to embed, and no request reaches the mock
         corpora = {"en": subset(en_corpus, 3, seed=7), "fa": subset(fa_corpus, 3, seed=7)}
         cache = tmp_path / "cache"
         whole = make_ctx(tmp_path / "whole", corpora, gateway=Gateway(cache_dir=cache))
@@ -657,7 +658,7 @@ class TestResume:
         resumed = Gateway(cache_dir=cache)
         ctx = make_ctx(tmp_path / "cut", corpora, gateway=resumed, store=store)
         pending = pipeline.plan_score(ctx)
-        texts = _distinct_texts(pipeline.plan_similarity(ctx))
+        groups = _groups(pipeline.plan_similarity(ctx))
         reads = Counter()
         real = ResponseCache.get
 
@@ -670,8 +671,8 @@ class TestResume:
         monkeypatch.setattr(ResponseCache, "get", get)
         run(ctx, STAGES)
         store.close()
-        assert len(pending) == rows - rows // 2 and texts
-        assert len(reads) == sum(reads.values()) == len(pending) + len(texts)
+        assert len(pending) == rows - rows // 2 and len(groups) == 6
+        assert len(reads) == sum(reads.values()) == len(pending) + len(groups)
         assert resumed.mock_counts() == {"generate": 0, "logprobs": 0, "embeddings": 0}
         assert store_bytes(tmp_path / "cut" / "store") == store_bytes(tmp_path / "whole" / "store")
 
@@ -934,29 +935,30 @@ class _BrokenEmbeddings:
         self._inner = inner
         self._text = text
 
-    def embed_texts(self, endpoint, texts):
-        if self._text is None or self._text in texts:
+    def embed_groups(self, endpoint, groups):
+        if self._text is None or any(self._text in group for group in groups):
             raise RuntimeError("embedding backend exploded")
-        return self._inner.embed_texts(endpoint, texts)
+        return self._inner.embed_groups(endpoint, groups)
 
     def __getattr__(self, name):
         return getattr(self._inner, name)
 
 
 class _CountingEmbeddings:
-    """Delegates to a real gateway; every text of every batch is counted and
-    each batch sleeps, so that concurrent units overlap."""
+    """Delegates to a real gateway; every group of every batch is counted,
+    as a tuple of its texts, and each batch sleeps, so that concurrent
+    units overlap."""
 
     def __init__(self, inner):
         self._inner = inner
         self._lock = threading.Lock()
         self.calls = Counter()
 
-    def embed_texts(self, endpoint, texts):
+    def embed_groups(self, endpoint, groups):
         with self._lock:
-            self.calls.update(texts)
+            self.calls.update(tuple(group) for group in groups)
         time.sleep(0.05)
-        return self._inner.embed_texts(endpoint, texts)
+        return self._inner.embed_groups(endpoint, groups)
 
     def __getattr__(self, name):
         return getattr(self._inner, name)
@@ -971,7 +973,7 @@ class _Vector(tuple):
 
 
 class _TrackedEmbeddings:
-    """Delegates to a real gateway; every vector embed_texts returns is a
+    """Delegates to a real gateway; every vector embed_groups returns is a
     _Vector, and live() counts those not yet freed."""
 
     def __init__(self, inner):
@@ -980,15 +982,17 @@ class _TrackedEmbeddings:
         self._lock = threading.RLock()
         self._live = 0
 
-    def embed_texts(self, endpoint, texts):
-        results = []
-        for result in self._inner.embed_texts(endpoint, texts):
-            vector = _Vector(result.vector)
-            vector.owner = self
-            with self._lock:
-                self._live += 1
-            results.append(EmbeddingResult(vector=vector, model_id=endpoint.model_id))
-        return results
+    def embed_groups(self, endpoint, groups):
+        found = []
+        for results in self._inner.embed_groups(endpoint, groups):
+            found.append([])
+            for result in results:
+                vector = _Vector(result.vector)
+                vector.owner = self
+                with self._lock:
+                    self._live += 1
+                found[-1].append(EmbeddingResult(vector=vector, model_id=endpoint.model_id))
+        return found
 
     def freed(self) -> None:
         with self._lock:
@@ -1002,9 +1006,10 @@ class _TrackedEmbeddings:
         return getattr(self._inner, name)
 
 
-def _distinct_texts(units) -> list[str]:
-    """The texts of similarity units, each once, in first-use order."""
-    return list(dict.fromkeys(e.text for _, base, other, _ in units for e in (base, other)))
+def _groups(units) -> dict[tuple, tuple[str, ...]]:
+    """The texts of each group of similarity units, by the group's
+    (item, language, generator), in plan order."""
+    return {key[:3]: texts for key, texts, _, _ in units}
 
 
 def _copies(corpus: Corpus, n: int) -> Corpus:
@@ -1025,13 +1030,24 @@ def _scored_rows(corpus: Corpus, rows: int, levels: tuple = (10, 90)) -> Corpus:
     return subset(_copies(corpus, -(-items // len(corpus))), items, seed=7)
 
 
+def _refuses_list_inputs(route):
+    """`route`, except that a list input is answered 400, as an embedder
+    that takes one text per request does."""
+    def refuse(payload):
+        if isinstance(payload["input"], list):
+            return 400, {"error": {"message": "input must be a string"}}
+        return route(payload)
+    return refuse
+
+
 class TestSimilarity:
-    def test_each_text_embedded_once_across_workers(
+    def test_each_group_embedded_once_across_workers(
         self, make_ctx, tmp_path, en_corpus, pools
     ):
-        # with repeats, every rewrite is the same one word; at workers=4 the
-        # embedder is HTTP, so the batches are embedded on a pool. 20 items
-        # give more than one batch either way
+        # with repeats, every rewrite is the same one word, so each group
+        # holds it three times; at workers=4 the embedder is HTTP, so the
+        # batches are embedded on a pool. 20 groups of 4 texts make four
+        # batches either way
         corpus = _copies(en_corpus, 2)
         with FixtureServer() as server:
             for workers, repeats in itertools.product((1, 4), (False, True)):
@@ -1043,28 +1059,52 @@ class TestSimilarity:
                     workers=workers, gateway=gateway,
                     embedder=live(server, EMBED) if workers > 1 else EMBED,
                 )
+                run(ctx, ["constrain"])
+                units = pipeline.plan_similarity(ctx)
                 pools.clear()
-                run(ctx, ["similarity"])
+                run_stage(ctx, "similarity")
                 assert bool(pools) == (workers > 1)
-                texts = {e.text for e in ctx.store.load_explanations()}
-                assert len(texts) == (21 if repeats else 80) > EMBED_BATCH
+                groups = _groups(units)
+                assert len(groups) == 20 and units[-1][3] == 3
+                assert all(len(texts) == 4 for texts in groups.values())
+                if repeats:
+                    assert all(texts[1:] == ("Light",) * 3 for texts in groups.values())
                 assert len(ctx.store.load_similarities()) == 60
-                assert gateway.calls == Counter(texts)
+                assert gateway.calls == Counter(groups.values())
+
+    def test_a_batch_is_whole_groups_packed_greedily(self, make_ctx, tmp_path, en_corpus):
+        # at 9 levels a group is 10 texts, two to a batch; at 2 levels it is
+        # 3 texts, six to a batch of 18
+        for levels, per_batch in ((tuple(range(10, 100, 10)), 2), ((10, 90), 6)):
+            ctx = make_ctx(tmp_path / str(len(levels)), {"en": en_corpus}, levels=levels)
+            run(ctx, ["constrain"])
+            units = pipeline.plan_similarity(ctx)
+            groups = list(_groups(units))
+            assert len(groups) == 10
+            batches = {key[:3]: batch for key, _, _, batch in units}
+            assert [batches[g] for g in groups] == [i // per_batch for i in range(10)]
+            # the base first, then each rewrite in level order
+            text_of = {work_key(e): e.text for e in ctx.store.load_explanations()}
+            assert all(
+                texts[0] == text_of[key[:3] + (0,)] and texts[index] == text_of[key]
+                and index == levels.index(key[3]) + 1
+                for key, texts, index, _ in units
+            )
 
     @pytest.mark.parametrize("workers", [1, 4])
     def test_live_vectors_do_not_grow_with_the_corpus(
         self, make_ctx, tmp_path, en_corpus, fa_corpus, workers
     ):
         # the vectors held are about those of the batches in flight, each of
-        # EMBED_BATCH texts: inline, the batch that landed last and what is
-        # left of the one before it; at workers=4 the embedder is HTTP, with
-        # requests_in_flight(4) = 16 requests held 10 ms each
+        # at most EMBED_BATCH texts: inline, the batch that landed last and
+        # what is left of the one before it; at workers=4 the embedder is
+        # HTTP, with requests_in_flight(4) = 16 requests held 10 ms each
         if workers == 1:
             bound = 2 * EMBED_BATCH + 4
         else:
             bound = 2 * requests_in_flight(workers) * EMBED_BATCH
         sizes = {
-            "small": {"en": _copies(en_corpus, 6)},
+            "small": {"en": _copies(en_corpus, 7)},
             "large": {"en": _copies(en_corpus, 12), "fa": _copies(fa_corpus, 12)},
         }
         peaks = {}
@@ -1078,7 +1118,8 @@ class TestSimilarity:
                     workers=workers, gateway=gateway, embedder=embedder,
                 )
                 run(ctx, ["constrain"])
-                assert len(_distinct_texts(pipeline.plan_similarity(ctx))) > bound
+                groups = _groups(pipeline.plan_similarity(ctx))
+                assert sum(len(texts) for texts in groups.values()) > bound
 
                 counts = []
                 append = ctx.store.append_similarity
@@ -1094,22 +1135,72 @@ class TestSimilarity:
                 peaks[size] = max(counts)
         assert all(peak <= bound for peak in peaks.values()), peaks
 
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_a_warm_resume_reads_one_entry_per_group_and_sends_nothing(
+        self, make_ctx, tmp_path, en_corpus, monkeypatch, workers
+    ):
+        # a cache filled by one run, read by a second store's similarity
+        # stage: each group is one cache read, no request goes out, and the
+        # table has the bytes of an uncached run. At workers=3 the embedder
+        # is HTTP, so the batches are read on a pool
+        corpus = subset(en_corpus, 4, seed=7)
+        levels = tuple(range(10, 100, 10))
+        plain = make_ctx(tmp_path / "plain", {"en": corpus}, levels=levels)
+        run(plain, ["similarity"])
+        plain.store.close()
+        with FixtureServer() as server:
+            embedder = live(server, EMBED) if workers > 1 else EMBED
+            with closing(Gateway(cache_dir=tmp_path / "cache")) as writer:
+                run(make_ctx(
+                    tmp_path / "cold", {"en": corpus}, levels=levels, workers=workers,
+                    gateway=writer, embedder=embedder,
+                ), ["similarity"])
+            del server.requests[:]
+            gateway = Gateway(cache_dir=tmp_path / "cache")
+            ctx = make_ctx(
+                tmp_path / "warm", {"en": corpus}, levels=levels, workers=workers,
+                gateway=gateway, embedder=embedder,
+            )
+            run(ctx, ["constrain"])
+            groups = _groups(pipeline.plan_similarity(ctx))
+            reads = Counter()
+            real = ResponseCache.get
+
+            def get(response_cache, key):
+                reads[key] += 1
+                return real(response_cache, key)
+
+            monkeypatch.setattr(ResponseCache, "get", get)
+            with closing(gateway):
+                report = run_stage(ctx, "similarity")
+            ctx.store.close()
+        assert report.completed == report.planned == 36
+        assert len(groups) == len(reads) == sum(reads.values()) == 4
+        assert gateway.mock_counts()["embeddings"] == 0
+        assert server.requests == []
+        warm, uncached = (
+            (root / "store" / SIMILARITY).read_bytes() for root in (tmp_path / "warm", tmp_path / "plain")
+        )
+        assert warm == uncached
+
     @pytest.mark.parametrize("workers", [1, 4])
-    def test_a_cache_written_one_text_at_a_time_is_fully_hit(
+    def test_a_cache_written_one_group_at_a_time_is_fully_hit(
         self, make_ctx, tmp_path, en_corpus, workers
     ):
-        # Gateway.embed writes each text's cache entry as a request of its
+        # embed_groups writes each group's cache entry as a request of its
         # own would; the batched stage reads them all and sends nothing.
         # At workers=4 the embedder is HTTP and answers as the mock does
         corpus = subset(en_corpus, 4, seed=7)
         levels = tuple(range(10, 100, 10))
         expected = make_ctx(tmp_path / "plain", {"en": corpus}, levels=levels)
-        run(expected, ["similarity"])
+        run(expected, ["constrain"])
+        groups = _groups(pipeline.plan_similarity(expected))
+        run_stage(expected, "similarity")
         with FixtureServer() as server:
             embedder = live(server, EMBED) if workers > 1 else EMBED
             writer = Gateway(cache_dir=tmp_path / "cache")
-            for text in {e.text for e in expected.store.load_explanations()}:
-                writer.embed(embedder, text)
+            for texts in groups.values():
+                writer.embed_groups(embedder, [texts])
             writer.close()
             del server.requests[:]
             gateway = Gateway(cache_dir=tmp_path / "cache")
@@ -1125,32 +1216,63 @@ class TestSimilarity:
         assert server.requests == []
         assert ctx.store.load_similarities() == expected.store.load_similarities()
 
+    def test_a_cache_written_by_a_refusing_embedder_is_fully_hit(
+        self, make_ctx, tmp_path, en_corpus
+    ):
+        # an embedder that refuses list inputs gets one text per request,
+        # and each group is cached once all its texts are back; an embedder
+        # that takes lists then finds every group in the cache
+        corpus = subset(en_corpus, 4, seed=7)
+        levels = tuple(range(10, 100, 10))
+        with FixtureServer() as server:
+            taking = live(server, EMBED)
+            server.route("/refuses/embeddings", _refuses_list_inputs(server.httpd.routes["/13/embeddings"]))
+            refusing = replace(taking, base_url=f"{server.base_url}/refuses")
+            stores = {}
+            for name, embedder in (("refusing", refusing), ("taking", taking)):
+                before = len(server.requests)
+                gateway = Gateway(cache_dir=tmp_path / "cache")
+                ctx = make_ctx(
+                    tmp_path / name, {"en": corpus}, levels=levels, workers=3,
+                    gateway=gateway, embedder=embedder,
+                )
+                run(ctx, ["constrain"])
+                groups = _groups(pipeline.plan_similarity(ctx))
+                with closing(gateway):
+                    report = run_stage(ctx, "similarity")
+                assert report.completed == report.planned == 36
+                stores[name] = store_bytes(tmp_path / name / "store")
+                sent = [r["payload"]["input"] for r in server.requests[before:]]
+                if name == "refusing":
+                    # the refused probe of two groups, then each group's
+                    # refused probe and its texts one by one
+                    assert sum(isinstance(i, list) for i in sent) == 2
+                    assert len(sent) - 2 == sum(len(t) for t in groups.values()) == 40
+                else:
+                    assert sent == []
+        assert stores["refusing"] == stores["taking"]
+
     @pytest.mark.parametrize("workers, offset", [(1, 0), (1, 1), (3, 0), (3, 1)])
-    def test_embed_error_stores_exactly_the_units_before_its_text(
+    def test_embed_error_stores_exactly_the_units_before_its_batch(
         self, make_ctx, tmp_path, en_corpus, pools, workers, offset
     ):
-        # offset 0 fails the batch of a level-0 base text, offset 1 that of
-        # a rewrite; 40 texts make three batches. At workers=3 the embedder
+        # offset 0 fails the batch through the level-0 base text of its
+        # first group, offset 1 through a rewrite; six groups make three
+        # batches, and the middle one fails. The units before that batch's
+        # first group are stored, and none after. At workers=3 the embedder
         # is HTTP, so the batches are embedded on a pool
         with FixtureServer() as server:
             ctx = make_ctx(
-                tmp_path, {"en": subset(en_corpus, 4, seed=7)},
+                tmp_path, {"en": subset(en_corpus, 6, seed=7)},
                 levels=tuple(range(10, 100, 10)), workers=workers,
                 embedder=live(server, EMBED) if workers > 1 else EMBED,
             )
             run(ctx, ["constrain"])
             units = pipeline.plan_similarity(ctx)
-            texts = _distinct_texts(units)
-            position = len(texts) // 2 + offset
-            failing = texts[position]
-            start = position - position % EMBED_BATCH
-            batch = set(texts[start:start + EMBED_BATCH])
-            first = next(
-                i for i, (_, base, other, _) in enumerate(units)
-                if {base.text, other.text} & batch
-            )
+            assert units[-1][3] == 2
+            first = next(i for i, unit in enumerate(units) if unit[3] == 1)
             assert 0 < first < len(units) - 1
-            ctx.gateway = _BrokenEmbeddings(ctx.gateway, failing)
+            ctx.gateway = _BrokenEmbeddings(ctx.gateway, units[first][1][offset])
             with pytest.raises(StageFailure, match="embedding backend exploded"):
                 run_stage(ctx, "similarity")
         assert bool(pools) == (workers > 1)
@@ -1207,7 +1329,7 @@ def _record_threads(monkeypatch) -> set[int]:
 
     for owner, name in (
         (Gateway, "generate"), (Gateway, "score_prompts"),
-        (Gateway, "score_continuation"), (Gateway, "embed_texts"), (Gateway, "embed"),
+        (Gateway, "score_continuation"), (Gateway, "embed_groups"), (Gateway, "embed"),
         (pipeline, "mask_explanation"),
     ):
         monkeypatch.setattr(owner, name, spy(getattr(owner, name)))
@@ -1234,7 +1356,7 @@ class TestRequestsInFlight:
         # mock one makes generate and constrain HTTP stages. The scorer's and
         # the embedder's first request is a list probe, which the other
         # threads wait on, so there the four after it are held; nine levels
-        # give the embedder 100 texts, seven batches.
+        # give the embedder ten groups of 10 texts, five batches.
         assert requests_in_flight(1) == 4
         levels = tuple(range(10, 100, 10)) if stage == "similarity" else (10, 90)
         with FixtureServer() as server:
