@@ -28,6 +28,7 @@ from .constrainer import CONSTRAINT_LEVELS
 from .corpus import LANGUAGES, Corpus, CorpusError, load_corpus, subset
 from .gateway import Gateway, ModelEndpoint
 from .metrics import heatmap_matrix, render_heatmap_svg, without_excluded
+from .numeric import ordered_sum
 from .pipeline import STAGES, PipelineError, RunContext, StageFailure, exclusion_keys, run
 from .prompts import DEFAULT_TEMPLATE_ID, PromptError, load_template_set
 from .runstore import ManifestMismatch, RunManifest, RunStore, StoreError, digest, work_key
@@ -372,7 +373,7 @@ def write_curves(store: RunStore, out_dir: Path) -> list[Path]:
             else:
                 nominal = _format_float(c.level / 100)
                 values = reductions.get((language, c.generator_model, c.level), [])
-                realized = _format_float(sum(values) / len(values)) if values else ""
+                realized = _format_float(ordered_sum(values) / len(values)) if values else ""
             writer.writerow([
                 c.generator_model, c.level, nominal, c.n_items,
                 _format_float(c.accuracy), _format_float(c.mean_sufficiency), realized,

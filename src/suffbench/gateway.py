@@ -60,10 +60,14 @@ import re
 import sys
 import threading
 import time
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
+from operator import itemgetter, le, mul
 from typing import TYPE_CHECKING, Callable, Sequence
 from urllib.parse import urlparse, urlsplit
+
+from .numeric import ordered_sum
 
 if TYPE_CHECKING:
     from .prompts import RenderedPrompt
@@ -172,6 +176,11 @@ class GenerationResult:
             raise ValueError(f"finish_reason {self.finish_reason!r} not in {FINISH_REASONS}")
 
 
+# the text and the logprob of a (text, logprob) token
+_TOKEN_TEXT = itemgetter(0)
+_TOKEN_LOGPROB = itemgetter(1)
+
+
 @dataclass(frozen=True)
 class LogprobResult:
     """Teacher-forced logprobs for one continuation.
@@ -185,12 +194,12 @@ class LogprobResult:
     total_logprob: float
 
     def __post_init__(self) -> None:
-        joined = "".join(text for text, _ in self.token_logprobs)
+        joined = "".join(map(_TOKEN_TEXT, self.token_logprobs))
         if joined != self.continuation:
             raise TokenAlignmentError(
                 f"tokens {joined!r} do not concatenate to continuation {self.continuation!r}"
             )
-        total = sum(lp for _, lp in self.token_logprobs)
+        total = ordered_sum(map(_TOKEN_LOGPROB, self.token_logprobs))
         if abs(total - self.total_logprob) > 1e-9:
             raise ValueError(f"total_logprob {self.total_logprob} != token sum {total}")
 
@@ -222,8 +231,11 @@ class ResponseCache:
         self.root = os.fspath(root)
 
     def get(self, key: str) -> bytes | None:
+        """The body stored for request `key`, or None if it has no entry.
+        An entry is read whole, unbuffered: one read into one bytes object,
+        with no buffer object set up around the file."""
         try:
-            with open(f"{self.root}/{key[:2]}/{key}.json", "rb") as fh:
+            with open(f"{self.root}/{key[:2]}/{key}.json", "rb", buffering=0) as fh:
                 return fh.read()
         except FileNotFoundError:
             return None
@@ -395,7 +407,7 @@ class MockBackend:
     def _unit_vector(self, text: str) -> list[float]:
         rng = self._rng("embed", text)
         vector = [rng.gauss(0.0, 1.0) for _ in range(self.EMBED_DIM)]
-        norm = sum(x * x for x in vector) ** 0.5
+        norm = ordered_sum(map(mul, vector, vector)) ** 0.5
         return [x / norm for x in vector]
 
 
@@ -422,7 +434,9 @@ def _uncached_name(endpoint: ModelEndpoint, path: str) -> str:
 def _decode(body: bytes, what: str) -> dict:
     try:
         return json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    # a UnicodeDecodeError, a JSONDecodeError, or the ValueError of an integer
+    # longer than int's string conversion limit (sys.get_int_max_str_digits)
+    except ValueError as exc:
         raise GatewayError(f"unreadable response body for {what}: {exc}") from exc
 
 
@@ -478,13 +492,55 @@ def _items_by_index(data: dict, path: str, count: int) -> list[dict]:
     return ordered
 
 
+_NUMBER_TYPES = frozenset((int, float))
+
+
+def _is_number(value, accept: Callable[[float], bool]) -> bool:
+    """Whether `value` is an int or a float (a bool is neither) that converts
+    to a float without overflow, and `accept` holds of that float."""
+    if type(value) not in _NUMBER_TYPES:
+        return False
+    try:
+        return accept(float(value))
+    except OverflowError:  # an int past the float range
+        return False
+
+
+def _floats(
+    values: list, name: str, what: str, accept: Callable[[float], bool]
+) -> tuple[float, ...]:
+    """`values`, numbers from the reply to the request named `name`, as
+    floats: each an int or a float that converts without overflow, and
+    `accept` holds of each. The checks are passes that run in C; only a bad
+    reply is walked in Python, to name its first bad value in the
+    GatewayError: `what` is the message's end, with {!r} for that value."""
+    if _NUMBER_TYPES.issuperset(map(type, values)):
+        try:
+            floats = tuple(map(float, values))
+        except OverflowError:
+            pass
+        else:
+            if all(map(accept, floats)):
+                return floats
+    bad = next(value for value in values if not _is_number(value, accept))
+    raise GatewayError(f"response for {name} carries " + what.format(bad))
+
+
+def _is_logprob(value: float) -> bool:
+    # -Infinity is a token of probability 0, and so a logprob
+    return not math.isnan(value) and value != math.inf
+
+
 def _logprob_result(
-    endpoint: ModelEndpoint, prompt_text: str, continuation: str, choice: dict
+    endpoint: ModelEndpoint, prompt_text: str, continuation: str, choice: dict, name: str
 ) -> LogprobResult:
     """The summed logprobs of `continuation` in one echo-mode choice for
-    `prompt_text + continuation`. Its tokens are selected by text offset;
-    any misalignment with the prompt boundary is a hard error, never
-    silently truncated."""
+    `prompt_text + continuation`, from the reply to the request named
+    `name`. Its tokens are those at text offsets from the prompt's end on:
+    found by bisection when the offsets ascend, as an echo's do, and by a
+    scan of every token when not. Any misalignment with the prompt boundary
+    is a hard error, never silently truncated. Each logprob must be a
+    number, finite or -Infinity (a token of probability 0)."""
     blob = choice.get("logprobs")
     if not blob:
         raise LogprobsUnsupported(
@@ -496,22 +552,37 @@ def _logprob_result(
     if tokens is None or logprobs is None or offsets is None:
         raise LogprobsUnsupported(f"{endpoint.model_id} logprobs block is incomplete")
     boundary = len(prompt_text)
-    selected = [
-        (token, lp, off)
-        for token, lp, off in zip(tokens, logprobs, offsets)
-        if off >= boundary
-    ]
-    if not selected or selected[0][2] != boundary:
-        got = selected[0][2] if selected else "none"
+    ascending = type(tokens) is list and type(logprobs) is list and type(offsets) is list
+    if ascending:
+        end = min(len(tokens), len(logprobs), len(offsets))
+        ascending = all(map(le, offsets, offsets[1:end]))
+    if ascending:
+        start = bisect_left(offsets, boundary, 0, end)
+        texts, values = tokens[start:end], logprobs[start:end]
+        first = offsets[start] if start < end else None
+    else:
+        selected = [
+            (token, lp, off)
+            for token, lp, off in zip(tokens, logprobs, offsets)
+            if off >= boundary
+        ]
+        texts = [token for token, _, _ in selected]
+        values = [lp for _, lp, _ in selected]
+        first = selected[0][2] if selected else None
+    if first is None or first != boundary:
+        got = "none" if first is None else first
         raise TokenAlignmentError(
             f"continuation tokens start at offset {got}, expected {boundary}"
         )
-    if any(lp is None for _, lp, _ in selected):
+    if None in values:
         raise LogprobsUnsupported(f"{endpoint.model_id} omitted continuation logprobs")
-    token_logprobs = tuple((token, float(lp)) for token, lp, _ in selected)
-    total = sum(lp for _, lp in token_logprobs)
+    values = _floats(
+        values, name, "a token logprob {!r} that is neither a finite number nor -Infinity",
+        _is_logprob,
+    )
     return LogprobResult(
-        continuation=continuation, token_logprobs=token_logprobs, total_logprob=total
+        continuation=continuation, token_logprobs=tuple(zip(texts, values)),
+        total_logprob=ordered_sum(values),
     )
 
 
@@ -892,7 +963,7 @@ class Gateway:
         choice = self._first_item(data, "choices", name)
         if replies is not None:
             replies.append((data, choice))
-        return _logprob_result(endpoint, prompt_text, continuation, choice)
+        return _logprob_result(endpoint, prompt_text, continuation, choice, name)
 
     def score_prompts(
         self, endpoint: ModelEndpoint, prompt_texts: Sequence[str], continuations: Sequence[str]
@@ -932,7 +1003,7 @@ class Gateway:
         )
         return [
             None if found is None else [
-                _logprob_result(endpoint, p, c, choice)
+                _logprob_result(endpoint, p, c, choice, found[1])
                 for c, choice in zip(continuations, found[0])
             ]
             for p, found in zip(prompt_texts, fetched)
@@ -1004,26 +1075,23 @@ class Gateway:
 
     def _embedding(self, endpoint: ModelEndpoint, item: dict, name: str) -> EmbeddingResult:
         """The vector of one embedding item of the reply to the request named
-        `name`. Each component must be a finite number: JSON replies may
-        carry NaN or Infinity, which no cosine can use. Its width is pinned
-        by the first vector per model and any later mismatch is fatal."""
+        `name`. Each component must be a finite number (see _floats): JSON
+        replies may carry NaN or Infinity, which no cosine can use, or an
+        integer past the float range. Its width is pinned by the first
+        vector per model and any later mismatch is fatal."""
         try:
-            vector = item["embedding"]
+            raw = item["embedding"]
         except (KeyError, TypeError):
             raise GatewayError(f"response for {name} carries no embedding") from None
-        if not isinstance(vector, list) or not vector:
+        if not isinstance(raw, list) or not raw:
             raise GatewayError(f"response for {name} carries an empty embedding")
-        for x in vector:
-            # a bool is an int to isinstance, and no component
-            if type(x) not in (int, float) or not math.isfinite(x):
-                raise GatewayError(
-                    f"response for {name} carries an embedding component {x!r}"
-                    " that is not a finite number"
-                )
+        vector = _floats(
+            raw, name, "an embedding component {!r} that is not a finite number", math.isfinite
+        )
         with self._lock:
             expected = self._embed_dims.setdefault(endpoint.model_id, len(vector))
         if len(vector) != expected:
             raise EmbeddingDimensionError(
                 f"{endpoint.model_id} returned dim {len(vector)}, previously {expected}"
             )
-        return EmbeddingResult(vector=tuple(float(x) for x in vector), model_id=endpoint.model_id)
+        return EmbeddingResult(vector=vector, model_id=endpoint.model_id)

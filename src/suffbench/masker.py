@@ -127,5 +127,9 @@ def mask_explanation(explanation: Explanation, item: QuestionItem) -> MaskReport
 
 
 def verify_masked(text: str, item: QuestionItem) -> bool:
-    """True when no label pattern and no full option-text copy matches."""
-    return not _label_spans(text) and not _option_spans(text, item)
+    """True when no label pattern and no full option-text copy matches,
+    which is when _label_spans and _option_spans find no span. It builds no
+    span list: the check ends at the first match of any pattern."""
+    return not any(pattern.search(text) for pattern in _LABEL_PATTERNS) and not any(
+        pattern.search(text) for pattern in item.option_patterns
+    )

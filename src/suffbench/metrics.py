@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Container, Iterable, Sequence
 
 from .constrainer import CONSTRAINT_LEVELS
 from .corpus import LANGUAGES
+from .numeric import ordered_sum
 from .scorer import BASELINE_LEVEL, BASELINE_MODEL, ScoreResult
 
 
@@ -22,17 +24,28 @@ class MetricsError(ValueError):
     """Inconsistent metric inputs."""
 
 
-def cosine(u: Sequence[float], v: Sequence[float]) -> float:
+def norm(u: Sequence[float]) -> float:
+    """Euclidean norm, its squares summed left to right (ordered_sum)."""
+    return math.sqrt(ordered_sum(map(mul, u, u)))
+
+
+def cosine(u: Sequence[float], v: Sequence[float], norm_u: float | None = None) -> float:
     """Cosine similarity, clamped into [-1, 1] against float drift. A NaN
     or an infinite component gives no cosine: min(1.0, nan) is 1.0, so
-    clamping it would read as perfect similarity."""
+    clamping it would read as perfect similarity.
+
+    `norm_u`, if given, is norm(u), for a caller that compares one vector
+    with several: the value is bit-identical either way. Products are
+    summed left to right (ordered_sum), so the value does not depend on
+    the Python version."""
     if len(u) != len(v):
         raise MetricsError(f"vector dims differ: {len(u)} vs {len(v)}")
     if not u:
         raise MetricsError("vectors must be non-empty")
-    dot = sum(a * b for a, b in zip(u, v))
-    norm_u = math.sqrt(sum(a * a for a in u))
-    norm_v = math.sqrt(sum(b * b for b in v))
+    dot = ordered_sum(map(mul, u, v))
+    if norm_u is None:
+        norm_u = norm(u)
+    norm_v = norm(v)
     if norm_u == 0.0 or norm_v == 0.0:
         raise MetricsError("cosine undefined for zero-norm vectors")
     value = dot / (norm_u * norm_v)
@@ -52,7 +65,7 @@ def mean_sufficiency(results: Sequence[ScoreResult]) -> float:
         raise MetricsError("mean sufficiency of zero results is undefined")
     # summed in sorted order: float addition is not associative, and the
     # mean must be bit-identical however the rows were ordered
-    return sum(sorted(r.sufficiency for r in results)) / len(results)
+    return ordered_sum(sorted(r.sufficiency for r in results)) / len(results)
 
 
 @dataclass(frozen=True)
@@ -142,7 +155,7 @@ def aggregate(
                 n_excluded=len(excluded),
                 accuracy=accuracy(rows),
                 mean_sufficiency=mean_sufficiency(rows),
-                mean_similarity=sum(sorted(sims)) / len(sims) if sims else None,
+                mean_similarity=ordered_sum(sorted(sims)) / len(sims) if sims else None,
             )
         )
     return cells
@@ -164,7 +177,8 @@ def heatmap_matrix(similarities: Sequence[SimilarityRecord]) -> HeatmapMatrix:
         buckets.setdefault((record.generator_model, record.level), []).append(record.cosine)
     values = tuple(
         tuple(
-            sum(sorted(vals)) / len(vals) if (vals := buckets.get((model, level))) else None
+            ordered_sum(sorted(vals)) / len(vals) if (vals := buckets.get((model, level)))
+            else None
             for level in CONSTRAINT_LEVELS
         )
         for model in models

@@ -53,7 +53,7 @@ from .constrainer import (
 from .corpus import Corpus
 from .gateway import Gateway, ModelEndpoint
 from .masker import mask_explanation
-from .metrics import SimilarityRecord, aggregate, cosine
+from .metrics import SimilarityRecord, aggregate, cosine, norm
 from .prompts import PromptTemplateSet, render_generation, render_scoring
 from .runstore import EXPLANATIONS, MASKS, SCORES, SIMILARITY, AuditRecord, RunStore, work_key
 from .scorer import BASELINE_LEVEL, BASELINE_MODEL, ScoreResult, score_item, score_rows
@@ -444,29 +444,31 @@ def run_similarity(ctx: RunContext, units: Sequence[tuple]) -> StageReport:
     one embed_groups call and so one request each, through _map_ordered:
     an HTTP embedder gets the batches on a pool, and a failed request fails
     every row of its batch. Each landed batch's rows get their cosines on
-    the calling thread, and the batch's vectors are then dropped: the stage
+    the calling thread, with each group's base norm computed once for the
+    batch, and the batch's vectors are then dropped: the stage
     holds the vectors of the batches in flight, at most EMBED_BATCH each,
     never one for every text. With an HTTP embedder, the batches that land
     while an earlier one is still in flight wait for it.
     """
     batches = [list(rows) for _, rows in groupby(units, key=lambda unit: unit[3])]
 
-    def embed(batch: list[tuple]) -> dict[tuple, list[tuple[float, ...]]]:
-        # group -> the vector of each of its texts
+    def embed(batch: list[tuple]) -> dict[tuple, tuple[list[tuple[float, ...]], float]]:
+        # group -> the vector of each of its texts, and the norm of its base's
         groups = {key[:3]: texts for key, texts, _, _ in batch}
         found = ctx.gateway.embed_groups(ctx.embedder, list(groups.values()))
-        return {
-            group: [result.vector for result in results]
-            for group, results in zip(groups, found)
-        }
+        landed = {}
+        for group, results in zip(groups, found):
+            vectors = [result.vector for result in results]
+            landed[group] = vectors, norm(vectors[0])
+        return landed
 
     def similarity(unit: tuple, vectors: dict) -> SimilarityRecord:
         key, _, index, _ = unit
-        group = vectors[key[:3]]
+        group, base_norm = vectors[key[:3]]
         item_id, language, model, level = key
         return SimilarityRecord(
             item_id=item_id, language=language, generator_model=model, level=level,
-            cosine=cosine(group[0], group[index]),
+            cosine=cosine(group[0], group[index], base_norm),
         )
 
     def results():

@@ -26,6 +26,13 @@ if TYPE_CHECKING:
 
 ANSWER_SUFFIX = "The answer is "
 KINDS = ("generate", "constrain", "score", "baseline")
+# kind -> the PromptTemplateSet field that holds its template
+_TEMPLATE_FIELDS = {
+    "generate": "generation_template",
+    "constrain": "constrain_template",
+    "score": "scoring_template",
+    "baseline": "baseline_template",
+}
 DEFAULT_TEMPLATE_ID = "default-v1"
 
 REQUIRED_PLACEHOLDERS: dict[str, frozenset[str]] = {
@@ -83,19 +90,14 @@ class PromptTemplateSet:
     baseline_template: str
 
     def __post_init__(self) -> None:
-        for kind, template in self._by_kind().items():
-            _check_placeholders(kind, template)
+        for kind in KINDS:
+            _check_placeholders(kind, self.template(kind))
         for kind in ("score", "baseline"):
-            if not self._by_kind()[kind].endswith(ANSWER_SUFFIX):
+            if not self.template(kind).endswith(ANSWER_SUFFIX):
                 raise TemplateError(f"{kind}: template must end with {ANSWER_SUFFIX!r}")
 
-    def _by_kind(self) -> dict[str, str]:
-        return {
-            "generate": self.generation_template,
-            "constrain": self.constrain_template,
-            "score": self.scoring_template,
-            "baseline": self.baseline_template,
-        }
+    def template(self, kind: str) -> str:
+        return getattr(self, _TEMPLATE_FIELDS[kind])
 
 
 def load_template_set(
@@ -143,7 +145,7 @@ def format_options(item: QuestionItem) -> str:
 
 
 def _render(kind: str, templates: PromptTemplateSet, mapping: dict[str, str]) -> str:
-    return templates._by_kind()[kind].format_map(mapping)
+    return templates.template(kind).format_map(mapping)
 
 
 def _check_language(item: QuestionItem, templates: PromptTemplateSet) -> None:

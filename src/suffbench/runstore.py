@@ -4,7 +4,11 @@ A run directory holds a manifest plus one CSV table per pipeline
 artifact. Each appendable table keeps one unbuffered O_APPEND handle,
 opened at its first append, and every append is a single write of one
 encoded row on it, so a killed process leaves at worst one torn final
-line; resuming trims the incomplete tail before any further writes.
+line; resuming trims the incomplete tail before any further writes. A
+store encodes every row it writes with one csv writer of its own, kept for
+the store's life, and reads each column through a getter resolved once
+per table; it decodes a row into its record by field position, with
+parsers resolved once per table. TABLES is the one spec of both.
 close(), or leaving a `with` block on the store, releases the handles,
 and a closed store refuses appends.
 Appends deduplicate on the work key (item_id, language,
@@ -30,10 +34,11 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
+from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .constrainer import Explanation
 from .corpus import LABELS
@@ -201,23 +206,59 @@ def _complete_prefix_length(data: bytes) -> int:
     return 0
 
 
-def _encode_row(values: Sequence) -> bytes:
-    sink = io.StringIO()
-    csv.writer(sink, lineterminator="\n", quoting=csv.QUOTE_MINIMAL).writerow(values)
-    return sink.getvalue().encode("utf-8")
+def _getters(record_type: type, columns: Sequence[str]) -> tuple[Callable, ...]:
+    """What reads each of `columns` from a record of `record_type`: its field
+    of the same name, a bool one as true/false, or an option_probs entry."""
+    types = {field.name: field.type for field in fields(record_type)}
 
-
-def _encode_record(name: str, run_id: str, record) -> bytes:
-    """One row of table `name`, led by `run_id`; bools are written
-    true/false, None empty."""
-    values = [run_id]
-    for column in COLUMNS[name][1:]:
+    def getter(column: str) -> Callable:
         if column.startswith(_OPTION_PROB):
-            value = record.option_probs[column[len(_OPTION_PROB):]]
-        else:
-            value = getattr(record, column)
-        values.append(("true" if value else "false") if isinstance(value, bool) else value)
-    return _encode_row(values)
+            label = column[len(_OPTION_PROB):]
+            return lambda record: record.option_probs[label]
+        get = attrgetter(column)
+        if types[column] in ("bool", bool):
+            return lambda record: "true" if get(record) else "false"
+        return get
+
+    return tuple(map(getter, columns))
+
+
+# the getters of each table's record columns (all but run_id), in order
+_GETTERS = {
+    name: _getters(record_type, columns[1:]) for name, (record_type, columns) in TABLES.items()
+}
+
+
+class _LineSink:
+    """A csv writer's file whose write hands the line back, so writerow
+    returns it: no buffer to fill and clear per row."""
+
+    @staticmethod
+    def write(line: str) -> str:
+        return line
+
+
+class _RowEncoder:
+    """Rows encoded by one csv writer, kept for the encoder's life. Each
+    store has its own, so two stores on two threads share none."""
+
+    def __init__(self) -> None:
+        self._writerow = csv.writer(
+            _LineSink(), lineterminator="\n", quoting=csv.QUOTE_MINIMAL
+        ).writerow
+
+    def row(self, values: Sequence) -> bytes:
+        return self._writerow(values).encode("utf-8")
+
+    def record(self, name: str, run_id: str, record) -> bytes:
+        """One row of table `name`, led by `run_id`; bools are written
+        true/false, None empty."""
+        return self.row([run_id, *[get(record) for get in _GETTERS[name]]])
+
+
+def _encode_row(values: Sequence) -> bytes:
+    """One row, encoded by a writer of its own: a header, or a test's row."""
+    return _RowEncoder().row(values)
 
 
 def _parse_level(raw: str) -> int | str:
@@ -247,24 +288,34 @@ _PARSERS = {
         float,
     ),
 }
-# the record columns of each table (all but run_id), each with its parser
-# resolved once; None keeps the column's text as it is
-_RECORD_COLUMNS = {
-    name: tuple((column, _PARSERS.get(column)) for column in columns[1:])
-    for name, columns in COLUMNS.items()
-}
 
 
-def _decode(name: str, values: Sequence[str]):
-    """The record stored in one checked row of table `name`, from every
-    column after the run id."""
-    fields = {
-        column: raw if parse is None else parse(raw)
-        for (column, parse), raw in zip(_RECORD_COLUMNS[name], values[1:])
-    }
+def _decoder(name: str) -> Callable[[Sequence[str]], object]:
+    """What makes the record stored in one checked row of table `name`:
+    each column parsed by its parser (none keeps the text as it is), then
+    the record's fields passed by position. Parsers and positions are
+    resolved here, once per table; scores.csv gathers option_prob_A..D
+    into option_probs."""
+    record_type, columns = TABLES[name]
+    parsers = tuple(_PARSERS.get(column) for column in columns)
+    position = {column: i for i, column in enumerate(columns)}
+    options = None
     if name == SCORES:
-        fields["option_probs"] = {label: fields.pop(_OPTION_PROB + label) for label in LABELS}
-    return TABLES[name][0](**fields)
+        options = itemgetter(*(position.pop(_OPTION_PROB + label) for label in LABELS))
+        # option_probs is appended after the columns
+        position["option_probs"] = len(columns)
+    arguments = itemgetter(*(position[field.name] for field in fields(record_type)))
+
+    def decode(values: Sequence[str]):
+        parsed = [raw if parse is None else parse(raw) for parse, raw in zip(parsers, values)]
+        if options is not None:
+            parsed.append(dict(zip(LABELS, options(parsed))))
+        return record_type(*arguments(parsed))
+
+    return decode
+
+
+_DECODERS = {name: _decoder(name) for name in TABLES}
 
 
 def _read_table(path: Path) -> bytes:
@@ -286,14 +337,14 @@ def _replace_file(path: Path, data: bytes) -> None:
     os.replace(tmp, path)
 
 
-def work_key(record) -> tuple:
-    """The (item_id, language, generator_model, level) key a row is stored under."""
-    return (record.item_id, record.language, record.generator_model, record.level)
-
-
-def _key(name: str, record) -> tuple:
-    """The work key of a record of table `name`, led by (stage, event) in audit.csv."""
-    return ((record.stage, record.event) if name == AUDIT else ()) + work_key(record)
+_WORK_KEY = ("item_id", "language", "generator_model", "level")
+# the (item_id, language, generator_model, level) key a row is stored under
+work_key = attrgetter(*_WORK_KEY)
+# table -> the key of its records: the work key, led by (stage, event) in audit.csv
+_KEYS = {
+    name: attrgetter(*(("stage", "event") if name == AUDIT else ()), *_WORK_KEY)
+    for name in _APPENDABLE
+}
 
 
 class RunStore:
@@ -305,6 +356,7 @@ class RunStore:
         self.run_id = manifest.run_id
         self.salvage_report = salvage_report
         self._records: dict[str, dict[tuple, object]] = {}
+        self._encoder = _RowEncoder()
         # None once closed
         self._handles: dict[str, io.FileIO] | None = {}
 
@@ -403,9 +455,10 @@ class RunStore:
             if name not in _APPENDABLE:
                 raise StoreError(f"unknown table {name!r}")
             table = {}
+            decode, key_of = _DECODERS[name], _KEYS[name]
             for values in self._read_rows(name):
-                record = _decode(name, values)
-                if table.setdefault(key := _key(name, record), record) is not record:
+                record = decode(values)
+                if table.setdefault(key := key_of(record), record) is not record:
                     raise StoreError(f"{name}: key {key!r} is stored twice")
             self._records[name] = table
         return self._records[name]
@@ -414,10 +467,10 @@ class RunStore:
         if self._handles is None:
             raise StoreError(f"store {self.root} is closed")
         table = self._table(name)
-        key = _key(name, record)
+        key = _KEYS[name](record)
         if key in table:
             return False
-        self._write(name, _encode_record(name, self.run_id, record))
+        self._write(name, self._encoder.record(name, self.run_id, record))
         table[key] = record
         return True
 
@@ -478,7 +531,7 @@ class RunStore:
         return tuple(self._table(AUDIT).values())
 
     def load_aggregates(self) -> tuple[AggregateCell, ...]:
-        return tuple(_decode(AGGREGATES, values) for values in self._read_rows(AGGREGATES))
+        return tuple(map(_DECODERS[AGGREGATES], self._read_rows(AGGREGATES)))
 
     # -- derived views ---------------------------------------------------
 
@@ -492,6 +545,6 @@ class RunStore:
     # -- aggregates (full atomic rewrite, not append) ---------------------
 
     def write_aggregates(self, cells: Iterable[AggregateCell]) -> None:
-        chunks = [_encode_row(COLUMNS[AGGREGATES])]
-        chunks.extend(_encode_record(AGGREGATES, self.run_id, c) for c in cells)
+        chunks = [self._encoder.row(COLUMNS[AGGREGATES])]
+        chunks.extend(self._encoder.record(AGGREGATES, self.run_id, c) for c in cells)
         _replace_file(self.root / AGGREGATES, b"".join(chunks))

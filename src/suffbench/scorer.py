@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 from .constrainer import ALL_LEVELS
 from .corpus import LABELS, LANGUAGES, QuestionItem
 from .gateway import Gateway, LogprobResult, ModelEndpoint
+from .numeric import ordered_sum
 from .prompts import RenderedPrompt, render_scoring
 
 if TYPE_CHECKING:
@@ -28,6 +29,7 @@ BASELINE_MODEL = "baseline"
 BASELINE_LEVEL = "noexp"
 # what each option's letter is teacher-forced as, in LABELS order
 _CONTINUATIONS = tuple(f" {option}" for option in LABELS)
+_LABEL_SET = frozenset(LABELS)
 
 
 class ScoringError(ValueError):
@@ -36,13 +38,14 @@ class ScoringError(ValueError):
 
 def softmax_probs(logprobs: Mapping[str, float]) -> dict[str, float]:
     """Softmax over the four option logprob sums, max-subtracted so very
-    negative inputs underflow to 0.0 instead of overflowing."""
-    if set(logprobs) != set(LABELS):
+    negative inputs underflow to 0.0 instead of overflowing; the exps are
+    summed in LABELS order (ordered_sum)."""
+    if logprobs.keys() != _LABEL_SET:
         raise ScoringError(f"logprobs must cover exactly {LABELS}, got {sorted(logprobs)}")
     peak = max(logprobs.values())
-    exps = {option: math.exp(logprobs[option] - peak) for option in LABELS}
-    total = sum(exps.values())
-    return {option: exps[option] / total for option in LABELS}
+    exps = [math.exp(logprobs[option] - peak) for option in LABELS]
+    total = ordered_sum(exps)
+    return {option: exp / total for option, exp in zip(LABELS, exps)}
 
 
 def predict(option_probs: Mapping[str, float]) -> str:

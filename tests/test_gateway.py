@@ -11,6 +11,8 @@ from collections import Counter
 
 import pytest
 import requests
+from hypothesis import given
+from hypothesis import strategies as st
 
 from suffbench import transport
 from suffbench.constrainer import count_words, extract_answer_and_explanation
@@ -30,6 +32,8 @@ from suffbench.gateway import (
     RetriesExhausted,
     TokenAlignmentError,
     _encode,
+    _logprob_result,
+    _score_payload,
     request_fingerprint,
 )
 from suffbench.prompts import RenderedPrompt
@@ -302,9 +306,15 @@ class TestCache:
         with pytest.raises(GatewayError, match="unreadable response body"):
             Gateway(cache_dir=tmp_path).generate(MOCK, prompt)
 
-    def test_unreadable_reply_is_not_cached(self, tmp_path):
+    @pytest.mark.parametrize("body", [
         # a 200 that is not JSON, such as a proxy's error page
-        session = FakeSession([(200, b"<html>Bad gateway</html>"), (200, CHAT_BODY)])
+        b"<html>Bad gateway</html>",
+        # an integer past int's string conversion limit, which json refuses
+        # with a bare ValueError
+        b'{"choices": [{"index": 1' + b"0" * 5000 + b"}]}",
+    ], ids=["html", "long-int"])
+    def test_unreadable_reply_is_not_cached(self, body, tmp_path):
+        session = FakeSession([(200, body), (200, CHAT_BODY)])
         endpoint = ModelEndpoint(base_url="http://fake", model_id="m")
         with pytest.raises(GatewayError, match="unreadable response body"):
             Gateway(cache_dir=tmp_path, session=session).generate(endpoint, prompt_of("p"))
@@ -1385,8 +1395,8 @@ class TestNonFiniteEmbeddings:
     refused with an error that names its request."""
 
     @pytest.mark.parametrize("component", [
-        float("nan"), float("inf"), float("-inf"), "1.0", True, None,
-    ], ids=repr)
+        float("nan"), float("inf"), float("-inf"), "1.0", True, None, 10**400,
+    ], ids=lambda component: repr(component)[:12])
     @pytest.mark.parametrize("cached", [False, True])
     def test_a_component_that_is_not_a_finite_number_is_refused(
         self, component, cached, tmp_path
@@ -1408,6 +1418,102 @@ class TestNonFiniteEmbeddings:
         endpoint = ModelEndpoint(base_url="http://fake", model_id="mock-gen")
         with pytest.raises(GatewayError, match="a mock-gen request to /embeddings .* finite"):
             Gateway(session=session).embed(endpoint, "a")
+
+
+def echo_choice(tokens, logprobs, offsets) -> dict:
+    return {"index": 0, "logprobs": {
+        "tokens": tokens, "token_logprobs": logprobs, "text_offset": offsets,
+    }}
+
+
+def scanned_logprob_result(prompt_text, continuation, choice) -> LogprobResult:
+    """What _logprob_result returned before it bisected: every token at an
+    offset from the prompt's end on, found by a scan."""
+    blob = choice["logprobs"]
+    boundary = len(prompt_text)
+    selected = [
+        (token, lp, off)
+        for token, lp, off in zip(blob["tokens"], blob["token_logprobs"], blob["text_offset"])
+        if off >= boundary
+    ]
+    if not selected or selected[0][2] != boundary:
+        raise TokenAlignmentError("misaligned")
+    token_logprobs = tuple((token, float(lp)) for token, lp, _ in selected)
+    return LogprobResult(continuation, token_logprobs, sum(lp for _, lp in token_logprobs))
+
+
+class TestLogprobSelection:
+    """An echo's tokens are found by bisection when their offsets ascend,
+    and by a scan when not; either way, the tokens a scan would select."""
+
+    @given(
+        st.lists(st.text(alphabet="ab ", min_size=1, max_size=3), min_size=1, max_size=40),
+        st.lists(st.text(alphabet="AB ", min_size=1, max_size=3), min_size=1, max_size=5),
+        st.lists(st.floats(min_value=-50.0, max_value=0.0), min_size=45, max_size=45),
+        st.booleans(),
+    )
+    def test_the_tokens_a_scan_selects(self, prompt_tokens, continuation_tokens, logprobs, swap):
+        prompt, continuation = "".join(prompt_tokens), "".join(continuation_tokens)
+        tokens = prompt_tokens + continuation_tokens
+        offsets, position = [], 0
+        for token in tokens:
+            offsets.append(position)
+            position += len(token)
+        logprobs = logprobs[:len(tokens)]
+        if swap and len(tokens) > 2:
+            # the first two tokens out of order: the offsets no longer ascend
+            for column in (tokens, logprobs, offsets):
+                column[0], column[1] = column[1], column[0]
+        choice = echo_choice(tokens, logprobs, offsets)
+        got = _logprob_result(MOCK, prompt, continuation, choice, "request r")
+        assert got == scanned_logprob_result(prompt, continuation, choice)
+
+    def test_offsets_that_do_not_ascend_are_scanned(self):
+        # " A" is the only token from offset 3 on, but the offsets do not
+        # ascend, so no bisection can find it
+        choice = echo_choice(["ab", " A", "c"], [None, -0.5, -2.0], [0, 3, 2])
+        got = _logprob_result(MOCK, "abc", " A", choice, "request r")
+        assert got == LogprobResult(" A", ((" A", -0.5),), -0.5)
+
+    def test_a_misaligned_echo_is_refused_either_way(self):
+        for offsets in ([0, 2, 4], [0, 4, 2]):
+            choice = echo_choice(["ab", "c ", "A"], [None, -1.0, -1.0], offsets)
+            with pytest.raises(TokenAlignmentError, match="start at offset 4, expected 3"):
+                _logprob_result(MOCK, "abc", " A", choice, "request r")
+
+
+class TestMalformedLogprobs:
+    """A logprob that is not a number, or is NaN, +Infinity or past the
+    float range, is refused with an error that names its request; a
+    -Infinity logprob, a token of probability 0, is taken."""
+
+    @pytest.mark.parametrize("logprob", [
+        float("nan"), float("inf"), "-1.0", True, 10**400,
+    ], ids=lambda logprob: repr(logprob)[:12])
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_a_logprob_that_is_not_a_number_below_infinity_is_refused(
+        self, logprob, cached, tmp_path
+    ):
+        reply = list_reply(SCORING_PROMPT, OPTIONS)
+        reply["choices"][2]["logprobs"]["token_logprobs"][-1] = logprob
+        body = json.dumps(reply).encode("utf-8")
+        endpoint = ModelEndpoint(base_url="http://fake", model_id="probe")
+        gw = Gateway(cache_dir=tmp_path if cached else None, session=FakeSession([(200, body)]))
+        key = request_fingerprint(_score_payload("probe", SCORING_PROMPT, OPTIONS))
+        name = f"request {key}" if cached else "a probe request to /completions"
+        with pytest.raises(GatewayError, match=f"response for {name} carries a token logprob"):
+            gw.score_prompts(endpoint, [SCORING_PROMPT], OPTIONS)
+
+    def test_a_minus_infinity_logprob_is_a_token_of_probability_zero(self):
+        reply = list_reply(SCORING_PROMPT, OPTIONS)
+        reply["choices"][1]["logprobs"]["token_logprobs"][-1] = float("-inf")
+        body = json.dumps(reply).encode("utf-8")
+        endpoint = ModelEndpoint(base_url="http://fake", model_id="probe")
+        gw = Gateway(session=FakeSession([(200, body)]))
+        [results] = gw.score_prompts(endpoint, [SCORING_PROMPT], OPTIONS)
+        assert results[1].total_logprob == float("-inf")
+        probs = softmax_probs(dict(zip("ABCD", (r.total_logprob for r in results))))
+        assert probs == {"A": 1 / 3, "B": 0.0, "C": 1 / 3, "D": 1 / 3}
 
 
 class TestLiveEmbeddings:

@@ -247,3 +247,26 @@ def test_each_items_patterns_are_compiled_once_past_any_cache_bound(monkeypatch)
     assert all(verify_masked(text, corpus[item_id]) for (item_id, _), text in masked.items())
     assert set(masked.values()) == {f"Option {MASK_TOKEN} ({MASK_TOKEN}) is right."}
     assert len(compiled) == len(set(compiled)) == 1100
+
+
+# texts and options from words that the label and option patterns look for
+LEAKY_WORDS = st.sampled_from([
+    "A", "B)", "(C)", "D.", "option", "answer is", "choice", "گزینه", "پاسخ", "جواب",
+    "light", "energy", "LIGHT ENERGY", "water", "the sun", "a", "is", ".", "\n",
+])
+LEAKY_TEXT = st.lists(LEAKY_WORDS, max_size=12).map(" ".join)
+OPTION_TEXT = st.lists(
+    st.sampled_from(["light", "energy", "water", "the", "sun", "is"]), min_size=1, max_size=3
+).map(" ".join)
+
+
+@given(LEAKY_TEXT, st.lists(OPTION_TEXT, min_size=4, max_size=4))
+def test_verify_masked_is_the_absence_of_every_span(text, options):
+    # verify_masked stops at a first match; it must still say what the
+    # full span lists say
+    item = QuestionItem(
+        id="v1", stem="stem?", options=dict(zip("ABCD", options)), gold="A", language="en",
+    )
+    assert verify_masked(text, item) == (
+        not masker._label_spans(text) and not masker._option_spans(text, item)
+    )

@@ -17,8 +17,10 @@ from suffbench.metrics import (
     cosine,
     heatmap_matrix,
     mean_sufficiency,
+    norm,
     render_heatmap_svg,
 )
+from suffbench.numeric import ordered_sum
 from suffbench.runstore import AGGREGATES, RunManifest, RunStore
 from suffbench.scorer import ScoreResult
 
@@ -107,6 +109,41 @@ class TestCosine:
         if all(abs(x) < 1e-9 for x in other):
             other[0] += 1.0
         assert -1.0 <= cosine(vector, other) <= 1.0
+
+
+    @given(
+        st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=1, max_size=40),
+        st.randoms(use_true_random=False),
+    )
+    def test_a_precomputed_base_norm_gives_the_same_bits(self, base, rng):
+        other = [rng.uniform(-1e3, 1e3) for _ in base]
+        if norm(base) == 0.0 or norm(other) == 0.0:
+            return
+        assert cosine(base, other, norm(base)) == cosine(base, other)
+
+    def test_a_precomputed_norm_of_zero_is_still_refused(self):
+        with pytest.raises(MetricsError, match="zero-norm"):
+            cosine((0.0, 0.0), (1.0, 2.0), 0.0)
+
+
+class TestOrderedSum:
+    """Float sums that reach a table add left to right on every version:
+    from Python 3.12 the builtin sum() compensates, and gives other bits."""
+
+    def test_adds_left_to_right(self):
+        # 0.1 + 0.1 + ... rounds at each step; compensated, it is 1.0
+        assert ordered_sum([0.1] * 10) == 0.9999999999999999
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False, width=64), max_size=30))
+    def test_is_a_left_fold_from_zero(self, values):
+        total = 0.0
+        for value in values:
+            total += value
+        assert ordered_sum(values) == total
+        assert ordered_sum(iter(values)) == total
+
+    def test_an_empty_sum_is_a_float_zero(self):
+        assert ordered_sum([]) == 0.0 and type(ordered_sum([])) is float
 
 
 class TestMeans:

@@ -1,7 +1,11 @@
+import csv
 import dataclasses
+import io
 import itertools
 import json
 import os
+import sys
+import threading
 from collections import Counter
 from contextlib import suppress
 from pathlib import Path
@@ -14,9 +18,13 @@ from suffbench.constrainer import make_explanation
 from suffbench.masker import MaskReport
 from suffbench.metrics import AggregateCell, SimilarityRecord
 from suffbench.runstore import (
+    _DECODERS,
+    _PARSERS,
+    AGGREGATES,
     AUDIT,
     COLUMNS,
     EXPLANATIONS,
+    MASKS,
     SCORES,
     SIMILARITY,
     TABLES,
@@ -27,6 +35,7 @@ from suffbench.runstore import (
     StoreError,
     _complete_prefix_length,
     _encode_row,
+    _RowEncoder,
 )
 from suffbench.scorer import ScoreResult
 
@@ -517,3 +526,125 @@ class TestPrefixScan:
         row = _encode_row(("id", 'say ""hi""\nthere'))
         assert _complete_prefix_length(row) == len(row)
         assert _complete_prefix_length(row[:-1]) == 0
+
+
+def fresh_writer_row(values) -> bytes:
+    """A row as a csv writer made for that row alone writes it."""
+    sink = io.StringIO()
+    csv.writer(sink, lineterminator="\n", quoting=csv.QUOTE_MINIMAL).writerow(values)
+    return sink.getvalue().encode("utf-8")
+
+
+def fresh_writer_record(name, run_id, record) -> bytes:
+    """A record's row as the store wrote it with a fresh writer per row:
+    each column looked up by name, bools written true/false."""
+    values = [run_id]
+    for column in COLUMNS[name][1:]:
+        if column.startswith("option_prob_"):
+            value = record.option_probs[column[len("option_prob_"):]]
+        else:
+            value = getattr(record, column)
+        values.append(("true" if value else "false") if isinstance(value, bool) else value)
+    return fresh_writer_row(values)
+
+
+def dict_decode(name, values):
+    """A row's record as the store decoded it by column name: a dict of the
+    parsed columns, passed as keywords."""
+    fields = {
+        column: raw if parse is None else parse(raw)
+        for column, raw in zip(COLUMNS[name][1:], values[1:])
+        for parse in (_PARSERS.get(column),)
+    }
+    if name == SCORES:
+        fields["option_probs"] = {label: fields.pop("option_prob_" + label) for label in "ABCD"}
+    return TABLES[name][0](**fields)
+
+
+# field text with what the writer must quote: commas, quotes, newlines,
+# leading and trailing spaces, and Persian script
+FIELD_TEXT = st.lists(
+    st.sampled_from(list('ab ,"\n') + ["گزینه", "پاسخ", "é"]), max_size=10
+).map("".join)
+WORDY_TEXT = FIELD_TEXT.filter(lambda text: text.split())
+PROBS = st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=4, max_size=4).filter(
+    lambda probs: sum(probs) > 0
+).map(lambda probs: dict(zip("ABCD", (p / sum(probs) for p in probs))))
+
+
+@st.composite
+def records(draw):
+    """(table name, a record of that table) with drawn texts, bools and Nones."""
+    name = draw(st.sampled_from((EXPLANATIONS, MASKS, SCORES, SIMILARITY, AGGREGATES, AUDIT)))
+    item_id = draw(FIELD_TEXT.filter(bool))
+    level = draw(st.sampled_from((10, 50, 90)))
+    if name == EXPLANATIONS:
+        return name, make_explanation(item_id, "fa", "gen-1", level, draw(WORDY_TEXT))
+    if name == MASKS:
+        return name, MaskReport(item_id, "en", "gen-1", level, draw(st.integers(0, 9)),
+                                draw(st.integers(0, 9)), draw(FIELD_TEXT))
+    if name == SCORES:
+        probs = draw(PROBS)
+        if abs(sum(probs.values()) - 1.0) > 1e-9:
+            probs = {"A": 0.25, "B": 0.25, "C": 0.25, "D": 0.25}
+        return name, ScoreResult(item_id, "en", "gen-1", level, probs, probs["B"], "A",
+                                 draw(st.booleans()), draw(FIELD_TEXT), "f" * 64)
+    if name == SIMILARITY:
+        return name, SimilarityRecord(item_id, "en", "gen-1", level,
+                                      draw(st.floats(min_value=-1.0, max_value=1.0)))
+    if name == AGGREGATES:
+        return name, AggregateCell(draw(FIELD_TEXT), "en", draw(st.sampled_from((0, "noexp"))),
+                                   draw(st.integers(0, 99)), draw(st.integers(0, 9)),
+                                   draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0)),
+                                   draw(st.one_of(st.none(), st.floats(-1.0, 1.0))))
+    return name, AuditRecord(draw(FIELD_TEXT), item_id, "en", "gen-1", level,
+                             draw(FIELD_TEXT), draw(FIELD_TEXT))
+
+
+class TestRowCodec:
+    """The store's one writer and its positional decoders give what a fresh
+    writer per row and a decoder by column name give."""
+
+    @given(st.lists(st.lists(st.one_of(
+        FIELD_TEXT, st.text(max_size=6), st.none(), st.booleans(), st.integers(),
+        st.floats(allow_nan=False),
+    ), max_size=6), min_size=1, max_size=8))
+    def test_one_writer_writes_the_rows_a_fresh_writer_per_row_does(self, rows):
+        encoder = _RowEncoder()
+        assert [encoder.row(row) for row in rows] == [fresh_writer_row(row) for row in rows]
+
+    @given(st.lists(records(), min_size=1, max_size=8))
+    def test_records_encode_and_decode_as_by_column_name(self, drawn):
+        encoder = _RowEncoder()
+        for name, record in drawn:
+            row = encoder.record(name, RUN, record)
+            assert row == fresh_writer_record(name, RUN, record)
+            [values] = csv.reader(io.StringIO(row.decode("utf-8"), newline=""))
+            decoded = _DECODERS[name](values)
+            assert decoded == dict_decode(name, values) == record
+            if hasattr(decoded, "item_id"):
+                assert decoded.item_id is sys.intern(decoded.item_id)
+
+    def test_two_stores_on_two_threads_write_their_own_rows(self, tmp_path):
+        texts = ('say "hi", then\nstop', "گزینه الف, و ب")
+        stores = [RunStore.create(tmp_path / f"run{i}", manifest()) for i in range(2)]
+
+        def fill(store, text):
+            for i in range(300):
+                store.append_explanation(explanation(f"q{i:04d}", text=text))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=fill, args=pair) for pair in zip(stores, texts)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for store, text in zip(stores, texts):
+            store.close()
+            loaded = RunStore.load(store.root).load_explanations()
+            assert [e.text for e in loaded] == [text] * 300
