@@ -60,10 +60,9 @@ import re
 import sys
 import threading
 import time
-from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from operator import itemgetter, le, mul
+from operator import itemgetter, mul
 from typing import TYPE_CHECKING, Callable, Sequence
 from urllib.parse import urlparse, urlsplit
 
@@ -536,11 +535,10 @@ def _logprob_result(
 ) -> LogprobResult:
     """The summed logprobs of `continuation` in one echo-mode choice for
     `prompt_text + continuation`, from the reply to the request named
-    `name`. Its tokens are those at text offsets from the prompt's end on:
-    found by bisection when the offsets ascend, as an echo's do, and by a
-    scan of every token when not. Any misalignment with the prompt boundary
-    is a hard error, never silently truncated. Each logprob must be a
-    number, finite or -Infinity (a token of probability 0)."""
+    `name`. Its tokens are selected by text offset; any misalignment with
+    the prompt boundary is a hard error, never silently truncated. Each
+    logprob must be a number, finite or -Infinity (a token of probability
+    0)."""
     blob = choice.get("logprobs")
     if not blob:
         raise LogprobsUnsupported(
@@ -552,34 +550,24 @@ def _logprob_result(
     if tokens is None or logprobs is None or offsets is None:
         raise LogprobsUnsupported(f"{endpoint.model_id} logprobs block is incomplete")
     boundary = len(prompt_text)
-    ascending = type(tokens) is list and type(logprobs) is list and type(offsets) is list
-    if ascending:
-        end = min(len(tokens), len(logprobs), len(offsets))
-        ascending = all(map(le, offsets, offsets[1:end]))
-    if ascending:
-        start = bisect_left(offsets, boundary, 0, end)
-        texts, values = tokens[start:end], logprobs[start:end]
-        first = offsets[start] if start < end else None
-    else:
-        selected = [
-            (token, lp, off)
-            for token, lp, off in zip(tokens, logprobs, offsets)
-            if off >= boundary
-        ]
-        texts = [token for token, _, _ in selected]
-        values = [lp for _, lp, _ in selected]
-        first = selected[0][2] if selected else None
-    if first is None or first != boundary:
-        got = "none" if first is None else first
+    selected = [
+        (token, lp, off)
+        for token, lp, off in zip(tokens, logprobs, offsets)
+        if off >= boundary
+    ]
+    if not selected or selected[0][2] != boundary:
+        got = selected[0][2] if selected else "none"
         raise TokenAlignmentError(
             f"continuation tokens start at offset {got}, expected {boundary}"
         )
+    values = [lp for _, lp, _ in selected]
     if None in values:
         raise LogprobsUnsupported(f"{endpoint.model_id} omitted continuation logprobs")
     values = _floats(
         values, name, "a token logprob {!r} that is neither a finite number nor -Infinity",
         _is_logprob,
     )
+    texts = [token for token, _, _ in selected]
     return LogprobResult(
         continuation=continuation, token_logprobs=tuple(zip(texts, values)),
         total_logprob=ordered_sum(values),

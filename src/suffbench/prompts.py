@@ -25,7 +25,6 @@ if TYPE_CHECKING:
     from .masker import MaskReport
 
 ANSWER_SUFFIX = "The answer is "
-KINDS = ("generate", "constrain", "score", "baseline")
 # kind -> the PromptTemplateSet field that holds its template
 _TEMPLATE_FIELDS = {
     "generate": "generation_template",
@@ -33,6 +32,7 @@ _TEMPLATE_FIELDS = {
     "score": "scoring_template",
     "baseline": "baseline_template",
 }
+KINDS = tuple(_TEMPLATE_FIELDS)
 DEFAULT_TEMPLATE_ID = "default-v1"
 
 REQUIRED_PLACEHOLDERS: dict[str, frozenset[str]] = {
@@ -90,14 +90,11 @@ class PromptTemplateSet:
     baseline_template: str
 
     def __post_init__(self) -> None:
-        for kind in KINDS:
-            _check_placeholders(kind, self.template(kind))
+        for kind, field in _TEMPLATE_FIELDS.items():
+            _check_placeholders(kind, getattr(self, field))
         for kind in ("score", "baseline"):
-            if not self.template(kind).endswith(ANSWER_SUFFIX):
+            if not getattr(self, _TEMPLATE_FIELDS[kind]).endswith(ANSWER_SUFFIX):
                 raise TemplateError(f"{kind}: template must end with {ANSWER_SUFFIX!r}")
-
-    def template(self, kind: str) -> str:
-        return getattr(self, _TEMPLATE_FIELDS[kind])
 
 
 def load_template_set(
@@ -145,7 +142,7 @@ def format_options(item: QuestionItem) -> str:
 
 
 def _render(kind: str, templates: PromptTemplateSet, mapping: dict[str, str]) -> str:
-    return templates.template(kind).format_map(mapping)
+    return getattr(templates, _TEMPLATE_FIELDS[kind]).format_map(mapping)
 
 
 def _check_language(item: QuestionItem, templates: PromptTemplateSet) -> None:

@@ -1426,56 +1426,17 @@ def echo_choice(tokens, logprobs, offsets) -> dict:
     }}
 
 
-def scanned_logprob_result(prompt_text, continuation, choice) -> LogprobResult:
-    """What _logprob_result returned before it bisected: every token at an
-    offset from the prompt's end on, found by a scan."""
-    blob = choice["logprobs"]
-    boundary = len(prompt_text)
-    selected = [
-        (token, lp, off)
-        for token, lp, off in zip(blob["tokens"], blob["token_logprobs"], blob["text_offset"])
-        if off >= boundary
-    ]
-    if not selected or selected[0][2] != boundary:
-        raise TokenAlignmentError("misaligned")
-    token_logprobs = tuple((token, float(lp)) for token, lp, _ in selected)
-    return LogprobResult(continuation, token_logprobs, sum(lp for _, lp in token_logprobs))
-
-
 class TestLogprobSelection:
-    """An echo's tokens are found by bisection when their offsets ascend,
-    and by a scan when not; either way, the tokens a scan would select."""
+    """An echo's continuation is the tokens at text offsets from the
+    prompt's end on, wherever they stand in the lists."""
 
-    @given(
-        st.lists(st.text(alphabet="ab ", min_size=1, max_size=3), min_size=1, max_size=40),
-        st.lists(st.text(alphabet="AB ", min_size=1, max_size=3), min_size=1, max_size=5),
-        st.lists(st.floats(min_value=-50.0, max_value=0.0), min_size=45, max_size=45),
-        st.booleans(),
-    )
-    def test_the_tokens_a_scan_selects(self, prompt_tokens, continuation_tokens, logprobs, swap):
-        prompt, continuation = "".join(prompt_tokens), "".join(continuation_tokens)
-        tokens = prompt_tokens + continuation_tokens
-        offsets, position = [], 0
-        for token in tokens:
-            offsets.append(position)
-            position += len(token)
-        logprobs = logprobs[:len(tokens)]
-        if swap and len(tokens) > 2:
-            # the first two tokens out of order: the offsets no longer ascend
-            for column in (tokens, logprobs, offsets):
-                column[0], column[1] = column[1], column[0]
-        choice = echo_choice(tokens, logprobs, offsets)
-        got = _logprob_result(MOCK, prompt, continuation, choice, "request r")
-        assert got == scanned_logprob_result(prompt, continuation, choice)
-
-    def test_offsets_that_do_not_ascend_are_scanned(self):
-        # " A" is the only token from offset 3 on, but the offsets do not
-        # ascend, so no bisection can find it
+    def test_tokens_are_selected_by_offset_not_position(self):
+        # " A" is the only token from offset 3 on, though not the last
         choice = echo_choice(["ab", " A", "c"], [None, -0.5, -2.0], [0, 3, 2])
         got = _logprob_result(MOCK, "abc", " A", choice, "request r")
         assert got == LogprobResult(" A", ((" A", -0.5),), -0.5)
 
-    def test_a_misaligned_echo_is_refused_either_way(self):
+    def test_a_misaligned_echo_is_refused(self):
         for offsets in ([0, 2, 4], [0, 4, 2]):
             choice = echo_choice(["ab", "c ", "A"], [None, -1.0, -1.0], offsets)
             with pytest.raises(TokenAlignmentError, match="start at offset 4, expected 3"):
