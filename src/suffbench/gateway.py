@@ -3,10 +3,8 @@
 All three request kinds go through one Gateway that adds, in order: an
 optional on-disk response cache keyed by the SHA-256 of the canonical
 request JSON, per-endpoint rate limiting, and retry with exponential
-backoff. Cache hits replay the stored body through the same response
-parsers with no network traffic, so cached and live runs are
-byte-equivalent. A Gateway without a cache_dir computes no request keys,
-and its error messages name a request by its model and path.
+backoff. A Gateway without a cache_dir computes no request keys, and its
+error messages name a request by its model and path.
 
 Endpoints whose base_url uses the ``mock://<seed>`` scheme are served
 by a deterministic in-process backend instead of HTTP, which lets the
@@ -20,23 +18,30 @@ HTTP endpoint keeps pipeline.requests_in_flight(workers) of them, one per
 pool thread. Each request is still rate-limited and retried on its own.
 
 The cache keeps one entry per generation, one per scored row and one per
-group of texts embedded together. score_prompts sends the continuations of
-one prompt or of several as one /completions request with a list prompt,
-so a scored row, or several, costs one request, and embed_groups sends the
-texts of one group or of several as one /embeddings request with a list
-input. Either way a row's entry holds the reply its own one-row list
-request would get, one choice per continuation, and a group's the reply
-its own list of the group's texts would get, one embedding per text. An
-endpoint's first list request of a kind is a probe, and a list of several
-rows or groups is a kind apart from one row's or group's. A probe is
-retried on a 429, a 5xx or a timeout like any request. If it gets any
-other 4xx, a failed connection or a reply without one item per input, or
-its retries run out on 5xx replies or timeouts, the endpoint refuses that
-kind of list from then on: score_prompts leaves each row of several it
-could not send as None, for the caller to send one row per call, and
-embed_groups sends each group of several on its own. A lone row or group
-the endpoint refuses in a list goes out one input per request
-(score_continuation, embed), and is cached once every input has its reply.
+group of texts embedded together. A generation's entry is the reply's
+body, replayed through the same parser. A scored row's entry is its
+checked result, each option's selected continuation tokens and their
+logprobs (_row_entry), and a group's is its vectors as base64 of their
+little-endian float64 bytes (_group_entry): no echoed prompt and no
+decimal vector is stored or parsed again. A row or group is cached only
+once every part of the reply that carries it has passed every check, and
+a cache hit rebuilds its results through the same checks, so cached and
+live runs give the same bits.
+
+score_prompts sends the continuations of one prompt or of several as one
+/completions request with a list prompt, so a scored row, or several,
+costs one request, and embed_groups sends the texts of one group or of
+several as one /embeddings request with a list input. An endpoint's first
+list request of a kind is a probe, and a list of several rows or groups
+is a kind apart from one row's or group's. A probe is retried on a 429, a
+5xx or a timeout like any request. If it gets any other 4xx, a failed
+connection or a reply without one item per input, or its retries run out
+on 5xx replies or timeouts, the endpoint refuses that kind of list from
+then on: score_prompts leaves each row of several it could not send as
+None, for the caller to send one row per call, and embed_groups sends
+each group of several on its own. A lone row or group the endpoint
+refuses in a list goes out one input per request (score_continuation,
+embed), and is cached once every input has its reply.
 
 HTTP requests go through a session: any object with
 `post(url, json=, headers=, timeout=)` returning a reply with
@@ -50,6 +55,7 @@ TimeoutError and ConnectionError or those of a requests.Session, is retried.
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 import logging
@@ -57,13 +63,14 @@ import math
 import os
 import random
 import re
+import struct
 import sys
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass
 from operator import itemgetter, mul
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, NoReturn, Sequence
 from urllib.parse import urlparse, urlsplit
 
 from .numeric import ordered_sum
@@ -213,7 +220,8 @@ class EmbeddingResult:
             raise ValueError("embedding vector must be non-empty")
 
 
-# the canonical request JSON; every cache key depends on its settings
+# the canonical JSON of requests and of the entries of scored rows and
+# groups; every cache key, and those entries' bytes, depend on its settings
 _CANONICAL = json.JSONEncoder(sort_keys=True, ensure_ascii=False, separators=(",", ":"))
 
 
@@ -222,15 +230,15 @@ def request_fingerprint(payload: dict) -> str:
 
 
 class ResponseCache:
-    """Content-addressed raw response bodies, written atomically: the body
-    of request `key` is `root/<key[:2]>/<key>.json`. Entry paths are plain
-    strings, with no pathlib object per read or write."""
+    """Content-addressed entries, written atomically: the entry of request
+    `key` is `root/<key[:2]>/<key>.json`. Entry paths are plain strings,
+    with no pathlib object per read or write."""
 
     def __init__(self, root: str | os.PathLike):
         self.root = os.fspath(root)
 
     def get(self, key: str) -> bytes | None:
-        """The body stored for request `key`, or None if it has no entry.
+        """The entry stored for request `key`, or None if it has no entry.
         An entry is read whole, unbuffered: one read into one bytes object,
         with no buffer object set up around the file."""
         try:
@@ -411,6 +419,7 @@ class MockBackend:
 
 
 def _encode(data: dict) -> bytes:
+    """The cache entry of a mock generation: its reply, as JSON."""
     return json.dumps(data, ensure_ascii=False).encode("utf-8")
 
 
@@ -441,9 +450,10 @@ def _decode(body: bytes, what: str) -> dict:
 
 def _score_payload(model_id: str, prompt_text: str, continuations: Sequence[str]) -> dict:
     """What keys the cache entry of one scored row: the logprobs of each
-    of `continuations` after `prompt_text`."""
+    of `continuations` after `prompt_text`. Its kind keys the entries of
+    _row_entry apart from those of raw replies, which no longer are read."""
     return {
-        "kind": "completions.logprobs",
+        "kind": "completions.logprobs.selected",
         "model": model_id,
         "prompt": prompt_text,
         "continuations": list(continuations),
@@ -452,8 +462,9 @@ def _score_payload(model_id: str, prompt_text: str, continuations: Sequence[str]
 
 def _embed_payload(model_id: str, texts: Sequence[str]) -> dict:
     """What keys the cache entry of one group's embeddings: the vector of
-    each of `texts`, in order."""
-    return {"kind": "embeddings", "model": model_id, "input": list(texts)}
+    each of `texts`, in order. Its kind keys the entries of _group_entry
+    apart from those of raw replies, which no longer are read."""
+    return {"kind": "embeddings.float64le", "model": model_id, "input": list(texts)}
 
 
 def _score_wire(model_id: str, prompt: str | list[str]) -> dict:
@@ -463,9 +474,8 @@ def _score_wire(model_id: str, prompt: str | list[str]) -> dict:
 
 
 # path -> (what error messages call one input, the reply field that carries
-# one item per input); only /completions and /embeddings take lists of inputs
+# one item per input), for the two paths that take lists of inputs
 _ITEM_FIELDS = {
-    "/chat/completions": ("prompt", "choices"),
     "/completions": ("prompt", "choices"),
     "/embeddings": ("input", "data"),
 }
@@ -508,8 +518,8 @@ def _is_number(value, accept: Callable[[float], bool]) -> bool:
 def _floats(
     values: list, name: str, what: str, accept: Callable[[float], bool]
 ) -> tuple[float, ...]:
-    """`values`, numbers from the reply to the request named `name`, as
-    floats: each an int or a float that converts without overflow, and
+    """`values`, numbers from the reply to the request named `name` or from
+    its cache entry, as floats: each an int or a float that converts without overflow, and
     `accept` holds of each. The checks are passes that run in C; only a bad
     reply is walked in Python, to name its first bad value in the
     GatewayError: `what` is the message's end, with {!r} for that value."""
@@ -521,6 +531,12 @@ def _floats(
         else:
             if all(map(accept, floats)):
                 return floats
+    _refuse(values, name, what, accept)
+
+
+def _refuse(values: Sequence, name: str, what: str, accept: Callable[[float], bool]) -> NoReturn:
+    """Raise the GatewayError that names the first of `values` that is not
+    a number `accept` holds of (see _floats)."""
     bad = next(value for value in values if not _is_number(value, accept))
     raise GatewayError(f"response for {name} carries " + what.format(bad))
 
@@ -530,25 +546,55 @@ def _is_logprob(value: float) -> bool:
     return not math.isnan(value) and value != math.inf
 
 
+_STR_TYPE = frozenset((str,))
+
+
+def _checked_logprobs(
+    continuation: str, tokens: list, logprobs: list, name: str
+) -> LogprobResult:
+    """The LogprobResult of `continuation` from the tokens selected for it
+    and their logprobs, as many, in the reply to the request named `name`
+    or in its cache entry. Each logprob must be a number, finite or
+    -Infinity (a token of probability 0), and the tokens strings that
+    concatenate to the continuation."""
+    values = _floats(
+        logprobs, name, "a token logprob {!r} that is neither a finite number nor -Infinity",
+        _is_logprob,
+    )
+    if not _STR_TYPE.issuperset(map(type, tokens)):
+        bad = next(token for token in tokens if type(token) is not str)
+        raise GatewayError(f"response for {name} carries a token {bad!r} that is not a string")
+    try:
+        return LogprobResult(
+            continuation=continuation, token_logprobs=tuple(zip(tokens, values)),
+            total_logprob=ordered_sum(values),
+        )
+    except TokenAlignmentError as exc:
+        raise TokenAlignmentError(f"response for {name}: {exc}") from None
+
+
 def _logprob_result(
     endpoint: ModelEndpoint, prompt_text: str, continuation: str, choice: dict, name: str
 ) -> LogprobResult:
     """The summed logprobs of `continuation` in one echo-mode choice for
     `prompt_text + continuation`, from the reply to the request named
     `name`. Its tokens are selected by text offset; any misalignment with
-    the prompt boundary is a hard error, never silently truncated. Each
-    logprob must be a number, finite or -Infinity (a token of probability
-    0)."""
+    the prompt boundary is a hard error, never silently truncated. The
+    selected tokens are checked by _checked_logprobs."""
+    model = endpoint.model_id
     blob = choice.get("logprobs")
     if not blob:
         raise LogprobsUnsupported(
-            f"{endpoint.model_id} returned no logprobs; teacher-forced scoring is impossible"
+            f"{model} returned no logprobs in the response for {name};"
+            " teacher-forced scoring is impossible"
         )
     tokens = blob.get("tokens")
     logprobs = blob.get("token_logprobs")
     offsets = blob.get("text_offset")
     if tokens is None or logprobs is None or offsets is None:
-        raise LogprobsUnsupported(f"{endpoint.model_id} logprobs block is incomplete")
+        raise LogprobsUnsupported(
+            f"{model} logprobs block is incomplete in the response for {name}"
+        )
     boundary = len(prompt_text)
     selected = [
         (token, lp, off)
@@ -558,20 +604,75 @@ def _logprob_result(
     if not selected or selected[0][2] != boundary:
         got = selected[0][2] if selected else "none"
         raise TokenAlignmentError(
-            f"continuation tokens start at offset {got}, expected {boundary}"
+            f"response for {name} carries continuation tokens that start at offset {got},"
+            f" expected {boundary}"
         )
     values = [lp for _, lp, _ in selected]
     if None in values:
-        raise LogprobsUnsupported(f"{endpoint.model_id} omitted continuation logprobs")
-    values = _floats(
-        values, name, "a token logprob {!r} that is neither a finite number nor -Infinity",
-        _is_logprob,
-    )
-    texts = [token for token, _, _ in selected]
-    return LogprobResult(
-        continuation=continuation, token_logprobs=tuple(zip(texts, values)),
-        total_logprob=ordered_sum(values),
-    )
+        raise LogprobsUnsupported(
+            f"{model} omitted continuation logprobs in the response for {name}"
+        )
+    return _checked_logprobs(continuation, [token for token, _, _ in selected], values, name)
+
+
+def _row_entry(results: Sequence[LogprobResult]) -> bytes:
+    """The cache entry of a scored row whose options' results passed their
+    checks: for each option in order, the tokens selected for its
+    continuation and their logprobs. Each float is written as its repr, or
+    as -Infinity, so it reads back to the same bits."""
+    return _CANONICAL.encode({
+        "tokens": [list(map(_TOKEN_TEXT, r.token_logprobs)) for r in results],
+        "token_logprobs": [list(map(_TOKEN_LOGPROB, r.token_logprobs)) for r in results],
+    }).encode("utf-8")
+
+
+def _load_row(continuations: Sequence[str], body: bytes, name: str) -> list[LogprobResult]:
+    """The LogprobResult of each of `continuations` from the cache entry
+    `body` of the request named `name` (see _row_entry): as many options as
+    continuations, and as many logprobs as tokens in each, through the
+    checks of a live reply's (_checked_logprobs)."""
+    data = _decode(body, name)
+    tokens = data.get("tokens") if isinstance(data, dict) else None
+    logprobs = data.get("token_logprobs") if isinstance(data, dict) else None
+    count = len(continuations)
+    if type(tokens) is not list or type(logprobs) is not list or not (
+        len(tokens) == len(logprobs) == count
+    ):
+        raise GatewayError(
+            f"cache entry for {name} holds no tokens and logprobs for each of {count} options"
+        )
+    for option, (t, lp) in enumerate(zip(tokens, logprobs)):
+        if type(t) is not list or type(lp) is not list or len(t) != len(lp):
+            raise GatewayError(
+                f"cache entry for {name} holds no list of tokens and one of as many logprobs"
+                f" for option {option}"
+            )
+    return list(map(_checked_logprobs, continuations, tokens, logprobs, [name] * count))
+
+
+def _group_entry(results: Sequence[EmbeddingResult]) -> bytes:
+    """The cache entry of a group whose vectors passed their checks: one
+    JSON object whose "vectors" is base64 of the vectors' little-endian
+    float64 bytes, text after text, which read back to the same bits."""
+    values = [x for result in results for x in result.vector]
+    packed = struct.pack(f"<{len(values)}d", *values)
+    return _CANONICAL.encode({"vectors": base64.b64encode(packed).decode("ascii")}).encode("ascii")
+
+
+# the end of the message that refuses an embedding component (see _floats)
+_COMPONENT = "an embedding component {!r} that is not a finite number"
+
+
+def _item_vector(item: dict, name: str) -> list:
+    """The vector of one embedding item of the reply to the request named
+    `name`: a non-empty list, its components not yet checked."""
+    try:
+        raw = item["embedding"]
+    except (KeyError, TypeError):
+        raise GatewayError(f"response for {name} carries no embedding") from None
+    if not isinstance(raw, list) or not raw:
+        raise GatewayError(f"response for {name} carries an empty embedding")
+    return raw
 
 
 def _transport_errors() -> tuple[tuple[type, ...], tuple[type, ...]]:
@@ -654,41 +755,39 @@ class Gateway:
         endpoint: ModelEndpoint,
         path: str,
         payloads: Sequence[dict],
+        widths: Sequence[int],
         wire: Callable[[list[int]], dict],
         mock_call: Callable[[MockBackend, list[int]], dict],
-        widths: Sequence[int] = (),
-        singly: Callable[[], tuple[dict, list[dict]]] | None = None,
-    ) -> list[tuple[list[dict], str] | None]:
-        """The items, choices or embeddings, that answer each payload at
-        `path`, in input order, and the payload's name in error messages:
-        with a cache, payload i is keyed and named by the fingerprint of
-        `payloads[i]`, and its entry is the reply to a request of its own;
-        without one nothing is fingerprinted and the name gives the model
-        and path. With `widths`, payload i covers widths[i] consecutive
-        inputs of a list request, the continuations of a scored row or the
-        texts of a group; without, there is one payload of one input, a chat.
+        check: Callable[[int, list[dict], str], list],
+        load: Callable[[int, bytes, str], list],
+        dump: Callable[[list], bytes],
+        singly: Callable[[], list] | None = None,
+    ) -> list[list | None]:
+        """The checked results that answer each payload at `path`, in input
+        order: payload i covers widths[i] consecutive inputs of a list
+        request, the continuations of a scored row or the texts of a group.
+        With a cache, payload i is keyed, and named in error messages, by
+        the fingerprint of `payloads[i]`; without one nothing is
+        fingerprinted and the name gives the model and path.
 
-        Each cache entry is read once. The misses, at positions `misses`,
-        are answered by one mock call, `mock_call(backend, misses)`; or with
-        `widths`, by one list request `wire(misses)` of every input of every
-        miss (see _post_list); or else `wire([0])` is POSTed on its own. A
-        lone HTTP reply is cached as its bytes once it decodes, so an
-        unreadable one is never replayed. Any other payload's slice of its
-        reply is cached, items indexed 0..width-1, as its own reply: a
-        one-row list reply for a scored row, a one-group one for a group.
+        Each cache entry is read once, and `load(i, entry, name)` rebuilds
+        its results through the checks of a live reply's. The misses, at
+        positions `misses`, are answered by one mock call,
+        `mock_call(backend, misses)`, or by one list request `wire(misses)`
+        of every input of every miss (see _post_list), and
+        `check(i, items, name)` gives the results of miss i from its slice
+        of the reply's items. Only once every miss has passed its checks is
+        each cached, as `dump(results)`: a reply that fails them leaves no
+        entry, and is sent again by the next call.
 
         Whether the endpoint takes a list of several payloads' inputs at
         `path` is probed and settled apart from whether it takes one
         payload's. If the endpoint refuses a list of the kind the misses
         would make, `singly()`, given for a lone payload, answers it with
-        one request per input and returns the first reply and the items;
-        without `singly` each miss is None, for the caller to send on its
-        own.
+        one request per input and returns its checked results; without
+        `singly` each miss is None, for the caller to send on its own.
         """
-        field = _ITEM_FIELDS[path][1]
-        listed = bool(widths)
-        widths = widths or (1,)
-        results: list[tuple[list[dict], str] | None]
+        results: list[list | None]
         if self._cache is None:
             keys = None
             names = [_uncached_name(endpoint, path)] * len(payloads)
@@ -697,51 +796,33 @@ class Gateway:
             keys = [request_fingerprint(payload) for payload in payloads]
             names = [f"request {key}" for key in keys]
             results = []
-            for key, name, width in zip(keys, names, widths):
+            for i, key in enumerate(keys):
                 body = self._cache.get(key)
-                if body is None:
-                    results.append(None)
-                    continue
-                data = _decode(body, name)
-                # a lone reply is cached as it came, a listed one with one item per input
-                items = (
-                    _items_by_index(data, path, width) if listed
-                    else [self._first_item(data, field, name)]
-                )
-                results.append((items, name))
+                results.append(None if body is None else load(i, body, names[i]))
         misses = [i for i, result in enumerate(results) if result is None]
         if not misses:
             return results
         count = sum(widths[i] for i in misses)
         if endpoint.is_mock:
-            data = mock_call(self._mock(endpoint), misses)
-            items = _items_by_index(data, path, count)
-        elif listed:
-            answer = None
+            items = _items_by_index(mock_call(self._mock(endpoint), misses), path, count)
+        else:
+            items = None
             long = len(misses) > 1
             if not self._refuses_lists(endpoint, path, long):
-                answer = self._post_list(endpoint, path, long, wire(misses), count)
-            if answer is None and singly is not None:
-                answer = singly()
-            if answer is None:
-                return results
-            data, items = answer
+                items = self._post_list(endpoint, path, long, wire(misses), count)
+        if items is not None:
+            checked, start = [], 0
+            for i in misses:
+                checked.append(check(i, items[start:start + widths[i]], names[i]))
+                start += widths[i]
+        elif singly is not None:
+            checked = [singly()]
         else:
-            body = self._post(endpoint, path, wire(misses))
-            [name] = names
-            data = _decode(body, name)
+            return results
+        for i, got in zip(misses, checked):
+            results[i] = got
             if keys is not None:
-                self._cache.put(keys[0], body)
-            return [([self._first_item(data, field, name)], name)]
-        start = 0
-        for i in misses:
-            row = items[start:start + widths[i]]
-            start += widths[i]
-            results[i] = row, names[i]
-            if keys is not None:
-                self._cache.put(keys[i], _encode(
-                    {**data, field: [{**item, "index": j} for j, item in enumerate(row)]}
-                ))
+                self._cache.put(keys[i], dump(got))
         return results
 
     def _refuses_lists(self, endpoint: ModelEndpoint, path: str, long: bool) -> bool:
@@ -755,10 +836,10 @@ class Gateway:
 
     def _post_list(
         self, endpoint: ModelEndpoint, path: str, long: bool, wire: dict, count: int
-    ) -> tuple[dict, list[dict]] | None:
-        """The reply to `wire`, a list of `count` inputs sent to `path`, and
-        its items in input order; or None if the endpoint refuses lists of
-        its kind, `long` or not (see _list_key).
+    ) -> list[dict] | None:
+        """The items of the reply to `wire`, a list of `count` inputs sent to
+        `path`, in input order; or None if the endpoint refuses lists of its
+        kind, `long` or not (see _list_key).
 
         The endpoint's first list request of a kind is a probe, and threads
         that come while it is in flight wait for its outcome. If it is
@@ -787,7 +868,7 @@ class Gateway:
                     raise ListRequestRefused(str(exc)) from exc
                 raise
             takes = True
-            return data, items
+            return items
         except ListRequestRefused as exc:
             log.warning(
                 "%s refused a list of %d inputs to %s (%s); sending fewer per request",
@@ -908,10 +989,30 @@ class Gateway:
             "temperature": temperature,
             "max_tokens": max_tokens,
         }
-        [([choice], name)] = self._fetch(
-            endpoint, "/chat/completions", [payload], lambda _: wire,
-            lambda mock, _: mock.generate(endpoint.model_id, prompt.text, temperature, max_tokens),
-        )
+        path = "/chat/completions"
+        key = body = None
+        if self._cache is None:
+            name = _uncached_name(endpoint, path)
+        else:
+            key = request_fingerprint(payload)
+            name = f"request {key}"
+            body = self._cache.get(key)
+        if body is not None:
+            data = _decode(body, name)
+        elif endpoint.is_mock:
+            data = self._mock(endpoint).generate(
+                endpoint.model_id, prompt.text, temperature, max_tokens
+            )
+            if key is not None:
+                self._cache.put(key, _encode(data))
+        else:
+            # a reply is cached as its bytes once it decodes, so an
+            # unreadable one is never replayed
+            body = self._post(endpoint, path, wire)
+            data = _decode(body, name)
+            if key is not None:
+                self._cache.put(key, body)
+        choice = self._first_item(data, "choices", name)
         # a missing or null message or content is an empty generation
         message = {} if choice.get("message") is None else choice["message"]
         if not isinstance(message, dict):
@@ -927,18 +1028,13 @@ class Gateway:
     # -- teacher-forced scoring ----------------------------------------------
 
     def score_continuation(
-        self,
-        endpoint: ModelEndpoint,
-        prompt_text: str,
-        continuation: str,
-        replies: list | None = None,
+        self, endpoint: ModelEndpoint, prompt_text: str, continuation: str
     ) -> LogprobResult:
         """Sum of token logprobs for `continuation` appended to `prompt_text`,
         sent as a request of its own (see _score_wire and _logprob_result).
         It reads and writes no cache entry: the cache keeps whole rows, and
         score_prompts sends a row this way, one continuation after another,
-        to an endpoint that refuses lists. With `replies`, the reply and its
-        choice are appended to it, for score_prompts to cache the row."""
+        to an endpoint that refuses lists."""
         if not continuation:
             raise ValueError("continuation must be non-empty")
         model = endpoint.model_id
@@ -949,18 +1045,16 @@ class Gateway:
             wire = _score_wire(model, prompt_text + continuation)
             data = _decode(self._post(endpoint, "/completions", wire), name)
         choice = self._first_item(data, "choices", name)
-        if replies is not None:
-            replies.append((data, choice))
         return _logprob_result(endpoint, prompt_text, continuation, choice, name)
 
     def score_prompts(
         self, endpoint: ModelEndpoint, prompt_texts: Sequence[str], continuations: Sequence[str]
     ) -> list[list[LogprobResult] | None]:
         """The LogprobResult of each continuation of each prompt, prompt by
-        prompt: a row. Each row is one cache entry, and the rows the cache
-        misses go out as one /completions request with a list prompt; a list
-        of several prompts' continuations is probed apart from one prompt's
-        (see _fetch). Where the endpoint refuses a list of
+        prompt: a row. Each row is one cache entry (_row_entry), and the
+        rows the cache misses go out as one /completions request with a list
+        prompt; a list of several prompts' continuations is probed apart
+        from one prompt's (see _fetch). Where the endpoint refuses a list of
         several rows, each of them is None, for the caller to send one per
         call. A lone row the endpoint refuses in a list goes out one
         continuation per request, in turn on the calling thread, through
@@ -975,39 +1069,35 @@ class Gateway:
             return (tuple(prompt_texts[i] for i in misses for _ in continuations),
                     tuple(continuations) * len(misses))
 
-        def singly() -> tuple[dict, list[dict]]:
-            replies: list[tuple[dict, dict]] = []
-            for continuation in continuations:
-                self.score_continuation(endpoint, prompt_texts[0], continuation, replies)
-            return replies[0][0], [choice for _, choice in replies]
+        def check(i: int, choices: list[dict], name: str) -> list[LogprobResult]:
+            return [
+                _logprob_result(endpoint, prompt_texts[i], c, choice, name)
+                for c, choice in zip(continuations, choices)
+            ]
 
-        fetched = self._fetch(
+        return self._fetch(
             endpoint, "/completions",
             [_score_payload(model, p, continuations) for p in prompt_texts],
+            [len(continuations)] * len(prompt_texts),
             lambda misses: _score_wire(model, [p + c for p, c in zip(*inputs(misses))]),
             lambda mock, misses: mock.score(model, *inputs(misses)),
-            widths=[len(continuations)] * len(prompt_texts),
-            singly=singly if len(prompt_texts) == 1 else None,
+            check,
+            lambda _, body, name: _load_row(continuations, body, name),
+            _row_entry,
+            singly=(
+                (lambda: [self.score_continuation(endpoint, prompt_texts[0], c)
+                          for c in continuations])
+                if len(prompt_texts) == 1 else None
+            ),
         )
-        return [
-            None if found is None else [
-                _logprob_result(endpoint, p, c, choice, found[1])
-                for c, choice in zip(continuations, found[0])
-            ]
-            for p, found in zip(prompt_texts, fetched)
-        ]
 
     # -- embeddings ------------------------------------------------------------
 
-    def embed(
-        self, endpoint: ModelEndpoint, text: str, replies: list | None = None
-    ) -> EmbeddingResult:
+    def embed(self, endpoint: ModelEndpoint, text: str) -> EmbeddingResult:
         """Embedding vector for one text, sent as a request of its own; see
         _embedding for the checks. It reads and writes no cache entry: the
         cache keeps whole groups, and embed_groups sends a group this way,
-        one text after another, to an endpoint that refuses lists. With
-        `replies`, the reply and its item are appended to it, for
-        embed_groups to cache the group."""
+        one text after another, to an endpoint that refuses lists."""
         if not text.strip():
             raise ValueError("embedding input must be non-empty")
         model = endpoint.model_id
@@ -1017,21 +1107,19 @@ class Gateway:
         else:
             data = _decode(self._post(endpoint, "/embeddings", {"model": model, "input": text}), name)
         item = self._first_item(data, "data", name)
-        if replies is not None:
-            replies.append((data, item))
-        return self._embedding(endpoint, item, name)
+        return self._embedding(endpoint, _item_vector(item, name), name)
 
     def embed_groups(
         self, endpoint: ModelEndpoint, groups: Sequence[Sequence[str]]
     ) -> list[list[EmbeddingResult]]:
         """The EmbeddingResult of each text of each group, group by group.
-        Each group is one cache entry, and the groups the cache misses go
-        out as one /embeddings request with a list input; a list of several
-        groups' texts is probed apart from one group's (see _fetch). Where
-        the endpoint refuses a list of several groups, each of them is sent
-        on its own. A lone group the endpoint refuses in a list goes out one
-        text per request, in turn on the calling thread, through embed, and
-        is cached once every text has its reply."""
+        Each group is one cache entry (_group_entry), and the groups the
+        cache misses go out as one /embeddings request with a list input; a
+        list of several groups' texts is probed apart from one group's (see
+        _fetch). Where the endpoint refuses a list of several groups, each
+        of them is sent on its own. A lone group the endpoint refuses in a
+        list goes out one text per request, in turn on the calling thread,
+        through embed, and is cached once every text has its reply."""
         if not all(groups) or not all(text.strip() for group in groups for text in group):
             raise ValueError("embedding input must be non-empty")
         if len(groups) > 1 and self._refuses_lists(endpoint, "/embeddings", True):
@@ -1042,44 +1130,82 @@ class Gateway:
             # the texts of the groups `misses`, in order
             return [text for i in misses for text in groups[i]]
 
-        def singly() -> tuple[dict, list[dict]]:
-            replies: list[tuple[dict, dict]] = []
-            for text in groups[0]:
-                self.embed(endpoint, text, replies)
-            return replies[0][0], [item for _, item in replies]
+        def check(_: int, items: list[dict], name: str) -> list[EmbeddingResult]:
+            return [self._embedding(endpoint, _item_vector(item, name), name) for item in items]
 
         fetched = self._fetch(
             endpoint, "/embeddings", [_embed_payload(model, group) for group in groups],
+            [len(group) for group in groups],
             lambda misses: {"model": model, "input": inputs(misses)},
             lambda mock, misses: mock.embed(model, tuple(inputs(misses))),
-            widths=[len(group) for group in groups],
-            singly=singly if len(groups) == 1 else None,
+            check,
+            lambda i, body, name: self._load_group(endpoint, len(groups[i]), body, name),
+            _group_entry,
+            singly=(
+                (lambda: [self.embed(endpoint, text) for text in groups[0]])
+                if len(groups) == 1 else None
+            ),
         )
         return [
-            self.embed_groups(endpoint, [group])[0] if found is None
-            else [self._embedding(endpoint, item, found[1]) for item in found[0]]
+            self.embed_groups(endpoint, [group])[0] if found is None else found
             for group, found in zip(groups, fetched)
         ]
 
-    def _embedding(self, endpoint: ModelEndpoint, item: dict, name: str) -> EmbeddingResult:
-        """The vector of one embedding item of the reply to the request named
-        `name`. Each component must be a finite number (see _floats): JSON
-        replies may carry NaN or Infinity, which no cosine can use, or an
-        integer past the float range. Its width is pinned by the first
-        vector per model and any later mismatch is fatal."""
+    def _load_group(
+        self, endpoint: ModelEndpoint, count: int, body: bytes, name: str
+    ) -> list[EmbeddingResult]:
+        """The EmbeddingResult of each of the `count` texts of a group from
+        the cache entry `body` of the request named `name` (see
+        _group_entry): a whole number of float64 components for each text,
+        through the checks of a live reply's (_embedding), made once over
+        the whole group. Unpacked float64s are floats, so of those checks
+        only the one for NaN and infinities can fail."""
+        data = _decode(body, name)
+        encoded = data.get("vectors") if isinstance(data, dict) else None
+        if not isinstance(encoded, str):
+            raise GatewayError(f"cache entry for {name} holds no base64 vectors")
         try:
-            raw = item["embedding"]
-        except (KeyError, TypeError):
-            raise GatewayError(f"response for {name} carries no embedding") from None
-        if not isinstance(raw, list) or not raw:
-            raise GatewayError(f"response for {name} carries an empty embedding")
-        vector = _floats(
-            raw, name, "an embedding component {!r} that is not a finite number", math.isfinite
-        )
-        with self._lock:
-            expected = self._embed_dims.setdefault(endpoint.model_id, len(vector))
-        if len(vector) != expected:
-            raise EmbeddingDimensionError(
-                f"{endpoint.model_id} returned dim {len(vector)}, previously {expected}"
+            raw = base64.b64decode(encoded, validate=True)
+        except ValueError as exc:  # binascii.Error, or a character past ASCII
+            raise GatewayError(f"cache entry for {name} holds no base64 vectors: {exc}") from None
+        if not raw or len(raw) % (8 * count):
+            raise GatewayError(
+                f"cache entry for {name} holds {len(raw)} bytes, not a whole number"
+                f" of float64 components for each of its {count} texts"
             )
+        values = struct.unpack(f"<{len(raw) // 8}d", raw)
+        if not all(map(math.isfinite, values)):
+            _refuse(values, name, _COMPONENT, math.isfinite)
+        width = len(values) // count
+        self._pin_width(endpoint, width, name)
+        model = endpoint.model_id
+        return [
+            EmbeddingResult(vector=values[start:start + width], model_id=model)
+            for start in range(0, len(values), width)
+        ]
+
+    def _embedding(
+        self, endpoint: ModelEndpoint, values: Sequence, name: str
+    ) -> EmbeddingResult:
+        """The EmbeddingResult of one vector, `values`, from the reply to the
+        request named `name` or from its cache entry. Each component must be
+        a finite number (see _floats): JSON replies may carry NaN or
+        Infinity, which no cosine can use, or an integer past the float
+        range, and an entry's bytes may hold a NaN or an infinity. Its width
+        is pinned by the first vector per model and any later mismatch is
+        fatal."""
+        vector = _floats(values, name, _COMPONENT, math.isfinite)
+        self._pin_width(endpoint, len(vector), name)
         return EmbeddingResult(vector=vector, model_id=endpoint.model_id)
+
+    def _pin_width(self, endpoint: ModelEndpoint, width: int, name: str) -> None:
+        """Pin the model's embedding width at `width` if no vector has yet,
+        or raise EmbeddingDimensionError, naming the request, if it differs
+        from the width pinned."""
+        with self._lock:
+            expected = self._embed_dims.setdefault(endpoint.model_id, width)
+        if width != expected:
+            raise EmbeddingDimensionError(
+                f"response for {name}: {endpoint.model_id} returned dim {width},"
+                f" previously {expected}"
+            )

@@ -6,6 +6,7 @@ import select
 import shlex
 import socket
 import socketserver
+import struct
 import subprocess
 import sys
 import threading
@@ -871,7 +872,10 @@ class TestMockCache:
         assert len(table_bytes(store)["scores.csv"].splitlines()) == 1 + 6 + 2 * 6 * 3
         assert payloads == []
 
-    def test_each_cache_file_is_the_encoded_mock_reply(self, tmp_path, monkeypatch):
+    def test_each_cache_file_holds_what_the_mock_replies(self, tmp_path, monkeypatch):
+        # a generation's entry is the encoded reply; a scored row's, each
+        # option's echoed continuation tokens and their logprobs; a group's,
+        # base64 of its vectors' little-endian float64 bytes
         payloads = {}
         real = gateway_module.request_fingerprint
 
@@ -892,13 +896,24 @@ class TestMockCache:
             backend = MockBackend(seeds[p["model"]])
             if p["kind"] == "chat.completions":
                 reply = backend.generate(p["model"], p["prompt"], p["temperature"], p["max_tokens"])
-            elif p["kind"] == "completions.logprobs":
+                entry = _encode(reply)
+            elif p["kind"] == "completions.logprobs.selected":
                 continuations = tuple(p["continuations"])
                 prompts = (p["prompt"],) * len(continuations)
+                # each choice echoes its prompt as one token, then its continuation's
                 reply = backend.score(p["model"], prompts, continuations)
+                echoes = [choice["logprobs"] for choice in reply["choices"]]
+                entry = json.dumps({
+                    "token_logprobs": [echo["token_logprobs"][1:] for echo in echoes],
+                    "tokens": [echo["tokens"][1:] for echo in echoes],
+                }, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
             else:
-                reply = backend.embed(p["model"], p["input"])
-            assert path.read_bytes() == _encode(reply), p
+                assert p["kind"] == "embeddings.float64le"
+                values = [x for item in backend.embed(p["model"], p["input"])["data"]
+                          for x in item["embedding"]]
+                packed = base64.b64encode(struct.pack(f"<{len(values)}d", *values)).decode("ascii")
+                entry = json.dumps({"vectors": packed}, separators=(",", ":")).encode("ascii")
+            assert path.read_bytes() == entry, p
 
 
     def spy_on_mock(self, monkeypatch) -> Counter:
@@ -945,36 +960,54 @@ class TestMockCache:
         groups = {tuple(row.split(",")[1:4]) for row in
                   table_bytes(store)["similarity.csv"].decode("utf-8").splitlines()[1:]}
         assert kinds == {
-            "chat.completions": calls["generate"], "completions.logprobs": rows,
-            "embeddings": len(groups),
+            "chat.completions": calls["generate"], "completions.logprobs.selected": rows,
+            "embeddings.float64le": len(groups),
         }
         assert calls["texts"] == 3 * len(groups) == 3 * 12
         assert rows == 6 + 2 * 6 * 3
 
-    def test_an_older_caches_option_entries_are_never_read(self, tmp_path, monkeypatch):
+    def test_an_older_caches_scoring_and_embedding_entries_are_never_read(
+        self, tmp_path, monkeypatch
+    ):
         # a cache written when each option of a row was an entry of its own,
-        # under the key of {"kind": "completions.logprobs", ..., "continuation": c}:
-        # a run over it sends each of its scoring requests once more, and
-        # no generation or embedding request
+        # under the key of {"kind": "completions.logprobs", ..., "continuation": c},
+        # then when a row's entry was its raw one-row list reply, under
+        # {"kind": "completions.logprobs", ..., "continuations": [...]}, and a
+        # group's its raw list reply, under {"kind": "embeddings", ...}: a run
+        # over it sends each of its scoring and embedding requests once more,
+        # and no generation request
         calls = self.spy_on_mock(monkeypatch)
         payloads = self.spy_on_fingerprints(monkeypatch)
         cold = table_bytes(self.run_all(tmp_path, "cold", cache_dir=str(tmp_path / "cache")))
-        scoring = calls["score"]
-        seed = int(BILINGUAL_MOCK["scorer"]["base_url"].removeprefix("mock://"))
+        expected = {"score": calls["score"], "embed": calls["embed"]}
+        seeds = {
+            BILINGUAL_MOCK[role]["model_id"]:
+            int(BILINGUAL_MOCK[role]["base_url"].removeprefix("mock://"))
+            for role in ("scorer", "embedder")
+        }
         old = ResponseCache(tmp_path / "cache")
-        option_keys = set()
+        old_keys = set()
+
+        def put_old(payload, reply):
+            key = gateway_module.request_fingerprint(payload)
+            old.put(key, _encode(reply))
+            old_keys.add(key)
+
         for path in list((tmp_path / "cache").rglob("*.json")):
             p = payloads[path.stem]
-            if p["kind"] != "completions.logprobs":
+            if p["kind"] == "chat.completions":
                 continue
             path.unlink()
-            for c in p["continuations"]:
-                key = gateway_module.request_fingerprint({
-                    "kind": "completions.logprobs", "model": p["model"],
-                    "prompt": p["prompt"], "continuation": c,
-                })
-                old.put(key, _encode(MockBackend(seed).score(p["model"], (p["prompt"],), (c,))))
-                option_keys.add(key)
+            backend = MockBackend(seeds[p["model"]])
+            if p["kind"] == "embeddings.float64le":
+                put_old({**p, "kind": "embeddings"}, backend.embed(p["model"], p["input"]))
+                continue
+            row = {"kind": "completions.logprobs", "model": p["model"], "prompt": p["prompt"]}
+            continuations = tuple(p["continuations"])
+            put_old({**row, "continuations": list(continuations)},
+                    backend.score(p["model"], (p["prompt"],) * 4, continuations))
+            for c in continuations:
+                put_old({**row, "continuation": c}, backend.score(p["model"], (p["prompt"],), (c,)))
         calls.clear()
         reads = []
         real_get = ResponseCache.get
@@ -983,9 +1016,11 @@ class TestMockCache:
         )
         warm = table_bytes(self.run_all(tmp_path, "warm", cache_dir=str(tmp_path / "cache")))
         assert warm == cold
-        assert calls == {"score": scoring}
-        assert len(option_keys) == 4 * (6 + 2 * 6 * 3)
-        assert reads and not option_keys & set(reads)
+        assert {method: calls[method] for method in ("generate", "score", "embed")} == {
+            "generate": 0, **expected,
+        }
+        assert len(old_keys) == 5 * (6 + 2 * 6 * 3) + 12
+        assert reads and not old_keys & set(reads)
 
 
 class TestStoreBoundaries:

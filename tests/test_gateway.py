@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import base64
+import hashlib
 import json
 import math
 import os
 import random
+import struct
 import sys
 import threading
 import time
@@ -31,13 +34,18 @@ from suffbench.gateway import (
     ResponseCache,
     RetriesExhausted,
     TokenAlignmentError,
-    _encode,
+    _embed_payload,
     _logprob_result,
     _score_payload,
     request_fingerprint,
 )
-from suffbench.prompts import RenderedPrompt
-from suffbench.scorer import score_options, softmax_probs
+from suffbench.prompts import (
+    DEFAULT_TEMPLATE_ID,
+    RenderedPrompt,
+    load_template_set,
+    render_scoring,
+)
+from suffbench.scorer import score_item, score_options, softmax_probs
 from suffbench.transport import HttpSession
 
 from tests.conftest import (
@@ -122,10 +130,13 @@ class TestFingerprint:
 
 
 # the cache key of one entry of each kind, a generation, a scored row and
-# a group of embedded texts: a change to the payloads or to their canonical
-# JSON orphans every cache already on disk. The generation key is the one
-# the store has always written; a scored row's key replaced the four keys
-# of its options, and a group's the keys of its texts
+# a group of embedded texts, and the SHA-256 of the entry's bytes: a change
+# to the payloads or to their canonical JSON orphans every cache already on
+# disk, and one to an entry's layout, or to the mock's numbers, gives other
+# bytes. CI runs this on every Python version it supports, so an entry
+# written on one is read on another. The generation key and entry are the
+# ones the store has always written; a scored row's key and entry replaced
+# those of the row's raw reply, and a group's those of its raw reply
 CACHE_KEYS = {
     "generate": (
         lambda gw: gw.generate(
@@ -133,25 +144,38 @@ CACHE_KEYS = {
             temperature=0.0, max_tokens=64, cache_salt="retry-1",
         ),
         "79dceae9b3fc92137a2ca11c7ed3a725ab792400224fff40030ce6d84f3e5de4",
+        "fa3827ca9a14f7e654516d36235d3a4ae284ab534ff4604b598c80f0bec242fd",
     ),
     "score": (
         lambda gw: gw.score_prompts(
             MOCK, ["Question: چرا؟\nThe answer is"], (" A", " B", " C", " D")
         ),
-        "6ab99180644b02e8b76fd06bb95893cd7d56c0e1fd036f5057b829a33998ec04",
+        "beafd2cc137ea3b0009a7785e394227744e7e345431c14dc3019ad84f905ff07",
+        "85880ef1fed764ae1a271a045c748486b34e5078e36ee89cd07d087bea1db471",
     ),
     "embed": (
         lambda gw: gw.embed_groups(MOCK, [["نور خورشید — café", "نور"]]),
-        "ee069e87feac2de90c1c3ceba04dfd569a7bbb8d45af54d5286c66ba4e3d6292",
+        "c0a19e1c4f7b59ce145969a5d776a0529545ffe20d602150308d0c55f39b06d1",
+        "f66de7e948084502208cabffe69c0c1fea0e4905237548c824c89d958352b195",
     ),
 }
 
 
 @pytest.mark.parametrize("kind", sorted(CACHE_KEYS))
 def test_cache_keys_are_pinned(kind, tmp_path):
-    call, key = CACHE_KEYS[kind]
+    call, key, _ = CACHE_KEYS[kind]
     call(Gateway(cache_dir=tmp_path))
     assert [path.stem for path in tmp_path.rglob("*.json")] == [key]
+
+
+@pytest.mark.parametrize("kind", sorted(CACHE_KEYS))
+def test_cache_entries_are_pinned(kind, tmp_path):
+    call, _, digest = CACHE_KEYS[kind]
+    first = call(Gateway(cache_dir=tmp_path))
+    [entry] = tmp_path.rglob("*.json")
+    assert hashlib.sha256(entry.read_bytes()).hexdigest() == digest
+    # and a hit rebuilds what the miss returned
+    assert call(Gateway(cache_dir=tmp_path)) == first
 
 
 class TestRateLimiter:
@@ -326,8 +350,8 @@ class TestCache:
     def test_a_lone_reply_is_cached_as_its_bytes(self, tmp_path):
         # the server indents its JSON and escapes non-ASCII, as the cache's
         # own encoding does not: a generation's entry is the reply's bytes as
-        # they came. A scored row's entry and a group's are list replies,
-        # always re-encoded (TestRowEntries, TestGroupEntries)
+        # they came. A scored row's entry and a group's hold their checked
+        # results, not a reply (TestRowEntries, TestGroupEntries)
         generation = MockBackend(7).generate("mock-gen", "پرسش؟", 0.0, 512)
         generation["choices"][0]["message"]["content"] = "Answer: B\nExplanation: نور خورشید"
         reply = json.dumps(generation, indent=2).encode("ascii")
@@ -669,22 +693,22 @@ class TestScoreContinuations:
     def test_a_cached_row_sends_nothing(self, tmp_path):
         session = FakeSession([])
         endpoint = ModelEndpoint(base_url="http://fake", model_id="m")
-        key = request_fingerprint({
-            "kind": "completions.logprobs", "model": "m",
-            "prompt": SCORING_PROMPT, "continuations": list(OPTIONS),
-        })
-        ResponseCache(tmp_path).put(
-            key, json.dumps(list_reply(SCORING_PROMPT, OPTIONS)).encode("utf-8")
-        )
+        key = request_fingerprint(_score_payload("m", SCORING_PROMPT, OPTIONS))
+        ResponseCache(tmp_path).put(key, json.dumps({
+            "tokens": [[" ", "A"], [" B"], [" C"], [" D"]],
+            "token_logprobs": [[-0.5, -0.25], [-1.0], [-1.0], [-2.0]],
+        }).encode("utf-8"))
         [got] = Gateway(cache_dir=tmp_path, session=session).score_prompts(
             endpoint, [SCORING_PROMPT], OPTIONS
         )
-        assert [r.total_logprob for r in got] == [-1.0] * 4
+        assert got[0] == LogprobResult(" A", ((" ", -0.5), ("A", -0.25)), -0.75)
+        assert [r.total_logprob for r in got] == [-0.75, -1.0, -1.0, -2.0]
         assert session.calls == []
 
-    def test_option_entries_of_the_old_layout_are_never_read(self, tmp_path, monkeypatch):
-        # a cache written when each option was an entry of its own: the row
-        # misses, so it is sent once, and no option entry is looked up
+    def test_entries_of_older_layouts_are_never_read(self, tmp_path, monkeypatch):
+        # a cache written when each option was an entry of its own, and one
+        # written when a row's entry was its raw one-row list reply: the row
+        # misses, so it is sent once, and no older entry is looked up
         cache = ResponseCache(tmp_path)
         for c in OPTIONS:
             key = request_fingerprint({
@@ -692,6 +716,11 @@ class TestScoreContinuations:
                 "prompt": SCORING_PROMPT, "continuation": c,
             })
             cache.put(key, json.dumps(list_reply(SCORING_PROMPT, [c])).encode("utf-8"))
+        key = request_fingerprint({
+            "kind": "completions.logprobs", "model": "m",
+            "prompt": SCORING_PROMPT, "continuations": list(OPTIONS),
+        })
+        cache.put(key, json.dumps(list_reply(SCORING_PROMPT, OPTIONS)).encode("utf-8"))
         old = {name.removesuffix(".json") for name in cache_files(tmp_path)}
         reads = cache_reads(monkeypatch)
         session = FakeSession([(200, list_reply(SCORING_PROMPT, OPTIONS))])
@@ -850,18 +879,16 @@ class TestScorePrompts:
 
 
 class TestRowEntries:
-    """A scored row is one cache entry: the encoded reply its own one-row
-    list request gets, one choice per continuation indexed in order, with
-    the same bytes however the row was fetched."""
+    """A scored row is one cache entry: for each continuation in order, the
+    tokens selected for it and their logprobs, with the same bytes however
+    the row was fetched: in a batch, as a one-row list, or one continuation
+    per request."""
 
     PROMPTS = tuple(f"Question {i}? نور\nThe answer is " for i in range(16))
 
     def test_a_rows_entry_has_the_same_bytes_on_every_path(self, tmp_path):
         row = self.PROMPTS[5]
-        key = request_fingerprint({
-            "kind": "completions.logprobs", "model": "probe",
-            "prompt": row, "continuations": list(OPTIONS),
-        })
+        key = request_fingerprint(_score_payload("probe", row, OPTIONS))
         entries, files, results = {}, {}, {}
         with FixtureServer() as server:
             score = mock_routes(7)["/completions"]
@@ -889,8 +916,11 @@ class TestRowEntries:
                 if name in ("refuses", "caps"):
                     # the refused probe, then one request per option
                     assert sent == [[row + c for c in OPTIONS], *(row + c for c in OPTIONS)]
-        reply = _encode(MockBackend(7).score("probe", (row,) * 4, OPTIONS))
-        assert set(entries.values()) == {reply}
+        # the mock gives each option's one token a logprob of -1.0
+        assert set(entries.values()) == {
+            b'{"token_logprobs":[[-1.0],[-1.0],[-1.0],[-1.0]],'
+            b'"tokens":[[" A"],[" B"],[" C"],[" D"]]}'
+        }
         assert {way: len(got) for (_, way), got in files.items()} == {"batch": 16, "row": 1}
         assert all(got == results["mock", "row"] for (_, way), got in results.items()
                    if way == "row")
@@ -1354,16 +1384,25 @@ class TestEmbedGroups:
         assert len(reads) == 1 and len(cache_files(tmp_path)) == 1
 
 
+def group_entry(vectors) -> bytes:
+    """A group's cache entry: base64 of its vectors' little-endian float64
+    bytes, text after text."""
+    values = [x for vector in vectors for x in vector]
+    packed = base64.b64encode(struct.pack(f"<{len(values)}d", *values)).decode("ascii")
+    return json.dumps({"vectors": packed}, separators=(",", ":")).encode("ascii")
+
+
 class TestGroupEntries:
-    """A group is one cache entry: the encoded reply its own list request
-    gets, one embedding per text indexed in order, with the same bytes
-    however the group was fetched."""
+    """A group is one cache entry: its vectors, text after text, as base64
+    of their little-endian float64 bytes, with the same bytes however the
+    group was fetched: in a batch, as a one-group list, or one text per
+    request."""
 
     GROUPS = tuple((f"base {i} نور", f"rewrite {i}", "light") for i in range(4))
 
     def test_a_groups_entry_has_the_same_bytes_on_every_path(self, tmp_path):
         group = self.GROUPS[2]
-        key = request_fingerprint({"kind": "embeddings", "model": "embed", "input": list(group)})
+        key = request_fingerprint(_embed_payload("embed", group))
         entries = {}
         with FixtureServer() as server:
             embed = mock_routes(7)["/embeddings"]
@@ -1386,7 +1425,8 @@ class TestGroupEntries:
                 gw.embed_groups(endpoints[name], self.GROUPS if way == "batch" else [group])
                 gw.close()
                 entries[name, way] = ResponseCache(tmp_path / name / way).get(key)
-        assert set(entries.values()) == {_encode(MockBackend(7).embed("embed", group))}
+        reply = MockBackend(7).embed("embed", group)
+        assert set(entries.values()) == {group_entry(item["embedding"] for item in reply["data"])}
 
 
 class TestNonFiniteEmbeddings:
@@ -1406,7 +1446,7 @@ class TestNonFiniteEmbeddings:
         body = json.dumps(reply).encode("utf-8")
         endpoint = ModelEndpoint(base_url="http://fake", model_id="mock-gen")
         gw = Gateway(cache_dir=tmp_path if cached else None, session=FakeSession([(200, body)]))
-        key = request_fingerprint({"kind": "embeddings", "model": "mock-gen", "input": ["a", "b"]})
+        key = request_fingerprint(_embed_payload("mock-gen", ["a", "b"]))
         name = f"request {key}" if cached else "a mock-gen request to /embeddings"
         with pytest.raises(GatewayError, match=f"response for {name} .* not a finite number"):
             gw.embed_groups(endpoint, [["a", "b"]])
@@ -1418,6 +1458,149 @@ class TestNonFiniteEmbeddings:
         endpoint = ModelEndpoint(base_url="http://fake", model_id="mock-gen")
         with pytest.raises(GatewayError, match="a mock-gen request to /embeddings .* finite"):
             Gateway(session=session).embed(endpoint, "a")
+
+
+def misaligned_row() -> dict:
+    """A one-row reply whose third choice echoes its prompt one character
+    short, so its continuation starts before the prompt's end."""
+    reply = list_reply(SCORING_PROMPT, OPTIONS)
+    reply["choices"][2]["logprobs"]["text_offset"][1] -= 1
+    return reply
+
+
+def nan_group() -> dict:
+    reply = embed_reply(["a", "b"])
+    reply["data"][1]["embedding"][3] = float("nan")
+    return reply
+
+
+class TestRefusedRepliesLeaveNoEntry:
+    """A reply that fails its checks is cached by no entry, so a later
+    call sends its request again instead of replaying the failure."""
+
+    @pytest.mark.parametrize("kind", ["score", "embed"])
+    def test_a_refused_reply_is_sent_again(self, kind, tmp_path):
+        endpoint = ModelEndpoint(base_url="http://fake", model_id="mock-gen")
+        if kind == "score":
+            body, error = misaligned_row(), TokenAlignmentError
+            call = lambda gw: gw.score_prompts(endpoint, [SCORING_PROMPT], OPTIONS)  # noqa: E731
+        else:
+            body, error = nan_group(), GatewayError
+            call = lambda gw: gw.embed_groups(endpoint, [["a", "b"]])  # noqa: E731
+        session = FakeSession([(200, json.dumps(body).encode("utf-8"))] * 2)
+        for sent in (1, 2):
+            with pytest.raises(error, match="response for request "):
+                call(Gateway(cache_dir=tmp_path, session=session))
+            assert cache_files(tmp_path) == {}
+            assert len(session.calls) == sent
+
+    def test_no_row_of_a_reply_is_cached_if_one_fails(self, tmp_path):
+        # the first row's choices pass, the second's do not: neither is cached
+        other = "Question: R?\nThe answer is "
+        reply = list_reply((SCORING_PROMPT,) * 4 + (other,) * 4, OPTIONS * 2)
+        reply["choices"][6]["logprobs"]["text_offset"][1] -= 1
+        session = FakeSession([(200, reply)])
+        endpoint = ModelEndpoint(base_url="http://fake", model_id="mock-gen")
+        with pytest.raises(TokenAlignmentError):
+            Gateway(cache_dir=tmp_path, session=session).score_prompts(
+                endpoint, [SCORING_PROMPT, other], OPTIONS
+            )
+        assert cache_files(tmp_path) == {}
+
+
+class TestEntryChecks:
+    """A cache hit rebuilds its results through the checks of a live
+    reply's, and an entry that fails them is refused with an error that
+    names its request."""
+
+    ENDPOINT = ModelEndpoint(base_url="http://fake", model_id="mock-gen")
+
+    def read_row(self, tmp_path, entry: dict):
+        key = request_fingerprint(_score_payload("mock-gen", SCORING_PROMPT, OPTIONS))
+        ResponseCache(tmp_path).put(key, json.dumps(entry).encode("utf-8"))
+        gw = Gateway(cache_dir=tmp_path, session=FakeSession([]))
+        return key, lambda: gw.score_prompts(self.ENDPOINT, [SCORING_PROMPT], OPTIONS)
+
+    def read_group(self, tmp_path, entry: bytes, gw=None):
+        key = request_fingerprint(_embed_payload("mock-gen", ["a", "b"]))
+        ResponseCache(tmp_path).put(key, entry)
+        gw = gw or Gateway(cache_dir=tmp_path, session=FakeSession([]))
+        return key, lambda: gw.embed_groups(self.ENDPOINT, [["a", "b"]])
+
+    def test_a_row_entry_with_the_wrong_number_of_options_is_refused(self, tmp_path):
+        key, read = self.read_row(tmp_path, {
+            "tokens": [[c] for c in OPTIONS[:3]], "token_logprobs": [[-1.0]] * 3,
+        })
+        with pytest.raises(GatewayError, match=f"request {key} .* each of 4 options"):
+            read()
+
+    def test_a_row_entry_with_fewer_logprobs_than_tokens_is_refused(self, tmp_path):
+        key, read = self.read_row(tmp_path, {
+            "tokens": [[" ", "A"], [" B"], [" C"], [" D"]], "token_logprobs": [[-1.0]] * 4,
+        })
+        with pytest.raises(GatewayError, match=f"request {key} .* for option 0"):
+            read()
+
+    def test_a_row_entry_whose_tokens_do_not_make_the_continuation_is_refused(self, tmp_path):
+        key, read = self.read_row(tmp_path, {
+            "tokens": [[" A"], [" B"], [" E"], [" D"]], "token_logprobs": [[-1.0]] * 4,
+        })
+        with pytest.raises(
+            TokenAlignmentError, match=f"response for request {key}: tokens ' E' do not"
+        ):
+            read()
+
+    @pytest.mark.parametrize("logprob", ["NaN", "Infinity", '"-1.0"', "null"])
+    def test_a_row_entry_with_a_bad_logprob_is_refused(self, logprob, tmp_path):
+        key = request_fingerprint(_score_payload("mock-gen", SCORING_PROMPT, OPTIONS))
+        ResponseCache(tmp_path).put(key, (
+            '{"token_logprobs":[[-1.0],[-1.0],[%s],[-1.0]],'
+            '"tokens":[[" A"],[" B"],[" C"],[" D"]]}' % logprob
+        ).encode("utf-8"))
+        gw = Gateway(cache_dir=tmp_path, session=FakeSession([]))
+        with pytest.raises(
+            GatewayError, match=f"response for request {key} carries a token logprob"
+        ):
+            gw.score_prompts(self.ENDPOINT, [SCORING_PROMPT], OPTIONS)
+
+    @pytest.mark.parametrize("size", [0, 8, 8 * 5])
+    def test_a_group_entry_not_a_whole_number_of_vectors_is_refused(self, size, tmp_path):
+        packed = base64.b64encode(bytes(size)).decode("ascii")
+        key, read = self.read_group(tmp_path, json.dumps({"vectors": packed}).encode("ascii"))
+        with pytest.raises(GatewayError, match=f"request {key} holds {size} bytes"):
+            read()
+
+    @pytest.mark.parametrize("entry", [b'{"vectors": "not base64!"}', b'{"vectors": 5}', b"[]"])
+    def test_a_group_entry_without_base64_vectors_is_refused(self, entry, tmp_path):
+        key, read = self.read_group(tmp_path, entry)
+        with pytest.raises(GatewayError, match=f"request {key} holds no base64 vectors"):
+            read()
+
+    @pytest.mark.parametrize("component", [float("nan"), float("inf"), float("-inf")], ids=repr)
+    def test_a_group_entry_with_a_non_finite_bit_pattern_is_refused(self, component, tmp_path):
+        vectors = [[0.5] * 4, [0.5, 0.5, component, 0.5]]
+        key, read = self.read_group(tmp_path, group_entry(vectors))
+        with pytest.raises(
+            GatewayError, match=f"response for request {key} carries an embedding component"
+        ):
+            read()
+
+    def test_a_group_entry_of_another_width_is_refused(self, tmp_path):
+        gw = Gateway(cache_dir=tmp_path, session=FakeSession([(200, embed_reply(["c"]))]))
+        gw.embed_groups(self.ENDPOINT, [["c"]])  # pins the model's width at 32
+        key, read = self.read_group(tmp_path, group_entry([[0.5] * 16] * 2), gw)
+        with pytest.raises(
+            EmbeddingDimensionError, match=f"request {key}: mock-gen returned dim 16, previously 32"
+        ):
+            read()
+
+    def test_a_group_entry_reads_back_its_vectors_bit_for_bit(self, tmp_path):
+        vectors = [[0.1, -0.0, 5e-324, 1.7976931348623157e308], [1 / 3, -2.5, 1e-300, 7.0]]
+        _, read = self.read_group(tmp_path, group_entry(vectors))
+        [got] = read()
+        assert [struct.pack("<4d", *r.vector) for r in got] == [
+            struct.pack("<4d", *vector) for vector in vectors
+        ]
 
 
 def echo_choice(tokens, logprobs, offsets) -> dict:
@@ -1439,8 +1622,26 @@ class TestLogprobSelection:
     def test_a_misaligned_echo_is_refused(self):
         for offsets in ([0, 2, 4], [0, 4, 2]):
             choice = echo_choice(["ab", "c ", "A"], [None, -1.0, -1.0], offsets)
-            with pytest.raises(TokenAlignmentError, match="start at offset 4, expected 3"):
+            with pytest.raises(
+                TokenAlignmentError, match="response for request r .* start at offset 4, expected 3"
+            ):
                 _logprob_result(MOCK, "abc", " A", choice, "request r")
+
+    @pytest.mark.parametrize("choice, error", [
+        ({"index": 0}, "returned no logprobs in the response for request r"),
+        ({"index": 0, "logprobs": {"tokens": ["abc", " A"]}},
+         "logprobs block is incomplete in the response for request r"),
+        (echo_choice(["abc", " A"], [None, None], [0, 3]),
+         "omitted continuation logprobs in the response for request r"),
+    ], ids=["none", "incomplete", "omitted"])
+    def test_a_reply_without_continuation_logprobs_names_its_request(self, choice, error):
+        with pytest.raises(LogprobsUnsupported, match=f"^mock-gen {error}"):
+            _logprob_result(MOCK, "abc", " A", choice, "request r")
+
+    def test_tokens_that_do_not_make_the_continuation_are_refused(self):
+        choice = echo_choice(["abc", " B"], [None, -1.0], [0, 3])
+        with pytest.raises(TokenAlignmentError, match="response for request r: tokens ' B'"):
+            _logprob_result(MOCK, "abc", " A", choice, "request r")
 
 
 class TestMalformedLogprobs:
@@ -1464,6 +1665,26 @@ class TestMalformedLogprobs:
         name = f"request {key}" if cached else "a probe request to /completions"
         with pytest.raises(GatewayError, match=f"response for {name} carries a token logprob"):
             gw.score_prompts(endpoint, [SCORING_PROMPT], OPTIONS)
+
+    def test_a_minus_infinity_logprob_round_trips_through_its_entry(self, tmp_path, en_corpus):
+        # a live reply with a -Infinity logprob is cached, and a run over
+        # that cache scores the row to the same ScoreResult, sending nothing
+        item = en_corpus["q0002"]
+        templates = load_template_set(DEFAULT_TEMPLATE_ID, "en")
+        prompt = render_scoring(item, None, templates).text
+        reply = list_reply(prompt, OPTIONS)
+        reply["choices"][1]["logprobs"]["token_logprobs"][-1] = float("-inf")
+        endpoint = ModelEndpoint(base_url="http://fake", model_id="probe")
+        session = FakeSession([(200, json.dumps(reply).encode("utf-8"))])
+        live = score_item(Gateway(cache_dir=tmp_path, session=session), endpoint, item, None,
+                          templates)
+        [entry] = cache_files(tmp_path).values()
+        assert b"-Infinity" in entry
+        fresh = FakeSession([])
+        cached = score_item(Gateway(cache_dir=tmp_path, session=fresh), endpoint, item, None,
+                            templates)
+        assert cached == live and fresh.calls == []
+        assert live.option_probs == {"A": 1 / 3, "B": 0.0, "C": 1 / 3, "D": 1 / 3}
 
     def test_a_minus_infinity_logprob_is_a_token_of_probability_zero(self):
         reply = list_reply(SCORING_PROMPT, OPTIONS)
