@@ -60,14 +60,34 @@ class QuestionItem:
         if self.language not in LANGUAGES:
             raise CorpusError(f"{self.id}: unknown language {self.language!r}")
 
+    # Derived forms of the options, each built at first use and kept with
+    # the item, and so with the loaded corpus: however large the corpus, each
+    # item's are built once. Their builders import this module, so they are
+    # imported here at first use.
+
+    @cached_property
+    def copy_pattern(self) -> re.Pattern[str]:
+        """The masker's one pattern for whether a text copies any option."""
+        from .masker import compile_copy_pattern
+
+        return compile_copy_pattern(self.options)
+
     @cached_property
     def option_patterns(self) -> tuple[re.Pattern[str], ...]:
-        """The masker's full-copy patterns of the options, compiled at first
-        use and kept with the item, and so with the loaded corpus: however
-        large the corpus, each item's are compiled once."""
-        from .masker import compile_option_patterns  # masker imports this module
+        """The masker's four full-copy patterns, longest option first, which
+        give the spans masking claims: compiled at the item's first text
+        that copies an option, so an item whose texts copy none never
+        compiles them."""
+        from .masker import compile_option_patterns
 
         return compile_option_patterns(self.options)
+
+    @cached_property
+    def options_block(self) -> str:
+        """The options as every prompt of the item shows them."""
+        from .prompts import format_options
+
+        return format_options(self)
 
 
 @dataclass(frozen=True)

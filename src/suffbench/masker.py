@@ -8,15 +8,25 @@ regions stay byte-identical and the pass is idempotent.
 
 Label mentions covered (Latin letters only, also inside Persian text):
 ``(X)``, ``X)``, ``option X`` / ``choice X`` / ``answer X`` /
-``answer is X`` (keywords case-insensitive), a bare capital letter at
-sentence start directly followed by punctuation, and the Persian
-keyword forms ``گزینه X`` / ``پاسخ X`` / ``جواب X``. A lone mid-sentence
-article "a" never matches.
+``answer is X``, a bare capital letter at sentence start directly
+followed by punctuation, and the Persian keyword forms ``گزینه X`` /
+``پاسخ X`` / ``جواب X``. The English keyword forms ignore case, in the
+keyword and in the letter after it: "choice a" is a leak, and "the answer
+is a plant" masks its article. Elsewhere a lone mid-sentence article "a"
+never matches.
 
 Option-text copies must cover the full option text; comparison is
 case-insensitive with runs of whitespace collapsed. Overlapping copies
 resolve longest-first, then leftmost. Input text is expected to be NFC
 (corpus loading and explanation construction already guarantee it).
+
+Each item keeps two compiled forms of its options. One pattern, an
+alternation of every option's full copy (QuestionItem.copy_pattern),
+answers whether a text copies any option: verify_masked searches it once,
+and masking searches it first. Only a text it matches is searched with
+the four longest-first patterns (QuestionItem.option_patterns), which
+give the spans masking claims, so an item whose texts copy no option
+never compiles them.
 """
 
 from __future__ import annotations
@@ -61,21 +71,41 @@ class MaskReport:
             raise MaskingError("hit counts must be non-negative")
 
 
+def _option_bodies(options: dict[str, str]) -> list[str]:
+    """The full-copy body of each option: its words escaped and joined by
+    runs of whitespace. Longest option first, so nested copies resolve to
+    the longer text; sorted() is stable, so equal lengths keep label order."""
+    return [
+        r"\s+".join(map(re.escape, option.split()))
+        for option in sorted(options.values(), key=lambda o: -len(" ".join(o.split())))
+    ]
+
+
 def compile_option_patterns(options: dict[str, str]) -> tuple[re.Pattern[str], ...]:
-    """Full-copy patterns for an item's options, keyed by label in LABELS
-    order. QuestionItem.option_patterns compiles them once per item and
-    keeps them, so masking an item's rows and verifying them at score time
-    share them."""
-    # longest option first so nested copies resolve to the longer text;
-    # sorted() is stable, so equal lengths keep label order
-    patterns = []
-    for option in sorted(options.values(), key=lambda o: -len(" ".join(o.split()))):
-        body = r"\s+".join(re.escape(w) for w in option.split())
-        patterns.append(re.compile(r"(?<!\w)" + body + r"(?!\w)", re.IGNORECASE))
-    return tuple(patterns)
+    """One full-copy pattern per option, longest first: the spans masking
+    claims. QuestionItem.option_patterns compiles them at the first text of
+    the item that copies an option, and keeps them."""
+    return tuple(
+        re.compile(r"(?<!\w)" + body + r"(?!\w)", re.IGNORECASE)
+        for body in _option_bodies(options)
+    )
+
+
+def compile_copy_pattern(options: dict[str, str]) -> re.Pattern[str]:
+    """One pattern whose search matches exactly when one of
+    compile_option_patterns' does: the same bodies as one alternation,
+    with the lookarounds outside it. Where a body matches but the
+    lookahead fails, the engine backtracks into the alternation and tries
+    the next body. QuestionItem.copy_pattern compiles it once per item."""
+    bodies = "|".join(_option_bodies(options))
+    return re.compile(r"(?<!\w)(?:" + bodies + r")(?!\w)", re.IGNORECASE)
 
 
 def _option_spans(text: str, item: QuestionItem) -> list[tuple[int, int]]:
+    # most texts copy no option: one search settles them, and the four
+    # patterns are compiled and searched only for a text that does
+    if item.copy_pattern.search(text) is None:
+        return []
     claimed: list[tuple[int, int]] = []
     for pattern in item.option_patterns:
         for m in pattern.finditer(text):
@@ -129,7 +159,9 @@ def mask_explanation(explanation: Explanation, item: QuestionItem) -> MaskReport
 def verify_masked(text: str, item: QuestionItem) -> bool:
     """True when no label pattern and no full option-text copy matches,
     which is when _label_spans and _option_spans find no span. It builds no
-    span list: the check ends at the first match of any pattern."""
-    return not any(pattern.search(text) for pattern in _LABEL_PATTERNS) and not any(
-        pattern.search(text) for pattern in item.option_patterns
+    span list, and one search of the item's copy pattern stands for the
+    four option patterns: the check ends at the first match of any pattern."""
+    return (
+        not any(pattern.search(text) for pattern in _LABEL_PATTERNS)
+        and item.copy_pattern.search(text) is None
     )

@@ -138,6 +138,8 @@ class RenderedPrompt:
 
 
 def format_options(item: QuestionItem) -> str:
+    """One "X) text" line per option. The prompts read it from
+    QuestionItem.options_block, which builds it once per item."""
     return "\n".join(f"{label}) {text}" for label, text in item.options.items())
 
 
@@ -155,7 +157,7 @@ def _check_language(item: QuestionItem, templates: PromptTemplateSet) -> None:
 def render_generation(item: QuestionItem, templates: PromptTemplateSet) -> RenderedPrompt:
     """Prompt asking for an answer letter plus a free-length explanation."""
     _check_language(item, templates)
-    text = _render("generate", templates, {"stem": item.stem, "options": format_options(item)})
+    text = _render("generate", templates, {"stem": item.stem, "options": item.options_block})
     return RenderedPrompt("generate", text)
 
 
@@ -175,7 +177,7 @@ def render_constrain(
         templates,
         {
             "stem": item.stem,
-            "options": format_options(item),
+            "options": item.options_block,
             "base_explanation": base.text,
             "word_budget": str(word_budget),
         },
@@ -200,7 +202,7 @@ def render_scoring(
     _check_language(item, templates)
     if mask is None:
         text = _render(
-            "baseline", templates, {"stem": item.stem, "options": format_options(item)}
+            "baseline", templates, {"stem": item.stem, "options": item.options_block}
         )
         return RenderedPrompt("baseline", text)
 
@@ -216,7 +218,7 @@ def render_scoring(
         {
             "stem": item.stem,
             "explanation": mask.masked_text,
-            "options": format_options(item),
+            "options": item.options_block,
         },
     )
     return RenderedPrompt("score", text)

@@ -9,9 +9,14 @@ from pathlib import Path
 from urllib.parse import urlparse
 
 import pytest
+from hypothesis import settings
 
 from suffbench.corpus import load_corpus
 from suffbench.gateway import MockBackend
+
+# `pytest --hypothesis-profile=ci`: each property on a fixed sample, ten
+# times the default size, the same on every run of one Python version
+settings.register_profile("ci", derandomize=True, max_examples=1000, deadline=None)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 # the self-signed certificate of the loopback https servers (fixtures/tls)

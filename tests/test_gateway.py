@@ -6,6 +6,7 @@ import json
 import math
 import os
 import random
+import re
 import struct
 import sys
 import threading
@@ -367,9 +368,9 @@ class TestCache:
     @pytest.mark.parametrize("item", [None, "x"], ids=repr)
     @pytest.mark.parametrize("kind", ["generate", "score_continuation"])
     def test_a_choice_that_is_not_an_object_is_an_empty_completion(self, tmp_path, kind, item):
-        # the reply decodes, so a generation's is cached as its bytes like
-        # any lone reply, and its replay fails the same way. A continuation
-        # sent on its own is cached by no entry, so it is sent again
+        # a generation is cached only once its reply passes its checks, and a
+        # continuation sent on its own is cached by no entry: either reply
+        # leaves no entry, so each call sends it again
         endpoint = ModelEndpoint(base_url="http://fake", model_id="m")
 
         def call(gw):
@@ -385,23 +386,34 @@ class TestCache:
             with pytest.raises(EmptyCompletion, match="non-object") as cached:
                 call(Gateway(cache_dir=tmp_path, session=session))
             if kind == "generate":
-                [name] = cache_files(tmp_path)
-                assert f"response for request {name.removesuffix('.json')} " in str(cached.value)
-            else:
-                assert cache_files(tmp_path) == {}
-        assert len(session.calls) == (1 if kind == "generate" else 2)
+                assert re.search("response for request [0-9a-f]{64} ", str(cached.value))
+            assert cache_files(tmp_path) == {}
+        assert len(session.calls) == 2
 
     @pytest.mark.parametrize("message, error", [
         ("x", "carries a non-object message"),
         ({"role": "assistant", "content": 5}, "carries a non-string message content"),
     ], ids=["message", "content"])
-    def test_a_message_of_the_wrong_shape_is_an_empty_completion(self, message, error):
+    def test_a_message_of_the_wrong_shape_is_an_empty_completion(
+        self, message, error, tmp_path, monkeypatch
+    ):
         endpoint = ModelEndpoint(base_url="http://fake", model_id="m")
         choice = {"index": 0, "message": message, "finish_reason": "stop"}
-        session = FakeSession([(200, {"choices": [choice]})])
+        session = FakeSession([(200, {"choices": [choice]})] * 3)
         with pytest.raises(EmptyCompletion, match=error) as live:
             Gateway(session=session).generate(endpoint, prompt_of("p"))
         assert "response for a m request to /chat/completions " in str(live.value)
+        # with a cache, the reply leaves no entry, on HTTP as from the mock
+        for _ in range(2):
+            with pytest.raises(EmptyCompletion, match=error):
+                Gateway(cache_dir=tmp_path, session=session).generate(endpoint, prompt_of("p"))
+        assert len(session.calls) == 3
+        monkeypatch.setattr(MockBackend, "generate", lambda *_: {"choices": [choice]})
+        gw = Gateway(cache_dir=tmp_path)
+        for _ in range(2):
+            with pytest.raises(EmptyCompletion, match=error):
+                gw.generate(MOCK, prompt_of("p"))
+        assert cache_files(tmp_path) == {}
 
     @pytest.mark.parametrize("choice", [
         {"message": {"role": "assistant"}},
@@ -598,11 +610,7 @@ class TestLiveScoring:
 
     def test_logprob_result_validates_concatenation(self):
         with pytest.raises(TokenAlignmentError):
-            LogprobResult(" A", ((" B", -1.0),), -1.0)
-
-    def test_logprob_result_validates_total(self):
-        with pytest.raises(ValueError, match="token sum"):
-            LogprobResult(" A", ((" A", -1.0),), -2.0)
+            LogprobResult(" A", ((" B", -1.0),))
 
 
 OPTIONS = (" A", " B", " C", " D")
@@ -701,7 +709,7 @@ class TestScoreContinuations:
         [got] = Gateway(cache_dir=tmp_path, session=session).score_prompts(
             endpoint, [SCORING_PROMPT], OPTIONS
         )
-        assert got[0] == LogprobResult(" A", ((" ", -0.5), ("A", -0.25)), -0.75)
+        assert got[0] == LogprobResult(" A", ((" ", -0.5), ("A", -0.25)))
         assert [r.total_logprob for r in got] == [-0.75, -1.0, -1.0, -2.0]
         assert session.calls == []
 
@@ -1563,6 +1571,19 @@ class TestEntryChecks:
         ):
             gw.score_prompts(self.ENDPOINT, [SCORING_PROMPT], OPTIONS)
 
+    @pytest.mark.parametrize("entry, bad", [
+        ({"tokens": [[" A"], [" B"], [7], [None]], "token_logprobs": [[-1.0]] * 4},
+         "a token 7 that is not a string"),
+        ({"tokens": [[" A"], [" B"], [" C"], [" D"]],
+          "token_logprobs": [[-1.0], [-1.0], ["x"], [None]]},
+         "a token logprob 'x' that is neither"),
+    ], ids=["token", "logprob"])
+    def test_a_row_entry_names_its_first_bad_value(self, entry, bad, tmp_path):
+        # a row's values are checked in one pass over all its options
+        key, read = self.read_row(tmp_path, entry)
+        with pytest.raises(GatewayError, match=f"response for request {key} carries {bad}"):
+            read()
+
     @pytest.mark.parametrize("size", [0, 8, 8 * 5])
     def test_a_group_entry_not_a_whole_number_of_vectors_is_refused(self, size, tmp_path):
         packed = base64.b64encode(bytes(size)).decode("ascii")
@@ -1617,7 +1638,7 @@ class TestLogprobSelection:
         # " A" is the only token from offset 3 on, though not the last
         choice = echo_choice(["ab", " A", "c"], [None, -0.5, -2.0], [0, 3, 2])
         got = _logprob_result(MOCK, "abc", " A", choice, "request r")
-        assert got == LogprobResult(" A", ((" A", -0.5),), -0.5)
+        assert got == LogprobResult(" A", ((" A", -0.5),))
 
     def test_a_misaligned_echo_is_refused(self):
         for offsets in ([0, 2, 4], [0, 4, 2]):

@@ -152,14 +152,17 @@ class TestRules:
 
 class TestCompiledOnce:
     # option texts no other test uses, so no earlier call has compiled them
-    ITEM = QuestionItem(
-        id="c1", stem="s?",
-        options={"A": "amber quartz", "B": "basalt", "C": "chalk dust", "D": "dolomite"},
-        gold="A", language="en",
-    )
+    OPTIONS = {"A": "amber quartz", "B": "basalt", "C": "chalk dust", "D": "dolomite"}
     WORDS = ("amber", "basalt", "chalk", "dolomite")
 
-    def test_mask_and_verify_of_one_item_compile_its_patterns_once(self, monkeypatch):
+    def item(self, item_id: str = "c1") -> QuestionItem:
+        # a fresh item per test: each keeps its own compiled patterns
+        return QuestionItem(
+            id=item_id, stem="s?", options=dict(self.OPTIONS), gold="A", language="en",
+        )
+
+    @pytest.fixture
+    def compiled(self, monkeypatch):
         compiled = []
         real = re.compile
 
@@ -169,28 +172,59 @@ class TestCompiledOnce:
             return real(pattern, flags)
 
         monkeypatch.setattr(re, "compile", spy)
+        return compiled
+
+    def test_mask_and_verify_of_one_item_compile_its_patterns_once(self, compiled):
+        # a text that copies an option compiles the copy pattern and then the
+        # four patterns that give its spans, each once over every mask and verify
+        item = self.item()
         reports = [
             mask_explanation(
                 make_explanation("c1", "en", "g", level, f"Amber  quartz, not basalt, at {level}."),
-                self.ITEM,
+                item,
             )
             for level in range(0, 100, 10)
         ]
         assert all(r.masked_text.startswith("[MASK], not [MASK]") for r in reports)
-        assert all(verify_masked(r.masked_text, self.ITEM) for r in reports)
-        assert len(compiled) == 4
+        assert all(verify_masked(r.masked_text, item) for r in reports)
+        assert len(compiled) == len(set(compiled)) == 5
+        assert compiled[0] == item.copy_pattern.pattern
+        assert compiled[1:] == [p.pattern for p in item.option_patterns]
+
+    def test_an_item_whose_texts_copy_no_option_compiles_one_pattern(self, compiled):
+        item = self.item()
+        reports = [
+            mask_explanation(
+                make_explanation("c1", "en", "g", level, f"Option B, not amber, at {level}."),
+                item,
+            )
+            for level in range(0, 100, 10)
+        ]
+        assert all(r.text_hits == 0 and r.label_hits == 1 for r in reports)
+        assert all(verify_masked(r.masked_text, item) for r in reports)
+        assert compiled == [item.copy_pattern.pattern]
+
+    def test_verifying_stored_texts_compiles_one_pattern_per_item(self, compiled):
+        # a resumed score stage masks nothing: it only checks stored texts,
+        # leaks among them, with each item's copy pattern alone
+        items = [self.item("c1"), self.item("c2")]
+        for item in items:
+            for text in ("It is [MASK].", "Not [MASK] but chalk.", "It is chalk  dust."):
+                verify_masked(text, item)
+        assert not verify_masked("It is chalk  dust.", items[0])
+        assert compiled == [item.copy_pattern.pattern for item in items]
+        assert compiled[0] == compiled[1]
 
     def test_tampered_stored_row_still_fails_the_leak_check(self):
         templates = load_template_set("default-v1", "en")
-        report = mask_explanation(
-            make_explanation("c1", "en", "g", 10, "It is chalk dust."), self.ITEM
-        )
-        assert render_scoring(self.ITEM, report, templates).kind == "score"
+        item = self.item()
+        report = mask_explanation(make_explanation("c1", "en", "g", 10, "It is chalk dust."), item)
+        assert render_scoring(item, report, templates).kind == "score"
         # as read back from a masks.csv row edited after masking
         for leak in ("It is chalk  dust.", "It is (C)."):
             tampered = replace(report, masked_text=leak)
             with pytest.raises(UnmaskedExplanationError, match="still leaks"):
-                render_scoring(self.ITEM, tampered, templates)
+                render_scoring(item, tampered, templates)
 
 
 LEAK_SNIPPETS = st.sampled_from(
@@ -269,4 +303,77 @@ def test_verify_masked_is_the_absence_of_every_span(text, options):
     )
     assert verify_masked(text, item) == (
         not masker._label_spans(text) and not masker._option_spans(text, item)
+    )
+
+
+# The copy pattern must find a copy exactly where one of the four option
+# patterns does, and masking through it must claim the spans it claimed
+# when it searched the four patterns alone. Options and texts are built
+# from words that stress the alternation: options nested in one another,
+# single letters, Persian words, and letters that IGNORECASE folds across
+# scripts (long s, dotless i, dotted capital I, the Kelvin sign).
+COPY_WORDS = [
+    "heat", "energy", "sun", "sunset", "set", "light", "is", "k", "s", "i",
+    "\u017fun", "l\u0131ght", "\u0130ron", "\u212aelvin", "kelvin", "iron",
+    "نور", "خورشید", "گرما", "انرژی",
+]
+PHRASE = st.lists(st.sampled_from(COPY_WORDS), min_size=1, max_size=3).map(" ".join)
+CASES = st.sampled_from([str, str.upper, str.lower, str.title, str.swapcase, str.casefold])
+SPACES = st.sampled_from([" ", "  ", "\t", "\n", " \n ", "\u00a0", "\u2009"])
+EDGES = st.sampled_from(["", "", " ", "x", "_", "1", "ا", ".", ",", "(", ")", "-", "'", "\n"])
+
+
+@st.composite
+def nested_options(draw) -> dict[str, str]:
+    base, extra = draw(PHRASE), draw(PHRASE)
+    # another option equal to it, or with it as prefix, suffix or infix
+    nested = draw(st.sampled_from(
+        [base, f"{base} {extra}", f"{extra} {base}", f"{extra} {base} {extra}"]
+    ))
+    others = draw(st.lists(PHRASE, min_size=2, max_size=2))
+    return dict(zip("ABCD", draw(st.permutations([base, nested, *others]))))
+
+
+@st.composite
+def copy_texts(draw, options: dict[str, str]) -> str:
+    pieces = draw(st.lists(
+        st.one_of(st.sampled_from(list(options.values())), st.sampled_from(COPY_WORDS)),
+        max_size=6,
+    ))
+    out = []
+    for piece in pieces:
+        piece = " ".join(draw(CASES)(word) for word in piece.split(" "))
+        piece = re.sub(" ", lambda _: draw(SPACES), piece)
+        out.append(draw(EDGES) + piece)
+    return "".join(out) + draw(EDGES)
+
+
+def reference_option_spans(text: str, options: dict[str, str]) -> list[tuple[int, int]]:
+    # the option spans as masking found them with the four patterns alone
+    claimed: list[tuple[int, int]] = []
+    for option in sorted(options.values(), key=lambda o: -len(" ".join(o.split()))):
+        body = r"\s+".join(re.escape(w) for w in option.split())
+        for m in re.finditer(r"(?<!\w)" + body + r"(?!\w)", text, re.IGNORECASE):
+            start, end = m.span()
+            if not any(s < end and start < e for s, e in claimed):
+                claimed.append((start, end))
+    return sorted(claimed)
+
+
+@given(st.data(), st.sampled_from(["en", "fa"]))
+def test_the_copy_pattern_finds_a_copy_exactly_where_the_four_patterns_do(data, language):
+    options = data.draw(nested_options(), label="options")
+    text = data.draw(copy_texts(options), label="text")
+    item = QuestionItem(id="p1", stem="stem?", options=options, gold="A", language=language)
+    assert (item.copy_pattern.search(text) is not None) == any(
+        pattern.search(text) for pattern in item.option_patterns
+    )
+    exp = make_explanation("p1", language, "gen-1", 0, text)
+    text_spans = reference_option_spans(exp.text, options)
+    partially = masker._splice(exp.text, text_spans)
+    label_spans = masker._label_spans(partially)
+    assert mask_explanation(exp, item) == masker.MaskReport(
+        item_id="p1", language=language, generator_model="gen-1", level=0,
+        label_hits=len(label_spans), text_hits=len(text_spans),
+        masked_text=masker._splice(partially, label_spans),
     )
