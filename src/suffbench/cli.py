@@ -26,12 +26,13 @@ from pathlib import Path
 
 from .constrainer import CONSTRAINT_LEVELS
 from .corpus import LANGUAGES, Corpus, CorpusError, load_corpus, subset
+from .canonical import canonical_digest
 from .gateway import Gateway, ModelEndpoint
 from .metrics import heatmap_matrix, render_heatmap_svg, without_excluded
 from .numeric import ordered_sum
 from .pipeline import STAGES, PipelineError, RunContext, StageFailure, exclusion_keys, run
 from .prompts import DEFAULT_TEMPLATE_ID, PromptError, load_template_set
-from .runstore import ManifestMismatch, RunManifest, RunStore, StoreError, digest, work_key
+from .runstore import ManifestMismatch, RunManifest, RunStore, StoreError, work_key
 from .scorer import BASELINE_LEVEL
 
 log = logging.getLogger(__name__)
@@ -238,7 +239,7 @@ def load_config(
         seed=seed,
     )
     if run_id is None:
-        config = replace(config, run_id=f"run-{digest(config.experiment_config())[:12]}")
+        config = replace(config, run_id=f"run-{canonical_digest(config.experiment_config())[:12]}")
     return config
 
 
@@ -391,12 +392,14 @@ def cmd_run(args) -> int:
     config = load_config(args.config, sample=args.sample, seed=args.seed)
     manifest = config.manifest()
     with RunStore.open_or_create(config.store_dir, manifest) as store:
-        for name, dropped in store.salvage_report.items():
-            print(f"salvaged {name}: dropped {dropped} bytes of torn tail")
         ctx = build_context(config, store)
         stage_names = list(STAGES) if args.all else args.stage
-        with closing(ctx.gateway):
-            reports = run(ctx, stage_names, dry_run=args.dry_run)
+        try:
+            with closing(ctx.gateway):
+                reports = run(ctx, stage_names, dry_run=args.dry_run)
+        finally:
+            for name, dropped in store.salvage_report.items():
+                print(f"salvaged {name}: dropped {dropped} bytes of torn tail")
     prefix = "planned" if args.dry_run else "done"
     for report in reports:
         print(f"{prefix} {report.line()}")

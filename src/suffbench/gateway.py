@@ -74,6 +74,7 @@ from operator import itemgetter, mul
 from typing import TYPE_CHECKING, Callable, NoReturn, Sequence
 from urllib.parse import urlparse, urlsplit
 
+from .canonical import canonical_digest, canonical_json
 from .numeric import ordered_sum
 
 if TYPE_CHECKING:
@@ -214,20 +215,15 @@ class LogprobResult:
 @dataclass(frozen=True)
 class EmbeddingResult:
     vector: tuple[float, ...]
-    model_id: str
 
     def __post_init__(self) -> None:
         if not self.vector:
             raise ValueError("embedding vector must be non-empty")
 
 
-# the canonical JSON of requests and of the entries of scored rows and
-# groups; every cache key, and those entries' bytes, depend on its settings
-_CANONICAL = json.JSONEncoder(sort_keys=True, ensure_ascii=False, separators=(",", ":"))
-
-
-def request_fingerprint(payload: dict) -> str:
-    return hashlib.sha256(_CANONICAL.encode(payload).encode("utf-8")).hexdigest()
+# the cache key of a request: its own name, which the benchmark traces,
+# apart from the run-id digests that call canonical_digest
+request_fingerprint = canonical_digest
 
 
 # what ResponseCache.get asks of each os.read: more than any scored row's
@@ -634,7 +630,7 @@ def _row_entry(results: Sequence[LogprobResult]) -> bytes:
     checks: for each option in order, the tokens selected for its
     continuation and their logprobs. Each float is written as its repr, or
     as -Infinity, so it reads back to the same bits."""
-    return _CANONICAL.encode({
+    return canonical_json({
         "tokens": [list(map(_TOKEN_TEXT, r.token_logprobs)) for r in results],
         "token_logprobs": [list(map(_TOKEN_LOGPROB, r.token_logprobs)) for r in results],
     }).encode("utf-8")
@@ -676,7 +672,7 @@ def _group_entry(results: Sequence[EmbeddingResult]) -> bytes:
     float64 bytes, text after text, which read back to the same bits."""
     values = [x for result in results for x in result.vector]
     packed = struct.pack(f"<{len(values)}d", *values)
-    return _CANONICAL.encode({"vectors": base64.b64encode(packed).decode("ascii")}).encode("ascii")
+    return canonical_json({"vectors": base64.b64encode(packed).decode("ascii")}).encode("ascii")
 
 
 # the end of the message that refuses an embedding component (see _floats)
@@ -1198,9 +1194,8 @@ class Gateway:
             _refuse(values, name, _COMPONENT, math.isfinite)
         width = len(values) // count
         self._pin_width(endpoint, width, name)
-        model = endpoint.model_id
         return [
-            EmbeddingResult(vector=values[start:start + width], model_id=model)
+            EmbeddingResult(vector=values[start:start + width])
             for start in range(0, len(values), width)
         ]
 
@@ -1216,7 +1211,7 @@ class Gateway:
         fatal."""
         vector = _floats(values, name, _COMPONENT, math.isfinite)
         self._pin_width(endpoint, len(vector), name)
-        return EmbeddingResult(vector=vector, model_id=endpoint.model_id)
+        return EmbeddingResult(vector=vector)
 
     def _pin_width(self, endpoint: ModelEndpoint, width: int, name: str) -> None:
         """Pin the model's embedding width at `width` if no vector has yet,

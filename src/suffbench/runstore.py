@@ -4,19 +4,19 @@ A run directory holds a manifest plus one CSV table per pipeline
 artifact. Each appendable table keeps one unbuffered O_APPEND handle,
 opened at its first append, and every append is a single write of one
 encoded row on it, so a killed process leaves at worst one torn final
-line; resuming trims the incomplete tail before any further writes. A
-store encodes every row it writes with one csv writer of its own, kept for
-the store's life, and reads each column through a getter resolved once
-per table; it decodes a row into its record by field position, with
-parsers resolved once per table. TABLES is the one spec of both.
-close(), or leaving a `with` block on the store, releases the handles,
-and a closed store refuses appends.
-Appends deduplicate on the work key (item_id, language,
-generator_model, level), which makes every stage idempotent under
-restarts. Apart from the torn-tail scan, a store reads each appendable
-table once, at its first use, and keeps its records with every record
-it appends: a corrupt table is reported then. A missing or headerless
-table file is refused, never read as an empty table.
+line; a writable store truncates it at the table's first read, which
+every append waits for. A store encodes every row it writes with one csv
+writer of its own, kept for the store's life, and reads each column
+through a getter resolved once per table; it decodes a row into its
+record by field position, with parsers resolved once per table. TABLES
+is the one spec of both. close(), or leaving a `with` block on the
+store, releases the handles; a closed or read-only store refuses writes.
+Appends deduplicate on the work key (item_id, language, generator_model,
+level), which makes every stage idempotent under restarts. Opening a
+store reads no table. A store reads each table once, at its first use,
+and keeps its records with every record it appends, so a corrupt table
+is reported then; rewriting aggregates.csv drops its records. A missing
+or headerless table file is refused, never read as an empty table.
 
 The run id is the store's own, and no record carries it: the store
 writes it as column 0 of every row and checks that column on every row
@@ -29,7 +29,6 @@ else may edit the tables while a store is open.
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import json
 import os
@@ -40,6 +39,7 @@ from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
+from .canonical import canonical_digest, canonical_json
 from .constrainer import Explanation
 from .corpus import LABELS
 from .masker import MaskReport
@@ -64,15 +64,6 @@ class ManifestMismatch(StoreError):
     """Existing store was created from a different run configuration."""
 
 
-def _canonical(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
-
-
-def digest(obj: dict) -> str:
-    """SHA-256 hex of the canonical JSON of `obj`; run identities hash this."""
-    return hashlib.sha256(_canonical(obj).encode("utf-8")).hexdigest()
-
-
 @dataclass(frozen=True)
 class RunManifest:
     """Identity of a run: its id plus the fully resolved configuration.
@@ -95,7 +86,7 @@ class RunManifest:
         return cls(run_id=run_id, config=config, created_at=stamp)
 
     def identity(self) -> str:
-        return digest({"run_id": self.run_id, "config": self.config})
+        return canonical_digest({"run_id": self.run_id, "config": self.config})
 
     def difference(self, other: "RunManifest") -> str:
         """What sets `other`'s identity apart from this one's: the top-level
@@ -110,7 +101,7 @@ class RunManifest:
         return f"run id {other.run_id!r} differs"
 
     def to_json(self) -> str:
-        return _canonical({
+        return canonical_json({
             "format": self.STORE_FORMAT, "run_id": self.run_id,
             "config": self.config, "created_at": self.created_at,
         })
@@ -183,7 +174,6 @@ TABLES = {
     )),
 }
 COLUMNS = {name: columns for name, (_, columns) in TABLES.items()}
-_APPENDABLE = (EXPLANATIONS, MASKS, SCORES, SIMILARITY, AUDIT)
 
 _OPTION_PROB = "option_prob_"
 
@@ -318,13 +308,11 @@ def _decoder(name: str) -> Callable[[Sequence[str]], object]:
 _DECODERS = {name: _decoder(name) for name in TABLES}
 
 
-def _read_table(path: Path) -> bytes:
-    """The bytes of table file `path`; a missing table is refused, never
-    taken for an empty one."""
-    try:
-        return path.read_bytes()
-    except FileNotFoundError:
-        raise StoreError(f"{path.name}: table file is missing from {path.parent}") from None
+def _existing(path: Path) -> Path:
+    """Table file `path`, refused if missing: never taken for an empty table."""
+    if not path.is_file():
+        raise StoreError(f"{path.name}: table file is missing from {path.parent}")
+    return path
 
 
 def _replace_file(path: Path, data: bytes) -> None:
@@ -342,23 +330,25 @@ _WORK_KEY = ("item_id", "language", "generator_model", "level")
 work_key = attrgetter(*_WORK_KEY)
 # table -> the key of its records: the work key, led by (stage, event) in audit.csv
 _KEYS = {
-    name: attrgetter(*(("stage", "event") if name == AUDIT else ()), *_WORK_KEY)
-    for name in _APPENDABLE
+    **dict.fromkeys((EXPLANATIONS, MASKS, SCORES, SIMILARITY), work_key),
+    AUDIT: attrgetter("stage", "event", *_WORK_KEY),
+    AGGREGATES: attrgetter("generator_model", "language", "level"),
 }
 
 
 class RunStore:
     """One run directory: manifest, append-only tables, rewrite aggregates."""
 
-    def __init__(self, root: Path, manifest: RunManifest, salvage_report: dict[str, int]):
+    def __init__(self, root: Path, manifest: RunManifest, writable: bool):
         self.root = Path(root)
         self.manifest = manifest
         self.run_id = manifest.run_id
-        self.salvage_report = salvage_report
+        # table -> bytes of torn tail dropped at its first read
+        self.salvage_report: dict[str, int] = {}
         self._records: dict[str, dict[tuple, object]] = {}
         self._encoder = _RowEncoder()
-        # None once closed
-        self._handles: dict[str, io.FileIO] | None = {}
+        # None once closed, and for a read-only store
+        self._handles: dict[str, io.FileIO] | None = {} if writable else None
 
     # -- lifecycle -------------------------------------------------------
 
@@ -375,7 +365,7 @@ class RunStore:
         for name, columns in COLUMNS.items():
             (root / name).write_bytes(_encode_row(columns))
         _replace_file(manifest_path, (manifest.to_json() + "\n").encode("utf-8"))
-        return cls(root, manifest, salvage_report={})
+        return cls(root, manifest, writable=True)
 
     @classmethod
     def open_resume(cls, root: Path | str, manifest: RunManifest) -> "RunStore":
@@ -383,7 +373,7 @@ class RunStore:
 
         The identity of `manifest` must match what the store was created
         with; the on-disk manifest (with the original created_at) wins.
-        Torn final lines left by a killed writer are truncated away.
+        Every table file must exist; none is read here.
         """
         root = Path(root)
         existing = cls._read_manifest(root)
@@ -393,12 +383,9 @@ class RunStore:
                 f"different configuration ({existing.difference(manifest)}); "
                 "refusing to mix runs"
             )
-        salvage = {}
         for name in COLUMNS:
-            dropped = cls._truncate_torn_tail(root / name)
-            if dropped:
-                salvage[name] = dropped
-        return cls(root, existing, salvage_report=salvage)
+            _existing(root / name)
+        return cls(root, existing, writable=True)
 
     @classmethod
     def open_or_create(cls, root: Path | str, manifest: RunManifest) -> "RunStore":
@@ -409,9 +396,9 @@ class RunStore:
 
     @classmethod
     def load(cls, root: Path | str) -> "RunStore":
-        """Read-only open for reporting; does not modify files."""
+        """Read-only open for reporting: no writes, and no torn tail cut."""
         root = Path(root)
-        return cls(root, cls._read_manifest(root), salvage_report={})
+        return cls(root, cls._read_manifest(root), writable=False)
 
     @staticmethod
     def _read_manifest(root: Path) -> RunManifest:
@@ -420,24 +407,20 @@ class RunStore:
             raise StoreError(f"no run store at {root} (missing {MANIFEST_NAME})")
         return RunManifest.from_json(path.read_text(encoding="utf-8"))
 
-    @staticmethod
-    def _truncate_torn_tail(path: Path) -> int:
-        data = _read_table(path)
-        keep = _complete_prefix_length(data)
-        if keep == len(data):
-            return 0
-        with open(path, "r+b") as fh:
-            fh.truncate(keep)
-        return len(data) - keep
-
     # -- rows and records ----------------------------------------------
 
     def _read_rows(self, name: str) -> Iterator[list[str]]:
         """The checked value lists of the complete rows of table `name`.
-        Column 0 is checked against the manifest's run id: the file is
-        input from outside the program."""
-        data = _read_table(self.root / name)
-        text = data[:_complete_prefix_length(data)].decode("utf-8")
+        A writable store truncates an incomplete tail off the file and
+        notes its bytes in salvage_report. Column 0 is checked against the
+        manifest's run id: the file is input from outside the program."""
+        path = _existing(self.root / name)
+        data = path.read_bytes()
+        keep = _complete_prefix_length(data)
+        if keep < len(data) and self._handles is not None:
+            os.truncate(path, keep)
+            self.salvage_report[name] = len(data) - keep
+        text = data[:keep].decode("utf-8")
         reader = csv.reader(io.StringIO(text, newline=""))
         header = next(reader, None)
         if header is None or tuple(header) != COLUMNS[name]:
@@ -450,9 +433,9 @@ class RunStore:
             yield values
 
     def _table(self, name: str) -> dict[tuple, object]:
-        """Appendable table `name` as {key: record} in file order, read at first use."""
+        """Table `name` as {key: record} in file order, read at first use."""
         if name not in self._records:
-            if name not in _APPENDABLE:
+            if name not in _KEYS:
                 raise StoreError(f"unknown table {name!r}")
             table = {}
             decode, key_of = _DECODERS[name], _KEYS[name]
@@ -463,9 +446,12 @@ class RunStore:
             self._records[name] = table
         return self._records[name]
 
-    def _append(self, name: str, record) -> bool:
+    def _check_writable(self) -> None:
         if self._handles is None:
-            raise StoreError(f"store {self.root} is closed")
+            raise StoreError(f"store {self.root} is closed or read-only")
+
+    def _append(self, name: str, record) -> bool:
+        self._check_writable()
         table = self._table(name)
         key = _KEYS[name](record)
         if key in table:
@@ -485,7 +471,7 @@ class RunStore:
             written += fh.write(row[written:])
 
     def close(self) -> None:
-        """Close the kept append handles; any later append raises StoreError."""
+        """Close the kept append handles; any later write raises StoreError."""
         handles, self._handles = self._handles or {}, None
         for fh in handles.values():
             fh.close()
@@ -531,7 +517,7 @@ class RunStore:
         return tuple(self._table(AUDIT).values())
 
     def load_aggregates(self) -> tuple[AggregateCell, ...]:
-        return tuple(map(_DECODERS[AGGREGATES], self._read_rows(AGGREGATES)))
+        return tuple(self._table(AGGREGATES).values())
 
     # -- derived views ---------------------------------------------------
 
@@ -545,6 +531,8 @@ class RunStore:
     # -- aggregates (full atomic rewrite, not append) ---------------------
 
     def write_aggregates(self, cells: Iterable[AggregateCell]) -> None:
+        self._check_writable()
         chunks = [self._encoder.row(COLUMNS[AGGREGATES])]
         chunks.extend(self._encoder.record(AGGREGATES, self.run_id, c) for c in cells)
         _replace_file(self.root / AGGREGATES, b"".join(chunks))
+        self._records.pop(AGGREGATES, None)

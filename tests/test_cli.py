@@ -1094,6 +1094,28 @@ class TestStoreBoundaries:
             scored = [row[1:5] for row in list(csv.reader(fh))[1:]]
         assert key not in scored
 
+    def test_a_failed_stage_still_reports_its_salvage(self, tmp_path, capsys):
+        # the score stage's first read of masks.csv drops a torn tail, then
+        # the stage fails on a leaky row: the salvage notice still prints
+        path = write_config(tmp_path)
+        assert main(["run", "--config", str(path), "--stage", "mask"]) == EXIT_OK
+        masks_path = tmp_path / "store" / "masks.csv"
+        with open(masks_path, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        rows[1][rows[0].index("masked_text")] = "The answer is B"
+        torn = "run-x,q0001,e"
+        with open(masks_path, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+            fh.write(torn)
+        capsys.readouterr()
+
+        assert main(["run", "--config", str(path), "--stage", "score"]) == EXIT_STAGE
+        captured = capsys.readouterr()
+        assert "still leaks" in captured.err
+        assert captured.out.splitlines() == [
+            f"salvaged masks.csv: dropped {len(torn)} bytes of torn tail"
+        ]
+
 
 class TestValidateCommand:
     def test_ok(self, tmp_path, capsys):

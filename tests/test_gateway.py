@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from suffbench import transport
 from suffbench.constrainer import count_words, extract_answer_and_explanation
 from suffbench.gateway import (
+    _READ_SIZE,
     EmbeddingDimensionError,
     EmptyCompletion,
     Gateway,
@@ -448,6 +449,15 @@ class TestCache:
         assert cache.get(key) is None
         cache.put(key, "متن".encode("utf-8"))
         assert cache.get(key) == "متن".encode("utf-8")
+
+    def test_entry_longer_than_one_read_reads_back_whole(self, tmp_path):
+        # get reads _READ_SIZE bytes at a time: an entry of three reads and
+        # a few bytes more comes back byte for byte
+        cache = ResponseCache(tmp_path)
+        key = "cd" + "0" * 62
+        body = bytes(range(256)) * (3 * _READ_SIZE // 256) + "متن".encode("utf-8")
+        cache.put(key, body)
+        assert cache.get(key) == body
 
 
 class TestRetryPolicy:

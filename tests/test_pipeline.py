@@ -1,4 +1,5 @@
 import csv
+import io
 import itertools
 import sys
 import threading
@@ -991,7 +992,7 @@ class _TrackedEmbeddings:
                 vector.owner = self
                 with self._lock:
                     self._live += 1
-                found[-1].append(EmbeddingResult(vector=vector, model_id=endpoint.model_id))
+                found[-1].append(EmbeddingResult(vector=vector))
         return found
 
     def freed(self) -> None:
@@ -1596,6 +1597,27 @@ class TestFatalFailures:
         run(ctx, ["constrain"])
         with pytest.raises(StageFailure, match="similarity"):
             run_stage(ctx, "similarity")
+
+    def test_constrained_row_without_its_base_fails_the_plan(self, make_ctx, tmp_path, en_corpus):
+        # a store edited from outside can hold a rewrite whose level-0 row
+        # is gone: no cosine can be computed for it, so the plan refuses it
+        small = subset(en_corpus, 2, seed=7)
+        ctx = make_ctx(tmp_path, {"en": small})
+        run(ctx, ["constrain"])
+        ctx.store.close()
+        path = tmp_path / "store" / EXPLANATIONS
+        header, *rows = csv.reader(io.StringIO(path.read_text(encoding="utf-8"), newline=""))
+        orphaned = next(row for row in rows if row[4] == "0")
+        rows.remove(orphaned)
+        sink = io.StringIO()
+        csv.writer(sink, lineterminator="\n").writerows([header, *rows])
+        path.write_text(sink.getvalue(), encoding="utf-8")
+        ctx = make_ctx(tmp_path, {"en": small})
+        with pytest.raises(StageFailure, match=(
+            rf"similarity \('{orphaned[1]}', 'en', 'gen-1', 10\): "
+            "constrained row without a level-0 base"
+        )):
+            pipeline.plan_similarity(ctx)
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_stage_failure_stores_exactly_the_units_before_it(

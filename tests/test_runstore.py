@@ -293,6 +293,28 @@ class TestDedupAndRunChecks:
         with pytest.raises(StoreError, match="row for run"):
             RunStore.load(tmp_path).load_explanations()
 
+    def test_row_of_the_wrong_width_rejected(self, tmp_path):
+        with RunStore.create(tmp_path, manifest()) as store:
+            store.append_similarity(similarity())
+        with open(tmp_path / SIMILARITY, "ab") as fh:
+            fh.write(b"run-abc,q0002,en\n")
+        with pytest.raises(StoreError, match=r"similarity\.csv: row width 3 != 6"):
+            RunStore.load(tmp_path).load_similarities()
+
+    def test_correct_other_than_true_or_false_rejected(self, tmp_path):
+        with RunStore.create(tmp_path, manifest()) as store:
+            store.append_score(score())
+        path = tmp_path / SCORES
+        path.write_bytes(path.read_bytes().replace(b",A,false,", b",A,no,"))
+        with pytest.raises(StoreError, match="boolean field must be true/false, got 'no'"):
+            RunStore.load(tmp_path).load_scores()
+
+    def test_repeated_aggregate_cell_rejected(self, tmp_path):
+        store = RunStore.create(tmp_path, manifest())
+        store.write_aggregates([cell(), cell(mean_similarity=0.5)])
+        with pytest.raises(StoreError, match=r"aggregates\.csv: key \('gen-1', 'en', 10\) is stored"):
+            store.load_aggregates()
+
     def test_repeated_key_in_file_rejected(self, tmp_path):
         with RunStore.create(tmp_path, manifest()) as store:
             store.append_similarity(similarity())
@@ -306,20 +328,26 @@ class TestDedupAndRunChecks:
             RunStore.open_resume(tmp_path, manifest()).done_keys(SIMILARITY)
 
 
+def _table_reads(monkeypatch) -> Counter:
+    """A Counter of the table files read from now on, by name."""
+    reads = Counter()
+    real = Path.read_bytes
+
+    def spy(path):
+        if path.name in COLUMNS:
+            reads[path.name] += 1
+        return real(path)
+
+    monkeypatch.setattr(Path, "read_bytes", spy)
+    return reads
+
+
 class TestReads:
     def test_each_table_read_once_at_first_use(self, tmp_path, monkeypatch):
         with RunStore.create(tmp_path, manifest()) as store:
             store.append_explanation(explanation())
             store.write_aggregates([cell()])
-        reads = Counter()
-        real = Path.read_bytes
-
-        def spy(path):
-            if path.name in COLUMNS:
-                reads[path.name] += 1
-            return real(path)
-
-        monkeypatch.setattr(Path, "read_bytes", spy)
+        reads = _table_reads(monkeypatch)
         loaded = RunStore.load(tmp_path)
         assert loaded.load_aggregates() == (cell(),)
         assert reads == {"aggregates.csv": 1}
@@ -327,6 +355,42 @@ class TestReads:
         assert loaded.load_explanations() == (explanation(),)
         assert loaded.done_keys(EXPLANATIONS) == {("q0001", "en", "gen-1", 0)}
         assert reads == {"aggregates.csv": 1, EXPLANATIONS: 1}
+
+    def test_resume_reads_no_table_at_open_and_each_once_after(self, tmp_path, monkeypatch):
+        with RunStore.create(tmp_path, manifest()) as store:
+            store.append_explanation(explanation())
+            store.append_mask(mask_report())
+            store.append_score(score())
+            store.append_similarity(similarity())
+            store.append_audit(audit())
+            store.write_aggregates([cell()])
+        with open(tmp_path / EXPLANATIONS, "ab") as fh:
+            fh.write(b"run-abc,q0002,en")
+        reads = _table_reads(monkeypatch)
+        RunStore.open_or_create(tmp_path, manifest()).close()
+        store = RunStore.open_resume(tmp_path, manifest())
+        assert reads == {}
+        for name in COLUMNS:
+            assert len(store.done_keys(name)) == 1
+        loaded = (
+            store.load_explanations(), store.load_masks(), store.load_scores(),
+            store.load_similarities(), store.load_audit(), store.load_aggregates(),
+        )
+        assert loaded == (
+            (explanation(),), (mask_report(),), (score(),), (similarity(),), (audit(),), (cell(),),
+        )
+        # the torn tail was dropped by the one read of its table
+        assert reads == dict.fromkeys(COLUMNS, 1)
+        assert store.salvage_report == {EXPLANATIONS: len(b"run-abc,q0002,en")}
+
+    def test_aggregates_read_once_per_rewrite(self, tmp_path, monkeypatch):
+        reads = _table_reads(monkeypatch)
+        with RunStore.create(tmp_path, manifest()) as store:
+            for level in (10, 20):
+                store.write_aggregates([cell(level=level)])
+                for _ in range(3):
+                    assert store.load_aggregates() == (cell(level=level),)
+        assert reads == {AGGREGATES: 2}
 
 
 class _ShortWrites:
@@ -457,9 +521,10 @@ class TestTornTails:
         with open(path, "ab") as fh:
             fh.write(torn)
         resumed = RunStore.open_resume(tmp_path, manifest())
+        # the tail is dropped at the table's first read, not at open
+        assert len(resumed.load_explanations()) == 1
         assert resumed.salvage_report == {EXPLANATIONS: len(torn)}
         assert path.read_bytes() == clean
-        assert len(resumed.load_explanations()) == 1
 
     def test_appends_after_salvage_are_clean(self, tmp_path):
         with RunStore.create(tmp_path, manifest()) as store:
@@ -477,8 +542,8 @@ class TestTornTails:
         with open(tmp_path / EXPLANATIONS, "ab") as fh:
             fh.write(torn.encode("utf-8"))
         resumed = RunStore.open_resume(tmp_path, manifest())
-        assert resumed.salvage_report[EXPLANATIONS] == len(torn)
         assert len(resumed.load_explanations()) == 1
+        assert resumed.salvage_report[EXPLANATIONS] == len(torn)
 
     def test_complete_multiline_row_survives(self, tmp_path):
         e = explanation(text="first line\nsecond line")
@@ -498,6 +563,25 @@ class TestTornTails:
         loaded = RunStore.load(tmp_path)
         assert len(loaded.load_explanations()) == 1
         assert path.stat().st_size == size_before
+
+    def test_readonly_load_refuses_appends_and_aggregate_rewrites(self, tmp_path):
+        with RunStore.create(tmp_path, manifest()) as store:
+            store.append_explanation(explanation())
+            store.write_aggregates([cell()])
+        with open(tmp_path / EXPLANATIONS, "ab") as fh:
+            fh.write(b"run-abc,q0009")
+        before = {name: (tmp_path / name).read_bytes() for name in COLUMNS}
+        loaded = RunStore.load(tmp_path)
+        with pytest.raises(StoreError, match="closed or read-only"):
+            loaded.append_explanation(explanation(item_id="q0002"))
+        with pytest.raises(StoreError, match="closed or read-only"):
+            loaded.append_audit(audit())
+        with pytest.raises(StoreError, match="closed or read-only"):
+            loaded.write_aggregates([cell(level=20)])
+        assert loaded.load_explanations() == (explanation(),)
+        assert loaded.load_aggregates() == (cell(),)
+        assert loaded.salvage_report == {}
+        assert {name: (tmp_path / name).read_bytes() for name in COLUMNS} == before
 
 
 ROW_TEXT = st.text(
