@@ -28,8 +28,7 @@ from .constrainer import CONSTRAINT_LEVELS
 from .corpus import LANGUAGES, Corpus, CorpusError, load_corpus, subset
 from .canonical import canonical_digest
 from .gateway import Gateway, ModelEndpoint
-from .metrics import heatmap_matrix, render_heatmap_svg, without_excluded
-from .numeric import ordered_sum
+from .metrics import heatmap_matrix, mean, render_heatmap_svg, without_excluded
 from .pipeline import STAGES, PipelineError, RunContext, StageFailure, exclusion_keys, run
 from .prompts import DEFAULT_TEMPLATE_ID, PromptError, load_template_set
 from .runstore import ManifestMismatch, RunManifest, RunStore, StoreError, work_key
@@ -286,10 +285,16 @@ def _format_float(value, places=4) -> str:
     return "" if value is None else f"{value:.{places}f}"
 
 
-def write_tables(store: RunStore, out_dir: Path) -> list[Path]:
+def _cells(store: RunStore):
+    """The store's aggregate cells, which every report reads; none is an error."""
     cells = store.load_aggregates()
     if not cells:
         raise StoreError("no aggregate rows; run the aggregate stage first")
+    return cells
+
+
+def write_tables(store: RunStore, out_dir: Path) -> list[Path]:
+    cells = _cells(store)
     header = (
         "language", "model", "level", "n_items", "n_excluded",
         "accuracy", "sufficiency", "similarity",
@@ -311,15 +316,12 @@ def write_tables(store: RunStore, out_dir: Path) -> list[Path]:
 
 
 def write_heatmaps(store: RunStore, out_dir: Path) -> list[Path]:
-    """Per-language mean similarity by model and level; like the cells,
-    the means leave out excluded items."""
-    similarities = store.load_similarities()
-    if not similarities:
-        raise StoreError("no similarity rows; run the similarity stage first")
-    kept = without_excluded(similarities, exclusion_keys(store))
+    """Per-language mean similarity by model and level: the cells' own
+    means, for each language with a cell that has one."""
+    cells = _cells(store)
     written = []
-    for language in _ordered_languages(similarities):
-        matrix = heatmap_matrix([s for s in kept if s.language == language])
+    for language in _ordered_languages(c for c in cells if c.mean_similarity is not None):
+        matrix = heatmap_matrix(c for c in cells if c.language == language)
         svg_path = out_dir / f"heatmap_{language}.svg"
         svg_path.write_text(
             render_heatmap_svg(matrix, title=f"mean base/constrained similarity ({language})"),
@@ -340,9 +342,7 @@ def write_curves(store: RunStore, out_dir: Path) -> list[Path]:
     """Per-language accuracy/sufficiency at each enforced level, with the
     achieved word-count reduction alongside the nominal one. Like the
     cells, the achieved reduction leaves out excluded items."""
-    cells = store.load_aggregates()
-    if not cells:
-        raise StoreError("no aggregate rows; run the aggregate stage first")
+    cells = _cells(store)
     word_counts = {
         work_key(e): e.word_count
         for e in without_excluded(store.load_explanations(), exclusion_keys(store))
@@ -374,7 +374,7 @@ def write_curves(store: RunStore, out_dir: Path) -> list[Path]:
             else:
                 nominal = _format_float(c.level / 100)
                 values = reductions.get((language, c.generator_model, c.level), [])
-                realized = _format_float(ordered_sum(values) / len(values)) if values else ""
+                realized = _format_float(mean(values)) if values else ""
             writer.writerow([
                 c.generator_model, c.level, nominal, c.n_items,
                 _format_float(c.accuracy), _format_float(c.mean_sufficiency), realized,

@@ -7,9 +7,10 @@ backoff. A Gateway without a cache_dir computes no request keys, and its
 error messages name a request by its model and path.
 
 Endpoints whose base_url uses the ``mock://<seed>`` scheme are served
-by a deterministic in-process backend instead of HTTP, which lets the
-whole pipeline run offline. Mock responses use the same wire shapes as
-the OpenAI-compatible endpoints and flow through the same parsers.
+by a deterministic in-process backend (suffbench.mock) instead of HTTP,
+which lets the whole pipeline run offline. Mock responses use the same
+wire shapes as the OpenAI-compatible endpoints and flow through the same
+parsers.
 
 Each call makes its requests one at a time on the calling thread, and a
 Gateway is safe to share between threads, so the caller's thread count
@@ -56,13 +57,10 @@ TimeoutError and ConnectionError or those of a requests.Session, is retried.
 from __future__ import annotations
 
 import base64
-import hashlib
 import json
 import logging
 import math
 import os
-import random
-import re
 import struct
 import sys
 import threading
@@ -70,11 +68,13 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain
-from operator import itemgetter, mul
+from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, NoReturn, Sequence
-from urllib.parse import urlparse, urlsplit
+from urllib.parse import urlsplit
 
 from .canonical import canonical_digest, canonical_json
+# MockBackend and _WORD_POOL are also imported from here, by the benchmark harness
+from .mock import _WORD_POOL, MockBackend, _mock_seed
 from .numeric import ordered_sum
 
 if TYPE_CHECKING:
@@ -301,131 +301,6 @@ class RateLimiter:
                     return
                 wait = self.WINDOW - (now - self._log[0])
             self._sleep(max(wait, 0.0))
-
-
-_BUDGET_RE = re.compile(r"(?:at most|حداکثر)\s+(\d+)\s+(?:words|کلمه)")
-_WORD_POOL = (
-    "the", "plant", "uses", "light", "energy", "to", "move", "heat", "through",
-    "air", "water", "cells", "store", "food", "and", "rocks", "change", "slowly",
-    "over", "time", "animals", "adapt", "while", "systems", "stay", "balanced",
-)
-
-
-def _mock_seed(base_url: str) -> int:
-    netloc = urlparse(base_url).netloc
-    if netloc.isdigit():
-        return int(netloc)
-    return int.from_bytes(hashlib.sha256(netloc.encode("utf-8")).digest()[:4], "big")
-
-
-class MockBackend:
-    """Deterministic offline stand-in for all three endpoint kinds.
-
-    Generation is a pure function of (seed, model, prompt, params).
-    Rewrite prompts stating a word budget get exactly that many words
-    back; anything else gets a parseable Answer/Explanation block.
-    Scoring gives every continuation token a logprob of -1.0, so the
-    four option letters always tie; one call scores a tuple of
-    continuations, one choice each, as an endpoint answers a list prompt:
-    `prompt_texts` holds the prompt of each, so one call answers the
-    options of several rows. Its arguments are strings and tuples of
-    strings, and so hashable.
-    Embeddings are unit-norm vectors seeded by the text hash, fixed width
-    EMBED_DIM; `input` is what the wire carries, a text, which gets one
-    item, or a sequence of texts, which gets one item per text.
-    `counts` counts calls, that is requests, per kind.
-    """
-
-    EMBED_DIM = 32
-
-    def __init__(self, seed: int):
-        self.seed = seed
-        self.counts = {"generate": 0, "logprobs": 0, "embeddings": 0}
-        self._lock = threading.Lock()
-
-    def _rng(self, *parts) -> random.Random:
-        blob = "\x1f".join(str(p) for p in parts).encode("utf-8")
-        return random.Random(int.from_bytes(hashlib.sha256(blob).digest()[:8], "big"))
-
-    def generate(self, model_id: str, prompt_text: str, temperature: float, max_tokens: int) -> dict:
-        with self._lock:
-            self.counts["generate"] += 1
-        rng = self._rng("generate", self.seed, model_id, prompt_text, temperature, max_tokens)
-        budget_match = _BUDGET_RE.search(prompt_text)
-        if budget_match:
-            budget = int(budget_match.group(1))
-            text = " ".join(rng.choice(_WORD_POOL) for _ in range(budget))
-        else:
-            letter = rng.choice("ABCD")
-            body = " ".join(rng.choice(_WORD_POOL) for _ in range(rng.randint(18, 32)))
-            text = f"Answer: {letter}\nExplanation: The {body}."
-        return {
-            "object": "chat.completion",
-            "model": model_id,
-            "choices": [
-                {
-                    "index": 0,
-                    "message": {"role": "assistant", "content": text},
-                    "finish_reason": "stop",
-                }
-            ],
-        }
-
-    def score(
-        self, model_id: str, prompt_texts: tuple[str, ...], continuations: tuple[str, ...]
-    ) -> dict:
-        with self._lock:
-            self.counts["logprobs"] += 1
-        return {
-            "object": "text_completion",
-            "model": model_id,
-            "choices": [
-                self._echo_choice(index, prompt, continuation)
-                for index, (prompt, continuation) in enumerate(zip(prompt_texts, continuations))
-            ],
-        }
-
-    @staticmethod
-    def _echo_choice(index: int, prompt_text: str, continuation: str) -> dict:
-        # prompt echoed as one scoreless token; continuation split on
-        # whitespace-prefixed runs so offsets line up exactly
-        tokens = re.findall(r"\s*\S+", continuation)
-        consumed = "".join(tokens)
-        if consumed != continuation:
-            tokens.append(continuation[len(consumed):])
-        offsets, pos = [], len(prompt_text)
-        for token in tokens:
-            offsets.append(pos)
-            pos += len(token)
-        return {
-            "index": index,
-            "text": prompt_text + continuation,
-            "finish_reason": "stop",
-            "logprobs": {
-                "tokens": [prompt_text] + tokens,
-                "token_logprobs": [None] + [-1.0] * len(tokens),
-                "text_offset": [0] + offsets,
-            },
-        }
-
-    def embed(self, model_id: str, input: str | Sequence[str]) -> dict:
-        with self._lock:
-            self.counts["embeddings"] += 1
-        texts = (input,) if isinstance(input, str) else input
-        return {
-            "object": "list",
-            "model": model_id,
-            "data": [
-                {"object": "embedding", "index": index, "embedding": self._unit_vector(text)}
-                for index, text in enumerate(texts)
-            ],
-        }
-
-    def _unit_vector(self, text: str) -> list[float]:
-        rng = self._rng("embed", text)
-        vector = [rng.gauss(0.0, 1.0) for _ in range(self.EMBED_DIM)]
-        norm = ordered_sum(map(mul, vector, vector)) ** 0.5
-        return [x / norm for x in vector]
 
 
 def _encode(data: dict) -> bytes:

@@ -60,12 +60,18 @@ def accuracy(results: Sequence[ScoreResult]) -> float:
     return sum(r.correct for r in results) / len(results)
 
 
+def mean(values: Iterable[float]) -> float:
+    """Every mean in a cell or a report: the values summed in sorted order
+    (ordered_sum), as float addition is not associative, so the mean is
+    bit-identical however the values were ordered."""
+    ordered = sorted(values)
+    return ordered_sum(ordered) / len(ordered)
+
+
 def mean_sufficiency(results: Sequence[ScoreResult]) -> float:
     if not results:
         raise MetricsError("mean sufficiency of zero results is undefined")
-    # summed in sorted order: float addition is not associative, and the
-    # mean must be bit-identical however the rows were ordered
-    return ordered_sum(sorted(r.sufficiency for r in results)) / len(results)
+    return mean(r.sufficiency for r in results)
 
 
 @dataclass(frozen=True)
@@ -155,7 +161,7 @@ def aggregate(
                 n_excluded=len(excluded),
                 accuracy=accuracy(rows),
                 mean_sufficiency=mean_sufficiency(rows),
-                mean_similarity=ordered_sum(sorted(sims)) / len(sims) if sims else None,
+                mean_similarity=mean(sims) if sims else None,
             )
         )
     return cells
@@ -170,19 +176,12 @@ class HeatmapMatrix:
     values: tuple[tuple[float | None, ...], ...]
 
 
-def heatmap_matrix(similarities: Sequence[SimilarityRecord]) -> HeatmapMatrix:
-    models = tuple(sorted({r.generator_model for r in similarities}))
-    buckets: dict[tuple[str, int], list[float]] = {}
-    for record in similarities:
-        buckets.setdefault((record.generator_model, record.level), []).append(record.cosine)
-    values = tuple(
-        tuple(
-            ordered_sum(sorted(vals)) / len(vals) if (vals := buckets.get((model, level)))
-            else None
-            for level in CONSTRAINT_LEVELS
-        )
-        for model in models
-    )
+def heatmap_matrix(cells: Iterable[AggregateCell]) -> HeatmapMatrix:
+    """The mean similarity of one language's cells: a row per model with a
+    mean (the baseline has none), a column per constraint level."""
+    means = {(c.generator_model, c.level): c.mean_similarity for c in cells}
+    models = tuple(sorted({model for (model, _), value in means.items() if value is not None}))
+    values = tuple(tuple(means.get((m, level)) for level in CONSTRAINT_LEVELS) for m in models)
     return HeatmapMatrix(models=models, levels=CONSTRAINT_LEVELS, values=values)
 
 

@@ -257,7 +257,7 @@ def _parse_level(raw: str) -> int | str:
 
 def _parse_bool(raw: str) -> bool:
     if raw not in ("true", "false"):
-        raise StoreError(f"boolean field must be true/false, got {raw!r}")
+        raise ValueError(f"boolean field must be true/false, got {raw!r}")
     return raw == "true"
 
 
@@ -409,38 +409,48 @@ class RunStore:
 
     # -- rows and records ----------------------------------------------
 
-    def _read_rows(self, name: str) -> Iterator[list[str]]:
-        """The checked value lists of the complete rows of table `name`.
+    def _read_records(self, name: str) -> Iterator:
+        """The records of the complete rows of table `name`, in file order.
         A writable store truncates an incomplete tail off the file and
         notes its bytes in salvage_report. Column 0 is checked against the
-        manifest's run id: the file is input from outside the program."""
+        manifest's run id: the file is input from outside the program, so
+        a value that does not parse or make a valid record is a StoreError
+        that names the table and the line."""
         path = _existing(self.root / name)
         data = path.read_bytes()
         keep = _complete_prefix_length(data)
         if keep < len(data) and self._handles is not None:
             os.truncate(path, keep)
             self.salvage_report[name] = len(data) - keep
-        text = data[:keep].decode("utf-8")
+        try:
+            text = data[:keep].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise StoreError(f"{name} line {line}: not UTF-8 ({exc})") from exc
         reader = csv.reader(io.StringIO(text, newline=""))
-        header = next(reader, None)
-        if header is None or tuple(header) != COLUMNS[name]:
-            raise StoreError(f"{name}: unexpected header {header!r}")
-        for values in reader:
-            if len(values) != len(header):
-                raise StoreError(f"{name}: row width {len(values)} != {len(header)}")
-            if values[0] != self.run_id:
-                raise StoreError(f"{name}: row for run {values[0]!r} in store for {self.run_id!r}")
-            yield values
+        decode = _DECODERS[name]
+        try:
+            header = next(reader, None)
+            if header is None or tuple(header) != COLUMNS[name]:
+                raise StoreError(f"{name}: unexpected header {header!r}")
+            for values in reader:
+                if len(values) != len(header):
+                    raise StoreError(f"{name}: row width {len(values)} != {len(header)}")
+                if values[0] != self.run_id:
+                    raise StoreError(
+                        f"{name}: row for run {values[0]!r} in store for {self.run_id!r}"
+                    )
+                yield decode(values)
+        except (ValueError, csv.Error) as exc:
+            raise StoreError(f"{name} line {reader.line_num}: {exc}") from exc
 
     def _table(self, name: str) -> dict[tuple, object]:
         """Table `name` as {key: record} in file order, read at first use."""
         if name not in self._records:
             if name not in _KEYS:
                 raise StoreError(f"unknown table {name!r}")
-            table = {}
-            decode, key_of = _DECODERS[name], _KEYS[name]
-            for values in self._read_rows(name):
-                record = decode(values)
+            table, key_of = {}, _KEYS[name]
+            for record in self._read_records(name):
                 if table.setdefault(key := key_of(record), record) is not record:
                     raise StoreError(f"{name}: key {key!r} is stored twice")
             self._records[name] = table

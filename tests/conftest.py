@@ -13,6 +13,7 @@ from hypothesis import settings
 
 from suffbench.corpus import load_corpus
 from suffbench.gateway import MockBackend
+from suffbench.runstore import COLUMNS
 
 # `pytest --hypothesis-profile=ci`: each property on a fixed sample, ten
 # times the default size, the same on every run of one Python version
@@ -276,6 +277,20 @@ def route_mock(server: FixtureServer, seed: int) -> str:
     for path, route in mock_routes(seed).items():
         server.route(f"/{seed}{path}", route)
     return f"{server.base_url}/{seed}"
+
+
+def table_reads(monkeypatch) -> Counter:
+    """A Counter of the run-store table files read from now on, by name."""
+    reads = Counter()
+    real = Path.read_bytes
+
+    def spy(path):
+        if path.name in COLUMNS:
+            reads[path.name] += 1
+        return real(path)
+
+    monkeypatch.setattr(Path, "read_bytes", spy)
+    return reads
 
 
 class _Reply:

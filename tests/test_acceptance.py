@@ -21,7 +21,7 @@ from suffbench.corpus import QuestionItem, load_corpus
 from suffbench.gateway import Gateway, ModelEndpoint
 from suffbench.masker import mask_explanation, verify_masked
 from suffbench.metrics import (
-    SimilarityRecord,
+    AggregateCell,
     accuracy,
     aggregate,
     cosine,
@@ -261,12 +261,12 @@ def test_similarity_suite(criterion):
         assert cosine((1.0, 0.0), (0.0, 2.0)) == 0.0
         assert cosine((1, 2, 3), (4, 5, 6)) == pytest.approx(COSINE_ORACLE, abs=1e-6)
 
-        records = [
-            SimilarityRecord("q1", "en", model, level, cosine(vector, vector))
+        cells = [
+            AggregateCell(model, "en", level, 1, 0, 1.0, 0.25, cosine(vector, vector))
             for model in ("gen-1", "gen-2")
             for level in CONSTRAINT_LEVELS
         ]
-        matrix = heatmap_matrix(records)
+        matrix = heatmap_matrix(cells)
         assert matrix.models == ("gen-1", "gen-2")
         for row in matrix.values:
             for value in row:

@@ -2,6 +2,7 @@ import base64
 import csv
 import json
 import os
+import re
 import select
 import shlex
 import socket
@@ -50,6 +51,7 @@ from tests.conftest import (
     caps_list_prompts,
     option_logprobs,
     route_mock,
+    table_reads,
 )
 
 
@@ -1047,6 +1049,33 @@ class TestStoreBoundaries:
             assert "format 1" in err and "format 2" in err and "new store_dir" in err
             assert "unexpected header" not in err
 
+    @pytest.mark.parametrize("table, pattern, repl, kind", [
+        ("explanations.csv", rb",gen-1,0,", rb",gen-1,abc,", "curves"),
+        ("explanations.csv", rb",gen-1,0,", rb",gen-1,55,", "curves"),
+        ("explanations.csv", rb"(,gen-1,0,)\d+,", rb"\1x,", "curves"),
+        ("explanations.csv", rb"(,gen-1,0,\d+,\w+,)", b"\\1\xff", "curves"),
+        ("aggregates.csv", rb"(,noexp,\d+,\d+,)[^,]+,", rb"\1zz,", "tables"),
+        ("aggregates.csv", rb"(,noexp,)\d+,", rb"\1-,", "tables"),
+    ])
+    def test_a_bad_value_in_a_table_exits_3(self, tmp_path, capsys, table, pattern, repl, kind):
+        path = write_config(tmp_path)
+        store = tmp_path / "store"
+        assert main(["run", "--config", str(path), "--all"]) == EXIT_OK
+        data = (store / table).read_bytes()
+        (store / table).write_bytes(re.sub(pattern, repl, data, count=1))
+        assert (store / table).read_bytes() != data
+        capsys.readouterr()
+        assert main(["report", "--store", str(store), "--kind", kind]) == EXIT_STAGE
+        assert capsys.readouterr().err.startswith(f"error: {table} line ")
+        run = ["run", "--config", str(path), "--all"]
+        if table == "aggregates.csv":
+            # a run rewrites aggregates.csv whole and never reads it
+            assert main(run) == EXIT_OK
+            assert main(["report", "--store", str(store), "--kind", kind]) == EXIT_OK
+        else:
+            assert main(run) == EXIT_STAGE
+            assert capsys.readouterr().err.startswith(f"error: {table} line ")
+
     def test_missing_table_is_refused(self, tmp_path, capsys):
         path = write_config(tmp_path)
         assert main(["run", "--config", str(path), "--all"]) == EXIT_OK
@@ -1274,6 +1303,18 @@ class TestReportCommand:
         code = main(["report", "--store", str(tmp_path / "store"), "--kind", "tables"])
         assert code == EXIT_STAGE
         assert "aggregate" in capsys.readouterr().err
+
+    def test_heatmap_before_aggregate_fails(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        main(["run", "--config", str(path), "--stage", "similarity"])
+        code = main(["report", "--store", str(tmp_path / "store"), "--kind", "heatmap"])
+        assert code == EXIT_STAGE
+        assert "no aggregate rows; run the aggregate stage first" in capsys.readouterr().err
+
+    def test_heatmaps_read_only_the_cells(self, finished_store, monkeypatch):
+        reads = table_reads(monkeypatch)
+        assert main(["report", "--store", str(finished_store), "--kind", "heatmap"]) == EXIT_OK
+        assert reads == {"aggregates.csv": 1}
 
     def test_report_missing_store(self, tmp_path):
         assert main(["report", "--store", str(tmp_path / "none"), "--kind", "tables"]) == EXIT_STAGE

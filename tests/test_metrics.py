@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import itertools
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from suffbench.metrics import (
     aggregate,
     cosine,
     heatmap_matrix,
+    mean,
     mean_sufficiency,
     norm,
     render_heatmap_svg,
@@ -155,6 +157,11 @@ class TestMeans:
         rows = [baseline_row(item_id=f"q{i}") for i in range(10)]
         assert mean_sufficiency(rows) == 0.25
 
+    def test_mean_sums_in_sorted_order_whatever_the_input_order(self):
+        values = [0.1, 1e16, 0.3, -1e16, 0.7, 0.2]
+        for order in itertools.permutations(values):
+            assert mean(order) == ordered_sum(sorted(values)) / len(values)
+
     def test_empty_inputs_rejected(self):
         with pytest.raises(MetricsError):
             accuracy([])
@@ -291,15 +298,19 @@ class TestAggregate:
 
 
 class TestHeatmap:
-    def records(self):
-        return [
+    def cells(self):
+        similarities = [
             SimilarityRecord("q1", "en", "gen-a", 10, 1.0),
             SimilarityRecord("q2", "en", "gen-a", 10, 0.5),
             SimilarityRecord("q1", "en", "gen-b", 90, 0.0),
         ]
+        scores = [baseline_row("q1"), score_row("q1", model="gen-a", level=0)] + [
+            score_row(r.item_id, model=r.generator_model, level=r.level) for r in similarities
+        ]
+        return aggregate(scores, similarities)
 
     def test_matrix_shape(self):
-        matrix = heatmap_matrix(self.records())
+        matrix = heatmap_matrix(self.cells())
         assert matrix.models == ("gen-a", "gen-b")
         assert matrix.levels == (10, 20, 30, 40, 50, 60, 70, 80, 90)
         assert matrix.values[0][0] == pytest.approx(0.75)
@@ -307,7 +318,7 @@ class TestHeatmap:
         assert matrix.values[1][8] == 0.0
 
     def test_svg_cells_and_labels(self):
-        matrix = heatmap_matrix(self.records())
+        matrix = heatmap_matrix(self.cells())
         svg = render_heatmap_svg(matrix, title="similarity")
         assert svg.startswith("<svg")
         assert svg.count("<rect") == 2  # one per non-missing cell

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from suffbench import gateway as gateway_module
-from suffbench import masker, pipeline
+from suffbench import masker, mock, pipeline
 from suffbench.cli import write_curves, write_heatmaps
 from suffbench.corpus import Corpus, subset
 from suffbench.gateway import (
@@ -1877,3 +1877,8 @@ class TestBenchContract:
             if not callable(getattr(owner, name, None))
         ]
         assert missing == []
+
+    def test_mock_names_stay_importable_from_gateway(self):
+        # bench/ imports the mock's names from suffbench.gateway
+        assert gateway_module.MockBackend is mock.MockBackend
+        assert gateway_module._WORD_POOL is mock._WORD_POOL

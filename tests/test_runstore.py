@@ -4,9 +4,9 @@ import io
 import itertools
 import json
 import os
+import re
 import sys
 import threading
-from collections import Counter
 from contextlib import suppress
 from pathlib import Path
 
@@ -38,6 +38,7 @@ from suffbench.runstore import (
     _RowEncoder,
 )
 from suffbench.scorer import ScoreResult
+from tests.conftest import table_reads
 
 RUN = "run-abc"
 
@@ -309,6 +310,34 @@ class TestDedupAndRunChecks:
         with pytest.raises(StoreError, match="boolean field must be true/false, got 'no'"):
             RunStore.load(tmp_path).load_scores()
 
+    @pytest.mark.parametrize("table, old, new, message", [
+        (EXPLANATIONS, b",gen-1,0,3,", b",gen-1,abc,3,", "level 'abc' not in"),
+        (EXPLANATIONS, b",gen-1,0,3,", b",gen-1,55,3,", "level 55 not in"),
+        (EXPLANATIONS, b",gen-1,0,3,", b",gen-1,0,x,", "invalid literal for int() with base 10: 'x'"),
+        (EXPLANATIONS, b"Light", b"\xffLight", "not UTF-8"),
+        (EXPLANATIONS, b"Light", b"L" * 200_000, "field larger than field limit"),
+        (AGGREGATES, b",0.7,", b",zz,", "could not convert string to float: 'zz'"),
+        (AGGREGATES, b",10,1,", b",-,1,", "invalid literal for int() with base 10: '-'"),
+    ])
+    def test_a_value_that_makes_no_record_is_a_store_error(
+        self, tmp_path, table, old, new, message
+    ):
+        # a parser's ValueError, a record's own check, a byte that is not
+        # UTF-8 and a csv.Error each name the table and the line
+        with RunStore.create(tmp_path, manifest()) as store:
+            store.append_explanation(explanation())
+            store.write_aggregates([cell()])
+        path = tmp_path / table
+        data = path.read_bytes()
+        assert data.count(old) == 1
+        path.write_bytes(data.replace(old, new))
+        match = re.escape(f"{table} line 2: ") + ".*" + re.escape(message)
+        load = {EXPLANATIONS: RunStore.load_explanations, AGGREGATES: RunStore.load_aggregates}
+        with pytest.raises(StoreError, match=match):
+            load[table](RunStore.load(tmp_path))
+        with pytest.raises(StoreError, match=match):
+            RunStore.open_resume(tmp_path, manifest()).done_keys(table)
+
     def test_repeated_aggregate_cell_rejected(self, tmp_path):
         store = RunStore.create(tmp_path, manifest())
         store.write_aggregates([cell(), cell(mean_similarity=0.5)])
@@ -328,26 +357,12 @@ class TestDedupAndRunChecks:
             RunStore.open_resume(tmp_path, manifest()).done_keys(SIMILARITY)
 
 
-def _table_reads(monkeypatch) -> Counter:
-    """A Counter of the table files read from now on, by name."""
-    reads = Counter()
-    real = Path.read_bytes
-
-    def spy(path):
-        if path.name in COLUMNS:
-            reads[path.name] += 1
-        return real(path)
-
-    monkeypatch.setattr(Path, "read_bytes", spy)
-    return reads
-
-
 class TestReads:
     def test_each_table_read_once_at_first_use(self, tmp_path, monkeypatch):
         with RunStore.create(tmp_path, manifest()) as store:
             store.append_explanation(explanation())
             store.write_aggregates([cell()])
-        reads = _table_reads(monkeypatch)
+        reads = table_reads(monkeypatch)
         loaded = RunStore.load(tmp_path)
         assert loaded.load_aggregates() == (cell(),)
         assert reads == {"aggregates.csv": 1}
@@ -366,7 +381,7 @@ class TestReads:
             store.write_aggregates([cell()])
         with open(tmp_path / EXPLANATIONS, "ab") as fh:
             fh.write(b"run-abc,q0002,en")
-        reads = _table_reads(monkeypatch)
+        reads = table_reads(monkeypatch)
         RunStore.open_or_create(tmp_path, manifest()).close()
         store = RunStore.open_resume(tmp_path, manifest())
         assert reads == {}
@@ -384,7 +399,7 @@ class TestReads:
         assert store.salvage_report == {EXPLANATIONS: len(b"run-abc,q0002,en")}
 
     def test_aggregates_read_once_per_rewrite(self, tmp_path, monkeypatch):
-        reads = _table_reads(monkeypatch)
+        reads = table_reads(monkeypatch)
         with RunStore.create(tmp_path, manifest()) as store:
             for level in (10, 20):
                 store.write_aggregates([cell(level=level)])
