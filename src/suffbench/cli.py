@@ -28,10 +28,10 @@ from .constrainer import CONSTRAINT_LEVELS
 from .corpus import LANGUAGES, Corpus, CorpusError, load_corpus, subset
 from .canonical import canonical_digest
 from .gateway import Gateway, ModelEndpoint
-from .metrics import heatmap_matrix, mean, render_heatmap_svg, without_excluded
-from .pipeline import STAGES, PipelineError, RunContext, StageFailure, exclusion_keys, run
+from .metrics import excluded, heatmap_matrix, realized_reductions, render_heatmap_svg
+from .pipeline import STAGES, PipelineError, RunContext, StageFailure, run
 from .prompts import DEFAULT_TEMPLATE_ID, PromptError, load_template_set
-from .runstore import ManifestMismatch, RunManifest, RunStore, StoreError, work_key
+from .runstore import ManifestMismatch, RunManifest, RunStore, StoreError
 from .scorer import BASELINE_LEVEL
 
 log = logging.getLogger(__name__)
@@ -340,22 +340,10 @@ def write_heatmaps(store: RunStore, out_dir: Path) -> list[Path]:
 
 def write_curves(store: RunStore, out_dir: Path) -> list[Path]:
     """Per-language accuracy/sufficiency at each enforced level, with the
-    achieved word-count reduction alongside the nominal one. Like the
-    cells, the achieved reduction leaves out excluded items."""
+    achieved word-count reduction alongside the nominal one. The achieved
+    reduction leaves out the items the cells leave out (metrics.excluded)."""
     cells = _cells(store)
-    word_counts = {
-        work_key(e): e.word_count
-        for e in without_excluded(store.load_explanations(), exclusion_keys(store))
-    }
-    reductions: dict[tuple[str, str, int], list[float]] = {}
-    for (item_id, language, model, level), count in word_counts.items():
-        if level == 0:
-            continue
-        base = word_counts.get((item_id, language, model, 0))
-        if base:
-            key = (language, model, level)
-            reductions.setdefault(key, []).append(1.0 - count / base)
-
+    realized = realized_reductions(store.load_explanations(), excluded(store.load_audit()))
     written = []
     for language in _ordered_languages(cells):
         sink = io.StringIO()
@@ -368,16 +356,15 @@ def write_curves(store: RunStore, out_dir: Path) -> list[Path]:
             if c.language != language:
                 continue
             if c.level == BASELINE_LEVEL:
-                nominal, realized = "", ""
+                nominal, reduction = "", ""
             elif c.level == 0:
-                nominal, realized = "0.0000", "0.0000"
+                nominal, reduction = "0.0000", "0.0000"
             else:
                 nominal = _format_float(c.level / 100)
-                values = reductions.get((language, c.generator_model, c.level), [])
-                realized = _format_float(mean(values)) if values else ""
+                reduction = _format_float(realized.get((c.generator_model, language, c.level)))
             writer.writerow([
                 c.generator_model, c.level, nominal, c.n_items,
-                _format_float(c.accuracy), _format_float(c.mean_sufficiency), realized,
+                _format_float(c.accuracy), _format_float(c.mean_sufficiency), reduction,
             ])
         path = out_dir / f"curves_{language}.csv"
         path.write_text(sink.getvalue(), encoding="utf-8")

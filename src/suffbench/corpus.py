@@ -179,7 +179,10 @@ def load_corpus(path: str | Path, language: str) -> Corpus:
         raise CorpusError(f"cannot read corpus {path}: {exc}") from exc
 
     items: list[QuestionItem] = []
-    for lineno, line in enumerate(raw.splitlines(), start=1):
+    # only a newline ends a record (read_text turned \r\n and \r into \n):
+    # str.splitlines() also breaks inside a JSON string, at a raw U+2028,
+    # U+2029 or U+0085
+    for lineno, line in enumerate(raw.split("\n"), start=1):
         if not line.strip():
             continue
         where = f"{path.name}:{lineno}"

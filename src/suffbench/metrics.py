@@ -2,19 +2,19 @@
 
 Aggregation folds per-item score and similarity records into one cell
 per (generator model, language, level) plus one no-explanation baseline
-cell per language. Items whose base generation was unparseable are
-excluded from every level of that model's cells (aligned denominators)
-and surface only in n_excluded.
+cell per language. Items excluded() names are left out of every level of
+that model's cells (aligned denominators), and of every report number
+computed here beside a cell, and surface only in n_excluded.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import mul
+from operator import attrgetter, mul
 from typing import Container, Iterable, Sequence
 
-from .constrainer import CONSTRAINT_LEVELS
+from .constrainer import ALL_LEVELS, CONSTRAINT_LEVELS
 from .corpus import LANGUAGES
 from .numeric import ordered_sum
 from .scorer import BASELINE_LEVEL, BASELINE_MODEL, ScoreResult
@@ -105,10 +105,35 @@ class AggregateCell:
     mean_sufficiency: float
     mean_similarity: float | None
 
+    def __post_init__(self) -> None:
+        if (self.level == BASELINE_LEVEL) != (self.generator_model == BASELINE_MODEL):
+            raise MetricsError("a baseline cell pairs level 'noexp' with model 'baseline'")
+        if self.level != BASELINE_LEVEL and self.level not in ALL_LEVELS:
+            raise MetricsError(f"level {self.level!r} not in {ALL_LEVELS} or {BASELINE_LEVEL!r}")
+        if self.n_items < 1:
+            raise MetricsError(f"n_items {self.n_items} < 1")
+        if self.n_excluded < 0:
+            raise MetricsError(f"n_excluded {self.n_excluded} < 0")
+        for name in ("accuracy", "mean_sufficiency"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise MetricsError(f"{name} {getattr(self, name)} outside [0, 1]")
+        if self.mean_similarity is not None and not -1.0 <= self.mean_similarity <= 1.0:
+            raise MetricsError(f"mean_similarity {self.mean_similarity} outside [-1, 1]")
+
+
+_item = attrgetter("language", "generator_model", "item_id")
+# audit events that exclude an item from every cell of its model x language
+EXCLUSION_EVENTS = ("unparseable", "empty_regeneration")
+
+
+def excluded(audit: Iterable) -> set[tuple[str, str, str]]:
+    """(language, generator_model, item_id) of each audit record with an excluding event."""
+    return {_item(a) for a in audit if a.event in EXCLUSION_EVENTS}
+
 
 def without_excluded(records: Iterable, exclusions: Container[tuple[str, str, str]]) -> list:
     """The records whose (language, generator_model, item_id) is not in `exclusions`."""
-    return [r for r in records if (r.language, r.generator_model, r.item_id) not in exclusions]
+    return [r for r in records if _item(r) not in exclusions]
 
 
 def aggregate(
@@ -151,20 +176,33 @@ def aggregate(
     for model, language, level in sorted(grouped, key=sort_key):
         rows = grouped[(model, language, level)]
         sims = sim_index.get((model, language, level)) if level in CONSTRAINT_LEVELS else None
-        excluded = () if model == BASELINE_MODEL else excluded_index.get((model, language), ())
+        dropped = () if model == BASELINE_MODEL else excluded_index.get((model, language), ())
         cells.append(
             AggregateCell(
                 generator_model=model,
                 language=language,
                 level=level,
                 n_items=len(rows),
-                n_excluded=len(excluded),
+                n_excluded=len(dropped),
                 accuracy=accuracy(rows),
                 mean_sufficiency=mean_sufficiency(rows),
                 mean_similarity=mean(sims) if sims else None,
             )
         )
     return cells
+
+
+def realized_reductions(explanations: Iterable, exclusions: Container) -> dict:
+    """Mean achieved reduction, 1 - words / base words, per (generator_model,
+    language, level) above 0, over the rewrites not excluded whose base has words."""
+    kept = without_excluded(explanations, exclusions)
+    base_words = {_item(e): e.word_count for e in kept if e.level == 0}
+    reductions: dict[tuple[str, str, int], list[float]] = {}
+    for e in kept:
+        if e.level and (base := base_words.get(_item(e))):
+            key = (e.generator_model, e.language, e.level)
+            reductions.setdefault(key, []).append(1.0 - e.word_count / base)
+    return {key: mean(values) for key, values in reductions.items()}
 
 
 @dataclass(frozen=True)

@@ -53,15 +53,13 @@ from .constrainer import (
 from .corpus import Corpus
 from .gateway import Gateway, ModelEndpoint
 from .masker import mask_explanation
-from .metrics import SimilarityRecord, aggregate, cosine, norm
+from .metrics import SimilarityRecord, aggregate, cosine, excluded, norm
 from .prompts import PromptTemplateSet, render_generation, render_scoring
 from .runstore import EXPLANATIONS, MASKS, SCORES, SIMILARITY, AuditRecord, RunStore, work_key
 from .scorer import BASELINE_LEVEL, BASELINE_MODEL, ScoreResult, score_item, score_rows
 
 log = logging.getLogger(__name__)
 
-# audit events that exclude an item from every cell of its model x language
-EXCLUSION_EVENTS = ("unparseable", "empty_regeneration")
 # requests in flight per worker on a stage that calls an HTTP endpoint: sized
 # on the http-latency bench (25 ms loopback stub), not on what the stages do
 REQUESTS_PER_WORKER = 4
@@ -486,14 +484,6 @@ def run_similarity(ctx: RunContext, units: Sequence[tuple]) -> StageReport:
 # -- aggregate ---------------------------------------------------------------------
 
 
-def exclusion_keys(store: RunStore) -> set[tuple[str, str, str]]:
-    """(language, model, item) triples dropped from every level's cell."""
-    return {
-        (a.language, a.generator_model, a.item_id)
-        for a in store.load_audit() if a.event in EXCLUSION_EVENTS
-    }
-
-
 def plan_aggregate(ctx: RunContext) -> list[tuple]:
     # always recomputed; the write is a cheap atomic rewrite
     return [()]
@@ -502,7 +492,7 @@ def plan_aggregate(ctx: RunContext) -> list[tuple]:
 def run_aggregate(ctx: RunContext, units: Sequence[tuple]) -> StageReport:
     scores = ctx.store.load_scores()
     similarities = ctx.store.load_similarities()
-    cells = aggregate(scores, similarities, exclusion_keys(ctx.store))
+    cells = aggregate(scores, similarities, excluded(ctx.store.load_audit()))
     ctx.store.write_aggregates(cells)
     return StageReport("aggregate", planned=1, completed=1)
 

@@ -40,7 +40,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .canonical import canonical_digest, canonical_json
-from .constrainer import Explanation
+from .constrainer import ALL_LEVELS, Explanation
 from .corpus import LABELS
 from .masker import MaskReport
 from .metrics import AggregateCell, SimilarityRecord
@@ -54,6 +54,13 @@ SCORES = "scores.csv"
 SIMILARITY = "similarity.csv"
 AGGREGATES = "aggregates.csv"
 AUDIT = "audit.csv"
+
+# A reader holds its whole table in memory before it parses a row, so csv's
+# per-field cap (131072 characters by default) guards no memory here; it
+# would only refuse a field the writer wrote, an explanation longer than the
+# cap, and with it every later read of the table. 2**31 - 1 is accepted on
+# every platform (a C long).
+csv.field_size_limit(2**31 - 1)
 
 
 class StoreError(RuntimeError):
@@ -141,6 +148,10 @@ class AuditRecord:
     level: int | str
     event: str
     detail: str
+
+    def __post_init__(self) -> None:
+        if self.level not in ALL_LEVELS:
+            raise ValueError(f"audit level {self.level!r} not in {ALL_LEVELS}")
 
 
 # One spec per table: the record type it stores and the columns it

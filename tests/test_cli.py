@@ -31,7 +31,7 @@ from suffbench.cli import (
     load_config,
     main,
 )
-from suffbench.constrainer import CONSTRAINT_LEVELS
+from suffbench.constrainer import CONSTRAINT_LEVELS, make_explanation
 from suffbench.gateway import (
     Gateway,
     MockBackend,
@@ -1056,11 +1056,24 @@ class TestStoreBoundaries:
         ("explanations.csv", rb"(,gen-1,0,\d+,\w+,)", b"\\1\xff", "curves"),
         ("aggregates.csv", rb"(,noexp,\d+,\d+,)[^,]+,", rb"\1zz,", "tables"),
         ("aggregates.csv", rb"(,noexp,)\d+,", rb"\1-,", "tables"),
+        ("aggregates.csv", rb"(,gen-1,\w+,)10,", rb"\g<1>55,", "tables"),
+        ("aggregates.csv", rb"(,gen-1,\w+,)10,", rb"\g<1>noexp,", "tables"),
+        ("aggregates.csv", rb"(,noexp,)\d+,", rb"\g<1>-3,", "tables"),
+        ("aggregates.csv", rb"(,noexp,\d+,)\d+,", rb"\g<1>-1,", "tables"),
+        ("aggregates.csv", rb"(,noexp,\d+,\d+,)[^,]+,", rb"\g<1>7.0,", "tables"),
+        ("aggregates.csv", rb"(,noexp,\d+,\d+,[^,]+,)[^,]+,", rb"\g<1>9.0,", "tables"),
+        ("aggregates.csv", rb"(,gen-1,\w+,10,(?:[^,]*,){4})[^,\n]+", rb"\g<1>2.0", "tables"),
+        ("audit.csv", rb"(,gen-1,)0,", rb"\g<1>55,", "curves"),
     ])
     def test_a_bad_value_in_a_table_exits_3(self, tmp_path, capsys, table, pattern, repl, kind):
         path = write_config(tmp_path)
         store = tmp_path / "store"
         assert main(["run", "--config", str(path), "--all"]) == EXIT_OK
+        if table == "audit.csv":
+            # a mock run audits nothing: add a valid row to corrupt
+            run_id = json.loads((store / "manifest.json").read_text(encoding="utf-8"))["run_id"]
+            with open(store / table, "a", encoding="utf-8") as fh:
+                fh.write(f"{run_id},generate,q0001,en,gen-1,0,unparseable,x\n")
         data = (store / table).read_bytes()
         (store / table).write_bytes(re.sub(pattern, repl, data, count=1))
         assert (store / table).read_bytes() != data
@@ -1075,6 +1088,22 @@ class TestStoreBoundaries:
         else:
             assert main(run) == EXIT_STAGE
             assert capsys.readouterr().err.startswith(f"error: {table} line ")
+
+    def test_a_field_over_the_csv_default_limit_is_read_back(self, tmp_path, capsys):
+        # the writer appends a field of any length; csv's reader refuses one
+        # over 131072 characters unless the store lifts that cap
+        path = write_config(tmp_path)
+        store = tmp_path / "store"
+        assert main(["run", "--config", str(path), "--stage", "generate"]) == EXIT_OK
+        long = make_explanation("q0001", "en", "gen-1", 10, "word " * 28_000)
+        assert len(long.text) > 131072
+        with RunStore.open_resume(store, load_config(path).manifest()) as opened:
+            assert opened.append_explanation(long)
+        capsys.readouterr()
+        assert main(["run", "--config", str(path), "--all"]) == EXIT_OK
+        assert "done constrain: planned=19 completed=19" in capsys.readouterr().out
+        assert main(["report", "--store", str(store), "--kind", "curves"]) == EXIT_OK
+        assert long in RunStore.load(store).load_explanations()
 
     def test_missing_table_is_refused(self, tmp_path, capsys):
         path = write_config(tmp_path)
@@ -1315,6 +1344,11 @@ class TestReportCommand:
         reads = table_reads(monkeypatch)
         assert main(["report", "--store", str(finished_store), "--kind", "heatmap"]) == EXIT_OK
         assert reads == {"aggregates.csv": 1}
+
+    def test_curves_read_each_table_they_use_once(self, finished_store, monkeypatch):
+        reads = table_reads(monkeypatch)
+        assert main(["report", "--store", str(finished_store), "--kind", "curves"]) == EXIT_OK
+        assert reads == {"aggregates.csv": 1, "explanations.csv": 1, "audit.csv": 1}
 
     def test_report_missing_store(self, tmp_path):
         assert main(["report", "--store", str(tmp_path / "none"), "--kind", "tables"]) == EXIT_STAGE

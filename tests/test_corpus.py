@@ -75,6 +75,38 @@ class TestLoadCorpus:
         with pytest.raises(CorpusError, match=r"bad\.jsonl:2"):
             load_corpus(path, "en")
 
+    @pytest.mark.parametrize("char", [
+        "\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+    ])
+    def test_only_a_newline_ends_a_record(self, tmp_path, fixtures, char):
+        # str.splitlines() breaks at each of these, and
+        # json.dumps(..., ensure_ascii=False) writes the first three raw
+        good = (fixtures / "corpus_en.jsonl").read_text(encoding="utf-8").splitlines()[0]
+        line = good.replace('"stem": "', '"stem": "' + char, 1)
+        assert line != good
+        path = tmp_path / "c.jsonl"
+        path.write_text(f"{line}\n{{not json\n", encoding="utf-8")
+        if char < " ":
+            # JSON holds a control character only escaped: the record is
+            # refused whole, on its own line
+            with pytest.raises(CorpusError, match=r"c\.jsonl:1: malformed JSON \(Invalid control"):
+                load_corpus(path, "en")
+            return
+        with pytest.raises(CorpusError, match=r"c\.jsonl:2: malformed JSON"):
+            load_corpus(path, "en")
+        path.write_text(line + "\n", encoding="utf-8")
+        [item] = load_corpus(path, "en")
+        assert item.stem.startswith(char)
+
+    def test_crlf_line_ends(self, tmp_path, fixtures):
+        lines = (fixtures / "corpus_en.jsonl").read_text(encoding="utf-8").splitlines()
+        path = tmp_path / "crlf.jsonl"
+        path.write_bytes("\r\n".join(lines[:2] + ["{not json", ""]).encode("utf-8"))
+        with pytest.raises(CorpusError, match=r"crlf\.jsonl:3: malformed JSON"):
+            load_corpus(path, "en")
+        path.write_bytes("\r\n".join(lines[:2] + [""]).encode("utf-8"))
+        assert [item.id for item in load_corpus(path, "en")] == ["q0001", "q0002"]
+
     def test_wrong_choice_count_rejected(self, tmp_path):
         line = (
             '{"id": "x1", "question": {"stem": "s?", "choices": ['

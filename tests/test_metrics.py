@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from suffbench.constrainer import make_explanation
 from suffbench.metrics import (
+    EXCLUSION_EVENTS,
     AggregateCell,
     HeatmapMatrix,
     MetricsError,
@@ -16,14 +18,16 @@ from suffbench.metrics import (
     accuracy,
     aggregate,
     cosine,
+    excluded,
     heatmap_matrix,
     mean,
     mean_sufficiency,
     norm,
+    realized_reductions,
     render_heatmap_svg,
 )
 from suffbench.numeric import ordered_sum
-from suffbench.runstore import AGGREGATES, RunManifest, RunStore
+from suffbench.runstore import AGGREGATES, AuditRecord, RunManifest, RunStore
 from suffbench.scorer import ScoreResult
 
 
@@ -295,6 +299,64 @@ class TestAggregate:
         assert len(rows) == len(cells)
         assert {row[0] for row in rows} == {"run-x"}
         assert RunStore.load(tmp_path).load_aggregates() == tuple(cells)
+
+
+def words(n: int, model: str, item_id: str, level: int, language: str = "en"):
+    return make_explanation(item_id, language, model, level, " ".join(["w"] * n))
+
+
+class TestExclusion:
+    def test_excluded_names_the_items_of_excluding_events_only(self):
+        audit = [
+            AuditRecord("generate", "q1", "en", "gen-a", 0, "unparseable", ""),
+            AuditRecord("constrain", "q2", "fa", "gen-b", 10, "empty_regeneration", ""),
+            AuditRecord("constrain", "q2", "fa", "gen-b", 50, "empty_regeneration", ""),
+            AuditRecord("constrain", "q3", "en", "gen-a", 10, "other", ""),
+        ]
+        assert set(EXCLUSION_EVENTS) == {"unparseable", "empty_regeneration"}
+        assert excluded(audit) == {("en", "gen-a", "q1"), ("fa", "gen-b", "q2")}
+        assert excluded(reversed(audit)) == excluded(audit)
+        assert excluded([]) == set()
+
+    def test_realized_reductions_oracle(self):
+        explanations = [
+            words(10, "gen-a", "q1", 0), words(9, "gen-a", "q1", 10), words(1, "gen-a", "q1", 90),
+            words(4, "gen-a", "q2", 0), words(2, "gen-a", "q2", 10),
+            # excluded: the only rewrite at level 50, and one that would move level 10's mean
+            words(5, "gen-a", "q3", 0), words(5, "gen-a", "q3", 10), words(1, "gen-a", "q3", 50),
+            # a rewrite with no base counts nowhere
+            words(3, "gen-a", "q4", 10),
+            # the same item of another model or language is kept
+            words(8, "gen-b", "q3", 0), words(6, "gen-b", "q3", 10),
+            words(2, "gen-a", "q3", 0, "fa"), words(1, "gen-a", "q3", 10, "fa"),
+        ]
+        exclusions = {("en", "gen-a", "q3")}
+        expected = {
+            ("gen-a", "en", 10): mean([1 - 9 / 10, 1 - 2 / 4]),
+            ("gen-a", "en", 90): 1 - 1 / 10,
+            ("gen-b", "en", 10): 1 - 6 / 8,
+            ("gen-a", "fa", 10): 1 - 1 / 2,
+        }
+        assert realized_reductions(explanations, exclusions) == expected
+        assert ("gen-a", "en", 50) in realized_reductions(explanations, set())
+        rng = random.Random(5)
+        for _ in range(5):
+            shuffled = explanations[:]
+            rng.shuffle(shuffled)
+            assert realized_reductions(shuffled, exclusions) == expected
+
+    def test_realized_reductions_sum_in_sorted_order(self):
+        # float addition is not associative: the mean is bit-identical
+        # whatever order the rewrites come in
+        counts = [(1000, 1), (7, 3), (3000, 2999), (9, 1), (11, 10)]
+        explanations = []
+        for i, (base, rewrite) in enumerate(counts):
+            explanations += [words(base, "gen-a", f"q{i}", 0), words(rewrite, "gen-a", f"q{i}", 10)]
+        values = [1.0 - rewrite / base for base, rewrite in counts]
+        for order in itertools.permutations(range(len(counts))):
+            shuffled = [explanations[2 * i + j] for i in order for j in (1, 0)]
+            result = realized_reductions(shuffled, ())
+            assert result == {("gen-a", "en", 10): ordered_sum(sorted(values)) / len(values)}
 
 
 class TestHeatmap:

@@ -27,9 +27,9 @@ from suffbench.gateway import (
     ModelEndpoint,
     ResponseCache,
 )
+from suffbench.metrics import EXCLUSION_EVENTS, excluded
 from suffbench.pipeline import (
     EMBED_BATCH,
-    EXCLUSION_EVENTS,
     SCORE_BATCH,
     STAGES,
     UNITS_AHEAD_PER_THREAD,
@@ -37,7 +37,6 @@ from suffbench.pipeline import (
     RunContext,
     StageFailure,
     expand_stages,
-    exclusion_keys,
     plan_constrain,
     plan_generate,
     requests_in_flight,
@@ -770,7 +769,7 @@ class TestExpectedFailures:
         assert len(audit) == 1
         assert audit[0].item_id == "q0006"
         assert audit[0].event in EXCLUSION_EVENTS
-        assert exclusion_keys(ctx.store) == {("en", "gen-1", "q0006")}
+        assert excluded(ctx.store.load_audit()) == {("en", "gen-1", "q0006")}
 
         # excluded from every generator cell, still in the baseline
         scores = ctx.store.load_scores()
@@ -808,7 +807,7 @@ class TestExpectedFailures:
         )
         ctx = make_ctx(tmp_path, {"en": small}, gateway=gateway)
         run(ctx, ["aggregate"])
-        assert exclusion_keys(ctx.store) == {("en", "gen-1", "q0006")}
+        assert excluded(ctx.store.load_audit()) == {("en", "gen-1", "q0006")}
 
         words = {(e.item_id, e.level): e.word_count for e in ctx.store.load_explanations()}
         kept = [1 - words[item, 90] / words[item, 0] for item in ("q0003", "q0007")]
@@ -825,7 +824,7 @@ class TestExpectedFailures:
         )
         ctx = make_ctx(tmp_path, {"en": small}, gateway=gateway)
         run(ctx, ["aggregate"])
-        assert exclusion_keys(ctx.store) == {("en", "gen-1", "q0006")}
+        assert excluded(ctx.store.load_audit()) == {("en", "gen-1", "q0006")}
 
         cell = next(
             c for c in ctx.store.load_aggregates() if (c.generator_model, c.level) == ("gen-1", 90)
@@ -864,7 +863,7 @@ class TestExpectedFailures:
             ("constrain", "q0006", 10, "empty_regeneration"),
             ("constrain", "q0006", 90, "empty_regeneration"),
         ]
-        assert exclusion_keys(ctx.store) == {("en", "gen-1", "q0006")}
+        assert excluded(ctx.store.load_audit()) == {("en", "gen-1", "q0006")}
 
         resumed_store = RunStore.open_resume(
             tmp_path / "store", RunManifest.new(RUN, {"levels": [10, 90]})

@@ -37,7 +37,7 @@ from suffbench.runstore import (
     _encode_row,
     _RowEncoder,
 )
-from suffbench.scorer import ScoreResult
+from suffbench.scorer import BASELINE_LEVEL, BASELINE_MODEL, ScoreResult
 from tests.conftest import table_reads
 
 RUN = "run-abc"
@@ -80,7 +80,8 @@ def audit(item_id="q0002", event="unparseable"):
 
 def cell(level=10, mean_similarity=0.9):
     return AggregateCell(
-        generator_model="gen-1", language="en", level=level, n_items=10,
+        generator_model=BASELINE_MODEL if level == BASELINE_LEVEL else "gen-1",
+        language="en", level=level, n_items=10,
         n_excluded=1, accuracy=0.7, mean_sufficiency=0.55,
         mean_similarity=mean_similarity,
     )
@@ -315,24 +316,35 @@ class TestDedupAndRunChecks:
         (EXPLANATIONS, b",gen-1,0,3,", b",gen-1,55,3,", "level 55 not in"),
         (EXPLANATIONS, b",gen-1,0,3,", b",gen-1,0,x,", "invalid literal for int() with base 10: 'x'"),
         (EXPLANATIONS, b"Light", b"\xffLight", "not UTF-8"),
-        (EXPLANATIONS, b"Light", b"L" * 200_000, "field larger than field limit"),
         (AGGREGATES, b",0.7,", b",zz,", "could not convert string to float: 'zz'"),
         (AGGREGATES, b",10,1,", b",-,1,", "invalid literal for int() with base 10: '-'"),
+        (AGGREGATES, b",en,10,", b",en,55,", "level 55 not in"),
+        (AGGREGATES, b",en,10,", b",en,noexp,", "pairs level 'noexp' with model 'baseline'"),
+        (AGGREGATES, b",10,1,", b",-3,1,", "n_items -3 < 1"),
+        (AGGREGATES, b",10,1,", b",10,-1,", "n_excluded -1 < 0"),
+        (AGGREGATES, b",0.7,", b",7.0,", "accuracy 7.0 outside [0, 1]"),
+        (AGGREGATES, b",0.55,", b",9.0,", "mean_sufficiency 9.0 outside [0, 1]"),
+        (AGGREGATES, b",0.9\n", b",-1.5\n", "mean_similarity -1.5 outside [-1, 1]"),
+        (AUDIT, b",gen-1,0,", b",gen-1,55,", "audit level 55 not in"),
     ])
     def test_a_value_that_makes_no_record_is_a_store_error(
         self, tmp_path, table, old, new, message
     ):
-        # a parser's ValueError, a record's own check, a byte that is not
-        # UTF-8 and a csv.Error each name the table and the line
+        # a parser's ValueError, a record's own check and a byte that is
+        # not UTF-8 each name the table and the line
         with RunStore.create(tmp_path, manifest()) as store:
             store.append_explanation(explanation())
+            store.append_audit(audit())
             store.write_aggregates([cell()])
         path = tmp_path / table
         data = path.read_bytes()
         assert data.count(old) == 1
         path.write_bytes(data.replace(old, new))
         match = re.escape(f"{table} line 2: ") + ".*" + re.escape(message)
-        load = {EXPLANATIONS: RunStore.load_explanations, AGGREGATES: RunStore.load_aggregates}
+        load = {
+            EXPLANATIONS: RunStore.load_explanations, AGGREGATES: RunStore.load_aggregates,
+            AUDIT: RunStore.load_audit,
+        }
         with pytest.raises(StoreError, match=match):
             load[table](RunStore.load(tmp_path))
         with pytest.raises(StoreError, match=match):
@@ -692,8 +704,11 @@ def records(draw):
         return name, SimilarityRecord(item_id, "en", "gen-1", level,
                                       draw(st.floats(min_value=-1.0, max_value=1.0)))
     if name == AGGREGATES:
-        return name, AggregateCell(draw(FIELD_TEXT), "en", draw(st.sampled_from((0, "noexp"))),
-                                   draw(st.integers(0, 99)), draw(st.integers(0, 9)),
+        cell_level = draw(st.sampled_from((0, BASELINE_LEVEL)))
+        model = BASELINE_MODEL if cell_level == BASELINE_LEVEL else draw(
+            FIELD_TEXT.filter(lambda text: text != BASELINE_MODEL))
+        return name, AggregateCell(model, "en", cell_level,
+                                   draw(st.integers(1, 99)), draw(st.integers(0, 9)),
                                    draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0)),
                                    draw(st.one_of(st.none(), st.floats(-1.0, 1.0))))
     return name, AuditRecord(draw(FIELD_TEXT), item_id, "en", "gen-1", level,
