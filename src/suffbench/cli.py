@@ -24,7 +24,7 @@ from contextlib import closing
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
-from .constrainer import CONSTRAINT_LEVELS
+from .constrainer import BASELINE_LEVEL, BASELINE_MODEL, CONSTRAINT_LEVELS
 from .corpus import LANGUAGES, Corpus, CorpusError, load_corpus, subset
 from .canonical import canonical_digest
 from .gateway import Gateway, ModelEndpoint
@@ -32,7 +32,6 @@ from .metrics import excluded, heatmap_matrix, realized_reductions, render_heatm
 from .pipeline import STAGES, PipelineError, RunContext, StageFailure, run
 from .prompts import DEFAULT_TEMPLATE_ID, PromptError, load_template_set
 from .runstore import ManifestMismatch, RunManifest, RunStore, StoreError
-from .scorer import BASELINE_LEVEL
 
 log = logging.getLogger(__name__)
 
@@ -166,6 +165,10 @@ def load_config(
     )
     model_ids = [e.model_id for e in generators]
     _require(len(set(model_ids)) == len(model_ids), "generator model_ids must be unique")
+    _require(
+        BASELINE_MODEL not in model_ids,
+        f"generator model_id {BASELINE_MODEL!r} is reserved for the no-explanation baseline",
+    )
     scorer = _parse_endpoint(raw["scorer"], "scorer")
     embedder = _parse_endpoint(raw["embedder"], "embedder")
 

@@ -4,6 +4,10 @@ A level-0 explanation is the model's free-length justification of its
 answer. For each enforced reduction level v in {10..90} the explanation
 is regenerated under a word budget of floor((1 - v/100) * base words),
 retried a fixed number of times on violation, then hard-truncated.
+
+It also owns the key of every stored row, (item_id, language,
+generator_model, level): every record checks it with check_key, and the
+store reads a level back with parse_level.
 """
 
 from __future__ import annotations
@@ -12,10 +16,12 @@ import logging
 import re
 import unicodedata
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import TYPE_CHECKING
 
+from .corpus import LANGUAGES, QuestionItem
+
 if TYPE_CHECKING:
-    from .corpus import QuestionItem
     from .gateway import Gateway, GenerationResult, ModelEndpoint
     from .prompts import PromptTemplateSet
 
@@ -23,6 +29,15 @@ log = logging.getLogger(__name__)
 
 CONSTRAINT_LEVELS = tuple(range(10, 100, 10))
 ALL_LEVELS = (0,) + CONSTRAINT_LEVELS
+# the model and level of each language's no-explanation row
+BASELINE_MODEL = "baseline"
+BASELINE_LEVEL = "noexp"
+SCORED_LEVELS = ALL_LEVELS + (BASELINE_LEVEL,)
+_LEVEL_OF_TEXT = {str(level): level for level in SCORED_LEVELS}
+# the key a row is stored under, and its item's: the key without the level
+WORK_KEY = ("item_id", "language", "generator_model", "level")
+work_key = attrgetter(*WORK_KEY)
+item_key = attrgetter(*WORK_KEY[:3])
 
 # regenerations after the first attempt, before hard truncation
 BUDGET_RETRIES = 3
@@ -40,6 +55,27 @@ class UnparseableOutput(ExplanationError):
 
 class EmptyRegeneration(ExplanationError):
     """Constrained regeneration produced no usable text after all retries."""
+
+
+def parse_level(text: str) -> int | str:
+    """The level stored as `text`, str(level): '010' or '۱۰' is no level.
+    A ValueError, not a KeyError, so the store's reader names the row."""
+    try:
+        return _LEVEL_OF_TEXT[text]
+    except KeyError:
+        raise ValueError(f"level {text!r} not in {tuple(_LEVEL_OF_TEXT)}") from None
+
+
+def check_key(record, levels: tuple, error: type[Exception]) -> None:
+    """Raise `error` unless `record`'s language is one of LANGUAGES, its
+    level one of `levels` (its table's), and it pairs the baseline level
+    with the baseline model and no other."""
+    if record.language not in LANGUAGES:
+        raise error(f"unknown language {record.language!r}")
+    if record.level not in levels:
+        raise error(f"level {record.level!r} not in {levels}")
+    if (record.level == BASELINE_LEVEL) != (record.generator_model == BASELINE_MODEL):
+        raise error("a baseline row pairs level 'noexp' with model 'baseline'")
 
 
 def count_words(text: str) -> int:
@@ -65,8 +101,7 @@ class Explanation:
     length_status: str = "within_budget"
 
     def __post_init__(self) -> None:
-        if self.level not in ALL_LEVELS:
-            raise ExplanationError(f"level {self.level!r} not in {ALL_LEVELS}")
+        check_key(self, ALL_LEVELS, ExplanationError)
         if self.length_status not in LENGTH_STATUSES:
             raise ExplanationError(f"unknown length status {self.length_status!r}")
         if self.level == 0 and self.length_status != "within_budget":

@@ -34,7 +34,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .constrainer import ALL_LEVELS, Explanation
+from .constrainer import ALL_LEVELS, Explanation, check_key
 from .corpus import QuestionItem
 
 MASK_TOKEN = "[MASK]"
@@ -65,8 +65,7 @@ class MaskReport:
     masked_text: str
 
     def __post_init__(self) -> None:
-        if self.level not in ALL_LEVELS:
-            raise MaskingError(f"level {self.level!r} not in {ALL_LEVELS}")
+        check_key(self, ALL_LEVELS, MaskingError)
         if self.label_hits < 0 or self.text_hits < 0:
             raise MaskingError("hit counts must be non-negative")
 

@@ -10,14 +10,14 @@ computed here beside a cell, and surface only in n_excluded.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
-from operator import attrgetter, mul
+from operator import mul
 from typing import Container, Iterable, Sequence
 
-from .constrainer import ALL_LEVELS, CONSTRAINT_LEVELS
-from .corpus import LANGUAGES
+from .constrainer import BASELINE_MODEL, CONSTRAINT_LEVELS, SCORED_LEVELS, check_key, item_key
 from .numeric import ordered_sum
-from .scorer import BASELINE_LEVEL, BASELINE_MODEL, ScoreResult
+from .scorer import ScoreResult
 
 
 class MetricsError(ValueError):
@@ -86,10 +86,7 @@ class SimilarityRecord:
     cosine: float
 
     def __post_init__(self) -> None:
-        if self.language not in LANGUAGES:
-            raise MetricsError(f"unknown language {self.language!r}")
-        if self.level not in CONSTRAINT_LEVELS:
-            raise MetricsError(f"similarity level {self.level!r} not in {CONSTRAINT_LEVELS}")
+        check_key(self, CONSTRAINT_LEVELS, MetricsError)
         if not -1.0 <= self.cosine <= 1.0:
             raise MetricsError(f"cosine {self.cosine} outside [-1, 1]")
 
@@ -106,10 +103,7 @@ class AggregateCell:
     mean_similarity: float | None
 
     def __post_init__(self) -> None:
-        if (self.level == BASELINE_LEVEL) != (self.generator_model == BASELINE_MODEL):
-            raise MetricsError("a baseline cell pairs level 'noexp' with model 'baseline'")
-        if self.level != BASELINE_LEVEL and self.level not in ALL_LEVELS:
-            raise MetricsError(f"level {self.level!r} not in {ALL_LEVELS} or {BASELINE_LEVEL!r}")
+        check_key(self, SCORED_LEVELS, MetricsError)
         if self.n_items < 1:
             raise MetricsError(f"n_items {self.n_items} < 1")
         if self.n_excluded < 0:
@@ -121,19 +115,19 @@ class AggregateCell:
             raise MetricsError(f"mean_similarity {self.mean_similarity} outside [-1, 1]")
 
 
-_item = attrgetter("language", "generator_model", "item_id")
 # audit events that exclude an item from every cell of its model x language
 EXCLUSION_EVENTS = ("unparseable", "empty_regeneration")
 
 
 def excluded(audit: Iterable) -> set[tuple[str, str, str]]:
-    """(language, generator_model, item_id) of each audit record with an excluding event."""
-    return {_item(a) for a in audit if a.event in EXCLUSION_EVENTS}
+    """The item_key, (item_id, language, generator_model), of each audit
+    record with an excluding event."""
+    return {item_key(a) for a in audit if a.event in EXCLUSION_EVENTS}
 
 
 def without_excluded(records: Iterable, exclusions: Container[tuple[str, str, str]]) -> list:
-    """The records whose (language, generator_model, item_id) is not in `exclusions`."""
-    return [r for r in records if _item(r) not in exclusions]
+    """The records whose item_key is not in `exclusions`."""
+    return [r for r in records if item_key(r) not in exclusions]
 
 
 def aggregate(
@@ -143,10 +137,11 @@ def aggregate(
 ) -> list[AggregateCell]:
     """One cell per (model, language, level) plus a per-language baseline.
 
-    `exclusions` holds (language, generator_model, item_id) triples of
-    items left out of every cell of that model and language. Output
-    order is deterministic: language, then baseline before generator
-    models (alphabetical), then level ascending; input order never matters.
+    `exclusions` holds the item_key triples, (item_id, language,
+    generator_model), of items left out of every cell of that model and
+    language. Output order is deterministic: language, then baseline
+    before generator models (alphabetical), then level ascending; input
+    order never matters.
     """
     exclusions = set(exclusions)
 
@@ -155,35 +150,31 @@ def aggregate(
         key = (record.generator_model, record.language, record.level)
         sim_index.setdefault(key, []).append(record.cosine)
 
-    excluded_index: dict[tuple[str, str], set[str]] = {}
-    for language, model, item_id in exclusions:
-        excluded_index.setdefault((model, language), set()).add(item_id)
+    # the set holds each item once; no exclusion names the baseline model,
+    # which check_key keeps off every audited level
+    n_excluded = Counter((model, language) for _, language, model in exclusions)
 
     grouped: dict[tuple[str, str, int | str], list[ScoreResult]] = {}
     for score in without_excluded(scores, exclusions):
         grouped.setdefault((score.generator_model, score.language, score.level), []).append(score)
 
     def sort_key(group: tuple[str, str, int | str]):
+        # a baseline cell is its language's one cell of the baseline model
+        # (check_key), so no level 'noexp' is compared with a number
         model, language, level = group
-        return (
-            language,
-            model != BASELINE_MODEL,
-            model,
-            -1 if level == BASELINE_LEVEL else level,
-        )
+        return language, model != BASELINE_MODEL, model, level
 
     cells = []
     for model, language, level in sorted(grouped, key=sort_key):
         rows = grouped[(model, language, level)]
-        sims = sim_index.get((model, language, level)) if level in CONSTRAINT_LEVELS else None
-        dropped = () if model == BASELINE_MODEL else excluded_index.get((model, language), ())
+        sims = sim_index.get((model, language, level))
         cells.append(
             AggregateCell(
                 generator_model=model,
                 language=language,
                 level=level,
                 n_items=len(rows),
-                n_excluded=len(dropped),
+                n_excluded=n_excluded[(model, language)],
                 accuracy=accuracy(rows),
                 mean_sufficiency=mean_sufficiency(rows),
                 mean_similarity=mean(sims) if sims else None,
@@ -196,10 +187,10 @@ def realized_reductions(explanations: Iterable, exclusions: Container) -> dict:
     """Mean achieved reduction, 1 - words / base words, per (generator_model,
     language, level) above 0, over the rewrites not excluded whose base has words."""
     kept = without_excluded(explanations, exclusions)
-    base_words = {_item(e): e.word_count for e in kept if e.level == 0}
+    base_words = {item_key(e): e.word_count for e in kept if e.level == 0}
     reductions: dict[tuple[str, str, int], list[float]] = {}
     for e in kept:
-        if e.level and (base := base_words.get(_item(e))):
+        if e.level and (base := base_words.get(item_key(e))):
             key = (e.generator_model, e.language, e.level)
             reductions.setdefault(key, []).append(1.0 - e.word_count / base)
     return {key: mean(values) for key, values in reductions.items()}

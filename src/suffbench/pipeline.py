@@ -44,19 +44,23 @@ from itertools import groupby
 from typing import Callable, Container, Iterable, Iterator, Sequence
 
 from .constrainer import (
+    BASELINE_LEVEL,
+    BASELINE_MODEL,
     EmptyRegeneration,
     UnparseableOutput,
     constrain_explanation,
     extract_answer_and_explanation,
+    item_key,
     make_explanation,
+    work_key,
 )
 from .corpus import Corpus
 from .gateway import Gateway, ModelEndpoint
 from .masker import mask_explanation
 from .metrics import SimilarityRecord, aggregate, cosine, excluded, norm
 from .prompts import PromptTemplateSet, render_generation, render_scoring
-from .runstore import EXPLANATIONS, MASKS, SCORES, SIMILARITY, AuditRecord, RunStore, work_key
-from .scorer import BASELINE_LEVEL, BASELINE_MODEL, ScoreResult, score_item, score_rows
+from .runstore import EXPLANATIONS, MASKS, SCORES, SIMILARITY, AuditRecord, RunStore
+from .scorer import ScoreResult, score_item, score_rows
 
 log = logging.getLogger(__name__)
 
@@ -219,11 +223,8 @@ def _commit(
                 report.completed += 1
             elif isinstance(error, expected):
                 log.warning("%s %s: %s: %s", stage, key, event, error)
-                item_id, language, model, level = key
-                ctx.store.append_audit(AuditRecord(
-                    stage=stage, item_id=item_id, language=language, generator_model=model,
-                    level=level, event=event, detail=str(error),
-                ))
+                # an audit record's fields are the stage, the work key, the event and the detail
+                ctx.store.append_audit(AuditRecord(stage, *key, event, str(error)))
                 report.failed += 1
             else:
                 raise StageFailure(f"{stage} {key}: {error}") from error
@@ -412,7 +413,7 @@ def plan_similarity(ctx: RunContext) -> list[tuple]:
     uninterrupted run would have: a group is cached whole or not at all, so
     with a cache it costs a resume one request or none."""
     explanations = ctx.store.load_explanations()
-    bases = {work_key(e)[:3]: e for e in explanations if e.level == 0}
+    bases = {item_key(e): e for e in explanations if e.level == 0}
     constrained = _pending([e for e in explanations if e.level != 0], ())
     done = ctx.store.done_keys(SIMILARITY)
     units = []
@@ -463,11 +464,8 @@ def run_similarity(ctx: RunContext, units: Sequence[tuple]) -> StageReport:
     def similarity(unit: tuple, vectors: dict) -> SimilarityRecord:
         key, _, index, _ = unit
         group, base_norm = vectors[key[:3]]
-        item_id, language, model, level = key
-        return SimilarityRecord(
-            item_id=item_id, language=language, generator_model=model, level=level,
-            cosine=cosine(group[0], group[index], base_norm),
-        )
+        # a similarity record's fields are the work key and the cosine
+        return SimilarityRecord(*key, cosine(group[0], group[index], base_norm))
 
     def results():
         with closing(_map_ordered(ctx, batches, embed, (ctx.embedder,))) as landed:

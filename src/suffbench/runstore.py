@@ -40,7 +40,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .canonical import canonical_digest, canonical_json
-from .constrainer import ALL_LEVELS, Explanation
+from .constrainer import ALL_LEVELS, WORK_KEY, Explanation, check_key, parse_level, work_key
 from .corpus import LABELS
 from .masker import MaskReport
 from .metrics import AggregateCell, SimilarityRecord
@@ -150,39 +150,28 @@ class AuditRecord:
     detail: str
 
     def __post_init__(self) -> None:
-        if self.level not in ALL_LEVELS:
-            raise ValueError(f"audit level {self.level!r} not in {ALL_LEVELS}")
+        check_key(self, ALL_LEVELS, ValueError)
 
 
 # One spec per table: the record type it stores and the columns it
 # writes, in order. run_id leads every table and is the store's own;
 # every other column is the record field of the same name, except that
-# scores.csv spreads option_probs over option_prob_A..D.
+# scores.csv spreads option_probs over option_prob_A..D. Every table but
+# aggregates.csv writes a row's work key in WORK_KEY's order.
 TABLES = {
-    EXPLANATIONS: (Explanation, (
-        "run_id", "item_id", "language", "generator_model", "level",
-        "word_count", "length_status", "text",
-    )),
-    MASKS: (MaskReport, (
-        "run_id", "item_id", "language", "generator_model", "level",
-        "label_hits", "text_hits", "masked_text",
-    )),
+    EXPLANATIONS: (Explanation, ("run_id", *WORK_KEY, "word_count", "length_status", "text")),
+    MASKS: (MaskReport, ("run_id", *WORK_KEY, "label_hits", "text_hits", "masked_text")),
     SCORES: (ScoreResult, (
-        "run_id", "item_id", "language", "generator_model", "level",
+        "run_id", *WORK_KEY,
         "option_prob_A", "option_prob_B", "option_prob_C", "option_prob_D",
         "sufficiency", "predicted", "correct", "scorer_model", "prompt_fingerprint",
     )),
-    SIMILARITY: (SimilarityRecord, (
-        "run_id", "item_id", "language", "generator_model", "level", "cosine",
-    )),
+    SIMILARITY: (SimilarityRecord, ("run_id", *WORK_KEY, "cosine")),
     AGGREGATES: (AggregateCell, (
         "run_id", "generator_model", "language", "level", "n_items",
         "n_excluded", "accuracy", "mean_sufficiency", "mean_similarity",
     )),
-    AUDIT: (AuditRecord, (
-        "run_id", "stage", "item_id", "language", "generator_model", "level",
-        "event", "detail",
-    )),
+    AUDIT: (AuditRecord, ("run_id", "stage", *WORK_KEY, "event", "detail")),
 }
 COLUMNS = {name: columns for name, (_, columns) in TABLES.items()}
 
@@ -262,10 +251,6 @@ def _encode_row(values: Sequence) -> bytes:
     return _RowEncoder().row(values)
 
 
-def _parse_level(raw: str) -> int | str:
-    return int(raw) if raw.lstrip("-").isdigit() else raw
-
-
 def _parse_bool(raw: str) -> bool:
     if raw not in ("true", "false"):
         raise ValueError(f"boolean field must be true/false, got {raw!r}")
@@ -279,7 +264,7 @@ _PARSERS = {
         "item_id", "language", "generator_model", "scorer_model", "length_status",
         "stage", "event",
     ), sys.intern),
-    "level": _parse_level,
+    "level": parse_level,
     "correct": _parse_bool,
     "mean_similarity": lambda raw: float(raw) if raw else None,
     **dict.fromkeys(("word_count", "label_hits", "text_hits", "n_items", "n_excluded"), int),
@@ -336,13 +321,10 @@ def _replace_file(path: Path, data: bytes) -> None:
     os.replace(tmp, path)
 
 
-_WORK_KEY = ("item_id", "language", "generator_model", "level")
-# the (item_id, language, generator_model, level) key a row is stored under
-work_key = attrgetter(*_WORK_KEY)
 # table -> the key of its records: the work key, led by (stage, event) in audit.csv
 _KEYS = {
     **dict.fromkeys((EXPLANATIONS, MASKS, SCORES, SIMILARITY), work_key),
-    AUDIT: attrgetter("stage", "event", *_WORK_KEY),
+    AUDIT: attrgetter("stage", "event", *WORK_KEY),
     AGGREGATES: attrgetter("generator_model", "language", "level"),
 }
 

@@ -15,8 +15,8 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .constrainer import ALL_LEVELS
-from .corpus import LABELS, LANGUAGES, QuestionItem
+from .constrainer import BASELINE_LEVEL, BASELINE_MODEL, SCORED_LEVELS, check_key
+from .corpus import LABELS, QuestionItem
 from .gateway import Gateway, LogprobResult, ModelEndpoint
 from .numeric import ordered_sum
 from .prompts import RenderedPrompt, render_scoring
@@ -25,8 +25,6 @@ if TYPE_CHECKING:
     from .masker import MaskReport
     from .prompts import PromptTemplateSet
 
-BASELINE_MODEL = "baseline"
-BASELINE_LEVEL = "noexp"
 # what each option's letter is teacher-forced as, in LABELS order
 _CONTINUATIONS = tuple(f" {option}" for option in LABELS)
 _LABEL_SET = frozenset(LABELS)
@@ -68,12 +66,7 @@ class ScoreResult:
     prompt_fingerprint: str
 
     def __post_init__(self) -> None:
-        if self.language not in LANGUAGES:
-            raise ScoringError(f"unknown language {self.language!r}")
-        if self.level != BASELINE_LEVEL and self.level not in ALL_LEVELS:
-            raise ScoringError(f"level {self.level!r} not in {ALL_LEVELS} or {BASELINE_LEVEL!r}")
-        if (self.level == BASELINE_LEVEL) != (self.generator_model == BASELINE_MODEL):
-            raise ScoringError("baseline rows pair level 'noexp' with model 'baseline'")
+        check_key(self, SCORED_LEVELS, ScoringError)
         if tuple(self.option_probs) != LABELS:
             raise ScoringError(f"option_probs must be keyed {LABELS} in order")
         if any(p < 0.0 for p in self.option_probs.values()):

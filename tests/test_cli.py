@@ -151,6 +151,8 @@ class TestLoadConfig:
             ({"generators": [{"base_url": "mock://1", "model_id": "g", "zap": 1}]},
              "unknown keys"),
             ({"generators": [{"model_id": "g"}]}, "base_url"),
+            # the no-explanation rows are stored under this model id
+            ({"generators": [{"base_url": "mock://1", "model_id": "baseline"}]}, "reserved"),
             ({"levels": [10, 15]}, "distinct values"),
             ({"levels": [10, 10]}, "distinct values"),
             ({"levels": []}, "non-empty list"),
@@ -1064,8 +1066,18 @@ class TestStoreBoundaries:
         ("aggregates.csv", rb"(,noexp,\d+,\d+,[^,]+,)[^,]+,", rb"\g<1>9.0,", "tables"),
         ("aggregates.csv", rb"(,gen-1,\w+,10,(?:[^,]*,){4})[^,\n]+", rb"\g<1>2.0", "tables"),
         ("audit.csv", rb"(,gen-1,)0,", rb"\g<1>55,", "curves"),
+        # a key no row is written with: a language outside en/fa, a level
+        # not in its writer's form, the baseline model at a generator level
+        ("explanations.csv", rb",en,gen-1,", rb",xx,gen-1,", "curves"),
+        ("explanations.csv", rb"(,gen-1,)10,", "\\g<1>۱۰,".encode(), "curves"),
+        ("explanations.csv", rb",gen-1,0,", rb",baseline,0,", "curves"),
+        ("masks.csv", rb",en,gen-1,", rb",xx,gen-1,", None),
+        ("audit.csv", rb",en,gen-1,", rb",xx,gen-1,", "curves"),
+        ("aggregates.csv", rb",gen-1,en,", rb",gen-1,xx,", "curves"),
+        ("aggregates.csv", rb",gen-1,en,", rb",gen-1,en/x,", "curves"),
     ])
     def test_a_bad_value_in_a_table_exits_3(self, tmp_path, capsys, table, pattern, repl, kind):
+        # kind None: no report reads the table, so only a run finds it
         path = write_config(tmp_path)
         store = tmp_path / "store"
         assert main(["run", "--config", str(path), "--all"]) == EXIT_OK
@@ -1078,8 +1090,10 @@ class TestStoreBoundaries:
         (store / table).write_bytes(re.sub(pattern, repl, data, count=1))
         assert (store / table).read_bytes() != data
         capsys.readouterr()
-        assert main(["report", "--store", str(store), "--kind", kind]) == EXIT_STAGE
-        assert capsys.readouterr().err.startswith(f"error: {table} line ")
+        if kind is not None:
+            assert main(["report", "--store", str(store), "--kind", kind]) == EXIT_STAGE
+            assert capsys.readouterr().err.startswith(f"error: {table} line ")
+            assert not any((store / "reports").iterdir())
         run = ["run", "--config", str(path), "--all"]
         if table == "aggregates.csv":
             # a run rewrites aggregates.csv whole and never reads it

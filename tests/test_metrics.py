@@ -175,7 +175,7 @@ class TestMeans:
 
 class TestSimilarityRecord:
     def test_level_zero_rejected(self):
-        with pytest.raises(MetricsError, match="similarity level"):
+        with pytest.raises(MetricsError, match="level 0 not in"):
             SimilarityRecord("q1", "en", "gen-1", 0, 0.9)
 
     def test_cosine_domain(self):
@@ -207,7 +207,7 @@ def build_inputs():
         SimilarityRecord(f"q{i}", "en", "gen-a", 10, 0.8 - i * 0.123)
         for i in range(4)
     ]
-    exclusions = [("en", "gen-a", "q9"), ("en", "gen-a", "q8")]
+    exclusions = [("q9", "en", "gen-a"), ("q8", "en", "gen-a")]
     return scores, similarities, exclusions
 
 
@@ -264,7 +264,7 @@ class TestAggregate:
         }
         cells = {
             (c.language, c.generator_model, c.level): c
-            for c in aggregate(scores, similarities, [("en", "gen-a", "q3")])
+            for c in aggregate(scores, similarities, [("q3", "en", "gen-a")])
         }
         for level in (0, 10):
             cell = cells[("en", "gen-a", level)]
@@ -314,7 +314,7 @@ class TestExclusion:
             AuditRecord("constrain", "q3", "en", "gen-a", 10, "other", ""),
         ]
         assert set(EXCLUSION_EVENTS) == {"unparseable", "empty_regeneration"}
-        assert excluded(audit) == {("en", "gen-a", "q1"), ("fa", "gen-b", "q2")}
+        assert excluded(audit) == {("q1", "en", "gen-a"), ("q2", "fa", "gen-b")}
         assert excluded(reversed(audit)) == excluded(audit)
         assert excluded([]) == set()
 
@@ -330,7 +330,7 @@ class TestExclusion:
             words(8, "gen-b", "q3", 0), words(6, "gen-b", "q3", 10),
             words(2, "gen-a", "q3", 0, "fa"), words(1, "gen-a", "q3", 10, "fa"),
         ]
-        exclusions = {("en", "gen-a", "q3")}
+        exclusions = {("q3", "en", "gen-a")}
         expected = {
             ("gen-a", "en", 10): mean([1 - 9 / 10, 1 - 2 / 4]),
             ("gen-a", "en", 90): 1 - 1 / 10,

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from suffbench import gateway as gateway_module
 from suffbench import masker, mock, pipeline
 from suffbench.cli import write_curves, write_heatmaps
+from suffbench.constrainer import work_key
 from suffbench.corpus import Corpus, subset
 from suffbench.gateway import (
     EmbeddingResult,
@@ -53,7 +54,6 @@ from suffbench.runstore import (
     SIMILARITY,
     RunManifest,
     RunStore,
-    work_key,
 )
 
 from tests.conftest import (
@@ -769,7 +769,7 @@ class TestExpectedFailures:
         assert len(audit) == 1
         assert audit[0].item_id == "q0006"
         assert audit[0].event in EXCLUSION_EVENTS
-        assert excluded(ctx.store.load_audit()) == {("en", "gen-1", "q0006")}
+        assert excluded(ctx.store.load_audit()) == {("q0006", "en", "gen-1")}
 
         # excluded from every generator cell, still in the baseline
         scores = ctx.store.load_scores()
@@ -807,7 +807,7 @@ class TestExpectedFailures:
         )
         ctx = make_ctx(tmp_path, {"en": small}, gateway=gateway)
         run(ctx, ["aggregate"])
-        assert excluded(ctx.store.load_audit()) == {("en", "gen-1", "q0006")}
+        assert excluded(ctx.store.load_audit()) == {("q0006", "en", "gen-1")}
 
         words = {(e.item_id, e.level): e.word_count for e in ctx.store.load_explanations()}
         kept = [1 - words[item, 90] / words[item, 0] for item in ("q0003", "q0007")]
@@ -824,7 +824,7 @@ class TestExpectedFailures:
         )
         ctx = make_ctx(tmp_path, {"en": small}, gateway=gateway)
         run(ctx, ["aggregate"])
-        assert excluded(ctx.store.load_audit()) == {("en", "gen-1", "q0006")}
+        assert excluded(ctx.store.load_audit()) == {("q0006", "en", "gen-1")}
 
         cell = next(
             c for c in ctx.store.load_aggregates() if (c.generator_model, c.level) == ("gen-1", 90)
@@ -863,7 +863,7 @@ class TestExpectedFailures:
             ("constrain", "q0006", 10, "empty_regeneration"),
             ("constrain", "q0006", 90, "empty_regeneration"),
         ]
-        assert excluded(ctx.store.load_audit()) == {("en", "gen-1", "q0006")}
+        assert excluded(ctx.store.load_audit()) == {("q0006", "en", "gen-1")}
 
         resumed_store = RunStore.open_resume(
             tmp_path / "store", RunManifest.new(RUN, {"levels": [10, 90]})

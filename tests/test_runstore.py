@@ -14,9 +14,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from suffbench.constrainer import make_explanation
-from suffbench.masker import MaskReport
-from suffbench.metrics import AggregateCell, SimilarityRecord
+from suffbench.constrainer import (
+    BASELINE_LEVEL, BASELINE_MODEL, ExplanationError, make_explanation,
+)
+from suffbench.masker import MaskingError, MaskReport
+from suffbench.metrics import AggregateCell, MetricsError, SimilarityRecord
 from suffbench.runstore import (
     _DECODERS,
     _PARSERS,
@@ -37,7 +39,7 @@ from suffbench.runstore import (
     _encode_row,
     _RowEncoder,
 )
-from suffbench.scorer import BASELINE_LEVEL, BASELINE_MODEL, ScoreResult
+from suffbench.scorer import ScoreResult, ScoringError
 from tests.conftest import table_reads
 
 RUN = "run-abc"
@@ -85,6 +87,33 @@ def cell(level=10, mean_similarity=0.9):
         n_excluded=1, accuracy=0.7, mean_sufficiency=0.55,
         mean_similarity=mean_similarity,
     )
+
+
+class TestRecordKeys:
+    # each record type, a valid record of it, a level outside its table's
+    # set, a level of that set, and the error class of its own module
+    @pytest.mark.parametrize("record, outside, inside, error", [
+        (explanation(), 55, 0, ExplanationError),
+        (mask_report(), BASELINE_LEVEL, 10, MaskingError),
+        (score(), 55, 10, ScoringError),
+        (similarity(), 0, 10, MetricsError),
+        (cell(), 55, 10, MetricsError),
+        (audit(), BASELINE_LEVEL, 0, ValueError),
+    ], ids=[
+        "Explanation", "MaskReport", "ScoreResult", "SimilarityRecord", "AggregateCell",
+        "AuditRecord",
+    ])
+    def test_every_record_refuses_a_key_no_row_is_written_with(
+        self, record, outside, inside, error
+    ):
+        for bad in (
+            {"language": "xx"},
+            {"level": outside},
+            {"generator_model": BASELINE_MODEL, "level": inside},
+        ):
+            with pytest.raises(error) as caught:
+                dataclasses.replace(record, **bad)
+            assert caught.type is error
 
 
 class TestManifest:
@@ -313,19 +342,29 @@ class TestDedupAndRunChecks:
 
     @pytest.mark.parametrize("table, old, new, message", [
         (EXPLANATIONS, b",gen-1,0,3,", b",gen-1,abc,3,", "level 'abc' not in"),
-        (EXPLANATIONS, b",gen-1,0,3,", b",gen-1,55,3,", "level 55 not in"),
+        (EXPLANATIONS, b",gen-1,0,3,", b",gen-1,55,3,", "level '55' not in"),
         (EXPLANATIONS, b",gen-1,0,3,", b",gen-1,0,x,", "invalid literal for int() with base 10: 'x'"),
         (EXPLANATIONS, b"Light", b"\xffLight", "not UTF-8"),
         (AGGREGATES, b",0.7,", b",zz,", "could not convert string to float: 'zz'"),
         (AGGREGATES, b",10,1,", b",-,1,", "invalid literal for int() with base 10: '-'"),
-        (AGGREGATES, b",en,10,", b",en,55,", "level 55 not in"),
+        (AGGREGATES, b",en,10,", b",en,55,", "level '55' not in"),
         (AGGREGATES, b",en,10,", b",en,noexp,", "pairs level 'noexp' with model 'baseline'"),
         (AGGREGATES, b",10,1,", b",-3,1,", "n_items -3 < 1"),
         (AGGREGATES, b",10,1,", b",10,-1,", "n_excluded -1 < 0"),
         (AGGREGATES, b",0.7,", b",7.0,", "accuracy 7.0 outside [0, 1]"),
         (AGGREGATES, b",0.55,", b",9.0,", "mean_sufficiency 9.0 outside [0, 1]"),
         (AGGREGATES, b",0.9\n", b",-1.5\n", "mean_similarity -1.5 outside [-1, 1]"),
-        (AUDIT, b",gen-1,0,", b",gen-1,55,", "audit level 55 not in"),
+        (AUDIT, b",gen-1,0,", b",gen-1,55,", "level '55' not in"),
+        # a key no row is written with: a language outside en/fa, a level
+        # not in its writer's form, the baseline model at a generator level
+        (EXPLANATIONS, b",q0001,en,", b",q0001,xx,", "unknown language 'xx'"),
+        (EXPLANATIONS, b",gen-1,0,3,", ",gen-1,۱۰,3,".encode(), "level '۱۰' not in"),
+        (EXPLANATIONS, b",gen-1,0,3,", b",gen-1,00,3,", "level '00' not in"),
+        (EXPLANATIONS, b",gen-1,0,3,", b",baseline,0,3,", "pairs level 'noexp' with model"),
+        (MASKS, b",q0001,en,", b",q0001,xx,", "unknown language 'xx'"),
+        (AUDIT, b",q0002,en,", b",q0002,xx,", "unknown language 'xx'"),
+        (AGGREGATES, b",gen-1,en,", b",gen-1,xx,", "unknown language 'xx'"),
+        (AGGREGATES, b",gen-1,en,", b",gen-1,en/x,", "unknown language 'en/x'"),
     ])
     def test_a_value_that_makes_no_record_is_a_store_error(
         self, tmp_path, table, old, new, message
@@ -334,6 +373,7 @@ class TestDedupAndRunChecks:
         # not UTF-8 each name the table and the line
         with RunStore.create(tmp_path, manifest()) as store:
             store.append_explanation(explanation())
+            store.append_mask(mask_report())
             store.append_audit(audit())
             store.write_aggregates([cell()])
         path = tmp_path / table
@@ -342,8 +382,8 @@ class TestDedupAndRunChecks:
         path.write_bytes(data.replace(old, new))
         match = re.escape(f"{table} line 2: ") + ".*" + re.escape(message)
         load = {
-            EXPLANATIONS: RunStore.load_explanations, AGGREGATES: RunStore.load_aggregates,
-            AUDIT: RunStore.load_audit,
+            EXPLANATIONS: RunStore.load_explanations, MASKS: RunStore.load_masks,
+            AGGREGATES: RunStore.load_aggregates, AUDIT: RunStore.load_audit,
         }
         with pytest.raises(StoreError, match=match):
             load[table](RunStore.load(tmp_path))

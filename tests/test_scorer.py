@@ -8,13 +8,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from suffbench.constrainer import make_explanation
+from suffbench.constrainer import BASELINE_LEVEL, BASELINE_MODEL, make_explanation
 from suffbench.gateway import Gateway, MockBackend, ModelEndpoint
 from suffbench.masker import mask_explanation
 from suffbench.prompts import DEFAULT_TEMPLATE_ID, RenderedPrompt, load_template_set
 from suffbench.scorer import (
-    BASELINE_LEVEL,
-    BASELINE_MODEL,
     ScoreResult,
     ScoringError,
     predict,
